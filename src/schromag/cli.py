@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -23,6 +24,8 @@ from . import baselines, blockenc, complexity, io, mag, schrod
 from .errors import InputError, NumericsError
 from .linalg import LinearSystem, direct_solve
 from .presets import SolverConfig, compare_preset, pde_preset
+
+SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
 
 
 @dataclass
@@ -320,19 +323,13 @@ def cmd_pde(cfg: RunConfig) -> int:
 def cmd_schro(cfg: RunConfig) -> int:
     system, problem, solver, delta, n_p = _load_system(cfg)
     params = _params_for(cfg, system, solver)
-    u, report, state = schrod.pipeline(
+    u, report, (points, rows) = schrod.pipeline(
         system.a, system.b, params, delta, n_p,
-        recovery=solver.recovery, gamma_f=cfg.gammaf, keep_state=True,
+        recovery=solver.recovery, gamma_f=cfg.gammaf, snapshot_rows=SNAPSHOT_ROWS,
     )
     io.write_json(os.path.join(cfg.out, "pipeline.json"), report.as_dict())
     io.write_vector(os.path.join(cfg.out, "solution.vec"), u)
-    stride = max(1, state.grid.n_p // 1024)
-    idx = np.arange(0, state.grid.n_p, stride)
-    io.write_field_snapshot_csv(
-        os.path.join(cfg.out, "warped_field.csv"),
-        state.grid.points[idx],
-        state.field_rows(idx),
-    )
+    io.write_field_snapshot_csv(os.path.join(cfg.out, "warped_field.csv"), points, rows)
     print(f"schro residual vs direct solve: {report.residual_vs_oracle:.3e}")
     return 0
 
@@ -461,6 +458,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_values, dict):
             raise InputError("config file must hold a JSON object")
     cfg = RunConfig(command=args.command)
+    hints = typing.get_type_hints(RunConfig)
     for f in fields(RunConfig):
         if f.name == "command":
             continue
@@ -468,8 +466,22 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             setattr(cfg, f.name, flag)
         elif f.name in file_values:
-            setattr(cfg, f.name, file_values[f.name])
+            setattr(cfg, f.name, _typed(f.name, hints[f.name], file_values[f.name]))
     return cfg
+
+
+def _typed(name: str, hint, value):
+    """A config-file value as its field's declared type, else InputError."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    if not isinstance(value, bool):
+        if float in kinds and isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, tuple(k for k in kinds if k is not type(None))):
+            return value
+    want = " or ".join(k.__name__ for k in kinds)
+    raise InputError(f"config field {name!r} must be {want}, got {value!r}")
 
 
 def main(argv=None) -> int:

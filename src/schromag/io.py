@@ -132,17 +132,16 @@ def write_solution_csv(path, u, xs, ys=None) -> None:
 
 def write_field_snapshot_csv(path, points, field) -> None:
     """Warped-field snapshot: one row per grid point p_k, columns per component."""
-    field = np.asarray(field)
+    field = np.ascontiguousarray(field, dtype=np.complex128)
     ncomp = field.shape[1]
     header = ["p"]
     for c in range(ncomp):
         header += [f"comp{c}_re", f"comp{c}_im"]
     lines = [",".join(header)]
-    for k, p in enumerate(points):
-        row = [_fmt(p)]
-        for c in range(ncomp):
-            row += [_fmt(field[k, c].real), _fmt(field[k, c].imag)]
-        lines.append(",".join(row))
+    # re/im interleaved as plain floats; repr of a Python float is _fmt
+    table = np.column_stack([np.asarray(points, dtype=np.float64),
+                             field.view(np.float64)])
+    lines += [",".join(map(repr, row.tolist())) for row in table]
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -55,11 +55,15 @@ class MagParams:
             raise ValueError(
                 f"need 0 < mu_hat <= l_hat, got ({self.l_hat}, {self.mu_hat})"
             )
-        assert self.alpha == 4.0 / (math.sqrt(self.l_hat) + math.sqrt(self.mu_hat)) ** 2
-        assert self.beta == ((self.kappa_hat - 1.0) / (self.kappa_hat + 1.0)) ** 2
-        assert 0.0 <= self.beta < 1.0
+        if self.alpha != 4.0 / (math.sqrt(self.l_hat) + math.sqrt(self.mu_hat)) ** 2:
+            raise ValueError(f"alpha={self.alpha} is not 4/(sqrt(l_hat)+sqrt(mu_hat))^2")
+        if self.beta != ((self.kappa_hat - 1.0) / (self.kappa_hat + 1.0)) ** 2:
+            raise ValueError(f"beta={self.beta} is not ((kappa_hat-1)/(kappa_hat+1))^2")
+        if not (0.0 <= self.beta < 1.0):
+            raise ValueError(f"need 0 <= beta < 1, got {self.beta}")
         # equality alpha == 1/mu_hat at l_hat == mu_hat, up to rounding
-        assert 0.0 < self.alpha <= (1.0 + 4e-16) / self.mu_hat
+        if not (0.0 < self.alpha <= (1.0 + 4e-16) / self.mu_hat):
+            raise ValueError(f"need 0 < alpha <= 1/mu_hat, got {self.alpha}")
 
 
 def derive_params(l_hat: float, mu_hat: float) -> MagParams:

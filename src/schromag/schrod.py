@@ -16,6 +16,16 @@ whole evolution: anything that wraps re-enters from the right and
 corrupts the readout region.  Grid construction therefore accepts the
 left tail as a parameter, and the end-to-end driver sizes it from the
 advection speeds of the spectral components that actually carry weight.
+
+The readout is a fixed linear functional of the field: a weight vector
+w over the grid points (`readout_weights`).  Because the field is the
+inverse FFT of the modes, sum_k w_k field_k = sum_l c_l mode_l with
+c = ifft(w), so `evolve_structured` streams the modes chunk by chunk,
+accumulates that sum and drops each chunk; the (n_p, pairs, 4) field is
+never built.  Strided snapshot rows come out of the same pass: with
+m = n_p / stride, field[j*stride] = (m/n_p) ifft_m(F)[j] where F folds
+the modes modulo m.  Memory is one chunk of modes (_CHUNK_ENTRIES / 4
+complex numbers) with its temporaries, plus the (m, pairs, 4) fold.
 """
 
 from __future__ import annotations
@@ -36,8 +46,6 @@ from .linalg import (
     require_square,
     skew_part_over_i,
 )
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DEFAULT_TAIL_TOL = math.exp(-10.0)
 RIGHT_MARGIN = 2.0
@@ -137,15 +145,25 @@ class PGrid:
 def build_grid(h1, t_end: float, n_p: int, tail_tol: float = DEFAULT_TAIL_TOL,
                p_left: float | None = None,
                right_margin: float = RIGHT_MARGIN) -> PGrid:
-    """Uniform periodic grid on [p_left, p_right).
+    """build_grid_from_rate with the rate lambda_max(h1) of a dense split."""
+    rate = float(np.max(np.linalg.eigvalsh(as_cmatrix(h1))))
+    return build_grid_from_rate(rate, t_end, n_p, p_left, right_margin, tail_tol)
+
+
+def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float | None = None,
+                         right_margin: float = RIGHT_MARGIN,
+                         tail_tol: float = DEFAULT_TAIL_TOL) -> PGrid:
+    """Uniform periodic grid on [p_left, p_right), rate = lambda_max(h1).
 
     p_left = ln(tail_tol) unless given explicitly (long evolutions need a
     runway far beyond what the envelope tail alone would suggest);
-    p_right sits at least a fixed margin beyond the readout threshold.
-    Large state components want a larger right margin: the envelope must
-    decay below noise at the periodic seam, or the jump there radiates
-    into the readout zone.
+    p_right sits at least a fixed margin beyond the readout threshold
+    max(rate * t_end, 0).  Large state components want a larger right
+    margin: the envelope must decay below noise at the periodic seam, or
+    the jump there radiates into the readout zone.
     """
+    if t_end < 0:
+        raise ValueError("t must be nonnegative")
     if n_p < 8 or (n_p & (n_p - 1)) != 0:
         raise InputError(f"n_p must be a power of two >= 8, got {n_p}")
     if p_left is None:
@@ -154,7 +172,7 @@ def build_grid(h1, t_end: float, n_p: int, tail_tol: float = DEFAULT_TAIL_TOL,
         p_left = math.log(tail_tol)
     if p_left >= 0.0:
         raise InputError("p_left must be negative")
-    p_right = p_threshold(h1, t_end) + max(right_margin, RIGHT_MARGIN)
+    p_right = max(rate * t_end, 0.0) + max(right_margin, RIGHT_MARGIN)
     dp = (p_right - p_left) / n_p
     if dp > MAX_DP:
         need = 1 << math.ceil(math.log2((p_right - p_left) / MAX_DP))
@@ -185,9 +203,6 @@ class SchrodState:
 
     def field(self) -> np.ndarray:
         return np.fft.ifft(self.modes, axis=0)
-
-    def field_rows(self, indices) -> np.ndarray:
-        return self.field()[np.asarray(indices)]
 
 
 def warped_initial_field(grid: PGrid, w0_homo: np.ndarray) -> np.ndarray:
@@ -236,13 +251,20 @@ def _top_block(vec: np.ndarray) -> np.ndarray:
     return vec[: vec.shape[0] // 2]
 
 
-def _recover(state, p_diamond: float, method: str, margin: float | None,
-             advect: float = 0.0):
-    grid = state.grid
+def readout_weights(grid: PGrid, p_diamond: float, method: str, advect: float = 0.0,
+                    margin: float | None = None) -> tuple[np.ndarray, int]:
+    """The readout as weights over the grid points: sum_k w[k] field(t, p_k).
+
+    "single-point" puts e^{p_k*} on the first admissible point k*.
+    "integral" is the trapezoid rule for e^{p*} int_{p*}^{P} field dq,
+    normalized so the pure e^{-q} profile is reproduced exactly in the
+    continuum limit.  Returns (w, k*).
+    """
     k_star = recovery_index(grid, p_diamond, margin)
+    w = np.zeros(grid.n_p)
     if method == "single-point":
-        row = state.field_rows([k_star])[0]
-        return _top_block(math.exp(grid.points[k_star]) * row), k_star
+        w[k_star] = math.exp(grid.points[k_star])
+        return w, k_star
     if method == "integral":
         # the top slice of the domain has been overwritten by wrapped
         # left-tail data after an advection distance ~ ||h1|| * t; keep
@@ -254,27 +276,28 @@ def _recover(state, p_diamond: float, method: str, margin: float | None,
             floor = grid.points[k_star] + 0.25 * (grid.points[-1] - grid.points[k_star])
             k_end = int(np.searchsorted(grid.points, max(cap, floor))) - 1
             k_end = max(k_end, k_star + 1)
-        idx = np.arange(k_star, k_end + 1)
-        rows = state.field_rows(idx)
-        integral = _trapezoid(rows, dx=grid.dp, axis=0)
         p_star, p_end = grid.points[k_star], grid.points[k_end]
         scale = math.exp(p_star) / (1.0 - math.exp(-(p_end - p_star)))
-        return _top_block(scale * integral), k_star
+        w[k_star : k_end + 1] = scale * grid.dp
+        w[k_star] *= 0.5
+        w[k_end] *= 0.5
+        return w, k_star
     raise ValueError(f"unknown recovery method {method!r}")
 
 
 def recover_single_point(state, h1, margin: float | None = None) -> np.ndarray:
     """e^{p_k*} field(t, p_k*), state block, at the first admissible point."""
-    vec, _ = _recover(state, p_threshold(h1, state.time), "single-point", margin)
-    return vec
+    w, _ = readout_weights(state.grid, p_threshold(h1, state.time), "single-point",
+                           margin=margin)
+    return _top_block(w @ state.field())
 
 
 def recover_integral(state, h1, margin: float | None = None) -> np.ndarray:
-    """Trapezoid readout e^{p*} int_{p*}^{P} field dq, normalized so the
-    pure e^{-q} profile is reproduced exactly in the continuum limit."""
+    """Trapezoid readout e^{p*} int_{p*}^{P} field dq, state block."""
     advect = float(np.max(np.abs(np.linalg.eigvalsh(as_cmatrix(h1))))) * state.time
-    vec, _ = _recover(state, p_threshold(h1, state.time), "integral", margin, advect)
-    return vec
+    w, _ = readout_weights(state.grid, p_threshold(h1, state.time), "integral", advect,
+                           margin)
+    return _top_block(w @ state.field())
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +310,6 @@ def recover_integral(state, h1, margin: float | None = None) -> np.ndarray:
 # (4n)^3 into n batched 4x4 problems, which is what makes the 2d problems
 # affordable.  Equality with the dense path is covered by tests.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class StructuredEvolution:
-    grid: PGrid
-    time: float
-    sigma: np.ndarray  # singular values, descending
-    basis_u: np.ndarray
-    basis_v: np.ndarray
-    modes: np.ndarray  # (n_p, npairs, 4)
-    p_diamond_rate: float  # lambda_max(h1), for thresholds
-
-    @property
-    def state_dim(self) -> int:
-        return 4 * self.sigma.shape[0]
-
-    def fourier_norm(self) -> float:
-        return float(np.linalg.norm(self.modes))
-
-    def field_rows(self, indices) -> np.ndarray:
-        indices = np.asarray(indices)
-        n_p = self.grid.n_p
-        if indices.size > 8 * int(math.log2(n_p)):
-            rows_pair = np.fft.ifft(self.modes, axis=0)[indices]
-        else:
-            phases = np.exp(
-                2j * np.pi * np.outer(indices, np.fft.fftfreq(n_p) * n_p) / n_p
-            )
-            rows_pair = np.tensordot(phases, self.modes, axes=(1, 0)) / n_p
-        n = self.sigma.shape[0]
-        out = np.empty((indices.shape[0], 4 * n), dtype=np.complex128)
-        for slot, basis in enumerate((self.basis_v, self.basis_u, self.basis_v, self.basis_u)):
-            out[:, slot * n : (slot + 1) * n] = rows_pair[:, :, slot] @ basis.T
-        return out
 
 
 @dataclass(frozen=True)
@@ -403,31 +392,52 @@ def build_pair_system(sys: mag_mod.TransformedSystem, gamma_f: float,
     )
 
 
-def evolve_structured(pairs: PairSystem, grid: PGrid, t: float,
-                      engine: str = "closed-form") -> StructuredEvolution:
-    npairs = pairs.sigma.shape[0]
-    field = np.exp(-np.abs(grid.points))[:, None, None] * pairs.w0_pair[None]
-    modes = np.fft.fft(field, axis=0)
-    if t > 0:
-        live = np.flatnonzero(np.linalg.norm(pairs.w0_pair, axis=1) > 0.0)
-        chunk = max(1, _CHUNK_ENTRIES // (16 * max(live.size, 1)))
-        for lo in range(0, grid.n_p, chunk):
-            hi = min(lo + chunk, grid.n_p)
-            th = grid.thetas[lo:hi]
-            if engine == "closed-form":
-                modes[lo:hi, live] = _apply_pair_modes(pairs, live, th, t,
-                                                       modes[lo:hi, live])
-            else:
-                k = th[:, None, None, None] * pairs.h1[None, live] \
-                    - pairs.h2[None, live]
-                w, v = np.linalg.eigh(k)
-                coef = np.einsum("kpji,kpj->kpi", v.conj(), modes[lo:hi, live])
-                coef *= np.exp(-1j * w * t)
-                modes[lo:hi, live] = np.einsum("kpij,kpj->kpi", v, coef)
-    return StructuredEvolution(
-        grid=grid, time=t, sigma=pairs.sigma, basis_u=pairs.basis_u,
-        basis_v=pairs.basis_v, modes=modes, p_diamond_rate=pairs.lambda_max_h1(),
-    )
+def _to_state_basis(pairs: PairSystem, rows_pair: np.ndarray) -> np.ndarray:
+    """(..., npairs, 4) pair-basis slots -> (..., 4n) state components."""
+    bases = (pairs.basis_v, pairs.basis_u, pairs.basis_v, pairs.basis_u)
+    return np.concatenate([rows_pair[..., slot] @ basis.T
+                           for slot, basis in enumerate(bases)], axis=-1)
+
+
+def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
+                      stride: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stream the pair-space Fourier modes at time t through the readout.
+
+    Mode l of pair j is U_l(t) e_l w0_j with e = fft(e^{-|p|}).  Each chunk
+    of modes is evolved once, added into sum_l c_l mode_l (c = ifft of
+    the readout weights) and, for stride > 0, into the fold F[l mod m],
+    m = n_p // stride, then dropped.  Returns the 4n-vector
+    sum_k weights[k] field(t, p_k) and, for stride > 0, the (m, 4n) rows
+    field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None).
+    """
+    n_p = grid.n_p
+    live = np.flatnonzero(np.linalg.norm(pairs.w0_pair, axis=1) > 0.0)
+    w0 = pairs.w0_pair[live]
+    envelope = np.fft.fft(np.exp(-np.abs(grid.points)))
+    coef = np.fft.ifft(np.asarray(weights, dtype=float))
+    m = n_p // stride if stride else 0
+    readout = np.zeros((live.size, 4), dtype=np.complex128)
+    folded = np.zeros((m, live.size, 4), dtype=np.complex128)
+    # powers of two, so a chunk is a whole number of folds or fits in one
+    chunk = 1 << int(math.log2(max(1, _CHUNK_ENTRIES // (16 * max(live.size, 1)))))
+    for lo in range(0, n_p, chunk):
+        hi = min(lo + chunk, n_p)
+        modes = envelope[lo:hi, None, None] * w0[None]
+        if t > 0:
+            modes = _apply_pair_modes(pairs, live, grid.thetas[lo:hi], t, modes)
+        readout += np.tensordot(coef[lo:hi], modes, axes=1)
+        if m:
+            width = min(hi - lo, m)
+            r = lo % m
+            folded[r : r + width] += modes.reshape(-1, width, live.size, 4).sum(axis=0)
+    full = np.zeros((pairs.sigma.size, 4), dtype=np.complex128)
+    full[live] = readout
+    rows = None
+    if m:
+        rows_pair = np.zeros((m, pairs.sigma.size, 4), dtype=np.complex128)
+        rows_pair[:, live] = np.fft.ifft(folded, axis=0) * (m / n_p)
+        rows = _to_state_basis(pairs, rows_pair)
+    return _to_state_basis(pairs, full), rows
 
 
 def _apply_pair_modes(pairs: PairSystem, live, thetas, t: float,
@@ -515,7 +525,6 @@ class PipelineReport:
     recovery_method: str
     residual_vs_oracle: float
     gamma_f: float
-    structured: bool
 
     def as_dict(self) -> dict:
         return {
@@ -528,19 +537,20 @@ class PipelineReport:
             "recovery_method": self.recovery_method,
             "residual_vs_oracle": self.residual_vs_oracle,
             "gamma_f": self.gamma_f,
-            "structured": self.structured,
         }
 
 
 def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int,
              recovery: str = "integral", gamma_f: float | None = None,
-             w0=None, structured: bool | None = None, keep_state: bool = False,
-             ):
+             w0=None, snapshot_rows: int = 0):
     """End-to-end solve of A u = b through the Hamiltonian realization.
 
     Evolves to t_end = kappa_hat * ln(1/delta), reads the field back out
     past the threshold and unscales the first block by (1 - beta).  The
-    residual against the direct solve lands in the report.
+    residual against the direct solve lands in the report.  With
+    snapshot_rows > 0 it also returns (points, rows): the final warped
+    field on every (n_p // snapshot_rows)-th grid point, from the same
+    evolution pass.
     """
     a = require_square(as_cmatrix(a))
     b = as_cvector(b)
@@ -563,27 +573,14 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int,
     wref = float(max(np.max(np.abs(pairs.steady_pair[:, :2])), 1e-300))
     right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
 
-    if structured is None:
-        # dense per-mode cost ~ n_p * (4n)^3; switch over once that bites
-        structured = n_p * (4.0 * sys.n) ** 3 > 2e9
-
-    if structured:
-        grid = build_grid_from_rate(pairs.lambda_max_h1(), t_end, n_p, p_left,
-                                    right_margin)
-        state = evolve_structured(pairs, grid, t_end)
-        p_diamond = max(pairs.lambda_max_h1() * t_end, 0.0)
-    else:
-        generator, drive = to_ode(sys)
-        hs = homogenize(generator, drive, gamma_f, w0=w0)
-        hsplit = split(hs)
-        grid = build_grid(hsplit.h1, t_end, n_p, p_left=p_left,
-                          right_margin=right_margin)
-        state = evolve(hsplit, grid, hs.w0_homo, t_end)
-        p_diamond = p_threshold(hsplit.h1, t_end)
-
+    rate = pairs.lambda_max_h1()
+    grid = build_grid_from_rate(rate, t_end, n_p, p_left, right_margin)
+    p_diamond = max(rate * t_end, 0.0)
     advect = float(np.max(pairs.advection_speeds())) * t_end
-    w_rec, k_star = _recover(state, p_diamond, recovery, None, advect)
-    u = mag_mod.solution_from_state(sys, w_rec)
+    weights, k_star = readout_weights(grid, p_diamond, recovery, advect)
+    stride = max(1, n_p // snapshot_rows) if snapshot_rows > 0 else 0
+    w_rec, rows = evolve_structured(pairs, grid, t_end, weights, stride)
+    u = mag_mod.solution_from_state(sys, _top_block(w_rec))
 
     oracle = direct_solve(LinearSystem(a, b))
     residual = float(
@@ -592,29 +589,8 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int,
     report = PipelineReport(
         t_end=t_end, n_p=n_p, p_left=grid.p_left, p_right=grid.p_right,
         p_diamond=p_diamond, k_star=k_star, recovery_method=recovery,
-        residual_vs_oracle=residual, gamma_f=gamma_f, structured=bool(structured),
+        residual_vs_oracle=residual, gamma_f=gamma_f,
     )
-    if keep_state:
-        return u, report, state
+    if stride:
+        return u, report, (grid.points[::stride], rows)
     return u, report
-
-
-def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
-                         right_margin: float = RIGHT_MARGIN) -> PGrid:
-    """build_grid when lambda_max(h1) is already known (structured path)."""
-    if n_p < 8 or (n_p & (n_p - 1)) != 0:
-        raise InputError(f"n_p must be a power of two >= 8, got {n_p}")
-    if p_left >= 0.0:
-        raise InputError("p_left must be negative")
-    p_right = max(rate * t_end, 0.0) + max(right_margin, RIGHT_MARGIN)
-    dp = (p_right - p_left) / n_p
-    if dp > MAX_DP:
-        need = 1 << math.ceil(math.log2((p_right - p_left) / MAX_DP))
-        raise InputError(
-            f"n_p={n_p} leaves dp={dp:.3f} > {MAX_DP} on [{p_left:.2f}, {p_right:.2f}]; "
-            f"use n_p >= {need}"
-        )
-    points = p_left + dp * np.arange(n_p)
-    thetas = 2.0 * np.pi * np.fft.fftfreq(n_p, d=dp)
-    return PGrid(p_left=p_left, p_right=p_right, n_p=n_p, points=points, thetas=thetas,
-                 dp=dp)

@@ -248,6 +248,16 @@ class TestConfigPrecedence:
         cfg.write_text("[1, 2, 3]")
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("field, value", [("delta", "abc"), ("n_p", "1024"),
+                                              ("n_p", 1024.0), ("matrix", 3)])
+    def test_wrongly_typed_config_value_is_usage_error(self, diag_problem, field, value):
+        values = {"matrix": str(diag_problem / "a.coo"), "rhs": str(diag_problem / "b.vec")}
+        values[field] = value
+        cfg = diag_problem / "typed.json"
+        cfg.write_text(json.dumps(values))
+        out = diag_problem / "typed"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+
 
 class TestExitCodeOne:
     def test_numerical_contract_violation(self, tmp_path):

@@ -7,6 +7,7 @@ from schromag.errors import InputError
 from schromag.io import (
     read_matrix_coo,
     read_vector,
+    write_field_snapshot_csv,
     write_matrix_coo,
     write_trace_csv,
     write_trajectory_csv,
@@ -91,3 +92,22 @@ class TestCsv:
         lines = path.read_text().strip().split("\n")
         assert lines[1].endswith(",")
         assert lines[2].endswith(",0.5")
+
+    def test_field_snapshot_bytes_match_per_element_repr(self, tmp_path):
+        rng = np.random.default_rng(3)
+        field = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        field[0, 0] = complex(-0.0, 1e-300)
+        field[1, 2] = complex(5e-324, -0.0)
+        field[2, 1] = complex(-5e-324, -1e-300)
+        field[3, :] = 0.0
+        points = np.array([-0.0, 1e-300, 5e-324, 1 / 3, -2.5])
+        path = tmp_path / "snap.csv"
+        write_field_snapshot_csv(path, points, field)
+        lines = [",".join(["p"] + [f"comp{c}_{part}" for c in range(3)
+                                   for part in ("re", "im")])]
+        for k, p in enumerate(points):
+            row = [repr(float(p))]
+            for c in range(3):
+                row += [repr(float(field[k, c].real)), repr(float(field[k, c].imag))]
+            lines.append(",".join(row))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +58,26 @@ class TestDeriveParams:
         for l_hat, mu_hat in ((1.0, 0.0), (1.0, -1.0), (1.0, 2.0), (0.0, 0.0)):
             with pytest.raises(ValueError):
                 derive_params(l_hat, mu_hat)
+
+    def test_inconsistent_params_rejected_under_optimize(self):
+        # the invariants are real checks, so they survive python -O
+        code = (
+            "from schromag.mag import MagParams, derive_params\n"
+            "good = derive_params(4.0, 1.0)\n"
+            "for field in ('alpha', 'beta'):\n"
+            "    kw = dict(vars(good))\n"
+            "    kw[field] *= 1.5\n"
+            "    try:\n"
+            "        MagParams(**kw)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{field} accepted')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     @given(st.floats(1e-3, 1e3), st.floats(1.0, 1e6))
     @settings(max_examples=50, deadline=None)

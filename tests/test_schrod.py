@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schromag import schrod
 from schromag.errors import InputError
 from schromag.linalg import LinearSystem, direct_solve, expm_apply
 from schromag.mag import build_transformed, derive_params, steady_state
@@ -15,6 +20,7 @@ from schromag.schrod import (
     homogenize,
     p_threshold,
     pipeline,
+    readout_weights,
     recover_integral,
     recover_single_point,
     recovery_index,
@@ -307,6 +313,8 @@ class TestStructuredEvolution:
         return sys, gamma_f
 
     def test_matches_dense_path(self):
+        # every field row of the streamed pass against the dense path;
+        # by Parseval this also pins the Fourier-space norm
         sys, gamma_f = self._setup()
         gen, drive = to_ode(sys)
         hs = homogenize(gen, drive, gamma_f)
@@ -315,12 +323,9 @@ class TestStructuredEvolution:
         grid = build_grid(sp.h1, t, 512, tail_tol=math.exp(-30.0))
         dense = evolve(sp, grid, hs.w0_homo, t)
         pairs = build_pair_system(sys, gamma_f)
-        structured = evolve_structured(pairs, grid, t)
-        idx = [0, 17, grid.n_p // 2, grid.n_p - 1]
-        assert np.allclose(
-            structured.field_rows(idx), dense.field_rows(idx), atol=1e-10
-        )
-        assert structured.fourier_norm() == pytest.approx(dense.fourier_norm(), rel=1e-12)
+        _, rows = evolve_structured(pairs, grid, t, np.zeros(grid.n_p), 1)
+        assert rows.shape == (grid.n_p, 4 * sys.n)
+        assert np.allclose(rows, dense.field(), atol=1e-10)
 
     def test_pair_weights_detect_sparse_excitation(self):
         # forcing aligned with one singular direction leaves every other
@@ -344,6 +349,69 @@ class TestStructuredEvolution:
         pairs = build_pair_system(sys, gamma_f)
         dense_lam = float(np.max(np.linalg.eigvalsh(sp.h1)))
         assert pairs.lambda_max_h1() == pytest.approx(dense_lam, abs=1e-12)
+
+
+class TestStreamedReadout:
+    """The streamed pair-space pass against dense evolve on the same grid."""
+
+    @staticmethod
+    def _problem(n, seed, with_w0):
+        rng = np.random.default_rng(seed)
+        sig = rng.uniform(0.5, 3.0, size=n)
+        q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        a = q1 @ np.diag(sig) @ q2.conj().T
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w0 = None
+        if with_w0:
+            w0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        p = derive_params(9.5, 0.2)
+        return build_transformed(a, b, p), default_forcing_scale(p), w0
+
+    @given(st.integers(1, 4), st.integers(0, 2**16), st.floats(0.0, 8.0),
+           st.sampled_from([128, 256, 512]), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_readout_and_snapshot_match_dense(self, n, seed, t, n_p, with_w0):
+        sys, gamma_f, w0 = self._problem(n, seed, with_w0)
+        gen, drive = to_ode(sys)
+        hs = homogenize(gen, drive, gamma_f, w0=w0)
+        sp = split(hs)
+        grid = build_grid(sp.h1, t, n_p)
+        state = evolve(sp, grid, hs.w0_homo, t)
+        pairs = build_pair_system(sys, gamma_f, w0=w0)
+        atol = 1e-10 * float(np.linalg.norm(hs.w0_homo))
+        p_diamond = p_threshold(sp.h1, t)
+        advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
+        for method, oracle in (("integral", recover_integral),
+                               ("single-point", recover_single_point)):
+            weights, _ = readout_weights(grid, p_diamond, method, advect)
+            vec, rows = evolve_structured(pairs, grid, t, weights)
+            assert rows is None
+            assert np.allclose(vec[: 2 * n], oracle(state, sp.h1), rtol=0.0, atol=atol)
+        field = state.field()
+        # 256 entries make chunks of 4-16 modes: smaller than some folds
+        # and larger than others
+        for entries in (schrod._CHUNK_ENTRIES, 256):
+            with mock.patch.object(schrod, "_CHUNK_ENTRIES", entries):
+                for stride in (1, 2, 8, 32):
+                    vec, rows = evolve_structured(pairs, grid, t, weights, stride)
+                    assert rows.shape == (n_p // stride, 4 * n)
+                    assert np.allclose(rows, field[::stride], rtol=0.0, atol=atol)
+                assert np.allclose(vec[: 2 * n], recover_single_point(state, sp.h1),
+                                   rtol=0.0, atol=atol)
+
+    def test_integral_weights_are_the_trapezoid_rule(self):
+        hs, sp = scalar_setup(rate=-1.0)
+        grid = build_grid(sp.h1, 1.0, 256)
+        w, k_star = readout_weights(grid, 0.0, "integral", advect=3.0)
+        window = np.flatnonzero(w)
+        assert window[0] == k_star
+        assert np.array_equal(window, np.arange(window[0], window[-1] + 1))
+        f = np.random.default_rng(1).normal(size=grid.n_p)[window]
+        p_star, p_end = grid.points[window[0]], grid.points[window[-1]]
+        scale = math.exp(p_star) / (1.0 - math.exp(-(p_end - p_star)))
+        trapezoid = grid.dp * (f.sum() - 0.5 * (f[0] + f[-1]))
+        assert w[window] @ f == pytest.approx(scale * trapezoid, rel=1e-12)
 
 
 class TestPipeline:
@@ -386,6 +454,25 @@ class TestPipeline:
         u_pipe, _ = pipeline(a, b, params, 1e-3, solver.n_p)
         scale = np.max(np.abs(u_iter))
         assert np.max(np.abs(u_pipe - u_iter)) / scale < 1e-2
+
+    def test_fig4a_memory_stays_one_chunk(self):
+        # the streamed pass holds one chunk of modes, never the whole
+        # (n_p, pairs, 4) field (16384 x 256 x 4 complex = 256 MiB here)
+        from schromag.mag import params_from_matrix
+        from schromag.presets import pde_preset
+
+        problem, solver = pde_preset("fig4a")
+        a, b = problem.system.a, problem.system.b
+        params = params_from_matrix(a, safety=solver.bounds_safety)
+        tracemalloc.start()
+        try:
+            _, report = pipeline(a, b, params, solver.delta, solver.n_p,
+                                 recovery=solver.recovery)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.residual_vs_oracle < max(solver.delta, 1e-2)
+        assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
     def test_consistency_with_ode_oracle(self):
         # recovered trajectory tracks expm on the (generator, drive) ODE
