@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, blockenc, complexity, io, mag, schrod
 from .errors import InputError, NumericsError
-from .linalg import LinearSystem, direct_solve
+from .linalg import LinearSystem, direct_solve, singular_values
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
@@ -70,7 +70,8 @@ def thread_cap() -> int:
 
 
 def _load_system(cfg: RunConfig):
-    """Problem, solver defaults, and the effective (delta, n_p)."""
+    """Problem, solver defaults, the effective (delta, n_p), and the
+    singular values of A: the invocation's one factorization of A."""
     if cfg.preset is not None:
         problem, solver = pde_preset(cfg.preset)
         system = problem.system
@@ -80,10 +81,10 @@ def _load_system(cfg: RunConfig):
         system, problem, solver = LinearSystem(a, b), None, SolverConfig()
     delta = cfg.delta if cfg.delta is not None else solver.delta
     n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    return system, problem, solver, delta, n_p
+    return system, problem, solver, delta, n_p, singular_values(system.a)
 
 
-def _params_for(cfg: RunConfig, system: LinearSystem, solver: SolverConfig) -> mag.MagParams:
+def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.MagParams:
     if cfg.alpha is not None and cfg.beta is not None:
         # rebuild the bounds that produce the requested (alpha, beta)
         if not (0.0 <= cfg.beta < 1.0) or cfg.alpha <= 0.0:
@@ -93,26 +94,31 @@ def _params_for(cfg: RunConfig, system: LinearSystem, solver: SolverConfig) -> m
         return mag.derive_params((kappa * sqrt_mu) ** 2, sqrt_mu**2)
     if cfg.l_hat is not None and cfg.mu_hat is not None:
         return mag.derive_params(cfg.l_hat, cfg.mu_hat)
-    return mag.params_from_matrix(system.a, safety=solver.bounds_safety)
+    return mag.params_from_sigma(sigma, safety=solver.bounds_safety)
 
 
-def _solve_with_method(cfg: RunConfig, system: LinearSystem, solver: SolverConfig,
-                       delta: float, n_p: int, keep_states: bool = False):
-    """Returns (u, artifacts dict) for one method on one system."""
+def _solve_with_method(cfg: RunConfig, system: LinearSystem, sigma: np.ndarray,
+                       params: mag.MagParams, solver: SolverConfig, delta: float, n_p: int,
+                       oracle: np.ndarray, keep_states: bool = False):
+    """Returns (u, artifacts dict) for one method on one system.
+
+    `sigma` holds the singular values of A and `oracle` the direct
+    solve; the pipeline measures its residual against it.
+    """
     method = cfg.method or "mag"
-    params = _params_for(cfg, system, solver)
     if method == "mag":
+        mag.spectral_radius_check(params, sigma)
         tsys = mag.build_transformed(system.a, system.b, params)
-        mag.spectral_radius_check(tsys)
-        delta_run = delta / mag.solution_error_factor(tsys)
+        w_inf = mag.steady_state(tsys, sigma)
+        delta_run = delta / mag.solution_error_factor(w_inf)
         max_steps = 4 * mag.convergence_steps(params.kappa_hat, min(delta_run, delta))
         trace = mag.mag_iterate(
             tsys, np.zeros(2 * tsys.n), delta_run, max_steps,
-            keep_states=keep_states,
+            w_inf=w_inf, keep_states=keep_states,
         )
         artifacts = {"trace": trace.residuals, "steps": trace.steps}
         if keep_states:
-            values, kappa2 = mag.relative_trace(tsys, trace)
+            values, kappa2 = mag.relative_trace(trace, w_inf)
             artifacts["relative_trace"] = (
                 values if values is not None else [math.inf] * len(trace.residuals)
             )
@@ -121,22 +127,20 @@ def _solve_with_method(cfg: RunConfig, system: LinearSystem, solver: SolverConfi
         return u, artifacts
     if method == "gradient":
         flow = baselines.build_gradient_flow(system.a, system.b)
-        s = np.linalg.svd(system.a, compute_uv=False)
-        t_end = baselines.evolution_time("gradient", (float(s[-1]), float(s[0])), delta)
+        t_end = baselines.evolution_time("gradient", (float(sigma[-1]), float(sigma[0])), delta)
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 256)
         return traj[-1][1], {"t_end": t_end}
     if method == "damped":
-        s = np.linalg.svd(system.a, compute_uv=False)
         gamma = cfg.gamma if cfg.gamma is not None else (
-            solver.gamma if solver.gamma is not None else 1.9 * float(s[-1])
+            solver.gamma if solver.gamma is not None else 1.9 * float(sigma[-1])
         )
         flow = baselines.build_damped(system.a, system.b, gamma)
-        t_end = baselines.evolution_time("damped", (float(s[-1]), float(s[0])), delta)
+        t_end = baselines.evolution_time("damped", (float(sigma[-1]), float(sigma[0])), delta)
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 256)
         return traj[-1][1][: system.n], {"t_end": t_end, "gamma": gamma}
     if method == "schro":
         u, report = schrod.pipeline(
-            system.a, system.b, params, delta, n_p,
+            system.a, system.b, params, delta, n_p, oracle=oracle,
             recovery=solver.recovery, gamma_f=cfg.gammaf,
         )
         return u, {"report": report.as_dict()}
@@ -144,10 +148,11 @@ def _solve_with_method(cfg: RunConfig, system: LinearSystem, solver: SolverConfi
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p = _load_system(cfg)
-    u_method, artifacts = _solve_with_method(cfg, system, solver, delta, n_p,
-                                             keep_states=True)
-    oracle = direct_solve(system)
+    system, problem, solver, delta, n_p, sigma = _load_system(cfg)
+    params = _params_for(cfg, sigma, solver)
+    oracle = direct_solve(system, sigma)
+    u_method, artifacts = _solve_with_method(cfg, system, sigma, params, solver, delta, n_p,
+                                             oracle, keep_states=True)
     rel = float(np.max(np.abs(u_method - oracle[: u_method.size]))
                 / max(np.max(np.abs(oracle[: u_method.size])), 1e-300))
     out = cfg.out
@@ -197,11 +202,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     else:
         a = io.read_matrix_coo(cfg.matrix)
         b = io.read_vector(cfg.rhs)
-        params = mag.params_from_matrix(a)
-        s = np.linalg.svd(a, compute_uv=False)
-        gamma = cfg.gamma if cfg.gamma is not None else 1.9 * float(s[-1])
+        sigma = singular_values(a)
+        params = mag.params_from_sigma(sigma)
+        gamma = cfg.gamma if cfg.gamma is not None else 1.9 * float(sigma[-1])
         t_end = baselines.evolution_time(
-            "damped", (float(s[-1]), float(s[0])), cfg.delta or 1e-3
+            "damped", (float(sigma[-1]), float(sigma[0])), cfg.delta or 1e-3
         )
         samples = 1200
 
@@ -248,18 +253,20 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def _compare_fig2(cfg: RunConfig) -> int:
     cp = compare_preset("fig2")
-    oracle = direct_solve(LinearSystem(cp.a, cp.b))
+    sigma = singular_values(cp.a)
+    oracle = direct_solve(LinearSystem(cp.a, cp.b), sigma)
     params = mag.derive_params(cp.l_hat, cp.mu_hat)
     sig = (math.sqrt(cp.mu_hat), math.sqrt(cp.l_hat))
+    tsys = mag.build_transformed(cp.a, cp.b, params)
+    w_inf = mag.steady_state(tsys, sigma)
+    flow = baselines.build_damped(cp.a, cp.b, cp.gamma)
     rows = ["delta,mag_error,damped_error"]
     for delta in cp.deltas:
-        tsys = mag.build_transformed(cp.a, cp.b, params)
-        delta_run = delta / mag.solution_error_factor(tsys)
+        delta_run = delta / mag.solution_error_factor(w_inf)
         steps = mag.convergence_steps(params.kappa_hat, delta_run)
         trace = mag.mag_iterate(tsys, np.zeros(2 * tsys.n), delta_run,
-                                max_steps=4 * steps, keep_states=False)
+                                max_steps=4 * steps, w_inf=w_inf, keep_states=False)
         u_mag = mag.solution_from_state(tsys, trace.w_final)
-        flow = baselines.build_damped(cp.a, cp.b, cp.gamma)
         t_end = baselines.evolution_time("damped", sig, delta)
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 64)
         u_damp = traj[-1][1][: cp.a.shape[0]]
@@ -280,10 +287,7 @@ def _compare_fig2(cfg: RunConfig) -> int:
 def cmd_pde(cfg: RunConfig) -> int:
     if cfg.preset is None:
         raise InputError("pde requires --preset")
-    problem, solver = pde_preset(cfg.preset)
-    delta = cfg.delta if cfg.delta is not None else solver.delta
-    n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    system = problem.system
+    system, problem, solver, delta, n_p, sigma = _load_system(cfg)
     out = cfg.out
     io.write_matrix_coo(os.path.join(out, "problem.coo"), system.a)
     io.write_vector(os.path.join(out, "problem.vec"), system.b)
@@ -298,8 +302,10 @@ def cmd_pde(cfg: RunConfig) -> int:
             "h": problem.h,
         },
     )
-    u_method, artifacts = _solve_with_method(cfg, system, solver, delta, n_p)
-    oracle = direct_solve(system)
+    params = _params_for(cfg, sigma, solver)
+    oracle = direct_solve(system, sigma)
+    u_method, artifacts = _solve_with_method(cfg, system, sigma, params, solver, delta, n_p,
+                                             oracle)
     rel = float(np.max(np.abs(u_method - oracle)) / np.max(np.abs(oracle)))
     xs, ys = problem.nodes()
     u_sol = problem.solution_block(u_method)
@@ -321,10 +327,10 @@ def cmd_pde(cfg: RunConfig) -> int:
 
 
 def cmd_schro(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p = _load_system(cfg)
-    params = _params_for(cfg, system, solver)
+    system, problem, solver, delta, n_p, sigma = _load_system(cfg)
+    params = _params_for(cfg, sigma, solver)
     u, report, (points, rows) = schrod.pipeline(
-        system.a, system.b, params, delta, n_p,
+        system.a, system.b, params, delta, n_p, oracle=direct_solve(system, sigma),
         recovery=solver.recovery, gamma_f=cfg.gammaf, snapshot_rows=SNAPSHOT_ROWS,
     )
     io.write_json(os.path.join(cfg.out, "pipeline.json"), report.as_dict())
@@ -387,9 +393,8 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
 
 def cmd_complexity(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p = _load_system(cfg)
+    system, problem, solver, delta, n_p, s_vals = _load_system(cfg)
     a = system.a
-    s_vals = np.linalg.svd(a, compute_uv=False)
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),
         sigma_min=float(s_vals[-1]),

@@ -1,9 +1,12 @@
 """Text formats: coordinate matrices, vectors, CSV traces, JSON reports.
 
 Matrix files: header line ``rows cols nnz`` followed by one ``i j re im``
-entry per line, 0-based indices.  Vector files: one ``re im`` pair per
-line.  Floats are written with repr (shortest round-trip) so identical
-inputs produce byte-identical files.
+entry per line, 0-based indices.  Entries that repeat an index pair are
+summed, as in the COO convention (scipy.sparse does the same).  The
+matrix is stored dense, so a header whose rows*cols exceeds
+MAX_DENSE_ENTRIES is rejected before anything is allocated.  Vector
+files: one ``re im`` pair per line.  Floats are written with repr
+(shortest round-trip) so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import as_cmatrix, as_cvector
+
+# 4096 x 4096 complex is 256 MiB; the transformed map is four times that
+MAX_DENSE_ENTRIES = 1 << 24
+# rows of the field snapshot formatted and written per block
+_SNAPSHOT_BLOCK_ROWS = 32
 
 
 def _fmt(x: float) -> str:
@@ -46,6 +54,11 @@ def read_matrix_coo(path) -> np.ndarray:
         rows, cols, nnz = (int(t) for t in header)
     except ValueError as exc:
         raise InputError(f"{path}: malformed header {tokens[0]!r}") from exc
+    if rows < 1 or cols < 1 or rows * cols > MAX_DENSE_ENTRIES:
+        raise InputError(
+            f"{path}: a {rows} x {cols} matrix is outside 1 <= rows, cols and "
+            f"rows*cols <= {MAX_DENSE_ENTRIES}"
+        )
     m = np.zeros((rows, cols), dtype=np.complex128)
     entries = [ln for ln in tokens[1:] if ln.strip()]
     if len(entries) != nnz:
@@ -61,7 +74,7 @@ def read_matrix_coo(path) -> np.ndarray:
             raise InputError(f"{path}: malformed entry line {ln!r}") from exc
         if not (0 <= i < rows and 0 <= j < cols):
             raise InputError(f"{path}: index ({i},{j}) out of range")
-        m[i, j] = re + 1j * im
+        m[i, j] += re + 1j * im
     return m
 
 
@@ -131,18 +144,24 @@ def write_solution_csv(path, u, xs, ys=None) -> None:
 
 
 def write_field_snapshot_csv(path, points, field) -> None:
-    """Warped-field snapshot: one row per grid point p_k, columns per component."""
+    """Warped-field snapshot: one row per grid point p_k, columns per component.
+
+    Rows are formatted and written _SNAPSHOT_BLOCK_ROWS at a time, so the
+    text of the whole file is never held in memory.
+    """
     field = np.ascontiguousarray(field, dtype=np.complex128)
+    points = np.asarray(points, dtype=np.float64)
     ncomp = field.shape[1]
     header = ["p"]
     for c in range(ncomp):
         header += [f"comp{c}_re", f"comp{c}_im"]
-    lines = [",".join(header)]
-    # re/im interleaved as plain floats; repr of a Python float is _fmt
-    table = np.column_stack([np.asarray(points, dtype=np.float64),
-                             field.view(np.float64)])
-    lines += [",".join(map(repr, row.tolist())) for row in table]
-    write_text(path, "\n".join(lines) + "\n")
+    with _create(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, points.size, _SNAPSHOT_BLOCK_ROWS):
+            hi = lo + _SNAPSHOT_BLOCK_ROWS
+            # re/im interleaved as plain floats; repr of a Python float is _fmt
+            table = np.column_stack([points[lo:hi], field[lo:hi].view(np.float64)])
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
 
 
 def write_json(path, payload) -> None:
@@ -150,9 +169,14 @@ def write_json(path, payload) -> None:
 
 
 def write_text(path, text: str) -> None:
+    with _create(path) as fh:
+        fh.write(text)
+
+
+def _create(path):
+    """Open path for writing text, creating its directory if needed."""
     path = os.fspath(path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    return open(path, "w")

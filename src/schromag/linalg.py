@@ -102,18 +102,28 @@ def expm_apply(m, v, t: float) -> np.ndarray:
     return scipy.linalg.expm(m * t) @ v
 
 
-def condition_estimate(a: np.ndarray) -> float:
-    """2-norm condition number (SVD based, fine at desk scale)."""
-    s = np.linalg.svd(as_cmatrix(a), compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+def singular_values(a) -> np.ndarray:
+    """Singular values of a, descending, without singular vectors.
+
+    A caller that needs several spectral quantities of one matrix (the
+    MAG bounds, the radius guard, the steady-state and oracle checks)
+    computes this once and passes it on, so the matrix is factored once.
+    """
+    return np.linalg.svd(as_cmatrix(a), compute_uv=False)
 
 
-def direct_solve(sys: LinearSystem) -> np.ndarray:
-    """Ground-truth solve of A u = b with residual verification."""
+def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
+    """Ground-truth solve of A u = b with residual verification.
+
+    The condition and ||A||_2 checks come from `sigma`, the singular
+    values of A in any order, when the caller already has them (for a
+    structured matrix they may be known in closed form); otherwise A is
+    factored here.
+    """
     a = require_square(sys.a)
-    cond = condition_estimate(a)
+    sigma = singular_values(a) if sigma is None else np.asarray(sigma, dtype=float)
+    s_max, s_min = float(np.max(sigma)), float(np.min(sigma))
+    cond = np.inf if s_min == 0.0 else s_max / s_min
     if cond > MAX_CONDITION:
         raise SingularMatrixError(
             f"matrix is singular to working tolerance (cond ~ {cond:.3e})",
@@ -121,9 +131,7 @@ def direct_solve(sys: LinearSystem) -> np.ndarray:
         )
     u = np.linalg.solve(a, sys.b)
     resid = np.linalg.norm(a @ u - sys.b)
-    bound = SOLVE_RESIDUAL_TOL * (
-        np.linalg.norm(a, 2) * np.linalg.norm(u) + np.linalg.norm(sys.b)
-    )
+    bound = SOLVE_RESIDUAL_TOL * (s_max * np.linalg.norm(u) + np.linalg.norm(sys.b))
     if resid > bound:
         raise SingularMatrixError(
             f"solve residual {resid:.3e} exceeds bound {bound:.3e} (cond ~ {cond:.3e})",

@@ -10,6 +10,12 @@ negative-definite Hermitian part gap and spectral radius sqrt(beta) when
 the declared bounds bracket the spectrum of A^H A.  Conjugate transpose
 replaces plain transpose so the complex Robin problems go through the
 same path; the two coincide for real data.
+
+With A = U Sigma V^H, the basis diag(V, U) splits H, and I - H with it,
+into one 2x2 block per singular value.  The radius guard and the
+steady-state checks use the closed-form spectra of those blocks, so a
+caller that has the singular values of A (`linalg.singular_values`)
+never factors the 2n x 2n matrices.
 """
 
 from __future__ import annotations
@@ -25,14 +31,15 @@ from .linalg import (
     as_cmatrix,
     as_cvector,
     direct_solve,
-    eig,
     hermitian_part,
     require_square,
+    singular_values,
 )
 
-# eig on the boundary-degenerate (Jordan) case is only sqrt(eps)-accurate,
-# so the radius check tolerates ~1e-7 there; genuine bound violations move
-# the radius by orders of magnitude more
+# where sigma^2 sits on a declared bound the 2x2 block is defective and its
+# eigenvalue moduli are only sqrt(eps)-accurate (closed form and dense eig
+# alike), so the radius check tolerates ~1e-7 there; genuine bound
+# violations move the radius by orders of magnitude more
 SPECTRAL_RADIUS_TOL = 1e-6
 
 
@@ -76,10 +83,14 @@ def derive_params(l_hat: float, mu_hat: float) -> MagParams:
     return MagParams(l_hat=l_hat, mu_hat=mu_hat, alpha=alpha, beta=beta, kappa_hat=kappa_hat)
 
 
+def params_from_sigma(sigma, safety: float = 1.0) -> MagParams:
+    """Bounds taken from singular values (descending), widened by `safety`."""
+    return derive_params((safety * sigma[0]) ** 2, (sigma[-1] / safety) ** 2)
+
+
 def params_from_matrix(a, safety: float = 1.0) -> MagParams:
-    """Bounds taken from the actual singular values, widened by `safety`."""
-    s = np.linalg.svd(as_cmatrix(a), compute_uv=False)
-    return derive_params((safety * s[0]) ** 2, (s[-1] / safety) ** 2)
+    """Bounds taken from the actual singular values of a, widened by `safety`."""
+    return params_from_sigma(singular_values(a), safety)
 
 
 @dataclass(frozen=True)
@@ -127,15 +138,37 @@ def build_transformed(a, b, params: MagParams) -> TransformedSystem:
     return TransformedSystem(h=h, f=f, n=n, params=params, a=a, b=b)
 
 
-def steady_state(sys: TransformedSystem) -> np.ndarray:
-    """Fixed point (I - H)^{-1} F.
+def i_minus_h_singular_values(p: MagParams, sigma) -> np.ndarray:
+    """Singular values of I - H from the singular values sigma of A.
 
-    First block equals (1-beta) times the least-squares solution; for
-    invertible square A the second block equals sqrt(alpha*beta) b, which
-    serves as a built-in validation value.
+    I - H splits into the blocks [[a s^2, c s], [-c s, 1-beta]] with
+    a = alpha, c = sqrt(alpha*beta), s = sigma_j.  A real 2x2 block
+    [[x, q], [-q, y]] has singular values (hypot(x+y, 2q) +- |x-y|)/2;
+    the smaller is taken as det / larger = (xy + q^2) / larger, which
+    avoids the cancellation.  Returns the 2n values, unordered.
     """
+    sigma = np.asarray(sigma, dtype=float)
+    x = p.alpha * sigma**2
+    q = math.sqrt(p.alpha * p.beta) * sigma
+    y = 1.0 - p.beta
+    large = (np.hypot(x + y, 2.0 * q) + np.abs(x - y)) / 2.0
+    return np.concatenate([large, (x * y + q * q) / large])
+
+
+def steady_state(sys: TransformedSystem, sigma=None) -> np.ndarray:
+    """Fixed point (I - H)^{-1} F, by one LU solve of the 2n x 2n system.
+
+    `sigma` are the singular values of A (factored from sys.a when not
+    given); the solve's condition and norm checks take the closed-form
+    singular values of I - H built from them.  First block equals
+    (1-beta) times the least-squares solution; for invertible square A
+    the second block equals sqrt(alpha*beta) b, which serves as a
+    built-in validation value.
+    """
+    if sigma is None:
+        sigma = singular_values(sys.a)
     m = np.eye(2 * sys.n) - sys.h
-    return direct_solve(LinearSystem(m, sys.f))
+    return direct_solve(LinearSystem(m, sys.f), i_minus_h_singular_values(sys.params, sigma))
 
 
 @dataclass
@@ -153,14 +186,15 @@ def mag_iterate(
     w0,
     delta: float,
     max_steps: int,
-    use_steady: bool = True,
+    *,
+    w_inf: np.ndarray | None,
     keep_states: bool = True,
 ) -> IterationTrace:
     """Run w <- H w + F until the error contracts below delta.
 
     Termination measures ||w_n - w_inf|| / ||w_0 - w_inf|| against the
-    computable steady state; with use_steady=False it falls back to the
-    step-to-step residual ||w_{n+1} - w_n|| / ||w_n||.
+    steady state w_inf (from `steady_state`); with w_inf=None it falls
+    back to the step-to-step residual ||w_{n+1} - w_n|| / ||w_n||.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta}")
@@ -168,8 +202,7 @@ def mag_iterate(
     if w.shape[0] != 2 * sys.n:
         raise ValueError(f"w0 must have dimension {2 * sys.n}")
 
-    w_inf = steady_state(sys) if use_steady else None
-    if use_steady:
+    if w_inf is not None:
         denom = np.linalg.norm(w - w_inf)
         if denom == 0.0:
             return IterationTrace(0, [w.copy()] if keep_states else [], [1.0], w_final=w)
@@ -207,34 +240,43 @@ def solution_from_state(sys: TransformedSystem, w: np.ndarray) -> np.ndarray:
     return w[: sys.n] / (1.0 - beta)
 
 
-def solution_error_factor(sys: TransformedSystem) -> float:
+def solution_error_factor(w_inf: np.ndarray) -> float:
     """Bound on (max-norm relative u error) / (transformed-state residual).
 
     The termination criterion contracts ||w - w_inf|| / ||w_inf||; after
     unscaling the first block the max-norm error relative to u picks up
     at most ||w_inf||_2 / max|w_inf(u block)|.
     """
-    w_inf = steady_state(sys)
-    top = float(np.max(np.abs(w_inf[: sys.n])))
+    top = float(np.max(np.abs(w_inf[: w_inf.size // 2])))
     if top == 0.0:
         return 1.0
     return max(float(np.linalg.norm(w_inf)) / top, 1.0)
 
 
-def lambda_pm(sigma: float, p: MagParams) -> tuple[complex, complex]:
-    """Both one-step eigenvalues attached to a singular value sigma."""
-    if sigma < 0:
+def lambda_pm(sigma, p: MagParams) -> tuple:
+    """Both one-step eigenvalues attached to a singular value sigma.
+
+    They are the eigenvalues of the block [[1 - alpha s^2, -c s], [c s,
+    beta]] of H (trace 1 + beta - alpha s^2, determinant beta).  An array
+    of singular values gives two arrays, elementwise.
+    """
+    if np.any(np.asarray(sigma) < 0):
         raise ValueError("sigma must be nonnegative")
     trace = 1.0 + p.beta - p.alpha * sigma**2
-    disc = complex(trace * trace - 4.0 * p.beta)
-    root = np.sqrt(disc)
-    return ((trace + root) / 2.0, (trace - root) / 2.0)
+    root = np.sqrt(np.asarray(trace * trace - 4.0 * p.beta, dtype=np.complex128))
+    return (trace + root) / 2.0, (trace - root) / 2.0
 
 
-def spectral_radius_check(sys: TransformedSystem) -> float:
-    """max |eig(H)|, asserted equal to sqrt(beta) within 1e-8."""
-    rho = float(np.max(np.abs(eig(sys.h).values)))
-    expected = math.sqrt(sys.params.beta)
+def spectral_radius_check(p: MagParams, sigma) -> float:
+    """rho(H) = max_j |lambda_pm(sigma_j)|, given the singular values of A.
+
+    The radius is sqrt(beta) exactly when every sigma_j^2 lies in
+    [mu_hat, l_hat], and larger otherwise.  Raises SpectrumBoundsError
+    unless it equals sqrt(beta) within SPECTRAL_RADIUS_TOL (1e-6).
+    """
+    lam_plus, lam_minus = lambda_pm(np.asarray(sigma, dtype=float), p)
+    rho = float(np.max(np.maximum(np.abs(lam_plus), np.abs(lam_minus))))
+    expected = math.sqrt(p.beta)
     if abs(rho - expected) > SPECTRAL_RADIUS_TOL:
         raise SpectrumBoundsError(
             f"spectral radius {rho:.12f} != sqrt(beta) {expected:.12f}; "
@@ -275,9 +317,10 @@ def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, 
     return [h / denom for h in hats], kappa2
 
 
-def relative_trace(sys: TransformedSystem, trace: IterationTrace) -> tuple[list | None, float]:
+def relative_trace(trace: IterationTrace, w_inf: np.ndarray) -> tuple[list | None, float]:
+    """relative_trace_from_steady on a recorded trace; stores the values on it."""
     if not trace.states:
         raise ValueError("trace was recorded without states; rerun with keep_states=True")
-    values, kappa2 = relative_trace_from_steady(steady_state(sys), trace.states)
+    values, kappa2 = relative_trace_from_steady(w_inf, trace.states)
     trace.relative_residuals = values
     return values, kappa2

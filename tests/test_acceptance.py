@@ -98,7 +98,8 @@ def test_criterion_3_convergence_step_scaling():
         b = np.ones(6, dtype=complex)
         params = derive_params(kappa**2, 1.0)
         sys = build_transformed(a, b, params)
-        trace = mag_iterate(sys, np.zeros(12), delta, 400_000, keep_states=False)
+        trace = mag_iterate(sys, np.zeros(12), delta, 400_000,
+                            w_inf=steady_state(sys), keep_states=False)
         ratios.append(trace.steps / (kappa * math.log(1.0 / delta)))
     elapsed = time.perf_counter() - t0
     in_band = all(0.25 <= r <= 4.0 for r in ratios)
@@ -144,7 +145,8 @@ def test_criterion_4_gradient_vs_mag_separation():
         b = rng.normal(size=4) + 0j
         params = derive_params(1.0, 1e-4)
         sys = build_transformed(a, b, params)
-        trace = mag_iterate(sys, np.zeros(8), delta, 100_000, keep_states=False)
+        trace = mag_iterate(sys, np.zeros(8), delta, 100_000,
+                            w_inf=steady_state(sys), keep_states=False)
         flow = baselines.build_gradient_flow(a, b)
         theory = baselines.evolution_time("gradient", (sig[0], sig[-1]), delta)
         t_grad = _time_to_delta(flow, delta=delta, t_hi=theory)
@@ -211,10 +213,12 @@ def test_criterion_6_fig2_reproduction():
     rows = []
     for delta in cp.deltas:
         tsys = build_transformed(cp.a, cp.b, params)
-        delta_run = delta / solution_error_factor(tsys)
+        w_inf = steady_state(tsys)
+        delta_run = delta / solution_error_factor(w_inf)
         trace = mag_iterate(
             tsys, np.zeros(2 * tsys.n), delta_run,
-            4 * convergence_steps(params.kappa_hat, delta_run), keep_states=False,
+            4 * convergence_steps(params.kappa_hat, delta_run),
+            w_inf=w_inf, keep_states=False,
         )
         u_mag = solution_from_state(tsys, trace.w_final)
         flow = baselines.build_damped(cp.a, cp.b, cp.gamma)
@@ -288,14 +292,17 @@ def test_criterion_8_figure_presets():
         params = params_from_matrix(system.a, safety=solver.bounds_safety)
 
         tsys = build_transformed(system.a, system.b, params)
-        delta_run = solver.delta / solution_error_factor(tsys)
+        w_inf = steady_state(tsys)
+        delta_run = solver.delta / solution_error_factor(w_inf)
         trace = mag_iterate(
             tsys, np.zeros(2 * tsys.n), delta_run,
-            4 * convergence_steps(params.kappa_hat, delta_run), keep_states=False,
+            4 * convergence_steps(params.kappa_hat, delta_run),
+            w_inf=w_inf, keep_states=False,
         )
         e_mag = float(np.max(np.abs(solution_from_state(tsys, trace.w_final) - oracle)) / scale)
 
-        u_s, rep = pipeline(system.a, system.b, params, solver.delta, solver.n_p)
+        u_s, rep = pipeline(system.a, system.b, params, solver.delta, solver.n_p,
+                            oracle=oracle)
         e_schro = float(np.max(np.abs(u_s - oracle)) / scale)
 
         good = e_mag <= tol and e_schro <= tol

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from schromag.cli import main
 from schromag.io import read_vector, write_matrix_coo, write_vector
+from schromag.presets import pde_preset
 
 
 @pytest.fixture()
@@ -84,6 +87,49 @@ class TestSolve:
             "--out", str(tmp_path),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("header", ["3000000 3000000 1", "0 2 1", "-2 2 1"])
+    def test_out_of_range_matrix_size_is_usage_error(self, tmp_path, header):
+        # rejected from the header alone: the dense matrix is never allocated
+        (tmp_path / "big.coo").write_text(header + "\n0 0 1.0 0.0\n")
+        write_vector(tmp_path / "b.vec", np.ones(2, dtype=complex))
+        tracemalloc.start()
+        try:
+            rc = main([
+                "solve", "--matrix", str(tmp_path / "big.coo"),
+                "--rhs", str(tmp_path / "b.vec"), "--out", str(tmp_path),
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 2**20
+
+
+class TestFactorizationCounts:
+    """The mag path factors A once and solves I - H once per invocation."""
+
+    @pytest.mark.parametrize("command", ["pde", "solve"])
+    def test_fig4a_mag(self, tmp_path, monkeypatch, command):
+        n = pde_preset("fig4a")[0].system.a.shape[0]
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(m, *args, **kwargs):
+                calls[name, np.shape(m)] += 1
+                return fn(m, *args, **kwargs)
+            return wrapper
+
+        # norm(x, 2) reaches svd through numpy's implementation module
+        inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        for name in ("svd", "eig", "solve"):
+            fn = getattr(np.linalg, name)
+            for module in {np.linalg, inner}:
+                monkeypatch.setattr(module, name, counting(name, fn))
+        rc = main([command, "--preset", "fig4a", "--method", "mag", "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == Counter({("svd", (n, n)): 1, ("solve", (2 * n, 2 * n)): 1,
+                                 ("solve", (n, n)): 1})
 
 
 class TestCompare:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from schromag import io
 from schromag.errors import InputError
 from schromag.io import (
     read_matrix_coo,
@@ -47,6 +49,12 @@ class TestMatrixFormat:
             read_matrix_coo(bad3)
         with pytest.raises(InputError):
             read_matrix_coo(tmp_path / "missing.coo")
+
+    def test_duplicate_entries_are_summed(self, tmp_path):
+        path = tmp_path / "dup.coo"
+        path.write_text("2 2 3\n0 0 1 0\n1 0 0.5 2\n0 0 1 0\n")
+        m = read_matrix_coo(path)
+        assert np.array_equal(m, np.array([[2.0, 0.0], [0.5 + 2.0j, 0.0]]))
 
     def test_nnz_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad.coo"
@@ -94,6 +102,14 @@ class TestCsv:
         assert lines[2].endswith(",0.5")
 
     def test_field_snapshot_bytes_match_per_element_repr(self, tmp_path):
+        self._check_snapshot_bytes(tmp_path)
+
+    def test_field_snapshot_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        # 5 rows in blocks of 2: two full blocks and a short one
+        monkeypatch.setattr(io, "_SNAPSHOT_BLOCK_ROWS", 2)
+        self._check_snapshot_bytes(tmp_path)
+
+    def _check_snapshot_bytes(self, tmp_path):
         rng = np.random.default_rng(3)
         field = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         field[0, 0] = complex(-0.0, 1e-300)
@@ -111,3 +127,19 @@ class TestCsv:
                 row += [repr(float(field[k, c].real)), repr(float(field[k, c].imag))]
             lines.append(",".join(row))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_field_snapshot_memory_is_one_block(self, tmp_path):
+        # the whole 1024 x 1024 complex snapshot is ~48 MB of text; the
+        # writer holds one block of rows, never the file as one string
+        rng = np.random.default_rng(4)
+        field = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+        points = np.linspace(-30.0, 20.0, 1024)
+        path = tmp_path / "snap.csv"
+        tracemalloc.start()
+        try:
+            write_field_snapshot_csv(path, points, field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 32 * 2**20
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"

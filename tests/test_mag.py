@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schromag.errors import ConvergenceError, SpectrumBoundsError
-from schromag.linalg import LinearSystem, direct_solve
+from schromag.linalg import LinearSystem, direct_solve, eig, singular_values
 from schromag.mag import (
+    SPECTRAL_RADIUS_TOL,
     build_transformed,
     convergence_steps,
     derive_params,
+    i_minus_h_singular_values,
     lambda_pm,
     mag_iterate,
     params_from_matrix,
@@ -28,12 +30,18 @@ DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
 
 
+def unitary_sandwich(rng, sig):
+    """A random complex matrix with exactly the singular values sig."""
+    n = sig.size
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q1 @ np.diag(sig) @ q2.conj().T
+
+
 def random_system(rng, n, sig_lo=0.2, sig_hi=5.0):
     """Random complex A with singular values strictly inside [sig_lo, sig_hi]."""
     sig = rng.uniform(sig_lo * 1.02, sig_hi * 0.98, size=n)
-    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    a = q1 @ np.diag(sig) @ q2.conj().T
+    a = unitary_sandwich(rng, sig)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     return a, b, derive_params(sig_hi**2, sig_lo**2)
 
@@ -169,28 +177,83 @@ class TestSpectralRadius:
     def test_identity_zero(self):
         p = derive_params(1.0, 1.0)
         sys = build_transformed(np.eye(2), [1.0, 1.0], p)
-        assert spectral_radius_check(sys) == pytest.approx(0.0, abs=1e-12)
+        rho = spectral_radius_check(p, singular_values(sys.a))
+        assert rho == pytest.approx(0.0, abs=1e-12)
 
     def test_diag_value(self):
         # exact bounds make the eigenvalues defective, so the eigensolver
         # is sqrt(eps)-accurate here rather than eps-accurate
         p = derive_params(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
-        assert spectral_radius_check(sys) == pytest.approx(99.0 / 101.0, abs=1e-7)
+        rho = spectral_radius_check(p, singular_values(sys.a))
+        assert rho == pytest.approx(99.0 / 101.0, abs=1e-7)
 
     def test_violated_bounds_raise(self):
         # mu_hat above the true sigma_min^2 pushes the radius off sqrt(beta)
         p = derive_params(100.0, 1.0)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         with pytest.raises(SpectrumBoundsError):
-            spectral_radius_check(sys)
+            spectral_radius_check(p, singular_values(sys.a))
+
+
+class TestClosedFormAgainstDense:
+    """Closed-form block spectra against dense factorizations of H and I - H."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.sampled_from(["exact", "wide", "l_hat low", "mu_hat high"]),
+           st.floats(1e-3, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_radius_verdict_matches_dense_eig(self, seed, n, case, rel):
+        rng = np.random.default_rng(seed)
+        sig = rng.uniform(0.1, 10.0, size=n)
+        a = unitary_sandwich(rng, sig)
+        top, bottom = float(np.max(sig)) ** 2, float(np.min(sig)) ** 2
+        if case == "exact":
+            l_hat, mu_hat = top, bottom
+        elif case == "wide":
+            l_hat, mu_hat = top * (1 + rel), bottom * (1 - rel)
+        elif case == "l_hat low":
+            l_hat = top * (1 - rel)
+            mu_hat = min(bottom, l_hat) * (1 - rel)
+        else:
+            mu_hat = bottom * (1 + rel)
+            l_hat = max(top, mu_hat) * (1 + rel)
+        p = derive_params(l_hat, mu_hat)
+        sys = build_transformed(a, np.ones(n), p)
+
+        rho_dense = float(np.max(np.abs(eig(sys.h).values)))
+        dense_accepts = abs(rho_dense - math.sqrt(p.beta)) <= SPECTRAL_RADIUS_TOL
+        sigma = singular_values(a)
+        lam_plus, lam_minus = lambda_pm(sigma, p)
+        rho_closed = float(np.max(np.abs(np.concatenate([lam_plus, lam_minus]))))
+        try:
+            spectral_radius_check(p, sigma)
+            closed_accepts = True
+        except SpectrumBoundsError:
+            closed_accepts = False
+
+        assert closed_accepts == dense_accepts == (case in ("exact", "wide"))
+        assert rho_closed == pytest.approx(rho_dense, abs=SPECTRAL_RADIUS_TOL)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.floats(1e-3, 1e3), st.floats(1.0, 1e4))
+    @settings(max_examples=60, deadline=None)
+    def test_i_minus_h_singular_values_match_dense_svd(self, seed, n, mu_hat, ratio):
+        rng = np.random.default_rng(seed)
+        sig = np.exp(rng.uniform(math.log(1e-3), math.log(1e2), size=n))
+        sys = build_transformed(unitary_sandwich(rng, sig), np.ones(n),
+                                derive_params(mu_hat * ratio, mu_hat))
+        dense = np.linalg.svd(np.eye(2 * n) - sys.h, compute_uv=False)
+        closed = np.sort(i_minus_h_singular_values(sys.params, singular_values(sys.a)))
+        assert closed.shape == (2 * n,)
+        assert np.allclose(closed, np.sort(dense), rtol=1e-10, atol=1e-12 * dense[0])
 
 
 class TestIteration:
     def test_one_step_fixed_point(self):
         p = derive_params(1.0, 1.0)
         sys = build_transformed(np.eye(1), [1.0], p)
-        trace = mag_iterate(sys, np.zeros(2), 0.5, 10)
+        trace = mag_iterate(sys, np.zeros(2), 0.5, 10, w_inf=steady_state(sys))
         assert trace.steps == 1
         assert np.allclose(trace.w_final, steady_state(sys))
 
@@ -198,7 +261,7 @@ class TestIteration:
         p = derive_params(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         delta = 1e-6
-        trace = mag_iterate(sys, np.zeros(4), delta, 10_000)
+        trace = mag_iterate(sys, np.zeros(4), delta, 10_000, w_inf=steady_state(sys))
         lo = p.kappa_hat * math.log(1 / delta) / 4
         hi = 4 * p.kappa_hat * math.log(1 / delta)
         assert lo <= trace.steps <= hi
@@ -211,7 +274,7 @@ class TestIteration:
         # case is defective and picks up transient polynomial growth)
         p = derive_params((10.0 * 1.02) ** 2, (0.1 / 1.02) ** 2)
         sys = build_transformed(DIAG_A, DIAG_B, p)
-        trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000)
+        trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000, w_inf=steady_state(sys))
         rho = math.sqrt(p.beta)
         for n, r in enumerate(trace.residuals):
             assert r <= p.kappa_hat * rho**n * (1 + 1e-9)
@@ -227,7 +290,7 @@ class TestIteration:
         rho = float(np.abs(vals[idx]))
         assert rho == pytest.approx(math.sqrt(p.beta), abs=1e-10)
         w_inf = steady_state(sys)
-        trace = mag_iterate(sys, w_inf + vecs[:, idx], 1e-6, 10_000)
+        trace = mag_iterate(sys, w_inf + vecs[:, idx], 1e-6, 10_000, w_inf=w_inf)
         for n, r in enumerate(trace.residuals[:100]):
             assert r == pytest.approx(rho**n, rel=1e-6)
 
@@ -235,13 +298,13 @@ class TestIteration:
         p = derive_params(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         with pytest.raises(ConvergenceError) as err:
-            mag_iterate(sys, np.zeros(4), 1e-12, 5)
+            mag_iterate(sys, np.zeros(4), 1e-12, 5, w_inf=steady_state(sys))
         assert err.value.residual is not None
 
     def test_fallback_residual_mode(self):
         p = derive_params(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
-        trace = mag_iterate(sys, np.zeros(4), 1e-8, 20_000, use_steady=False)
+        trace = mag_iterate(sys, np.zeros(4), 1e-8, 20_000, w_inf=None)
         u = solution_from_state(sys, trace.w_final)
         assert np.allclose(u, [0.1, 10.0], rtol=1e-4)
 
@@ -252,7 +315,7 @@ class TestIteration:
             a = np.diag([kappa, 1.0]).astype(complex)
             p = derive_params(kappa**2, 1.0)
             sys = build_transformed(a, np.array([1.0, 1.0 + 0j]), p)
-            trace = mag_iterate(sys, np.zeros(4), delta, 200_000)
+            trace = mag_iterate(sys, np.zeros(4), delta, 200_000, w_inf=steady_state(sys))
             ratios.append(trace.steps / (kappa * math.log(1 / delta)))
         assert all(0.25 <= r <= 4.0 for r in ratios)
         assert max(ratios) / min(ratios) < 2.0
@@ -284,19 +347,19 @@ class TestRelativeTrace:
         sys = build_transformed(np.eye(2), [1.0, 1.0], p)
         w_inf = steady_state(sys)
         assert np.allclose(w_inf, w_inf[0])
-        trace = mag_iterate(sys, np.zeros(4), 1e-8, 5000)
-        values, kappa2 = relative_trace(sys, trace)
+        trace = mag_iterate(sys, np.zeros(4), 1e-8, 5000, w_inf=w_inf)
+        values, kappa2 = relative_trace(trace, w_inf)
         assert kappa2 == pytest.approx(1.0, rel=1e-9)
         assert values == pytest.approx(trace.residuals, rel=1e-6)
 
     def test_diag_kappa2_finite(self):
         p = derive_params(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
-        trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000)
-        values, kappa2 = relative_trace(sys, trace)
+        w = steady_state(sys)
+        trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000, w_inf=w)
+        values, kappa2 = relative_trace(trace, w)
         assert values is not None
         assert math.isfinite(kappa2)
-        w = steady_state(sys)
         assert kappa2 == pytest.approx(np.max(np.abs(w)) / np.min(np.abs(w)))
 
     def test_zero_component_flags_infinity(self):
@@ -314,7 +377,7 @@ class TestAgainstOracle:
         rng = np.random.default_rng(77 + n)
         a, b, p = random_system(rng, n)
         sys = build_transformed(a, b, p)
-        trace = mag_iterate(sys, np.zeros(2 * n), 1e-10, 50_000)
+        trace = mag_iterate(sys, np.zeros(2 * n), 1e-10, 50_000, w_inf=steady_state(sys))
         u = solution_from_state(sys, trace.w_final)
         oracle = direct_solve(LinearSystem(a, b))
         assert np.linalg.norm(u - oracle) <= 1e-8 * np.linalg.norm(oracle)

@@ -31,6 +31,7 @@ from schromag.schrod import (
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
+DIAG_ORACLE = np.array([0.1, 10.0], dtype=complex)  # DIAG_A^{-1} DIAG_B
 
 
 def scalar_setup(rate=-1.0, drive=0.0, gamma_f=1.0, w0=1.0):
@@ -417,19 +418,20 @@ class TestStreamedReadout:
 class TestPipeline:
     def test_identity_one_step(self):
         p = derive_params(1.0, 1.0)
-        u, report = pipeline(np.eye(1), np.array([1.0 + 0j]), p, 0.1, 128)
+        u, report = pipeline(np.eye(1), np.array([1.0 + 0j]), p, 0.1, 128,
+                             oracle=np.array([1.0 + 0j]))
         assert u[0] == pytest.approx(1.0, abs=1e-2)
         assert report.residual_vs_oracle < 1e-2
 
     def test_diag_documented_accuracy(self):
         p = derive_params(100.0, 0.01)
-        u, report = pipeline(DIAG_A, DIAG_B, p, 1e-3, 32768)
+        u, report = pipeline(DIAG_A, DIAG_B, p, 1e-3, 32768, oracle=DIAG_ORACLE)
         assert np.max(np.abs(u - [0.1, 10.0])) / 10.0 < 2e-3
         assert report.residual_vs_oracle < 2e-3
 
     def test_report_fields(self):
         p = derive_params(100.0, 0.01)
-        _, report = pipeline(DIAG_A, DIAG_B, p, 1e-2, 16384)
+        _, report = pipeline(DIAG_A, DIAG_B, p, 1e-2, 16384, oracle=DIAG_ORACLE)
         d = report.as_dict()
         for key in ("t_end", "n_p", "p_left", "p_right", "p_diamond",
                     "k_star", "recovery_method", "residual_vs_oracle"):
@@ -446,12 +448,13 @@ class TestPipeline:
         sys = build_transformed(a, b, params)
         trace = mag_iterate(
             sys, np.zeros(2 * sys.n), 1e-3,
-            4 * convergence_steps(params.kappa_hat, 1e-3), keep_states=False,
+            4 * convergence_steps(params.kappa_hat, 1e-3),
+            w_inf=steady_state(sys), keep_states=False,
         )
         from schromag.mag import solution_from_state
 
         u_iter = solution_from_state(sys, trace.w_final)
-        u_pipe, _ = pipeline(a, b, params, 1e-3, solver.n_p)
+        u_pipe, _ = pipeline(a, b, params, 1e-3, solver.n_p, oracle=u_iter)
         scale = np.max(np.abs(u_iter))
         assert np.max(np.abs(u_pipe - u_iter)) / scale < 1e-2
 
@@ -464,9 +467,10 @@ class TestPipeline:
         problem, solver = pde_preset("fig4a")
         a, b = problem.system.a, problem.system.b
         params = params_from_matrix(a, safety=solver.bounds_safety)
+        oracle = direct_solve(problem.system)
         tracemalloc.start()
         try:
-            _, report = pipeline(a, b, params, solver.delta, solver.n_p,
+            _, report = pipeline(a, b, params, solver.delta, solver.n_p, oracle=oracle,
                                  recovery=solver.recovery)
             _, peak = tracemalloc.get_traced_memory()
         finally:
