@@ -3,8 +3,7 @@
 Subcommands: solve, compare, pde, schro, blockenc-verify, complexity.
 Outputs are plot-ready CSV/JSON files, never rendered images.  Exit
 codes: 0 success, 1 violated numerical contract, 2 bad input.  Flag
-values override config-file values, which override preset defaults;
-SCHROMAG_THREADS caps the parallelism of method comparisons.
+values override config-file values, which override preset defaults.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,14 +57,6 @@ class RunConfig:
             raise InputError("--np must be a power of two >= 8")
         if self.fmt not in ("csv", "json"):
             raise InputError("--format must be csv or json")
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("SCHROMAG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
 
 
 def _load_system(cfg: RunConfig):
@@ -210,11 +200,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         )
         samples = 1200
 
-    with ThreadPoolExecutor(max_workers=min(2, thread_cap())) as pool:
-        fut_m = pool.submit(_compare_branch, "mag", a, b, params, gamma, t_end, samples)
-        fut_d = pool.submit(_compare_branch, "damped", a, b, params, gamma, t_end, samples)
-        traj_mag, ratio_mag = fut_m.result()
-        traj_damp, ratio_damp = fut_d.result()
+    traj_mag, ratio_mag = _compare_branch("mag", a, b, params, gamma, t_end, samples)
+    traj_damp, ratio_damp = _compare_branch("damped", a, b, params, gamma, t_end, samples)
 
     n = a.shape[0]
     for tag, traj, ratio in (

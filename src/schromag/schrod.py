@@ -11,6 +11,13 @@ by two identities that the tests enforce: at t=0 the readout returns the
 initial state exactly, and on a scalar decay (and a pure phase-rotation)
 system the readout tracks the closed-form solution.
 
+The end-to-end `pipeline` starts the momentum state at w = 0 and works in
+the basis of singular pairs of A, where each pair's homogenized block is
+4x4 and starts on its forcing slot.  Only that column of each propagator
+is evolved, in closed form (`_apply_pair_modes`); it depends on the pair
+through sigma alone.  The dense `evolve` path serves any initial state
+and is the reference the tests compare against.
+
 The periodic p-domain must outrun left-travelling wave content for the
 whole evolution: anything that wraps re-enters from the right and
 corrupts the readout region.  Grid construction therefore accepts the
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mag as mag_mod
-from .errors import InputError
+from .errors import InputError, SingularMatrixError
 from .linalg import (
     as_cmatrix,
     as_cvector,
@@ -303,40 +310,50 @@ def recover_integral(state, h1, margin: float | None = None) -> np.ndarray:
 #
 # With A = U Sigma V^H the one-step map block-diagonalizes into independent
 # 2x2 blocks per singular value, and the homogenized system into 4x4 blocks,
-# all sharing the unitary basis diag(V, U, V, U).  Evolving those blocks is
-# algebraically identical to the dense path but turns the per-mode cost from
-# (4n)^3 into n batched 4x4 problems, which is what makes the 2d problems
-# affordable.  Equality with the dense path is covered by tests.
+# all sharing the unitary basis diag(V, U, V, U).  Every run starts the
+# momentum state at w = 0, so pair j starts at [0, 0, f_j/gamma_f, 0] and
+# only the forcing column of each block's propagator is ever needed; it has
+# a closed form in three scalars per pair (d1, d2, cw).  Equality with the
+# dense path is covered by tests.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PairSystem:
-    """Per-singular-value 4x4 homogenized blocks and their split."""
+    """Per-singular-value homogenized blocks, as scalars.
+
+    Pair j's 4x4 generator is [[d1_j, -cw_j, gamma_f, 0], [cw_j, d2, 0,
+    gamma_f], [0, 0, 0, 0], [0, 0, 0, 0]].
+    """
 
     sigma: np.ndarray
     basis_u: np.ndarray
     basis_v: np.ndarray
-    h4: np.ndarray  # (npairs, 4, 4) homogenized generator blocks
-    h1: np.ndarray
-    h2: np.ndarray
-    w0_pair: np.ndarray  # (npairs, 4)
+    d1: np.ndarray  # -alpha sigma^2
+    d2: float  # beta - 1
+    cw: np.ndarray  # sqrt(alpha beta) sigma
+    w0_pair: np.ndarray  # (npairs, 4): [0, 0, f_j/gamma_f, 0]
     steady_pair: np.ndarray  # (npairs, 4) kernel component per pair
     gamma_f: float
 
+    # h1 splits into [[d, gamma_f/2], [gamma_f/2, 0]] for d in {d1_j, d2},
+    # with eigenvalues (d +- hypot(d, gamma_f))/2
+
     def lambda_max_h1(self) -> float:
-        return float(np.max(np.linalg.eigvalsh(self.h1)))
+        d = np.append(self.d1, self.d2)
+        return float(np.max(d + np.hypot(d, self.gamma_f)) / 2.0)
 
     def advection_speeds(self) -> np.ndarray:
-        return np.max(np.abs(np.linalg.eigvalsh(self.h1)), axis=1)
+        def speed(d):
+            return (np.abs(d) + np.hypot(d, self.gamma_f)) / 2.0
+        return np.maximum(speed(self.d1), speed(self.d2))
 
     def pair_weights(self) -> np.ndarray:
         """Travelling content per pair: its state-block transient plus
-        steady mass.  The forcing block is static (its h1 directions have
-        speeds ~ gamma_f^2) and does not enter."""
-        transient = np.linalg.norm(self.w0_pair[:, :2] - self.steady_pair[:, :2], axis=1)
-        steady = np.linalg.norm(self.steady_pair[:, :2], axis=1)
-        return transient + steady
+        steady mass, which are equal as the state block starts at zero.
+        The forcing block is static (its h1 directions have speeds
+        ~ gamma_f^2) and does not enter."""
+        return 2.0 * np.linalg.norm(self.steady_pair[:, :2], axis=1)
 
     def solution_scale(self) -> float:
         """Norm of the steady state block, the denominator of relative
@@ -344,49 +361,23 @@ class PairSystem:
         return float(np.linalg.norm(self.steady_pair[:, :2]))
 
 
-def build_pair_system(sys: mag_mod.TransformedSystem, gamma_f: float,
-                      w0=None) -> PairSystem:
+def build_pair_system(sys: mag_mod.TransformedSystem, gamma_f: float) -> PairSystem:
     p = sys.params
     u_f, s, vh = np.linalg.svd(sys.a)
-    basis_v = vh.conj().T
-    npairs = s.shape[0]
+    if not s[-1] > 0.0:
+        raise SingularMatrixError("A is singular: a pair with sigma = 0 has no steady state",
+                                  condition=np.inf)
     c = math.sqrt(p.alpha * p.beta)
-
-    h4 = np.zeros((npairs, 4, 4), dtype=np.complex128)
-    h4[:, 0, 0] = -p.alpha * s**2
-    h4[:, 0, 1] = -c * s
-    h4[:, 1, 0] = c * s
-    h4[:, 1, 1] = p.beta - 1.0
-    h4[:, 0, 2] = gamma_f
-    h4[:, 1, 3] = gamma_f
-
-    h1 = (h4 + np.conj(np.swapaxes(h4, 1, 2))) / 2.0
-    h2 = (h4 - np.conj(np.swapaxes(h4, 1, 2))) / 2.0j
-
     b_t = u_f.conj().T @ sys.b
-    f_pair = np.zeros((npairs, 2), dtype=np.complex128)
-    f_pair[:, 0] = p.alpha * s * b_t
-
-    # kernel of each 4x4 block: [(I - Htilde)^{-1} f ; f/gamma_f]
-    m2 = np.zeros((npairs, 2, 2), dtype=np.complex128)
-    m2[:, 0, 0] = p.alpha * s**2
-    m2[:, 0, 1] = c * s
-    m2[:, 1, 0] = -c * s
-    m2[:, 1, 1] = 1.0 - p.beta
-    w_inf_pair = np.linalg.solve(m2, f_pair[:, :, None])[:, :, 0]
-    steady_pair = np.concatenate([w_inf_pair, f_pair / gamma_f], axis=1)
-
-    if w0 is None:
-        w0 = np.zeros(2 * sys.n, dtype=np.complex128)
-    w0 = as_cvector(w0)
-    w0_pair = np.zeros((npairs, 4), dtype=np.complex128)
-    w0_pair[:, 0] = basis_v.conj().T @ w0[: sys.n]
-    w0_pair[:, 1] = u_f.conj().T @ w0[sys.n :]
-    w0_pair[:, 2:] = f_pair / gamma_f
-
+    forcing = p.alpha * s * b_t / gamma_f
+    zero = np.zeros_like(forcing)
+    # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f], where
+    # I - Htilde = [[alpha s^2, c s], [-c s, 1 - beta]] and f = [alpha s b_t, 0]
+    steady_pair = np.stack([(1.0 - p.beta) * b_t / s, c * b_t, forcing, zero], axis=1)
     return PairSystem(
-        sigma=s, basis_u=u_f, basis_v=basis_v, h4=h4, h1=h1, h2=h2,
-        w0_pair=w0_pair, steady_pair=steady_pair, gamma_f=gamma_f,
+        sigma=s, basis_u=u_f, basis_v=vh.conj().T, d1=-p.alpha * s**2, d2=p.beta - 1.0,
+        cw=c * s, w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
+        steady_pair=steady_pair, gamma_f=gamma_f,
     )
 
 
@@ -409,8 +400,8 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None).
     """
     n_p = grid.n_p
-    live = np.flatnonzero(np.linalg.norm(pairs.w0_pair, axis=1) > 0.0)
-    w0 = pairs.w0_pair[live]
+    live = np.flatnonzero(pairs.w0_pair[:, 2])
+    forcing = pairs.w0_pair[live, 2]
     envelope = np.fft.fft(np.exp(-np.abs(grid.points)))
     coef = np.fft.ifft(np.asarray(weights, dtype=float))
     m = n_p // stride if stride else 0
@@ -420,9 +411,8 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     chunk = 1 << int(math.log2(max(1, _CHUNK_ENTRIES // (16 * max(live.size, 1)))))
     for lo in range(0, n_p, chunk):
         hi = min(lo + chunk, n_p)
-        modes = envelope[lo:hi, None, None] * w0[None]
-        if t > 0:
-            modes = _apply_pair_modes(pairs, live, grid.thetas[lo:hi], t, modes)
+        modes = _apply_pair_modes(pairs, live, grid.thetas[lo:hi], t,
+                                  envelope[lo:hi, None] * forcing[None])
         readout += np.tensordot(coef[lo:hi], modes, axes=1)
         if m:
             width = min(hi - lo, m)
@@ -439,52 +429,52 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
 
 
 def _apply_pair_modes(pairs: PairSystem, live, thetas, t: float,
-                      modes: np.ndarray) -> np.ndarray:
-    """Exact mode evolution through the block structure of K(theta).
+                      x: np.ndarray) -> np.ndarray:
+    """exp(-iK(theta)t) [0, 0, x, 0] for every (mode, live pair) of x.
 
     Per pair, K = [[K_w, c I2], [conj(c) I2, 0]] with the scalar coupling
-    c = gamma_f (theta + i)/2.  Eigenpairs (mu, x) of the 2x2 Hermitian
-    K_w = [[th*d1, -i cw], [i cw, th*d2]] lift to two eigenvalues each,
-    lam = (mu +- sqrt(mu^2 + 4|c|^2))/2, with eigenvectors [x; conj(c)/lam x],
-    so everything reduces to closed-form elementwise arithmetic.
+    c = gamma_f (theta + i)/2 and K_w = [[th*d1, -i cw], [i cw, th*d2]].
+    Every block commutes with K_w, so exp(-iKt) = G(K_w) with the 2x2
+    closed form
+        G(mu) = e^{-i mu t/2} (cos(rho t) - i sin(rho t)/rho [[mu/2, c], [conj(c), -mu/2]]),
+    rho = sqrt(mu^2/4 + |c|^2) >= gamma_f/2.  With K_w = mean I + r N,
+    N^2 = I (N := 0 at r = 0), G(K_w) = S + D N where S, D are the half
+    sum and half difference of G(mean + r) and G(mean - r).  The result
+    is exact at t = 0 (S = 1, D = 0) and never divides by zero.
+    Returns (modes, pairs, 4).
     """
-    p = pairs
-    d1 = np.real(np.take(p.h4[:, 0, 0], live))[None, :]
-    d2 = np.real(np.take(p.h4[:, 1, 1], live))[None, :]
-    cw = np.imag(np.take(p.h2[:, 0, 1], live))[None, :]  # h2[0,1] = i*cw
     th = np.asarray(thetas)[:, None]
-    c = p.gamma_f * (th + 1j) / 2.0
+    a = th * pairs.d1[live][None, :]
+    d = th * pairs.d2
+    cw = pairs.cw[live][None, :]
+    c = pairs.gamma_f * (th + 1j) / 2.0
     c2 = np.abs(c) ** 2
-
-    a = th * d1
-    d = th * d2
     mean = (a + d) / 2.0
-    r = np.sqrt(((a - d) / 2.0) ** 2 + cw**2)
-    out = np.zeros_like(modes)
-    w_top = modes[:, :, :2]
-    w_bot = modes[:, :, 2:]
-    degenerate = np.broadcast_to(np.abs(cw) == 0.0, a.shape)
-    first_is_plus = a >= d  # which basis vector owns mu_plus when cw == 0
-    for mu, plus_branch in ((mean + r, True), (mean - r, False)):
-        # eigenvector of K_w: [b, mu - a] with b = -i cw; fall back to the
-        # basis vectors when the off-diagonal vanishes
-        pick_first = first_is_plus == plus_branch
-        x0 = np.where(degenerate, np.where(pick_first, 1.0, 0.0) + 0j, -1j * cw)
-        x1 = np.where(degenerate, np.where(pick_first, 0.0, 1.0) + 0j, mu - a)
-        nrm = np.sqrt(np.abs(x0) ** 2 + np.abs(x1) ** 2)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        x0, x1 = x0 / nrm, x1 / nrm
-        proj_top = np.conj(x0) * w_top[:, :, 0] + np.conj(x1) * w_top[:, :, 1]
-        proj_bot = np.conj(x0) * w_bot[:, :, 0] + np.conj(x1) * w_bot[:, :, 1]
-        root = np.sqrt(mu**2 + 4.0 * c2)
-        for lam in ((mu + root) / 2.0, (mu - root) / 2.0):
-            g = np.conj(c) / lam
-            coef = (proj_top + np.conj(g) * proj_bot) / (1.0 + np.abs(g) ** 2)
-            phase = np.exp(-1j * lam * t) * coef
-            out[:, :, 0] += phase * x0
-            out[:, :, 1] += phase * x1
-            out[:, :, 2] += phase * g * x0
-            out[:, :, 3] += phase * g * x1
+    half_gap = (a - d) / 2.0
+    r = np.hypot(half_gap, cw)
+    # N e1 = [n0, i n1]; r = 0 only where half_gap = cw = 0, so N e1 = 0 there
+    r_safe = np.where(r > 0.0, r, 1.0)
+    n0 = half_gap / r_safe
+    i_n1 = 1j * (cw / r_safe)
+
+    def column(mu):
+        # the forcing column of G(mu) without its factors: (G12/(-i c), G22)
+        rho = np.sqrt(mu**2 / 4.0 + c2)
+        phase = np.exp(-0.5j * t * mu)
+        sinc = np.sin(rho * t) / rho
+        return phase * sinc, phase * (np.cos(rho * t) + 0.5j * mu * sinc)
+
+    # (S + D N) e1 from 2S = G(mu_+) + G(mu_-) and 2D = G(mu_+) - G(mu_-);
+    # the 1/2 is folded into `coupled` and `half`
+    top_p, bot_p = column(mean + r)
+    top_m, bot_m = column(mean - r)
+    coupled = -0.5j * c * x
+    half = 0.5 * x
+    out = np.empty(x.shape + (4,), dtype=np.complex128)
+    out[..., 0] = coupled * (top_p + top_m + (top_p - top_m) * n0)
+    out[..., 1] = coupled * (top_p - top_m) * i_n1
+    out[..., 2] = half * (bot_p + bot_m + (bot_p - bot_m) * n0)
+    out[..., 3] = half * (bot_p - bot_m) * i_n1
     return out
 
 
@@ -540,7 +530,7 @@ class PipelineReport:
 
 def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
              recovery: str = "integral", gamma_f: float | None = None,
-             w0=None, snapshot_rows: int = 0):
+             snapshot_rows: int = 0):
     """End-to-end solve of A u = b through the Hamiltonian realization.
 
     Evolves to t_end = kappa_hat * ln(1/delta), reads the field back out
@@ -562,13 +552,13 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     safety = (params.kappa_hat + 1.0) / params.kappa_hat
     t_end = float(mag_mod.convergence_steps(params.kappa_hat, delta, safety=safety))
 
-    pairs = build_pair_system(sys, gamma_f, w0=w0)
+    pairs = build_pair_system(sys, gamma_f)
     runway = required_runway(pairs, t_end)
     p_left = -(runway + math.log(1.0 / DEFAULT_TAIL_TOL))
     # decay the envelope below noise at the periodic seam: the largest
     # state component (usually the forcing block at scale ||F||/gamma_f)
     # must fall to ~1e-10 of the solution scale by p_right
-    top = float(max(np.max(np.abs(pairs.w0_pair)), np.max(np.abs(pairs.steady_pair)), 1e-300))
+    top = float(max(np.max(np.abs(pairs.steady_pair)), 1e-300))
     wref = float(max(np.max(np.abs(pairs.steady_pair[:, :2])), 1e-300))
     right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
 

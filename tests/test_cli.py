@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -318,3 +321,24 @@ class TestExitCodeOne:
             "--out", str(tmp_path),
         ])
         assert rc == 1
+
+
+class TestReproduceScript:
+    def test_quick_run_writes_every_panel(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        done = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "reproduce_figures.py"),
+             "--quick", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        expected = ["fig1/compare.json", "fig1/mag_trajectory.csv",
+                    "fig1/damped_trajectory.csv", "fig1/ratio.csv", "fig2/fig2_errors.csv",
+                    "complexity/complexity.csv", "complexity/complexity.json",
+                    "blockenc/blockenc.json"]
+        for name in ("fig3a", "fig4a", "fig5a"):
+            for method in ("mag", "schro"):
+                expected += [f"{name}/{method}/pde.json", f"{name}/{method}/solution.csv"]
+        missing = [f for f in expected if not (tmp_path / f).is_file()]
+        assert not missing

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from schromag import schrod
-from schromag.errors import InputError
+from schromag.errors import InputError, SingularMatrixError
 from schromag.linalg import LinearSystem, direct_solve, expm_apply
 from schromag.mag import build_transformed, derive_params, steady_state
 from schromag.schrod import (
@@ -351,35 +352,115 @@ class TestStructuredEvolution:
         dense_lam = float(np.max(np.linalg.eigvalsh(sp.h1)))
         assert pairs.lambda_max_h1() == pytest.approx(dense_lam, abs=1e-12)
 
+    def test_advection_speeds_match_dense_blocks(self):
+        # the pair basis diag(V, U, V, U) splits the dense h1 into one 4x4
+        # block per pair, on the slots (j, n+j, 2n+j, 3n+j)
+        for seed in (5, 11):
+            sys, gamma_f = self._setup(seed=seed)
+            gen, drive = to_ode(sys)
+            sp = split(homogenize(gen, drive, gamma_f))
+            pairs = build_pair_system(sys, gamma_f)
+            q = np.zeros((4 * sys.n, 4 * sys.n), dtype=complex)
+            for k, basis in enumerate((pairs.basis_v, pairs.basis_u) * 2):
+                q[k * sys.n:(k + 1) * sys.n, k * sys.n:(k + 1) * sys.n] = basis
+            h1_pair = q.conj().T @ sp.h1 @ q
+            for j in range(sys.n):
+                idx = j + sys.n * np.arange(4)
+                block = h1_pair[np.ix_(idx, idx)]
+                dense = float(np.max(np.abs(np.linalg.eigvalsh(block))))
+                assert pairs.advection_speeds()[j] == pytest.approx(dense, abs=1e-12)
+
+    def test_singular_matrix_rejected(self):
+        p = derive_params(4.0, 1.0)
+        sys = build_transformed(np.diag([1.0, 0.0]), np.ones(2), p)
+        with pytest.raises(SingularMatrixError):
+            build_pair_system(sys, default_forcing_scale(p))
+
+    def test_steady_pair_is_the_rotated_steady_state(self):
+        for seed in (3, 7):
+            sys, gamma_f = self._setup(seed=seed)
+            pairs = build_pair_system(sys, gamma_f)
+            n = sys.n
+            w_inf = steady_state(sys)
+            rotated = np.stack([pairs.basis_v.conj().T @ w_inf[:n],
+                                pairs.basis_u.conj().T @ w_inf[n:],
+                                pairs.basis_v.conj().T @ sys.f[:n] / gamma_f,
+                                pairs.basis_u.conj().T @ sys.f[n:] / gamma_f], axis=1)
+            assert np.allclose(pairs.steady_pair, rotated, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(rotated)))
+            # the state block starts at zero, the forcing block at its steady value
+            assert np.array_equal(pairs.w0_pair[:, [0, 1, 3]], np.zeros((n, 3)))
+            assert np.array_equal(pairs.w0_pair[:, 2], pairs.steady_pair[:, 2])
+
+
+class TestPairKernel:
+    """The closed-form forcing column against the dense propagator of a pair."""
+
+    @staticmethod
+    def _pair(sigma, kappa):
+        # a 1x1 system is one pair with trivial bases, so its dense
+        # homogenized split is that pair's 4x4 block
+        p = derive_params(kappa**2, 1.0)
+        sys = build_transformed(np.array([[sigma + 0j]]), np.array([1.0 + 0j]), p)
+        gamma_f = default_forcing_scale(p)
+        gen, drive = to_ode(sys)
+        return build_pair_system(sys, gamma_f), split(homogenize(gen, drive, gamma_f))
+
+    @given(st.floats(0.1, 5.0), st.one_of(st.just(1.0), st.floats(1.0, 30.0)),
+           st.lists(st.floats(-20.0, 20.0), max_size=5), st.floats(0.0, 100.0),
+           st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_expm_column(self, sigma, kappa, thetas, t, seed):
+        # theta = 0 is always included: with kappa_hat = 1 (beta = 0, so
+        # cw = 0) it is the point where K_w is a multiple of I2 (r = 0)
+        pairs, sp = self._pair(sigma, kappa)
+        thetas = np.array([0.0, *thetas])
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=thetas.size) + 1j * rng.normal(size=thetas.size)
+        got = schrod._apply_pair_modes(pairs, np.array([0]), thetas, t, x[:, None])[:, 0]
+        for th, xk, col in zip(thetas, x, got):
+            expect = expm(-1j * (th * sp.h1 - sp.h2) * t)[:, 2] * xk
+            assert np.allclose(col, expect, rtol=0.0, atol=1e-10 * abs(xk))
+
+    def test_exact_at_time_zero(self):
+        for kappa in (1.0, 3.0):
+            p = derive_params(kappa**2, 1.0)
+            sys = build_transformed(np.diag([1.0, 0.5, 2.0]), np.ones(3), p)
+            pairs = build_pair_system(sys, default_forcing_scale(p))
+            thetas = np.array([0.0, 0.7, -3.0, 40.0])
+            rng = np.random.default_rng(0)
+            x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+            out = schrod._apply_pair_modes(pairs, np.arange(3), thetas, 0.0, x)
+            expect = np.zeros((4, 3, 4), dtype=complex)
+            expect[..., 2] = x
+            assert np.array_equal(out, expect)
+
 
 class TestStreamedReadout:
     """The streamed pair-space pass against dense evolve on the same grid."""
 
     @staticmethod
-    def _problem(n, seed, with_w0):
+    def _problem(n, seed):
         rng = np.random.default_rng(seed)
         sig = rng.uniform(0.5, 3.0, size=n)
         q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         a = q1 @ np.diag(sig) @ q2.conj().T
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        w0 = None
-        if with_w0:
-            w0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
         p = derive_params(9.5, 0.2)
-        return build_transformed(a, b, p), default_forcing_scale(p), w0
+        return build_transformed(a, b, p), default_forcing_scale(p)
 
     @given(st.integers(1, 4), st.integers(0, 2**16), st.floats(0.0, 8.0),
-           st.sampled_from([128, 256, 512]), st.booleans())
+           st.sampled_from([128, 256, 512]))
     @settings(max_examples=25, deadline=None)
-    def test_readout_and_snapshot_match_dense(self, n, seed, t, n_p, with_w0):
-        sys, gamma_f, w0 = self._problem(n, seed, with_w0)
+    def test_readout_and_snapshot_match_dense(self, n, seed, t, n_p):
+        sys, gamma_f = self._problem(n, seed)
         gen, drive = to_ode(sys)
-        hs = homogenize(gen, drive, gamma_f, w0=w0)
+        hs = homogenize(gen, drive, gamma_f)
         sp = split(hs)
         grid = build_grid(sp.h1, t, n_p)
         state = evolve(sp, grid, hs.w0_homo, t)
-        pairs = build_pair_system(sys, gamma_f, w0=w0)
+        pairs = build_pair_system(sys, gamma_f)
         atol = 1e-10 * float(np.linalg.norm(hs.w0_homo))
         p_diamond = p_threshold(sp.h1, t)
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
