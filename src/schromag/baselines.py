@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import LinearSystem, as_cmatrix, as_cvector, direct_solve, require_square
 
@@ -95,6 +94,8 @@ def integrate_flow(sys: FlowSystem, w0, t_end: float, samples: int):
     z0 = np.concatenate([w0, [1.0]])
     times = np.linspace(0.0, t_end, samples)
     dt = times[1] - times[0]
+    import scipy.linalg  # deferred: only expm needs scipy, and it costs ~0.3 s to import
+
     step = scipy.linalg.expm(aug * dt)
     out = []
     z = z0

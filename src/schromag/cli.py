@@ -60,8 +60,9 @@ class RunConfig:
 
 
 def _load_system(cfg: RunConfig):
-    """Problem, solver defaults, the effective (delta, n_p), and the
-    singular values of A: the invocation's one factorization of A."""
+    """Problem, solver defaults, the effective (delta, n_p), the singular
+    values of A and, on the schro path, the full SVD (u, s, vh) they come
+    from (else None): the invocation's one factorization of A."""
     if cfg.preset is not None:
         problem, solver = pde_preset(cfg.preset)
         system = problem.system
@@ -71,7 +72,12 @@ def _load_system(cfg: RunConfig):
         system, problem, solver = LinearSystem(a, b), None, SolverConfig()
     delta = cfg.delta if cfg.delta is not None else solver.delta
     n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    return system, problem, solver, delta, n_p, singular_values(system.a)
+    if cfg.command == "schro" or cfg.method == "schro":
+        # the pair basis needs the singular vectors too; the other paths
+        # keep the values-only factorization
+        factors = np.linalg.svd(system.a)
+        return system, problem, solver, delta, n_p, factors[1], factors
+    return system, problem, solver, delta, n_p, singular_values(system.a), None
 
 
 def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.MagParams:
@@ -89,11 +95,12 @@ def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.
 
 def _solve_with_method(cfg: RunConfig, system: LinearSystem, sigma: np.ndarray,
                        params: mag.MagParams, solver: SolverConfig, delta: float, n_p: int,
-                       oracle: np.ndarray, keep_states: bool = False):
+                       oracle: np.ndarray, keep_states: bool = False, factors=None):
     """Returns (u, artifacts dict) for one method on one system.
 
-    `sigma` holds the singular values of A and `oracle` the direct
-    solve; the pipeline measures its residual against it.
+    `sigma` holds the singular values of A, `factors` the full SVD they
+    come from on the schro path, and `oracle` the direct solve; the
+    pipeline measures its residual against it.
     """
     method = cfg.method or "mag"
     if method == "mag":
@@ -131,18 +138,18 @@ def _solve_with_method(cfg: RunConfig, system: LinearSystem, sigma: np.ndarray,
     if method == "schro":
         u, report = schrod.pipeline(
             system.a, system.b, params, delta, n_p, oracle=oracle,
-            recovery=solver.recovery, gamma_f=cfg.gammaf,
+            recovery=solver.recovery, gamma_f=cfg.gammaf, factors=factors,
         )
         return u, {"report": report.as_dict()}
     raise InputError(f"unknown method {method!r}")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, sigma = _load_system(cfg)
+    system, problem, solver, delta, n_p, sigma, factors = _load_system(cfg)
     params = _params_for(cfg, sigma, solver)
     oracle = direct_solve(system, sigma)
     u_method, artifacts = _solve_with_method(cfg, system, sigma, params, solver, delta, n_p,
-                                             oracle, keep_states=True)
+                                             oracle, keep_states=True, factors=factors)
     rel = float(np.max(np.abs(u_method - oracle[: u_method.size]))
                 / max(np.max(np.abs(oracle[: u_method.size])), 1e-300))
     out = cfg.out
@@ -274,7 +281,7 @@ def _compare_fig2(cfg: RunConfig) -> int:
 def cmd_pde(cfg: RunConfig) -> int:
     if cfg.preset is None:
         raise InputError("pde requires --preset")
-    system, problem, solver, delta, n_p, sigma = _load_system(cfg)
+    system, problem, solver, delta, n_p, sigma, factors = _load_system(cfg)
     out = cfg.out
     io.write_matrix_coo(os.path.join(out, "problem.coo"), system.a)
     io.write_vector(os.path.join(out, "problem.vec"), system.b)
@@ -292,7 +299,7 @@ def cmd_pde(cfg: RunConfig) -> int:
     params = _params_for(cfg, sigma, solver)
     oracle = direct_solve(system, sigma)
     u_method, artifacts = _solve_with_method(cfg, system, sigma, params, solver, delta, n_p,
-                                             oracle)
+                                             oracle, factors=factors)
     rel = float(np.max(np.abs(u_method - oracle)) / np.max(np.abs(oracle)))
     xs, ys = problem.nodes()
     u_sol = problem.solution_block(u_method)
@@ -314,11 +321,12 @@ def cmd_pde(cfg: RunConfig) -> int:
 
 
 def cmd_schro(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, sigma = _load_system(cfg)
+    system, problem, solver, delta, n_p, sigma, factors = _load_system(cfg)
     params = _params_for(cfg, sigma, solver)
     u, report, (points, rows) = schrod.pipeline(
         system.a, system.b, params, delta, n_p, oracle=direct_solve(system, sigma),
         recovery=solver.recovery, gamma_f=cfg.gammaf, snapshot_rows=SNAPSHOT_ROWS,
+        factors=factors,
     )
     io.write_json(os.path.join(cfg.out, "pipeline.json"), report.as_dict())
     io.write_vector(os.path.join(cfg.out, "solution.vec"), u)
@@ -380,7 +388,7 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
 
 def cmd_complexity(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, s_vals = _load_system(cfg)
+    system, problem, solver, delta, n_p, s_vals, _ = _load_system(cfg)
     a = system.a
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, SingularMatrixError
 
@@ -99,6 +98,8 @@ def expm_apply(m, v, t: float) -> np.ndarray:
         raise ValueError(f"shape mismatch: {m.shape} vs {v.shape}")
     if not np.isfinite(t):
         raise ValueError("time must be finite")
+    import scipy.linalg  # deferred: only expm needs scipy, and it costs ~0.3 s to import
+
     return scipy.linalg.expm(m * t) @ v
 
 

@@ -13,10 +13,15 @@ system the readout tracks the closed-form solution.
 
 The end-to-end `pipeline` starts the momentum state at w = 0 and works in
 the basis of singular pairs of A, where each pair's homogenized block is
-4x4 and starts on its forcing slot.  Only that column of each propagator
-is evolved, in closed form (`_apply_pair_modes`); it depends on the pair
-through sigma alone.  The dense `evolve` path serves any initial state
-and is the reference the tests compare against.
+4x4 and starts on its forcing slot, at forcing_j = f_j/gamma_f.  Only that
+column of each propagator is evolved, in closed form (`_apply_pair_modes`),
+and for unit forcing it depends on the pair through sigma alone.  So the
+whole emulation is a singular-value transfer function: the state block of
+pair j reads out as readout_j = forcing_j * r(sigma_j), where r(sigma) is
+a 2-vector fixed by the parameters, the grid and t.  r is evaluated once
+per group of equal singular values (`sigma_groups`).  The dense `evolve`
+path serves any initial state and is the reference the tests compare
+against.
 
 The periodic p-domain must outrun left-travelling wave content for the
 whole evolution: anything that wraps re-enters from the right and
@@ -29,10 +34,12 @@ w over the grid points (`readout_weights`).  Because the field is the
 inverse FFT of the modes, sum_k w_k field_k = sum_l c_l mode_l with
 c = ifft(w), so `evolve_structured` streams the modes chunk by chunk,
 accumulates that sum and drops each chunk; the (n_p, pairs, 4) field is
-never built.  Strided snapshot rows come out of the same pass: with
-m = n_p / stride, field[j*stride] = (m/n_p) ifft_m(F)[j] where F folds
-the modes modulo m.  Memory is one chunk of modes (_CHUNK_ENTRIES / 4
-complex numbers) with its temporaries, plus the (m, pairs, 4) fold.
+never built.  The unit-forcing field is real, so only the modes with
+theta >= 0 (and the Nyquist mode) are evaluated.  Strided snapshot rows
+come out of the same pass: with m = n_p / stride, field[j*stride] =
+(m/n_p) ifft_m(F)[j] where F folds the modes modulo m.  Memory is one
+chunk of modes (_CHUNK_ENTRIES / 16 (mode, group) entries per slot) with
+its temporaries, plus the (m, groups, 4) fold.
 """
 
 from __future__ import annotations
@@ -56,7 +63,10 @@ DEFAULT_TAIL_TOL = math.exp(-10.0)
 RIGHT_MARGIN = 2.0
 MAX_DP = 0.5
 ACTIVE_PAIR_BUDGET = 1e-3
-_CHUNK_ENTRIES = 1 << 22
+_CHUNK_ENTRIES = 1 << 20
+# gap, relative to sigma_max, below which two singular values are evolved as
+# one; every figure preset groups the same for any value in [1e-14, 1e-10]
+SIGMA_GROUP_RTOL = 1e-12
 
 
 def to_ode(sys: mag_mod.TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -311,10 +321,14 @@ def recover_integral(state, h1, margin: float | None = None) -> np.ndarray:
 # With A = U Sigma V^H the one-step map block-diagonalizes into independent
 # 2x2 blocks per singular value, and the homogenized system into 4x4 blocks,
 # all sharing the unitary basis diag(V, U, V, U).  Every run starts the
-# momentum state at w = 0, so pair j starts at [0, 0, f_j/gamma_f, 0] and
+# momentum state at w = 0, so pair j starts at [0, 0, forcing_j, 0] and
 # only the forcing column of each block's propagator is ever needed; it has
-# a closed form in three scalars per pair (d1, d2, cw).  Equality with the
-# dense path is covered by tests.
+# a closed form in three scalars per pair (d1, d2, cw), all functions of
+# sigma_j.  The readout is therefore the transfer function
+#     readout_j = forcing_j * r(sigma_j),  r(sigma) = sum_l c_l e_l col_l(sigma)
+# (state block only): col is evaluated for unit forcing once per (mode,
+# group of equal sigma), contracted over modes, and scaled by each pair's
+# forcing at the end.  Equality with the dense path is covered by tests.
 # ---------------------------------------------------------------------------
 
 
@@ -335,6 +349,9 @@ class PairSystem:
     w0_pair: np.ndarray  # (npairs, 4): [0, 0, f_j/gamma_f, 0]
     steady_pair: np.ndarray  # (npairs, 4) kernel component per pair
     gamma_f: float
+    live: np.ndarray  # indices of the pairs with nonzero forcing
+    reps: np.ndarray  # one live pair per group of equal sigma (`sigma_groups`)
+    group: np.ndarray  # group of each live pair, an index into reps
 
     # h1 splits into [[d, gamma_f/2], [gamma_f/2, 0]] for d in {d1_j, d2},
     # with eigenvalues (d +- hypot(d, gamma_f))/2
@@ -361,9 +378,28 @@ class PairSystem:
         return float(np.linalg.norm(self.steady_pair[:, :2]))
 
 
-def build_pair_system(sys: mag_mod.TransformedSystem, gamma_f: float) -> PairSystem:
+def sigma_groups(sigma: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the live pairs by singular value.
+
+    After sorting, a new group starts wherever the gap to the previous
+    value exceeds SIGMA_GROUP_RTOL * sigma_max.  Returns the index of each
+    group's representative pair and, for each live pair, its group.
+    """
+    order = np.argsort(sigma[live], kind="stable")
+    sig = sigma[live][order]
+    scale = sig[-1] if sig.size else 0.0
+    starts = np.concatenate([[True], np.diff(sig) > SIGMA_GROUP_RTOL * scale])[: sig.size]
+    group = np.empty(live.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return live[order[starts]], group
+
+
+def build_pair_system(sys: mag_mod.TransformedSystem, gamma_f: float,
+                      factors=None) -> PairSystem:
+    """The pair blocks in the basis of `factors`, the full SVD (u, s, vh) of
+    A when the caller already has it; otherwise A is factored here."""
     p = sys.params
-    u_f, s, vh = np.linalg.svd(sys.a)
+    u_f, s, vh = np.linalg.svd(sys.a) if factors is None else factors
     if not s[-1] > 0.0:
         raise SingularMatrixError("A is singular: a pair with sigma = 0 has no steady state",
                                   condition=np.inf)
@@ -374,63 +410,78 @@ def build_pair_system(sys: mag_mod.TransformedSystem, gamma_f: float) -> PairSys
     # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f], where
     # I - Htilde = [[alpha s^2, c s], [-c s, 1 - beta]] and f = [alpha s b_t, 0]
     steady_pair = np.stack([(1.0 - p.beta) * b_t / s, c * b_t, forcing, zero], axis=1)
+    live = np.flatnonzero(forcing)
+    reps, group = sigma_groups(s, live)
     return PairSystem(
         sigma=s, basis_u=u_f, basis_v=vh.conj().T, d1=-p.alpha * s**2, d2=p.beta - 1.0,
         cw=c * s, w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
-        steady_pair=steady_pair, gamma_f=gamma_f,
+        steady_pair=steady_pair, gamma_f=gamma_f, live=live, reps=reps, group=group,
     )
 
 
 def _to_state_basis(pairs: PairSystem, rows_pair: np.ndarray) -> np.ndarray:
-    """(..., npairs, 4) pair-basis slots -> (..., 4n) state components."""
+    """(..., npairs, k) pair-basis slots -> (..., k*n) state components."""
     bases = (pairs.basis_v, pairs.basis_u, pairs.basis_v, pairs.basis_u)
-    return np.concatenate([rows_pair[..., slot] @ basis.T
-                           for slot, basis in enumerate(bases)], axis=-1)
+    return np.concatenate([slot @ basis.T
+                           for slot, basis in zip(np.moveaxis(rows_pair, -1, 0), bases)],
+                          axis=-1)
 
 
 def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
                       stride: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
     """Stream the pair-space Fourier modes at time t through the readout.
 
-    Mode l of pair j is U_l(t) e_l w0_j with e = fft(e^{-|p|}).  Each chunk
-    of modes is evolved once, added into sum_l c_l mode_l (c = ifft of
-    the readout weights) and, for stride > 0, into the fold F[l mod m],
-    m = n_p // stride, then dropped.  Returns the 4n-vector
-    sum_k weights[k] field(t, p_k) and, for stride > 0, the (m, 4n) rows
+    Mode l of pair j is forcing_j e_l col_l(sigma_j), with e = fft(e^{-|p|})
+    and col the unit-forcing column of `_apply_pair_modes`, evaluated once
+    per group of equal singular values.  In the pair basis h1 is real and
+    h2 imaginary, so mode -l is the conjugate of mode l: modes 0..n_p/2-1
+    are evaluated, the inner ones counted twice, and real parts taken; the
+    Nyquist mode n_p/2 has no partner on the grid and is added as it is.
+    Each chunk of modes is contracted with c * e (c = ifft of the readout
+    weights) and, for stride > 0, folded times e into F[l mod m],
+    m = n_p // stride, then dropped; the forcing scales each pair at the
+    end.  Returns the 2n-vector state block of sum_k weights[k]
+    field(t, p_k) and, for stride > 0, the (m, 4n) rows
     field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None).
     """
-    n_p = grid.n_p
-    live = np.flatnonzero(pairs.w0_pair[:, 2])
-    forcing = pairs.w0_pair[live, 2]
-    envelope = np.fft.fft(np.exp(-np.abs(grid.points)))
-    coef = np.fft.ifft(np.asarray(weights, dtype=float))
+    n_p, half = grid.n_p, grid.n_p // 2
+    live, reps, group = pairs.live, pairs.reps, pairs.group
+    envelope = np.fft.fft(np.exp(-np.abs(grid.points)))[: half + 1]
+    envelope[1:half] *= 2.0
+    coef = np.fft.ifft(np.asarray(weights, dtype=float))[: half + 1] * envelope
     m = n_p // stride if stride else 0
-    readout = np.zeros((live.size, 4), dtype=np.complex128)
-    folded = np.zeros((m, live.size, 4), dtype=np.complex128)
+    slots = 4 if m else 2
+    readout = np.zeros((reps.size, 2), dtype=np.complex128)
+    folded = np.zeros((m, reps.size, 4), dtype=np.complex128)
     # powers of two, so a chunk is a whole number of folds or fits in one
-    chunk = 1 << int(math.log2(max(1, _CHUNK_ENTRIES // (16 * max(live.size, 1)))))
-    for lo in range(0, n_p, chunk):
-        hi = min(lo + chunk, n_p)
-        modes = _apply_pair_modes(pairs, live, grid.thetas[lo:hi], t,
-                                  envelope[lo:hi, None] * forcing[None])
-        readout += np.tensordot(coef[lo:hi], modes, axes=1)
+    chunk = 1 << int(math.log2(max(1, _CHUNK_ENTRIES // (16 * max(reps.size, 1)))))
+    for lo in range(0, half, chunk):
+        hi = min(lo + chunk, half)
+        modes = _apply_pair_modes(pairs, reps, grid.thetas[lo:hi], t, slots)
+        readout += np.tensordot(coef[lo:hi], modes[..., :2], axes=1)
         if m:
             width = min(hi - lo, m)
             r = lo % m
-            folded[r : r + width] += modes.reshape(-1, width, live.size, 4).sum(axis=0)
-    full = np.zeros((pairs.sigma.size, 4), dtype=np.complex128)
-    full[live] = readout
+            modes *= envelope[lo:hi, None, None]
+            folded[r : r + width] += modes.reshape(-1, width, reps.size, 4).sum(axis=0)
+    nyquist = _apply_pair_modes(pairs, reps, grid.thetas[half : half + 1], t, slots)[0]
+    forcing = pairs.w0_pair[live, 2, None]
+    state = np.zeros((pairs.sigma.size, 2), dtype=np.complex128)
+    state[live] = forcing * (readout.real + coef[half] * nyquist[:, :2])[group]
     rows = None
     if m:
+        # the Nyquist mode's phase at p_{j*stride} is (-1)^(j*stride)
+        sign = (-1.0) ** (stride * np.arange(m))[:, None, None]
+        rows_group = (np.fft.ifft(folded, axis=0).real * (m / n_p)
+                      + sign * (envelope[half] / n_p) * nyquist)
         rows_pair = np.zeros((m, pairs.sigma.size, 4), dtype=np.complex128)
-        rows_pair[:, live] = np.fft.ifft(folded, axis=0) * (m / n_p)
+        rows_pair[:, live] = rows_group[:, group] * forcing
         rows = _to_state_basis(pairs, rows_pair)
-    return _to_state_basis(pairs, full), rows
+    return _to_state_basis(pairs, state), rows
 
 
-def _apply_pair_modes(pairs: PairSystem, live, thetas, t: float,
-                      x: np.ndarray) -> np.ndarray:
-    """exp(-iK(theta)t) [0, 0, x, 0] for every (mode, live pair) of x.
+def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
+    """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps).
 
     Per pair, K = [[K_w, c I2], [conj(c) I2, 0]] with the scalar coupling
     c = gamma_f (theta + i)/2 and K_w = [[th*d1, -i cw], [i cw, th*d2]].
@@ -440,13 +491,14 @@ def _apply_pair_modes(pairs: PairSystem, live, thetas, t: float,
     rho = sqrt(mu^2/4 + |c|^2) >= gamma_f/2.  With K_w = mean I + r N,
     N^2 = I (N := 0 at r = 0), G(K_w) = S + D N where S, D are the half
     sum and half difference of G(mean + r) and G(mean - r).  The result
-    is exact at t = 0 (S = 1, D = 0) and never divides by zero.
-    Returns (modes, pairs, 4).
+    is exact at t = 0 (S = 1, D = 0) and never divides by zero.  The
+    column depends on the pair through sigma alone.  Returns
+    (modes, pairs, slots): slots = 2 gives the state block only.
     """
     th = np.asarray(thetas)[:, None]
-    a = th * pairs.d1[live][None, :]
+    a = th * pairs.d1[reps][None, :]
     d = th * pairs.d2
-    cw = pairs.cw[live][None, :]
+    cw = pairs.cw[reps][None, :]
     c = pairs.gamma_f * (th + 1j) / 2.0
     c2 = np.abs(c) ** 2
     mean = (a + d) / 2.0
@@ -456,25 +508,28 @@ def _apply_pair_modes(pairs: PairSystem, live, thetas, t: float,
     r_safe = np.where(r > 0.0, r, 1.0)
     n0 = half_gap / r_safe
     i_n1 = 1j * (cw / r_safe)
+    bottom = slots == 4
 
     def column(mu):
-        # the forcing column of G(mu) without its factors: (G12/(-i c), G22)
+        # the forcing column of G(mu) without its factors: (G12/(-i c), G22);
+        # G22 only when the bottom block is asked for
         rho = np.sqrt(mu**2 / 4.0 + c2)
         phase = np.exp(-0.5j * t * mu)
         sinc = np.sin(rho * t) / rho
-        return phase * sinc, phase * (np.cos(rho * t) + 0.5j * mu * sinc)
+        g22 = phase * (np.cos(rho * t) + 0.5j * mu * sinc) if bottom else None
+        return phase * sinc, g22
 
     # (S + D N) e1 from 2S = G(mu_+) + G(mu_-) and 2D = G(mu_+) - G(mu_-);
-    # the 1/2 is folded into `coupled` and `half`
+    # the 1/2 is folded into `coupled` and the bottom block's 0.5
     top_p, bot_p = column(mean + r)
     top_m, bot_m = column(mean - r)
-    coupled = -0.5j * c * x
-    half = 0.5 * x
-    out = np.empty(x.shape + (4,), dtype=np.complex128)
+    coupled = -0.5j * c
+    out = np.empty(top_p.shape + (slots,), dtype=np.complex128)
     out[..., 0] = coupled * (top_p + top_m + (top_p - top_m) * n0)
     out[..., 1] = coupled * (top_p - top_m) * i_n1
-    out[..., 2] = half * (bot_p + bot_m + (bot_p - bot_m) * n0)
-    out[..., 3] = half * (bot_p - bot_m) * i_n1
+    if bottom:
+        out[..., 2] = 0.5 * (bot_p + bot_m + (bot_p - bot_m) * n0)
+        out[..., 3] = 0.5 * (bot_p - bot_m) * i_n1
     return out
 
 
@@ -513,6 +568,8 @@ class PipelineReport:
     recovery_method: str
     residual_vs_oracle: float
     gamma_f: float
+    live_pairs: int  # singular pairs with nonzero forcing
+    sigma_groups: int  # distinct singular values among them, each evolved once
 
     def as_dict(self) -> dict:
         return {
@@ -525,12 +582,14 @@ class PipelineReport:
             "recovery_method": self.recovery_method,
             "residual_vs_oracle": self.residual_vs_oracle,
             "gamma_f": self.gamma_f,
+            "live_pairs": self.live_pairs,
+            "sigma_groups": self.sigma_groups,
         }
 
 
 def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
              recovery: str = "integral", gamma_f: float | None = None,
-             snapshot_rows: int = 0):
+             snapshot_rows: int = 0, factors=None):
     """End-to-end solve of A u = b through the Hamiltonian realization.
 
     Evolves to t_end = kappa_hat * ln(1/delta), reads the field back out
@@ -552,7 +611,7 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     safety = (params.kappa_hat + 1.0) / params.kappa_hat
     t_end = float(mag_mod.convergence_steps(params.kappa_hat, delta, safety=safety))
 
-    pairs = build_pair_system(sys, gamma_f)
+    pairs = build_pair_system(sys, gamma_f, factors)
     runway = required_runway(pairs, t_end)
     p_left = -(runway + math.log(1.0 / DEFAULT_TAIL_TOL))
     # decay the envelope below noise at the periodic seam: the largest
@@ -569,7 +628,7 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     weights, k_star = readout_weights(grid, p_diamond, recovery, advect)
     stride = max(1, n_p // snapshot_rows) if snapshot_rows > 0 else 0
     w_rec, rows = evolve_structured(pairs, grid, t_end, weights, stride)
-    u = mag_mod.solution_from_state(sys, _top_block(w_rec))
+    u = mag_mod.solution_from_state(sys, w_rec)
 
     residual = float(
         np.max(np.abs(u - oracle)) / max(np.max(np.abs(oracle)), 1e-300)
@@ -577,7 +636,8 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     report = PipelineReport(
         t_end=t_end, n_p=n_p, p_left=grid.p_left, p_right=grid.p_right,
         p_diamond=p_diamond, k_star=k_star, recovery_method=recovery,
-        residual_vs_oracle=residual, gamma_f=gamma_f,
+        residual_vs_oracle=residual, gamma_f=gamma_f, live_pairs=int(pairs.live.size),
+        sigma_groups=int(pairs.reps.size),
     )
     if stride:
         return u, report, (grid.points[::stride], rows)

@@ -110,11 +110,10 @@ class TestSolve:
 
 
 class TestFactorizationCounts:
-    """The mag path factors A once and solves I - H once per invocation."""
+    """Each invocation factors A once; the mag path solves I - H once."""
 
-    @pytest.mark.parametrize("command", ["pde", "solve"])
-    def test_fig4a_mag(self, tmp_path, monkeypatch, command):
-        n = pde_preset("fig4a")[0].system.a.shape[0]
+    @staticmethod
+    def _count(monkeypatch, argv):
         calls = Counter()
 
         def counting(name, fn):
@@ -129,10 +128,45 @@ class TestFactorizationCounts:
             fn = getattr(np.linalg, name)
             for module in {np.linalg, inner}:
                 monkeypatch.setattr(module, name, counting(name, fn))
-        rc = main([command, "--preset", "fig4a", "--method", "mag", "--out", str(tmp_path)])
-        assert rc == 0
+        assert main(argv) == 0
+        return calls
+
+    @pytest.mark.parametrize("command", ["pde", "solve"])
+    def test_fig4a_mag(self, tmp_path, monkeypatch, command):
+        n = pde_preset("fig4a")[0].system.a.shape[0]
+        calls = self._count(monkeypatch, [command, "--preset", "fig4a", "--method", "mag",
+                                          "--out", str(tmp_path)])
         assert calls == Counter({("svd", (n, n)): 1, ("solve", (2 * n, 2 * n)): 1,
                                  ("solve", (n, n)): 1})
+
+    @pytest.mark.parametrize("argv", [["pde", "--preset", "fig4a", "--method", "schro"],
+                                      ["solve", "--preset", "fig4a", "--method", "schro"],
+                                      ["schro", "--preset", "fig3a"]])
+    def test_schro_one_full_svd(self, tmp_path, monkeypatch, argv):
+        # the bounds, the guard checks and the pair basis share one full SVD
+        n = pde_preset(argv[2])[0].system.a.shape[0]
+        calls = self._count(monkeypatch, argv + ["--out", str(tmp_path)])
+        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+
+
+class TestDeferredScipy:
+    def test_cli_import_and_mag_run_leave_scipy_unloaded(self, tmp_path):
+        # scipy is imported only where expm runs; the mag path never needs it
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = (
+            "import sys\n"
+            "import schromag.cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            f"rc = schromag.cli.main(['pde', '--preset', 'fig3a', '--method', 'mag',"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy' not in sys.modules, 'run'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "solution.csv").is_file()
 
 
 class TestCompare:

@@ -417,10 +417,13 @@ class TestPairKernel:
         thetas = np.array([0.0, *thetas])
         rng = np.random.default_rng(seed)
         x = rng.normal(size=thetas.size) + 1j * rng.normal(size=thetas.size)
-        got = schrod._apply_pair_modes(pairs, np.array([0]), thetas, t, x[:, None])[:, 0]
+        got = schrod._apply_pair_modes(pairs, np.array([0]), thetas, t)[:, 0]
+        # the state-block-only evaluation is the same arithmetic, cut short
+        top = schrod._apply_pair_modes(pairs, np.array([0]), thetas, t, slots=2)[:, 0]
+        assert np.array_equal(top, got[:, :2])
         for th, xk, col in zip(thetas, x, got):
             expect = expm(-1j * (th * sp.h1 - sp.h2) * t)[:, 2] * xk
-            assert np.allclose(col, expect, rtol=0.0, atol=1e-10 * abs(xk))
+            assert np.allclose(xk * col, expect, rtol=0.0, atol=1e-10 * abs(xk))
 
     def test_exact_at_time_zero(self):
         for kappa in (1.0, 3.0):
@@ -430,7 +433,7 @@ class TestPairKernel:
             thetas = np.array([0.0, 0.7, -3.0, 40.0])
             rng = np.random.default_rng(0)
             x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-            out = schrod._apply_pair_modes(pairs, np.arange(3), thetas, 0.0, x)
+            out = schrod._apply_pair_modes(pairs, np.arange(3), thetas, 0.0) * x[..., None]
             expect = np.zeros((4, 3, 4), dtype=complex)
             expect[..., 2] = x
             assert np.array_equal(out, expect)
@@ -469,7 +472,7 @@ class TestStreamedReadout:
             weights, _ = readout_weights(grid, p_diamond, method, advect)
             vec, rows = evolve_structured(pairs, grid, t, weights)
             assert rows is None
-            assert np.allclose(vec[: 2 * n], oracle(state, sp.h1), rtol=0.0, atol=atol)
+            assert np.allclose(vec, oracle(state, sp.h1), rtol=0.0, atol=atol)
         field = state.field()
         # 256 entries make chunks of 4-16 modes: smaller than some folds
         # and larger than others
@@ -479,8 +482,64 @@ class TestStreamedReadout:
                     vec, rows = evolve_structured(pairs, grid, t, weights, stride)
                     assert rows.shape == (n_p // stride, 4 * n)
                     assert np.allclose(rows, field[::stride], rtol=0.0, atol=atol)
-                assert np.allclose(vec[: 2 * n], recover_single_point(state, sp.h1),
+                assert np.allclose(vec, recover_single_point(state, sp.h1),
                                    rtol=0.0, atol=atol)
+
+    @given(st.lists(st.sampled_from([0.5, 0.8, 1.3, 2.0, 3.0]), min_size=1, max_size=5),
+           st.booleans(), st.integers(0, 2**16), st.floats(0.0, 8.0),
+           st.sampled_from([128, 256, 512]))
+    @settings(max_examples=25, deadline=None)
+    def test_repeated_singular_values_match_dense(self, sig, perturb, seed, t, n_p):
+        # pairs that share sigma are evolved once and scaled by their own
+        # forcing; ties broken by ~1e-15 relative still share one group
+        rng = np.random.default_rng(seed)
+        n = len(sig)
+        sig = np.array(sig)
+        if perturb:
+            sig = sig * (1.0 + 1e-15 * rng.integers(-3, 4, size=n))
+        q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        p = derive_params(9.5, 0.2)
+        sys = build_transformed(q1 @ np.diag(sig) @ q2.conj().T, b, p)
+        gamma_f = default_forcing_scale(p)
+        pairs = build_pair_system(sys, gamma_f)
+        assert pairs.live.size == n
+        assert pairs.reps.size == np.unique(np.round(sig, 6)).size
+        gen, drive = to_ode(sys)
+        hs = homogenize(gen, drive, gamma_f)
+        sp = split(hs)
+        grid = build_grid(sp.h1, t, n_p)
+        state = evolve(sp, grid, hs.w0_homo, t)
+        atol = 1e-10 * float(np.linalg.norm(hs.w0_homo))
+        p_diamond = p_threshold(sp.h1, t)
+        advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
+        field = state.field()
+        for method, oracle in (("integral", recover_integral),
+                               ("single-point", recover_single_point)):
+            weights, _ = readout_weights(grid, p_diamond, method, advect)
+            expect = oracle(state, sp.h1)
+            for entries in (schrod._CHUNK_ENTRIES, 256):
+                with mock.patch.object(schrod, "_CHUNK_ENTRIES", entries):
+                    vec, rows = evolve_structured(pairs, grid, t, weights)
+                    assert rows is None
+                    assert np.allclose(vec, expect, rtol=0.0, atol=atol)
+                    for stride in (1, 8, 32):
+                        vec, rows = evolve_structured(pairs, grid, t, weights, stride)
+                        assert np.allclose(vec, expect, rtol=0.0, atol=atol)
+                        assert rows.shape == (n_p // stride, 4 * n)
+                        assert np.allclose(rows, field[::stride], rtol=0.0, atol=atol)
+
+    def test_sigma_groups(self):
+        sigma = np.array([3.0, 2.0, 2.0 * (1 + 1e-15), 1.0, 2.0 * (1 - 2e-15), 1.0 + 1e-9])
+        live = np.array([0, 1, 2, 4, 5])  # pair 3 carries no forcing
+        reps, group = schrod.sigma_groups(sigma, live)
+        # sorted: 1+1e-9 | 2(1-2e-15), 2, 2(1+1e-15) | 3
+        assert sigma[reps].tolist() == pytest.approx([1.0 + 1e-9, 2.0, 3.0], rel=1e-14)
+        assert group.tolist() == [2, 1, 1, 1, 0]
+        assert set(reps.tolist()) <= set(live.tolist())
+        empty_reps, empty_group = schrod.sigma_groups(sigma, np.array([], dtype=int))
+        assert empty_reps.size == 0 and empty_group.size == 0
 
     def test_integral_weights_are_the_trapezoid_rule(self):
         hs, sp = scalar_setup(rate=-1.0)
@@ -517,6 +576,23 @@ class TestPipeline:
         for key in ("t_end", "n_p", "p_left", "p_right", "p_diamond",
                     "k_star", "recovery_method", "residual_vs_oracle"):
             assert key in d
+        assert (d["live_pairs"], d["sigma_groups"]) == (2, 2)
+
+    def test_fig6a_groups_repeated_singular_values(self):
+        # the 2d biharmonic spectrum repeats: 510 forced pairs, 258 distinct sigma
+        from schromag.mag import params_from_sigma
+        from schromag.presets import pde_preset
+
+        problem, solver = pde_preset("fig6a")
+        factors = np.linalg.svd(problem.system.a)
+        params = params_from_sigma(factors[1], safety=solver.bounds_safety)
+        oracle = direct_solve(problem.system, factors[1])
+        u, report = pipeline(problem.system.a, problem.system.b, params, solver.delta,
+                             solver.n_p, oracle=oracle, recovery=solver.recovery,
+                             factors=factors)
+        d = report.as_dict()
+        assert (d["live_pairs"], d["sigma_groups"]) == (510, 258)
+        assert d["residual_vs_oracle"] < max(solver.delta, 1e-2)
 
     def test_matches_iteration_terminal_state(self):
         # cross-method check on the small zero-boundary Helmholtz preset
