@@ -48,10 +48,11 @@ def build_gradient_flow(a, b) -> FlowSystem:
     return FlowSystem(generator=-(ah @ a), drive=ah @ b, kind="gradient", meta={})
 
 
-def build_damped(a, b, gamma: float) -> FlowSystem:
+def build_damped(a, b, gamma: float, sigma_min: float) -> FlowSystem:
     """Second-order damped dynamics in first-order form on w = [u; v].
 
-    Requires 0 < gamma < 2 sigma_min(A).  The auxiliary block of the
+    Requires 0 < gamma < 2 sigma_min(A), with sigma_min, the smallest
+    singular value of A, from the caller.  The auxiliary block of the
     steady state is exactly zero, which is what breaks the relative
     convergence of this method.
     """
@@ -60,7 +61,6 @@ def build_damped(a, b, gamma: float) -> FlowSystem:
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError("dimension mismatch")
-    sigma_min = float(np.linalg.svd(a, compute_uv=False)[-1])
     if not (0.0 < gamma < 2.0 * sigma_min):
         raise ValueError(
             f"gamma must satisfy 0 < gamma < 2*sigma_min = {2 * sigma_min:.6g}, got {gamma}"

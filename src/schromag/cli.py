@@ -61,8 +61,9 @@ class RunConfig:
 
 def _load_system(cfg: RunConfig):
     """Problem, solver defaults, the effective (delta, n_p), the singular
-    values of A and, on the schro path, the full SVD (u, s, vh) they come
-    from (else None): the invocation's one factorization of A."""
+    values of A and the full SVD (u, s, vh) they come from: the
+    invocation's one factorization of A, shared by the bounds, the guards,
+    the oracle and the pair basis of the mag and schro paths."""
     if cfg.preset is not None:
         problem, solver = pde_preset(cfg.preset)
         system = problem.system
@@ -72,12 +73,8 @@ def _load_system(cfg: RunConfig):
         system, problem, solver = LinearSystem(a, b), None, SolverConfig()
     delta = cfg.delta if cfg.delta is not None else solver.delta
     n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    if cfg.command == "schro" or cfg.method == "schro":
-        # the pair basis needs the singular vectors too; the other paths
-        # keep the values-only factorization
-        factors = np.linalg.svd(system.a)
-        return system, problem, solver, delta, n_p, factors[1], factors
-    return system, problem, solver, delta, n_p, singular_values(system.a), None
+    factors = np.linalg.svd(system.a)
+    return system, problem, solver, delta, n_p, factors[1], factors
 
 
 def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.MagParams:
@@ -99,28 +96,21 @@ def _solve_with_method(cfg: RunConfig, system: LinearSystem, sigma: np.ndarray,
     """Returns (u, artifacts dict) for one method on one system.
 
     `sigma` holds the singular values of A, `factors` the full SVD they
-    come from on the schro path, and `oracle` the direct solve; the
-    pipeline measures its residual against it.
+    come from, and `oracle` the direct solve; the pipeline measures its
+    residual against it.
     """
     method = cfg.method or "mag"
     if method == "mag":
         mag.spectral_radius_check(params, sigma)
-        tsys = mag.build_transformed(system.a, system.b, params)
-        w_inf = mag.steady_state(tsys, sigma)
-        delta_run = delta / mag.solution_error_factor(w_inf)
-        max_steps = 4 * mag.convergence_steps(params.kappa_hat, min(delta_run, delta))
-        trace = mag.mag_iterate(
-            tsys, np.zeros(2 * tsys.n), delta_run, max_steps,
-            w_inf=w_inf, keep_states=keep_states,
-        )
+        spec = mag.build_spectral(system.a, system.b, params, factors)
+        trace, w_inf, u = mag.solve_spectral(spec, delta, keep_states)
         artifacts = {"trace": trace.residuals, "steps": trace.steps}
         if keep_states:
-            values, kappa2 = mag.relative_trace(trace, w_inf)
+            values, kappa2 = mag.relative_trace(trace, w_inf, spec)
             artifacts["relative_trace"] = (
                 values if values is not None else [math.inf] * len(trace.residuals)
             )
             artifacts["kappa2_w_inf"] = kappa2
-        u = mag.solution_from_state(tsys, trace.w_final)
         return u, artifacts
     if method == "gradient":
         flow = baselines.build_gradient_flow(system.a, system.b)
@@ -131,7 +121,7 @@ def _solve_with_method(cfg: RunConfig, system: LinearSystem, sigma: np.ndarray,
         gamma = cfg.gamma if cfg.gamma is not None else (
             solver.gamma if solver.gamma is not None else 1.9 * float(sigma[-1])
         )
-        flow = baselines.build_damped(system.a, system.b, gamma)
+        flow = baselines.build_damped(system.a, system.b, gamma, float(sigma[-1]))
         t_end = baselines.evolution_time("damped", (float(sigma[-1]), float(sigma[0])), delta)
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 256)
         return traj[-1][1][: system.n], {"t_end": t_end, "gamma": gamma}
@@ -175,14 +165,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _compare_branch(kind, a, b, params, gamma, t_end, samples):
+def _compare_branch(kind, a, b, params, gamma, sigma_min, t_end, samples):
     n = a.shape[0]
     if kind == "mag":
         tsys = mag.build_transformed(a, b, params)
         gen, drive = schrod.to_ode(tsys)
         flow = baselines.FlowSystem(generator=gen, drive=drive, kind="mag-ode", meta={})
     else:
-        flow = baselines.build_damped(a, b, gamma)
+        flow = baselines.build_damped(a, b, gamma, sigma_min)
     traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, samples)
     ratio = baselines.auxiliary_ratio_trace(traj, solved_index=0, aux_index=n)
     return traj, ratio
@@ -194,6 +184,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     if cfg.preset is not None:
         cp = compare_preset(cfg.preset)
         a, b = cp.a, cp.b
+        sigma = singular_values(a)
         params = mag.derive_params(cp.l_hat, cp.mu_hat)
         gamma, t_end, samples = cp.gamma, cp.t_end, cp.samples
     else:
@@ -207,8 +198,9 @@ def cmd_compare(cfg: RunConfig) -> int:
         )
         samples = 1200
 
-    traj_mag, ratio_mag = _compare_branch("mag", a, b, params, gamma, t_end, samples)
-    traj_damp, ratio_damp = _compare_branch("damped", a, b, params, gamma, t_end, samples)
+    branch = (params, gamma, float(sigma[-1]), t_end, samples)
+    traj_mag, ratio_mag = _compare_branch("mag", a, b, *branch)
+    traj_damp, ratio_damp = _compare_branch("damped", a, b, *branch)
 
     n = a.shape[0]
     for tag, traj, ratio in (
@@ -247,20 +239,15 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def _compare_fig2(cfg: RunConfig) -> int:
     cp = compare_preset("fig2")
-    sigma = singular_values(cp.a)
+    sigma = cp.factors[1]
     oracle = direct_solve(LinearSystem(cp.a, cp.b), sigma)
     params = mag.derive_params(cp.l_hat, cp.mu_hat)
     sig = (math.sqrt(cp.mu_hat), math.sqrt(cp.l_hat))
-    tsys = mag.build_transformed(cp.a, cp.b, params)
-    w_inf = mag.steady_state(tsys, sigma)
-    flow = baselines.build_damped(cp.a, cp.b, cp.gamma)
+    spec = mag.build_spectral(cp.a, cp.b, params, cp.factors)
+    flow = baselines.build_damped(cp.a, cp.b, cp.gamma, float(sigma[-1]))
     rows = ["delta,mag_error,damped_error"]
     for delta in cp.deltas:
-        delta_run = delta / mag.solution_error_factor(w_inf)
-        steps = mag.convergence_steps(params.kappa_hat, delta_run)
-        trace = mag.mag_iterate(tsys, np.zeros(2 * tsys.n), delta_run,
-                                max_steps=4 * steps, w_inf=w_inf, keep_states=False)
-        u_mag = mag.solution_from_state(tsys, trace.w_final)
+        u_mag = mag.solve_spectral(spec, delta)[2]
         t_end = baselines.evolution_time("damped", sig, delta)
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 64)
         u_damp = traj[-1][1][: cp.a.shape[0]]

@@ -113,6 +113,19 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_cmatrix(a), compute_uv=False)
 
 
+def condition_check(sigma) -> tuple[float, float]:
+    """(sigma_max, cond); SingularMatrixError if cond exceeds MAX_CONDITION."""
+    sigma = np.asarray(sigma, dtype=float)
+    s_max, s_min = float(np.max(sigma)), float(np.min(sigma))
+    cond = np.inf if s_min == 0.0 else s_max / s_min
+    if cond > MAX_CONDITION:
+        raise SingularMatrixError(
+            f"matrix is singular to working tolerance (cond ~ {cond:.3e})",
+            condition=cond,
+        )
+    return s_max, cond
+
+
 def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
     """Ground-truth solve of A u = b with residual verification.
 
@@ -122,14 +135,7 @@ def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
     factored here.
     """
     a = require_square(sys.a)
-    sigma = singular_values(a) if sigma is None else np.asarray(sigma, dtype=float)
-    s_max, s_min = float(np.max(sigma)), float(np.min(sigma))
-    cond = np.inf if s_min == 0.0 else s_max / s_min
-    if cond > MAX_CONDITION:
-        raise SingularMatrixError(
-            f"matrix is singular to working tolerance (cond ~ {cond:.3e})",
-            condition=cond,
-        )
+    s_max, cond = condition_check(singular_values(a) if sigma is None else sigma)
     u = np.linalg.solve(a, sys.b)
     resid = np.linalg.norm(a @ u - sys.b)
     bound = SOLVE_RESIDUAL_TOL * (s_max * np.linalg.norm(u) + np.linalg.norm(sys.b))

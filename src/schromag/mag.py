@@ -12,16 +12,20 @@ replaces plain transpose so the complex Robin problems go through the
 same path; the two coincide for real data.
 
 With A = U Sigma V^H, the basis diag(V, U) splits H, and I - H with it,
-into one 2x2 block per singular value.  The radius guard and the
-steady-state checks use the closed-form spectra of those blocks, so a
-caller that has the singular values of A (`linalg.singular_values`)
-never factors the 2n x 2n matrices.
+into one 2x2 block [[1 - alpha s^2, -c s], [c s, beta]] per singular
+value s (c = sqrt(alpha*beta)), and F into [alpha s b~; 0] with b~ = U^H b.
+A run factors A once and iterates in that basis (`SpectralSystem`):
+elementwise steps, the closed-form steady state [(1-beta) b~/s; c b~],
+and closed-form spectra for the radius guard and the I - H checks.  The
+dense H (`TransformedSystem`) is the tests' reference and the ODE of the
+auxiliary comparisons.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .linalg import (
     LinearSystem,
     as_cmatrix,
     as_cvector,
+    condition_check,
     direct_solve,
     hermitian_part,
     require_square,
@@ -108,6 +113,9 @@ class TransformedSystem:
         """Rebuild H from the stored A and parameters (invariant check)."""
         return _h_blocks(self.a, self.params)
 
+    def step(self, w: np.ndarray) -> np.ndarray:
+        return self.h @ w + self.f
+
     def hermitian_gap(self) -> float:
         """Largest eigenvalue of (H + H^H)/2 - I; negative for valid builds."""
         m = hermitian_part(self.h) - np.eye(2 * self.n)
@@ -138,6 +146,56 @@ def build_transformed(a, b, params: MagParams) -> TransformedSystem:
     return TransformedSystem(h=h, f=f, n=n, params=params, a=a, b=b)
 
 
+@dataclass(frozen=True)
+class SpectralSystem:
+    """The one-step map on w = [w1; w2], one entry per block and singular
+    value; w is the state [V w1; U w2] of `TransformedSystem`."""
+
+    sigma: np.ndarray  # descending
+    u: np.ndarray
+    vh: np.ndarray
+    b_t: np.ndarray  # U^H b
+    params: MagParams
+
+    @property
+    def n(self) -> int:
+        return self.sigma.size
+
+    @cached_property
+    def _blocks(self) -> tuple:  # 1 - alpha s^2, c s, alpha s b~
+        p, s = self.params, self.sigma
+        return 1.0 - p.alpha * s**2, math.sqrt(p.alpha * p.beta) * s, p.alpha * s * self.b_t
+
+    def step(self, w: np.ndarray) -> np.ndarray:
+        diag, cs, f = self._blocks
+        w1, w2 = w[: self.n], w[self.n :]
+        return np.concatenate([diag * w1 - cs * w2 + f, cs * w1 + self.params.beta * w2])
+
+    def steady_state(self) -> np.ndarray:
+        """[(1-beta) b~/sigma; c b~]; SingularMatrixError where I - H is
+        singular to working tolerance (`i_minus_h_singular_values`)."""
+        p = self.params
+        condition_check(i_minus_h_singular_values(p, self.sigma))
+        return np.concatenate([(1.0 - p.beta) * self.b_t / self.sigma,
+                               math.sqrt(p.alpha * p.beta) * self.b_t])
+
+    def to_state(self, w) -> np.ndarray:
+        """[V w1; U w2] of one state, or of each row of a stack of them."""
+        w = np.asarray(w)
+        return np.concatenate([w[..., : self.n] @ self.vh.conj(), w[..., self.n :] @ self.u.T],
+                              axis=-1)
+
+
+def build_spectral(a, b, params: MagParams, factors=None) -> SpectralSystem:
+    """The map in the basis of `factors`, the full SVD (u, s, vh) of A when
+    the caller already has it; otherwise A is factored here."""
+    a, b = require_square(as_cmatrix(a)), as_cvector(b)
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
+    u, s, vh = np.linalg.svd(a) if factors is None else factors
+    return SpectralSystem(sigma=s, u=u, vh=vh, b_t=u.conj().T @ b, params=params)
+
+
 def i_minus_h_singular_values(p: MagParams, sigma) -> np.ndarray:
     """Singular values of I - H from the singular values sigma of A.
 
@@ -155,20 +213,15 @@ def i_minus_h_singular_values(p: MagParams, sigma) -> np.ndarray:
     return np.concatenate([large, (x * y + q * q) / large])
 
 
-def steady_state(sys: TransformedSystem, sigma=None) -> np.ndarray:
-    """Fixed point (I - H)^{-1} F, by one LU solve of the 2n x 2n system.
-
-    `sigma` are the singular values of A (factored from sys.a when not
-    given); the solve's condition and norm checks take the closed-form
-    singular values of I - H built from them.  First block equals
+def steady_state(sys: TransformedSystem) -> np.ndarray:
+    """Fixed point (I - H)^{-1} F by one LU solve of the 2n x 2n system, the
+    dense reference of `SpectralSystem.steady_state`.  First block equals
     (1-beta) times the least-squares solution; for invertible square A
-    the second block equals sqrt(alpha*beta) b, which serves as a
-    built-in validation value.
+    the second block equals sqrt(alpha*beta) b.
     """
-    if sigma is None:
-        sigma = singular_values(sys.a)
     m = np.eye(2 * sys.n) - sys.h
-    return direct_solve(LinearSystem(m, sys.f), i_minus_h_singular_values(sys.params, sigma))
+    sigma = i_minus_h_singular_values(sys.params, singular_values(sys.a))
+    return direct_solve(LinearSystem(m, sys.f), sigma)
 
 
 @dataclass
@@ -182,7 +235,7 @@ class IterationTrace:
 
 
 def mag_iterate(
-    sys: TransformedSystem,
+    sys: SpectralSystem | TransformedSystem,
     w0,
     delta: float,
     max_steps: int,
@@ -193,8 +246,9 @@ def mag_iterate(
     """Run w <- H w + F until the error contracts below delta.
 
     Termination measures ||w_n - w_inf|| / ||w_0 - w_inf|| against the
-    steady state w_inf (from `steady_state`); with w_inf=None it falls
-    back to the step-to-step residual ||w_{n+1} - w_n|| / ||w_n||.
+    steady state w_inf (a unitary change of basis leaves it unchanged);
+    with w_inf=None it falls back to the step-to-step residual
+    ||w_{n+1} - w_n|| / ||w_n||.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta}")
@@ -214,7 +268,7 @@ def mag_iterate(
     residuals = [1.0]
     for _ in range(max_steps):
         w_prev = w
-        w = sys.h @ w + sys.f
+        w = sys.step(w)
         residuals.append(float(measure(w, w_prev)))
         if keep_states:
             states.append(w.copy())
@@ -251,6 +305,17 @@ def solution_error_factor(w_inf: np.ndarray) -> float:
     if top == 0.0:
         return 1.0
     return max(float(np.linalg.norm(w_inf)) / top, 1.0)
+
+
+def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False) -> tuple:
+    """Iterate from w = 0 until the max-norm relative u error is below
+    delta (`solution_error_factor`); returns (trace, w_inf, u)."""
+    w_inf = spec.steady_state()
+    delta_run = delta / solution_error_factor(spec.to_state(w_inf))
+    max_steps = 4 * convergence_steps(spec.params.kappa_hat, delta_run)
+    trace = mag_iterate(spec, np.zeros(2 * spec.n), delta_run, max_steps,
+                        w_inf=w_inf, keep_states=keep_states)
+    return trace, w_inf, solution_from_state(spec, spec.to_state(trace.w_final))
 
 
 def lambda_pm(sigma, p: MagParams) -> tuple:
@@ -317,10 +382,15 @@ def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, 
     return [h / denom for h in hats], kappa2
 
 
-def relative_trace(trace: IterationTrace, w_inf: np.ndarray) -> tuple[list | None, float]:
-    """relative_trace_from_steady on a recorded trace; stores the values on it."""
+def relative_trace(trace: IterationTrace, w_inf: np.ndarray,
+                   system: SpectralSystem | None = None) -> tuple[list | None, float]:
+    """relative_trace_from_steady on a recorded trace; stores the values on it.
+    The states and w_inf of a `system` run are mapped back first."""
     if not trace.states:
         raise ValueError("trace was recorded without states; rerun with keep_states=True")
-    values, kappa2 = relative_trace_from_steady(w_inf, trace.states)
+    states = trace.states
+    if system is not None:
+        states, w_inf = system.to_state(np.array(states)), system.to_state(w_inf)
+    values, kappa2 = relative_trace_from_steady(w_inf, states)
     trace.relative_residuals = values
     return values, kappa2

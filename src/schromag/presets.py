@@ -71,6 +71,7 @@ class ComparePreset:
     samples: int
     deltas: tuple = ()
     notes: str = ""
+    factors: tuple | None = None  # full SVD (u, s, vh) of a, when computed
 
 
 def compare_preset(name: str) -> ComparePreset:
@@ -98,7 +99,8 @@ def compare_preset(name: str) -> ComparePreset:
         # zero boundary, accuracy targets n^{-1/2} .. n^{-2}.
         n = 16
         problem = make_problem("helmholtz1d", n, 0.0, "sine2", (ZERO,))
-        s = np.linalg.svd(problem.system.a, compute_uv=False)
+        factors = np.linalg.svd(problem.system.a)
+        s = factors[1]
         return ComparePreset(
             name="fig2",
             a=problem.system.a,
@@ -110,5 +112,6 @@ def compare_preset(name: str) -> ComparePreset:
             samples=0,
             deltas=tuple(float(n) ** (-e) for e in (0.5, 1.0, 1.5, 2.0)),
             notes="terminal-error comparison on the 1d Poisson problem",
+            factors=factors,
         )
     raise InputError(f"unknown compare preset {name!r}; available: fig1, fig2")

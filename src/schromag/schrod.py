@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mag as mag_mod
-from .errors import InputError, SingularMatrixError
+from .errors import InputError
 from .linalg import (
     as_cmatrix,
     as_cvector,
@@ -208,10 +208,6 @@ class SchrodState:
     grid: PGrid
     modes: np.ndarray  # (n_p, 2m)
     time: float
-
-    @property
-    def state_dim(self) -> int:
-        return self.modes.shape[1]
 
     def fourier_norm(self) -> float:
         return float(np.linalg.norm(self.modes))
@@ -394,27 +390,22 @@ def sigma_groups(sigma: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.nd
     return live[order[starts]], group
 
 
-def build_pair_system(sys: mag_mod.TransformedSystem, gamma_f: float,
-                      factors=None) -> PairSystem:
-    """The pair blocks in the basis of `factors`, the full SVD (u, s, vh) of
-    A when the caller already has it; otherwise A is factored here."""
-    p = sys.params
-    u_f, s, vh = np.linalg.svd(sys.a) if factors is None else factors
-    if not s[-1] > 0.0:
-        raise SingularMatrixError("A is singular: a pair with sigma = 0 has no steady state",
-                                  condition=np.inf)
-    c = math.sqrt(p.alpha * p.beta)
-    b_t = u_f.conj().T @ sys.b
-    forcing = p.alpha * s * b_t / gamma_f
+def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSystem:
+    """The homogenized pair blocks of the momentum map `spec`
+    (`mag.build_spectral`), in its singular basis.  Raises
+    SingularMatrixError where its steady state does not exist."""
+    p, s, n = spec.params, spec.sigma, spec.n
+    w_inf = spec.steady_state()
+    forcing = p.alpha * s * spec.b_t / gamma_f
     zero = np.zeros_like(forcing)
-    # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f], where
-    # I - Htilde = [[alpha s^2, c s], [-c s, 1 - beta]] and f = [alpha s b_t, 0]
-    steady_pair = np.stack([(1.0 - p.beta) * b_t / s, c * b_t, forcing, zero], axis=1)
+    # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f]
+    steady_pair = np.stack([w_inf[:n], w_inf[n:], forcing, zero], axis=1)
     live = np.flatnonzero(forcing)
     reps, group = sigma_groups(s, live)
     return PairSystem(
-        sigma=s, basis_u=u_f, basis_v=vh.conj().T, d1=-p.alpha * s**2, d2=p.beta - 1.0,
-        cw=c * s, w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
+        sigma=s, basis_u=spec.u, basis_v=spec.vh.conj().T, d1=-p.alpha * s**2,
+        d2=p.beta - 1.0, cw=math.sqrt(p.alpha * p.beta) * s,
+        w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
         steady_pair=steady_pair, gamma_f=gamma_f, live=live, reps=reps, group=group,
     )
 
@@ -600,9 +591,7 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     field on every (n_p // snapshot_rows)-th grid point, from the same
     evolution pass.
     """
-    a = require_square(as_cmatrix(a))
-    b = as_cvector(b)
-    sys = mag_mod.build_transformed(a, b, params)
+    spec = mag_mod.build_spectral(a, b, params, factors)
     if gamma_f is None:
         gamma_f = default_forcing_scale(params)
     # kappa*ln(1/delta) leaves a residual ~delta at kappa=1 but ~delta^2
@@ -611,7 +600,7 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     safety = (params.kappa_hat + 1.0) / params.kappa_hat
     t_end = float(mag_mod.convergence_steps(params.kappa_hat, delta, safety=safety))
 
-    pairs = build_pair_system(sys, gamma_f, factors)
+    pairs = build_pair_system(spec, gamma_f)
     runway = required_runway(pairs, t_end)
     p_left = -(runway + math.log(1.0 / DEFAULT_TAIL_TOL))
     # decay the envelope below noise at the periodic seam: the largest
@@ -628,7 +617,7 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     weights, k_star = readout_weights(grid, p_diamond, recovery, advect)
     stride = max(1, n_p // snapshot_rows) if snapshot_rows > 0 else 0
     w_rec, rows = evolve_structured(pairs, grid, t_end, weights, stride)
-    u = mag_mod.solution_from_state(sys, w_rec)
+    u = mag_mod.solution_from_state(spec, w_rec)
 
     residual = float(
         np.max(np.abs(u - oracle)) / max(np.max(np.abs(oracle)), 1e-300)

@@ -169,7 +169,7 @@ def test_criterion_5_fig1_reproduction():
     tsys = build_transformed(cp.a, cp.b, params)
     gen, drive = to_ode(tsys)
     mag_flow = baselines.FlowSystem(generator=gen, drive=drive, kind="mag-ode", meta={})
-    damp_flow = baselines.build_damped(cp.a, cp.b, cp.gamma)
+    damp_flow = baselines.build_damped(cp.a, cp.b, cp.gamma, 0.1)
 
     traj_m = baselines.integrate_flow(mag_flow, np.zeros(2 * n), cp.t_end, cp.samples)
     traj_d = baselines.integrate_flow(damp_flow, np.zeros(2 * n), cp.t_end, cp.samples)
@@ -221,7 +221,7 @@ def test_criterion_6_fig2_reproduction():
             w_inf=w_inf, keep_states=False,
         )
         u_mag = solution_from_state(tsys, trace.w_final)
-        flow = baselines.build_damped(cp.a, cp.b, cp.gamma)
+        flow = baselines.build_damped(cp.a, cp.b, cp.gamma, float(cp.factors[1][-1]))
         t_end = baselines.evolution_time("damped", sig, delta)
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 16)
         u_damp = traj[-1][1][: cp.a.shape[0]]

@@ -51,21 +51,21 @@ class TestGradientFlow:
 
 class TestDamped:
     def test_steady_state_block_elimination(self):
-        flow = build_damped(DIAG_A, DIAG_B, 0.19)
+        flow = build_damped(DIAG_A, DIAG_B, 0.19, 0.1)
         w_inf = flow.steady_state()
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
         assert np.allclose(w_inf[:2], oracle, atol=1e-10)
         assert np.max(np.abs(w_inf[2:])) <= 1e-10  # auxiliary block exactly zero
 
     def test_gamma_bound(self):
-        build_damped(DIAG_A, DIAG_B, 2 * 0.095)  # accepted
+        build_damped(DIAG_A, DIAG_B, 2 * 0.095, 0.1)  # accepted
         with pytest.raises(ValueError):
-            build_damped(DIAG_A, DIAG_B, 0.3)  # above 2*sigma_min = 0.2
+            build_damped(DIAG_A, DIAG_B, 0.3, 0.1)  # above 2*sigma_min = 0.2
         with pytest.raises(ValueError):
-            build_damped(DIAG_A, DIAG_B, 0.0)
+            build_damped(DIAG_A, DIAG_B, 0.0, 0.1)
 
     def test_scalar_eigenvalues(self):
-        flow = build_damped(np.eye(1), [1.0], 1.0)
+        flow = build_damped(np.eye(1), [1.0], 1.0, 1.0)
         vals = np.linalg.eigvals(flow.generator)
         expect = {(-1 + 1j * math.sqrt(3)) / 2, (-1 - 1j * math.sqrt(3)) / 2}
         for v in vals:
@@ -79,7 +79,7 @@ class TestDamped:
         # which diverges as gamma approaches critical damping.  Verify
         # both the closed form and the constant-carrying envelope.
         gamma = 0.19
-        flow = build_damped(DIAG_A, DIAG_B, gamma)
+        flow = build_damped(DIAG_A, DIAG_B, gamma, 0.1)
         w_inf = flow.steady_state()
         traj = integrate_flow(flow, np.zeros(4), 40.0, 100)
         sig = np.array([10.0, 0.1])
@@ -116,7 +116,7 @@ class TestIntegrateFlow:
             assert u[0] == pytest.approx(expect, abs=1e-9)
 
     def test_damped_limit(self):
-        flow = build_damped(DIAG_A, DIAG_B, 0.19)
+        flow = build_damped(DIAG_A, DIAG_B, 0.19, 0.1)
         traj = integrate_flow(flow, np.zeros(4), 400.0, 40)
         w_end = traj[-1][1]
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
@@ -179,7 +179,7 @@ class TestAuxiliaryRatio:
         params = derive_params(cp.l_hat, cp.mu_hat)
         mag_traj = integrate_flow(self._mag_flow(params), np.zeros(4), cp.t_end, cp.samples)
         damp_traj = integrate_flow(
-            build_damped(cp.a, cp.b, cp.gamma), np.zeros(4), cp.t_end, cp.samples
+            build_damped(cp.a, cp.b, cp.gamma, 0.1), np.zeros(4), cp.t_end, cp.samples
         )
         r_mag = auxiliary_ratio_trace(mag_traj, solved_index=0, aux_index=2)
         r_damp = auxiliary_ratio_trace(damp_traj, solved_index=0, aux_index=2)

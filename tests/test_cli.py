@@ -8,9 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from schromag import mag
 from schromag.cli import main
 from schromag.io import read_vector, write_matrix_coo, write_vector
-from schromag.presets import pde_preset
+from schromag.presets import compare_preset, pde_preset
 
 
 @pytest.fixture()
@@ -110,11 +111,17 @@ class TestSolve:
 
 
 class TestFactorizationCounts:
-    """Each invocation factors A once; the mag path solves I - H once."""
+    """Each invocation factors A once; only the oracle solves a system, and
+    no path builds the dense 2n x 2n H."""
 
     @staticmethod
     def _count(monkeypatch, argv):
         calls = Counter()
+
+        def no_dense_h(*args):
+            raise AssertionError("dense H built")
+
+        monkeypatch.setattr(mag, "_h_blocks", no_dense_h)
 
         def counting(name, fn):
             def wrapper(m, *args, **kwargs):
@@ -136,8 +143,22 @@ class TestFactorizationCounts:
         n = pde_preset("fig4a")[0].system.a.shape[0]
         calls = self._count(monkeypatch, [command, "--preset", "fig4a", "--method", "mag",
                                           "--out", str(tmp_path)])
-        assert calls == Counter({("svd", (n, n)): 1, ("solve", (2 * n, 2 * n)): 1,
-                                 ("solve", (n, n)): 1})
+        # the iteration runs in the pair basis: no 2n x 2n solve
+        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+
+    def test_damped_one_svd(self, tmp_path, monkeypatch):
+        n = pde_preset("fig3a")[0].system.a.shape[0]
+        calls = self._count(monkeypatch, ["solve", "--preset", "fig3a", "--method", "damped",
+                                          "--out", str(tmp_path)])
+        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+
+    def test_compare_fig2_one_svd(self, tmp_path, monkeypatch):
+        # the preset's SVD feeds the bounds, the oracle, the pair basis and
+        # the damped flow's sigma_min check
+        n = compare_preset("fig2").a.shape[0]
+        calls = self._count(monkeypatch, ["compare", "--preset", "fig2",
+                                          "--out", str(tmp_path)])
+        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
 
     @pytest.mark.parametrize("argv", [["pde", "--preset", "fig4a", "--method", "schro"],
                                       ["solve", "--preset", "fig4a", "--method", "schro"],

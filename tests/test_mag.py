@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schromag.errors import ConvergenceError, SpectrumBoundsError
+from schromag.errors import ConvergenceError, SingularMatrixError, SpectrumBoundsError
 from schromag.linalg import LinearSystem, direct_solve, eig, singular_values
 from schromag.mag import (
     SPECTRAL_RADIUS_TOL,
+    build_spectral,
     build_transformed,
     convergence_steps,
     derive_params,
@@ -21,10 +22,12 @@ from schromag.mag import (
     params_from_matrix,
     relative_trace,
     relative_trace_from_steady,
+    solution_error_factor,
     solution_from_state,
     spectral_radius_check,
     steady_state,
 )
+from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -389,3 +392,91 @@ class TestAgainstOracle:
         s = np.linalg.svd(a, compute_uv=False)
         assert p.l_hat >= s[0] ** 2 * (1 - 1e-12)
         assert p.mu_hat <= s[-1] ** 2 * (1 + 1e-12)
+
+
+class TestPairBasis:
+    """The pair-basis iteration against the dense 2n x 2n reference."""
+
+    @staticmethod
+    def _both(a, b, p, delta, keep_states):
+        # the CLI's termination rule, run on the dense map and on the pairs
+        dense = build_transformed(a, b, p)
+        spec = build_spectral(a, b, p)
+        w_dense, w_pair = steady_state(dense), spec.steady_state()
+        out = []
+        for sys, w_inf, state in ((dense, w_dense, w_dense), (spec, w_pair, spec.to_state(w_pair))):
+            delta_run = delta / solution_error_factor(state)
+            trace = mag_iterate(sys, np.zeros(2 * sys.n), delta_run,
+                                4 * convergence_steps(p.kappa_hat, delta_run),
+                                w_inf=w_inf, keep_states=keep_states)
+            final = trace.w_final if sys is dense else spec.to_state(trace.w_final)
+            rel = (relative_trace(trace, w_inf, None if sys is dense else spec)
+                   if keep_states else None)
+            out.append((trace, solution_from_state(dense, final), rel))
+        return out
+
+    def _check(self, a, b, p, delta, keep_states, u_rtol=1e-12):
+        (t_d, u_d, rel_d), (t_p, u_p, rel_p) = self._both(a, b, p, delta, keep_states)
+        assert t_p.steps == t_d.steps
+        assert np.max(np.abs(u_p - u_d)) <= u_rtol * np.max(np.abs(u_d))
+        assert np.allclose(t_p.residuals, t_d.residuals, rtol=0.0, atol=1e-9)
+        if keep_states:
+            (v_d, k_d), (v_p, k_p) = rel_d, rel_p
+            assert k_p == pytest.approx(k_d, rel=1e-10)
+            assert (v_p is None) == (v_d is None)
+            if v_d is not None:
+                assert np.allclose(v_p, v_d, rtol=0.0, atol=1e-9)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(1e-10, 1e-2),
+           st.floats(0.01, 1.0), st.floats(1.5, 100.0), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_complex_systems(self, seed, n, delta, sig_lo, ratio, keep_states):
+        rng = np.random.default_rng(seed)
+        a, b, p = random_system(rng, n, sig_lo, sig_lo * ratio)
+        self._check(a, b, p, delta, keep_states)
+
+    @pytest.mark.parametrize("name", PDE_PRESET_NAMES)
+    def test_presets(self, name):
+        problem, solver = pde_preset(name)
+        a, b = problem.system.a, problem.system.b
+        p = params_from_matrix(a, solver.bounds_safety)
+        # the Robin runs fig3e/fig3f (5734/3936 steps) differ by 1.05e-12 /
+        # 1.27e-12, the size of the dense path's own rounding there: against
+        # the same iteration in long double it is off by 8.5e-13 / 8.3e-13
+        self._check(a, b, p, solver.delta, keep_states=name in ("fig3a", "fig3c", "fig4a"),
+                    u_rtol=2e-12)
+
+    def test_steady_state_and_states_map_back(self):
+        rng = np.random.default_rng(2)
+        a, b, p = random_system(rng, 7)
+        spec = build_spectral(a, b, p)
+        dense = build_transformed(a, b, p)
+        w_pair = spec.steady_state()
+        assert np.allclose(spec.to_state(w_pair), steady_state(dense), rtol=0.0, atol=1e-12)
+        w = rng.normal(size=(3, 14)) + 1j * rng.normal(size=(3, 14))
+        stepped = np.array([spec.to_state(spec.step(row)) for row in w])
+        assert np.allclose(stepped, (dense.h @ spec.to_state(w).T).T + dense.f,
+                           rtol=0.0, atol=1e-12)
+
+    def test_singular_steady_state_raises_under_optimize(self):
+        # the I - H condition check is a real error, so it survives python -O
+        code = (
+            "import numpy as np\n"
+            "from schromag.errors import SingularMatrixError\n"
+            "from schromag.mag import build_spectral, derive_params\n"
+            "for small in (0.0, 1e-30):\n"
+            "    spec = build_spectral(np.diag([1.0, small]), np.ones(2),"
+            " derive_params(4.0, 1.0))\n"
+            "    try:\n"
+            "        spec.steady_state()\n"
+            "    except SingularMatrixError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'sigma_min={small} accepted')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        with pytest.raises(SingularMatrixError):
+            build_spectral(np.diag([1.0, 0.0]), np.ones(2), derive_params(4.0, 1.0)).steady_state()

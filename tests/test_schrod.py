@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from schromag import schrod
 from schromag.errors import InputError, SingularMatrixError
 from schromag.linalg import LinearSystem, direct_solve, expm_apply
-from schromag.mag import build_transformed, derive_params, steady_state
+from schromag.mag import build_spectral, build_transformed, derive_params, steady_state
 from schromag.schrod import (
     build_grid,
     build_pair_system,
@@ -33,6 +33,11 @@ from schromag.schrod import (
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
 DIAG_ORACLE = np.array([0.1, 10.0], dtype=complex)  # DIAG_A^{-1} DIAG_B
+
+
+def _pairs(sys, gamma_f):
+    """build_pair_system on the pair basis of a dense transformed system."""
+    return build_pair_system(build_spectral(sys.a, sys.b, sys.params), gamma_f)
 
 
 def scalar_setup(rate=-1.0, drive=0.0, gamma_f=1.0, w0=1.0):
@@ -324,7 +329,7 @@ class TestStructuredEvolution:
         t = 7.0
         grid = build_grid(sp.h1, t, 512, tail_tol=math.exp(-30.0))
         dense = evolve(sp, grid, hs.w0_homo, t)
-        pairs = build_pair_system(sys, gamma_f)
+        pairs = _pairs(sys, gamma_f)
         _, rows = evolve_structured(pairs, grid, t, np.zeros(grid.n_p), 1)
         assert rows.shape == (grid.n_p, 4 * sys.n)
         assert np.allclose(rows, dense.field(), atol=1e-10)
@@ -338,7 +343,7 @@ class TestStructuredEvolution:
         b = np.zeros(n, dtype=complex)
         b[0] = 1.0  # hits only sigma = 4 after the svd ordering
         sys = build_transformed(diag, b, p)
-        pairs = build_pair_system(sys, 0.01)
+        pairs = _pairs(sys, 0.01)
         weights = pairs.pair_weights()
         assert np.count_nonzero(weights > 1e-12 * weights.sum()) == 1
         runway_all = float(np.max(pairs.advection_speeds())) * 10.0
@@ -348,7 +353,7 @@ class TestStructuredEvolution:
         sys, gamma_f = self._setup(seed=5)
         gen, drive = to_ode(sys)
         sp = split(homogenize(gen, drive, gamma_f))
-        pairs = build_pair_system(sys, gamma_f)
+        pairs = _pairs(sys, gamma_f)
         dense_lam = float(np.max(np.linalg.eigvalsh(sp.h1)))
         assert pairs.lambda_max_h1() == pytest.approx(dense_lam, abs=1e-12)
 
@@ -359,7 +364,7 @@ class TestStructuredEvolution:
             sys, gamma_f = self._setup(seed=seed)
             gen, drive = to_ode(sys)
             sp = split(homogenize(gen, drive, gamma_f))
-            pairs = build_pair_system(sys, gamma_f)
+            pairs = _pairs(sys, gamma_f)
             q = np.zeros((4 * sys.n, 4 * sys.n), dtype=complex)
             for k, basis in enumerate((pairs.basis_v, pairs.basis_u) * 2):
                 q[k * sys.n:(k + 1) * sys.n, k * sys.n:(k + 1) * sys.n] = basis
@@ -374,12 +379,12 @@ class TestStructuredEvolution:
         p = derive_params(4.0, 1.0)
         sys = build_transformed(np.diag([1.0, 0.0]), np.ones(2), p)
         with pytest.raises(SingularMatrixError):
-            build_pair_system(sys, default_forcing_scale(p))
+            _pairs(sys, default_forcing_scale(p))
 
     def test_steady_pair_is_the_rotated_steady_state(self):
         for seed in (3, 7):
             sys, gamma_f = self._setup(seed=seed)
-            pairs = build_pair_system(sys, gamma_f)
+            pairs = _pairs(sys, gamma_f)
             n = sys.n
             w_inf = steady_state(sys)
             rotated = np.stack([pairs.basis_v.conj().T @ w_inf[:n],
@@ -404,7 +409,7 @@ class TestPairKernel:
         sys = build_transformed(np.array([[sigma + 0j]]), np.array([1.0 + 0j]), p)
         gamma_f = default_forcing_scale(p)
         gen, drive = to_ode(sys)
-        return build_pair_system(sys, gamma_f), split(homogenize(gen, drive, gamma_f))
+        return _pairs(sys, gamma_f), split(homogenize(gen, drive, gamma_f))
 
     @given(st.floats(0.1, 5.0), st.one_of(st.just(1.0), st.floats(1.0, 30.0)),
            st.lists(st.floats(-20.0, 20.0), max_size=5), st.floats(0.0, 100.0),
@@ -429,7 +434,7 @@ class TestPairKernel:
         for kappa in (1.0, 3.0):
             p = derive_params(kappa**2, 1.0)
             sys = build_transformed(np.diag([1.0, 0.5, 2.0]), np.ones(3), p)
-            pairs = build_pair_system(sys, default_forcing_scale(p))
+            pairs = _pairs(sys, default_forcing_scale(p))
             thetas = np.array([0.0, 0.7, -3.0, 40.0])
             rng = np.random.default_rng(0)
             x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
@@ -463,7 +468,7 @@ class TestStreamedReadout:
         sp = split(hs)
         grid = build_grid(sp.h1, t, n_p)
         state = evolve(sp, grid, hs.w0_homo, t)
-        pairs = build_pair_system(sys, gamma_f)
+        pairs = _pairs(sys, gamma_f)
         atol = 1e-10 * float(np.linalg.norm(hs.w0_homo))
         p_diamond = p_threshold(sp.h1, t)
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
@@ -503,7 +508,7 @@ class TestStreamedReadout:
         p = derive_params(9.5, 0.2)
         sys = build_transformed(q1 @ np.diag(sig) @ q2.conj().T, b, p)
         gamma_f = default_forcing_scale(p)
-        pairs = build_pair_system(sys, gamma_f)
+        pairs = _pairs(sys, gamma_f)
         assert pairs.live.size == n
         assert pairs.reps.size == np.unique(np.round(sig, 6)).size
         gen, drive = to_ode(sys)
