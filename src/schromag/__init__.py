@@ -1,9 +1,10 @@
 """Momentum-accelerated gradient linear solver and its Hamiltonian form.
 
 Submodules: linalg (dense complex substrate), mag (the solver), baselines
-(gradient flow / damped dynamics), schrod (warped-phase Hamiltonian
-realization), blockenc (block-encoding algebra), pde (test problems),
-complexity (cost estimators), presets (figure catalogue), cli.
+(gradient flow / damped dynamics / momentum ODE, per singular value),
+schrod (warped-phase Hamiltonian realization), blockenc (block-encoding
+algebra), pde (test problems), complexity (cost estimators), presets
+(figure catalogue), cli.
 """
 
 from .baselines import (
@@ -11,6 +12,7 @@ from .baselines import (
     auxiliary_ratio_trace,
     build_damped,
     build_gradient_flow,
+    build_mag_ode,
     evolution_time,
     integrate_flow,
 )
@@ -34,15 +36,11 @@ from .complexity import (
     repetitions,
 )
 from .linalg import (
-    EigenResult,
     LinearSystem,
     as_cmatrix,
     as_cvector,
+    block_expm_apply,
     direct_solve,
-    eig,
-    expm_apply,
-    kron,
-    svd,
 )
 from .mag import (
     IterationTrace,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, blockenc, complexity, io, mag, schrod
 from .errors import InputError, NumericsError
-from .linalg import LinearSystem, direct_solve, singular_values
+from .linalg import LinearSystem, direct_solve
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
@@ -60,10 +60,9 @@ class RunConfig:
 
 
 def _load_system(cfg: RunConfig):
-    """Problem, solver defaults, the effective (delta, n_p), the singular
-    values of A and the full SVD (u, s, vh) they come from: the
-    invocation's one factorization of A, shared by the bounds, the guards,
-    the oracle and the pair basis of the mag and schro paths."""
+    """Problem, solver defaults, the effective (delta, n_p) and the full SVD
+    (u, s, vh) of A: the invocation's one factorization of A, shared by the
+    bounds, the guards, the oracle and the singular basis of every method."""
     if cfg.preset is not None:
         problem, solver = pde_preset(cfg.preset)
         system = problem.system
@@ -73,8 +72,7 @@ def _load_system(cfg: RunConfig):
         system, problem, solver = LinearSystem(a, b), None, SolverConfig()
     delta = cfg.delta if cfg.delta is not None else solver.delta
     n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    factors = np.linalg.svd(system.a)
-    return system, problem, solver, delta, n_p, factors[1], factors
+    return system, problem, solver, delta, n_p, np.linalg.svd(system.a)
 
 
 def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.MagParams:
@@ -90,16 +88,21 @@ def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.
     return mag.params_from_sigma(sigma, safety=solver.bounds_safety)
 
 
-def _solve_with_method(cfg: RunConfig, system: LinearSystem, sigma: np.ndarray,
-                       params: mag.MagParams, solver: SolverConfig, delta: float, n_p: int,
-                       oracle: np.ndarray, keep_states: bool = False, factors=None):
+def _flow_end(flow: baselines.FlowSystem, t_end: float) -> np.ndarray:
+    # closed form: the end state does not depend on the sampling
+    return baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 2)[-1][1]
+
+
+def _solve_with_method(cfg: RunConfig, system: LinearSystem, params: mag.MagParams,
+                       solver: SolverConfig, delta: float, n_p: int, oracle: np.ndarray,
+                       factors, keep_states: bool = False):
     """Returns (u, artifacts dict) for one method on one system.
 
-    `sigma` holds the singular values of A, `factors` the full SVD they
-    come from, and `oracle` the direct solve; the pipeline measures its
-    residual against it.
+    `factors` is the full SVD (u, s, vh) of A and `oracle` the direct
+    solve; the pipeline measures its residual against it.
     """
     method = cfg.method or "mag"
+    sigma = factors[1]
     if method == "mag":
         mag.spectral_radius_check(params, sigma)
         spec = mag.build_spectral(system.a, system.b, params, factors)
@@ -113,18 +116,16 @@ def _solve_with_method(cfg: RunConfig, system: LinearSystem, sigma: np.ndarray,
             artifacts["kappa2_w_inf"] = kappa2
         return u, artifacts
     if method == "gradient":
-        flow = baselines.build_gradient_flow(system.a, system.b)
+        flow = baselines.build_gradient_flow(system.a, system.b, factors)
         t_end = baselines.evolution_time("gradient", (float(sigma[-1]), float(sigma[0])), delta)
-        traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 256)
-        return traj[-1][1], {"t_end": t_end}
+        return _flow_end(flow, t_end), {"t_end": t_end}
     if method == "damped":
         gamma = cfg.gamma if cfg.gamma is not None else (
             solver.gamma if solver.gamma is not None else 1.9 * float(sigma[-1])
         )
-        flow = baselines.build_damped(system.a, system.b, gamma, float(sigma[-1]))
+        flow = baselines.build_damped(system.a, system.b, gamma, factors)
         t_end = baselines.evolution_time("damped", (float(sigma[-1]), float(sigma[0])), delta)
-        traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 256)
-        return traj[-1][1][: system.n], {"t_end": t_end, "gamma": gamma}
+        return _flow_end(flow, t_end)[: system.n], {"t_end": t_end, "gamma": gamma}
     if method == "schro":
         u, report = schrod.pipeline(
             system.a, system.b, params, delta, n_p, oracle=oracle,
@@ -135,11 +136,11 @@ def _solve_with_method(cfg: RunConfig, system: LinearSystem, sigma: np.ndarray,
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, sigma, factors = _load_system(cfg)
-    params = _params_for(cfg, sigma, solver)
-    oracle = direct_solve(system, sigma)
-    u_method, artifacts = _solve_with_method(cfg, system, sigma, params, solver, delta, n_p,
-                                             oracle, keep_states=True, factors=factors)
+    system, problem, solver, delta, n_p, factors = _load_system(cfg)
+    params = _params_for(cfg, factors[1], solver)
+    oracle = direct_solve(system, factors[1])
+    u_method, artifacts = _solve_with_method(cfg, system, params, solver, delta, n_p, oracle,
+                                             factors, keep_states=True)
     rel = float(np.max(np.abs(u_method - oracle[: u_method.size]))
                 / max(np.max(np.abs(oracle[: u_method.size])), 1e-300))
     out = cfg.out
@@ -165,32 +166,20 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _compare_branch(kind, a, b, params, gamma, sigma_min, t_end, samples):
-    n = a.shape[0]
-    if kind == "mag":
-        tsys = mag.build_transformed(a, b, params)
-        gen, drive = schrod.to_ode(tsys)
-        flow = baselines.FlowSystem(generator=gen, drive=drive, kind="mag-ode", meta={})
-    else:
-        flow = baselines.build_damped(a, b, gamma, sigma_min)
-    traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, samples)
-    ratio = baselines.auxiliary_ratio_trace(traj, solved_index=0, aux_index=n)
-    return traj, ratio
-
-
 def cmd_compare(cfg: RunConfig) -> int:
     if cfg.preset == "fig2":
         return _compare_fig2(cfg)
     if cfg.preset is not None:
         cp = compare_preset(cfg.preset)
         a, b = cp.a, cp.b
-        sigma = singular_values(a)
+        factors = np.linalg.svd(a)
         params = mag.derive_params(cp.l_hat, cp.mu_hat)
         gamma, t_end, samples = cp.gamma, cp.t_end, cp.samples
     else:
         a = io.read_matrix_coo(cfg.matrix)
         b = io.read_vector(cfg.rhs)
-        sigma = singular_values(a)
+        factors = np.linalg.svd(a)
+        sigma = factors[1]
         params = mag.params_from_sigma(sigma)
         gamma = cfg.gamma if cfg.gamma is not None else 1.9 * float(sigma[-1])
         t_end = baselines.evolution_time(
@@ -198,15 +187,13 @@ def cmd_compare(cfg: RunConfig) -> int:
         )
         samples = 1200
 
-    branch = (params, gamma, float(sigma[-1]), t_end, samples)
-    traj_mag, ratio_mag = _compare_branch("mag", a, b, *branch)
-    traj_damp, ratio_damp = _compare_branch("damped", a, b, *branch)
-
     n = a.shape[0]
-    for tag, traj, ratio in (
-        ("mag", traj_mag, ratio_mag),
-        ("damped", traj_damp, ratio_damp),
-    ):
+    flows = {"mag": baselines.build_mag_ode(mag.build_spectral(a, b, params, factors)),
+             "damped": baselines.build_damped(a, b, gamma, factors)}
+    ratios = {}
+    for tag, flow in flows.items():
+        traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, samples)
+        ratios[tag] = ratio = baselines.auxiliary_ratio_trace(traj, solved_index=0, aux_index=n)
         io.write_trajectory_csv(
             os.path.join(cfg.out, f"{tag}_trajectory.csv"),
             [t for t, _ in traj],
@@ -214,6 +201,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             [w[n] for _, w in traj],
             ratio.ratios,
         )
+    ratio_mag, ratio_damp = ratios["mag"], ratios["damped"]
     lines = ["time,mag_ratio,damped_ratio"]
     for k, t in enumerate(ratio_mag.times):
         rm, rd = ratio_mag.ratios[k], ratio_damp.ratios[k]
@@ -239,18 +227,16 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def _compare_fig2(cfg: RunConfig) -> int:
     cp = compare_preset("fig2")
-    sigma = cp.factors[1]
-    oracle = direct_solve(LinearSystem(cp.a, cp.b), sigma)
+    oracle = direct_solve(LinearSystem(cp.a, cp.b), cp.factors[1])
     params = mag.derive_params(cp.l_hat, cp.mu_hat)
     sig = (math.sqrt(cp.mu_hat), math.sqrt(cp.l_hat))
     spec = mag.build_spectral(cp.a, cp.b, params, cp.factors)
-    flow = baselines.build_damped(cp.a, cp.b, cp.gamma, float(sigma[-1]))
+    flow = baselines.build_damped(cp.a, cp.b, cp.gamma, cp.factors)
     rows = ["delta,mag_error,damped_error"]
     for delta in cp.deltas:
         u_mag = mag.solve_spectral(spec, delta)[2]
         t_end = baselines.evolution_time("damped", sig, delta)
-        traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 64)
-        u_damp = traj[-1][1][: cp.a.shape[0]]
+        u_damp = _flow_end(flow, t_end)[: cp.a.shape[0]]
         scale = float(np.linalg.norm(oracle))
         e_mag = float(np.linalg.norm(u_mag - oracle)) / scale
         e_damp = float(np.linalg.norm(u_damp - oracle)) / scale
@@ -268,7 +254,7 @@ def _compare_fig2(cfg: RunConfig) -> int:
 def cmd_pde(cfg: RunConfig) -> int:
     if cfg.preset is None:
         raise InputError("pde requires --preset")
-    system, problem, solver, delta, n_p, sigma, factors = _load_system(cfg)
+    system, problem, solver, delta, n_p, factors = _load_system(cfg)
     out = cfg.out
     io.write_matrix_coo(os.path.join(out, "problem.coo"), system.a)
     io.write_vector(os.path.join(out, "problem.vec"), system.b)
@@ -283,10 +269,10 @@ def cmd_pde(cfg: RunConfig) -> int:
             "h": problem.h,
         },
     )
-    params = _params_for(cfg, sigma, solver)
-    oracle = direct_solve(system, sigma)
-    u_method, artifacts = _solve_with_method(cfg, system, sigma, params, solver, delta, n_p,
-                                             oracle, factors=factors)
+    params = _params_for(cfg, factors[1], solver)
+    oracle = direct_solve(system, factors[1])
+    u_method, artifacts = _solve_with_method(cfg, system, params, solver, delta, n_p, oracle,
+                                             factors)
     rel = float(np.max(np.abs(u_method - oracle)) / np.max(np.abs(oracle)))
     xs, ys = problem.nodes()
     u_sol = problem.solution_block(u_method)
@@ -308,10 +294,10 @@ def cmd_pde(cfg: RunConfig) -> int:
 
 
 def cmd_schro(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, sigma, factors = _load_system(cfg)
-    params = _params_for(cfg, sigma, solver)
+    system, problem, solver, delta, n_p, factors = _load_system(cfg)
+    params = _params_for(cfg, factors[1], solver)
     u, report, (points, rows) = schrod.pipeline(
-        system.a, system.b, params, delta, n_p, oracle=direct_solve(system, sigma),
+        system.a, system.b, params, delta, n_p, oracle=direct_solve(system, factors[1]),
         recovery=solver.recovery, gamma_f=cfg.gammaf, snapshot_rows=SNAPSHOT_ROWS,
         factors=factors,
     )
@@ -375,7 +361,7 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
 
 def cmd_complexity(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, s_vals, _ = _load_system(cfg)
+    system, problem, solver, delta, n_p, (_, s_vals, _) = _load_system(cfg)
     a = system.a
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),

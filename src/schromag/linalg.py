@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import SingularMatrixError
 
-EIG_RESIDUAL_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
 MAX_CONDITION = 1.0 / (100.0 * np.finfo(float).eps)
 
@@ -65,42 +64,49 @@ class LinearSystem:
         return self.a.shape[1]
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    values: np.ndarray
-    vectors: np.ndarray  # columns are eigenvectors
+def block_expm_apply(blocks, v, t) -> np.ndarray:
+    """exp(M t) v for a block-diagonal real M, in closed form per block.
 
+    `blocks` is the (n, k, k) stack of the diagonal blocks of M (k = 1 or
+    2) and `v` the (n, k) matching pieces of the vector.  A 2x2 block with
+    tau = tr/2 and eigenvalues tau +- d (d^2 = tau^2 - det) has
 
-@dataclass(frozen=True)
-class SvdResult:
-    u: np.ndarray
-    sigma: np.ndarray  # descending
-    vh: np.ndarray
+        exp(M t) = e^{tau t} (C I + S (M - tau I)),
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vh
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two validated matrices."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
-def expm_apply(m, v, t: float) -> np.ndarray:
-    """Return exp(m*t) @ v.
-
-    Pade scaling-and-squaring underneath; accurate to ~1e-13 relative at
-    the scales used here, well inside the 1e-10 contract.
+    C = cosh(d t), S = sinh(d t)/d for d^2 > 0 and C = cos(w t),
+    S = sin(w t)/w for d^2 = -w^2 < 0.  The real branch is evaluated as
+    e^{(tau+d) t} (1 + q/2) and -e^{(tau+d) t} q/(2d), q = expm1(-2 d t): no
+    factor exceeds 1 when the eigenvalues have nonpositive real parts, and
+    S keeps its accuracy as d -> 0.  At d = 0 (a defective or scalar
+    block) S = t.  A scalar t gives (n, k), an array of times
+    (len(t), n, k).
     """
-    m = require_square(as_cmatrix(m))
-    v = as_cvector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"shape mismatch: {m.shape} vs {v.shape}")
-    if not np.isfinite(t):
+    blocks = np.asarray(blocks)
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] not in (1, 2) or blocks.shape != v.shape + v.shape[1:]:
+        raise ValueError(f"shape mismatch: blocks {blocks.shape} vs vector pieces {v.shape}")
+    if not np.isrealobj(blocks):
+        raise ValueError("blocks must be real")
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
-    import scipy.linalg  # deferred: only expm needs scipy, and it costs ~0.3 s to import
-
-    return scipy.linalg.expm(m * t) @ v
+    t = t[..., None]
+    if v.shape[1] == 1:
+        return np.exp(blocks[:, 0, 0] * t)[..., None] * v
+    tau = (blocks[:, 0, 0] + blocks[:, 1, 1]) / 2.0
+    half_gap = (blocks[:, 0, 0] - blocks[:, 1, 1]) / 2.0
+    disc = half_gap**2 + blocks[:, 0, 1] * blocks[:, 1, 0]  # tau^2 - det
+    root = np.sqrt(np.abs(disc))
+    real = disc > 0.0
+    d = np.where(real, root, 0.0)
+    lead = np.exp((tau + d) * t)  # e^{tau t} where the roots are complex
+    q = np.expm1(-2.0 * d * t)
+    c = lead * np.where(real, 1.0 + q / 2.0, np.cos(root * t))
+    s = lead * np.where(root == 0.0, t, np.where(real, -q / 2.0, np.sin(root * t))
+                        / np.where(root == 0.0, 1.0, root))
+    shifted = np.stack([half_gap * v[:, 0] + blocks[:, 0, 1] * v[:, 1],
+                        blocks[:, 1, 0] * v[:, 0] - half_gap * v[:, 1]], axis=-1)
+    return c[..., None] * v + s[..., None] * shifted
 
 
 def singular_values(a) -> np.ndarray:
@@ -145,41 +151,6 @@ def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
             condition=cond,
         )
     return u
-
-
-def eig(m) -> EigenResult:
-    """Eigendecomposition with a per-pair residual check."""
-    m = require_square(as_cmatrix(m))
-    try:
-        values, vectors = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    scale = np.linalg.norm(m, 2)
-    if scale > 0:
-        resid = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-        norms = np.linalg.norm(vectors, axis=0)
-        worst = float(np.max(resid / (scale * norms)))
-        if worst > EIG_RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"eigenpair residual {worst:.3e} exceeds {EIG_RESIDUAL_TOL:.1e}",
-                residual=worst,
-            )
-    return EigenResult(values=values, vectors=vectors)
-
-
-def svd(m) -> SvdResult:
-    """SVD with a reconstruction check (1e-10 relative)."""
-    m = as_cmatrix(m)
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"svd did not converge: {exc}") from exc
-    res = SvdResult(u=u[:, : s.size], sigma=s, vh=vh[: s.size, :])
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    err = np.linalg.norm(res.reconstruct() - m, 2) / scale
-    if err > 1e-10:
-        raise ConvergenceError(f"svd reconstruction error {err:.3e}", residual=err)
-    return res
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

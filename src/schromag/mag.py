@@ -17,8 +17,7 @@ value s (c = sqrt(alpha*beta)), and F into [alpha s b~; 0] with b~ = U^H b.
 A run factors A once and iterates in that basis (`SpectralSystem`):
 elementwise steps, the closed-form steady state [(1-beta) b~/s; c b~],
 and closed-form spectra for the radius guard and the I - H checks.  The
-dense H (`TransformedSystem`) is the tests' reference and the ODE of the
-auxiliary comparisons.
+dense H (`TransformedSystem`) is the tests' reference.
 """
 
 from __future__ import annotations
@@ -181,19 +180,27 @@ class SpectralSystem:
 
     def to_state(self, w) -> np.ndarray:
         """[V w1; U w2] of one state, or of each row of a stack of them."""
-        w = np.asarray(w)
-        return np.concatenate([w[..., : self.n] @ self.vh.conj(), w[..., self.n :] @ self.u.T],
-                              axis=-1)
+        w, n = np.asarray(w), self.n
+        out = np.empty(w.shape, dtype=np.complex128)
+        np.matmul(w[..., :n], self.vh.conj(), out=out[..., :n])
+        np.matmul(w[..., n:], self.u.T, out=out[..., n:])
+        return out
 
 
-def build_spectral(a, b, params: MagParams, factors=None) -> SpectralSystem:
-    """The map in the basis of `factors`, the full SVD (u, s, vh) of A when
+def singular_basis(a, b, factors=None) -> tuple:
+    """(u, s, vh, U^H b) from `factors`, the full SVD (u, s, vh) of A when
     the caller already has it; otherwise A is factored here."""
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
     u, s, vh = np.linalg.svd(a) if factors is None else factors
-    return SpectralSystem(sigma=s, u=u, vh=vh, b_t=u.conj().T @ b, params=params)
+    return u, s, vh, u.conj().T @ b
+
+
+def build_spectral(a, b, params: MagParams, factors=None) -> SpectralSystem:
+    """The map in the basis of A's full SVD (`singular_basis`)."""
+    u, s, vh, b_t = singular_basis(a, b, factors)
+    return SpectralSystem(sigma=s, u=u, vh=vh, b_t=b_t, params=params)
 
 
 def i_minus_h_singular_values(p: MagParams, sigma) -> np.ndarray:
@@ -369,7 +376,9 @@ def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, 
     trace is only well posed when no component of w_inf sits near zero;
     in that case kappa_2 is reported as infinite and no values are
     produced (this is exactly the failure mode of the damped dynamics,
-    whose auxiliary steady state vanishes).
+    whose auxiliary steady state vanishes).  `states` is a sequence of
+    states or their (steps, 2n) stack; the trace is one array expression
+    over its rows.
     """
     w_inf = as_cvector(w_inf)
     mags = np.abs(w_inf)
@@ -377,9 +386,12 @@ def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, 
     if np.min(mags) <= threshold:
         return None, math.inf
     kappa2 = float(np.max(mags) / np.min(mags))
-    hats = [np.linalg.norm((w - w_inf) / w_inf) for w in states]
-    denom = hats[0] if hats and hats[0] > 0 else 1.0
-    return [h / denom for h in hats], kappa2
+    err = np.subtract(np.reshape(states, (-1, w_inf.size)), w_inf)
+    err /= w_inf
+    hats = np.sqrt(np.einsum("ij,ij->i", err.real, err.real)
+                   + np.einsum("ij,ij->i", err.imag, err.imag))
+    denom = hats[0] if hats.size and hats[0] > 0 else 1.0
+    return (hats / denom).tolist(), kappa2
 
 
 def relative_trace(trace: IterationTrace, w_inf: np.ndarray,

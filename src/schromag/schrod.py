@@ -337,8 +337,7 @@ class PairSystem:
     """
 
     sigma: np.ndarray
-    basis_u: np.ndarray
-    basis_v: np.ndarray
+    spec: mag_mod.SpectralSystem  # the momentum map, whose basis the slots are in
     d1: np.ndarray  # -alpha sigma^2
     d2: float  # beta - 1
     cw: np.ndarray  # sqrt(alpha beta) sigma
@@ -403,19 +402,11 @@ def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSyste
     live = np.flatnonzero(forcing)
     reps, group = sigma_groups(s, live)
     return PairSystem(
-        sigma=s, basis_u=spec.u, basis_v=spec.vh.conj().T, d1=-p.alpha * s**2,
+        sigma=s, spec=spec, d1=-p.alpha * s**2,
         d2=p.beta - 1.0, cw=math.sqrt(p.alpha * p.beta) * s,
         w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
         steady_pair=steady_pair, gamma_f=gamma_f, live=live, reps=reps, group=group,
     )
-
-
-def _to_state_basis(pairs: PairSystem, rows_pair: np.ndarray) -> np.ndarray:
-    """(..., npairs, k) pair-basis slots -> (..., k*n) state components."""
-    bases = (pairs.basis_v, pairs.basis_u, pairs.basis_v, pairs.basis_u)
-    return np.concatenate([slot @ basis.T
-                           for slot, basis in zip(np.moveaxis(rows_pair, -1, 0), bases)],
-                          axis=-1)
 
 
 def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
@@ -436,7 +427,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None).
     """
     n_p, half = grid.n_p, grid.n_p // 2
-    live, reps, group = pairs.live, pairs.reps, pairs.group
+    spec, live, reps, group = pairs.spec, pairs.live, pairs.reps, pairs.group
     envelope = np.fft.fft(np.exp(-np.abs(grid.points)))[: half + 1]
     envelope[1:half] *= 2.0
     coef = np.fft.ifft(np.asarray(weights, dtype=float))[: half + 1] * envelope
@@ -465,10 +456,13 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
         sign = (-1.0) ** (stride * np.arange(m))[:, None, None]
         rows_group = (np.fft.ifft(folded, axis=0).real * (m / n_p)
                       + sign * (envelope[half] / n_p) * nyquist)
-        rows_pair = np.zeros((m, pairs.sigma.size, 4), dtype=np.complex128)
-        rows_pair[:, live] = rows_group[:, group] * forcing
-        rows = _to_state_basis(pairs, rows_pair)
-    return _to_state_basis(pairs, state), rows
+        # slot-major, so slots (0, 1) and (2, 3) are each a momentum state
+        rows_pair = np.zeros((m, 4, pairs.sigma.size), dtype=np.complex128)
+        rows_pair[:, :, live] = np.moveaxis(rows_group[:, group] * forcing, 2, 1)
+        flat, half_row = rows_pair.reshape(m, -1), 2 * pairs.sigma.size
+        rows = np.concatenate([spec.to_state(flat[:, :half_row]),
+                               spec.to_state(flat[:, half_row:])], axis=-1)
+    return spec.to_state(state.T.reshape(-1)), rows
 
 
 def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from schromag import baselines, blockenc, complexity
-from schromag.linalg import LinearSystem, direct_solve, expm_apply
+from schromag.linalg import LinearSystem, direct_solve
 from schromag.mag import (
+    build_spectral,
     build_transformed,
     convergence_steps,
     derive_params,
@@ -30,7 +31,6 @@ from schromag.schrod import (
     pipeline,
     recover_single_point,
     split,
-    to_ode,
 )
 
 RNG = np.random.default_rng(2024)
@@ -118,7 +118,7 @@ def _time_to_delta(flow, delta=1e-6, t_hi=None):
     d0 = np.linalg.norm(w_inf)
 
     def err(t):
-        state = expm_apply(flow.generator, -w_inf, t) + w_inf
+        state = baselines.integrate_flow(flow, np.zeros(flow.dim), t, 2)[-1][1]
         return np.linalg.norm(state - w_inf) / d0
 
     lo, hi = 0.0, t_hi
@@ -166,10 +166,8 @@ def test_criterion_5_fig1_reproduction():
     params = derive_params(cp.l_hat, cp.mu_hat)
     n = cp.a.shape[0]
 
-    tsys = build_transformed(cp.a, cp.b, params)
-    gen, drive = to_ode(tsys)
-    mag_flow = baselines.FlowSystem(generator=gen, drive=drive, kind="mag-ode", meta={})
-    damp_flow = baselines.build_damped(cp.a, cp.b, cp.gamma, 0.1)
+    mag_flow = baselines.build_mag_ode(build_spectral(cp.a, cp.b, params))
+    damp_flow = baselines.build_damped(cp.a, cp.b, cp.gamma)
 
     traj_m = baselines.integrate_flow(mag_flow, np.zeros(2 * n), cp.t_end, cp.samples)
     traj_d = baselines.integrate_flow(damp_flow, np.zeros(2 * n), cp.t_end, cp.samples)
@@ -221,7 +219,7 @@ def test_criterion_6_fig2_reproduction():
             w_inf=w_inf, keep_states=False,
         )
         u_mag = solution_from_state(tsys, trace.w_final)
-        flow = baselines.build_damped(cp.a, cp.b, cp.gamma, float(cp.factors[1][-1]))
+        flow = baselines.build_damped(cp.a, cp.b, cp.gamma, cp.factors)
         t_end = baselines.evolution_time("damped", sig, delta)
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 16)
         u_damp = traj[-1][1][: cp.a.shape[0]]

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from schromag.baselines import (
-    FlowSystem,
     auxiliary_ratio_trace,
     build_damped,
     build_gradient_flow,
+    build_mag_ode,
     evolution_time,
     integrate_flow,
 )
 from schromag.linalg import LinearSystem, direct_solve
-from schromag.mag import build_transformed, derive_params
+from schromag.mag import build_spectral, build_transformed, derive_params, params_from_sigma
 from schromag.presets import compare_preset
 from schromag.schrod import to_ode
 
@@ -20,15 +23,37 @@ DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
 
 
+def dense_flow(kind, a, b, gamma=None, params=None):
+    """The dense (generator, drive) pair of each flow, the tests' reference."""
+    n = a.shape[0]
+    ah = a.conj().T
+    if kind == "gradient":
+        return -(ah @ a), ah @ b
+    if kind == "damped":
+        gen = np.zeros((2 * n, 2 * n), dtype=complex)
+        gen[:n, n:], gen[n:, :n], gen[n:, n:] = -ah, a, -gamma * np.eye(n)
+        return gen, np.concatenate([np.zeros(n), -b])
+    return to_ode(build_transformed(a, b, params))
+
+
+def dense_states(gen, drive, w0, times):
+    """exp of the augmented homogeneous system, one expm per time."""
+    d = gen.shape[0]
+    aug = np.zeros((d + 1, d + 1), dtype=complex)
+    aug[:d, :d], aug[:d, d] = gen, drive
+    z0 = np.concatenate([w0, [1.0]])
+    return [(expm(aug * t) @ z0)[:d] for t in times]
+
+
 class TestGradientFlow:
     def test_identity(self):
         flow = build_gradient_flow(np.eye(2), [1.0, 2.0])
-        assert np.allclose(flow.generator, -np.eye(2))
+        assert np.allclose(flow.blocks, -1.0)
         assert np.allclose(flow.steady_state(), [1.0, 2.0])
 
     def test_slowest_decay_rate(self):
         flow = build_gradient_flow(DIAG_A, DIAG_B)
-        rates = -np.linalg.eigvalsh(flow.generator.real)
+        rates = -flow.blocks[:, 0, 0]
         assert min(rates) == pytest.approx(0.01, rel=1e-12)
 
     def test_steady_state_is_solution(self):
@@ -51,22 +76,22 @@ class TestGradientFlow:
 
 class TestDamped:
     def test_steady_state_block_elimination(self):
-        flow = build_damped(DIAG_A, DIAG_B, 0.19, 0.1)
+        flow = build_damped(DIAG_A, DIAG_B, 0.19)
         w_inf = flow.steady_state()
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
         assert np.allclose(w_inf[:2], oracle, atol=1e-10)
         assert np.max(np.abs(w_inf[2:])) <= 1e-10  # auxiliary block exactly zero
 
     def test_gamma_bound(self):
-        build_damped(DIAG_A, DIAG_B, 2 * 0.095, 0.1)  # accepted
+        build_damped(DIAG_A, DIAG_B, 2 * 0.095)  # accepted
         with pytest.raises(ValueError):
-            build_damped(DIAG_A, DIAG_B, 0.3, 0.1)  # above 2*sigma_min = 0.2
+            build_damped(DIAG_A, DIAG_B, 0.3)  # above 2*sigma_min = 0.2
         with pytest.raises(ValueError):
-            build_damped(DIAG_A, DIAG_B, 0.0, 0.1)
+            build_damped(DIAG_A, DIAG_B, 0.0)
 
     def test_scalar_eigenvalues(self):
-        flow = build_damped(np.eye(1), [1.0], 1.0, 1.0)
-        vals = np.linalg.eigvals(flow.generator)
+        flow = build_damped(np.eye(1), [1.0], 1.0)
+        vals = np.linalg.eigvals(flow.blocks[0])
         expect = {(-1 + 1j * math.sqrt(3)) / 2, (-1 - 1j * math.sqrt(3)) / 2}
         for v in vals:
             assert min(abs(v - e) for e in expect) < 1e-12
@@ -79,7 +104,7 @@ class TestDamped:
         # which diverges as gamma approaches critical damping.  Verify
         # both the closed form and the constant-carrying envelope.
         gamma = 0.19
-        flow = build_damped(DIAG_A, DIAG_B, gamma, 0.1)
+        flow = build_damped(DIAG_A, DIAG_B, gamma)
         w_inf = flow.steady_state()
         traj = integrate_flow(flow, np.zeros(4), 40.0, 100)
         sig = np.array([10.0, 0.1])
@@ -97,12 +122,7 @@ class TestDamped:
 
 class TestIntegrateFlow:
     def test_zero_everything(self):
-        flow = FlowSystem(
-            generator=-np.eye(2).astype(complex),
-            drive=np.zeros(2, dtype=complex),
-            kind="gradient",
-            meta={},
-        )
+        flow = build_gradient_flow(np.eye(2), np.zeros(2))
         traj = integrate_flow(flow, np.zeros(2), 1.0, 5)
         assert all(np.allclose(w, 0) for _, w in traj)
 
@@ -116,7 +136,7 @@ class TestIntegrateFlow:
             assert u[0] == pytest.approx(expect, abs=1e-9)
 
     def test_damped_limit(self):
-        flow = build_damped(DIAG_A, DIAG_B, 0.19, 0.1)
+        flow = build_damped(DIAG_A, DIAG_B, 0.19)
         traj = integrate_flow(flow, np.zeros(4), 400.0, 40)
         w_end = traj[-1][1]
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
@@ -150,9 +170,7 @@ class TestEvolutionTime:
 
 class TestAuxiliaryRatio:
     def _mag_flow(self, params):
-        sys = build_transformed(DIAG_A, DIAG_B, params)
-        gen, drive = to_ode(sys)
-        return FlowSystem(generator=gen, drive=drive, kind="mag-ode", meta={})
+        return build_mag_ode(build_spectral(DIAG_A, DIAG_B, params))
 
     def test_constant_trajectory(self):
         traj = [(float(t), np.array([2.0, 3.0], dtype=complex)) for t in range(5)]
@@ -179,7 +197,7 @@ class TestAuxiliaryRatio:
         params = derive_params(cp.l_hat, cp.mu_hat)
         mag_traj = integrate_flow(self._mag_flow(params), np.zeros(4), cp.t_end, cp.samples)
         damp_traj = integrate_flow(
-            build_damped(cp.a, cp.b, cp.gamma, 0.1), np.zeros(4), cp.t_end, cp.samples
+            build_damped(cp.a, cp.b, cp.gamma), np.zeros(4), cp.t_end, cp.samples
         )
         r_mag = auxiliary_ratio_trace(mag_traj, solved_index=0, aux_index=2)
         r_damp = auxiliary_ratio_trace(damp_traj, solved_index=0, aux_index=2)
@@ -200,3 +218,74 @@ class TestAuxiliaryRatio:
         ratio = auxiliary_ratio_trace(traj, solved_index=0, aux_index=1)
         assert math.isnan(ratio.ratios[1])
         assert ratio.sign_changes == 1
+
+
+def _random_system(seed, n):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return rng, a, b
+
+
+def _assert_matches_dense(flow, gen, drive, rng, t_end):
+    w0 = rng.normal(size=flow.dim) + 1j * rng.normal(size=flow.dim)
+    traj = integrate_flow(flow, w0, t_end, 5)
+    times = [t for t, _ in traj]
+    expect = dense_states(gen, drive, w0, times)
+    scale = max(np.linalg.norm(w0), np.linalg.norm(flow.steady_state()))
+    # t = 0 reproduces w0 up to the round trip through the singular basis
+    assert np.linalg.norm(traj[0][1] - w0) <= 1e-13 * scale
+    for (_, got), want in zip(traj, expect):
+        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), scale)
+
+
+class TestAgainstDenseExpm:
+    """The per-singular-value flows against the dense generators and
+    scipy's expm of the augmented system, from a random complex start."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0))
+    @settings(max_examples=30, deadline=None)
+    def test_gradient(self, seed, n, t_end):
+        rng, a, b = _random_system(seed, n)
+        s = np.linalg.svd(a, compute_uv=False)
+        assume(s[-1] > 1e-2 * s[0])
+        gen, drive = dense_flow("gradient", a, b)
+        _assert_matches_dense(build_gradient_flow(a, b), gen, drive, rng, t_end)
+
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0),
+           st.sampled_from([0.05, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]))
+    @settings(max_examples=30, deadline=None)
+    def test_damped(self, seed, n, t_end, frac):
+        # frac -> 1 takes gamma to critical damping 2 sigma_min
+        rng, a, b = _random_system(seed, n)
+        s = np.linalg.svd(a, compute_uv=False)
+        assume(s[-1] > 1e-2 * s[0])
+        gamma = 2.0 * float(s[-1]) * frac
+        gen, drive = dense_flow("damped", a, b, gamma=gamma)
+        _assert_matches_dense(build_damped(a, b, gamma), gen, drive, rng, t_end)
+
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0),
+           st.sampled_from([1.0, 1.0, 1.2]))
+    @example(seed=0, n=1, t_end=2.0, safety=1.0)
+    @settings(max_examples=30, deadline=None)
+    def test_mag_ode(self, seed, n, t_end, safety):
+        # safety = 1 puts sigma_max^2 and sigma_min^2 on the bounds, where
+        # the blocks are defective
+        rng, a, b = _random_system(seed, n)
+        s = np.linalg.svd(a, compute_uv=False)
+        assume(s[-1] > 1e-2 * s[0])
+        params = params_from_sigma(s, safety)
+        gen, drive = dense_flow("mag-ode", a, b, params=params)
+        flow = build_mag_ode(build_spectral(a, b, params))
+        _assert_matches_dense(flow, gen, drive, rng, t_end)
+
+    def test_scalar_mag_ode_block(self):
+        # a scaled permutation with bounds (1, 1): alpha = 1, beta = 0, so
+        # every block is -I and tau^2 - det is exactly zero
+        a = 1j * np.eye(3)[[2, 0, 1]]
+        b = np.array([1.0, -2.0j, 0.5])
+        params = derive_params(1.0, 1.0)
+        flow = build_mag_ode(build_spectral(a, b, params))
+        assert np.array_equal(flow.blocks, np.broadcast_to(-np.eye(2), (3, 2, 2)))
+        gen, drive = dense_flow("mag-ode", a, b, params=params)
+        _assert_matches_dense(flow, gen, drive, np.random.default_rng(3), 2.0)

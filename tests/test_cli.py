@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -152,6 +153,19 @@ class TestFactorizationCounts:
                                           "--out", str(tmp_path)])
         assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
 
+    def test_gradient_one_svd(self, tmp_path, monkeypatch):
+        n = pde_preset("fig3a")[0].system.a.shape[0]
+        calls = self._count(monkeypatch, ["solve", "--preset", "fig3a", "--method", "gradient",
+                                          "--out", str(tmp_path)])
+        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+
+    def test_compare_fig1_one_svd(self, tmp_path, monkeypatch):
+        # both flows run on the SVD basis of the command's one factorization
+        n = compare_preset("fig1").a.shape[0]
+        calls = self._count(monkeypatch, ["compare", "--preset", "fig1",
+                                          "--out", str(tmp_path)])
+        assert calls == Counter({("svd", (n, n)): 1})
+
     def test_compare_fig2_one_svd(self, tmp_path, monkeypatch):
         # the preset's SVD feeds the bounds, the oracle, the pair basis and
         # the damped flow's sigma_min check
@@ -170,24 +184,45 @@ class TestFactorizationCounts:
         assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 class TestDeferredScipy:
-    def test_cli_import_and_mag_run_leave_scipy_unloaded(self, tmp_path):
-        # scipy is imported only where expm runs; the mag path never needs it
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    """scipy is a test dependency only: no command loads it."""
+
+    @staticmethod
+    def _run_without_scipy(tmp_path, argv):
         script = (
             "import sys\n"
             "import schromag.cli\n"
             "assert 'scipy' not in sys.modules, 'import'\n"
-            f"rc = schromag.cli.main(['pde', '--preset', 'fig3a', '--method', 'mag',"
-            f" '--out', {str(tmp_path)!r}])\n"
+            f"rc = schromag.cli.main({argv + ['--out', str(tmp_path)]!r})\n"
             "assert rc == 0, rc\n"
             "assert 'scipy' not in sys.modules, 'run'\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    def test_cli_import_and_mag_run_leave_scipy_unloaded(self, tmp_path):
+        self._run_without_scipy(tmp_path, ["pde", "--preset", "fig3a", "--method", "mag"])
         assert (tmp_path / "solution.csv").is_file()
+
+    @pytest.mark.parametrize("argv", [["solve", "--preset", "fig3a", "--method", "gradient"],
+                                      ["solve", "--preset", "fig3a", "--method", "damped"],
+                                      ["compare", "--preset", "fig1"],
+                                      ["compare", "--preset", "fig2"]])
+    def test_flow_runs_leave_scipy_unloaded(self, tmp_path, argv):
+        self._run_without_scipy(tmp_path, argv)
+
+    def test_no_scipy_import_in_package(self):
+        src = os.path.join(ROOT, "src", "schromag")
+        pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name)) as fh:
+                    assert not pattern.search(fh.read()), name
 
 
 class TestCompare:

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from schromag.errors import ConvergenceError, SingularMatrixError
+from schromag.errors import SingularMatrixError
 from schromag.linalg import (
     LinearSystem,
     as_cmatrix,
     as_cvector,
+    block_expm_apply,
     direct_solve,
-    eig,
-    expm_apply,
-    kron,
-    svd,
 )
 from schromag.mag import build_transformed, derive_params
 
@@ -43,64 +41,68 @@ class TestValidation:
             LinearSystem(np.eye(3), [1.0, 2.0])
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_swap_block_structure(self):
-        x = np.array([[0, 1], [1, 0]])
-        got = kron(x, np.eye(2))
-        expect = np.zeros((4, 4))
-        expect[:2, 2:] = np.eye(2)
-        expect[2:, :2] = np.eye(2)
-        assert np.array_equal(got, expect)
-
-    def test_2d_stencil_corner_row_sum(self):
-        # brute-force assembly of the five-point stencil on a 3x3 grid
-        n = 3
-        a = kron(laplacian(n), np.eye(n)) + kron(np.eye(n), laplacian(n))
-        brute = np.zeros((9, 9))
-        for i in range(n):
-            for j in range(n):
-                r = i + n * j
-                brute[r, r] = -4
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < n and 0 <= jj < n:
-                        brute[r, ii + n * jj] = 1
-        assert np.allclose(a, brute)
-        assert a[0].sum() == pytest.approx(-2.0)  # corner node (1,1)
-
-
 class TestExpmApply:
+    """The closed-form exponential of a block-diagonal generator."""
+
     def test_zero_generator(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(expm_apply(np.zeros((3, 3)), v, 7.5), v)
+        v = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.allclose(block_expm_apply(np.zeros((2, 2, 2)), v, 7.5), v)
 
     def test_scalar_decay(self):
-        out = expm_apply([[-1.0]], [1.0], 1.0)
-        assert out[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        out = block_expm_apply([[[-1.0]]], [[1.0]], 1.0)
+        assert out[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_phase_rotation(self):
-        out = expm_apply([[1j * np.pi]], [1.0], 1.0)
-        assert out[0] == pytest.approx(-1.0, abs=1e-12)
-        assert abs(out[0]) == pytest.approx(1.0, rel=1e-12)
+        # the real form of e^{i pi}: a rotation by pi
+        out = block_expm_apply([[[0.0, -np.pi], [np.pi, 0.0]]], [[1.0, 0.0]], 1.0)
+        assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expm_apply(np.eye(2), [1.0, 2.0, 3.0], 1.0)
+            block_expm_apply(np.zeros((1, 2, 2)), [[1.0, 2.0, 3.0]], 1.0)
         with pytest.raises(ValueError):
-            expm_apply(np.eye(2), [1.0, 2.0], np.inf)
+            block_expm_apply(np.zeros((1, 2, 2)), [[1.0, 2.0]], np.inf)
 
     @given(st.integers(2, 10), st.floats(0.1, 3.0))
     @settings(max_examples=20, deadline=None)
     def test_group_law(self, n, t):
         rng = np.random.default_rng(n)
-        m = random_matrix(rng, n) / n
-        v = as_cvector(rng.normal(size=n) + 1j * rng.normal(size=n))
-        full = expm_apply(m, v, t)
-        halves = expm_apply(m, expm_apply(m, v, t / 2), t / 2)
+        m = rng.normal(size=(n, 2, 2))
+        v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        full = block_expm_apply(m, v, t)
+        halves = block_expm_apply(m, block_expm_apply(m, v, t / 2), t / 2)
         assert np.linalg.norm(full - halves) <= 1e-9 * np.linalg.norm(full)
+
+    @pytest.mark.parametrize("block", [
+        [[-1.0, 1.0], [0.0, -1.0]],  # defective: tau^2 = det exactly
+        [[-2.0, 0.0], [0.0, -2.0]],  # scalar
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[-3.0, 1.0], [-0.25, -2.0]],  # defective, off-diagonal on both sides
+        [[0.0, -5.0], [5.0, -0.1]],  # oscillating
+        [[-1.0, 2.0], [3.0, -7.0]],  # real eigenvalues
+    ])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 40.0])
+    def test_matches_dense_expm(self, block, t):
+        v = np.array([0.3 - 1.0j, 2.0 + 0.5j])
+        got = block_expm_apply([block], [v], t)[0]
+        expect = expm(np.array(block) * t) @ v
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+        if t == 0.0:
+            assert np.array_equal(got, v)
+
+    def test_times_stack(self):
+        m = np.array([[[0.0, -1.0], [1.0, -0.5]], [[-2.0, 0.0], [0.0, -1.0]]])
+        v = np.array([[1.0, 0.0], [1.0, 1.0]])
+        times = np.array([0.0, 0.5, 1.5])
+        out = block_expm_apply(m, v, times)
+        assert out.shape == (3, 2, 2)
+        for k, t in enumerate(times):
+            assert np.array_equal(out[k], block_expm_apply(m, v, t))
+
+    def test_rejects_complex_blocks(self):
+        with pytest.raises(ValueError):
+            block_expm_apply([[[1j]]], [[1.0]], 1.0)
 
 
 class TestDirectSolve:
@@ -133,40 +135,10 @@ class TestDirectSolve:
 
 
 class TestEigSvd:
-    def test_eig_diagonal(self):
-        res = eig(np.diag([2.0, 3.0]))
-        assert sorted(res.values.real) == pytest.approx([2.0, 3.0])
-
-    def test_svd_diagonal(self):
-        res = svd(np.diag([10.0, 0.1]))
-        assert np.allclose(res.sigma, [10.0, 0.1])
-
     def test_transformed_spectrum_on_momentum_circle(self):
         # at exact bounds the discriminant vanishes at both spectrum edges
         # and every eigenvalue modulus collapses to sqrt(beta)
         params = derive_params(100.0, 0.01)
         sys = build_transformed(np.diag([10.0, 0.1]), [1.0, 1.0], params)
-        mods = np.abs(eig(sys.h).values)
+        mods = np.abs(np.linalg.eig(sys.h)[0])
         assert np.allclose(mods, np.sqrt(params.beta), atol=1e-8)
-
-    @given(st.integers(2, 64))
-    @settings(max_examples=20, deadline=None)
-    def test_reconstruction_residuals(self, n):
-        rng = np.random.default_rng(1000 + n)
-        m = random_matrix(rng, n)
-        res = svd(m)
-        assert np.linalg.norm(res.reconstruct() - m, 2) <= 1e-10 * res.sigma[0]
-        er = eig(m)
-        scale = np.linalg.norm(m, 2)
-        for lam, x in zip(er.values, er.vectors.T):
-            assert np.linalg.norm(m @ x - lam * x) <= 1e-10 * scale * np.linalg.norm(x)
-
-    def test_eig_failure_not_silent(self, monkeypatch):
-        # a decomposition that fails the residual gate must raise, never
-        # return garbage
-        def bad_eig(_):
-            return np.array([1.0, 1.0]), np.eye(2)
-
-        monkeypatch.setattr(np.linalg, "eig", bad_eig)
-        with pytest.raises(ConvergenceError):
-            eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
