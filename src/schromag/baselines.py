@@ -129,13 +129,12 @@ def integrate_flow(sys: FlowSystem, w0, t_end: float, samples: int):
 def evolution_time(kind: str, spectrum, delta: float, constant: float = 1.0) -> float:
     """Theoretical time to contract the error below delta.
 
-    gradient: ln(1/delta)/sigma_min^2, damped: ln(1/delta)/sigma_min,
-    mag: kappa * ln(1/delta) iteration steps read as unit-step time.
-    `spectrum` is (sigma_min, sigma_max) estimates.
+    gradient: ln(1/delta)/sigma_min^2, damped: ln(1/delta)/sigma_min.
+    `spectrum` is (sigma_min, sigma_max) estimates; only sigma_min enters.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0,1)")
-    sigma_min, sigma_max = spectrum
+    sigma_min, _ = spectrum
     if sigma_min <= 0:
         raise ValueError("sigma_min must be positive")
     log_term = math.log(1.0 / delta)
@@ -143,8 +142,6 @@ def evolution_time(kind: str, spectrum, delta: float, constant: float = 1.0) -> 
         return constant * log_term / sigma_min**2
     if kind == "damped":
         return constant * log_term / sigma_min
-    if kind == "mag":
-        return constant * log_term * (sigma_max / sigma_min)
     raise ValueError(f"unknown method kind {kind!r}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, blockenc, complexity, io, mag, schrod
 from .errors import InputError, NumericsError
-from .linalg import LinearSystem, direct_solve
+from .linalg import LinearSystem, direct_solve, full_svd
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
@@ -72,7 +72,7 @@ def _load_system(cfg: RunConfig):
         system, problem, solver = LinearSystem(a, b), None, SolverConfig()
     delta = cfg.delta if cfg.delta is not None else solver.delta
     n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    return system, problem, solver, delta, n_p, np.linalg.svd(system.a)
+    return system, problem, solver, delta, n_p, full_svd(system.a)
 
 
 def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.MagParams:
@@ -172,13 +172,13 @@ def cmd_compare(cfg: RunConfig) -> int:
     if cfg.preset is not None:
         cp = compare_preset(cfg.preset)
         a, b = cp.a, cp.b
-        factors = np.linalg.svd(a)
+        factors = full_svd(a)
         params = mag.derive_params(cp.l_hat, cp.mu_hat)
         gamma, t_end, samples = cp.gamma, cp.t_end, cp.samples
     else:
         a = io.read_matrix_coo(cfg.matrix)
         b = io.read_vector(cfg.rhs)
-        factors = np.linalg.svd(a)
+        factors = full_svd(a)
         sigma = factors[1]
         params = mag.params_from_sigma(sigma)
         gamma = cfg.gamma if cfg.gamma is not None else 1.9 * float(sigma[-1])

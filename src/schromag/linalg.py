@@ -3,7 +3,8 @@
 Everything downstream works on validated complex128 arrays: matrices are
 2-d row-major, vectors 1-d.  Real input is embedded with zero imaginary
 part so a single code path serves both the real and the Robin-boundary
-(genuinely complex) problems.  Storage is dense throughout; sparsity only
+(genuinely complex) problems; only `full_svd` factors a real matrix in
+real arithmetic.  Storage is dense throughout; sparsity only
 ever enters as a nonzeros-per-row count for the cost estimators.
 """
 
@@ -117,6 +118,12 @@ def singular_values(a) -> np.ndarray:
     computes this once and passes it on, so the matrix is factored once.
     """
     return np.linalg.svd(as_cmatrix(a), compute_uv=False)
+
+
+def full_svd(a) -> tuple:
+    """The full SVD (u, s, vh) of the array a; with a zero imaginary part it
+    is factored in real arithmetic, about twice as fast, into real u, vh."""
+    return np.linalg.svd(a.real if np.iscomplexobj(a) and not np.any(a.imag) else a)
 
 
 def condition_check(sigma) -> tuple[float, float]:

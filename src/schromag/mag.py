@@ -35,6 +35,7 @@ from .linalg import (
     as_cvector,
     condition_check,
     direct_solve,
+    full_svd,
     hermitian_part,
     require_square,
     singular_values,
@@ -193,7 +194,7 @@ def singular_basis(a, b, factors=None) -> tuple:
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
-    u, s, vh = np.linalg.svd(a) if factors is None else factors
+    u, s, vh = full_svd(a) if factors is None else factors
     return u, s, vh, u.conj().T @ b
 
 

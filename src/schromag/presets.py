@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .linalg import full_svd
 from .pde import MIXED, ROBIN, ZERO, PdeProblem, make_problem
 
 
@@ -99,7 +100,7 @@ def compare_preset(name: str) -> ComparePreset:
         # zero boundary, accuracy targets n^{-1/2} .. n^{-2}.
         n = 16
         problem = make_problem("helmholtz1d", n, 0.0, "sine2", (ZERO,))
-        factors = np.linalg.svd(problem.system.a)
+        factors = full_svd(problem.system.a)
         s = factors[1]
         return ComparePreset(
             name="fig2",

@@ -19,9 +19,9 @@ and for unit forcing it depends on the pair through sigma alone.  So the
 whole emulation is a singular-value transfer function: the state block of
 pair j reads out as readout_j = forcing_j * r(sigma_j), where r(sigma) is
 a 2-vector fixed by the parameters, the grid and t.  r is evaluated once
-per group of equal singular values (`sigma_groups`).  The dense `evolve`
-path serves any initial state and is the reference the tests compare
-against.
+per group of equal singular values (`sigma_groups`) above the rounding
+floor (`PairSystem.evolved`).  The dense `evolve` path serves any initial
+state and is the reference the tests compare against.
 
 The periodic p-domain must outrun left-travelling wave content for the
 whole evolution: anything that wraps re-enters from the right and
@@ -39,13 +39,15 @@ theta >= 0 (and the Nyquist mode) are evaluated.  Strided snapshot rows
 come out of the same pass: with m = n_p / stride, field[j*stride] =
 (m/n_p) ifft_m(F)[j] where F folds the modes modulo m.  Memory is one
 chunk of modes (_CHUNK_ENTRIES / 16 (mode, group) entries per slot) with
-its temporaries, plus the (m, groups, 4) fold.
+its temporaries, plus the (m, groups, 4) fold and the (m, 4n) rows that
+one (m x groups) @ (groups x n) product per slot maps it into.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -367,6 +369,32 @@ class PairSystem:
         ~ gamma_f^2) and does not enter."""
         return 2.0 * np.linalg.norm(self.steady_pair[:, :2], axis=1)
 
+    def group_norms(self) -> np.ndarray:
+        """(groups, 4): the 2-norm of each slot of the steady state over each
+        sigma group, whatever the basis inside a repeated sigma."""
+        sq = np.zeros((self.reps.size, 4))
+        np.add.at(sq, self.group, np.abs(self.steady_pair[self.live]) ** 2)
+        return np.sqrt(sq)
+
+    def group_weights(self) -> np.ndarray:
+        """2 ||steady state block of the group||_2, `pair_weights` per group."""
+        return 2.0 * np.linalg.norm(self.group_norms()[:, :2], axis=1)
+
+    @cached_property
+    def evolved(self) -> np.ndarray:
+        """The groups evolved, indices into reps: the lightest are dropped,
+        whole, while their total `group_weights` stays within n eps of the
+        solution scale: the rounding noise of U^H b on directions b misses."""
+        weights = self.group_weights()
+        order = np.argsort(weights, kind="stable")
+        floor = self.sigma.size * np.finfo(float).eps * self.solution_scale()
+        return np.sort(order[np.searchsorted(np.cumsum(weights[order]), floor, side="right"):])
+
+    def pruned_weight(self) -> float:
+        """`group_weights` of the groups not evolved, over solution_scale()."""
+        dropped = np.delete(self.group_weights(), self.evolved)
+        return float(np.sum(dropped)) / max(self.solution_scale(), 1e-300)
+
     def solution_scale(self) -> float:
         """Norm of the steady state block, the denominator of relative
         readout errors."""
@@ -415,24 +443,24 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
 
     Mode l of pair j is forcing_j e_l col_l(sigma_j), with e = fft(e^{-|p|})
     and col the unit-forcing column of `_apply_pair_modes`, evaluated once
-    per group of equal singular values.  In the pair basis h1 is real and
-    h2 imaginary, so mode -l is the conjugate of mode l: modes 0..n_p/2-1
-    are evaluated, the inner ones counted twice, and real parts taken; the
-    Nyquist mode n_p/2 has no partner on the grid and is added as it is.
-    Each chunk of modes is contracted with c * e (c = ifft of the readout
-    weights) and, for stride > 0, folded times e into F[l mod m],
-    m = n_p // stride, then dropped; the forcing scales each pair at the
-    end.  Returns the 2n-vector state block of sum_k weights[k]
-    field(t, p_k) and, for stride > 0, the (m, 4n) rows
-    field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None).
+    per evolved group of equal singular values.  In the pair basis h1 is
+    real and h2 imaginary, so mode -l is the conjugate of mode l: modes
+    0..n_p/2-1 are evaluated, the inner ones counted twice, and real parts
+    taken; the Nyquist mode n_p/2 has no partner on the grid and is added
+    as it is.  Each chunk of modes is contracted with c * e (c = ifft of the
+    readout weights) and, for stride > 0, folded times e into F[l mod m],
+    m = n_p // stride, then dropped; group g maps back through
+    sum_{j in g} forcing_j [V e_j; U e_j].  Returns the 2n-vector state
+    block of sum_k weights[k] field(t, p_k) and, for stride > 0, the
+    (m, 4n) rows field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None).
     """
-    n_p, half = grid.n_p, grid.n_p // 2
-    spec, live, reps, group = pairs.spec, pairs.live, pairs.reps, pairs.group
+    n_p, half, n = grid.n_p, grid.n_p // 2, pairs.sigma.size
     envelope = np.fft.fft(np.exp(-np.abs(grid.points)))[: half + 1]
     envelope[1:half] *= 2.0
     coef = np.fft.ifft(np.asarray(weights, dtype=float))[: half + 1] * envelope
     m = n_p // stride if stride else 0
     slots = 4 if m else 2
+    reps = pairs.reps[pairs.evolved]
     readout = np.zeros((reps.size, 2), dtype=np.complex128)
     folded = np.zeros((m, reps.size, 4), dtype=np.complex128)
     # powers of two, so a chunk is a whole number of folds or fits in one
@@ -447,22 +475,22 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
             modes *= envelope[lo:hi, None, None]
             folded[r : r + width] += modes.reshape(-1, width, reps.size, 4).sum(axis=0)
     nyquist = _apply_pair_modes(pairs, reps, grid.thetas[half : half + 1], t, slots)[0]
-    forcing = pairs.w0_pair[live, 2, None]
-    state = np.zeros((pairs.sigma.size, 2), dtype=np.complex128)
-    state[live] = forcing * (readout.real + coef[half] * nyquist[:, :2])[group]
+    forcing = np.zeros((pairs.reps.size, n), dtype=np.complex128)
+    forcing[pairs.group, pairs.live] = pairs.w0_pair[pairs.live, 2]
+    # (groups, 2, n): sum_{j in g} forcing_j V e_j and sum_{j in g} forcing_j U e_j
+    basis = pairs.spec.to_state(np.tile(forcing[pairs.evolved], 2)).reshape(-1, 2, n)
+    state = np.einsum("gs,gsn->sn", readout.real + coef[half] * nyquist[:, :2], basis)
     rows = None
     if m:
         # the Nyquist mode's phase at p_{j*stride} is (-1)^(j*stride)
         sign = (-1.0) ** (stride * np.arange(m))[:, None, None]
         rows_group = (np.fft.ifft(folded, axis=0).real * (m / n_p)
                       + sign * (envelope[half] / n_p) * nyquist)
-        # slot-major, so slots (0, 1) and (2, 3) are each a momentum state
-        rows_pair = np.zeros((m, 4, pairs.sigma.size), dtype=np.complex128)
-        rows_pair[:, :, live] = np.moveaxis(rows_group[:, group] * forcing, 2, 1)
-        flat, half_row = rows_pair.reshape(m, -1), 2 * pairs.sigma.size
-        rows = np.concatenate([spec.to_state(flat[:, :half_row]),
-                               spec.to_state(flat[:, half_row:])], axis=-1)
-    return spec.to_state(state.T.reshape(-1)), rows
+        rows = np.empty((m, 4, n), dtype=np.complex128)
+        for k in range(4):  # slots (0, 1) and (2, 3) are each a state [V x; U y]
+            np.matmul(rows_group[:, :, k], basis[:, k % 2], out=rows[:, k])
+        rows = rows.reshape(m, 4 * n)
+    return state.reshape(-1), rows
 
 
 def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
@@ -524,15 +552,15 @@ def required_runway(pairs: PairSystem, t_end: float,
 
     Content that wraps around the periodic domain resurfaces at the
     readout point at full amplitude, so the domain must outrun it.  The
-    fastest pairs are exempted greedily as long as their total travelling
-    content stays below `budget` of the solution scale; smooth forcings
-    excite only slow pairs and end up with runways of a few ln(1/delta).
+    fastest evolved groups are exempted greedily while their total
+    `group_weights` stays below `budget` of the solution scale; smooth
+    forcings excite only slow pairs and get runways of a few ln(1/delta).
     """
-    weights = pairs.pair_weights()
+    weights = pairs.group_weights()[pairs.evolved]
     if weights.size == 0 or float(np.sum(weights)) == 0.0:
         return 0.0
     allowance = budget * max(pairs.solution_scale(), 1e-300)
-    speeds = pairs.advection_speeds()
+    speeds = pairs.advection_speeds()[pairs.reps[pairs.evolved]]
     order = np.argsort(speeds)[::-1]
     dropped = 0.0
     for j in order:
@@ -554,7 +582,9 @@ class PipelineReport:
     residual_vs_oracle: float
     gamma_f: float
     live_pairs: int  # singular pairs with nonzero forcing
-    sigma_groups: int  # distinct singular values among them, each evolved once
+    sigma_groups: int  # distinct singular values among them
+    evolved_groups: int  # the groups above the rounding floor, each evolved once
+    pruned_weight: float  # weight of the other groups, over the solution scale
 
     def as_dict(self) -> dict:
         return {
@@ -569,6 +599,8 @@ class PipelineReport:
             "gamma_f": self.gamma_f,
             "live_pairs": self.live_pairs,
             "sigma_groups": self.sigma_groups,
+            "evolved_groups": self.evolved_groups,
+            "pruned_weight": self.pruned_weight,
         }
 
 
@@ -599,9 +631,10 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     p_left = -(runway + math.log(1.0 / DEFAULT_TAIL_TOL))
     # decay the envelope below noise at the periodic seam: the largest
     # state component (usually the forcing block at scale ||F||/gamma_f)
-    # must fall to ~1e-10 of the solution scale by p_right
-    top = float(max(np.max(np.abs(pairs.steady_pair)), 1e-300))
-    wref = float(max(np.max(np.abs(pairs.steady_pair[:, :2])), 1e-300))
+    # must fall to ~1e-10 of the solution scale by p_right (per sigma group)
+    norms = pairs.group_norms()[pairs.evolved]
+    top = float(max(np.max(norms, initial=0.0), 1e-300))
+    wref = float(max(np.max(norms[:, :2], initial=0.0), 1e-300))
     right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
 
     rate = pairs.lambda_max_h1()
@@ -620,7 +653,8 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
         t_end=t_end, n_p=n_p, p_left=grid.p_left, p_right=grid.p_right,
         p_diamond=p_diamond, k_star=k_star, recovery_method=recovery,
         residual_vs_oracle=residual, gamma_f=gamma_f, live_pairs=int(pairs.live.size),
-        sigma_groups=int(pairs.reps.size),
+        sigma_groups=int(pairs.reps.size), evolved_groups=int(pairs.evolved.size),
+        pruned_weight=pairs.pruned_weight(),
     )
     if stride:
         return u, report, (grid.points[::stride], rows)

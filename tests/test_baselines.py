@@ -167,6 +167,12 @@ class TestEvolutionTime:
         with pytest.raises(ValueError):
             evolution_time("verlet", (0.1, 1.0), 0.01)
 
+    def test_mag_is_not_a_flow_kind(self):
+        # the momentum method runs for kappa ln(1/delta) steps
+        # (`mag.convergence_steps`), not for a flow time
+        with pytest.raises(ValueError):
+            evolution_time("mag", (0.1, 1.0), 0.01)
+
 
 class TestAuxiliaryRatio:
     def _mag_flow(self, params):

@@ -116,7 +116,9 @@ class TestFactorizationCounts:
     no path builds the dense 2n x 2n H."""
 
     @staticmethod
-    def _count(monkeypatch, argv):
+    def _count(monkeypatch, argv, dtypes=None):
+        """Kernel calls by (name, shape); the dtype of each svd argument
+        goes to `dtypes` when a list is given."""
         calls = Counter()
 
         def no_dense_h(*args):
@@ -127,6 +129,8 @@ class TestFactorizationCounts:
         def counting(name, fn):
             def wrapper(m, *args, **kwargs):
                 calls[name, np.shape(m)] += 1
+                if name == "svd" and dtypes is not None:
+                    dtypes.append(np.asarray(m).dtype)
                 return fn(m, *args, **kwargs)
             return wrapper
 
@@ -173,6 +177,19 @@ class TestFactorizationCounts:
         calls = self._count(monkeypatch, ["compare", "--preset", "fig2",
                                           "--out", str(tmp_path)])
         assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+
+    @pytest.mark.parametrize("preset, dtype", [("fig4a", np.float64), ("fig6a", np.float64),
+                                               ("fig3e", np.complex128),
+                                               ("fig4d", np.complex128)])
+    def test_real_matrix_factored_in_real_arithmetic(self, tmp_path, monkeypatch, preset,
+                                                     dtype):
+        # the zero-boundary presets are real, the Robin ones complex
+        n = pde_preset(preset)[0].system.a.shape[0]
+        dtypes = []
+        calls = self._count(monkeypatch, ["pde", "--preset", preset, "--method", "mag",
+                                          "--out", str(tmp_path)], dtypes)
+        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+        assert dtypes == [dtype]
 
     @pytest.mark.parametrize("argv", [["pde", "--preset", "fig4a", "--method", "schro"],
                                       ["solve", "--preset", "fig4a", "--method", "schro"],

@@ -534,6 +534,45 @@ class TestStreamedReadout:
                         assert rows.shape == (n_p // stride, 4 * n)
                         assert np.allclose(rows, field[::stride], rtol=0.0, atol=atol)
 
+    @given(st.lists(st.sampled_from([0.5, 0.8, 1.3, 2.0, 3.0]), min_size=2, max_size=6),
+           st.integers(0, 2**16), st.floats(0.0, 8.0), st.sampled_from([128, 256, 512]))
+    @settings(max_examples=25, deadline=None)
+    def test_pruned_groups_match_dense(self, sig, seed, t, n_p):
+        # a rhs in the span of some singular vectors leaves only rounding
+        # noise on the others; the groups made of noise alone are dropped
+        # and the streamed pass still matches the dense one on every pair
+        rng = np.random.default_rng(seed)
+        n = len(sig)
+        q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        keep = rng.permutation(n)[: rng.integers(1, n)]
+        b = q1[:, keep] @ (rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size))
+        p = derive_params(9.5, 0.2)
+        sys = build_transformed(q1 @ np.diag(sig) @ q2.conj().T, b, p)
+        gamma_f = default_forcing_scale(p)
+        pairs = _pairs(sys, gamma_f)
+        eps_floor = n * np.finfo(float).eps
+        assert pairs.pruned_weight() <= eps_floor
+        kept = pairs.group_weights() > 1e3 * eps_floor * pairs.solution_scale()
+        assert set(np.flatnonzero(kept)) <= set(pairs.evolved.tolist())
+        gen, drive = to_ode(sys)
+        hs = homogenize(gen, drive, gamma_f)
+        sp = split(hs)
+        grid = build_grid(sp.h1, t, n_p)
+        state = evolve(sp, grid, hs.w0_homo, t)
+        atol = 1e-10 * float(np.linalg.norm(hs.w0_homo))
+        p_diamond = p_threshold(sp.h1, t)
+        advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
+        field = state.field()
+        for method, oracle in (("integral", recover_integral),
+                               ("single-point", recover_single_point)):
+            weights, _ = readout_weights(grid, p_diamond, method, advect)
+            for stride in (0, 1, 8):
+                vec, rows = evolve_structured(pairs, grid, t, weights, stride)
+                assert np.allclose(vec, oracle(state, sp.h1), rtol=0.0, atol=atol)
+                if stride:
+                    assert np.allclose(rows, field[::stride], rtol=0.0, atol=atol)
+
     def test_sigma_groups(self):
         sigma = np.array([3.0, 2.0, 2.0 * (1 + 1e-15), 1.0, 2.0 * (1 - 2e-15), 1.0 + 1e-9])
         live = np.array([0, 1, 2, 4, 5])  # pair 3 carries no forcing
@@ -557,6 +596,119 @@ class TestStreamedReadout:
         scale = math.exp(p_star) / (1.0 - math.exp(-(p_end - p_star)))
         trapezoid = grid.dp * (f.sum() - 0.5 * (f[0] + f[-1]))
         assert w[window] @ f == pytest.approx(scale * trapezoid, rel=1e-12)
+
+
+def _preset_pairs(name, b=None):
+    """The CLI's pair system for a preset (or its matrix with rhs b)."""
+    from schromag.linalg import full_svd
+    from schromag.mag import params_from_sigma
+    from schromag.presets import pde_preset
+
+    problem, solver = pde_preset(name)
+    a = problem.system.a
+    factors = full_svd(a)
+    params = params_from_sigma(factors[1], safety=solver.bounds_safety)
+    spec = build_spectral(a, problem.system.b if b is None else b, params, factors)
+    return build_pair_system(spec, default_forcing_scale(params))
+
+
+class TestPruning:
+    """Sigma groups whose total weight is at the SVD's rounding floor,
+    n eps of the solution scale, are not evolved."""
+
+    def test_drops_whole_groups_only(self):
+        # sigma = 2 is one group of a 1e-20 pair (its representative) and a
+        # heavy one; sigma = 1 is a 1e-20 group of its own.  The light group
+        # is dropped, the light member of the heavy group is read out at
+        # its own scale.
+        p = derive_params(9.0, 0.5)
+        a = np.diag([2.0, 2.0, 1.0, 3.0]).astype(complex)
+        b = np.array([1e-20, 1.0, 1e-20, 1.0], dtype=complex)
+        eye = np.eye(4)
+        order = [3, 0, 1, 2]  # descending sigma
+        spec = build_spectral(a, b, p, (eye[:, order], np.diag(a).real[order], eye[order]))
+        pairs = build_pair_system(spec, default_forcing_scale(p))
+        assert (pairs.live.size, pairs.reps.size, pairs.evolved.size) == (4, 3, 2)
+        assert 0.0 < pairs.pruned_weight() <= 4 * np.finfo(float).eps
+        t = 20.0
+        rate = pairs.lambda_max_h1()
+        grid = schrod.build_grid_from_rate(rate, t, 4096, p_left=-60.0)
+        weights, _ = readout_weights(grid, max(rate * t, 0.0), "single-point")
+        vec, rows = evolve_structured(pairs, grid, t, weights, 64)
+        # entries 0 and 1 share a group: the same r(sigma), scaled by forcings
+        # 1e-20 and 1, in the state block and in every slot of the snapshot
+        assert vec[0] / vec[1] == pytest.approx(1e-20, rel=1e-9)
+        for k in range(4):
+            assert np.allclose(rows[:, 4 * k], 1e-20 * rows[:, 4 * k + 1], rtol=1e-9, atol=0.0)
+        assert np.any(rows[:, 4 * 2] != 0.0)
+        # entry 2 is the dropped group
+        assert vec[2] == 0.0 and vec[4 + 2] == 0.0
+        assert np.all(rows[:, [2, 6, 10, 14]] == 0.0)
+
+    def test_presets(self):
+        from schromag.presets import PDE_PRESET_NAMES
+
+        evolved = {}
+        for name in PDE_PRESET_NAMES:
+            pairs = _preset_pairs(name)
+            assert pairs.pruned_weight() <= pairs.sigma.size * np.finfo(float).eps, name
+            evolved[name] = pairs.evolved.size
+        assert (evolved["fig3a"], evolved["fig6a"], evolved["fig4a"]) == (5, 33, 17)
+
+    def test_nothing_pruned_on_a_random_rhs(self):
+        n = _preset_pairs("fig4a").sigma.size
+        rng = np.random.default_rng(0)
+        pairs = _preset_pairs("fig4a", rng.normal(size=n) + 1j * rng.normal(size=n))
+        assert pairs.evolved.size == pairs.reps.size
+        assert pairs.pruned_weight() == 0.0
+
+    def test_grid_is_basis_invariant(self):
+        # a unitary rotation of U and V inside each repeated sigma is the
+        # same A; the grid reads group norms, so it does not see the basis
+        sig = np.array([3.0, 3.0, 3.0, 1.5, 1.5, 0.8, 0.8])
+        n = sig.size
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            rot = np.zeros((n, n), dtype=complex)
+            for lo, hi in ((0, 3), (3, 5), (5, 7)):
+                z = rng.normal(size=(hi - lo,) * 2) + 1j * rng.normal(size=(hi - lo,) * 2)
+                rot[lo:hi, lo:hi] = np.linalg.qr(z)[0]
+            a = q1 @ np.diag(sig) @ q2.conj().T
+            b = rng.normal(size=n) + 1j * rng.normal(size=n)
+            p = derive_params(9.0, 0.64)
+            oracle = np.linalg.solve(a, b)
+            runs = [pipeline(a, b, p, 1e-2, 1024, oracle=oracle, factors=f)
+                    for f in ((q1, sig, q2.conj().T),
+                              (q1 @ rot, sig, rot.conj().T @ q2.conj().T))]
+            (u1, r1), (u2, r2) = runs
+            assert (r1.p_left, r1.k_star) == (r2.p_left, r2.k_star)
+            assert r1.p_right == pytest.approx(r2.p_right, rel=1e-14, abs=0.0)
+            assert np.max(np.abs(u1 - u2)) <= 1e-12 * np.max(np.abs(u1))
+
+    def test_snapshot_memory(self):
+        # the snapshot is four (m x groups) @ (groups x n) products into the
+        # (m, 4n) rows: no (m, pairs, 4) gather or (m, 4, n) staging copy
+        from schromag.linalg import full_svd
+        from schromag.mag import params_from_sigma
+        from schromag.presets import pde_preset
+
+        problem, solver = pde_preset("fig4a")
+        a, b = problem.system.a, problem.system.b
+        factors = full_svd(a)
+        params = params_from_sigma(factors[1], safety=solver.bounds_safety)
+        oracle = direct_solve(problem.system, factors[1])
+        tracemalloc.start()
+        try:
+            _, report, (_, rows) = pipeline(a, b, params, solver.delta, 16384, oracle=oracle,
+                                            recovery=solver.recovery, snapshot_rows=1024,
+                                            factors=factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (1024, 4 * a.shape[0])
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 class TestPipeline:
