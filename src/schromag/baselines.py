@@ -12,8 +12,8 @@ per singular value s (c = sqrt(alpha*beta)):
   mag-ODE, the momentum map's (H - I, F) (`mag.SpectralSystem`):
       [[-alpha s^2, -c s], [c s, beta - 1]], drive [alpha s b~; 0]
 
-The builders take the caller's full SVD of A, or factor A themselves
-(`mag.singular_basis`).  A state is held as one k-vector [x_j, y_j] per
+Every builder reads sigma, U, V and b~ from the run's one
+`mag.SpectralSystem` (`mag.build_spectral`).  A state is held as one k-vector [x_j, y_j] per
 singular value, for [V x; U y] (V x alone for the gradient flow).  Each
 sample is the closed form w_inf + exp(M t)(w0 - w_inf) at its own time
 (`linalg.block_expm_apply`), with w_inf = -M^{-1} g from the 2x2
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_cvector, block_expm_apply
-from .mag import SpectralSystem, singular_basis
+from .mag import SpectralSystem
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,21 @@ class FlowSystem:
                         axis=-1)
 
 
-def build_gradient_flow(a, b, factors=None) -> FlowSystem:
+def build_gradient_flow(spec: SpectralSystem) -> FlowSystem:
     """du/dt = A^H b - A^H A u; steady state is the least-squares solution."""
-    u, s, vh, b_t = singular_basis(a, b, factors)
-    return FlowSystem(blocks=-(s**2)[:, None, None], drive=(s * b_t)[:, None], u=u, vh=vh)
+    s = spec.sigma
+    return FlowSystem(blocks=-(s**2)[:, None, None], drive=(s * spec.b_t)[:, None],
+                      u=spec.u, vh=spec.vh)
 
 
-def build_damped(a, b, gamma: float, factors=None) -> FlowSystem:
+def build_damped(spec: SpectralSystem, gamma: float) -> FlowSystem:
     """Second-order damped dynamics in first-order form on w = [u; v].
 
     Requires 0 < gamma < 2 sigma_min(A).  The auxiliary block of the
     steady state is exactly zero, which is what breaks the relative
     convergence of this method.
     """
-    u, s, vh, b_t = singular_basis(a, b, factors)
+    s, b_t = spec.sigma, spec.b_t
     sigma_min = float(s[-1])
     if not (0.0 < gamma < 2.0 * sigma_min):
         raise ValueError(
@@ -93,7 +94,7 @@ def build_damped(a, b, gamma: float, factors=None) -> FlowSystem:
     blocks = np.zeros((s.size, 2, 2))
     blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = -s, s, -gamma
     drive = np.stack([np.zeros_like(b_t), -b_t], axis=-1)
-    return FlowSystem(blocks=blocks, drive=drive, u=u, vh=vh)
+    return FlowSystem(blocks=blocks, drive=drive, u=spec.u, vh=spec.vh)
 
 
 def build_mag_ode(spec: SpectralSystem) -> FlowSystem:
@@ -126,22 +127,20 @@ def integrate_flow(sys: FlowSystem, w0, t_end: float, samples: int):
     return list(zip(times.tolist(), sys.to_state(pairs)))
 
 
-def evolution_time(kind: str, spectrum, delta: float, constant: float = 1.0) -> float:
+def evolution_time(kind: str, sigma_min: float, delta: float) -> float:
     """Theoretical time to contract the error below delta.
 
     gradient: ln(1/delta)/sigma_min^2, damped: ln(1/delta)/sigma_min.
-    `spectrum` is (sigma_min, sigma_max) estimates; only sigma_min enters.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0,1)")
-    sigma_min, _ = spectrum
     if sigma_min <= 0:
         raise ValueError("sigma_min must be positive")
     log_term = math.log(1.0 / delta)
     if kind == "gradient":
-        return constant * log_term / sigma_min**2
+        return log_term / sigma_min**2
     if kind == "damped":
-        return constant * log_term / sigma_min
+        return log_term / sigma_min
     raise ValueError(f"unknown method kind {kind!r}")
 
 

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -60,9 +60,8 @@ class RunConfig:
 
 
 def _load_system(cfg: RunConfig):
-    """Problem, solver defaults, the effective (delta, n_p) and the full SVD
-    (u, s, vh) of A: the invocation's one factorization of A, shared by the
-    bounds, the guards, the oracle and the singular basis of every method."""
+    """Problem, the effective (delta, n_p) and the full SVD (u, s, vh) of A:
+    the invocation's one factorization of A."""
     if cfg.preset is not None:
         problem, solver = pde_preset(cfg.preset)
         system = problem.system
@@ -72,10 +71,21 @@ def _load_system(cfg: RunConfig):
         system, problem, solver = LinearSystem(a, b), None, SolverConfig()
     delta = cfg.delta if cfg.delta is not None else solver.delta
     n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    return system, problem, solver, delta, n_p, full_svd(system.a)
+    return system, problem, delta, n_p, full_svd(system.a)
 
 
-def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.MagParams:
+def _setup(cfg: RunConfig, loaded):
+    """(system, problem, delta, n_p, spec, oracle) of a solving command from
+    its `_load_system`: the run's one `mag.SpectralSystem`, which carries
+    the bounds, the guards' singular values and the basis of every method,
+    and the direct solve that outputs are checked against."""
+    system, problem, delta, n_p, factors = loaded
+    params = _params_for(cfg, factors[1])
+    spec = mag.build_spectral(system.a, system.b, params, factors)
+    return system, problem, delta, n_p, spec, direct_solve(system, spec.sigma)
+
+
+def _params_for(cfg: RunConfig, sigma: np.ndarray) -> mag.MagParams:
     if cfg.alpha is not None and cfg.beta is not None:
         # rebuild the bounds that produce the requested (alpha, beta)
         if not (0.0 <= cfg.beta < 1.0) or cfg.alpha <= 0.0:
@@ -85,7 +95,12 @@ def _params_for(cfg: RunConfig, sigma: np.ndarray, solver: SolverConfig) -> mag.
         return mag.derive_params((kappa * sqrt_mu) ** 2, sqrt_mu**2)
     if cfg.l_hat is not None and cfg.mu_hat is not None:
         return mag.derive_params(cfg.l_hat, cfg.mu_hat)
-    return mag.params_from_sigma(sigma, safety=solver.bounds_safety)
+    return mag.params_from_sigma(sigma)
+
+
+def _residual(u: np.ndarray, oracle: np.ndarray) -> float:
+    """Max-norm error of u relative to the direct solve."""
+    return float(np.max(np.abs(u - oracle)) / max(np.max(np.abs(oracle)), 1e-300))
 
 
 def _flow_end(flow: baselines.FlowSystem, t_end: float) -> np.ndarray:
@@ -93,19 +108,14 @@ def _flow_end(flow: baselines.FlowSystem, t_end: float) -> np.ndarray:
     return baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 2)[-1][1]
 
 
-def _solve_with_method(cfg: RunConfig, system: LinearSystem, params: mag.MagParams,
-                       solver: SolverConfig, delta: float, n_p: int, oracle: np.ndarray,
-                       factors, keep_states: bool = False):
-    """Returns (u, artifacts dict) for one method on one system.
-
-    `factors` is the full SVD (u, s, vh) of A and `oracle` the direct
-    solve; the pipeline measures its residual against it.
-    """
+def _solve_with_method(cfg: RunConfig, spec: mag.SpectralSystem, delta: float, n_p: int,
+                       oracle: np.ndarray, keep_states: bool = False):
+    """(u, its residual against the oracle, artifacts dict) for one method on
+    the run's `spec`; a pipeline report carries the residual too."""
     method = cfg.method or "mag"
-    sigma = factors[1]
+    sigma_min = float(spec.sigma[-1])
     if method == "mag":
-        mag.spectral_radius_check(params, sigma)
-        spec = mag.build_spectral(system.a, system.b, params, factors)
+        mag.spectral_radius_check(spec.params, spec.sigma)
         trace, w_inf, u = mag.solve_spectral(spec, delta, keep_states)
         artifacts = {"trace": trace.residuals, "steps": trace.steps}
         if keep_states:
@@ -114,35 +124,29 @@ def _solve_with_method(cfg: RunConfig, system: LinearSystem, params: mag.MagPara
                 values if values is not None else [math.inf] * len(trace.residuals)
             )
             artifacts["kappa2_w_inf"] = kappa2
-        return u, artifacts
-    if method == "gradient":
-        flow = baselines.build_gradient_flow(system.a, system.b, factors)
-        t_end = baselines.evolution_time("gradient", (float(sigma[-1]), float(sigma[0])), delta)
-        return _flow_end(flow, t_end), {"t_end": t_end}
-    if method == "damped":
-        gamma = cfg.gamma if cfg.gamma is not None else (
-            solver.gamma if solver.gamma is not None else 1.9 * float(sigma[-1])
-        )
-        flow = baselines.build_damped(system.a, system.b, gamma, factors)
-        t_end = baselines.evolution_time("damped", (float(sigma[-1]), float(sigma[0])), delta)
-        return _flow_end(flow, t_end)[: system.n], {"t_end": t_end, "gamma": gamma}
-    if method == "schro":
-        u, report = schrod.pipeline(
-            system.a, system.b, params, delta, n_p, oracle=oracle,
-            recovery=solver.recovery, gamma_f=cfg.gammaf, factors=factors,
-        )
-        return u, {"report": report.as_dict()}
-    raise InputError(f"unknown method {method!r}")
+    elif method == "gradient":
+        t_end = baselines.evolution_time("gradient", sigma_min, delta)
+        u, artifacts = _flow_end(baselines.build_gradient_flow(spec), t_end), {"t_end": t_end}
+    elif method == "damped":
+        gamma = cfg.gamma if cfg.gamma is not None else 1.9 * sigma_min
+        flow = baselines.build_damped(spec, gamma)
+        t_end = baselines.evolution_time("damped", sigma_min, delta)
+        u, artifacts = _flow_end(flow, t_end)[: spec.n], {"t_end": t_end, "gamma": gamma}
+    elif method == "schro":
+        u, report, _ = schrod.pipeline(spec, delta, n_p, gamma_f=cfg.gammaf)
+        artifacts = {"report": asdict(report)}
+    else:
+        raise InputError(f"unknown method {method!r}")
+    rel = _residual(u, oracle)
+    if "report" in artifacts:
+        artifacts["report"]["residual_vs_oracle"] = rel
+    return u, rel, artifacts
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, factors = _load_system(cfg)
-    params = _params_for(cfg, factors[1], solver)
-    oracle = direct_solve(system, factors[1])
-    u_method, artifacts = _solve_with_method(cfg, system, params, solver, delta, n_p, oracle,
-                                             factors, keep_states=True)
-    rel = float(np.max(np.abs(u_method - oracle[: u_method.size]))
-                / max(np.max(np.abs(oracle[: u_method.size])), 1e-300))
+    _, _, delta, n_p, spec, oracle = _setup(cfg, _load_system(cfg))
+    u_method, rel, artifacts = _solve_with_method(cfg, spec, delta, n_p, oracle,
+                                                  keep_states=True)
     out = cfg.out
     io.write_vector(os.path.join(out, "solution.vec"), u_method)
     io.write_solution_csv(
@@ -171,25 +175,20 @@ def cmd_compare(cfg: RunConfig) -> int:
         return _compare_fig2(cfg)
     if cfg.preset is not None:
         cp = compare_preset(cfg.preset)
-        a, b = cp.a, cp.b
-        factors = full_svd(a)
-        params = mag.derive_params(cp.l_hat, cp.mu_hat)
+        spec = mag.build_spectral(cp.a, cp.b, mag.derive_params(cp.l_hat, cp.mu_hat))
         gamma, t_end, samples = cp.gamma, cp.t_end, cp.samples
     else:
         a = io.read_matrix_coo(cfg.matrix)
         b = io.read_vector(cfg.rhs)
         factors = full_svd(a)
-        sigma = factors[1]
-        params = mag.params_from_sigma(sigma)
-        gamma = cfg.gamma if cfg.gamma is not None else 1.9 * float(sigma[-1])
-        t_end = baselines.evolution_time(
-            "damped", (float(sigma[-1]), float(sigma[0])), cfg.delta or 1e-3
-        )
+        spec = mag.build_spectral(a, b, mag.params_from_sigma(factors[1]), factors)
+        sigma_min = float(spec.sigma[-1])
+        gamma = cfg.gamma if cfg.gamma is not None else 1.9 * sigma_min
+        t_end = baselines.evolution_time("damped", sigma_min, cfg.delta or 1e-3)
         samples = 1200
 
-    n = a.shape[0]
-    flows = {"mag": baselines.build_mag_ode(mag.build_spectral(a, b, params, factors)),
-             "damped": baselines.build_damped(a, b, gamma, factors)}
+    n = spec.n
+    flows = {"mag": baselines.build_mag_ode(spec), "damped": baselines.build_damped(spec, gamma)}
     ratios = {}
     for tag, flow in flows.items():
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, samples)
@@ -202,12 +201,10 @@ def cmd_compare(cfg: RunConfig) -> int:
             ratio.ratios,
         )
     ratio_mag, ratio_damp = ratios["mag"], ratios["damped"]
-    lines = ["time,mag_ratio,damped_ratio"]
-    for k, t in enumerate(ratio_mag.times):
-        rm, rd = ratio_mag.ratios[k], ratio_damp.ratios[k]
-        cm = "" if math.isnan(rm) else repr(rm)
-        cd = "" if math.isnan(rd) else repr(rd)
-        lines.append(f"{t!r},{cm},{cd}")
+    cell = lambda r: "" if math.isnan(r) else repr(r)
+    lines = ["time,mag_ratio,damped_ratio"] + [
+        f"{t!r},{cell(rm)},{cell(rd)}"
+        for t, rm, rd in zip(ratio_mag.times, ratio_mag.ratios, ratio_damp.ratios)]
     io.write_text(os.path.join(cfg.out, "ratio.csv"), "\n".join(lines) + "\n")
     io.write_json(
         os.path.join(cfg.out, "compare.json"),
@@ -227,16 +224,14 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def _compare_fig2(cfg: RunConfig) -> int:
     cp = compare_preset("fig2")
-    oracle = direct_solve(LinearSystem(cp.a, cp.b), cp.factors[1])
-    params = mag.derive_params(cp.l_hat, cp.mu_hat)
-    sig = (math.sqrt(cp.mu_hat), math.sqrt(cp.l_hat))
-    spec = mag.build_spectral(cp.a, cp.b, params, cp.factors)
-    flow = baselines.build_damped(cp.a, cp.b, cp.gamma, cp.factors)
+    spec = mag.build_spectral(cp.a, cp.b, mag.derive_params(cp.l_hat, cp.mu_hat), cp.factors)
+    oracle = direct_solve(LinearSystem(cp.a, cp.b), spec.sigma)
+    flow = baselines.build_damped(spec, cp.gamma)
     rows = ["delta,mag_error,damped_error"]
     for delta in cp.deltas:
         u_mag = mag.solve_spectral(spec, delta)[2]
-        t_end = baselines.evolution_time("damped", sig, delta)
-        u_damp = _flow_end(flow, t_end)[: cp.a.shape[0]]
+        t_end = baselines.evolution_time("damped", math.sqrt(cp.mu_hat), delta)
+        u_damp = _flow_end(flow, t_end)[: spec.n]
         scale = float(np.linalg.norm(oracle))
         e_mag = float(np.linalg.norm(u_mag - oracle)) / scale
         e_damp = float(np.linalg.norm(u_damp - oracle)) / scale
@@ -254,38 +249,25 @@ def _compare_fig2(cfg: RunConfig) -> int:
 def cmd_pde(cfg: RunConfig) -> int:
     if cfg.preset is None:
         raise InputError("pde requires --preset")
-    system, problem, solver, delta, n_p, factors = _load_system(cfg)
+    loaded = _load_system(cfg)
+    system, problem = loaded[:2]
     out = cfg.out
     io.write_matrix_coo(os.path.join(out, "problem.coo"), system.a)
     io.write_vector(os.path.join(out, "problem.vec"), system.b)
-    io.write_json(
-        os.path.join(out, "problem.json"),
-        {
-            "family": problem.family,
-            "n": problem.n,
-            "k": problem.k,
-            "boundary": repr(problem.boundary),
-            "forcing": problem.forcing,
-            "h": problem.h,
-        },
-    )
-    params = _params_for(cfg, factors[1], solver)
-    oracle = direct_solve(system, factors[1])
-    u_method, artifacts = _solve_with_method(cfg, system, params, solver, delta, n_p, oracle,
-                                             factors)
-    rel = float(np.max(np.abs(u_method - oracle)) / np.max(np.abs(oracle)))
+    io.write_json(os.path.join(out, "problem.json"),
+                  {"family": problem.family, "n": problem.n, "k": problem.k,
+                   "boundary": repr(problem.boundary), "forcing": problem.forcing,
+                   "h": problem.h})
+    _, _, delta, n_p, spec, oracle = _setup(cfg, loaded)
+    u_method, rel, artifacts = _solve_with_method(cfg, spec, delta, n_p, oracle)
     xs, ys = problem.nodes()
     u_sol = problem.solution_block(u_method)
     io.write_solution_csv(
         os.path.join(out, "solution.csv"), u_sol,
         xs[: u_sol.size], None if ys is None else ys[: u_sol.size],
     )
-    payload = {
-        "preset": cfg.preset,
-        "method": cfg.method or "mag",
-        "delta": delta,
-        "residual_vs_oracle": rel,
-    }
+    payload = {"preset": cfg.preset, "method": cfg.method or "mag", "delta": delta,
+               "residual_vs_oracle": rel}
     if "report" in artifacts:
         payload["pipeline"] = artifacts["report"]
     io.write_json(os.path.join(out, "pde.json"), payload)
@@ -294,17 +276,15 @@ def cmd_pde(cfg: RunConfig) -> int:
 
 
 def cmd_schro(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, factors = _load_system(cfg)
-    params = _params_for(cfg, factors[1], solver)
-    u, report, (points, rows) = schrod.pipeline(
-        system.a, system.b, params, delta, n_p, oracle=direct_solve(system, factors[1]),
-        recovery=solver.recovery, gamma_f=cfg.gammaf, snapshot_rows=SNAPSHOT_ROWS,
-        factors=factors,
-    )
-    io.write_json(os.path.join(cfg.out, "pipeline.json"), report.as_dict())
+    _, _, delta, n_p, spec, oracle = _setup(cfg, _load_system(cfg))
+    u, report, (points, rows) = schrod.pipeline(spec, delta, n_p, gamma_f=cfg.gammaf,
+                                                snapshot_rows=SNAPSHOT_ROWS)
+    rel = _residual(u, oracle)
+    io.write_json(os.path.join(cfg.out, "pipeline.json"),
+                  {**asdict(report), "residual_vs_oracle": rel})
     io.write_vector(os.path.join(cfg.out, "solution.vec"), u)
     io.write_field_snapshot_csv(os.path.join(cfg.out, "warped_field.csv"), points, rows)
-    print(f"schro residual vs direct solve: {report.residual_vs_oracle:.3e}")
+    print(f"schro residual vs direct solve: {rel:.3e}")
     return 0
 
 
@@ -361,7 +341,7 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
 
 def cmd_complexity(cfg: RunConfig) -> int:
-    system, problem, solver, delta, n_p, (_, s_vals, _) = _load_system(cfg)
+    system, _, delta, n_p, (_, s_vals, _) = _load_system(cfg)
     a = system.a
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),
@@ -461,16 +441,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = merge_config(args)
-        if cfg.command in ("solve", "compare", "pde", "schro"):
+        if cfg.command != "blockenc-verify":
             cfg.validate()
-        elif cfg.command == "complexity" and cfg.preset is None and cfg.matrix is None:
-            raise InputError("complexity requires --preset or --matrix/--rhs")
         os.makedirs(cfg.out, exist_ok=True)
         return _COMMANDS[cfg.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

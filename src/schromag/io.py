@@ -5,12 +5,14 @@ entry per line, 0-based indices.  Entries that repeat an index pair are
 summed, as in the COO convention (scipy.sparse does the same).  The
 matrix is stored dense, so a header whose rows*cols exceeds
 MAX_DENSE_ENTRIES is rejected before anything is allocated.  Vector
-files: one ``re im`` pair per line.  Floats are written with repr
+files: one ``re im`` pair per line.  A nan or infinite entry is rejected
+with its file and line.  Floats are written with repr
 (shortest round-trip) so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -60,10 +62,10 @@ def read_matrix_coo(path) -> np.ndarray:
             f"rows*cols <= {MAX_DENSE_ENTRIES}"
         )
     m = np.zeros((rows, cols), dtype=np.complex128)
-    entries = [ln for ln in tokens[1:] if ln.strip()]
+    entries = [(k, ln) for k, ln in enumerate(tokens[1:], 2) if ln.strip()]
     if len(entries) != nnz:
         raise InputError(f"{path}: header promises {nnz} entries, found {len(entries)}")
-    for ln in entries:
+    for k, ln in entries:
         parts = ln.split()
         if len(parts) != 4:
             raise InputError(f"{path}: malformed entry line {ln!r}")
@@ -74,8 +76,15 @@ def read_matrix_coo(path) -> np.ndarray:
             raise InputError(f"{path}: malformed entry line {ln!r}") from exc
         if not (0 <= i < rows and 0 <= j < cols):
             raise InputError(f"{path}: index ({i},{j}) out of range")
-        m[i, j] += re + 1j * im
+        m[i, j] += _finite(path, k, ln, re + 1j * im)
     return m
+
+
+def _finite(path, line_no: int, line: str, value: complex) -> complex:
+    """value, or InputError naming the file and line if it is nan or infinite."""
+    if not cmath.isfinite(value):
+        raise InputError(f"{path}: line {line_no}: non-finite entry {line!r}")
+    return value
 
 
 def write_vector(path, v) -> None:
@@ -87,18 +96,19 @@ def write_vector(path, v) -> None:
 def read_vector(path) -> np.ndarray:
     try:
         with open(path) as fh:
-            lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+            lines = [(k, ln) for k, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
     except OSError as exc:
         raise InputError(f"cannot read vector file {path}: {exc}") from exc
     out = []
-    for ln in lines:
+    for k, ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise InputError(f"{path}: expected 're im' per line, got {ln!r}")
         try:
-            out.append(float(parts[0]) + 1j * float(parts[1]))
+            value = float(parts[0]) + 1j * float(parts[1])
         except ValueError as exc:
             raise InputError(f"{path}: malformed line {ln!r}") from exc
+        out.append(_finite(path, k, ln, value))
     return np.array(out, dtype=np.complex128)
 
 

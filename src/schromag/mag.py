@@ -188,20 +188,15 @@ class SpectralSystem:
         return out
 
 
-def singular_basis(a, b, factors=None) -> tuple:
-    """(u, s, vh, U^H b) from `factors`, the full SVD (u, s, vh) of A when
-    the caller already has it; otherwise A is factored here."""
+def build_spectral(a, b, params: MagParams, factors=None) -> SpectralSystem:
+    """The map in the basis of A's full SVD: `factors` (u, s, vh) when the
+    caller already has it, otherwise A is factored here.  The one place
+    that turns (A, b) into singular values, vectors and U^H b."""
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
     u, s, vh = full_svd(a) if factors is None else factors
-    return u, s, vh, u.conj().T @ b
-
-
-def build_spectral(a, b, params: MagParams, factors=None) -> SpectralSystem:
-    """The map in the basis of A's full SVD (`singular_basis`)."""
-    u, s, vh, b_t = singular_basis(a, b, factors)
-    return SpectralSystem(sigma=s, u=u, vh=vh, b_t=b_t, params=params)
+    return SpectralSystem(sigma=s, u=u, vh=vh, b_t=u.conj().T @ b, params=params)
 
 
 def i_minus_h_singular_values(p: MagParams, sigma) -> np.ndarray:

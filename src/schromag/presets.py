@@ -1,8 +1,8 @@
 """Catalogue of figure presets: PDE problems plus solver configuration.
 
 Each entry reproduces the data behind one benchmark panel.  Solver
-settings (delta, auxiliary-grid size, damped coupling) live here so a
-preset run is fully determined by its name.
+settings (delta, auxiliary-grid size) live here so a preset run is fully
+determined by its name.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from .pde import MIXED, ROBIN, ZERO, PdeProblem, make_problem
 class SolverConfig:
     delta: float = 1e-3
     n_p: int = 2048
-    gamma: float | None = None  # damped coupling; default derived from sigma_min
-    bounds_safety: float = 1.0  # widen exact singular-value bounds by this factor
-    recovery: str = "integral"
-    notes: str = ""
 
 
 # family, n, k, forcing, boundary, solver overrides

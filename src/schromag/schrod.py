@@ -85,6 +85,11 @@ def default_forcing_scale(params: mag_mod.MagParams) -> float:
     return 0.1 * min(params.alpha * params.mu_hat, 1.0 - params.beta)
 
 
+def _check_forcing_scale(gamma_f: float) -> None:
+    if not (math.isfinite(gamma_f) and gamma_f > 0.0):
+        raise InputError(f"gamma_f must be finite and positive, got {gamma_f}")
+
+
 @dataclass(frozen=True)
 class HomogenizedSystem:
     h_homo: np.ndarray
@@ -107,8 +112,7 @@ def homogenize(generator, drive, gamma_f: float, w0=None) -> HomogenizedSystem:
     m = generator.shape[0]
     if drive.shape[0] != m:
         raise ValueError("drive dimension mismatch")
-    if not (gamma_f > 0.0):
-        raise ValueError("gamma_f must be positive")
+    _check_forcing_scale(gamma_f)
     if w0 is None:
         w0 = np.zeros(m, dtype=np.complex128)
     w0 = as_cvector(w0)
@@ -420,7 +424,9 @@ def sigma_groups(sigma: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.nd
 def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSystem:
     """The homogenized pair blocks of the momentum map `spec`
     (`mag.build_spectral`), in its singular basis.  Raises
-    SingularMatrixError where its steady state does not exist."""
+    SingularMatrixError where its steady state does not exist, InputError
+    unless gamma_f is finite and positive."""
+    _check_forcing_scale(gamma_f)
     p, s, n = spec.params, spec.sigma, spec.n
     w_inf = spec.steady_state()
     forcing = p.alpha * s * spec.b_t / gamma_f
@@ -579,45 +585,27 @@ class PipelineReport:
     p_diamond: float
     k_star: int
     recovery_method: str
-    residual_vs_oracle: float
     gamma_f: float
     live_pairs: int  # singular pairs with nonzero forcing
     sigma_groups: int  # distinct singular values among them
     evolved_groups: int  # the groups above the rounding floor, each evolved once
     pruned_weight: float  # weight of the other groups, over the solution scale
 
-    def as_dict(self) -> dict:
-        return {
-            "t_end": self.t_end,
-            "n_p": self.n_p,
-            "p_left": self.p_left,
-            "p_right": self.p_right,
-            "p_diamond": self.p_diamond,
-            "k_star": self.k_star,
-            "recovery_method": self.recovery_method,
-            "residual_vs_oracle": self.residual_vs_oracle,
-            "gamma_f": self.gamma_f,
-            "live_pairs": self.live_pairs,
-            "sigma_groups": self.sigma_groups,
-            "evolved_groups": self.evolved_groups,
-            "pruned_weight": self.pruned_weight,
-        }
 
-
-def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
-             recovery: str = "integral", gamma_f: float | None = None,
-             snapshot_rows: int = 0, factors=None):
-    """End-to-end solve of A u = b through the Hamiltonian realization.
+def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
+             gamma_f: float | None = None, snapshot_rows: int = 0):
+    """End-to-end solve of A u = b through the Hamiltonian realization, in
+    the basis of the run's `spec` (`mag.build_spectral`).
 
     Evolves to t_end = kappa_hat * ln(1/delta), reads the field back out
-    past the threshold and unscales the first block by (1 - beta).  The
-    max-norm relative residual against `oracle`, the caller's reference
-    solution (`linalg.direct_solve`), lands in the report.  With
-    snapshot_rows > 0 it also returns (points, rows): the final warped
-    field on every (n_p // snapshot_rows)-th grid point, from the same
-    evolution pass.
+    past the threshold with the integral readout and unscales the first
+    block by (1 - beta).  Returns (u, report, snapshot): with
+    snapshot_rows > 0 the snapshot is (points, rows), the final warped
+    field on every (n_p // snapshot_rows)-th grid point from the same
+    evolution pass, else None.  Checking u against a reference solution
+    is left to the caller.
     """
-    spec = mag_mod.build_spectral(a, b, params, factors)
+    params = spec.params
     if gamma_f is None:
         gamma_f = default_forcing_scale(params)
     # kappa*ln(1/delta) leaves a residual ~delta at kappa=1 but ~delta^2
@@ -641,21 +629,14 @@ def pipeline(a, b, params: mag_mod.MagParams, delta: float, n_p: int, *, oracle,
     grid = build_grid_from_rate(rate, t_end, n_p, p_left, right_margin)
     p_diamond = max(rate * t_end, 0.0)
     advect = float(np.max(pairs.advection_speeds())) * t_end
-    weights, k_star = readout_weights(grid, p_diamond, recovery, advect)
+    weights, k_star = readout_weights(grid, p_diamond, "integral", advect)
     stride = max(1, n_p // snapshot_rows) if snapshot_rows > 0 else 0
     w_rec, rows = evolve_structured(pairs, grid, t_end, weights, stride)
-    u = mag_mod.solution_from_state(spec, w_rec)
-
-    residual = float(
-        np.max(np.abs(u - oracle)) / max(np.max(np.abs(oracle)), 1e-300)
-    )
     report = PipelineReport(
         t_end=t_end, n_p=n_p, p_left=grid.p_left, p_right=grid.p_right,
-        p_diamond=p_diamond, k_star=k_star, recovery_method=recovery,
-        residual_vs_oracle=residual, gamma_f=gamma_f, live_pairs=int(pairs.live.size),
-        sigma_groups=int(pairs.reps.size), evolved_groups=int(pairs.evolved.size),
-        pruned_weight=pairs.pruned_weight(),
+        p_diamond=p_diamond, k_star=k_star, recovery_method="integral", gamma_f=gamma_f,
+        live_pairs=int(pairs.live.size), sigma_groups=int(pairs.reps.size),
+        evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),
     )
-    if stride:
-        return u, report, (grid.points[::stride], rows)
-    return u, report
+    snapshot = (grid.points[::stride], rows) if stride else None
+    return mag_mod.solution_from_state(spec, w_rec), report, snapshot

@@ -147,8 +147,8 @@ def test_criterion_4_gradient_vs_mag_separation():
         sys = build_transformed(a, b, params)
         trace = mag_iterate(sys, np.zeros(8), delta, 100_000,
                             w_inf=steady_state(sys), keep_states=False)
-        flow = baselines.build_gradient_flow(a, b)
-        theory = baselines.evolution_time("gradient", (sig[0], sig[-1]), delta)
+        flow = baselines.build_gradient_flow(build_spectral(a, b, params))
+        theory = baselines.evolution_time("gradient", sig[0], delta)
         t_grad = _time_to_delta(flow, delta=delta, t_hi=theory)
         ratios.append(t_grad / trace.steps)
     elapsed = time.perf_counter() - t0
@@ -166,8 +166,9 @@ def test_criterion_5_fig1_reproduction():
     params = derive_params(cp.l_hat, cp.mu_hat)
     n = cp.a.shape[0]
 
-    mag_flow = baselines.build_mag_ode(build_spectral(cp.a, cp.b, params))
-    damp_flow = baselines.build_damped(cp.a, cp.b, cp.gamma)
+    spec = build_spectral(cp.a, cp.b, params)
+    mag_flow = baselines.build_mag_ode(spec)
+    damp_flow = baselines.build_damped(spec, cp.gamma)
 
     traj_m = baselines.integrate_flow(mag_flow, np.zeros(2 * n), cp.t_end, cp.samples)
     traj_d = baselines.integrate_flow(damp_flow, np.zeros(2 * n), cp.t_end, cp.samples)
@@ -207,7 +208,7 @@ def test_criterion_6_fig2_reproduction():
     cp = compare_preset("fig2")
     oracle = direct_solve(LinearSystem(cp.a, cp.b))
     params = derive_params(cp.l_hat, cp.mu_hat)
-    sig = (math.sqrt(cp.mu_hat), math.sqrt(cp.l_hat))
+    sigma_min = math.sqrt(cp.mu_hat)
     rows = []
     for delta in cp.deltas:
         tsys = build_transformed(cp.a, cp.b, params)
@@ -219,8 +220,8 @@ def test_criterion_6_fig2_reproduction():
             w_inf=w_inf, keep_states=False,
         )
         u_mag = solution_from_state(tsys, trace.w_final)
-        flow = baselines.build_damped(cp.a, cp.b, cp.gamma, cp.factors)
-        t_end = baselines.evolution_time("damped", sig, delta)
+        flow = baselines.build_damped(build_spectral(cp.a, cp.b, params, cp.factors), cp.gamma)
+        t_end = baselines.evolution_time("damped", sigma_min, delta)
         traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 16)
         u_damp = traj[-1][1][: cp.a.shape[0]]
         scale = np.linalg.norm(oracle)
@@ -287,7 +288,7 @@ def test_criterion_8_figure_presets():
         oracle = direct_solve(system)
         scale = float(np.max(np.abs(oracle)))
         tol = max(solver.delta, 1e-2)
-        params = params_from_matrix(system.a, safety=solver.bounds_safety)
+        params = params_from_matrix(system.a)
 
         tsys = build_transformed(system.a, system.b, params)
         w_inf = steady_state(tsys)
@@ -299,8 +300,8 @@ def test_criterion_8_figure_presets():
         )
         e_mag = float(np.max(np.abs(solution_from_state(tsys, trace.w_final) - oracle)) / scale)
 
-        u_s, rep = pipeline(system.a, system.b, params, solver.delta, solver.n_p,
-                            oracle=oracle)
+        u_s, _, _ = pipeline(build_spectral(system.a, system.b, params), solver.delta,
+                             solver.n_p)
         e_schro = float(np.max(np.abs(u_s - oracle)) / scale)
 
         good = e_mag <= tol and e_schro <= tol

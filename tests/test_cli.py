@@ -52,6 +52,10 @@ class TestSolve:
         assert np.allclose(u, [0.1, 10.0], rtol=1e-2, atol=1e-3)
         report = json.loads((out / "pipeline.json").read_text())
         assert "residual_vs_oracle" in report
+        # the one residual of the run lands in both reports
+        payload = json.loads((out / "solve.json").read_text())
+        assert report["residual_vs_oracle"] == payload["residual_vs_oracle"]
+        assert payload["report"] == report
 
     def test_mag_trace_has_relative_column(self, diag_problem):
         out = diag_problem / "out_rel"
@@ -92,6 +96,23 @@ class TestSolve:
             "--out", str(tmp_path),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("bad", ["matrix", "rhs"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_file_entry_is_usage_error(self, diag_problem, capsys, command, bad,
+                                                  value):
+        # rejected on reading, with the file and line, before any SVD
+        (diag_problem / "a_bad.coo").write_text(f"2 2 2\n0 0 10.0 0.0\n1 1 {value} 0.0\n")
+        (diag_problem / "b_bad.vec").write_text(f"1.0 0.0\n\n1.0 {value}\n")
+        matrix = diag_problem / ("a_bad.coo" if bad == "matrix" else "a.coo")
+        rhs = diag_problem / ("b_bad.vec" if bad == "rhs" else "b.vec")
+        rc = main([command, "--matrix", str(matrix), "--rhs", str(rhs),
+                   "--out", str(diag_problem / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{matrix if bad == 'matrix' else rhs}: line 3: non-finite entry" in err
 
     @pytest.mark.parametrize("header", ["3000000 3000000 1", "0 2 1", "-2 2 1"])
     def test_out_of_range_matrix_size_is_usage_error(self, tmp_path, header):
@@ -190,6 +211,50 @@ class TestFactorizationCounts:
                                           "--out", str(tmp_path)], dtypes)
         assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
         assert dtypes == [dtype]
+
+    @staticmethod
+    def _spectral_builds(monkeypatch, argv) -> int:
+        """Calls of mag.build_spectral, the one code that turns (A, b) into
+        the singular basis, during one command."""
+        calls = []
+        build = mag.build_spectral
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(mag, "build_spectral", counting)
+        assert main(argv) == 0
+        return len(calls)
+
+    @pytest.mark.parametrize("argv", [
+        *(["solve", "--preset", "fig3a", "--method", m]
+          for m in ("mag", "gradient", "damped", "schro")),
+        ["pde", "--preset", "fig3a", "--method", "mag"],
+        ["pde", "--preset", "fig3a", "--method", "schro"],
+        ["schro", "--preset", "fig3a"],
+        ["compare", "--preset", "fig1"],
+        ["compare", "--preset", "fig2"],
+        ["compare", "--matrix", "a.coo", "--rhs", "b.vec"],
+    ])
+    def test_one_spectral_system(self, diag_problem, monkeypatch, argv):
+        argv = [str(diag_problem / x) if x.endswith((".coo", ".vec")) else x for x in argv]
+        builds = self._spectral_builds(monkeypatch, argv + ["--out", str(diag_problem / "o")])
+        assert builds == 1
+
+    def test_complexity_builds_no_spectral_system(self, tmp_path, monkeypatch):
+        # the cost table reads singular values only: no parameters, no solve
+        argv = ["complexity", "--preset", "fig3a", "--out", str(tmp_path)]
+        assert self._spectral_builds(monkeypatch, argv) == 0
+        calls = self._count(monkeypatch, argv)
+        n = pde_preset("fig3a")[0].system.a.shape[0]
+        assert calls == Counter({("svd", (n, n)): 1})
+
+    def test_compare_files_one_svd(self, diag_problem, monkeypatch):
+        calls = self._count(monkeypatch, ["compare", "--matrix", str(diag_problem / "a.coo"),
+                                          "--rhs", str(diag_problem / "b.vec"),
+                                          "--out", str(diag_problem / "o")])
+        assert calls == Counter({("svd", (2, 2)): 1})
 
     @pytest.mark.parametrize("argv", [["pde", "--preset", "fig4a", "--method", "schro"],
                                       ["solve", "--preset", "fig4a", "--method", "schro"],
@@ -372,6 +437,20 @@ class TestComplexityCmd:
     def test_requires_source(self, tmp_path):
         assert main(["complexity", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("sources, message", [
+        (["--matrix", "a.coo"], "error: --matrix requires --rhs"),
+        (["--preset", "fig3a", "--matrix", "a.coo", "--rhs", "b.vec"],
+         "error: exactly one problem source"),
+    ])
+    def test_sources_validated(self, diag_problem, capsys, sources, message):
+        sources = [str(diag_problem / x) if x.endswith((".coo", ".vec")) else x
+                   for x in sources]
+        rc = main(["complexity", *sources, "--out", str(diag_problem / "cx")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (diag_problem / "cx").exists()
+
 
 class TestConfigPrecedence:
     def test_flags_beat_config(self, diag_problem):
@@ -413,6 +492,17 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps(values))
         out = diag_problem / "typed"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+class TestForcingScale:
+    @pytest.mark.parametrize("command", [["schro"], ["solve", "--method", "schro"],
+                                         ["pde", "--method", "schro"]])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_gammaf_is_usage_error(self, tmp_path, capsys, command, value):
+        rc = main([*command, "--preset", "fig3a", "--gammaf", value, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: gamma_f must be finite and positive, got {float(value)}\n"
 
 
 class TestExitCodeOne:

@@ -439,7 +439,7 @@ class TestPairBasis:
     def test_presets(self, name):
         problem, solver = pde_preset(name)
         a, b = problem.system.a, problem.system.b
-        p = params_from_matrix(a, solver.bounds_safety)
+        p = params_from_matrix(a)
         # the Robin runs fig3e/fig3f (5734/3936 steps) differ by 1.05e-12 /
         # 1.27e-12, the size of the dense path's own rounding there: against
         # the same iteration in long double it is off by 8.5e-13 / 8.3e-13

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,11 @@ from schromag.schrod import (
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
 DIAG_ORACLE = np.array([0.1, 10.0], dtype=complex)  # DIAG_A^{-1} DIAG_B
+
+
+def _residual(u, oracle):
+    """Max-norm error of u relative to the oracle, as the CLI reports it."""
+    return float(np.max(np.abs(u - oracle)) / np.max(np.abs(oracle)))
 
 
 def _pairs(sys, gamma_f):
@@ -607,7 +613,7 @@ def _preset_pairs(name, b=None):
     problem, solver = pde_preset(name)
     a = problem.system.a
     factors = full_svd(a)
-    params = params_from_sigma(factors[1], safety=solver.bounds_safety)
+    params = params_from_sigma(factors[1])
     spec = build_spectral(a, problem.system.b if b is None else b, params, factors)
     return build_pair_system(spec, default_forcing_scale(params))
 
@@ -678,11 +684,10 @@ class TestPruning:
             a = q1 @ np.diag(sig) @ q2.conj().T
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
             p = derive_params(9.0, 0.64)
-            oracle = np.linalg.solve(a, b)
-            runs = [pipeline(a, b, p, 1e-2, 1024, oracle=oracle, factors=f)
+            runs = [pipeline(build_spectral(a, b, p, f), 1e-2, 1024)
                     for f in ((q1, sig, q2.conj().T),
                               (q1 @ rot, sig, rot.conj().T @ q2.conj().T))]
-            (u1, r1), (u2, r2) = runs
+            (u1, r1, _), (u2, r2, _) = runs
             assert (r1.p_left, r1.k_star) == (r2.p_left, r2.k_star)
             assert r1.p_right == pytest.approx(r2.p_right, rel=1e-14, abs=0.0)
             assert np.max(np.abs(u1 - u2)) <= 1e-12 * np.max(np.abs(u1))
@@ -697,13 +702,10 @@ class TestPruning:
         problem, solver = pde_preset("fig4a")
         a, b = problem.system.a, problem.system.b
         factors = full_svd(a)
-        params = params_from_sigma(factors[1], safety=solver.bounds_safety)
-        oracle = direct_solve(problem.system, factors[1])
+        spec = build_spectral(a, b, params_from_sigma(factors[1]), factors)
         tracemalloc.start()
         try:
-            _, report, (_, rows) = pipeline(a, b, params, solver.delta, 16384, oracle=oracle,
-                                            recovery=solver.recovery, snapshot_rows=1024,
-                                            factors=factors)
+            _, report, (_, rows) = pipeline(spec, solver.delta, 16384, snapshot_rows=1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -714,24 +716,26 @@ class TestPruning:
 class TestPipeline:
     def test_identity_one_step(self):
         p = derive_params(1.0, 1.0)
-        u, report = pipeline(np.eye(1), np.array([1.0 + 0j]), p, 0.1, 128,
-                             oracle=np.array([1.0 + 0j]))
+        u, _, snapshot = pipeline(build_spectral(np.eye(1), np.array([1.0 + 0j]), p), 0.1, 128)
+        assert snapshot is None
         assert u[0] == pytest.approx(1.0, abs=1e-2)
-        assert report.residual_vs_oracle < 1e-2
+        assert _residual(u, np.array([1.0 + 0j])) < 1e-2
 
     def test_diag_documented_accuracy(self):
         p = derive_params(100.0, 0.01)
-        u, report = pipeline(DIAG_A, DIAG_B, p, 1e-3, 32768, oracle=DIAG_ORACLE)
+        u, _, _ = pipeline(build_spectral(DIAG_A, DIAG_B, p), 1e-3, 32768)
         assert np.max(np.abs(u - [0.1, 10.0])) / 10.0 < 2e-3
-        assert report.residual_vs_oracle < 2e-3
+        assert _residual(u, DIAG_ORACLE) < 2e-3
 
     def test_report_fields(self):
         p = derive_params(100.0, 0.01)
-        _, report = pipeline(DIAG_A, DIAG_B, p, 1e-2, 16384, oracle=DIAG_ORACLE)
-        d = report.as_dict()
+        _, report, _ = pipeline(build_spectral(DIAG_A, DIAG_B, p), 1e-2, 16384)
+        d = asdict(report)
         for key in ("t_end", "n_p", "p_left", "p_right", "p_diamond",
-                    "k_star", "recovery_method", "residual_vs_oracle"):
+                    "k_star", "recovery_method"):
             assert key in d
+        # checking against a reference solution is the caller's business
+        assert "residual_vs_oracle" not in d
         assert (d["live_pairs"], d["sigma_groups"]) == (2, 2)
 
     def test_fig6a_groups_repeated_singular_values(self):
@@ -741,14 +745,13 @@ class TestPipeline:
 
         problem, solver = pde_preset("fig6a")
         factors = np.linalg.svd(problem.system.a)
-        params = params_from_sigma(factors[1], safety=solver.bounds_safety)
+        params = params_from_sigma(factors[1])
         oracle = direct_solve(problem.system, factors[1])
-        u, report = pipeline(problem.system.a, problem.system.b, params, solver.delta,
-                             solver.n_p, oracle=oracle, recovery=solver.recovery,
-                             factors=factors)
-        d = report.as_dict()
+        u, report, _ = pipeline(build_spectral(problem.system.a, problem.system.b, params,
+                                               factors), solver.delta, solver.n_p)
+        d = asdict(report)
         assert (d["live_pairs"], d["sigma_groups"]) == (510, 258)
-        assert d["residual_vs_oracle"] < max(solver.delta, 1e-2)
+        assert _residual(u, oracle) < max(solver.delta, 1e-2)
 
     def test_matches_iteration_terminal_state(self):
         # cross-method check on the small zero-boundary Helmholtz preset
@@ -767,7 +770,7 @@ class TestPipeline:
         from schromag.mag import solution_from_state
 
         u_iter = solution_from_state(sys, trace.w_final)
-        u_pipe, _ = pipeline(a, b, params, 1e-3, solver.n_p, oracle=u_iter)
+        u_pipe, _, _ = pipeline(build_spectral(a, b, params), 1e-3, solver.n_p)
         scale = np.max(np.abs(u_iter))
         assert np.max(np.abs(u_pipe - u_iter)) / scale < 1e-2
 
@@ -779,16 +782,15 @@ class TestPipeline:
 
         problem, solver = pde_preset("fig4a")
         a, b = problem.system.a, problem.system.b
-        params = params_from_matrix(a, safety=solver.bounds_safety)
+        spec = build_spectral(a, b, params_from_matrix(a))
         oracle = direct_solve(problem.system)
         tracemalloc.start()
         try:
-            _, report = pipeline(a, b, params, solver.delta, solver.n_p, oracle=oracle,
-                                 recovery=solver.recovery)
+            u, _, _ = pipeline(spec, solver.delta, solver.n_p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.residual_vs_oracle < max(solver.delta, 1e-2)
+        assert _residual(u, oracle) < max(solver.delta, 1e-2)
         assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
     def test_consistency_with_ode_oracle(self):
