@@ -20,10 +20,23 @@ import numpy as np
 
 from . import baselines, blockenc, complexity, io, mag, schrod
 from .errors import InputError, NumericsError
-from .linalg import LinearSystem, direct_solve, full_svd
+from .linalg import LinearSystem, direct_solve, full_svd, singular_values
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
+
+# options beyond --out, --seed and --config; `_options_read` says which a run reads
+_BOUNDS = ("alpha", "beta", "l_hat", "mu_hat")
+_SOURCES = ("preset", "matrix", "rhs")
+_OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS, "gamma", "gammaf", "fmt")
+# the options each method of solve/pde reads beyond its source, --method and --delta
+_METHOD_OPTIONS = {"mag": _BOUNDS, "gradient": (), "damped": ("gamma",),
+                   "schro": (*_BOUNDS, "n_p", "gammaf")}
+_FLAGS = {"n_p": "--np", "l_hat": "--lhat", "mu_hat": "--muhat", "fmt": "--format"}
+
+
+def _flag(name: str) -> str:
+    return _FLAGS.get(name, f"--{name}")
 
 
 @dataclass
@@ -43,7 +56,7 @@ class RunConfig:
     mu_hat: float | None = None
     out: str = "."
     seed: int = 0
-    fmt: str = "csv"
+    fmt: str | None = None  # complexity writes csv unless json is asked for
 
     def validate(self):
         sources = sum(x is not None for x in (self.preset, self.matrix))
@@ -53,15 +66,47 @@ class RunConfig:
             raise InputError("--matrix requires --rhs")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise InputError("--delta must be in (0, 1)")
+        if self.method not in (None, *_METHOD_OPTIONS):
+            raise InputError(f"unknown method {self.method!r}")
         if self.n_p is not None and (self.n_p < 8 or (self.n_p & (self.n_p - 1)) != 0):
             raise InputError("--np must be a power of two >= 8")
-        if self.fmt not in ("csv", "json"):
+        if self.fmt not in (None, "csv", "json"):
             raise InputError("--format must be csv or json")
+        for first, second in (("alpha", "beta"), ("l_hat", "mu_hat")):
+            if (getattr(self, first) is None) != (getattr(self, second) is None):
+                raise InputError(f"{_flag(first)} and {_flag(second)} go together")
+        if self.alpha is not None and self.l_hat is not None:
+            raise InputError("give --alpha/--beta or --lhat/--muhat, not both")
+
+    def check_options_read(self):
+        """InputError naming the first option given that the run ignores."""
+        read = _options_read(self)
+        for name in _OPTIONS:
+            if getattr(self, name) is not None and name not in read:
+                run = self.command
+                if run in ("solve", "pde"):
+                    run += f" --method {self.method or 'mag'}"
+                elif run == "compare":
+                    run += f" --preset {self.preset}" if self.preset else " --matrix"
+                raise InputError(f"{run} does not read {_flag(name)}")
+
+
+def _options_read(cfg: RunConfig) -> tuple:
+    """The options of _OPTIONS that the run `cfg` reads."""
+    if cfg.command in ("solve", "pde"):
+        return (*_SOURCES, "method", "delta", *_METHOD_OPTIONS[cfg.method or "mag"])
+    if cfg.command == "schro":
+        return (*_SOURCES, "delta", "n_p", *_BOUNDS, "gammaf")
+    if cfg.command == "compare":
+        # the presets carry their own bounds, gamma and horizon
+        return _SOURCES if cfg.preset else (*_SOURCES, "delta", "gamma", *_BOUNDS)
+    if cfg.command == "complexity":
+        return (*_SOURCES, "delta", "n_p", "fmt")
+    return ()  # blockenc-verify reads --seed alone
 
 
 def _load_system(cfg: RunConfig):
-    """Problem, the effective (delta, n_p) and the full SVD (u, s, vh) of A:
-    the invocation's one factorization of A."""
+    """Problem and the effective (delta, n_p)."""
     if cfg.preset is not None:
         problem, solver = pde_preset(cfg.preset)
         system = problem.system
@@ -71,15 +116,17 @@ def _load_system(cfg: RunConfig):
         system, problem, solver = LinearSystem(a, b), None, SolverConfig()
     delta = cfg.delta if cfg.delta is not None else solver.delta
     n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    return system, problem, delta, n_p, full_svd(system.a)
+    return system, problem, delta, n_p
 
 
 def _setup(cfg: RunConfig, loaded):
     """(system, problem, delta, n_p, spec, oracle) of a solving command from
-    its `_load_system`: the run's one `mag.SpectralSystem`, which carries
-    the bounds, the guards' singular values and the basis of every method,
-    and the direct solve that outputs are checked against."""
-    system, problem, delta, n_p, factors = loaded
+    its `_load_system`: the run's one `mag.SpectralSystem`, built from the
+    invocation's one full SVD of A, which carries the bounds, the guards'
+    singular values and the basis of every method, and the direct solve
+    that outputs are checked against."""
+    system, problem, delta, n_p = loaded
+    factors = full_svd(system.a)
     params = _params_for(cfg, factors[1])
     spec = mag.build_spectral(system.a, system.b, params, factors)
     return system, problem, delta, n_p, spec, direct_solve(system, spec.sigma)
@@ -132,11 +179,9 @@ def _solve_with_method(cfg: RunConfig, spec: mag.SpectralSystem, delta: float, n
         flow = baselines.build_damped(spec, gamma)
         t_end = baselines.evolution_time("damped", sigma_min, delta)
         u, artifacts = _flow_end(flow, t_end)[: spec.n], {"t_end": t_end, "gamma": gamma}
-    elif method == "schro":
+    else:  # schro; RunConfig.validate rejects any other method
         u, report, _ = schrod.pipeline(spec, delta, n_p, gamma_f=cfg.gammaf)
         artifacts = {"report": asdict(report)}
-    else:
-        raise InputError(f"unknown method {method!r}")
     rel = _residual(u, oracle)
     if "report" in artifacts:
         artifacts["report"]["residual_vs_oracle"] = rel
@@ -181,7 +226,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         a = io.read_matrix_coo(cfg.matrix)
         b = io.read_vector(cfg.rhs)
         factors = full_svd(a)
-        spec = mag.build_spectral(a, b, mag.params_from_sigma(factors[1]), factors)
+        spec = mag.build_spectral(a, b, _params_for(cfg, factors[1]), factors)
         sigma_min = float(spec.sigma[-1])
         gamma = cfg.gamma if cfg.gamma is not None else 1.9 * sigma_min
         t_end = baselines.evolution_time("damped", sigma_min, cfg.delta or 1e-3)
@@ -341,8 +386,9 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
 
 def cmd_complexity(cfg: RunConfig) -> int:
-    system, _, delta, n_p, (_, s_vals, _) = _load_system(cfg)
+    system, _, delta, n_p = _load_system(cfg)
     a = system.a
+    s_vals = singular_values(a)
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),
         sigma_min=float(s_vals[-1]),
@@ -354,7 +400,7 @@ def cmd_complexity(cfg: RunConfig) -> int:
         n=a.shape[0],
     )
     rows = complexity.comparison_rows(summary)
-    if cfg.fmt == "csv":
+    if cfg.fmt != "json":
         complexity.write_comparison_csv(os.path.join(cfg.out, "complexity.csv"), rows)
     else:
         io.write_json(
@@ -443,6 +489,7 @@ def main(argv=None) -> int:
         cfg = merge_config(args)
         if cfg.command != "blockenc-verify":
             cfg.validate()
+        cfg.check_options_read()
         os.makedirs(cfg.out, exist_ok=True)
         return _COMMANDS[cfg.command](cfg)
     except ValueError as exc:  # InputError included

@@ -3,9 +3,10 @@
 Everything downstream works on validated complex128 arrays: matrices are
 2-d row-major, vectors 1-d.  Real input is embedded with zero imaginary
 part so a single code path serves both the real and the Robin-boundary
-(genuinely complex) problems; only `full_svd` factors a real matrix in
-real arithmetic.  Storage is dense throughout; sparsity only
-ever enters as a nonzeros-per-row count for the cost estimators.
+(genuinely complex) problems; only `full_svd` and `singular_values`
+factor a real matrix in real arithmetic.  Storage is dense throughout;
+sparsity only ever enters as a nonzeros-per-row count for the cost
+estimators.
 """
 
 from __future__ import annotations
@@ -120,10 +121,20 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_cmatrix(a), compute_uv=False)
 
 
+def _real_if_real(a):
+    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
+
+
 def full_svd(a) -> tuple:
     """The full SVD (u, s, vh) of the array a; with a zero imaginary part it
     is factored in real arithmetic, about twice as fast, into real u, vh."""
-    return np.linalg.svd(a.real if np.iscomplexobj(a) and not np.any(a.imag) else a)
+    return np.linalg.svd(_real_if_real(a))
+
+
+def singular_values(a) -> np.ndarray:
+    """The singular values of a, descending, without computing u and vh;
+    real arithmetic as in `full_svd`."""
+    return np.linalg.svd(_real_if_real(a), compute_uv=False)
 
 
 def condition_check(sigma) -> tuple[float, float]:

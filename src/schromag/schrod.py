@@ -2,9 +2,16 @@
 
 Route: one-step map -> continuous ODE dw/dt = (H - I) w + F -> homogenized
 block system -> Hermitian/anti-Hermitian split -> auxiliary dimension p
-carrying the envelope e^{-|p|} -> Fourier modes, each evolving under its
-own Hermitian generator -> readout of e^{p} times the field beyond the
+carrying the envelope psi(p) (`envelope`: e^{-p} for p >= 0, a C^2
+extension for p < 0) -> Fourier modes, each evolving under its own
+Hermitian generator -> readout of e^{p} times the field beyond the
 threshold p_diamond.
+
+The readout only looks at p > p_diamond >= 0, so the initial profile has
+to equal e^{-p} only there; on p < 0 it is free.  The kink of e^{-|p|}
+at 0 would leave Fourier coefficients that decay like theta^{-2}; the C^2
+extension makes them decay like theta^{-4}, and the integral readout is
+normalized on the grid, so the pure profile reads back exactly.
 
 Mode ell evolves by exp(-1j*(theta_ell*h1 - h2)*t).  The sign is pinned
 by two identities that the tests enforce: at t=0 the readout returns the
@@ -69,6 +76,39 @@ _CHUNK_ENTRIES = 1 << 20
 # gap, relative to sigma_max, below which two singular values are evolved as
 # one; every figure preset groups the same for any value in [1e-14, 1e-10]
 SIGMA_GROUP_RTOL = 1e-12
+
+
+def envelope(points) -> np.ndarray:
+    """The warped-phase initial profile psi(p): e^{-p} for p >= 0 and
+    e^{p} (1 - 2p + 2p^2) for p < 0, which matches its value, slope and
+    curvature at 0."""
+    p = np.asarray(points, dtype=float)
+    # np.where evaluates both branches: clamp each to its own side
+    left = np.minimum(p, 0.0)
+    return np.where(p >= 0.0, np.exp(-np.maximum(p, 0.0)),
+                    np.exp(left) * (1.0 + 2.0 * left * (left - 1.0)))
+
+
+# psi'(p) = e^{p} (2p^2 + 2p - 1) vanishes on p < 0 at -(1 + sqrt 3)/2
+ENVELOPE_MAX = float(envelope(-(1.0 + math.sqrt(3.0)) / 2.0))  # about 1.904
+
+
+def envelope_tail(tail_tol: float) -> float:
+    """The L > 0 with psi(-L) = tail_tol, left of the envelope's maximum
+    (L = 16.34 for the default e^{-10})."""
+    if not (0.0 < tail_tol < 1.0):
+        raise InputError("tail_tol must be in (0,1)")
+    # Newton on the increasing, convex L - ln(1 + 2L + 2L^2) = ln(1/tail_tol),
+    # from a start left of the root (psi(-2) > 1), so it never overshoots left
+    target = -math.log(tail_tol)
+    length = max(target, 2.0)
+    for _ in range(100):
+        quad = 1.0 + 2.0 * length * (length + 1.0)
+        step = (length - math.log(quad) - target) / (1.0 - (2.0 + 4.0 * length) / quad)
+        length -= step
+        if abs(step) <= 1e-15 * length:
+            break
+    return length
 
 
 def to_ode(sys: mag_mod.TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -176,12 +216,16 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float | No
                          tail_tol: float = DEFAULT_TAIL_TOL) -> PGrid:
     """Uniform periodic grid on [p_left, p_right), rate = lambda_max(h1).
 
-    p_left = ln(tail_tol) unless given explicitly (long evolutions need a
-    runway far beyond what the envelope tail alone would suggest);
-    p_right sits at least a fixed margin beyond the readout threshold
-    max(rate * t_end, 0).  Large state components want a larger right
-    margin: the envelope must decay below noise at the periodic seam, or
-    the jump there radiates into the readout zone.
+    p_left = ln(tail_tol) unless given explicitly: the short domain of
+    the dense reference runs, where psi(p_left) is (1 + 2L + 2L^2)
+    tail_tol for L = -p_left (221 tail_tol at the default).  `pipeline`
+    passes p_left = -(runway + envelope_tail(tail_tol)), past which psi
+    is below tail_tol (long evolutions need a runway far beyond what the
+    envelope tail alone would suggest).  p_right sits at least a fixed
+    margin beyond the readout threshold max(rate * t_end, 0).  Large
+    state components want a larger right margin: the envelope must decay
+    below noise at the periodic seam, or the jump there radiates into the
+    readout zone.
     """
     if t_end < 0:
         raise ValueError("t must be nonnegative")
@@ -223,7 +267,7 @@ class SchrodState:
 
 
 def warped_initial_field(grid: PGrid, w0_homo: np.ndarray) -> np.ndarray:
-    return np.exp(-np.abs(grid.points))[:, None] * w0_homo[None, :]
+    return envelope(grid.points)[:, None] * w0_homo[None, :]
 
 
 def evolve(hs: HermitianSplit, grid: PGrid, w0_homo, t: float) -> SchrodState:
@@ -274,8 +318,8 @@ def readout_weights(grid: PGrid, p_diamond: float, method: str, advect: float = 
 
     "single-point" puts e^{p_k*} on the first admissible point k*.
     "integral" is the trapezoid rule for e^{p*} int_{p*}^{P} field dq,
-    normalized so the pure e^{-q} profile is reproduced exactly in the
-    continuum limit.  Returns (w, k*).
+    normalized on the grid, sum_k w[k] e^{-p_k} = 1, so the pure e^{-q}
+    profile is read back exactly.  Returns (w, k*).
     """
     k_star = recovery_index(grid, p_diamond, margin)
     w = np.zeros(grid.n_p)
@@ -293,11 +337,10 @@ def readout_weights(grid: PGrid, p_diamond: float, method: str, advect: float = 
             floor = grid.points[k_star] + 0.25 * (grid.points[-1] - grid.points[k_star])
             k_end = int(np.searchsorted(grid.points, max(cap, floor))) - 1
             k_end = max(k_end, k_star + 1)
-        p_star, p_end = grid.points[k_star], grid.points[k_end]
-        scale = math.exp(p_star) / (1.0 - math.exp(-(p_end - p_star)))
-        w[k_star : k_end + 1] = scale * grid.dp
-        w[k_star] *= 0.5
-        w[k_end] *= 0.5
+        window = slice(k_star, k_end + 1)
+        w[window] = 1.0
+        w[k_star] = w[k_end] = 0.5
+        w[window] /= w[window] @ np.exp(-grid.points[window])
         return w, k_star
     raise ValueError(f"unknown recovery method {method!r}")
 
@@ -447,7 +490,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
                       stride: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
     """Stream the pair-space Fourier modes at time t through the readout.
 
-    Mode l of pair j is forcing_j e_l col_l(sigma_j), with e = fft(e^{-|p|})
+    Mode l of pair j is forcing_j e_l col_l(sigma_j), with e = fft(envelope)
     and col the unit-forcing column of `_apply_pair_modes`, evaluated once
     per evolved group of equal singular values.  In the pair basis h1 is
     real and h2 imaginary, so mode -l is the conjugate of mode l: modes
@@ -461,9 +504,9 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     (m, 4n) rows field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None).
     """
     n_p, half, n = grid.n_p, grid.n_p // 2, pairs.sigma.size
-    envelope = np.fft.fft(np.exp(-np.abs(grid.points)))[: half + 1]
-    envelope[1:half] *= 2.0
-    coef = np.fft.ifft(np.asarray(weights, dtype=float))[: half + 1] * envelope
+    env = np.fft.fft(envelope(grid.points))[: half + 1]
+    env[1:half] *= 2.0
+    coef = np.fft.ifft(np.asarray(weights, dtype=float))[: half + 1] * env
     m = n_p // stride if stride else 0
     slots = 4 if m else 2
     reps = pairs.reps[pairs.evolved]
@@ -478,7 +521,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
         if m:
             width = min(hi - lo, m)
             r = lo % m
-            modes *= envelope[lo:hi, None, None]
+            modes *= env[lo:hi, None, None]
             folded[r : r + width] += modes.reshape(-1, width, reps.size, 4).sum(axis=0)
     nyquist = _apply_pair_modes(pairs, reps, grid.thetas[half : half + 1], t, slots)[0]
     forcing = np.zeros((pairs.reps.size, n), dtype=np.complex128)
@@ -491,7 +534,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
         # the Nyquist mode's phase at p_{j*stride} is (-1)^(j*stride)
         sign = (-1.0) ** (stride * np.arange(m))[:, None, None]
         rows_group = (np.fft.ifft(folded, axis=0).real * (m / n_p)
-                      + sign * (envelope[half] / n_p) * nyquist)
+                      + sign * (env[half] / n_p) * nyquist)
         rows = np.empty((m, 4, n), dtype=np.complex128)
         for k in range(4):  # slots (0, 1) and (2, 3) are each a state [V x; U y]
             np.matmul(rows_group[:, :, k], basis[:, k % 2], out=rows[:, k])
@@ -557,12 +600,13 @@ def required_runway(pairs: PairSystem, t_end: float,
     """Leftward travel of the weight-carrying spectral content over t_end.
 
     Content that wraps around the periodic domain resurfaces at the
-    readout point at full amplitude, so the domain must outrun it.  The
-    fastest evolved groups are exempted greedily while their total
-    `group_weights` stays below `budget` of the solution scale; smooth
+    readout point at full amplitude, so the domain must outrun it.  A
+    group carries its `group_weights` times ENVELOPE_MAX, the envelope's
+    peak on p < 0.  The fastest evolved groups are exempted greedily while
+    their total stays below `budget` of the solution scale; smooth
     forcings excite only slow pairs and get runways of a few ln(1/delta).
     """
-    weights = pairs.group_weights()[pairs.evolved]
+    weights = pairs.group_weights()[pairs.evolved] * ENVELOPE_MAX
     if weights.size == 0 or float(np.sum(weights)) == 0.0:
         return 0.0
     allowance = budget * max(pairs.solution_scale(), 1e-300)
@@ -616,7 +660,7 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
 
     pairs = build_pair_system(spec, gamma_f)
     runway = required_runway(pairs, t_end)
-    p_left = -(runway + math.log(1.0 / DEFAULT_TAIL_TOL))
+    p_left = -(runway + envelope_tail(DEFAULT_TAIL_TOL))
     # decay the envelope below noise at the periodic seam: the largest
     # state component (usually the forcing block at scale ||F||/gamma_f)
     # must fall to ~1e-10 of the solution scale by p_right (per sigma group)

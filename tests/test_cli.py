@@ -137,9 +137,10 @@ class TestFactorizationCounts:
     no path builds the dense 2n x 2n H."""
 
     @staticmethod
-    def _count(monkeypatch, argv, dtypes=None):
+    def _count(monkeypatch, argv, dtypes=None, uv=None):
         """Kernel calls by (name, shape); the dtype of each svd argument
-        goes to `dtypes` when a list is given."""
+        goes to `dtypes`, and whether it computes U and V to `uv`, when a
+        list is given."""
         calls = Counter()
 
         def no_dense_h(*args):
@@ -152,6 +153,8 @@ class TestFactorizationCounts:
                 calls[name, np.shape(m)] += 1
                 if name == "svd" and dtypes is not None:
                     dtypes.append(np.asarray(m).dtype)
+                if name == "svd" and uv is not None:
+                    uv.append(kwargs.get("compute_uv", True))
                 return fn(m, *args, **kwargs)
             return wrapper
 
@@ -243,12 +246,23 @@ class TestFactorizationCounts:
         assert builds == 1
 
     def test_complexity_builds_no_spectral_system(self, tmp_path, monkeypatch):
-        # the cost table reads singular values only: no parameters, no solve
+        # the cost table reads singular values only: no parameters, no
+        # solve, and an SVD that computes no U or V
         argv = ["complexity", "--preset", "fig3a", "--out", str(tmp_path)]
         assert self._spectral_builds(monkeypatch, argv) == 0
-        calls = self._count(monkeypatch, argv)
+        dtypes, uv = [], []
+        calls = self._count(monkeypatch, argv, dtypes, uv)
         n = pde_preset("fig3a")[0].system.a.shape[0]
         assert calls == Counter({("svd", (n, n)): 1})
+        assert (dtypes, uv) == ([np.float64], [False])
+
+    def test_complexity_complex_matrix_values_only(self, tmp_path, monkeypatch):
+        dtypes, uv = [], []
+        calls = self._count(monkeypatch, ["complexity", "--preset", "fig3e",
+                                          "--out", str(tmp_path)], dtypes, uv)
+        n = pde_preset("fig3e")[0].system.a.shape[0]
+        assert calls == Counter({("svd", (n, n)): 1})
+        assert (dtypes, uv) == ([np.complex128], [False])
 
     def test_compare_files_one_svd(self, diag_problem, monkeypatch):
         calls = self._count(monkeypatch, ["compare", "--matrix", str(diag_problem / "a.coo"),
@@ -503,6 +517,76 @@ class TestForcingScale:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: gamma_f must be finite and positive, got {float(value)}\n"
+
+
+class TestOptionsRead:
+    """An option the run does not read exits 2 with one line naming it;
+    compare on files honours the bound overrides."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--preset", "fig3a", "--method", "mag", "--gamma", "0.01"],
+         "solve --method mag does not read --gamma"),
+        (["solve", "--preset", "fig3a", "--np", "64"], "solve --method mag does not read --np"),
+        (["solve", "--preset", "fig3a", "--method", "gradient", "--lhat", "9", "--muhat", "1"],
+         "solve --method gradient does not read --lhat"),
+        (["pde", "--preset", "fig3a", "--method", "damped", "--gammaf", "0.1"],
+         "pde --method damped does not read --gammaf"),
+        (["compare", "--preset", "fig1", "--gamma", "0.01"],
+         "compare --preset fig1 does not read --gamma"),
+        (["compare", "--preset", "fig1", "--delta", "0.01"],
+         "compare --preset fig1 does not read --delta"),
+        (["compare", "--preset", "fig2", "--alpha", "0.1", "--beta", "0.5"],
+         "compare --preset fig2 does not read --alpha"),
+        (["compare", "--matrix", "a.coo", "--rhs", "b.vec", "--np", "64"],
+         "compare --matrix does not read --np"),
+        (["schro", "--preset", "fig3a", "--method", "schro"], "schro does not read --method"),
+        (["complexity", "--preset", "fig3a", "--gammaf", "0.1"],
+         "complexity does not read --gammaf"),
+        (["blockenc-verify", "--preset", "fig3a"], "blockenc-verify does not read --preset"),
+        (["solve", "--preset", "fig3a", "--format", "json"],
+         "solve --method mag does not read --format"),
+        (["solve", "--preset", "fig3a", "--lhat", "9"], "--lhat and --muhat go together"),
+        (["compare", "--matrix", "a.coo", "--rhs", "b.vec", "--beta", "0.5"],
+         "--alpha and --beta go together"),
+        (["solve", "--preset", "fig3a", "--lhat", "9", "--muhat", "1", "--alpha", "0.1",
+          "--beta", "0.5"], "give --alpha/--beta or --lhat/--muhat, not both"),
+    ])
+    def test_unread_option_is_usage_error(self, diag_problem, capsys, argv, message):
+        argv = [str(diag_problem / x) if x.endswith((".coo", ".vec")) else x for x in argv]
+        out = diag_problem / "unread"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unread_config_field_is_usage_error(self, diag_problem, capsys):
+        cfg = diag_problem / "run.json"
+        cfg.write_text(json.dumps({"gamma": 0.01}))
+        rc = main(["solve", "--preset", "fig3a", "--config", str(cfg),
+                   "--out", str(diag_problem / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: solve --method mag does not read --gamma\n"
+
+    @pytest.mark.parametrize("bounds", [["--lhat", "400", "--muhat", "1e-4"],
+                                        ["--alpha", "0.002", "--beta", "0.9"]])
+    def test_compare_on_files_honours_bounds(self, diag_problem, bounds):
+        src = ["--matrix", str(diag_problem / "a.coo"), "--rhs", str(diag_problem / "b.vec")]
+        plain, bounded = diag_problem / "plain", diag_problem / "bounded"
+        assert main(["compare", *src, "--out", str(plain)]) == 0
+        assert main(["compare", *src, *bounds, "--out", str(bounded)]) == 0
+        # the bounds set the momentum flow's (alpha, beta); the damped flow
+        # reads gamma and sigma_min only
+        for name, same in (("mag_trajectory.csv", False), ("damped_trajectory.csv", True)):
+            assert ((plain / name).read_bytes() == (bounded / name).read_bytes()) is same
+
+    def test_compare_on_files_honours_gamma_and_delta(self, diag_problem):
+        src = ["--matrix", str(diag_problem / "a.coo"), "--rhs", str(diag_problem / "b.vec")]
+        plain = diag_problem / "plain"
+        assert main(["compare", *src, "--out", str(plain)]) == 0
+        for extra in (["--gamma", "0.05"], ["--delta", "1e-2"]):
+            out = diag_problem / extra[0].strip("-")
+            assert main(["compare", *src, *extra, "--out", str(out)]) == 0
+            damped = "damped_trajectory.csv"
+            assert (plain / damped).read_bytes() != (out / damped).read_bytes()
 
 
 class TestExitCodeOne:

@@ -17,6 +17,8 @@ from schromag.schrod import (
     build_grid,
     build_pair_system,
     default_forcing_scale,
+    envelope,
+    envelope_tail,
     evolve,
     evolve_structured,
     homogenize,
@@ -190,14 +192,69 @@ class TestBuildGrid:
         assert grid.points[0] == -1000.0
 
 
+class TestEnvelope:
+    """psi(p) = e^{-p} on p >= 0, its C^2 extension on p < 0."""
+
+    def test_formula(self):
+        p = np.linspace(-40.0, 40.0, 801)
+        expect = np.where(p >= 0.0, np.exp(-np.abs(p)), np.exp(p) * (1.0 - 2.0 * p + 2.0 * p**2))
+        assert np.allclose(envelope(p), expect, rtol=1e-15, atol=0.0)
+        assert np.array_equal(envelope(p[p >= 0.0]), np.exp(-p[p >= 0.0]))
+
+    def test_c2_at_zero(self):
+        # value, slope and curvature match e^{-p} at 0; the third derivative
+        # does not (7 against -1), so psi(-h) - e^{h} = -(4/3) h^3 + O(h^4)
+        assert envelope(0.0) == 1.0
+        for h in (1e-2, 1e-3):
+            gap = float(envelope(-h)) - math.exp(h)
+            assert gap / h**3 == pytest.approx(-4.0 / 3.0, rel=5 * h)
+
+    def test_maximum(self):
+        p = np.linspace(-3.0, 0.0, 300001)
+        assert schrod.ENVELOPE_MAX == pytest.approx(float(np.max(envelope(p))), rel=1e-10)
+        assert schrod.ENVELOPE_MAX == pytest.approx(1.904, abs=1e-3)
+
+    @pytest.mark.parametrize("tail_tol", [0.5, math.exp(-10.0), 1e-12, math.exp(-30.0), 1e-300])
+    def test_tail_length(self, tail_tol):
+        length = envelope_tail(tail_tol)
+        assert float(envelope(-length)) == pytest.approx(tail_tol, rel=1e-13)
+        assert length > (1.0 + math.sqrt(3.0)) / 2.0  # left of the maximum
+        beyond = envelope(np.linspace(-length - 50.0, -length, 101))
+        assert np.all(beyond <= tail_tol * (1 + 1e-13))
+
+    def test_default_tail_length(self):
+        assert envelope_tail(schrod.DEFAULT_TAIL_TOL) == pytest.approx(16.34175, abs=1e-5)
+        with pytest.raises(InputError):
+            envelope_tail(1.0)
+
+    def test_readout_exact_at_time_zero(self):
+        # the grid values at t = 0 are psi(p_k) w0 and sum_k w_k e^{-p_k} = 1,
+        # so both readouts return the initial state to rounding, on the dense
+        # path and on the streamed snapshot
+        hs, sp = scalar_setup(rate=-1.0, drive=0.5, gamma_f=0.5, w0=0.3)
+        for n_p in (64, 128, 1024):
+            grid = build_grid(sp.h1, 1.0, n_p)
+            state = evolve(sp, grid, hs.w0_homo, 0.0)
+            for recover in (recover_integral, recover_single_point):
+                assert np.allclose(recover(state, sp.h1), hs.w0_homo[:1], rtol=0.0, atol=1e-14)
+        sys = build_transformed(np.diag([2.0, 0.7]), np.array([1.0, -0.5]),
+                                derive_params(9.0, 0.25))
+        pairs = _pairs(sys, 0.05)
+        grid = build_grid(np.diag([-1.0 + 0j]), 1.0, 256)
+        w0 = np.concatenate([np.zeros(2 * sys.n), sys.f / 0.05])
+        _, rows = evolve_structured(pairs, grid, 0.0, np.zeros(grid.n_p), 1)
+        atol = 1e-14 * np.max(np.abs(w0))
+        assert np.allclose(rows, envelope(grid.points)[:, None] * w0, rtol=0.0, atol=atol)
+
+
 class TestEvolve:
     def test_time_zero_is_warped_data(self):
         hs, sp = scalar_setup()
         grid = build_grid(sp.h1, 1.0, 128)
         state = evolve(sp, grid, hs.w0_homo, 0.0)
         field = state.field()
-        expect = np.exp(-np.abs(grid.points))[:, None] * hs.w0_homo[None, :]
-        assert np.allclose(field, expect, atol=1e-12)
+        expect = envelope(grid.points)[:, None] * hs.w0_homo[None, :]
+        assert np.allclose(field, expect, rtol=0.0, atol=1e-14)
 
     def test_zero_generator_constant(self):
         # literal 1x1 zero homogenized system: the field cannot move
@@ -354,6 +411,20 @@ class TestStructuredEvolution:
         assert np.count_nonzero(weights > 1e-12 * weights.sum()) == 1
         runway_all = float(np.max(pairs.advection_speeds())) * 10.0
         assert required_runway(pairs, 10.0) <= runway_all + 1e-12
+
+    def test_runway_reads_weights_times_envelope_peak(self):
+        # the fast group (sigma = 4) carries a fraction f of the solution
+        # scale; its left-moving content peaks at ENVELOPE_MAX f, so a budget
+        # between f and ENVELOPE_MAX f no longer exempts it
+        p = derive_params(16.5, 0.2)
+        sys = build_transformed(np.diag([4.0, 0.5]), np.array([1e-3, 1.0]), p)
+        pairs = _pairs(sys, default_forcing_scale(p))
+        fast, slow = np.argmax(pairs.sigma[pairs.reps]), np.argmin(pairs.sigma[pairs.reps])
+        frac = pairs.group_weights()[fast] / pairs.solution_scale()
+        speeds = pairs.advection_speeds()[pairs.reps]
+        t = 10.0
+        assert required_runway(pairs, t, 1.5 * frac) == pytest.approx(speeds[fast] * t)
+        assert required_runway(pairs, t, 2.0 * frac) == pytest.approx(speeds[slow] * t)
 
     def test_lambda_max_matches_dense(self):
         sys, gamma_f = self._setup(seed=5)
@@ -591,17 +662,21 @@ class TestStreamedReadout:
         assert empty_reps.size == 0 and empty_group.size == 0
 
     def test_integral_weights_are_the_trapezoid_rule(self):
+        # trapezoid weights on one window, normalized on the grid so the pure
+        # e^{-p} profile reads back exactly: sum_k w_k e^{-p_k} = 1
         hs, sp = scalar_setup(rate=-1.0)
-        grid = build_grid(sp.h1, 1.0, 256)
-        w, k_star = readout_weights(grid, 0.0, "integral", advect=3.0)
-        window = np.flatnonzero(w)
-        assert window[0] == k_star
-        assert np.array_equal(window, np.arange(window[0], window[-1] + 1))
-        f = np.random.default_rng(1).normal(size=grid.n_p)[window]
-        p_star, p_end = grid.points[window[0]], grid.points[window[-1]]
-        scale = math.exp(p_star) / (1.0 - math.exp(-(p_end - p_star)))
-        trapezoid = grid.dp * (f.sum() - 0.5 * (f[0] + f[-1]))
-        assert w[window] @ f == pytest.approx(scale * trapezoid, rel=1e-12)
+        for n_p, p_diamond, advect in ((256, 0.0, 3.0), (256, 0.0, 0.0), (1024, 1.5, 4.0),
+                                       (64, 0.0, 0.0)):
+            grid = build_grid(sp.h1, 1.0, n_p, p_left=-12.0, right_margin=8.0)
+            w, k_star = readout_weights(grid, p_diamond, "integral", advect=advect)
+            window = np.flatnonzero(w)
+            assert window[0] == k_star
+            assert np.array_equal(window, np.arange(window[0], window[-1] + 1))
+            shape = np.ones(window.size)
+            shape[[0, -1]] = 0.5
+            assert np.allclose(w[window] / w[window[1]], shape, rtol=1e-15, atol=0.0)
+            total = w[window] @ np.exp(-grid.points[window])
+            assert total == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def _preset_pairs(name, b=None):
@@ -752,6 +827,25 @@ class TestPipeline:
         d = asdict(report)
         assert (d["live_pairs"], d["sigma_groups"]) == (510, 258)
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
+
+    def test_presets_meet_delta(self):
+        # every preset meets its own delta at its own n_p; the widest Robin
+        # grids reach 5e-5 at twice their n_p
+        from schromag.linalg import full_svd
+        from schromag.mag import params_from_sigma
+        from schromag.presets import PDE_PRESET_NAMES, pde_preset
+
+        for name in PDE_PRESET_NAMES:
+            problem, solver = pde_preset(name)
+            a, b = problem.system.a, problem.system.b
+            factors = full_svd(a)
+            spec = build_spectral(a, b, params_from_sigma(factors[1]), factors)
+            oracle = direct_solve(problem.system, spec.sigma)
+            u, _, _ = pipeline(spec, solver.delta, solver.n_p)
+            assert _residual(u, oracle) <= solver.delta, name
+            if name in ("fig3e", "fig3f"):
+                u, _, _ = pipeline(spec, solver.delta, 2 * solver.n_p)
+                assert _residual(u, oracle) <= 5e-5, name
 
     def test_matches_iteration_terminal_state(self):
         # cross-method check on the small zero-boundary Helmholtz preset
