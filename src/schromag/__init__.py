@@ -2,9 +2,12 @@
 
 Submodules: linalg (dense complex substrate), mag (the solver), baselines
 (gradient flow / damped dynamics / momentum ODE, per singular value),
-schrod (warped-phase Hamiltonian realization), blockenc (block-encoding
-algebra), pde (test problems), complexity (cost estimators), presets
-(figure catalogue), cli.
+schrod (warped-phase Hamiltonian realization, per singular value),
+blockenc (block-encoding algebra), pde (test problems), complexity (cost
+estimators), presets (figure catalogue), cli.  Every link of the chain
+runs on the one SVD of a run (`mag.SpectralSystem`); the dense 2n x 2n
+realization the tests check it against is `tests/reference.py`, outside
+the package.
 """
 
 from .baselines import (
@@ -21,7 +24,6 @@ from .blockenc import (
     StatePrepPair,
     build_state_prep_pair,
     compose,
-    decompose_homo,
     dilate,
     verify,
 )
@@ -45,33 +47,15 @@ from .linalg import (
 from .mag import (
     IterationTrace,
     MagParams,
-    TransformedSystem,
-    build_transformed,
     convergence_steps,
     derive_params,
     lambda_pm,
     mag_iterate,
-    params_from_matrix,
     relative_trace,
     spectral_radius_check,
-    steady_state,
 )
 from .pde import PdeProblem, biharmonic_1d, biharmonic_2d, helmholtz_1d, helmholtz_2d, preset
-from .schrod import (
-    HermitianSplit,
-    HomogenizedSystem,
-    PGrid,
-    SchrodState,
-    build_grid,
-    evolve,
-    homogenize,
-    p_threshold,
-    pipeline,
-    recover_integral,
-    recover_single_point,
-    split,
-    to_ode,
-)
+from .schrod import PGrid, pipeline
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -307,43 +307,3 @@ def normalize_ancilla(be: BlockEncoding, m_target: int) -> BlockEncoding:
         n=be.n,
         reference=be.reference,
     )
-
-
-@dataclass(frozen=True)
-class HomoBlocks:
-    """n x n blocks of the split homogenized generator, zero blocks dropped."""
-
-    h1_blocks: dict
-    h2_blocks: dict
-    n: int
-
-
-def decompose_homo(hsplit, n: int) -> HomoBlocks:
-    """Slice h1 (and h2) of a 4n-dimensional split into labeled blocks.
-
-    Reassembly of the returned blocks reproduces the inputs exactly.
-    Hermiticity forces the (i,j) and (j,i) blocks to be mutual adjoints,
-    so antisymmetric couplings can only ever appear in h2.
-    """
-    h1 = as_cmatrix(hsplit.h1)
-    h2 = as_cmatrix(hsplit.h2)
-    if h1.shape[0] != 4 * n:
-        raise ValueError(f"dimension {h1.shape[0]} is not 4*{n}")
-
-    def blocks_of(mat):
-        out = {}
-        for i in range(4):
-            for j in range(4):
-                blk = mat[i * n : (i + 1) * n, j * n : (j + 1) * n]
-                if np.any(blk != 0):
-                    out[(i, j)] = blk.copy()
-        return out
-
-    return HomoBlocks(h1_blocks=blocks_of(h1), h2_blocks=blocks_of(h2), n=n)
-
-
-def reassemble_blocks(blocks: dict, n: int) -> np.ndarray:
-    m = np.zeros((4 * n, 4 * n), dtype=np.complex128)
-    for (i, j), blk in blocks.items():
-        m[i * n : (i + 1) * n, j * n : (j + 1) * n] = blk
-    return m

@@ -111,16 +111,6 @@ def block_expm_apply(blocks, v, t) -> np.ndarray:
     return c[..., None] * v + s[..., None] * shifted
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values of a, descending, without singular vectors.
-
-    A caller that needs several spectral quantities of one matrix (the
-    MAG bounds, the radius guard, the steady-state and oracle checks)
-    computes this once and passes it on, so the matrix is factored once.
-    """
-    return np.linalg.svd(as_cmatrix(a), compute_uv=False)
-
-
 def _real_if_real(a):
     return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
@@ -169,15 +159,6 @@ def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
             condition=cond,
         )
     return u
-
-
-def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
-
-
-def skew_part_over_i(m: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix h2 with m = hermitian_part(m) + 1j*h2."""
-    return (m - m.conj().T) / 2.0j
 
 
 def spectral_norm(m: np.ndarray) -> float:

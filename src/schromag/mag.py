@@ -16,8 +16,9 @@ into one 2x2 block [[1 - alpha s^2, -c s], [c s, beta]] per singular
 value s (c = sqrt(alpha*beta)), and F into [alpha s b~; 0] with b~ = U^H b.
 A run factors A once and iterates in that basis (`SpectralSystem`):
 elementwise steps, the closed-form steady state [(1-beta) b~/s; c b~],
-and closed-form spectra for the radius guard and the I - H checks.  The
-dense H (`TransformedSystem`) is the tests' reference.
+and closed-form spectra for the radius guard and the I - H checks.  No
+2n x 2n matrix is built; the dense H lives in the tests' reference module
+(`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -29,17 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, SpectrumBoundsError
-from .linalg import (
-    LinearSystem,
-    as_cmatrix,
-    as_cvector,
-    condition_check,
-    direct_solve,
-    full_svd,
-    hermitian_part,
-    require_square,
-    singular_values,
-)
+from .linalg import as_cmatrix, as_cvector, condition_check, full_svd, require_square
 
 # where sigma^2 sits on a declared bound the 2x2 block is defective and its
 # eigenvalue moduli are only sqrt(eps)-accurate (closed form and dense eig
@@ -93,63 +84,10 @@ def params_from_sigma(sigma, safety: float = 1.0) -> MagParams:
     return derive_params((safety * sigma[0]) ** 2, (sigma[-1] / safety) ** 2)
 
 
-def params_from_matrix(a, safety: float = 1.0) -> MagParams:
-    """Bounds taken from the actual singular values of a, widened by `safety`."""
-    return params_from_sigma(singular_values(a), safety)
-
-
-@dataclass(frozen=True)
-class TransformedSystem:
-    """The pair (H, F) of the transformed one-step map, plus provenance."""
-
-    h: np.ndarray
-    f: np.ndarray
-    n: int
-    params: MagParams
-    a: np.ndarray
-    b: np.ndarray
-
-    def reconstruct_h(self) -> np.ndarray:
-        """Rebuild H from the stored A and parameters (invariant check)."""
-        return _h_blocks(self.a, self.params)
-
-    def step(self, w: np.ndarray) -> np.ndarray:
-        return self.h @ w + self.f
-
-    def hermitian_gap(self) -> float:
-        """Largest eigenvalue of (H + H^H)/2 - I; negative for valid builds."""
-        m = hermitian_part(self.h) - np.eye(2 * self.n)
-        return float(np.max(np.linalg.eigvalsh(m)))
-
-
-def _h_blocks(a: np.ndarray, p: MagParams) -> np.ndarray:
-    n = a.shape[0]
-    ah = a.conj().T
-    c = math.sqrt(p.alpha * p.beta)
-    h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    h[:n, :n] = np.eye(n) - p.alpha * (ah @ a)
-    h[:n, n:] = -c * ah
-    h[n:, :n] = c * a
-    h[n:, n:] = p.beta * np.eye(n)
-    return h
-
-
-def build_transformed(a, b, params: MagParams) -> TransformedSystem:
-    a = require_square(as_cmatrix(a))
-    b = as_cvector(b)
-    n = a.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {n}")
-    h = _h_blocks(a, params)
-    f = np.zeros(2 * n, dtype=np.complex128)
-    f[:n] = params.alpha * (a.conj().T @ b)
-    return TransformedSystem(h=h, f=f, n=n, params=params, a=a, b=b)
-
-
 @dataclass(frozen=True)
 class SpectralSystem:
     """The one-step map on w = [w1; w2], one entry per block and singular
-    value; w is the state [V w1; U w2] of `TransformedSystem`."""
+    value; w is the state [V w1; U w2] of the dense map w -> H w + F."""
 
     sigma: np.ndarray  # descending
     u: np.ndarray
@@ -216,29 +154,16 @@ def i_minus_h_singular_values(p: MagParams, sigma) -> np.ndarray:
     return np.concatenate([large, (x * y + q * q) / large])
 
 
-def steady_state(sys: TransformedSystem) -> np.ndarray:
-    """Fixed point (I - H)^{-1} F by one LU solve of the 2n x 2n system, the
-    dense reference of `SpectralSystem.steady_state`.  First block equals
-    (1-beta) times the least-squares solution; for invertible square A
-    the second block equals sqrt(alpha*beta) b.
-    """
-    m = np.eye(2 * sys.n) - sys.h
-    sigma = i_minus_h_singular_values(sys.params, singular_values(sys.a))
-    return direct_solve(LinearSystem(m, sys.f), sigma)
-
-
 @dataclass
 class IterationTrace:
     steps: int
     states: list  # w_n per step when recorded, else []
     residuals: list  # ||Delta w_n|| / ||Delta w_0||
-    relative_residuals: list | None = None
-    converged: bool = True
     w_final: np.ndarray = field(default=None, repr=False)
 
 
 def mag_iterate(
-    sys: SpectralSystem | TransformedSystem,
+    sys: SpectralSystem,
     w0,
     delta: float,
     max_steps: int,
@@ -289,7 +214,7 @@ def mag_iterate(
     )
 
 
-def solution_from_state(sys: TransformedSystem, w: np.ndarray) -> np.ndarray:
+def solution_from_state(sys: SpectralSystem, w: np.ndarray) -> np.ndarray:
     """Extract u from a transformed state: first block over (1 - beta)."""
     beta = sys.params.beta
     if beta >= 1.0:
@@ -392,13 +317,11 @@ def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, 
 
 def relative_trace(trace: IterationTrace, w_inf: np.ndarray,
                    system: SpectralSystem | None = None) -> tuple[list | None, float]:
-    """relative_trace_from_steady on a recorded trace; stores the values on it.
-    The states and w_inf of a `system` run are mapped back first."""
+    """relative_trace_from_steady on a recorded trace.  The states and
+    w_inf of a `system` run are mapped back first."""
     if not trace.states:
         raise ValueError("trace was recorded without states; rerun with keep_states=True")
     states = trace.states
     if system is not None:
         states, w_inf = system.to_state(np.array(states)), system.to_state(w_inf)
-    values, kappa2 = relative_trace_from_steady(w_inf, states)
-    trace.relative_residuals = values
-    return values, kappa2
+    return relative_trace_from_steady(w_inf, states)

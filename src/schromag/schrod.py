@@ -27,8 +27,10 @@ whole emulation is a singular-value transfer function: the state block of
 pair j reads out as readout_j = forcing_j * r(sigma_j), where r(sigma) is
 a 2-vector fixed by the parameters, the grid and t.  r is evaluated once
 per group of equal singular values (`sigma_groups`) above the rounding
-floor (`PairSystem.evolved`).  The dense `evolve` path serves any initial
-state and is the reference the tests compare against.
+floor (`PairSystem.evolved`).  The dense per-mode evolution of the whole
+homogenized generator, from any initial state, lives in the tests'
+reference module (`tests/reference.py`), which this path is checked
+against.
 
 The periodic p-domain must outrun left-travelling wave content for the
 whole evolution: anything that wraps re-enters from the right and
@@ -60,13 +62,6 @@ import numpy as np
 
 from . import mag as mag_mod
 from .errors import InputError
-from .linalg import (
-    as_cmatrix,
-    as_cvector,
-    hermitian_part,
-    require_square,
-    skew_part_over_i,
-)
 
 DEFAULT_TAIL_TOL = math.exp(-10.0)
 RIGHT_MARGIN = 2.0
@@ -111,11 +106,6 @@ def envelope_tail(tail_tol: float) -> float:
     return length
 
 
-def to_ode(sys: mag_mod.TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous form of the one-step map with unit step: (H - I, F)."""
-    return sys.h - np.eye(2 * sys.n), sys.f.copy()
-
-
 def default_forcing_scale(params: mag_mod.MagParams) -> float:
     """Default coupling for the homogenized forcing block.
 
@@ -131,65 +121,6 @@ def _check_forcing_scale(gamma_f: float) -> None:
 
 
 @dataclass(frozen=True)
-class HomogenizedSystem:
-    h_homo: np.ndarray
-    gamma_f: float
-    w0_homo: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.h_homo.shape[0]
-
-
-def homogenize(generator, drive, gamma_f: float, w0=None) -> HomogenizedSystem:
-    """Absorb the constant drive into extra state: [[G, gamma_f I], [0, 0]].
-
-    The appended block starts at drive/gamma_f and stays constant, so the
-    top block reproduces the inhomogeneous ODE exactly.
-    """
-    generator = require_square(as_cmatrix(generator))
-    drive = as_cvector(drive)
-    m = generator.shape[0]
-    if drive.shape[0] != m:
-        raise ValueError("drive dimension mismatch")
-    _check_forcing_scale(gamma_f)
-    if w0 is None:
-        w0 = np.zeros(m, dtype=np.complex128)
-    w0 = as_cvector(w0)
-    if w0.shape[0] != m:
-        raise ValueError("w0 dimension mismatch")
-    h_homo = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-    h_homo[:m, :m] = generator
-    h_homo[:m, m:] = gamma_f * np.eye(m)
-    return HomogenizedSystem(
-        h_homo=h_homo,
-        gamma_f=gamma_f,
-        w0_homo=np.concatenate([w0, drive / gamma_f]),
-    )
-
-
-@dataclass(frozen=True)
-class HermitianSplit:
-    h1: np.ndarray
-    h2: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.h1 + 1j * self.h2
-
-
-def split(hs: HomogenizedSystem) -> HermitianSplit:
-    return HermitianSplit(h1=hermitian_part(hs.h_homo), h2=skew_part_over_i(hs.h_homo))
-
-
-def p_threshold(h1, t: float) -> float:
-    """Readout threshold max(lambda_max(h1) * t, 0)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    lam = float(np.max(np.linalg.eigvalsh(as_cmatrix(h1))))
-    return max(lam * t, 0.0)
-
-
-@dataclass(frozen=True)
 class PGrid:
     p_left: float
     p_right: float
@@ -198,31 +129,15 @@ class PGrid:
     dp: float
     thetas: np.ndarray  # 2*pi*l/(p_right-p_left), fft ordering
 
-    @property
-    def span(self) -> float:
-        return self.p_right - self.p_left
 
-
-def build_grid(h1, t_end: float, n_p: int, tail_tol: float = DEFAULT_TAIL_TOL,
-               p_left: float | None = None,
-               right_margin: float = RIGHT_MARGIN) -> PGrid:
-    """build_grid_from_rate with the rate lambda_max(h1) of a dense split."""
-    rate = float(np.max(np.linalg.eigvalsh(as_cmatrix(h1))))
-    return build_grid_from_rate(rate, t_end, n_p, p_left, right_margin, tail_tol)
-
-
-def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float | None = None,
-                         right_margin: float = RIGHT_MARGIN,
-                         tail_tol: float = DEFAULT_TAIL_TOL) -> PGrid:
+def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
+                         right_margin: float = RIGHT_MARGIN) -> PGrid:
     """Uniform periodic grid on [p_left, p_right), rate = lambda_max(h1).
 
-    p_left = ln(tail_tol) unless given explicitly: the short domain of
-    the dense reference runs, where psi(p_left) is (1 + 2L + 2L^2)
-    tail_tol for L = -p_left (221 tail_tol at the default).  `pipeline`
-    passes p_left = -(runway + envelope_tail(tail_tol)), past which psi
-    is below tail_tol (long evolutions need a runway far beyond what the
-    envelope tail alone would suggest).  p_right sits at least a fixed
-    margin beyond the readout threshold max(rate * t_end, 0).  Large
+    `pipeline` passes p_left = -(runway + envelope_tail(tail_tol)), past
+    which psi is below tail_tol (long evolutions need a runway far beyond
+    what the envelope tail alone would suggest).  p_right sits at least a
+    fixed margin beyond the readout threshold max(rate * t_end, 0).  Large
     state components want a larger right margin: the envelope must decay
     below noise at the periodic seam, or the jump there radiates into the
     readout zone.
@@ -231,10 +146,6 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float | No
         raise ValueError("t must be nonnegative")
     if n_p < 8 or (n_p & (n_p - 1)) != 0:
         raise InputError(f"n_p must be a power of two >= 8, got {n_p}")
-    if p_left is None:
-        if not (0.0 < tail_tol < 1.0):
-            raise InputError("tail_tol must be in (0,1)")
-        p_left = math.log(tail_tol)
     if p_left >= 0.0:
         raise InputError("p_left must be negative")
     p_right = max(rate * t_end, 0.0) + max(right_margin, RIGHT_MARGIN)
@@ -251,51 +162,6 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float | No
                  thetas=thetas)
 
 
-@dataclass
-class SchrodState:
-    """Fourier-space field: modes[l] is the 2m-vector of mode l at `time`."""
-
-    grid: PGrid
-    modes: np.ndarray  # (n_p, 2m)
-    time: float
-
-    def fourier_norm(self) -> float:
-        return float(np.linalg.norm(self.modes))
-
-    def field(self) -> np.ndarray:
-        return np.fft.ifft(self.modes, axis=0)
-
-
-def warped_initial_field(grid: PGrid, w0_homo: np.ndarray) -> np.ndarray:
-    return envelope(grid.points)[:, None] * w0_homo[None, :]
-
-
-def evolve(hs: HermitianSplit, grid: PGrid, w0_homo, t: float) -> SchrodState:
-    """Evolve every Fourier mode by exp(-1j*(theta*h1 - h2)*t).
-
-    Exact per-mode via Hermitian eigendecomposition, batched over modes;
-    the Fourier-space norm is preserved up to eigensolver rounding.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    w0_homo = as_cvector(w0_homo)
-    d = w0_homo.shape[0]
-    if hs.h1.shape[0] != d:
-        raise ValueError("state dimension mismatch with split")
-    modes = np.fft.fft(warped_initial_field(grid, w0_homo), axis=0)
-    if t > 0:
-        chunk = max(1, _CHUNK_ENTRIES // (d * d))
-        for lo in range(0, grid.n_p, chunk):
-            hi = min(lo + chunk, grid.n_p)
-            th = grid.thetas[lo:hi]
-            k = th[:, None, None] * hs.h1[None] - hs.h2[None]
-            w, v = np.linalg.eigh(k)
-            coef = np.einsum("kji,kj->ki", v.conj(), modes[lo:hi])
-            coef *= np.exp(-1j * w * t)
-            modes[lo:hi] = np.einsum("kij,kj->ki", v, coef)
-    return SchrodState(grid=grid, modes=modes, time=t)
-
-
 def recovery_index(grid: PGrid, p_diamond: float, margin: float | None = None) -> int:
     """Smallest grid index strictly beyond the threshold plus a margin."""
     if margin is None:
@@ -306,10 +172,6 @@ def recovery_index(grid: PGrid, p_diamond: float, margin: float | None = None) -
             f"no grid point beyond p_diamond={p_diamond:.4f}+margin; increase p_right"
         )
     return k
-
-
-def _top_block(vec: np.ndarray) -> np.ndarray:
-    return vec[: vec.shape[0] // 2]
 
 
 def readout_weights(grid: PGrid, p_diamond: float, method: str, advect: float = 0.0,
@@ -345,21 +207,6 @@ def readout_weights(grid: PGrid, p_diamond: float, method: str, advect: float = 
     raise ValueError(f"unknown recovery method {method!r}")
 
 
-def recover_single_point(state, h1, margin: float | None = None) -> np.ndarray:
-    """e^{p_k*} field(t, p_k*), state block, at the first admissible point."""
-    w, _ = readout_weights(state.grid, p_threshold(h1, state.time), "single-point",
-                           margin=margin)
-    return _top_block(w @ state.field())
-
-
-def recover_integral(state, h1, margin: float | None = None) -> np.ndarray:
-    """Trapezoid readout e^{p*} int_{p*}^{P} field dq, state block."""
-    advect = float(np.max(np.abs(np.linalg.eigvalsh(as_cmatrix(h1))))) * state.time
-    w, _ = readout_weights(state.grid, p_threshold(h1, state.time), "integral", advect,
-                           margin)
-    return _top_block(w @ state.field())
-
-
 # ---------------------------------------------------------------------------
 # Structure-exploiting evolution for transformed momentum systems.
 #
@@ -373,7 +220,8 @@ def recover_integral(state, h1, margin: float | None = None) -> np.ndarray:
 #     readout_j = forcing_j * r(sigma_j),  r(sigma) = sum_l c_l e_l col_l(sigma)
 # (state block only): col is evaluated for unit forcing once per (mode,
 # group of equal sigma), contracted over modes, and scaled by each pair's
-# forcing at the end.  Equality with the dense path is covered by tests.
+# forcing at the end.  Tests check equality with the dense path of
+# `tests/reference.py`.
 # ---------------------------------------------------------------------------
 
 

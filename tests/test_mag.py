@@ -13,21 +13,20 @@ from schromag.linalg import LinearSystem, direct_solve, singular_values
 from schromag.mag import (
     SPECTRAL_RADIUS_TOL,
     build_spectral,
-    build_transformed,
     convergence_steps,
     derive_params,
     i_minus_h_singular_values,
     lambda_pm,
     mag_iterate,
-    params_from_matrix,
     relative_trace,
     relative_trace_from_steady,
     solution_error_factor,
     solution_from_state,
     spectral_radius_check,
-    steady_state,
 )
 from schromag.presets import PDE_PRESET_NAMES, pde_preset
+
+from reference import build_transformed, params_from_matrix, steady_state
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)

