@@ -23,7 +23,9 @@ from .blockenc import (
     BlockEncoding,
     StatePrepPair,
     build_state_prep_pair,
-    compose,
+    compose_product,
+    compose_sum,
+    compose_tensor,
     dilate,
     verify,
 )
@@ -31,7 +33,6 @@ from .complexity import (
     ComplexityReport,
     SystemSummary,
     chi,
-    eta0,
     gates,
     method_complexity,
     queries,
@@ -54,7 +55,8 @@ from .mag import (
     relative_trace,
     spectral_radius_check,
 )
-from .pde import PdeProblem, biharmonic_1d, biharmonic_2d, helmholtz_1d, helmholtz_2d, preset
+from .pde import PdeProblem, biharmonic_1d, biharmonic_2d, helmholtz_1d, helmholtz_2d
+from .presets import pde_preset
 from .schrod import PGrid, pipeline
 
 __all__ = [name for name in dir() if not name.startswith("_")]

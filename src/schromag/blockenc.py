@@ -109,7 +109,6 @@ class StatePrepPair:
     beta: float
     b_qubits: int
     eps: float
-    y: np.ndarray = field(repr=False)
 
 
 def build_state_prep_pair(y) -> StatePrepPair:
@@ -138,24 +137,7 @@ def build_state_prep_pair(y) -> StatePrepPair:
         beta=beta,
         b_qubits=b,
         eps=0.0,
-        y=y,
     )
-
-
-def verify_state_prep(pair: StatePrepPair, y=None) -> float:
-    y = pair.y if y is None else np.asarray(y, dtype=float)
-    c = pair.p_l[:, 0]
-    d = pair.p_r[:, 0]
-    overlaps = pair.beta * np.conj(c) * d
-    measured = float(np.sum(np.abs(overlaps[: y.size] - y)))
-    tail = float(np.max(np.abs(overlaps[y.size :]), initial=0.0))
-    if measured > pair.eps + 1e-12 or tail > 1e-12:
-        raise EncodingError(
-            f"state-preparation pair off by {measured:.3e} (tail {tail:.3e})",
-            measured=measured,
-            claimed=pair.eps,
-        )
-    return measured
 
 
 def _complete_unitary(first_col: np.ndarray) -> np.ndarray:
@@ -167,27 +149,6 @@ def _complete_unitary(first_col: np.ndarray) -> np.ndarray:
     pivot = int(np.argmax(np.abs(first_col)))
     q *= first_col[pivot] / q[pivot, 0]
     return q
-
-
-def compose(kind: str, *operands, coefficients=None, scalar=None) -> BlockEncoding:
-    """Dispatch to the combination rules: sum, product, tensor, scalar, adjoint."""
-    if kind == "sum":
-        if coefficients is None:
-            raise ValueError("sum needs coefficients")
-        return compose_sum(list(operands), coefficients)
-    if kind == "product":
-        return compose_product(*operands)
-    if kind == "tensor":
-        return compose_tensor(*operands)
-    if kind == "scalar":
-        if scalar is None:
-            raise ValueError("scalar needs the factor")
-        (be,) = operands
-        return compose_scalar(scalar, be)
-    if kind == "adjoint":
-        (be,) = operands
-        return compose_adjoint(be)
-    raise ValueError(f"unknown composition kind {kind!r}")
 
 
 def compose_product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
@@ -229,33 +190,6 @@ def compose_tensor(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
     )
 
 
-def compose_scalar(c: complex, be: BlockEncoding) -> BlockEncoding:
-    """Encode c*A; the phase of c rides on the unitary, |c| on alpha."""
-    mag = abs(c)
-    if mag == 0.0:
-        raise ValueError("scalar must be nonzero")
-    phase = c / mag
-    return BlockEncoding(
-        u=phase * be.u,
-        alpha=mag * be.alpha,
-        m=be.m,
-        eps=mag * be.eps,
-        n=be.n,
-        reference=c * be.reference,
-    )
-
-
-def compose_adjoint(be: BlockEncoding) -> BlockEncoding:
-    return BlockEncoding(
-        u=be.u.conj().T,
-        alpha=be.alpha,
-        m=be.m,
-        eps=be.eps,
-        n=be.n,
-        reference=be.reference.conj().T,
-    )
-
-
 def compose_sum(bes: list[BlockEncoding], y) -> BlockEncoding:
     """Encode sum_j y_j A_j through a select unitary sandwiched by a
     state-preparation pair.
@@ -291,19 +225,4 @@ def compose_sum(bes: list[BlockEncoding], y) -> BlockEncoding:
         eps=alpha * eps_op + alpha * pair.beta * pair.eps,
         n=n,
         reference=reference,
-    )
-
-
-def normalize_ancilla(be: BlockEncoding, m_target: int) -> BlockEncoding:
-    """Pad with identity tensor factors up to m_target ancilla qubits."""
-    if m_target < be.m:
-        raise ValueError("cannot shrink the ancilla register")
-    extra = 1 << (m_target - be.m)
-    return BlockEncoding(
-        u=np.kron(np.eye(extra), be.u),
-        alpha=be.alpha,
-        m=m_target,
-        eps=be.eps,
-        n=be.n,
-        reference=be.reference,
     )

@@ -338,10 +338,10 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
     results = []
     all_ok = True
 
-    def record(name, be, reference=None):
+    def record(name, be):
         nonlocal all_ok
         try:
-            measured = blockenc.verify(be, reference)
+            measured = blockenc.verify(be)
             ok = True
         except NumericsError as exc:
             measured = float(getattr(exc, "measured", math.nan))
@@ -376,9 +376,9 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
         a2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         alpha = float(max(np.linalg.norm(a1, 2), np.linalg.norm(a2, 2)) * 1.5)
         b1, b2 = blockenc.dilate(a1, alpha), blockenc.dilate(a2, alpha)
-        record(f"product_{k}", blockenc.compose("product", b1, b2))
-        record(f"tensor_{k}", blockenc.compose("tensor", b1, b2))
-        record(f"sum_{k}", blockenc.compose("sum", b1, b2, coefficients=[0.5, 0.5]))
+        record(f"product_{k}", blockenc.compose_product(b1, b2))
+        record(f"tensor_{k}", blockenc.compose_tensor(b1, b2))
+        record(f"sum_{k}", blockenc.compose_sum([b1, b2], [0.5, 0.5]))
 
     io.write_json(os.path.join(cfg.out, "blockenc.json"), results)
     print(f"blockenc-verify: {sum(r['pass'] for r in results)}/{len(results)} pass")

@@ -1,15 +1,15 @@
 """Closed-form cost estimators: queries, gates, evolution times, repetitions.
 
-All suppressed constants are set to one and results are order estimates;
-every report records the inputs it was computed from so the numbers are
-reproducible.  The sparse-oracle and amplitude-amplification machinery is
-represented only through these formulas, never as circuits.
+All suppressed constants are set to one and results are order estimates,
+functions of the `SystemSummary` alone.  The auxiliary-dimension operator
+norm enters as log2(N_p).  The sparse-oracle and amplitude-amplification
+machinery is represented only through these formulas, never as circuits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 METHODS = ("mag", "gradient", "damped", "hhl-reference")
 
@@ -41,15 +41,14 @@ def queries(chi_value: float, delta: float) -> float:
     return chi_value * ln / math.log(ln)
 
 
-def gates(chi_value: float, delta: float, n: int, m: float | None = None) -> float:
-    """Two-qubit gate count: chi * [m + ln^2.5(chi/delta)] * ln/lnln."""
+def gates(chi_value: float, delta: float, n: int) -> float:
+    """Two-qubit gate count: chi * [m + ln^2.5(chi/delta)] * ln/lnln, with
+    m = ln(max(n, 2)) for the system register."""
     ratio = chi_value / delta
     if ratio <= math.e:
         raise ValueError(f"estimate undefined for chi/delta = {ratio:.4g} <= e")
-    if m is None:
-        m = math.log(max(n, 2))
     ln = math.log(ratio)
-    return chi_value * (m + ln**2.5) * ln / math.log(ln)
+    return chi_value * (math.log(max(n, 2)) + ln**2.5) * ln / math.log(ln)
 
 
 def repetitions(a_norm: float, kappa_hat: float, delta: float) -> float:
@@ -57,13 +56,6 @@ def repetitions(a_norm: float, kappa_hat: float, delta: float) -> float:
     if a_norm <= 0 or kappa_hat <= 0 or not (0.0 < delta < 1.0):
         raise ValueError("inputs must be positive with delta in (0,1)")
     return math.log(1.0 / delta) * a_norm**2 * kappa_hat
-
-
-def eta0(delta_p: float, w0_norm: float, t: float, f_one_norm: float) -> float:
-    """Success-amplitude scale dp * sqrt(||w0||^2 + t^2 ||F||_1^2)."""
-    if delta_p <= 0 or w0_norm < 0 or t < 0 or f_one_norm < 0:
-        raise ValueError("bad eta0 inputs")
-    return delta_p * math.sqrt(w0_norm**2 + (t * f_one_norm) ** 2)
 
 
 @dataclass(frozen=True)
@@ -88,22 +80,9 @@ class ComplexityReport:
     gates: float
     repetitions: float
     kappa_like: float
-    inputs: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "chi": self.chi,
-            "queries": self.queries,
-            "gates": self.gates,
-            "repetitions": self.repetitions,
-            "kappa_like": self.kappa_like,
-            "inputs": self.inputs,
-        }
 
 
-def method_complexity(method: str, summary: SystemSummary,
-                      dtheta_reading: str = "log") -> ComplexityReport:
+def method_complexity(method: str, summary: SystemSummary) -> ComplexityReport:
     """Query estimate per method, with its condition-like number.
 
     mag:      kappa_hat = sigma_max/sigma_min
@@ -111,19 +90,17 @@ def method_complexity(method: str, summary: SystemSummary,
     damped:   kappa_d   = ||A||_max / sigma_min
     hhl-reference: plain kappa, order ln(1/delta) * s * kappa
 
-    The auxiliary-dimension operator norm enters as log2(N_p) by default;
-    the linear-in-N_p reading of the same quantity is recorded alongside.
+    The auxiliary-dimension operator norm enters as log2(N_p).  A
+    condition-like number of exactly 1 takes ln(kappa + 1) for its log
+    factor, so the estimate does not vanish.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if summary.sigma_min <= 0 or summary.sigma_max < summary.sigma_min:
         raise ValueError("summary needs 0 < sigma_min <= sigma_max")
-    if dtheta_reading not in ("log", "linear"):
-        raise ValueError("dtheta_reading must be 'log' or 'linear'")
 
     log_delta = math.log(1.0 / summary.delta)
-    log_np = math.log2(summary.n_p)
-    dtheta = log_np if dtheta_reading == "log" else float(summary.n_p)
+    dtheta = math.log2(summary.n_p)
     s2 = summary.s**2
 
     if method == "mag":
@@ -135,8 +112,7 @@ def method_complexity(method: str, summary: SystemSummary,
     else:
         kappa_like = summary.sigma_max / summary.sigma_min
 
-    degenerate = kappa_like == 1.0
-    log_kappa = math.log(kappa_like + 1.0 if degenerate else kappa_like)
+    log_kappa = math.log(kappa_like + 1.0 if kappa_like == 1.0 else kappa_like)
 
     if method == "hhl-reference":
         q = log_delta * summary.s * kappa_like
@@ -144,20 +120,6 @@ def method_complexity(method: str, summary: SystemSummary,
         q = log_delta * dtheta * s2 * kappa_like * log_kappa
 
     chi_value = chi(s2, max(dtheta, 1.0), kappa_like * log_delta)
-    inputs = {
-        "s": summary.s,
-        "sigma_min": summary.sigma_min,
-        "sigma_max": summary.sigma_max,
-        "a_max_norm": summary.a_max_norm,
-        "ata_max_norm": summary.ata_max_norm,
-        "delta": summary.delta,
-        "n_p": summary.n_p,
-        "n": summary.n,
-        "dtheta_reading": dtheta_reading,
-        "dtheta_log_np": log_np,
-        "dtheta_linear_np": float(summary.n_p),
-        "degenerate_log_kappa": degenerate,
-    }
     return ComplexityReport(
         method=method,
         chi=chi_value,
@@ -167,26 +129,12 @@ def method_complexity(method: str, summary: SystemSummary,
                                 summary.sigma_max / summary.sigma_min,
                                 summary.delta),
         kappa_like=kappa_like,
-        inputs=inputs,
     )
 
 
 def comparison_rows(summary: SystemSummary) -> list[dict]:
-    """One row per method for the CSV comparison table."""
-    rows = []
-    for method in METHODS:
-        rep = method_complexity(method, summary)
-        rows.append(
-            {
-                "method": method,
-                "kappa_like": rep.kappa_like,
-                "chi": rep.chi,
-                "queries": rep.queries,
-                "gates": rep.gates,
-                "repetitions": rep.repetitions,
-            }
-        )
-    return rows
+    """One row per method for the comparison table: the report's fields."""
+    return [asdict(method_complexity(m, summary)) for m in METHODS]
 
 
 def write_comparison_csv(path, rows) -> None:

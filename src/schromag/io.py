@@ -22,7 +22,8 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_cmatrix, as_cvector
 
-# 4096 x 4096 complex is 256 MiB; the transformed map is four times that
+# 4096 x 4096 complex is 256 MiB; a run holds the matrix and the full
+# SVD's U and V^H, three times that
 MAX_DENSE_ENTRIES = 1 << 24
 # rows of the field snapshot formatted and written per block
 _SNAPSHOT_BLOCK_ROWS = 32

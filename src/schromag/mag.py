@@ -168,15 +168,13 @@ def mag_iterate(
     delta: float,
     max_steps: int,
     *,
-    w_inf: np.ndarray | None,
+    w_inf: np.ndarray,
     keep_states: bool = True,
 ) -> IterationTrace:
     """Run w <- H w + F until the error contracts below delta.
 
     Termination measures ||w_n - w_inf|| / ||w_0 - w_inf|| against the
-    steady state w_inf (a unitary change of basis leaves it unchanged);
-    with w_inf=None it falls back to the step-to-step residual
-    ||w_{n+1} - w_n|| / ||w_n||.
+    steady state w_inf (a unitary change of basis leaves it unchanged).
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta}")
@@ -184,20 +182,14 @@ def mag_iterate(
     if w.shape[0] != 2 * sys.n:
         raise ValueError(f"w0 must have dimension {2 * sys.n}")
 
-    if w_inf is not None:
-        denom = np.linalg.norm(w - w_inf)
-        if denom == 0.0:
-            return IterationTrace(0, [w.copy()] if keep_states else [], [1.0], w_final=w)
-        measure = lambda wn, wp: np.linalg.norm(wn - w_inf) / denom
-    else:
-        measure = lambda wn, wp: np.linalg.norm(wn - wp) / max(np.linalg.norm(wp), 1e-300)
-
+    denom = np.linalg.norm(w - w_inf)
+    if denom == 0.0:
+        return IterationTrace(0, [w.copy()] if keep_states else [], [1.0], w_final=w)
     states = [w.copy()] if keep_states else []
     residuals = [1.0]
     for _ in range(max_steps):
-        w_prev = w
         w = sys.step(w)
-        residuals.append(float(measure(w, w_prev)))
+        residuals.append(float(np.linalg.norm(w - w_inf) / denom))
         if keep_states:
             states.append(w.copy())
         if residuals[-1] < delta:
@@ -216,10 +208,7 @@ def mag_iterate(
 
 def solution_from_state(sys: SpectralSystem, w: np.ndarray) -> np.ndarray:
     """Extract u from a transformed state: first block over (1 - beta)."""
-    beta = sys.params.beta
-    if beta >= 1.0:
-        raise ValueError("beta must be < 1")
-    return w[: sys.n] / (1.0 - beta)
+    return w[: sys.n] / (1.0 - sys.params.beta)
 
 
 def solution_error_factor(w_inf: np.ndarray) -> float:
@@ -316,12 +305,10 @@ def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, 
 
 
 def relative_trace(trace: IterationTrace, w_inf: np.ndarray,
-                   system: SpectralSystem | None = None) -> tuple[list | None, float]:
-    """relative_trace_from_steady on a recorded trace.  The states and
-    w_inf of a `system` run are mapped back first."""
+                   system: SpectralSystem) -> tuple[list | None, float]:
+    """relative_trace_from_steady on a recorded `system` run, its states
+    and w_inf mapped back to [V w1; U w2] first."""
     if not trace.states:
         raise ValueError("trace was recorded without states; rerun with keep_states=True")
-    states = trace.states
-    if system is not None:
-        states, w_inf = system.to_state(np.array(states)), system.to_state(w_inf)
-    return relative_trace_from_steady(w_inf, states)
+    return relative_trace_from_steady(system.to_state(w_inf),
+                                      system.to_state(np.array(trace.states)))

@@ -234,13 +234,6 @@ def make_problem(family: str, n: int, k: float, forcing, boundary) -> PdeProblem
     )
 
 
-def preset(name: str):
-    """Figure preset -> (PdeProblem, SolverConfig); see presets module."""
-    from .presets import pde_preset
-
-    return pde_preset(name)
-
-
 def two_stage_oracle(problem: PdeProblem) -> np.ndarray:
     """Biharmonic check: solve L v = h^2 f, then L u = h^2 v, zero boundary."""
     if not problem.family.startswith("biharmonic"):

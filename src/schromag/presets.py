@@ -67,7 +67,6 @@ class ComparePreset:
     t_end: float
     samples: int
     deltas: tuple = ()
-    notes: str = ""
     factors: tuple | None = None  # full SVD (u, s, vh) of a, when computed
 
 
@@ -89,7 +88,6 @@ def compare_preset(name: str) -> ComparePreset:
             gamma=2.0 * sig_min_hat,
             t_end=60.0,
             samples=1200,
-            notes="auxiliary/solved ratio comparison on diag([10, 0.1])",
         )
     if name == "fig2":
         # 1d Poisson reading: u''(x) = f(x), f = 2 sin(2 pi x), n = 16,
@@ -108,7 +106,6 @@ def compare_preset(name: str) -> ComparePreset:
             t_end=0.0,  # per-delta horizons are derived at run time
             samples=0,
             deltas=tuple(float(n) ** (-e) for e in (0.5, 1.0, 1.5, 2.0)),
-            notes="terminal-error comparison on the 1d Poisson problem",
             factors=factors,
         )
     raise InputError(f"unknown compare preset {name!r}; available: fig1, fig2")

@@ -28,9 +28,9 @@ pair j reads out as readout_j = forcing_j * r(sigma_j), where r(sigma) is
 a 2-vector fixed by the parameters, the grid and t.  r is evaluated once
 per group of equal singular values (`sigma_groups`) above the rounding
 floor (`PairSystem.evolved`).  The dense per-mode evolution of the whole
-homogenized generator, from any initial state, lives in the tests'
-reference module (`tests/reference.py`), which this path is checked
-against.
+homogenized generator, from any initial state, and the single-point
+readout live in the tests' reference module (`tests/reference.py`), which
+this path is checked against.
 
 The periodic p-domain must outrun left-travelling wave content for the
 whole evolution: anything that wraps re-enters from the right and
@@ -38,8 +38,8 @@ corrupts the readout region.  Grid construction therefore accepts the
 left tail as a parameter, and the end-to-end driver sizes it from the
 advection speeds of the spectral components that actually carry weight.
 
-The readout is a fixed linear functional of the field: a weight vector
-w over the grid points (`readout_weights`).  Because the field is the
+The integral readout is a fixed linear functional of the field: a weight
+vector w over the grid points (`readout_weights`).  Because the field is the
 inverse FFT of the modes, sum_k w_k field_k = sum_l c_l mode_l with
 c = ifft(w), so `evolve_structured` streams the modes chunk by chunk,
 accumulates that sum and drops each chunk; the (n_p, pairs, 4) field is
@@ -66,6 +66,9 @@ from .errors import InputError
 DEFAULT_TAIL_TOL = math.exp(-10.0)
 RIGHT_MARGIN = 2.0
 MAX_DP = 0.5
+# 32 times the largest preset grid (131072); a larger n_p is a usage error
+# before the grid is allocated
+MAX_NP = 1 << 22
 ACTIVE_PAIR_BUDGET = 1e-3
 _CHUNK_ENTRIES = 1 << 20
 # gap, relative to sigma_max, below which two singular values are evolved as
@@ -146,6 +149,8 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
         raise ValueError("t must be nonnegative")
     if n_p < 8 or (n_p & (n_p - 1)) != 0:
         raise InputError(f"n_p must be a power of two >= 8, got {n_p}")
+    if n_p > MAX_NP:
+        raise InputError(f"n_p={n_p} exceeds the largest grid {MAX_NP}")
     if p_left >= 0.0:
         raise InputError("p_left must be negative")
     p_right = max(rate * t_end, 0.0) + max(right_margin, RIGHT_MARGIN)
@@ -162,11 +167,9 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
                  thetas=thetas)
 
 
-def recovery_index(grid: PGrid, p_diamond: float, margin: float | None = None) -> int:
-    """Smallest grid index strictly beyond the threshold plus a margin."""
-    if margin is None:
-        margin = grid.dp
-    k = int(np.searchsorted(grid.points, p_diamond + margin, side="right"))
+def recovery_index(grid: PGrid, p_diamond: float) -> int:
+    """Smallest grid index strictly beyond the threshold plus one grid step."""
+    k = int(np.searchsorted(grid.points, p_diamond + grid.dp, side="right"))
     if k >= grid.n_p:
         raise InputError(
             f"no grid point beyond p_diamond={p_diamond:.4f}+margin; increase p_right"
@@ -174,37 +177,31 @@ def recovery_index(grid: PGrid, p_diamond: float, margin: float | None = None) -
     return k
 
 
-def readout_weights(grid: PGrid, p_diamond: float, method: str, advect: float = 0.0,
-                    margin: float | None = None) -> tuple[np.ndarray, int]:
-    """The readout as weights over the grid points: sum_k w[k] field(t, p_k).
+def readout_weights(grid: PGrid, p_diamond: float, advect: float) -> tuple[np.ndarray, int]:
+    """The integral readout as weights over the grid points: sum_k w[k] field(t, p_k).
 
-    "single-point" puts e^{p_k*} on the first admissible point k*.
-    "integral" is the trapezoid rule for e^{p*} int_{p*}^{P} field dq,
-    normalized on the grid, sum_k w[k] e^{-p_k} = 1, so the pure e^{-q}
-    profile is read back exactly.  Returns (w, k*).
+    The trapezoid rule for e^{p*} int_{p*}^{P} field dq from the first
+    admissible point k* (`recovery_index`), normalized on the grid,
+    sum_k w[k] e^{-p_k} = 1, so the pure e^{-q} profile is read back
+    exactly.  Returns (w, k*).
     """
-    k_star = recovery_index(grid, p_diamond, margin)
+    k_star = recovery_index(grid, p_diamond)
     w = np.zeros(grid.n_p)
-    if method == "single-point":
-        w[k_star] = math.exp(grid.points[k_star])
-        return w, k_star
-    if method == "integral":
-        # the top slice of the domain has been overwritten by wrapped
-        # left-tail data after an advection distance ~ ||h1|| * t; keep
-        # the quadrature inside the trustworthy zone (at least a quarter
-        # of the available range) and normalize for its actual width
-        k_end = grid.n_p - 1
-        if advect > 0.0:
-            cap = grid.points[-1] - advect
-            floor = grid.points[k_star] + 0.25 * (grid.points[-1] - grid.points[k_star])
-            k_end = int(np.searchsorted(grid.points, max(cap, floor))) - 1
-            k_end = max(k_end, k_star + 1)
-        window = slice(k_star, k_end + 1)
-        w[window] = 1.0
-        w[k_star] = w[k_end] = 0.5
-        w[window] /= w[window] @ np.exp(-grid.points[window])
-        return w, k_star
-    raise ValueError(f"unknown recovery method {method!r}")
+    # the top slice of the domain has been overwritten by wrapped
+    # left-tail data after an advection distance ~ ||h1|| * t; keep
+    # the quadrature inside the trustworthy zone (at least a quarter
+    # of the available range) and normalize for its actual width
+    k_end = grid.n_p - 1
+    if advect > 0.0:
+        cap = grid.points[-1] - advect
+        floor = grid.points[k_star] + 0.25 * (grid.points[-1] - grid.points[k_star])
+        k_end = int(np.searchsorted(grid.points, max(cap, floor))) - 1
+        k_end = max(k_end, k_star + 1)
+    window = slice(k_star, k_end + 1)
+    w[window] = 1.0
+    w[k_star] = w[k_end] = 0.5
+    w[window] /= w[window] @ np.exp(-grid.points[window])
+    return w, k_star
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +518,7 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
     grid = build_grid_from_rate(rate, t_end, n_p, p_left, right_margin)
     p_diamond = max(rate * t_end, 0.0)
     advect = float(np.max(pairs.advection_speeds())) * t_end
-    weights, k_star = readout_weights(grid, p_diamond, "integral", advect)
+    weights, k_star = readout_weights(grid, p_diamond, advect)
     stride = max(1, n_p // snapshot_rows) if snapshot_rows > 0 else 0
     w_rec, rows = evolve_structured(pairs, grid, t_end, weights, stride)
     report = PipelineReport(

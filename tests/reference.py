@@ -7,7 +7,9 @@ dense version of every link as the oracle the tests compare that core
 against: the 2n x 2n map (H, F) and its LU steady state, the homogenized
 4n x 4n generator, its split and the slicing of the split into n x n
 blocks, and the per-mode evolution by Hermitian eigendecomposition with
-both readouts.  No module of the package imports it.
+both readouts (the single-point one only here).  It also holds the check
+of a block-encoding state-preparation pair against its coefficients.  No
+module of the package imports it.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from schromag.errors import InputError
+from schromag.blockenc import StatePrepPair
+from schromag.errors import EncodingError, InputError
 from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve,
                              require_square, singular_values)
 from schromag.mag import MagParams, i_minus_h_singular_values, params_from_sigma
 from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PGrid,
                              _check_forcing_scale, build_grid_from_rate, envelope,
-                             readout_weights)
+                             readout_weights, recovery_index)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -225,18 +228,25 @@ def _top_block(vec: np.ndarray) -> np.ndarray:
     return vec[: vec.shape[0] // 2]
 
 
-def recover_single_point(state, h1, margin: float | None = None) -> np.ndarray:
+def single_point_weights(grid: PGrid, p_diamond: float) -> np.ndarray:
+    """The single-point readout as grid weights: e^{p_k*} on the first
+    admissible point k* (`recovery_index`), zero elsewhere."""
+    k_star = recovery_index(grid, p_diamond)
+    w = np.zeros(grid.n_p)
+    w[k_star] = math.exp(grid.points[k_star])
+    return w
+
+
+def recover_single_point(state, h1) -> np.ndarray:
     """e^{p_k*} field(t, p_k*), state block, at the first admissible point."""
-    w, _ = readout_weights(state.grid, p_threshold(h1, state.time), "single-point",
-                           margin=margin)
+    w = single_point_weights(state.grid, p_threshold(h1, state.time))
     return _top_block(w @ state.field())
 
 
-def recover_integral(state, h1, margin: float | None = None) -> np.ndarray:
+def recover_integral(state, h1) -> np.ndarray:
     """Trapezoid readout e^{p*} int_{p*}^{P} field dq, state block."""
     advect = float(np.max(np.abs(np.linalg.eigvalsh(as_cmatrix(h1))))) * state.time
-    w, _ = readout_weights(state.grid, p_threshold(h1, state.time), "integral", advect,
-                           margin)
+    w, _ = readout_weights(state.grid, p_threshold(h1, state.time), advect)
     return _top_block(w @ state.field())
 
 
@@ -278,3 +288,22 @@ def reassemble_blocks(blocks: dict, n: int) -> np.ndarray:
     for (i, j), blk in blocks.items():
         m[i * n : (i + 1) * n, j * n : (j + 1) * n] = blk
     return m
+
+
+def verify_state_prep(pair: StatePrepPair, y) -> float:
+    """||beta conj(c) d - y||_1 over the first columns c, d of the pair;
+    EncodingError beyond its claim, or where past len(y) the overlaps are
+    not zero."""
+    y = np.asarray(y, dtype=float)
+    c = pair.p_l[:, 0]
+    d = pair.p_r[:, 0]
+    overlaps = pair.beta * np.conj(c) * d
+    measured = float(np.sum(np.abs(overlaps[: y.size] - y)))
+    tail = float(np.max(np.abs(overlaps[y.size :]), initial=0.0))
+    if measured > pair.eps + 1e-12 or tail > 1e-12:
+        raise EncodingError(
+            f"state-preparation pair off by {measured:.3e} (tail {tail:.3e})",
+            measured=measured,
+            claimed=pair.eps,
+        )
+    return measured

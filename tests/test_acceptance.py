@@ -338,9 +338,9 @@ def test_criterion_9_block_encoding_suite():
             eps=float(np.linalg.norm(pert2, 2)) * 1.01, reference=a2 + pert2,
         )
         for made in (
-            blockenc.compose("product", b1, b2),
-            blockenc.compose("tensor", b1, b2) if n <= 4 else None,
-            blockenc.compose("sum", b1, b2, coefficients=[0.5, 0.5]),
+            blockenc.compose_product(b1, b2),
+            blockenc.compose_tensor(b1, b2) if n <= 4 else None,
+            blockenc.compose_sum([b1, b2], [0.5, 0.5]),
         ):
             if made is None:
                 continue

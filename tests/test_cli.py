@@ -131,6 +131,22 @@ class TestSolve:
         assert rc == 2
         assert peak < 2**20
 
+    @pytest.mark.parametrize("argv", [["schro"], ["pde", "--method", "schro"],
+                                      ["solve", "--method", "schro"]])
+    def test_out_of_range_np_is_usage_error(self, tmp_path, capsys, argv):
+        # rejected before the grid is allocated
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--preset", "fig3a", "--np", str(2**32),
+                       "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_p=4294967296 exceeds") and err.count("\n") == 1
+        assert peak < 2**20
+
 
 class TestFactorizationCounts:
     """Each invocation factors A once, and only the oracle solves a system."""
@@ -445,6 +461,8 @@ class TestComplexityCmd:
         payload = json.loads((tmp_path / "complexity.json").read_text())
         assert len(payload["rows"]) == 4
         assert len(payload["literature"]) == 6
+        header = "method,kappa_like,chi,queries,gates,repetitions".split(",")
+        assert all(sorted(row) == sorted(header) for row in payload["rows"])
 
     def test_requires_source(self, tmp_path):
         assert main(["complexity", "--out", str(tmp_path)]) == 2

@@ -303,13 +303,6 @@ class TestIteration:
             mag_iterate(sys, np.zeros(4), 1e-12, 5, w_inf=steady_state(sys))
         assert err.value.residual is not None
 
-    def test_fallback_residual_mode(self):
-        p = derive_params(100.0, 0.01)
-        sys = build_transformed(DIAG_A, DIAG_B, p)
-        trace = mag_iterate(sys, np.zeros(4), 1e-8, 20_000, w_inf=None)
-        u = solution_from_state(sys, trace.w_final)
-        assert np.allclose(u, [0.1, 10.0], rtol=1e-4)
-
     def test_scaling_linear_in_kappa(self):
         delta = 1e-6
         ratios = []
@@ -350,7 +343,7 @@ class TestRelativeTrace:
         w_inf = steady_state(sys)
         assert np.allclose(w_inf, w_inf[0])
         trace = mag_iterate(sys, np.zeros(4), 1e-8, 5000, w_inf=w_inf)
-        values, kappa2 = relative_trace(trace, w_inf)
+        values, kappa2 = relative_trace_from_steady(w_inf, trace.states)
         assert kappa2 == pytest.approx(1.0, rel=1e-9)
         assert values == pytest.approx(trace.residuals, rel=1e-6)
 
@@ -359,7 +352,7 @@ class TestRelativeTrace:
         sys = build_transformed(DIAG_A, DIAG_B, p)
         w = steady_state(sys)
         trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000, w_inf=w)
-        values, kappa2 = relative_trace(trace, w)
+        values, kappa2 = relative_trace_from_steady(w, trace.states)
         assert values is not None
         assert math.isfinite(kappa2)
         assert kappa2 == pytest.approx(np.max(np.abs(w)) / np.min(np.abs(w)))
@@ -409,8 +402,10 @@ class TestPairBasis:
                                 4 * convergence_steps(p.kappa_hat, delta_run),
                                 w_inf=w_inf, keep_states=keep_states)
             final = trace.w_final if sys is dense else spec.to_state(trace.w_final)
-            rel = (relative_trace(trace, w_inf, None if sys is dense else spec)
-                   if keep_states else None)
+            rel = None
+            if keep_states:
+                rel = (relative_trace_from_steady(w_inf, trace.states) if sys is dense
+                       else relative_trace(trace, w_inf, spec))
             out.append((trace, solution_from_state(dense, final), rel))
         return out
 

@@ -13,11 +13,10 @@ from schromag.pde import (
     helmholtz_2d,
     laplacian_1d,
     make_problem,
-    preset,
     sine_mode_oracle,
     two_stage_oracle,
 )
-from schromag.presets import PDE_PRESET_NAMES
+from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
 
 class TestHelmholtz1d:
@@ -208,25 +207,25 @@ class TestBiharmonic2d:
 
 class TestPresets:
     def test_catalogue_contents(self):
-        problem, _ = preset("fig3a")
+        problem, _ = pde_preset("fig3a")
         assert (problem.family, problem.n, problem.k) == ("helmholtz1d", 16, 2.0)
         assert problem.boundary == (ZERO,)
 
-        problem, _ = preset("fig3d")
+        problem, _ = pde_preset("fig3d")
         assert problem.boundary == (ROBIN, 2j)
         assert problem.forcing == "cos2"
 
-        problem, _ = preset("fig5c")
+        problem, _ = pde_preset("fig5c")
         assert (problem.family, problem.n) == ("biharmonic1d", 16)
         assert problem.boundary == (MIXED, 2.0)
 
     def test_unknown_preset(self):
         with pytest.raises(InputError):
-            preset("fig9z")
+            pde_preset("fig9z")
 
     def test_all_presets_assemble_and_solve(self):
         for name in PDE_PRESET_NAMES:
-            problem, solver = preset(name)
+            problem, solver = pde_preset(name)
             u = direct_solve(problem.system)
             assert np.all(np.isfinite(u.real))
             assert 0.0 < solver.delta < 1.0
@@ -234,7 +233,7 @@ class TestPresets:
 
     def test_nodes_align_with_solution(self):
         for name in ("fig3a", "fig3d", "fig4a", "fig5a", "fig6a"):
-            problem, _ = preset(name)
+            problem, _ = pde_preset(name)
             xs, ys = problem.nodes()
             assert xs.shape[0] == problem.dim
             if problem.family.endswith("2d"):

@@ -27,7 +27,8 @@ from schromag.schrod import (
 
 from reference import (HermitianSplit, HomogenizedSystem, build_grid, build_transformed, evolve,
                        homogenize, p_threshold, params_from_matrix, recover_integral,
-                       recover_single_point, split, steady_state, to_ode)
+                       recover_single_point, single_point_weights, split, steady_state,
+                       to_ode)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -540,9 +541,8 @@ class TestStreamedReadout:
         atol = 1e-10 * float(np.linalg.norm(hs.w0_homo))
         p_diamond = p_threshold(sp.h1, t)
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
-        for method, oracle in (("integral", recover_integral),
-                               ("single-point", recover_single_point)):
-            weights, _ = readout_weights(grid, p_diamond, method, advect)
+        for weights, oracle in ((readout_weights(grid, p_diamond, advect)[0], recover_integral),
+                                (single_point_weights(grid, p_diamond), recover_single_point)):
             vec, rows = evolve_structured(pairs, grid, t, weights)
             assert rows is None
             assert np.allclose(vec, oracle(state, sp.h1), rtol=0.0, atol=atol)
@@ -588,9 +588,8 @@ class TestStreamedReadout:
         p_diamond = p_threshold(sp.h1, t)
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
         field = state.field()
-        for method, oracle in (("integral", recover_integral),
-                               ("single-point", recover_single_point)):
-            weights, _ = readout_weights(grid, p_diamond, method, advect)
+        for weights, oracle in ((readout_weights(grid, p_diamond, advect)[0], recover_integral),
+                                (single_point_weights(grid, p_diamond), recover_single_point)):
             expect = oracle(state, sp.h1)
             for entries in (schrod._CHUNK_ENTRIES, 256):
                 with mock.patch.object(schrod, "_CHUNK_ENTRIES", entries):
@@ -633,9 +632,8 @@ class TestStreamedReadout:
         p_diamond = p_threshold(sp.h1, t)
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
         field = state.field()
-        for method, oracle in (("integral", recover_integral),
-                               ("single-point", recover_single_point)):
-            weights, _ = readout_weights(grid, p_diamond, method, advect)
+        for weights, oracle in ((readout_weights(grid, p_diamond, advect)[0], recover_integral),
+                                (single_point_weights(grid, p_diamond), recover_single_point)):
             for stride in (0, 1, 8):
                 vec, rows = evolve_structured(pairs, grid, t, weights, stride)
                 assert np.allclose(vec, oracle(state, sp.h1), rtol=0.0, atol=atol)
@@ -660,7 +658,7 @@ class TestStreamedReadout:
         for n_p, p_diamond, advect in ((256, 0.0, 3.0), (256, 0.0, 0.0), (1024, 1.5, 4.0),
                                        (64, 0.0, 0.0)):
             grid = build_grid(sp.h1, 1.0, n_p, p_left=-12.0, right_margin=8.0)
-            w, k_star = readout_weights(grid, p_diamond, "integral", advect=advect)
+            w, k_star = readout_weights(grid, p_diamond, advect)
             window = np.flatnonzero(w)
             assert window[0] == k_star
             assert np.array_equal(window, np.arange(window[0], window[-1] + 1))
@@ -706,7 +704,7 @@ class TestPruning:
         t = 20.0
         rate = pairs.lambda_max_h1()
         grid = schrod.build_grid_from_rate(rate, t, 4096, p_left=-60.0)
-        weights, _ = readout_weights(grid, max(rate * t, 0.0), "single-point")
+        weights = single_point_weights(grid, max(rate * t, 0.0))
         vec, rows = evolve_structured(pairs, grid, t, weights, 64)
         # entries 0 and 1 share a group: the same r(sigma), scaled by forcings
         # 1e-20 and 1, in the state block and in every slot of the snapshot
