@@ -108,7 +108,6 @@ class StatePrepPair:
     p_r: np.ndarray
     beta: float
     b_qubits: int
-    eps: float
 
 
 def build_state_prep_pair(y) -> StatePrepPair:
@@ -136,7 +135,6 @@ def build_state_prep_pair(y) -> StatePrepPair:
         p_r=_complete_unitary(col_r),
         beta=beta,
         b_qubits=b,
-        eps=0.0,
     )
 
 
@@ -195,7 +193,8 @@ def compose_sum(bes: list[BlockEncoding], y) -> BlockEncoding:
     state-preparation pair.
 
     All operands must share (alpha, m, n); the result carries
-    (alpha*beta, m+b, alpha*eps_op + alpha*beta*eps_pair).
+    (alpha*beta, m+b, alpha*eps_op): the state-preparation pair is exact
+    up to rounding and adds no term of its own.
     """
     y = np.asarray(y, dtype=float)
     if len(bes) != y.size:
@@ -222,7 +221,7 @@ def compose_sum(bes: list[BlockEncoding], y) -> BlockEncoding:
         u=u,
         alpha=alpha * pair.beta,
         m=m + pair.b_qubits,
-        eps=alpha * eps_op + alpha * pair.beta * pair.eps,
+        eps=alpha * eps_op,
         n=n,
         reference=reference,
     )

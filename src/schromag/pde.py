@@ -4,12 +4,12 @@ Conventions: n counts interior unknowns per dimension, h = 1/(n+1),
 forcing is sampled at interior nodes, 2d vectors stack columns of the
 node grid (x index fastest).  The Robin extension prepends the boundary
 node with corner entry -(1+2hc) and unit coupling; accuracy claims are
-always relative to the assembled matrix, which the oracles solve too.
+always relative to the assembled matrix, which the tests' oracles
+(`tests/reference.py`) solve too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,33 +232,3 @@ def make_problem(family: str, n: int, k: float, forcing, boundary) -> PdeProblem
         h=1.0 / (n + 1),
         system=system,
     )
-
-
-def two_stage_oracle(problem: PdeProblem) -> np.ndarray:
-    """Biharmonic check: solve L v = h^2 f, then L u = h^2 v, zero boundary."""
-    if not problem.family.startswith("biharmonic"):
-        raise ValueError("two-stage oracle applies to biharmonic systems")
-    if problem.boundary[0] != ZERO:
-        raise ValueError("two-stage oracle assumes the zero boundary")
-    sysm = problem.system
-    half = problem.dim // 2
-    lap = sysm.a[half:, half:]
-    v = np.linalg.solve(lap, sysm.b[half:])
-    u = np.linalg.solve(lap, problem.h**2 * v)
-    return np.concatenate([u, v])
-
-
-def sine_mode_oracle(n: int, k: float, coeffs: dict) -> np.ndarray:
-    """Zero-boundary 1d Helmholtz solution for forcing sum_m c_m sin(m pi x).
-
-    sin(m pi x) sampled at the interior nodes is an eigenvector of the
-    assembled matrix, so the discrete solution is the coefficient-wise
-    rescaling by the discrete eigenvalue of L_h + k^2 h^2.
-    """
-    h = 1.0 / (n + 1)
-    xs = h * np.arange(1, n + 1)
-    u = np.zeros(n, dtype=np.complex128)
-    for m, c in coeffs.items():
-        lam = -4.0 * math.sin(m * math.pi * h / 2.0) ** 2 + (k * h) ** 2
-        u += c * h * h * np.sin(m * np.pi * xs) / lam
-    return u

@@ -9,10 +9,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schromag import mag
+from schromag import floatrepr, mag
 from schromag.cli import main
 from schromag.io import read_vector, write_matrix_coo, write_vector
 from schromag.presets import compare_preset, pde_preset
+
+import reference
 
 
 @pytest.fixture()
@@ -296,7 +298,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 class TestDeferredScipy:
     """scipy is a test dependency only: no command loads it.  Nor does any
     command load the tests' dense reference, which the package no longer
-    carries."""
+    carries, and only a command that writes a snapshot loads its
+    formatter."""
 
     @staticmethod
     def _run_without_scipy(tmp_path, argv):
@@ -308,6 +311,7 @@ class TestDeferredScipy:
             "assert rc == 0, rc\n"
             "assert 'scipy' not in sys.modules, 'run'\n"
             "assert 'reference' not in sys.modules, 'reference'\n"
+            "assert 'schromag.floatrepr' not in sys.modules, 'floatrepr'\n"
             "assert not hasattr(schromag.mag, 'build_transformed'), 'dense H'\n"
         )
         env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
@@ -422,6 +426,39 @@ class TestSchro:
         lines = (out / "warped_field.csv").read_text().strip().split("\n")
         assert lines[0].startswith("p,comp0_re,comp0_im")
         assert 2 <= len(lines) - 1 <= 1024
+
+
+class TestSnapshotFile:
+    def test_seeded_fig4a_snapshot_is_per_element_repr(self, tmp_path):
+        """`schro` in a fresh process on fig4a's matrix and a seeded complex
+        rhs at --np 16384 writes warped_field.csv byte for byte as the
+        per-element repr writer would, with under 1% of its values left to
+        repr by the vectorized formatter."""
+        problem = pde_preset("fig4a")[0]
+        a, b0 = problem.system.a, problem.system.b
+        rng = np.random.default_rng(0)
+        b = b0 / np.max(np.abs(b0)) + 0.1 * (rng.standard_normal(b0.size)
+                                             + 1j * rng.standard_normal(b0.size))
+        write_matrix_coo(tmp_path / "a.coo", a)
+        write_vector(tmp_path / "b.vec", b)
+        out = tmp_path / "out"
+        argv = ["schro", "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
+                "--np", "16384", "--out", str(out)]
+        script = f"import sys\nfrom schromag.cli import main\nsys.exit(main({argv!r}))\n"
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        written = (out / "warped_field.csv").read_bytes()
+        body = written.split(b"\n", 1)[1]
+        rows = np.array([[float(t) for t in ln.split(b",")] for ln in body.splitlines()])
+        assert rows.shape == (1024, 1 + 2 * 4 * a.shape[0])
+        expected = tmp_path / "expected.csv"
+        reference.write_field_snapshot_csv(expected, rows[:, 0],
+                                           np.ascontiguousarray(rows[:, 1:]).view(np.complex128))
+        same = written == expected.read_bytes()  # not in the assert: no 48 MB diff
+        assert same
+        assert floatrepr.shortest_digits(rows.ravel())[3].mean() < 0.01
 
 
 class TestBlockencVerify:

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from schromag import io
+from schromag import floatrepr, io
 from schromag.errors import InputError
 from schromag.io import (
     read_matrix_coo,
@@ -15,6 +18,8 @@ from schromag.io import (
     write_trajectory_csv,
     write_vector,
 )
+
+from reference import repr_rows
 
 
 class TestMatrixFormat:
@@ -143,3 +148,71 @@ class TestCsv:
             tracemalloc.stop()
         assert path.stat().st_size > 32 * 2**20
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _edge_values() -> np.ndarray:
+    """Values where a shortcut to repr's digits would most likely slip."""
+    vals = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-280, 1e280,
+            1.7976931348623157e308, 9999999999999998.0, 1e16, 1e-4, 1e-5, 1e22, 1e23,
+            0.1, 0.3, 2.0 / 3.0, math.pi]
+    vals += [2.0**k for k in range(-1074, 1024)]
+    vals += [float(f"1e{k}") for k in range(-323, 309)]
+    # 1..17 significant digits, at the fixed/exponent switches (decpt -3/-4
+    # and 16/17), inside the fast path's range and with 3-digit exponents
+    for p in range(1, 18):
+        for digits in ("12345678901234567", "98765432109876543", "99999999999999999",
+                       "10000000000000001", "50000000000000005"):
+            for e in (-330, -310, -300, -281, -280, -279, -100, -99, -20, -5, -4, -3, -2,
+                      0, 1, 14, 15, 16, 17, 18, 22, 99, 100, 279, 280, 300):
+                vals.append(float(f"0.{digits[:p]}e{e}"))
+    x = np.array(vals)
+    with np.errstate(over="ignore"):  # the neighbour of the largest double is inf
+        up = np.nextafter(x, np.inf)
+        x = np.concatenate([x, up, np.nextafter(up, np.inf), np.nextafter(x, -np.inf)])
+    return np.concatenate([x, -x, [math.nan]])
+
+
+class TestReprKernel:
+    """floatrepr.format_rows against one repr call per value (reference.repr_rows)."""
+
+    @staticmethod
+    def _check(table):
+        table = np.atleast_2d(np.asarray(table, dtype=np.float64))
+        got, want = floatrepr.format_rows(table), repr_rows(table).encode()
+        if got != want:
+            bad = [(float(v), g) for v, g in zip(table.ravel(), got.replace(b"\n", b",").split(b","))
+                   if repr(float(v)).encode() != g]
+            raise AssertionError(f"{len(bad)} cells differ from repr, first {bad[:3]}")
+
+    def test_edge_values(self):
+        x = _edge_values()
+        self._check(x[: x.size // 3 * 3].reshape(-1, 3))
+        self._check(x)
+        # most of them take the fast path, so the check above is not repr vs repr
+        assert floatrepr.shortest_digits(x)[3].mean() < 0.5
+
+    def test_random_bit_patterns_and_magnitudes(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, size=(100, 1000), dtype=np.uint64, endpoint=False)
+        self._check(bits.view(np.float64))
+        scaled = rng.standard_normal((100, 1000)) * 10.0 ** rng.integers(-300, 300, (100, 1000))
+        self._check(scaled)
+        # repr formats the magnitudes outside 1e-280..1e280 by design (~7% here)
+        inside = (np.abs(scaled) > 1e-280) & (np.abs(scaled) < 1e280)
+        assert floatrepr.shortest_digits(scaled[inside])[3].mean() < 0.01
+
+    @given(arrays(np.uint64, st.tuples(st.integers(1, 3), st.integers(1, 40))))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bit_pattern(self, bits):
+        self._check(bits.view(np.float64))
+
+    @given(st.lists(st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-10**17, 10**17),
+                              st.integers(-340, 320)), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_short_decimal_strings(self, values):
+        self._check(values)
+
+    def test_carry_into_the_next_decade(self):
+        # 1e24 is 999999999999999983222784.0; its 17-digit form rounds up to 1e+24
+        self._check([1e24, -1e24])
+        assert not floatrepr.shortest_digits(np.array([1e24]))[3].any()

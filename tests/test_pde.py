@@ -13,10 +13,10 @@ from schromag.pde import (
     helmholtz_2d,
     laplacian_1d,
     make_problem,
-    sine_mode_oracle,
-    two_stage_oracle,
 )
 from schromag.presets import PDE_PRESET_NAMES, pde_preset
+
+from reference import sine_mode_oracle, two_stage_oracle
 
 
 class TestHelmholtz1d:
