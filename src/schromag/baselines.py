@@ -12,12 +12,14 @@ per singular value s (c = sqrt(alpha*beta)):
   mag-ODE, the momentum map's (H - I, F) (`mag.SpectralSystem`):
       [[-alpha s^2, -c s], [c s, beta - 1]], drive [alpha s b~; 0]
 
-Every builder reads sigma, U, V and b~ from the run's one
-`mag.SpectralSystem` (`mag.build_spectral`).  A state is held as one k-vector [x_j, y_j] per
-singular value, for [V x; U y] (V x alone for the gradient flow).  Each
-sample is the closed form w_inf + exp(M t)(w0 - w_inf) at its own time
-(`linalg.block_expm_apply`), with w_inf = -M^{-1} g from the 2x2
-adjugate, so method comparisons carry no time-stepping error.
+Every builder reads sigma and b~ from the run's one `mag.SpectralSystem`
+(`mag.build_spectral`) and keeps it: a flow lives in that basis, one
+k-vector [x_j, y_j] per singular value, and `SpectralSystem.to_state`
+maps it to [V x; U y] (V x alone for the gradient flow).  Every flow
+starts at w = 0, and each sample is the closed form
+w_inf - exp(M t) w_inf at its own time (`linalg.block_expm_apply`), with
+w_inf = -M^{-1} g from the 2x2 adjugate, so method comparisons carry no
+time-stepping error.
 """
 
 from __future__ import annotations
@@ -27,23 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_cvector, block_expm_apply
+from .linalg import block_expm_apply
 from .mag import SpectralSystem
 
 
 @dataclass(frozen=True)
 class FlowSystem:
     """dw/dt = M w + g as one k x k block of M and k-vector of g per
-    singular value of A = U Sigma V^H (u, vh its factors)."""
+    singular value of the run's `spec`, in whose basis the states live."""
 
     blocks: np.ndarray  # (n, k, k)
     drive: np.ndarray  # (n, k)
-    u: np.ndarray
-    vh: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.drive.size
+    spec: SpectralSystem
 
     def steady_pairs(self) -> np.ndarray:
         """-M^{-1} g per block, (n, k)."""
@@ -54,28 +51,16 @@ class FlowSystem:
         return np.stack([m[:, 0, 1] * g[:, 1] - m[:, 1, 1] * g[:, 0],
                          m[:, 1, 0] * g[:, 0] - m[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
 
-    def steady_state(self) -> np.ndarray:
-        return self.to_state(self.steady_pairs())
-
-    def to_state(self, pairs) -> np.ndarray:
-        """[V x; U y] of (..., n, k) pair states, one product per block."""
-        bases = (self.vh.conj(), self.u.T)
-        return np.concatenate([pairs[..., j] @ bases[j] for j in range(pairs.shape[-1])],
-                              axis=-1)
-
-    def from_state(self, w: np.ndarray) -> np.ndarray:
-        """The (n, k) pair state of a state vector, the inverse of `to_state`."""
-        n = self.drive.shape[0]
-        bases = (self.vh, self.u.conj().T)
-        return np.stack([bases[j] @ w[j * n : (j + 1) * n] for j in range(self.drive.shape[1])],
-                        axis=-1)
-
 
 def build_gradient_flow(spec: SpectralSystem) -> FlowSystem:
     """du/dt = A^H b - A^H A u; steady state is the least-squares solution."""
     s = spec.sigma
-    return FlowSystem(blocks=-(s**2)[:, None, None], drive=(s * spec.b_t)[:, None],
-                      u=spec.u, vh=spec.vh)
+    return FlowSystem(blocks=-(s**2)[:, None, None], drive=(s * spec.b_t)[:, None], spec=spec)
+
+
+# the damping rate the CLI and the fig2 preset use where none is given,
+# just below critical damping 2 sigma_min
+GAMMA_PER_SIGMA_MIN = 1.9
 
 
 def build_damped(spec: SpectralSystem, gamma: float) -> FlowSystem:
@@ -94,7 +79,7 @@ def build_damped(spec: SpectralSystem, gamma: float) -> FlowSystem:
     blocks = np.zeros((s.size, 2, 2))
     blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = -s, s, -gamma
     drive = np.stack([np.zeros_like(b_t), -b_t], axis=-1)
-    return FlowSystem(blocks=blocks, drive=drive, u=spec.u, vh=spec.vh)
+    return FlowSystem(blocks=blocks, drive=drive, spec=spec)
 
 
 def build_mag_ode(spec: SpectralSystem) -> FlowSystem:
@@ -105,11 +90,12 @@ def build_mag_ode(spec: SpectralSystem) -> FlowSystem:
     blocks[:, 0, 0], blocks[:, 0, 1] = -p.alpha * s**2, -cs
     blocks[:, 1, 0], blocks[:, 1, 1] = cs, p.beta - 1.0
     drive = np.stack([p.alpha * s * spec.b_t, np.zeros_like(spec.b_t)], axis=-1)
-    return FlowSystem(blocks=blocks, drive=drive, u=spec.u, vh=spec.vh)
+    return FlowSystem(blocks=blocks, drive=drive, spec=spec)
 
 
-def integrate_flow(sys: FlowSystem, w0, t_end: float, samples: int):
-    """Exact flow states at uniformly spaced times, including t=0.
+def integrate_flow(sys: FlowSystem, t_end: float, samples: int) -> tuple:
+    """(times, states): the exact flow from w = 0 at `samples` uniformly
+    spaced times, t = 0 included, one state per row.
 
     Every sample is evaluated in closed form at its own time, so the end
     state does not depend on the number of samples.
@@ -118,13 +104,10 @@ def integrate_flow(sys: FlowSystem, w0, t_end: float, samples: int):
         raise ValueError("t_end must be positive")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    w0 = as_cvector(w0)
-    if w0.shape[0] != sys.dim:
-        raise ValueError(f"w0 must have dimension {sys.dim}")
     times = np.linspace(0.0, t_end, samples)
     w_inf = sys.steady_pairs()
-    pairs = w_inf + block_expm_apply(sys.blocks, sys.from_state(w0) - w_inf, times)
-    return list(zip(times.tolist(), sys.to_state(pairs)))
+    pairs = w_inf + block_expm_apply(sys.blocks, -w_inf, times)
+    return times, sys.spec.to_state(pairs.swapaxes(1, 2).reshape(samples, -1))
 
 
 def evolution_time(kind: str, sigma_min: float, delta: float) -> float:
@@ -149,42 +132,26 @@ RATIO_DENOM_TOL = 1e-12
 
 @dataclass
 class RatioTrace:
-    times: list
     ratios: list  # real part of aux/solved, nan at gap samples
     sign_changes: int
     ratio_min: float
     ratio_max: float
 
 
-def auxiliary_ratio_trace(trajectory, solved_index: int, aux_index: int) -> RatioTrace:
-    """Ratio auxiliary/solved along a trajectory of (time, state) pairs.
+def auxiliary_ratio_trace(solved, aux) -> RatioTrace:
+    """Ratio aux/solved along two state columns of a flow.
 
     Samples whose solved component is below threshold are recorded as
     gaps (nan), never as infinities, and are skipped when counting sign
     changes of the real part.
     """
-    times, ratios = [], []
-    scale = max(
-        (abs(w[solved_index]) for _, w in trajectory),
-        default=0.0,
-    )
-    threshold = RATIO_DENOM_TOL * max(scale, 1.0)
-    for t, w in trajectory:
-        times.append(t)
-        denom = w[solved_index]
-        if abs(denom) <= threshold:
-            ratios.append(math.nan)
-        else:
-            ratios.append(float((w[aux_index] / denom).real))
-    finite = [r for r in ratios if not math.isnan(r)]
-    changes = 0
-    for prev, cur in zip(finite, finite[1:]):
-        if prev * cur < 0.0:
-            changes += 1
+    modulus = np.abs(solved)
+    gap = modulus <= RATIO_DENOM_TOL * max(float(modulus.max()), 1.0)
+    ratios = np.where(gap, math.nan, (aux / np.where(gap, 1.0, solved)).real)
+    finite = ratios[~gap]
     return RatioTrace(
-        times=times,
-        ratios=ratios,
-        sign_changes=changes,
-        ratio_min=min(finite) if finite else math.nan,
-        ratio_max=max(finite) if finite else math.nan,
+        ratios=ratios.tolist(),
+        sign_changes=int(np.count_nonzero(finite[1:] * finite[:-1] < 0.0)),
+        ratio_min=float(finite.min()) if finite.size else math.nan,
+        ratio_max=float(finite.max()) if finite.size else math.nan,
     )

@@ -152,7 +152,7 @@ def _residual(u: np.ndarray, oracle: np.ndarray) -> float:
 
 def _flow_end(flow: baselines.FlowSystem, t_end: float) -> np.ndarray:
     # closed form: the end state does not depend on the sampling
-    return baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 2)[-1][1]
+    return baselines.integrate_flow(flow, t_end, 2)[1][-1]
 
 
 def _solve_with_method(cfg: RunConfig, spec: mag.SpectralSystem, delta: float, n_p: int,
@@ -175,7 +175,7 @@ def _solve_with_method(cfg: RunConfig, spec: mag.SpectralSystem, delta: float, n
         t_end = baselines.evolution_time("gradient", sigma_min, delta)
         u, artifacts = _flow_end(baselines.build_gradient_flow(spec), t_end), {"t_end": t_end}
     elif method == "damped":
-        gamma = cfg.gamma if cfg.gamma is not None else 1.9 * sigma_min
+        gamma = baselines.GAMMA_PER_SIGMA_MIN * sigma_min if cfg.gamma is None else cfg.gamma
         flow = baselines.build_damped(spec, gamma)
         t_end = baselines.evolution_time("damped", sigma_min, delta)
         u, artifacts = _flow_end(flow, t_end)[: spec.n], {"t_end": t_end, "gamma": gamma}
@@ -223,33 +223,27 @@ def cmd_compare(cfg: RunConfig) -> int:
         spec = mag.build_spectral(cp.a, cp.b, mag.derive_params(cp.l_hat, cp.mu_hat))
         gamma, t_end, samples = cp.gamma, cp.t_end, cp.samples
     else:
-        a = io.read_matrix_coo(cfg.matrix)
-        b = io.read_vector(cfg.rhs)
-        factors = full_svd(a)
-        spec = mag.build_spectral(a, b, _params_for(cfg, factors[1]), factors)
+        system, _, delta, _ = _load_system(cfg)
+        factors = full_svd(system.a)
+        spec = mag.build_spectral(system.a, system.b, _params_for(cfg, factors[1]), factors)
         sigma_min = float(spec.sigma[-1])
-        gamma = cfg.gamma if cfg.gamma is not None else 1.9 * sigma_min
-        t_end = baselines.evolution_time("damped", sigma_min, cfg.delta or 1e-3)
+        gamma = baselines.GAMMA_PER_SIGMA_MIN * sigma_min if cfg.gamma is None else cfg.gamma
+        t_end = baselines.evolution_time("damped", sigma_min, delta)
         samples = 1200
 
     n = spec.n
     flows = {"mag": baselines.build_mag_ode(spec), "damped": baselines.build_damped(spec, gamma)}
     ratios = {}
     for tag, flow in flows.items():
-        traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, samples)
-        ratios[tag] = ratio = baselines.auxiliary_ratio_trace(traj, solved_index=0, aux_index=n)
-        io.write_trajectory_csv(
-            os.path.join(cfg.out, f"{tag}_trajectory.csv"),
-            [t for t, _ in traj],
-            [w[0] for _, w in traj],
-            [w[n] for _, w in traj],
-            ratio.ratios,
-        )
+        times, states = baselines.integrate_flow(flow, t_end, samples)
+        ratios[tag] = ratio = baselines.auxiliary_ratio_trace(states[:, 0], states[:, n])
+        io.write_trajectory_csv(os.path.join(cfg.out, f"{tag}_trajectory.csv"),
+                                times, states[:, 0], states[:, n], ratio.ratios)
     ratio_mag, ratio_damp = ratios["mag"], ratios["damped"]
     cell = lambda r: "" if math.isnan(r) else repr(r)
     lines = ["time,mag_ratio,damped_ratio"] + [
         f"{t!r},{cell(rm)},{cell(rd)}"
-        for t, rm, rd in zip(ratio_mag.times, ratio_mag.ratios, ratio_damp.ratios)]
+        for t, rm, rd in zip(times.tolist(), ratio_mag.ratios, ratio_damp.ratios)]
     io.write_text(os.path.join(cfg.out, "ratio.csv"), "\n".join(lines) + "\n")
     io.write_json(
         os.path.join(cfg.out, "compare.json"),

@@ -160,6 +160,3 @@ def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
         )
     return u
 
-
-def spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))

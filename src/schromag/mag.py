@@ -118,11 +118,13 @@ class SpectralSystem:
                                math.sqrt(p.alpha * p.beta) * self.b_t])
 
     def to_state(self, w) -> np.ndarray:
-        """[V w1; U w2] of one state, or of each row of a stack of them."""
+        """[V w1; U w2] of one state, or of each row of a stack of them; an
+        n-wide w is w1 alone (the gradient flow's) and maps to V w1."""
         w, n = np.asarray(w), self.n
         out = np.empty(w.shape, dtype=np.complex128)
         np.matmul(w[..., :n], self.vh.conj(), out=out[..., :n])
-        np.matmul(w[..., n:], self.u.T, out=out[..., n:])
+        if w.shape[-1] > n:
+            np.matmul(w[..., n:], self.u.T, out=out[..., n:])
         return out
 
 

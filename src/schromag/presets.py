@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import GAMMA_PER_SIGMA_MIN
 from .errors import InputError
 from .linalg import full_svd
 from .pde import MIXED, ROBIN, ZERO, PdeProblem, make_problem
@@ -102,7 +103,7 @@ def compare_preset(name: str) -> ComparePreset:
             b=problem.system.b,
             l_hat=float(s[0]) ** 2,
             mu_hat=float(s[-1]) ** 2,
-            gamma=1.9 * float(s[-1]),
+            gamma=GAMMA_PER_SIGMA_MIN * float(s[-1]),
             t_end=0.0,  # per-delta horizons are derived at run time
             samples=0,
             deltas=tuple(float(n) ** (-e) for e in (0.5, 1.0, 1.5, 2.0)),

@@ -4,7 +4,8 @@ The package runs the chain one-step map -> ODE -> homogenization ->
 Hermitian split -> warped phase -> readout only on the per-singular-value
 core (`mag.SpectralSystem`, `schrod.PairSystem`).  This module keeps the
 dense version of every link as the oracle the tests compare that core
-against: the 2n x 2n map (H, F) and its LU steady state, the homogenized
+against: the 2n x 2n map (H, F) and its LU steady state, the steady
+state of a comparison flow as a state vector, the homogenized
 4n x 4n generator, its split and the slicing of the split into n x n
 blocks, and the per-mode evolution by Hermitian eigendecomposition with
 both readouts (the single-point one only here).  It also holds the check
@@ -108,6 +109,12 @@ def steady_state(sys: TransformedSystem) -> np.ndarray:
 def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
     """Continuous form of the one-step map with unit step: (H - I, F)."""
     return sys.h - np.eye(2 * sys.n), sys.f.copy()
+
+
+def flow_steady_state(flow) -> np.ndarray:
+    """The steady state -M^{-1} g of a `baselines.FlowSystem` as a state
+    vector [V x; U y] (V x alone for the gradient flow)."""
+    return flow.spec.to_state(flow.steady_pairs().T.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from schromag.mag import (
 from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
 from schromag.schrod import pipeline
 
-from reference import (build_grid, build_transformed, evolve, homogenize, params_from_matrix,
-                       recover_single_point, split, steady_state)
+from reference import (build_grid, build_transformed, evolve, flow_steady_state, homogenize,
+                       params_from_matrix, recover_single_point, split, steady_state)
 
 RNG = np.random.default_rng(2024)
 
@@ -107,11 +107,11 @@ def test_criterion_3_convergence_step_scaling():
 
 def _time_to_delta(flow, delta=1e-6, t_hi=None):
     """Bisect the exact flow for the first time the error contracts to delta."""
-    w_inf = flow.steady_state()
+    w_inf = flow_steady_state(flow)
     d0 = np.linalg.norm(w_inf)
 
     def err(t):
-        state = baselines.integrate_flow(flow, np.zeros(flow.dim), t, 2)[-1][1]
+        state = baselines.integrate_flow(flow, t, 2)[1][-1]
         return np.linalg.norm(state - w_inf) / d0
 
     lo, hi = 0.0, t_hi
@@ -163,10 +163,10 @@ def test_criterion_5_fig1_reproduction():
     mag_flow = baselines.build_mag_ode(spec)
     damp_flow = baselines.build_damped(spec, cp.gamma)
 
-    traj_m = baselines.integrate_flow(mag_flow, np.zeros(2 * n), cp.t_end, cp.samples)
-    traj_d = baselines.integrate_flow(damp_flow, np.zeros(2 * n), cp.t_end, cp.samples)
-    r_m = baselines.auxiliary_ratio_trace(traj_m, solved_index=0, aux_index=n)
-    r_d = baselines.auxiliary_ratio_trace(traj_d, solved_index=0, aux_index=n)
+    _, states_m = baselines.integrate_flow(mag_flow, cp.t_end, cp.samples)
+    _, states_d = baselines.integrate_flow(damp_flow, cp.t_end, cp.samples)
+    r_m = baselines.auxiliary_ratio_trace(states_m[:, 0], states_m[:, n])
+    r_d = baselines.auxiliary_ratio_trace(states_d[:, 0], states_d[:, n])
 
     tail_start = max(1, int(0.05 * len(r_m.ratios)))
     tail = [r for r in r_m.ratios[tail_start:] if not math.isnan(r)]
@@ -174,7 +174,7 @@ def test_criterion_5_fig1_reproduction():
     band = max(tail) - min(tail)
     steady_band = abs(tail[-1]) + 1.0
 
-    aux_steady = float(np.max(np.abs(damp_flow.steady_state()[n:])))
+    aux_steady = float(np.max(np.abs(flow_steady_state(damp_flow)[n:])))
     damp_tail = [abs(r) for r in r_d.ratios[-cp.samples // 10:] if not math.isnan(r)]
     damp_trend = np.mean(damp_tail) < 0.05 * max(abs(r) for r in r_d.ratios if not math.isnan(r))
 
@@ -215,8 +215,7 @@ def test_criterion_6_fig2_reproduction():
         u_mag = solution_from_state(tsys, trace.w_final)
         flow = baselines.build_damped(build_spectral(cp.a, cp.b, params, cp.factors), cp.gamma)
         t_end = baselines.evolution_time("damped", sigma_min, delta)
-        traj = baselines.integrate_flow(flow, np.zeros(flow.dim), t_end, 16)
-        u_damp = traj[-1][1][: cp.a.shape[0]]
+        u_damp = baselines.integrate_flow(flow, t_end, 16)[1][-1][: cp.a.shape[0]]
         scale = np.linalg.norm(oracle)
         rows.append(
             (delta,

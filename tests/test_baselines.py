@@ -18,7 +18,7 @@ from schromag.linalg import LinearSystem, direct_solve
 from schromag.mag import build_spectral, derive_params, params_from_sigma
 from schromag.presets import compare_preset
 
-from reference import build_transformed, to_ode
+from reference import build_transformed, flow_steady_state, to_ode
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -56,7 +56,7 @@ class TestGradientFlow:
     def test_identity(self):
         flow = build_gradient_flow(_spec(np.eye(2), [1.0, 2.0]))
         assert np.allclose(flow.blocks, -1.0)
-        assert np.allclose(flow.steady_state(), [1.0, 2.0])
+        assert np.allclose(flow_steady_state(flow), [1.0, 2.0])
 
     def test_slowest_decay_rate(self):
         flow = build_gradient_flow(_spec(DIAG_A, DIAG_B))
@@ -69,22 +69,22 @@ class TestGradientFlow:
         b = rng.normal(size=4) + 0j
         flow = build_gradient_flow(_spec(a, b))
         oracle = direct_solve(LinearSystem(a, b))
-        assert np.allclose(flow.steady_state(), oracle, atol=1e-9)
+        assert np.allclose(flow_steady_state(flow), oracle, atol=1e-9)
 
     def test_error_bound_pointwise(self):
         # ||du(t)|| <= exp(-sigma_min^2 t) ||du(0)||
         flow = build_gradient_flow(_spec(DIAG_A, DIAG_B))
-        u_inf = flow.steady_state()
-        traj = integrate_flow(flow, np.zeros(2), 3.0, 40)
+        u_inf = flow_steady_state(flow)
+        times, states = integrate_flow(flow, 3.0, 40)
         d0 = np.linalg.norm(u_inf)
-        for t, u in traj:
+        for t, u in zip(times, states):
             assert np.linalg.norm(u - u_inf) <= math.exp(-0.01 * t) * d0 * (1 + 1e-9)
 
 
 class TestDamped:
     def test_steady_state_block_elimination(self):
         flow = build_damped(_spec(DIAG_A, DIAG_B), 0.19)
-        w_inf = flow.steady_state()
+        w_inf = flow_steady_state(flow)
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
         assert np.allclose(w_inf[:2], oracle, atol=1e-10)
         assert np.max(np.abs(w_inf[2:])) <= 1e-10  # auxiliary block exactly zero
@@ -112,13 +112,13 @@ class TestDamped:
         # both the closed form and the constant-carrying envelope.
         gamma = 0.19
         flow = build_damped(_spec(DIAG_A, DIAG_B), gamma)
-        w_inf = flow.steady_state()
-        traj = integrate_flow(flow, np.zeros(4), 40.0, 100)
+        w_inf = flow_steady_state(flow)
+        times, states = integrate_flow(flow, 40.0, 100)
         sig = np.array([10.0, 0.1])
         om = np.sqrt(sig**2 - gamma**2 / 4.0)
         cmax = float(np.max(np.sqrt(1.0 + (gamma / (2 * om)) ** 2)))
         d0 = np.linalg.norm(w_inf[:2])
-        for t, w in traj:
+        for t, w in zip(times, states):
             closed = w_inf[:2] - w_inf[:2] * math.exp(-gamma * t / 2) * (
                 np.cos(om * t) + gamma / (2 * om) * np.sin(om * t)
             )
@@ -130,32 +130,44 @@ class TestDamped:
 class TestIntegrateFlow:
     def test_zero_everything(self):
         flow = build_gradient_flow(_spec(np.eye(2), np.zeros(2)))
-        traj = integrate_flow(flow, np.zeros(2), 1.0, 5)
-        assert all(np.allclose(w, 0) for _, w in traj)
+        _, states = integrate_flow(flow, 1.0, 5)
+        assert all(np.allclose(w, 0) for w in states)
 
     def test_decoupled_scalar_decay(self):
         flow = build_gradient_flow(_spec(DIAG_A, DIAG_B))
-        u_inf = flow.steady_state()
-        traj = integrate_flow(flow, np.zeros(2), 0.1, 11)
-        for t, u in traj:
+        u_inf = flow_steady_state(flow)
+        times, states = integrate_flow(flow, 0.1, 11)
+        for t, u in zip(times, states):
             # component 1 error decays as exp(-100 t), closed form
             expect = u_inf[0] * (1 - math.exp(-100.0 * t))
             assert u[0] == pytest.approx(expect, abs=1e-9)
 
     def test_damped_limit(self):
         flow = build_damped(_spec(DIAG_A, DIAG_B), 0.19)
-        traj = integrate_flow(flow, np.zeros(4), 400.0, 40)
-        w_end = traj[-1][1]
+        w_end = integrate_flow(flow, 400.0, 40)[1][-1]
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
         assert np.allclose(w_end[:2], oracle, atol=1e-8)
         assert np.max(np.abs(w_end[2:])) < 1e-8
 
+    @pytest.mark.parametrize("kind", ["gradient", "damped", "mag-ode"])
+    def test_starts_at_zero_and_end_ignores_sampling(self, kind):
+        # `cli._flow_end` takes the end state of a 2-sample run
+        a, b = _random_system(5, 6)
+        spec = build_spectral(a, b, params_from_sigma(np.linalg.svd(a, compute_uv=False)))
+        build = {"gradient": build_gradient_flow, "mag-ode": build_mag_ode,
+                 "damped": lambda sp: build_damped(sp, 1.9 * float(sp.sigma[-1]))}[kind]
+        flow = build(spec)
+        times, states = integrate_flow(flow, 5.0, 1200)
+        assert times[0] == 0.0 and np.array_equal(states[0], np.zeros(states.shape[1]))
+        end = integrate_flow(flow, 5.0, 2)[1][-1]
+        assert np.linalg.norm(end - states[-1]) <= 1e-13 * np.linalg.norm(states[-1])
+
     def test_preconditions(self):
         flow = build_gradient_flow(_spec(np.eye(2), [1.0, 1.0]))
         with pytest.raises(ValueError):
-            integrate_flow(flow, np.zeros(2), -1.0, 5)
+            integrate_flow(flow, -1.0, 5)
         with pytest.raises(ValueError):
-            integrate_flow(flow, np.zeros(2), 1.0, 1)
+            integrate_flow(flow, 1.0, 1)
 
 
 class TestEvolutionTime:
@@ -186,8 +198,7 @@ class TestAuxiliaryRatio:
         return build_mag_ode(build_spectral(DIAG_A, DIAG_B, params))
 
     def test_constant_trajectory(self):
-        traj = [(float(t), np.array([2.0, 3.0], dtype=complex)) for t in range(5)]
-        ratio = auxiliary_ratio_trace(traj, solved_index=0, aux_index=1)
+        ratio = auxiliary_ratio_trace(np.full(5, 2.0 + 0j), np.full(5, 3.0 + 0j))
         assert ratio.sign_changes == 0
         assert ratio.ratio_min == ratio.ratio_max == pytest.approx(1.5)
 
@@ -195,8 +206,8 @@ class TestAuxiliaryRatio:
         cp = compare_preset("fig1")
         params = derive_params(cp.l_hat, cp.mu_hat)
         flow = self._mag_flow(params)
-        traj = integrate_flow(flow, np.zeros(4), 400.0, 200)
-        ratio = auxiliary_ratio_trace(traj, solved_index=0, aux_index=2)
+        _, states = integrate_flow(flow, 400.0, 200)
+        ratio = auxiliary_ratio_trace(states[:, 0], states[:, 2])
         u_inf = direct_solve(LinearSystem(DIAG_A, DIAG_B))
         expect = (
             math.sqrt(params.alpha * params.beta)
@@ -208,12 +219,11 @@ class TestAuxiliaryRatio:
     def test_fig1_comparison_property(self):
         cp = compare_preset("fig1")
         params = derive_params(cp.l_hat, cp.mu_hat)
-        mag_traj = integrate_flow(self._mag_flow(params), np.zeros(4), cp.t_end, cp.samples)
-        damp_traj = integrate_flow(
-            build_damped(_spec(cp.a, cp.b), cp.gamma), np.zeros(4), cp.t_end, cp.samples
-        )
-        r_mag = auxiliary_ratio_trace(mag_traj, solved_index=0, aux_index=2)
-        r_damp = auxiliary_ratio_trace(damp_traj, solved_index=0, aux_index=2)
+        _, mag_states = integrate_flow(self._mag_flow(params), cp.t_end, cp.samples)
+        _, damp_states = integrate_flow(build_damped(_spec(cp.a, cp.b), cp.gamma),
+                                        cp.t_end, cp.samples)
+        r_mag = auxiliary_ratio_trace(mag_states[:, 0], mag_states[:, 2])
+        r_damp = auxiliary_ratio_trace(damp_states[:, 0], damp_states[:, 2])
         # skip the initial transient (first 5% of the horizon)
         tail_start = int(0.05 * len(r_mag.ratios))
         tail = [r for r in r_mag.ratios[tail_start:] if not math.isnan(r)]
@@ -223,12 +233,8 @@ class TestAuxiliaryRatio:
         assert r_damp.sign_changes >= 2
 
     def test_near_zero_denominators_become_gaps(self):
-        traj = [
-            (0.0, np.array([1.0, 1.0], dtype=complex)),
-            (1.0, np.array([0.0, 1.0], dtype=complex)),
-            (2.0, np.array([-1.0, 1.0], dtype=complex)),
-        ]
-        ratio = auxiliary_ratio_trace(traj, solved_index=0, aux_index=1)
+        ratio = auxiliary_ratio_trace(np.array([1.0, 0.0, -1.0], dtype=complex),
+                                      np.ones(3, dtype=complex))
         assert math.isnan(ratio.ratios[1])
         assert ratio.sign_changes == 1
 
@@ -237,45 +243,42 @@ def _random_system(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return rng, a, b
+    return a, b
 
 
-def _assert_matches_dense(flow, gen, drive, rng, t_end):
-    w0 = rng.normal(size=flow.dim) + 1j * rng.normal(size=flow.dim)
-    traj = integrate_flow(flow, w0, t_end, 5)
-    times = [t for t, _ in traj]
-    expect = dense_states(gen, drive, w0, times)
-    scale = max(np.linalg.norm(w0), np.linalg.norm(flow.steady_state()))
-    # t = 0 reproduces w0 up to the round trip through the singular basis
-    assert np.linalg.norm(traj[0][1] - w0) <= 1e-13 * scale
-    for (_, got), want in zip(traj, expect):
+def _assert_matches_dense(flow, gen, drive, t_end):
+    times, states = integrate_flow(flow, t_end, 5)
+    expect = dense_states(gen, drive, np.zeros(gen.shape[0]), times)
+    scale = np.linalg.norm(flow_steady_state(flow))
+    assert np.linalg.norm(states[0]) <= 1e-13 * scale
+    for got, want in zip(states, expect):
         assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), scale)
 
 
 class TestAgainstDenseExpm:
     """The per-singular-value flows against the dense generators and
-    scipy's expm of the augmented system, from a random complex start."""
+    scipy's expm of the augmented system, from the flows' start w = 0."""
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0))
     @settings(max_examples=30, deadline=None)
     def test_gradient(self, seed, n, t_end):
-        rng, a, b = _random_system(seed, n)
+        a, b = _random_system(seed, n)
         s = np.linalg.svd(a, compute_uv=False)
         assume(s[-1] > 1e-2 * s[0])
         gen, drive = dense_flow("gradient", a, b)
-        _assert_matches_dense(build_gradient_flow(_spec(a, b)), gen, drive, rng, t_end)
+        _assert_matches_dense(build_gradient_flow(_spec(a, b)), gen, drive, t_end)
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0),
            st.sampled_from([0.05, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]))
     @settings(max_examples=30, deadline=None)
     def test_damped(self, seed, n, t_end, frac):
         # frac -> 1 takes gamma to critical damping 2 sigma_min
-        rng, a, b = _random_system(seed, n)
+        a, b = _random_system(seed, n)
         s = np.linalg.svd(a, compute_uv=False)
         assume(s[-1] > 1e-2 * s[0])
         gamma = 2.0 * float(s[-1]) * frac
         gen, drive = dense_flow("damped", a, b, gamma=gamma)
-        _assert_matches_dense(build_damped(_spec(a, b), gamma), gen, drive, rng, t_end)
+        _assert_matches_dense(build_damped(_spec(a, b), gamma), gen, drive, t_end)
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0),
            st.sampled_from([1.0, 1.0, 1.2]))
@@ -284,13 +287,13 @@ class TestAgainstDenseExpm:
     def test_mag_ode(self, seed, n, t_end, safety):
         # safety = 1 puts sigma_max^2 and sigma_min^2 on the bounds, where
         # the blocks are defective
-        rng, a, b = _random_system(seed, n)
+        a, b = _random_system(seed, n)
         s = np.linalg.svd(a, compute_uv=False)
         assume(s[-1] > 1e-2 * s[0])
         params = params_from_sigma(s, safety)
         gen, drive = dense_flow("mag-ode", a, b, params=params)
         flow = build_mag_ode(build_spectral(a, b, params))
-        _assert_matches_dense(flow, gen, drive, rng, t_end)
+        _assert_matches_dense(flow, gen, drive, t_end)
 
     def test_scalar_mag_ode_block(self):
         # a scaled permutation with bounds (1, 1): alpha = 1, beta = 0, so
@@ -301,4 +304,4 @@ class TestAgainstDenseExpm:
         flow = build_mag_ode(build_spectral(a, b, params))
         assert np.array_equal(flow.blocks, np.broadcast_to(-np.eye(2), (3, 2, 2)))
         gen, drive = dense_flow("mag-ode", a, b, params=params)
-        _assert_matches_dense(flow, gen, drive, np.random.default_rng(3), 2.0)
+        _assert_matches_dense(flow, gen, drive, 2.0)

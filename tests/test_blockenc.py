@@ -64,7 +64,7 @@ class TestVerify:
         rng = np.random.default_rng(1)
         a = random_mat(rng, 3)
         be = dilate(a, spectral(a) * 1.2)
-        assert verify(be, a) <= 1e-10
+        assert verify(be) <= 1e-10
 
     def test_identity_encodes_identity(self):
         be = BlockEncoding(u=np.eye(2), alpha=1.0, m=0, eps=0.0, n=2,
@@ -72,13 +72,14 @@ class TestVerify:
         assert verify(be) == 0.0
 
     def test_corrupted_unitary_detected(self):
+        # an exact dilation whose declared reference is off by 1e-3 * alpha
+        # at one entry: the claimed eps = 0 fails by about that much
         rng = np.random.default_rng(2)
         a = random_mat(rng, 3)
         be = dilate(a, spectral(a) * 1.2)
-        u_bad = be.u.copy()
-        u_bad[0, 0] += 1e-3
-        bad = BlockEncoding(u=u_bad, alpha=be.alpha, m=1, eps=0.0, n=3,
-                            reference=a, validate=False)
+        ref_bad = a.copy()
+        ref_bad[0, 0] += 1e-3 * be.alpha
+        bad = BlockEncoding(u=be.u, alpha=be.alpha, m=1, eps=0.0, n=3, reference=ref_bad)
         with pytest.raises(EncodingError) as err:
             verify(bad)
         assert err.value.measured > 1e-4
@@ -142,13 +143,15 @@ class TestCompositions:
         prod = compose_product(be1, be2)
         assert prod.alpha == pytest.approx(be1.alpha * be2.alpha)
         assert prod.m == 2
-        assert verify(prod, be1.reference @ be2.reference) <= prod.eps + 1e-10
+        assert np.array_equal(prod.reference, be1.reference @ be2.reference)
+        assert verify(prod) <= prod.eps + 1e-10
 
     def test_tensor(self):
         be1, be2 = self._pair_of_encodings(5, n=2)
         ten = compose_tensor(be1, be2)
         assert ten.n == 4
-        assert verify(ten, np.kron(be1.reference, be2.reference)) <= 1e-10
+        assert np.array_equal(ten.reference, np.kron(be1.reference, be2.reference))
+        assert verify(ten) <= 1e-10
 
     def test_tensor_scalar_case(self):
         be = dilate(np.array([[0.5]]), 1.0)
@@ -160,13 +163,14 @@ class TestCompositions:
         be, _ = self._pair_of_encodings(8)
         s = compose_sum([be, be], [0.5, 0.5])
         assert s.alpha == pytest.approx(be.alpha)
-        assert verify(s, be.reference) <= s.eps + 1e-10
+        assert np.array_equal(s.reference, be.reference)
+        assert verify(s) <= s.eps + 1e-10
 
     def test_sum_weighted(self):
         be1, be2 = self._pair_of_encodings(9)
         s = compose_sum([be1, be2], [0.75, 0.25])
-        ref = 0.75 * be1.reference + 0.25 * be2.reference
-        assert verify(s, ref) <= s.eps + 1e-10
+        assert np.array_equal(s.reference, 0.75 * be1.reference + 0.25 * be2.reference)
+        assert verify(s) <= s.eps + 1e-10
 
     def test_sum_requires_matching_params(self):
         rng = np.random.default_rng(10)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -655,6 +656,19 @@ class TestExitCodeOne:
             "--out", str(tmp_path),
         ])
         assert rc == 1
+
+
+def test_package_holds_no_assert():
+    # invariants are checked with real errors, so they hold under `python -O`
+    src = os.path.dirname(mag.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 class TestReproduceScript:
