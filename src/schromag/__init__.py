@@ -3,11 +3,11 @@
 Submodules: linalg (dense complex substrate), mag (the solver), baselines
 (gradient flow / damped dynamics / momentum ODE, per singular value),
 schrod (warped-phase Hamiltonian realization, per singular value),
-blockenc (block-encoding algebra), pde (test problems), complexity (cost
-estimators), presets (figure catalogue), cli.  Every link of the chain
-runs on the one SVD of a run (`mag.SpectralSystem`); the dense 2n x 2n
-realization the tests check it against is `tests/reference.py`, outside
-the package.
+blockenc (block-encoding algebra), pde (`make_problem` assembles every
+test problem), complexity (cost estimators), presets (figure catalogue),
+cli.  Every link of the chain runs on the one SVD of a run
+(`mag.SpectralSystem`); the dense 2n x 2n realization the tests check it
+against is `tests/reference.py`, outside the package.
 """
 
 from .baselines import (
@@ -55,7 +55,7 @@ from .mag import (
     relative_trace,
     spectral_radius_check,
 )
-from .pde import PdeProblem, biharmonic_1d, biharmonic_2d, helmholtz_1d, helmholtz_2d
+from .pde import PdeProblem, make_problem
 from .presets import pde_preset
 from .schrod import PGrid, pipeline
 

@@ -299,7 +299,7 @@ def cmd_pde(cfg: RunConfig) -> int:
                    "h": problem.h})
     _, _, delta, n_p, spec, oracle = _setup(cfg, loaded)
     u_method, rel, artifacts = _solve_with_method(cfg, spec, delta, n_p, oracle)
-    xs, ys = problem.nodes()
+    xs, ys = problem.nodes
     u_sol = problem.solution_block(u_method)
     io.write_solution_csv(
         os.path.join(out, "solution.csv"), u_sol,

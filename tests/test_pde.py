@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
+from schromag import pde
 from schromag.errors import InputError
 from schromag.linalg import direct_solve
 from schromag.pde import (
     MIXED,
     ROBIN,
     ZERO,
-    biharmonic_1d,
-    biharmonic_2d,
-    helmholtz_1d,
-    helmholtz_2d,
     laplacian_1d,
     make_problem,
 )
@@ -19,9 +16,25 @@ from schromag.presets import PDE_PRESET_NAMES, pde_preset
 from reference import sine_mode_oracle, two_stage_oracle
 
 
+class TestMakeProblem:
+    @pytest.mark.parametrize(
+        "family", ["helmholtz1d", "helmholtz2d", "biharmonic1d", "biharmonic2d"]
+    )
+    def test_rejects_small_n_and_bad_boundary(self, family):
+        forcing = "sine23" if family.endswith("1d") else "sine23_diag"
+        foreign = (MIXED, 2.0) if family.startswith("helmholtz") else (ROBIN, 2j)
+        with pytest.raises(ValueError):
+            make_problem(family, 2, 1.0, forcing, (ZERO,))
+        with pytest.raises(InputError, match="unknown family"):
+            make_problem(family[:-2] + "3d", 5, 1.0, forcing, (ZERO,))
+        for boundary in (foreign, ("neumann",)):
+            with pytest.raises(InputError, match=f"unknown boundary .* for {family}$"):
+                make_problem(family, 5, 1.0, forcing, boundary)
+
+
 class TestHelmholtz1d:
     def test_zero_bc_matrix(self):
-        sys = helmholtz_1d(3, 0.0, "sine23")
+        sys = make_problem("helmholtz1d", 3, 0.0, "sine23", (ZERO,)).system
         assert np.allclose(sys.a, laplacian_1d(3))
         h = 0.25
         xs = h * np.arange(1, 4)
@@ -29,11 +42,11 @@ class TestHelmholtz1d:
         assert np.allclose(sys.b, h * h * f)
 
     def test_wavenumber_shifts_diagonal(self):
-        sys = helmholtz_1d(3, 2.0, "sine23")
+        sys = make_problem("helmholtz1d", 3, 2.0, "sine23", (ZERO,)).system
         assert np.allclose(np.diag(sys.a), -1.75)
 
     def test_robin_corner_unit_coefficient(self):
-        sys = helmholtz_1d(5, 2.0, "cos2", (ROBIN, 1.0))
+        sys = make_problem("helmholtz1d", 5, 2.0, "cos2", (ROBIN, 1.0)).system
         h = 1.0 / 6.0
         assert sys.a[0, 0] == pytest.approx(-(1 + 2 * h))
         assert sys.a[0, 1] == 1.0
@@ -42,17 +55,17 @@ class TestHelmholtz1d:
         assert sys.n == 6
 
     def test_robin_complex_coefficient(self):
-        sys = helmholtz_1d(16, 2.0, "cos2", (ROBIN, 2j))
+        sys = make_problem("helmholtz1d", 16, 2.0, "cos2", (ROBIN, 2j)).system
         h = 1.0 / 17.0
         assert sys.a[0, 0] == pytest.approx(-(1 + 4j * h))
 
     def test_symmetry_zero_bc(self):
-        sys = helmholtz_1d(8, 2.0, "sine23")
+        sys = make_problem("helmholtz1d", 8, 2.0, "sine23", (ZERO,)).system
         assert np.max(np.abs(sys.a - sys.a.T)) < 1e-14
 
     def test_sine_mode_oracle_agreement(self):
         for n, k in ((16, 2.0), (32, 2.0), (32, 4.0)):
-            sys = helmholtz_1d(n, k, "sine23")
+            sys = make_problem("helmholtz1d", n, k, "sine23", (ZERO,)).system
             got = direct_solve(sys)
             expect = sine_mode_oracle(n, k, {2: 2.0, 3: 3.0})
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
@@ -63,7 +76,7 @@ class TestHelmholtz1d:
         k = 2.0
 
         def continuum_error(n):
-            sys = helmholtz_1d(n, k, "sine23")
+            sys = make_problem("helmholtz1d", n, k, "sine23", (ZERO,)).system
             u = direct_solve(sys)
             xs = np.arange(1, n + 1) / (n + 1)
             exact = 2 * np.sin(2 * np.pi * xs) / (k**2 - 4 * np.pi**2) + 3 * np.sin(
@@ -75,30 +88,25 @@ class TestHelmholtz1d:
         assert 2.5 <= e16 / e32 <= 5.5
         assert 2.5 <= e32 / e64 <= 5.5
 
-    def test_rejects_small_n_and_bad_boundary(self):
-        with pytest.raises(ValueError):
-            helmholtz_1d(2, 1.0, "sine23")
-        with pytest.raises(InputError):
-            helmholtz_1d(5, 1.0, "sine23", ("neumann",))
-
 
 class TestHelmholtz2d:
     def test_zero_bc_diagonal(self):
-        sys = helmholtz_2d(3, 0.0, "sine23_diag")
+        sys = make_problem("helmholtz2d", 3, 0.0, "sine23_diag", (ZERO,)).system
         assert np.allclose(np.diag(sys.a), -4.0)
 
     def test_k_shift(self):
-        sys = helmholtz_2d(3, 1.0, "sine23_diag")
+        sys = make_problem("helmholtz2d", 3, 1.0, "sine23_diag", (ZERO,)).system
         h = 0.25
         assert np.allclose(np.diag(sys.a), -4.0 + h * h)
 
-    def test_zero_forcing_zero_solution(self):
-        sys = helmholtz_2d(4, 1.0, lambda x, y: 0.0 * x)
+    def test_zero_forcing_zero_solution(self, monkeypatch):
+        monkeypatch.setitem(pde.FORCINGS, "zero2d", lambda x, y: 0.0 * x)
+        sys = make_problem("helmholtz2d", 4, 1.0, "zero2d", (ZERO,)).system
         assert np.allclose(direct_solve(sys), 0.0)
 
     def test_brute_force_assembly(self):
         n = 3
-        sys = helmholtz_2d(n, 0.0, "sine23_diag")
+        sys = make_problem("helmholtz2d", n, 0.0, "sine23_diag", (ZERO,)).system
         brute = np.zeros((9, 9))
         for j in range(n):
             for i in range(n):
@@ -110,9 +118,10 @@ class TestHelmholtz2d:
                         brute[r, ii + n * jj] = 1
         assert np.allclose(sys.a, brute)
 
-    def test_forcing_layout_x_fast(self):
+    def test_forcing_layout_x_fast(self, monkeypatch):
         n = 3
-        sys = helmholtz_2d(n, 0.0, lambda x, y: x + 10 * y)
+        monkeypatch.setitem(pde.FORCINGS, "ramp2d", lambda x, y: x + 10 * y)
+        sys = make_problem("helmholtz2d", n, 0.0, "ramp2d", (ZERO,)).system
         h = 0.25
         # index i + n*j holds f(x_{i+1}, y_{j+1})
         assert sys.b[1] == pytest.approx(h * h * (2 * h + 10 * h))
@@ -120,7 +129,7 @@ class TestHelmholtz2d:
 
     def test_robin_extension(self):
         n = 4
-        sys = helmholtz_2d(n, 1.0, "cos2_diag", (ROBIN, 2j))
+        sys = make_problem("helmholtz2d", n, 1.0, "cos2_diag", (ROBIN, 2j)).system
         assert sys.n == (n + 1) ** 2
         h = 1.0 / (n + 1)
         # pure corner node (x0, y0): two 1d corner contributions, no k^2
@@ -132,13 +141,14 @@ class TestHelmholtz2d:
 
 
 class TestBiharmonic1d:
-    def test_zero_forcing(self):
-        sys = biharmonic_1d(4, lambda x: 0.0 * x)
+    def test_zero_forcing(self, monkeypatch):
+        monkeypatch.setitem(pde.FORCINGS, "zero1d", lambda x: 0.0 * x)
+        sys = make_problem("biharmonic1d", 4, 0.0, "zero1d", (ZERO,)).system
         assert np.allclose(direct_solve(sys), 0.0)
 
     def test_block_layout(self):
         n = 4
-        sys = biharmonic_1d(n, "sine23")
+        sys = make_problem("biharmonic1d", n, 0.0, "sine23", (ZERO,)).system
         h = 0.2
         assert np.allclose(sys.a[:n, n:], -h * h * np.eye(n))
         assert np.allclose(sys.a[n:, :n], 0.0)
@@ -152,8 +162,8 @@ class TestBiharmonic1d:
 
     def test_mixed_boundary_rhs_adjustment(self):
         n = 8
-        zero = biharmonic_1d(n, "cos2")
-        mixed = biharmonic_1d(n, "cos2", (MIXED, 2.0))
+        zero = make_problem("biharmonic1d", n, 0.0, "cos2", (ZERO,)).system
+        mixed = make_problem("biharmonic1d", n, 0.0, "cos2", (MIXED, 2.0)).system
         diff = mixed.b - zero.b
         assert diff[n] == pytest.approx(-2.0)
         assert np.count_nonzero(diff) == 1
@@ -163,7 +173,7 @@ class TestBiharmonic1d:
         # v-system with the ghost column applied explicitly
         n = 8
         h = 1.0 / (n + 1)
-        mixed = biharmonic_1d(n, "cos2", (MIXED, 2.0))
+        mixed = make_problem("biharmonic1d", n, 0.0, "cos2", (MIXED, 2.0)).system
         w = direct_solve(mixed)
         lap = laplacian_1d(n)
         xs = h * np.arange(1, n + 1)
@@ -176,14 +186,15 @@ class TestBiharmonic1d:
 
 
 class TestBiharmonic2d:
-    def test_zero_forcing(self):
-        sys = biharmonic_2d(3, lambda x, y: 0.0 * x)
+    def test_zero_forcing(self, monkeypatch):
+        monkeypatch.setitem(pde.FORCINGS, "zero2d", lambda x, y: 0.0 * x)
+        sys = make_problem("biharmonic2d", 3, 0.0, "zero2d", (ZERO,)).system
         assert np.allclose(direct_solve(sys), 0.0)
 
     def test_diagonal_blocks_match_helmholtz(self):
         n = 4
-        bi = biharmonic_2d(n, "sine23_diag")
-        he = helmholtz_2d(n, 0.0, "sine23_diag")
+        bi = make_problem("biharmonic2d", n, 0.0, "sine23_diag", (ZERO,)).system
+        he = make_problem("helmholtz2d", n, 0.0, "sine23_diag", (ZERO,)).system
         nn = n * n
         assert np.allclose(bi.a[:nn, :nn], he.a)
         assert np.allclose(bi.a[nn:, nn:], he.a)
@@ -196,8 +207,8 @@ class TestBiharmonic2d:
 
     def test_mixed_boundary_edge_adjustment(self):
         n = 4
-        zero = biharmonic_2d(n, "cos2_diag")
-        mixed = biharmonic_2d(n, "cos2_diag", (MIXED, 2.0))
+        zero = make_problem("biharmonic2d", n, 0.0, "cos2_diag", (ZERO,)).system
+        mixed = make_problem("biharmonic2d", n, 0.0, "cos2_diag", (MIXED, 2.0)).system
         diff = mixed.b - zero.b
         nn = n * n
         hits = np.flatnonzero(diff)
@@ -232,9 +243,32 @@ class TestPresets:
             assert solver.n_p >= 8
 
     def test_nodes_align_with_solution(self):
-        for name in ("fig3a", "fig3d", "fig4a", "fig5a", "fig6a"):
+        # the forcing block of b holds h^2 f at the written nodes, 0 at a
+        # Robin node, and the boundary value subtracted on the mixed x=0 edge
+        for name in PDE_PRESET_NAMES:
             problem, _ = pde_preset(name)
-            xs, ys = problem.nodes()
+            xs, ys = problem.nodes
             assert xs.shape[0] == problem.dim
             if problem.family.endswith("2d"):
                 assert ys.shape[0] == problem.dim
+            else:
+                assert ys is None
+            b, h = problem.system.b, problem.h
+            if problem.family.startswith("biharmonic"):
+                half = problem.dim // 2
+                assert np.array_equal(xs[:half], xs[half:])
+                assert np.all(b[:half] == 0.0)
+                b, xs = b[half:], xs[half:]
+                if ys is not None:
+                    assert np.array_equal(ys[:half], ys[half:])
+                    ys = ys[half:]
+            f = pde.FORCINGS[problem.forcing]
+            expect = h * h * (f(xs) if ys is None else f(xs, ys))
+            if problem.boundary[0] == ROBIN:
+                robin = xs == 0.0 if ys is None else (xs == 0.0) | (ys == 0.0)
+                interior = problem.n if ys is None else problem.n**2
+                assert np.count_nonzero(robin) == problem.dim - interior
+                expect[robin] = 0.0
+            if problem.boundary[0] == MIXED:
+                expect[xs == h] -= problem.boundary[1]
+            np.testing.assert_allclose(b, expect, rtol=0.0, atol=1e-14, err_msg=name)
