@@ -5,9 +5,11 @@ Submodules: linalg (dense complex substrate), mag (the solver), baselines
 schrod (warped-phase Hamiltonian realization, per singular value),
 blockenc (block-encoding algebra), pde (`make_problem` assembles every
 test problem), complexity (cost estimators), presets (figure catalogue),
-cli.  Every link of the chain runs on the one SVD of a run
-(`mag.SpectralSystem`); the dense 2n x 2n realization the tests check it
-against is `tests/reference.py`, outside the package.
+cli.  Every link of the chain runs on the one SVD of a run:
+`mag.build_spectral` factors A into the `mag.SpectralSystem` whose bounds
+and per-singular-value `blocks` every method reads.  The dense 2n x 2n
+realization the tests check it against is `tests/reference.py`, outside
+the package.
 """
 
 from .baselines import (
@@ -49,7 +51,6 @@ from .mag import (
     IterationTrace,
     MagParams,
     convergence_steps,
-    derive_params,
     lambda_pm,
     mag_iterate,
     relative_trace,

@@ -9,7 +9,7 @@ per singular value s (c = sqrt(alpha*beta)):
       -s^2, drive s b~
   damped, u' = -A^H v and v' = A u - gamma v - b on w = [u; v]:
       [[0, -s], [s, -gamma]], drive [0; -b~]
-  mag-ODE, the momentum map's (H - I, F) (`mag.SpectralSystem`):
+  mag-ODE, the momentum map's (H - I, F) (`mag.SpectralSystem.blocks`):
       [[-alpha s^2, -c s], [c s, beta - 1]], drive [alpha s b~; 0]
 
 Every builder reads sigma and b~ from the run's one `mag.SpectralSystem`
@@ -83,13 +83,12 @@ def build_damped(spec: SpectralSystem, gamma: float) -> FlowSystem:
 
 
 def build_mag_ode(spec: SpectralSystem) -> FlowSystem:
-    """The momentum map's ODE dw/dt = (H - I) w + F in the basis of `spec`."""
-    p, s = spec.params, spec.sigma
-    cs = math.sqrt(p.alpha * p.beta) * s
-    blocks = np.empty((s.size, 2, 2))
-    blocks[:, 0, 0], blocks[:, 0, 1] = -p.alpha * s**2, -cs
-    blocks[:, 1, 0], blocks[:, 1, 1] = cs, p.beta - 1.0
-    drive = np.stack([p.alpha * s * spec.b_t, np.zeros_like(spec.b_t)], axis=-1)
+    """The momentum map's ODE dw/dt = (H - I) w + F, from `spec.blocks`."""
+    diag, cs, f = spec.blocks
+    blocks = np.empty((spec.n, 2, 2))
+    blocks[:, 0, 0], blocks[:, 0, 1] = diag, -cs
+    blocks[:, 1, 0], blocks[:, 1, 1] = cs, spec.params.beta - 1.0
+    drive = np.stack([f, np.zeros_like(f)], axis=-1)
     return FlowSystem(blocks=blocks, drive=drive, spec=spec)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, blockenc, complexity, io, mag, schrod
 from .errors import InputError, NumericsError
-from .linalg import LinearSystem, direct_solve, full_svd, singular_values
+from .linalg import LinearSystem, direct_solve, singular_values
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
@@ -126,23 +126,22 @@ def _setup(cfg: RunConfig, loaded):
     singular values and the basis of every method, and the direct solve
     that outputs are checked against."""
     system, problem, delta, n_p = loaded
-    factors = full_svd(system.a)
-    params = _params_for(cfg, factors[1])
-    spec = mag.build_spectral(system.a, system.b, params, factors)
+    spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
     return system, problem, delta, n_p, spec, direct_solve(system, spec.sigma)
 
 
-def _params_for(cfg: RunConfig, sigma: np.ndarray) -> mag.MagParams:
+def _params_for(cfg: RunConfig) -> mag.MagParams | None:
+    """The bounds the run asks for; None leaves them to A's own spectrum."""
     if cfg.alpha is not None and cfg.beta is not None:
         # rebuild the bounds that produce the requested (alpha, beta)
         if not (0.0 <= cfg.beta < 1.0) or cfg.alpha <= 0.0:
             raise InputError("need alpha > 0 and 0 <= beta < 1")
         kappa = (1.0 + math.sqrt(cfg.beta)) / (1.0 - math.sqrt(cfg.beta))
         sqrt_mu = 2.0 / (math.sqrt(cfg.alpha) * (kappa + 1.0))
-        return mag.derive_params((kappa * sqrt_mu) ** 2, sqrt_mu**2)
+        return mag.MagParams((kappa * sqrt_mu) ** 2, sqrt_mu**2)
     if cfg.l_hat is not None and cfg.mu_hat is not None:
-        return mag.derive_params(cfg.l_hat, cfg.mu_hat)
-    return mag.params_from_sigma(sigma)
+        return mag.MagParams(cfg.l_hat, cfg.mu_hat)
+    return None
 
 
 def _residual(u: np.ndarray, oracle: np.ndarray) -> float:
@@ -220,12 +219,10 @@ def cmd_compare(cfg: RunConfig) -> int:
         return _compare_fig2(cfg)
     if cfg.preset is not None:
         cp = compare_preset(cfg.preset)
-        spec = mag.build_spectral(cp.a, cp.b, mag.derive_params(cp.l_hat, cp.mu_hat))
-        gamma, t_end, samples = cp.gamma, cp.t_end, cp.samples
+        spec, gamma, t_end, samples = cp.spec, cp.gamma, cp.t_end, cp.samples
     else:
         system, _, delta, _ = _load_system(cfg)
-        factors = full_svd(system.a)
-        spec = mag.build_spectral(system.a, system.b, _params_for(cfg, factors[1]), factors)
+        spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
         sigma_min = float(spec.sigma[-1])
         gamma = baselines.GAMMA_PER_SIGMA_MIN * sigma_min if cfg.gamma is None else cfg.gamma
         t_end = baselines.evolution_time("damped", sigma_min, delta)
@@ -263,13 +260,13 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def _compare_fig2(cfg: RunConfig) -> int:
     cp = compare_preset("fig2")
-    spec = mag.build_spectral(cp.a, cp.b, mag.derive_params(cp.l_hat, cp.mu_hat), cp.factors)
+    spec = cp.spec
     oracle = direct_solve(LinearSystem(cp.a, cp.b), spec.sigma)
     flow = baselines.build_damped(spec, cp.gamma)
     rows = ["delta,mag_error,damped_error"]
     for delta in cp.deltas:
         u_mag = mag.solve_spectral(spec, delta)[2]
-        t_end = baselines.evolution_time("damped", math.sqrt(cp.mu_hat), delta)
+        t_end = baselines.evolution_time("damped", math.sqrt(spec.params.mu_hat), delta)
         u_damp = _flow_end(flow, t_end)[: spec.n]
         scale = float(np.linalg.norm(oracle))
         e_mag = float(np.linalg.norm(u_mag - oracle)) / scale

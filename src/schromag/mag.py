@@ -14,11 +14,12 @@ same path; the two coincide for real data.
 With A = U Sigma V^H, the basis diag(V, U) splits H, and I - H with it,
 into one 2x2 block [[1 - alpha s^2, -c s], [c s, beta]] per singular
 value s (c = sqrt(alpha*beta)), and F into [alpha s b~; 0] with b~ = U^H b.
-A run factors A once and iterates in that basis (`SpectralSystem`):
-elementwise steps, the closed-form steady state [(1-beta) b~/s; c b~],
-and closed-form spectra for the radius guard and the I - H checks.  No
-2n x 2n matrix is built; the dense H lives in the tests' reference module
-(`tests/reference.py`).
+A run factors A once (`build_spectral`, bounds from A's own spectrum
+unless given) and iterates in that basis (`SpectralSystem`, whose
+`blocks` every realization reads): elementwise steps, the closed-form
+steady state [(1-beta) b~/s; c b~], and closed-form spectra for the radius
+guard and the I - H checks.  No 2n x 2n matrix is built; the dense H lives
+in the tests' reference module (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, SpectrumBoundsError
+from .errors import ConvergenceError, InputError, SpectrumBoundsError
 from .linalg import as_cmatrix, as_cvector, condition_check, full_svd, require_square
 
 # where sigma^2 sits on a declared bound the 2x2 block is defective and its
@@ -37,51 +38,42 @@ from .linalg import as_cmatrix, as_cvector, condition_check, full_svd, require_s
 # alike), so the radius check tolerates ~1e-7 there; genuine bound
 # violations move the radius by orders of magnitude more
 SPECTRAL_RADIUS_TOL = 1e-6
+# 13 times the largest preset step budget (fig6d, 5.1e6) and 1 GiB of kept
+# states; a run whose budget needs more is a usage error before it iterates
+MAX_ITERATION_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
 class MagParams:
-    """Step size / momentum derived from spectrum bounds of A^H A.
-
-    l_hat bounds sigma_max^2 from above, mu_hat bounds sigma_min^2 from
-    below (strictly positive).  kappa_hat = sqrt(l_hat/mu_hat).
-    """
+    """Optimal-rate step size alpha and momentum beta for bounds of A^H A:
+    l_hat bounds sigma_max^2 from above, mu_hat (> 0) sigma_min^2 from
+    below, and kappa_hat = sqrt(l_hat/mu_hat)."""
 
     l_hat: float
     mu_hat: float
-    alpha: float
-    beta: float
-    kappa_hat: float
 
     def __post_init__(self):
-        if not (0.0 < self.mu_hat <= self.l_hat):
+        if not (0.0 < self.mu_hat <= self.l_hat) or not math.isfinite(self.l_hat):
             raise ValueError(
                 f"need 0 < mu_hat <= l_hat, got ({self.l_hat}, {self.mu_hat})"
             )
-        if self.alpha != 4.0 / (math.sqrt(self.l_hat) + math.sqrt(self.mu_hat)) ** 2:
-            raise ValueError(f"alpha={self.alpha} is not 4/(sqrt(l_hat)+sqrt(mu_hat))^2")
-        if self.beta != ((self.kappa_hat - 1.0) / (self.kappa_hat + 1.0)) ** 2:
-            raise ValueError(f"beta={self.beta} is not ((kappa_hat-1)/(kappa_hat+1))^2")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"need 0 <= beta < 1, got {self.beta}")
         # equality alpha == 1/mu_hat at l_hat == mu_hat, up to rounding
         if not (0.0 < self.alpha <= (1.0 + 4e-16) / self.mu_hat):
             raise ValueError(f"need 0 < alpha <= 1/mu_hat, got {self.alpha}")
 
+    @cached_property
+    def kappa_hat(self) -> float:
+        return math.sqrt(self.l_hat / self.mu_hat)
 
-def derive_params(l_hat: float, mu_hat: float) -> MagParams:
-    """Optimal-rate step size and momentum for bounds (l_hat, mu_hat)."""
-    if not (0.0 < mu_hat <= l_hat) or not (math.isfinite(l_hat) and math.isfinite(mu_hat)):
-        raise ValueError(f"need 0 < mu_hat <= l_hat, got ({l_hat}, {mu_hat})")
-    kappa_hat = math.sqrt(l_hat / mu_hat)
-    alpha = 4.0 / (math.sqrt(l_hat) + math.sqrt(mu_hat)) ** 2
-    beta = ((kappa_hat - 1.0) / (kappa_hat + 1.0)) ** 2
-    return MagParams(l_hat=l_hat, mu_hat=mu_hat, alpha=alpha, beta=beta, kappa_hat=kappa_hat)
+    @cached_property
+    def alpha(self) -> float:
+        return 4.0 / (math.sqrt(self.l_hat) + math.sqrt(self.mu_hat)) ** 2
 
-
-def params_from_sigma(sigma, safety: float = 1.0) -> MagParams:
-    """Bounds taken from singular values (descending), widened by `safety`."""
-    return derive_params((safety * sigma[0]) ** 2, (sigma[-1] / safety) ** 2)
+    @cached_property
+    def beta(self) -> float:
+        return ((self.kappa_hat - 1.0) / (self.kappa_hat + 1.0)) ** 2
 
 
 @dataclass(frozen=True)
@@ -100,14 +92,21 @@ class SpectralSystem:
         return self.sigma.size
 
     @cached_property
-    def _blocks(self) -> tuple:  # 1 - alpha s^2, c s, alpha s b~
+    def blocks(self) -> tuple:
+        """(-alpha s^2, c s, alpha s b~) per singular value s: the block
+        [[-alpha s^2, -c s], [c s, beta - 1]] of H - I and the drive
+        [alpha s b~; 0] of F, which every realization of the map reads."""
         p, s = self.params, self.sigma
-        return 1.0 - p.alpha * s**2, math.sqrt(p.alpha * p.beta) * s, p.alpha * s * self.b_t
+        return -p.alpha * s**2, math.sqrt(p.alpha * p.beta) * s, p.alpha * s * self.b_t
+
+    @cached_property
+    def _diag(self) -> np.ndarray:  # 1 - alpha s^2 bit for bit: 1 + (-x) rounds as 1 - x
+        return 1.0 + self.blocks[0]
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        diag, cs, f = self._blocks
+        _, cs, f = self.blocks
         w1, w2 = w[: self.n], w[self.n :]
-        return np.concatenate([diag * w1 - cs * w2 + f, cs * w1 + self.params.beta * w2])
+        return np.concatenate([self._diag * w1 - cs * w2 + f, cs * w1 + self.params.beta * w2])
 
     def steady_state(self) -> np.ndarray:
         """[(1-beta) b~/sigma; c b~]; SingularMatrixError where I - H is
@@ -128,14 +127,16 @@ class SpectralSystem:
         return out
 
 
-def build_spectral(a, b, params: MagParams, factors=None) -> SpectralSystem:
-    """The map in the basis of A's full SVD: `factors` (u, s, vh) when the
-    caller already has it, otherwise A is factored here.  The one place
-    that turns (A, b) into singular values, vectors and U^H b."""
+def build_spectral(a, b, params: MagParams | None = None) -> SpectralSystem:
+    """The map in the basis of A's full SVD, for the bounds `params`, by
+    default A's own (sigma_max^2, sigma_min^2).  The one place that
+    factors A and turns (A, b) into singular values, vectors and U^H b."""
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
-    u, s, vh = full_svd(a) if factors is None else factors
+    u, s, vh = full_svd(a)
+    if params is None:
+        params = MagParams(s[0] ** 2, s[-1] ** 2)
     return SpectralSystem(sigma=s, u=u, vh=vh, b_t=u.conj().T @ b, params=params)
 
 
@@ -232,6 +233,9 @@ def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False
     w_inf = spec.steady_state()
     delta_run = delta / solution_error_factor(spec.to_state(w_inf))
     max_steps = 4 * convergence_steps(spec.params.kappa_hat, delta_run)
+    if max_steps * 2 * spec.n > MAX_ITERATION_ENTRIES:
+        raise InputError(f"kappa_hat={spec.params.kappa_hat:.3g} allows {max_steps} steps of "
+                         f"{2 * spec.n} entries, beyond the budget of {MAX_ITERATION_ENTRIES}")
     trace = mag_iterate(spec, np.zeros(2 * spec.n), delta_run, max_steps,
                         w_inf=w_inf, keep_states=keep_states)
     return trace, w_inf, solution_from_state(spec, spec.to_state(trace.w_final))

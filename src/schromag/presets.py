@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mag
 from .baselines import GAMMA_PER_SIGMA_MIN
 from .errors import InputError
-from .linalg import full_svd
 from .pde import MIXED, ROBIN, ZERO, PdeProblem, make_problem
 
 
@@ -62,13 +62,11 @@ class ComparePreset:
     name: str
     a: np.ndarray
     b: np.ndarray
-    l_hat: float
-    mu_hat: float
+    spec: mag.SpectralSystem  # the run's one spectral system: bounds and basis
     gamma: float
     t_end: float
     samples: int
     deltas: tuple = ()
-    factors: tuple | None = None  # full SVD (u, s, vh) of a, when computed
 
 
 def compare_preset(name: str) -> ComparePreset:
@@ -80,33 +78,25 @@ def compare_preset(name: str) -> ComparePreset:
         # in this comment for reference.
         sig_max_hat = 10.0 * 1.05
         sig_min_hat = 0.1 * 0.95
+        a = np.diag([10.0, 0.1]).astype(np.complex128)
+        b = np.array([1.0, 1.0], dtype=np.complex128)
         return ComparePreset(
-            name="fig1",
-            a=np.diag([10.0, 0.1]).astype(np.complex128),
-            b=np.array([1.0, 1.0], dtype=np.complex128),
-            l_hat=sig_max_hat**2,
-            mu_hat=sig_min_hat**2,
-            gamma=2.0 * sig_min_hat,
-            t_end=60.0,
-            samples=1200,
+            name="fig1", a=a, b=b,
+            spec=mag.build_spectral(a, b, mag.MagParams(sig_max_hat**2, sig_min_hat**2)),
+            gamma=2.0 * sig_min_hat, t_end=60.0, samples=1200,
         )
     if name == "fig2":
         # 1d Poisson reading: u''(x) = f(x), f = 2 sin(2 pi x), n = 16,
         # zero boundary, accuracy targets n^{-1/2} .. n^{-2}.
         n = 16
         problem = make_problem("helmholtz1d", n, 0.0, "sine2", (ZERO,))
-        factors = full_svd(problem.system.a)
-        s = factors[1]
+        a, b = problem.system.a, problem.system.b
+        spec = mag.build_spectral(a, b)  # bounds from A's own spectrum
         return ComparePreset(
-            name="fig2",
-            a=problem.system.a,
-            b=problem.system.b,
-            l_hat=float(s[0]) ** 2,
-            mu_hat=float(s[-1]) ** 2,
-            gamma=GAMMA_PER_SIGMA_MIN * float(s[-1]),
+            name="fig2", a=a, b=b, spec=spec,
+            gamma=GAMMA_PER_SIGMA_MIN * float(spec.sigma[-1]),
             t_end=0.0,  # per-delta horizons are derived at run time
             samples=0,
             deltas=tuple(float(n) ** (-e) for e in (0.5, 1.0, 1.5, 2.0)),
-            factors=factors,
         )
     raise InputError(f"unknown compare preset {name!r}; available: fig1, fig2")

@@ -213,7 +213,7 @@ def readout_weights(grid: PGrid, p_diamond: float, advect: float) -> tuple[np.nd
 # momentum state at w = 0, so pair j starts at [0, 0, forcing_j, 0] and
 # only the forcing column of each block's propagator is ever needed; it has
 # a closed form in three scalars per pair (d1, d2, cw), all functions of
-# sigma_j.  The readout is therefore the transfer function
+# sigma_j (`SpectralSystem.blocks`), so the readout is the transfer function
 #     readout_j = forcing_j * r(sigma_j),  r(sigma) = sum_l c_l e_l col_l(sigma)
 # (state block only): col is evaluated for unit forcing once per (mode,
 # group of equal sigma), contracted over modes, and scaled by each pair's
@@ -227,14 +227,12 @@ class PairSystem:
     """Per-singular-value homogenized blocks, as scalars.
 
     Pair j's 4x4 generator is [[d1_j, -cw_j, gamma_f, 0], [cw_j, d2, 0,
-    gamma_f], [0, 0, 0, 0], [0, 0, 0, 0]].
+    gamma_f], [0, 0, 0, 0], [0, 0, 0, 0]], (d1, cw) from `spec.blocks`.
     """
 
     sigma: np.ndarray
     spec: mag_mod.SpectralSystem  # the momentum map, whose basis the slots are in
-    d1: np.ndarray  # -alpha sigma^2
     d2: float  # beta - 1
-    cw: np.ndarray  # sqrt(alpha beta) sigma
     w0_pair: np.ndarray  # (npairs, 4): [0, 0, f_j/gamma_f, 0]
     steady_pair: np.ndarray  # (npairs, 4) kernel component per pair
     gamma_f: float
@@ -246,13 +244,13 @@ class PairSystem:
     # with eigenvalues (d +- hypot(d, gamma_f))/2
 
     def lambda_max_h1(self) -> float:
-        d = np.append(self.d1, self.d2)
+        d = np.append(self.spec.blocks[0], self.d2)
         return float(np.max(d + np.hypot(d, self.gamma_f)) / 2.0)
 
     def advection_speeds(self) -> np.ndarray:
         def speed(d):
             return (np.abs(d) + np.hypot(d, self.gamma_f)) / 2.0
-        return np.maximum(speed(self.d1), speed(self.d2))
+        return np.maximum(speed(self.spec.blocks[0]), speed(self.d2))
 
     def pair_weights(self) -> np.ndarray:
         """Travelling content per pair: its state-block transient plus
@@ -315,17 +313,16 @@ def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSyste
     SingularMatrixError where its steady state does not exist, InputError
     unless gamma_f is finite and positive."""
     _check_forcing_scale(gamma_f)
-    p, s, n = spec.params, spec.sigma, spec.n
+    s, n = spec.sigma, spec.n
     w_inf = spec.steady_state()
-    forcing = p.alpha * s * spec.b_t / gamma_f
+    forcing = spec.blocks[2] / gamma_f
     zero = np.zeros_like(forcing)
     # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f]
     steady_pair = np.stack([w_inf[:n], w_inf[n:], forcing, zero], axis=1)
     live = np.flatnonzero(forcing)
     reps, group = sigma_groups(s, live)
     return PairSystem(
-        sigma=s, spec=spec, d1=-p.alpha * s**2,
-        d2=p.beta - 1.0, cw=math.sqrt(p.alpha * p.beta) * s,
+        sigma=s, spec=spec, d2=spec.params.beta - 1.0,
         w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
         steady_pair=steady_pair, gamma_f=gamma_f, live=live, reps=reps, group=group,
     )
@@ -403,9 +400,9 @@ def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4)
     (modes, pairs, slots): slots = 2 gives the state block only.
     """
     th = np.asarray(thetas)[:, None]
-    a = th * pairs.d1[reps][None, :]
+    a = th * pairs.spec.blocks[0][reps][None, :]
     d = th * pairs.d2
-    cw = pairs.cw[reps][None, :]
+    cw = pairs.spec.blocks[1][reps][None, :]
     c = pairs.gamma_f * (th + 1j) / 2.0
     c2 = np.abs(c) ** 2
     mean = (a + d) / 2.0

@@ -26,7 +26,7 @@ from schromag.blockenc import StatePrepPair
 from schromag.errors import EncodingError, InputError
 from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve,
                              require_square, singular_values)
-from schromag.mag import MagParams, i_minus_h_singular_values, params_from_sigma
+from schromag.mag import MagParams, SpectralSystem, i_minus_h_singular_values
 from schromag.pde import ZERO, PdeProblem
 from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PGrid,
                              _check_forcing_scale, build_grid_from_rate, envelope,
@@ -42,9 +42,22 @@ def skew_part_over_i(m: np.ndarray) -> np.ndarray:
     return (m - m.conj().T) / 2.0j
 
 
+def params_from_sigma(sigma, safety: float = 1.0) -> MagParams:
+    """Bounds taken from singular values (descending), widened by `safety`."""
+    return MagParams((safety * sigma[0]) ** 2, (sigma[-1] / safety) ** 2)
+
+
 def params_from_matrix(a, safety: float = 1.0) -> MagParams:
     """Bounds taken from the actual singular values of a, widened by `safety`."""
     return params_from_sigma(singular_values(a), safety)
+
+
+def spectral_from_factors(b, params: MagParams, factors) -> SpectralSystem:
+    """The map in the basis of given factors (u, s, vh) of A, for tests that
+    pick the basis inside a repeated singular value themselves;
+    `mag.build_spectral` always factors A and picks its own."""
+    u, s, vh = factors
+    return SpectralSystem(sigma=s, u=u, vh=vh, b_t=u.conj().T @ as_cvector(b), params=params)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ import pytest
 from schromag import baselines, blockenc, complexity
 from schromag.linalg import LinearSystem, direct_solve
 from schromag.mag import (
+    MagParams,
     build_spectral,
     convergence_steps,
-    derive_params,
     mag_iterate,
     solution_error_factor,
     solution_from_state,
@@ -40,7 +40,7 @@ def random_bracketed_system(rng, n, sig_lo=0.2, sig_hi=5.0, margin=0.02):
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     a = q1 @ np.diag(sig) @ q2.conj().T
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return a, b, derive_params(sig_hi**2, sig_lo**2)
+    return a, b, MagParams(sig_hi**2, sig_lo**2)
 
 
 def test_criterion_1_spectral_radius_identity():
@@ -89,7 +89,7 @@ def test_criterion_3_convergence_step_scaling():
         sig = np.linspace(1.0, kappa, 6)
         a = np.diag(sig).astype(complex)
         b = np.ones(6, dtype=complex)
-        params = derive_params(kappa**2, 1.0)
+        params = MagParams(kappa**2, 1.0)
         sys = build_transformed(a, b, params)
         trace = mag_iterate(sys, np.zeros(12), delta, 400_000,
                             w_inf=steady_state(sys), keep_states=False)
@@ -136,7 +136,7 @@ def test_criterion_4_gradient_vs_mag_separation():
         sig[0], sig[-1] = 0.01, 1.0  # pin kappa = 100
         a = np.diag(sig).astype(complex)
         b = rng.normal(size=4) + 0j
-        params = derive_params(1.0, 1e-4)
+        params = MagParams(1.0, 1e-4)
         sys = build_transformed(a, b, params)
         trace = mag_iterate(sys, np.zeros(8), delta, 100_000,
                             w_inf=steady_state(sys), keep_states=False)
@@ -156,10 +156,9 @@ def test_criterion_4_gradient_vs_mag_separation():
 def test_criterion_5_fig1_reproduction():
     t0 = time.perf_counter()
     cp = compare_preset("fig1")
-    params = derive_params(cp.l_hat, cp.mu_hat)
     n = cp.a.shape[0]
 
-    spec = build_spectral(cp.a, cp.b, params)
+    spec = cp.spec
     mag_flow = baselines.build_mag_ode(spec)
     damp_flow = baselines.build_damped(spec, cp.gamma)
 
@@ -200,8 +199,8 @@ def test_criterion_6_fig2_reproduction():
     t0 = time.perf_counter()
     cp = compare_preset("fig2")
     oracle = direct_solve(LinearSystem(cp.a, cp.b))
-    params = derive_params(cp.l_hat, cp.mu_hat)
-    sigma_min = math.sqrt(cp.mu_hat)
+    params = cp.spec.params
+    sigma_min = math.sqrt(params.mu_hat)
     rows = []
     for delta in cp.deltas:
         tsys = build_transformed(cp.a, cp.b, params)
@@ -213,7 +212,7 @@ def test_criterion_6_fig2_reproduction():
             w_inf=w_inf, keep_states=False,
         )
         u_mag = solution_from_state(tsys, trace.w_final)
-        flow = baselines.build_damped(build_spectral(cp.a, cp.b, params, cp.factors), cp.gamma)
+        flow = baselines.build_damped(cp.spec, cp.gamma)
         t_end = baselines.evolution_time("damped", sigma_min, delta)
         u_damp = baselines.integrate_flow(flow, t_end, 16)[1][-1][: cp.a.shape[0]]
         scale = np.linalg.norm(oracle)

@@ -15,10 +15,10 @@ from schromag.baselines import (
     integrate_flow,
 )
 from schromag.linalg import LinearSystem, direct_solve
-from schromag.mag import build_spectral, derive_params, params_from_sigma
+from schromag.mag import MagParams, build_spectral
 from schromag.presets import compare_preset
 
-from reference import build_transformed, flow_steady_state, to_ode
+from reference import build_transformed, flow_steady_state, params_from_sigma, to_ode
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -27,7 +27,7 @@ DIAG_B = np.array([1.0, 1.0], dtype=complex)
 def _spec(a, b):
     """The SpectralSystem the gradient and damped flows are built from; they
     read its basis only, so any valid momentum parameters do."""
-    return build_spectral(a, b, derive_params(1.0, 1.0))
+    return build_spectral(a, b, MagParams(1.0, 1.0))
 
 
 def dense_flow(kind, a, b, gamma=None, params=None):
@@ -153,7 +153,7 @@ class TestIntegrateFlow:
     def test_starts_at_zero_and_end_ignores_sampling(self, kind):
         # `cli._flow_end` takes the end state of a 2-sample run
         a, b = _random_system(5, 6)
-        spec = build_spectral(a, b, params_from_sigma(np.linalg.svd(a, compute_uv=False)))
+        spec = build_spectral(a, b)
         build = {"gradient": build_gradient_flow, "mag-ode": build_mag_ode,
                  "damped": lambda sp: build_damped(sp, 1.9 * float(sp.sigma[-1]))}[kind]
         flow = build(spec)
@@ -204,7 +204,7 @@ class TestAuxiliaryRatio:
 
     def test_mag_ratio_settles_to_steady_value(self):
         cp = compare_preset("fig1")
-        params = derive_params(cp.l_hat, cp.mu_hat)
+        params = cp.spec.params
         flow = self._mag_flow(params)
         _, states = integrate_flow(flow, 400.0, 200)
         ratio = auxiliary_ratio_trace(states[:, 0], states[:, 2])
@@ -218,7 +218,7 @@ class TestAuxiliaryRatio:
 
     def test_fig1_comparison_property(self):
         cp = compare_preset("fig1")
-        params = derive_params(cp.l_hat, cp.mu_hat)
+        params = cp.spec.params
         _, mag_states = integrate_flow(self._mag_flow(params), cp.t_end, cp.samples)
         _, damp_states = integrate_flow(build_damped(_spec(cp.a, cp.b), cp.gamma),
                                         cp.t_end, cp.samples)
@@ -300,7 +300,7 @@ class TestAgainstDenseExpm:
         # every block is -I and tau^2 - det is exactly zero
         a = 1j * np.eye(3)[[2, 0, 1]]
         b = np.array([1.0, -2.0j, 0.5])
-        params = derive_params(1.0, 1.0)
+        params = MagParams(1.0, 1.0)
         flow = build_mag_ode(build_spectral(a, b, params))
         assert np.array_equal(flow.blocks, np.broadcast_to(-np.eye(2), (3, 2, 2)))
         gen, drive = dense_flow("mag-ode", a, b, params=params)

@@ -16,7 +16,7 @@ from schromag.blockenc import (
     verify,
 )
 from schromag.errors import EncodingError
-from schromag.mag import derive_params
+from schromag.mag import MagParams
 
 from reference import (build_transformed, decompose_homo, homogenize, reassemble_blocks,
                        split, to_ode, verify_state_prep)
@@ -202,7 +202,7 @@ class TestCompositions:
 
 class TestDecomposeHomo:
     def _split(self, gamma_f=0.5):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(np.diag([10.0, 0.1]).astype(complex), [1.0, 1.0], p)
         gen, drive = to_ode(sys)
         return p, sys, split(homogenize(gen, drive, gamma_f))

@@ -150,6 +150,28 @@ class TestSolve:
         assert err.startswith("error: n_p=4294967296 exceeds") and err.count("\n") == 1
         assert peak < 2**20
 
+    @pytest.mark.parametrize("command", ["solve", "pde"])
+    def test_step_budget_beyond_cap_is_usage_error(self, tmp_path, command):
+        # bounds that bracket the spectrum with kappa_hat = 1e15 ask for about
+        # 3e16 steps: rejected before the iteration starts, so the run returns
+        # within the subprocess timeout
+        done = subprocess.run(
+            [sys.executable, "-m", "schromag.cli", command, "--preset", "fig3a",
+             "--method", "mag", "--lhat", "1e20", "--muhat", "1e-10", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+            capture_output=True, text=True, timeout=20)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: kappa_hat=1e+15 allows ")
+        assert done.stderr.endswith(f"beyond the budget of {mag.MAX_ITERATION_ENTRIES}\n")
+        assert done.stderr.count("\n") == 1
+
+    def test_beta_rounding_to_one_is_usage_error(self, tmp_path, capsys):
+        # kappa_hat = 1e17 rounds beta to 1.0, where the iteration would never end
+        rc = main(["solve", "--preset", "fig3a", "--lhat", "1e34", "--muhat", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need 0 <= beta < 1, got 1.0\n"
+
 
 class TestFactorizationCounts:
     """Each invocation factors A once, and only the oracle solves a system."""

@@ -12,7 +12,7 @@ from schromag.linalg import (
     block_expm_apply,
     direct_solve,
 )
-from schromag.mag import derive_params
+from schromag.mag import MagParams
 
 from reference import build_transformed
 
@@ -140,7 +140,7 @@ class TestEigSvd:
     def test_transformed_spectrum_on_momentum_circle(self):
         # at exact bounds the discriminant vanishes at both spectrum edges
         # and every eigenvalue modulus collapses to sqrt(beta)
-        params = derive_params(100.0, 0.01)
+        params = MagParams(100.0, 0.01)
         sys = build_transformed(np.diag([10.0, 0.1]), [1.0, 1.0], params)
         mods = np.abs(np.linalg.eig(sys.h)[0])
         assert np.allclose(mods, np.sqrt(params.beta), atol=1e-8)

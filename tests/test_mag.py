@@ -12,9 +12,9 @@ from schromag.errors import ConvergenceError, SingularMatrixError, SpectrumBound
 from schromag.linalg import LinearSystem, direct_solve, singular_values
 from schromag.mag import (
     SPECTRAL_RADIUS_TOL,
+    MagParams,
     build_spectral,
     convergence_steps,
-    derive_params,
     i_minus_h_singular_values,
     lambda_pm,
     mag_iterate,
@@ -45,43 +45,45 @@ def random_system(rng, n, sig_lo=0.2, sig_hi=5.0):
     sig = rng.uniform(sig_lo * 1.02, sig_hi * 0.98, size=n)
     a = unitary_sandwich(rng, sig)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return a, b, derive_params(sig_hi**2, sig_lo**2)
+    return a, b, MagParams(sig_hi**2, sig_lo**2)
 
 
 class TestDeriveParams:
     def test_degenerate_bounds_kill_momentum(self):
-        p = derive_params(1.0, 1.0)
+        p = MagParams(1.0, 1.0)
         assert (p.alpha, p.beta, p.kappa_hat) == (1.0, 0.0, 1.0)
 
     def test_kappa_100(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         assert p.kappa_hat == pytest.approx(100.0)
         assert p.alpha == pytest.approx(4.0 / 102.01, rel=1e-12)
         assert p.beta == pytest.approx((99.0 / 101.0) ** 2, rel=1e-12)
 
     def test_kappa_2(self):
-        p = derive_params(4.0, 1.0)
+        p = MagParams(4.0, 1.0)
         assert p.alpha == pytest.approx(4.0 / 9.0, rel=1e-14)
         assert p.beta == pytest.approx(1.0 / 9.0, rel=1e-14)
 
     def test_rejects_bad_bounds(self):
         for l_hat, mu_hat in ((1.0, 0.0), (1.0, -1.0), (1.0, 2.0), (0.0, 0.0)):
             with pytest.raises(ValueError):
-                derive_params(l_hat, mu_hat)
+                MagParams(l_hat, mu_hat)
 
-    def test_inconsistent_params_rejected_under_optimize(self):
-        # the invariants are real checks, so they survive python -O
+    def test_out_of_range_params_rejected_under_optimize(self):
+        # the range checks are real checks, so they survive python -O:
+        # mu_hat > l_hat, an infinite bound, and beta rounding to 1.0
         code = (
-            "from schromag.mag import MagParams, derive_params\n"
-            "good = derive_params(4.0, 1.0)\n"
-            "for field in ('alpha', 'beta'):\n"
-            "    kw = dict(vars(good))\n"
-            "    kw[field] *= 1.5\n"
+            "from schromag.mag import MagParams\n"
+            "for bounds, want in (((1.0, 2.0), 'need 0 < mu_hat <= l_hat'),\n"
+            "                     ((float('inf'), 1.0), 'need 0 < mu_hat <= l_hat'),\n"
+            "                     ((1e34, 1.0), 'need 0 <= beta < 1, got 1.0')):\n"
             "    try:\n"
-            "        MagParams(**kw)\n"
-            "    except ValueError:\n"
-            "        continue\n"
-            "    raise SystemExit(f'{field} accepted')\n"
+            "        MagParams(*bounds)\n"
+            "    except ValueError as exc:\n"
+            "        if str(exc).startswith(want):\n"
+            "            continue\n"
+            "        raise SystemExit(f'{bounds}: {exc}')\n"
+            "    raise SystemExit(f'{bounds} accepted')\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = {**os.environ, "PYTHONPATH": src}
@@ -92,25 +94,25 @@ class TestDeriveParams:
     @given(st.floats(1e-3, 1e3), st.floats(1.0, 1e6))
     @settings(max_examples=50, deadline=None)
     def test_invariant_ranges(self, mu_hat, ratio):
-        p = derive_params(mu_hat * ratio, mu_hat)
+        p = MagParams(mu_hat * ratio, mu_hat)
         assert 0.0 <= p.beta < 1.0
         assert 0.0 < p.alpha <= (1.0 + 4e-16) / p.mu_hat
 
 
 class TestBuildTransformed:
     def test_identity_collapses(self):
-        p = derive_params(1.0, 1.0)
+        p = MagParams(1.0, 1.0)
         sys = build_transformed(np.eye(2), [3.0, 4.0], p)
         assert np.allclose(sys.h, 0.0)
         assert np.allclose(sys.f, [3.0, 4.0, 0.0, 0.0])
 
     def test_momentum_block(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         assert np.allclose(sys.h[2:, 2:], p.beta * np.eye(2))
 
     def test_block_reconstruction(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         c = math.sqrt(p.alpha * p.beta)
         assert np.allclose(sys.h[:2, 2:], -c * DIAG_A.conj().T)
@@ -131,12 +133,12 @@ class TestBuildTransformed:
 
 class TestSteadyState:
     def test_identity_beta_zero(self):
-        p = derive_params(1.0, 1.0)
+        p = MagParams(1.0, 1.0)
         sys = build_transformed(np.eye(2), [1.0, 2.0], p)
         assert np.allclose(steady_state(sys), [1.0, 2.0, 0.0, 0.0])
 
     def test_second_block_is_scaled_rhs(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         w = steady_state(sys)
         c = math.sqrt(p.alpha * p.beta)
@@ -153,13 +155,13 @@ class TestSteadyState:
 
 class TestLambdaPm:
     def test_unit_sigma_degenerate(self):
-        p = derive_params(1.0, 1.0)
+        p = MagParams(1.0, 1.0)
         assert lambda_pm(1.0, p) == (0.0, 0.0)
 
     def test_spectrum_edge_modulus(self):
         # at the spectrum edges the discriminant vanishes; rounding noise
         # under the square root costs ~sqrt(eps) in the modulus
-        p = derive_params(4.0, 1.0)
+        p = MagParams(4.0, 1.0)
         for sigma2 in (1.0, 4.0):
             lp, lm = lambda_pm(math.sqrt(sigma2), p)
             assert abs(lp) == pytest.approx(math.sqrt(p.beta), abs=2e-8)
@@ -168,7 +170,7 @@ class TestLambdaPm:
     @given(st.floats(0.01, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_interior_sigma_on_circle(self, frac):
-        p = derive_params(25.0, 0.25)
+        p = MagParams(25.0, 0.25)
         sigma2 = 0.25 + frac * (25.0 - 0.25)
         lp, lm = lambda_pm(math.sqrt(sigma2), p)
         assert abs(lp) == pytest.approx(math.sqrt(p.beta), abs=1e-10)
@@ -177,7 +179,7 @@ class TestLambdaPm:
 
 class TestSpectralRadius:
     def test_identity_zero(self):
-        p = derive_params(1.0, 1.0)
+        p = MagParams(1.0, 1.0)
         sys = build_transformed(np.eye(2), [1.0, 1.0], p)
         rho = spectral_radius_check(p, singular_values(sys.a))
         assert rho == pytest.approx(0.0, abs=1e-12)
@@ -185,14 +187,14 @@ class TestSpectralRadius:
     def test_diag_value(self):
         # exact bounds make the eigenvalues defective, so the eigensolver
         # is sqrt(eps)-accurate here rather than eps-accurate
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         rho = spectral_radius_check(p, singular_values(sys.a))
         assert rho == pytest.approx(99.0 / 101.0, abs=1e-7)
 
     def test_violated_bounds_raise(self):
         # mu_hat above the true sigma_min^2 pushes the radius off sqrt(beta)
-        p = derive_params(100.0, 1.0)
+        p = MagParams(100.0, 1.0)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         with pytest.raises(SpectrumBoundsError):
             spectral_radius_check(p, singular_values(sys.a))
@@ -220,7 +222,7 @@ class TestClosedFormAgainstDense:
         else:
             mu_hat = bottom * (1 + rel)
             l_hat = max(top, mu_hat) * (1 + rel)
-        p = derive_params(l_hat, mu_hat)
+        p = MagParams(l_hat, mu_hat)
         sys = build_transformed(a, np.ones(n), p)
 
         rho_dense = float(np.max(np.abs(np.linalg.eig(sys.h)[0])))
@@ -244,7 +246,7 @@ class TestClosedFormAgainstDense:
         rng = np.random.default_rng(seed)
         sig = np.exp(rng.uniform(math.log(1e-3), math.log(1e2), size=n))
         sys = build_transformed(unitary_sandwich(rng, sig), np.ones(n),
-                                derive_params(mu_hat * ratio, mu_hat))
+                                MagParams(mu_hat * ratio, mu_hat))
         dense = np.linalg.svd(np.eye(2 * n) - sys.h, compute_uv=False)
         closed = np.sort(i_minus_h_singular_values(sys.params, singular_values(sys.a)))
         assert closed.shape == (2 * n,)
@@ -253,14 +255,14 @@ class TestClosedFormAgainstDense:
 
 class TestIteration:
     def test_one_step_fixed_point(self):
-        p = derive_params(1.0, 1.0)
+        p = MagParams(1.0, 1.0)
         sys = build_transformed(np.eye(1), [1.0], p)
         trace = mag_iterate(sys, np.zeros(2), 0.5, 10, w_inf=steady_state(sys))
         assert trace.steps == 1
         assert np.allclose(trace.w_final, steady_state(sys))
 
     def test_step_count_order(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         delta = 1e-6
         trace = mag_iterate(sys, np.zeros(4), delta, 10_000, w_inf=steady_state(sys))
@@ -274,7 +276,7 @@ class TestIteration:
         # ln residual <= n ln rho + ln kappa_hat, evaluated pointwise;
         # bounds widened 2% so the map stays diagonalizable (the exact-edge
         # case is defective and picks up transient polynomial growth)
-        p = derive_params((10.0 * 1.02) ** 2, (0.1 / 1.02) ** 2)
+        p = MagParams((10.0 * 1.02) ** 2, (0.1 / 1.02) ** 2)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000, w_inf=steady_state(sys))
         rho = math.sqrt(p.beta)
@@ -285,7 +287,7 @@ class TestIteration:
         # slightly widened bounds keep the spectrum simple, so iterating
         # from an exact eigenvector contracts at exactly rho per step
         a = np.diag([2.0, 1.0]).astype(complex)
-        p = derive_params(4.2, 0.9)
+        p = MagParams(4.2, 0.9)
         sys = build_transformed(a, np.array([1.0, 1.0 + 0j]), p)
         vals, vecs = np.linalg.eig(sys.h)
         idx = int(np.argmax(np.abs(vals)))
@@ -297,7 +299,7 @@ class TestIteration:
             assert r == pytest.approx(rho**n, rel=1e-6)
 
     def test_nonconvergence_reported(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         with pytest.raises(ConvergenceError) as err:
             mag_iterate(sys, np.zeros(4), 1e-12, 5, w_inf=steady_state(sys))
@@ -308,7 +310,7 @@ class TestIteration:
         ratios = []
         for kappa in (10.0, 100.0, 1000.0):
             a = np.diag([kappa, 1.0]).astype(complex)
-            p = derive_params(kappa**2, 1.0)
+            p = MagParams(kappa**2, 1.0)
             sys = build_transformed(a, np.array([1.0, 1.0 + 0j]), p)
             trace = mag_iterate(sys, np.zeros(4), delta, 200_000, w_inf=steady_state(sys))
             ratios.append(trace.steps / (kappa * math.log(1 / delta)))
@@ -337,7 +339,7 @@ class TestRelativeTrace:
         # so all four steady-state components are equal and the relative
         # trace coincides with the absolute one
         r = 1.0 + math.sqrt(2.0)
-        p = derive_params(r**2, 1.0 / r**2)
+        p = MagParams(r**2, 1.0 / r**2)
         assert (1.0 - p.beta) == pytest.approx(math.sqrt(p.alpha * p.beta), rel=1e-12)
         sys = build_transformed(np.eye(2), [1.0, 1.0], p)
         w_inf = steady_state(sys)
@@ -348,7 +350,7 @@ class TestRelativeTrace:
         assert values == pytest.approx(trace.residuals, rel=1e-6)
 
     def test_diag_kappa2_finite(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         w = steady_state(sys)
         trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000, w_inf=w)
@@ -457,10 +459,10 @@ class TestPairBasis:
         code = (
             "import numpy as np\n"
             "from schromag.errors import SingularMatrixError\n"
-            "from schromag.mag import build_spectral, derive_params\n"
+            "from schromag.mag import MagParams, build_spectral\n"
             "for small in (0.0, 1e-30):\n"
             "    spec = build_spectral(np.diag([1.0, small]), np.ones(2),"
-            " derive_params(4.0, 1.0))\n"
+            " MagParams(4.0, 1.0))\n"
             "    try:\n"
             "        spec.steady_state()\n"
             "    except SingularMatrixError:\n"
@@ -473,4 +475,4 @@ class TestPairBasis:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         with pytest.raises(SingularMatrixError):
-            build_spectral(np.diag([1.0, 0.0]), np.ones(2), derive_params(4.0, 1.0)).steady_state()
+            build_spectral(np.diag([1.0, 0.0]), np.ones(2), MagParams(4.0, 1.0)).steady_state()

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from schromag import schrod
 from schromag.errors import InputError, SingularMatrixError
 from schromag.linalg import LinearSystem, direct_solve
-from schromag.mag import build_spectral, derive_params
+from schromag.mag import MagParams, build_spectral
 from schromag.schrod import (
     build_pair_system,
     default_forcing_scale,
@@ -27,8 +27,8 @@ from schromag.schrod import (
 
 from reference import (HermitianSplit, HomogenizedSystem, build_grid, build_transformed, evolve,
                        homogenize, p_threshold, params_from_matrix, recover_integral,
-                       recover_single_point, single_point_weights, split, steady_state,
-                       to_ode)
+                       recover_single_point, single_point_weights, spectral_from_factors,
+                       split, steady_state, to_ode)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -53,21 +53,21 @@ def scalar_setup(rate=-1.0, drive=0.0, gamma_f=1.0, w0=1.0):
 
 class TestToOde:
     def test_identity_system(self):
-        p = derive_params(1.0, 1.0)
+        p = MagParams(1.0, 1.0)
         sys = build_transformed(np.eye(2), [1.0, 2.0], p)
         gen, drive = to_ode(sys)
         assert np.allclose(gen, -np.eye(4))
         assert np.allclose(drive, [1.0, 2.0, 0.0, 0.0])
 
     def test_same_fixed_point(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         gen, drive = to_ode(sys)
         w_ode = direct_solve(LinearSystem(-gen, drive))
         assert np.allclose(w_ode, steady_state(sys), atol=1e-9)
 
     def test_generator_is_stable(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         gen, _ = to_ode(sys)
         assert np.max(np.linalg.eigvals(gen).real) < 0.0
@@ -131,7 +131,7 @@ class TestSplit:
     def test_eigenvalue_pairing(self):
         # h1 of the homogenized momentum system has per-mode eigenvalues
         # (s_j +- sqrt(s_j^2 + gamma_f^2)) / 2 for s_j in eig(sym(H - I))
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         gen, drive = to_ode(sys)
         gamma_f = 0.25
@@ -233,7 +233,7 @@ class TestEnvelope:
             for recover in (recover_integral, recover_single_point):
                 assert np.allclose(recover(state, sp.h1), hs.w0_homo[:1], rtol=0.0, atol=1e-14)
         sys = build_transformed(np.diag([2.0, 0.7]), np.array([1.0, -0.5]),
-                                derive_params(9.0, 0.25))
+                                MagParams(9.0, 0.25))
         pairs = _pairs(sys, 0.05)
         grid = build_grid(np.diag([-1.0 + 0j]), 1.0, 256)
         w0 = np.concatenate([np.zeros(2 * sys.n), sys.f / 0.05])
@@ -369,7 +369,7 @@ class TestStructuredEvolution:
         q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         a = q1 @ np.diag(sig) @ q2.conj().T
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        p = derive_params(9.5, 0.2)
+        p = MagParams(9.5, 0.2)
         sys = build_transformed(a, b, p)
         if gamma_f is None:
             gamma_f = default_forcing_scale(p)
@@ -395,7 +395,7 @@ class TestStructuredEvolution:
         # pair empty, so the runway ignores their speeds
         n = 8
         diag = np.diag(np.linspace(0.5, 4.0, n)).astype(complex)
-        p = derive_params(16.5, 0.2)
+        p = MagParams(16.5, 0.2)
         b = np.zeros(n, dtype=complex)
         b[0] = 1.0  # hits only sigma = 4 after the svd ordering
         sys = build_transformed(diag, b, p)
@@ -409,7 +409,7 @@ class TestStructuredEvolution:
         # the fast group (sigma = 4) carries a fraction f of the solution
         # scale; its left-moving content peaks at ENVELOPE_MAX f, so a budget
         # between f and ENVELOPE_MAX f no longer exempts it
-        p = derive_params(16.5, 0.2)
+        p = MagParams(16.5, 0.2)
         sys = build_transformed(np.diag([4.0, 0.5]), np.array([1e-3, 1.0]), p)
         pairs = _pairs(sys, default_forcing_scale(p))
         fast, slow = np.argmax(pairs.sigma[pairs.reps]), np.argmin(pairs.sigma[pairs.reps])
@@ -446,7 +446,7 @@ class TestStructuredEvolution:
                 assert pairs.advection_speeds()[j] == pytest.approx(dense, abs=1e-12)
 
     def test_singular_matrix_rejected(self):
-        p = derive_params(4.0, 1.0)
+        p = MagParams(4.0, 1.0)
         sys = build_transformed(np.diag([1.0, 0.0]), np.ones(2), p)
         with pytest.raises(SingularMatrixError):
             _pairs(sys, default_forcing_scale(p))
@@ -474,7 +474,7 @@ class TestPairKernel:
     def _pair(sigma, kappa):
         # a 1x1 system is one pair with trivial bases, so its dense
         # homogenized split is that pair's 4x4 block
-        p = derive_params(kappa**2, 1.0)
+        p = MagParams(kappa**2, 1.0)
         sys = build_transformed(np.array([[sigma + 0j]]), np.array([1.0 + 0j]), p)
         gamma_f = default_forcing_scale(p)
         gen, drive = to_ode(sys)
@@ -501,7 +501,7 @@ class TestPairKernel:
 
     def test_exact_at_time_zero(self):
         for kappa in (1.0, 3.0):
-            p = derive_params(kappa**2, 1.0)
+            p = MagParams(kappa**2, 1.0)
             sys = build_transformed(np.diag([1.0, 0.5, 2.0]), np.ones(3), p)
             pairs = _pairs(sys, default_forcing_scale(p))
             thetas = np.array([0.0, 0.7, -3.0, 40.0])
@@ -524,7 +524,7 @@ class TestStreamedReadout:
         q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         a = q1 @ np.diag(sig) @ q2.conj().T
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        p = derive_params(9.5, 0.2)
+        p = MagParams(9.5, 0.2)
         return build_transformed(a, b, p), default_forcing_scale(p)
 
     @given(st.integers(1, 4), st.integers(0, 2**16), st.floats(0.0, 8.0),
@@ -573,7 +573,7 @@ class TestStreamedReadout:
         q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        p = derive_params(9.5, 0.2)
+        p = MagParams(9.5, 0.2)
         sys = build_transformed(q1 @ np.diag(sig) @ q2.conj().T, b, p)
         gamma_f = default_forcing_scale(p)
         pairs = _pairs(sys, gamma_f)
@@ -615,7 +615,7 @@ class TestStreamedReadout:
         q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         keep = rng.permutation(n)[: rng.integers(1, n)]
         b = q1[:, keep] @ (rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size))
-        p = derive_params(9.5, 0.2)
+        p = MagParams(9.5, 0.2)
         sys = build_transformed(q1 @ np.diag(sig) @ q2.conj().T, b, p)
         gamma_f = default_forcing_scale(p)
         pairs = _pairs(sys, gamma_f)
@@ -671,16 +671,11 @@ class TestStreamedReadout:
 
 def _preset_pairs(name, b=None):
     """The CLI's pair system for a preset (or its matrix with rhs b)."""
-    from schromag.linalg import full_svd
-    from schromag.mag import params_from_sigma
     from schromag.presets import pde_preset
 
     problem, solver = pde_preset(name)
-    a = problem.system.a
-    factors = full_svd(a)
-    params = params_from_sigma(factors[1])
-    spec = build_spectral(a, problem.system.b if b is None else b, params, factors)
-    return build_pair_system(spec, default_forcing_scale(params))
+    spec = build_spectral(problem.system.a, problem.system.b if b is None else b)
+    return build_pair_system(spec, default_forcing_scale(spec.params))
 
 
 class TestPruning:
@@ -692,12 +687,12 @@ class TestPruning:
         # heavy one; sigma = 1 is a 1e-20 group of its own.  The light group
         # is dropped, the light member of the heavy group is read out at
         # its own scale.
-        p = derive_params(9.0, 0.5)
+        p = MagParams(9.0, 0.5)
         a = np.diag([2.0, 2.0, 1.0, 3.0]).astype(complex)
         b = np.array([1e-20, 1.0, 1e-20, 1.0], dtype=complex)
         eye = np.eye(4)
         order = [3, 0, 1, 2]  # descending sigma
-        spec = build_spectral(a, b, p, (eye[:, order], np.diag(a).real[order], eye[order]))
+        spec = spectral_from_factors(b, p, (eye[:, order], np.diag(a).real[order], eye[order]))
         pairs = build_pair_system(spec, default_forcing_scale(p))
         assert (pairs.live.size, pairs.reps.size, pairs.evolved.size) == (4, 3, 2)
         assert 0.0 < pairs.pruned_weight() <= 4 * np.finfo(float).eps
@@ -748,8 +743,8 @@ class TestPruning:
                 rot[lo:hi, lo:hi] = np.linalg.qr(z)[0]
             a = q1 @ np.diag(sig) @ q2.conj().T
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
-            p = derive_params(9.0, 0.64)
-            runs = [pipeline(build_spectral(a, b, p, f), 1e-2, 1024)
+            p = MagParams(9.0, 0.64)
+            runs = [pipeline(spectral_from_factors(b, p, f), 1e-2, 1024)
                     for f in ((q1, sig, q2.conj().T),
                               (q1 @ rot, sig, rot.conj().T @ q2.conj().T))]
             (u1, r1, _), (u2, r2, _) = runs
@@ -760,14 +755,11 @@ class TestPruning:
     def test_snapshot_memory(self):
         # the snapshot is four (m x groups) @ (groups x n) products into the
         # (m, 4n) rows: no (m, pairs, 4) gather or (m, 4, n) staging copy
-        from schromag.linalg import full_svd
-        from schromag.mag import params_from_sigma
         from schromag.presets import pde_preset
 
         problem, solver = pde_preset("fig4a")
         a, b = problem.system.a, problem.system.b
-        factors = full_svd(a)
-        spec = build_spectral(a, b, params_from_sigma(factors[1]), factors)
+        spec = build_spectral(a, b)
         tracemalloc.start()
         try:
             _, report, (_, rows) = pipeline(spec, solver.delta, 16384, snapshot_rows=1024)
@@ -780,20 +772,20 @@ class TestPruning:
 
 class TestPipeline:
     def test_identity_one_step(self):
-        p = derive_params(1.0, 1.0)
+        p = MagParams(1.0, 1.0)
         u, _, snapshot = pipeline(build_spectral(np.eye(1), np.array([1.0 + 0j]), p), 0.1, 128)
         assert snapshot is None
         assert u[0] == pytest.approx(1.0, abs=1e-2)
         assert _residual(u, np.array([1.0 + 0j])) < 1e-2
 
     def test_diag_documented_accuracy(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         u, _, _ = pipeline(build_spectral(DIAG_A, DIAG_B, p), 1e-3, 32768)
         assert np.max(np.abs(u - [0.1, 10.0])) / 10.0 < 2e-3
         assert _residual(u, DIAG_ORACLE) < 2e-3
 
     def test_report_fields(self):
-        p = derive_params(100.0, 0.01)
+        p = MagParams(100.0, 0.01)
         _, report, _ = pipeline(build_spectral(DIAG_A, DIAG_B, p), 1e-2, 16384)
         d = asdict(report)
         for key in ("t_end", "n_p", "p_left", "p_right", "p_diamond",
@@ -804,32 +796,26 @@ class TestPipeline:
         assert (d["live_pairs"], d["sigma_groups"]) == (2, 2)
 
     def test_fig6a_groups_repeated_singular_values(self):
-        # the 2d biharmonic spectrum repeats: 510 forced pairs, 258 distinct sigma
-        from schromag.mag import params_from_sigma
+        # the 2d biharmonic spectrum repeats: on the CLI's real-arithmetic
+        # SVD, 511 forced pairs and 258 distinct sigma (pde.json reports both)
         from schromag.presets import pde_preset
 
         problem, solver = pde_preset("fig6a")
-        factors = np.linalg.svd(problem.system.a)
-        params = params_from_sigma(factors[1])
-        oracle = direct_solve(problem.system, factors[1])
-        u, report, _ = pipeline(build_spectral(problem.system.a, problem.system.b, params,
-                                               factors), solver.delta, solver.n_p)
+        spec = build_spectral(problem.system.a, problem.system.b)
+        oracle = direct_solve(problem.system, spec.sigma)
+        u, report, _ = pipeline(spec, solver.delta, solver.n_p)
         d = asdict(report)
-        assert (d["live_pairs"], d["sigma_groups"]) == (510, 258)
+        assert (d["live_pairs"], d["sigma_groups"]) == (511, 258)
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
 
     def test_presets_meet_delta(self):
         # every preset meets its own delta at its own n_p; the widest Robin
         # grids reach 5e-5 at twice their n_p
-        from schromag.linalg import full_svd
-        from schromag.mag import params_from_sigma
         from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
         for name in PDE_PRESET_NAMES:
             problem, solver = pde_preset(name)
-            a, b = problem.system.a, problem.system.b
-            factors = full_svd(a)
-            spec = build_spectral(a, b, params_from_sigma(factors[1]), factors)
+            spec = build_spectral(problem.system.a, problem.system.b)
             oracle = direct_solve(problem.system, spec.sigma)
             u, _, _ = pipeline(spec, solver.delta, solver.n_p)
             assert _residual(u, oracle) <= solver.delta, name
@@ -879,7 +865,7 @@ class TestPipeline:
     def test_consistency_with_ode_oracle(self):
         # recovered trajectory tracks expm on the (generator, drive) ODE
         # with error decreasing as n_p doubles
-        p = derive_params(4.0, 0.25)
+        p = MagParams(4.0, 0.25)
         a = np.diag([1.8, 0.6]).astype(complex)
         b = np.array([1.0, -0.5], dtype=complex)
         sys = build_transformed(a, b, p)
