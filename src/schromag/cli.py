@@ -33,6 +33,8 @@ _OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS, "gamma", "gammaf", "f
 _METHOD_OPTIONS = {"mag": _BOUNDS, "gradient": (), "damped": ("gamma",),
                    "schro": (*_BOUNDS, "n_p", "gammaf")}
 _FLAGS = {"n_p": "--np", "l_hat": "--lhat", "mu_hat": "--muhat", "fmt": "--format"}
+# the values the parser and `RunConfig.validate` accept for an option
+_CHOICES = {"method": tuple(_METHOD_OPTIONS), "fmt": ("csv", "json")}
 
 
 def _flag(name: str) -> str:
@@ -66,12 +68,12 @@ class RunConfig:
             raise InputError("--matrix requires --rhs")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise InputError("--delta must be in (0, 1)")
-        if self.method not in (None, *_METHOD_OPTIONS):
-            raise InputError(f"unknown method {self.method!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in (None, *allowed):
+                raise InputError(f"{_flag(name)} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
         if self.n_p is not None and (self.n_p < 8 or (self.n_p & (self.n_p - 1)) != 0):
             raise InputError("--np must be a power of two >= 8")
-        if self.fmt not in (None, "csv", "json"):
-            raise InputError("--format must be csv or json")
         for first, second in (("alpha", "beta"), ("l_hat", "mu_hat")):
             if (getattr(self, first) is None) != (getattr(self, second) is None):
                 raise InputError(f"{_flag(first)} and {_flag(second)} go together")
@@ -119,17 +121,6 @@ def _load_system(cfg: RunConfig):
     return system, problem, delta, n_p
 
 
-def _setup(cfg: RunConfig, loaded):
-    """(system, problem, delta, n_p, spec, oracle) of a solving command from
-    its `_load_system`: the run's one `mag.SpectralSystem`, built from the
-    invocation's one full SVD of A, which carries the bounds, the guards'
-    singular values and the basis of every method, and the direct solve
-    that outputs are checked against."""
-    system, problem, delta, n_p = loaded
-    spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
-    return system, problem, delta, n_p, spec, direct_solve(system, spec.sigma)
-
-
 def _params_for(cfg: RunConfig) -> mag.MagParams | None:
     """The bounds the run asks for; None leaves them to A's own spectrum."""
     if cfg.alpha is not None and cfg.beta is not None:
@@ -144,73 +135,72 @@ def _params_for(cfg: RunConfig) -> mag.MagParams | None:
     return None
 
 
-def _residual(u: np.ndarray, oracle: np.ndarray) -> float:
-    """Max-norm error of u relative to the direct solve."""
-    return float(np.max(np.abs(u - oracle)) / max(np.max(np.abs(oracle)), 1e-300))
+def _damping(spec: mag.SpectralSystem, gamma: float | None) -> float:
+    """gamma, by default just below critical damping 2 sigma_min."""
+    return baselines.GAMMA_PER_SIGMA_MIN * float(spec.sigma[-1]) if gamma is None else gamma
 
 
-def _flow_end(flow: baselines.FlowSystem, t_end: float) -> np.ndarray:
-    # closed form: the end state does not depend on the sampling
-    return baselines.integrate_flow(flow, t_end, 2)[1][-1]
-
-
-def _solve_with_method(cfg: RunConfig, spec: mag.SpectralSystem, delta: float, n_p: int,
-                       oracle: np.ndarray, keep_states: bool = False):
-    """(u, its residual against the oracle, artifacts dict) for one method on
-    the run's `spec`; a pipeline report carries the residual too."""
-    method = cfg.method or "mag"
-    sigma_min = float(spec.sigma[-1])
+def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int = 0,
+                gamma: float | None = None, gamma_f: float | None = None,
+                keep_states: bool = False, snapshot_rows: int = 0) -> tuple:
+    """(u, the method's report fields, its trace or snapshot) for one method
+    on the run's `spec`, once its bounds pass the spectral radius guard.
+    mag with keep_states gives (residuals, relative residuals or None),
+    schro gives `schrod.pipeline`'s snapshot, the rest None."""
+    mag.spectral_radius_check(spec.params, spec.sigma)
     if method == "mag":
-        mag.spectral_radius_check(spec.params, spec.sigma)
         trace, w_inf, u = mag.solve_spectral(spec, delta, keep_states)
-        artifacts = {"trace": trace.residuals, "steps": trace.steps}
-        if keep_states:
-            values, kappa2 = mag.relative_trace(trace, w_inf, spec)
-            artifacts["relative_trace"] = (
-                values if values is not None else [math.inf] * len(trace.residuals)
-            )
-            artifacts["kappa2_w_inf"] = kappa2
-    elif method == "gradient":
-        t_end = baselines.evolution_time("gradient", sigma_min, delta)
-        u, artifacts = _flow_end(baselines.build_gradient_flow(spec), t_end), {"t_end": t_end}
-    elif method == "damped":
-        gamma = baselines.GAMMA_PER_SIGMA_MIN * sigma_min if cfg.gamma is None else cfg.gamma
-        flow = baselines.build_damped(spec, gamma)
-        t_end = baselines.evolution_time("damped", sigma_min, delta)
-        u, artifacts = _flow_end(flow, t_end)[: spec.n], {"t_end": t_end, "gamma": gamma}
-    else:  # schro; RunConfig.validate rejects any other method
-        u, report, _ = schrod.pipeline(spec, delta, n_p, gamma_f=cfg.gammaf)
-        artifacts = {"report": asdict(report)}
-    rel = _residual(u, oracle)
-    if "report" in artifacts:
-        artifacts["report"]["residual_vs_oracle"] = rel
-    return u, rel, artifacts
+        if not keep_states:
+            return u, {"steps": trace.steps}, None
+        relative, kappa2 = mag.relative_trace(trace, w_inf, spec)
+        return u, {"steps": trace.steps, "kappa2_w_inf": kappa2}, (trace.residuals, relative)
+    if method == "schro":
+        u, report, snapshot = schrod.pipeline(spec, delta, n_p, gamma_f=gamma_f,
+                                              snapshot_rows=snapshot_rows)
+        return u, {"report": asdict(report)}, snapshot
+    # the flows: RunConfig.validate rejects any other method
+    if method == "damped":
+        gamma = _damping(spec, gamma)
+        flow, fields = baselines.build_damped(spec, gamma), {"gamma": gamma}
+    else:
+        flow, fields = baselines.build_gradient_flow(spec), {}
+    fields["t_end"] = t_end = baselines.evolution_time(method, float(spec.sigma[-1]), delta)
+    # closed form: the end state does not depend on the sampling
+    return baselines.integrate_flow(flow, t_end, 2)[1][-1][: spec.n], fields, None
+
+
+def _solve(cfg: RunConfig, method: str, loaded: tuple, **run) -> tuple:
+    """(u, delta, report fields, trace or snapshot) of `method` on the
+    problem `_load_system` loaded: the run's one `mag.SpectralSystem`, from
+    one full SVD of A, and the direct solve u is checked against.  The
+    fields and a pipeline report both carry the residual."""
+    system, problem, delta, n_p = loaded
+    spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
+    oracle = direct_solve(system, spec.sigma)
+    # A is not kept across the solve unless the caller holds it
+    del loaded, system, problem
+    u, fields, extra = _run_method(method, spec, delta, n_p=n_p, gamma=cfg.gamma,
+                                   gamma_f=cfg.gammaf, **run)
+    rel = float(np.max(np.abs(u - oracle)) / max(np.max(np.abs(oracle)), 1e-300))
+    fields["residual_vs_oracle"] = rel
+    if "report" in fields:
+        fields["report"]["residual_vs_oracle"] = rel
+    return u, delta, fields, extra
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    _, _, delta, n_p, spec, oracle = _setup(cfg, _load_system(cfg))
-    u_method, rel, artifacts = _solve_with_method(cfg, spec, delta, n_p, oracle,
-                                                  keep_states=True)
+    method = cfg.method or "mag"
+    u, delta, fields, trace = _solve(cfg, method, _load_system(cfg), keep_states=True)
     out = cfg.out
-    io.write_vector(os.path.join(out, "solution.vec"), u_method)
-    io.write_solution_csv(
-        os.path.join(out, "solution.csv"), u_method,
-        np.arange(u_method.size, dtype=float),
-    )
-    if "trace" in artifacts:
-        io.write_trace_csv(
-            os.path.join(out, "trace.csv"),
-            artifacts.pop("trace"),
-            artifacts.pop("relative_trace", None),
-        )
-    if "report" in artifacts:
-        io.write_json(os.path.join(out, "pipeline.json"), artifacts["report"])
-    io.write_json(
-        os.path.join(out, "solve.json"),
-        {"method": cfg.method or "mag", "delta": delta,
-         "residual_vs_oracle": rel, **artifacts},
-    )
-    print(f"solve[{cfg.method or 'mag'}] residual vs direct solve: {rel:.3e}")
+    io.write_vector(os.path.join(out, "solution.vec"), u)
+    io.write_solution_csv(os.path.join(out, "solution.csv"), u,
+                          np.arange(u.size, dtype=float))
+    if trace is not None:
+        io.write_trace_csv(os.path.join(out, "trace.csv"), *trace)
+    if "report" in fields:
+        io.write_json(os.path.join(out, "pipeline.json"), fields["report"])
+    io.write_json(os.path.join(out, "solve.json"), {"method": method, "delta": delta, **fields})
+    print(f"solve[{method}] residual vs direct solve: {fields['residual_vs_oracle']:.3e}")
     return 0
 
 
@@ -222,10 +212,10 @@ def cmd_compare(cfg: RunConfig) -> int:
         spec, gamma, t_end, samples = cp.spec, cp.gamma, cp.t_end, cp.samples
     else:
         system, _, delta, _ = _load_system(cfg)
+        # no bounds guard: compare shows the momentum flow under any bounds
         spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
-        sigma_min = float(spec.sigma[-1])
-        gamma = baselines.GAMMA_PER_SIGMA_MIN * sigma_min if cfg.gamma is None else cfg.gamma
-        t_end = baselines.evolution_time("damped", sigma_min, delta)
+        gamma = _damping(spec, cfg.gamma)
+        t_end = baselines.evolution_time("damped", float(spec.sigma[-1]), delta)
         samples = 1200
 
     n = spec.n
@@ -260,19 +250,15 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def _compare_fig2(cfg: RunConfig) -> int:
     cp = compare_preset("fig2")
-    spec = cp.spec
-    oracle = direct_solve(LinearSystem(cp.a, cp.b), spec.sigma)
-    flow = baselines.build_damped(spec, cp.gamma)
+    oracle = direct_solve(LinearSystem(cp.a, cp.b), cp.spec.sigma)
+    scale = float(np.linalg.norm(oracle))
     rows = ["delta,mag_error,damped_error"]
     for delta in cp.deltas:
-        u_mag = mag.solve_spectral(spec, delta)[2]
-        t_end = baselines.evolution_time("damped", math.sqrt(spec.params.mu_hat), delta)
-        u_damp = _flow_end(flow, t_end)[: spec.n]
-        scale = float(np.linalg.norm(oracle))
-        e_mag = float(np.linalg.norm(u_mag - oracle)) / scale
-        e_damp = float(np.linalg.norm(u_damp - oracle)) / scale
-        rows.append(f"{delta!r},{e_mag!r},{e_damp!r}")
-        for tag, u in (("mag", u_mag), ("damped", u_damp)):
+        us = {tag: _run_method(tag, cp.spec, delta, gamma=cp.gamma)[0]
+              for tag in ("mag", "damped")}
+        errors = [float(np.linalg.norm(u - oracle)) / scale for u in us.values()]
+        rows.append(",".join(map(repr, [delta, *errors])))
+        for tag, u in us.items():
             io.write_solution_csv(
                 os.path.join(cfg.out, f"fig2_{tag}_delta{delta:.6g}.csv"),
                 u, np.arange(u.size, dtype=float),
@@ -286,41 +272,37 @@ def cmd_pde(cfg: RunConfig) -> int:
     if cfg.preset is None:
         raise InputError("pde requires --preset")
     loaded = _load_system(cfg)
-    system, problem = loaded[:2]
-    out = cfg.out
-    io.write_matrix_coo(os.path.join(out, "problem.coo"), system.a)
-    io.write_vector(os.path.join(out, "problem.vec"), system.b)
+    problem, method, out = loaded[1], cfg.method or "mag", cfg.out
+    io.write_matrix_coo(os.path.join(out, "problem.coo"), problem.system.a)
+    io.write_vector(os.path.join(out, "problem.vec"), problem.system.b)
     io.write_json(os.path.join(out, "problem.json"),
                   {"family": problem.family, "n": problem.n, "k": problem.k,
                    "boundary": repr(problem.boundary), "forcing": problem.forcing,
                    "h": problem.h})
-    _, _, delta, n_p, spec, oracle = _setup(cfg, loaded)
-    u_method, rel, artifacts = _solve_with_method(cfg, spec, delta, n_p, oracle)
+    u, delta, fields, _ = _solve(cfg, method, loaded)
     xs, ys = problem.nodes
-    u_sol = problem.solution_block(u_method)
+    u_sol = problem.solution_block(u)
     io.write_solution_csv(
         os.path.join(out, "solution.csv"), u_sol,
         xs[: u_sol.size], None if ys is None else ys[: u_sol.size],
     )
-    payload = {"preset": cfg.preset, "method": cfg.method or "mag", "delta": delta,
-               "residual_vs_oracle": rel}
-    if "report" in artifacts:
-        payload["pipeline"] = artifacts["report"]
+    payload = {"preset": cfg.preset, "method": method, "delta": delta,
+               "residual_vs_oracle": fields["residual_vs_oracle"]}
+    if "report" in fields:
+        payload["pipeline"] = fields["report"]
     io.write_json(os.path.join(out, "pde.json"), payload)
-    print(f"pde[{cfg.preset}/{cfg.method or 'mag'}] residual vs direct solve: {rel:.3e}")
+    print(f"pde[{cfg.preset}/{method}] residual vs direct solve: "
+          f"{fields['residual_vs_oracle']:.3e}")
     return 0
 
 
 def cmd_schro(cfg: RunConfig) -> int:
-    _, _, delta, n_p, spec, oracle = _setup(cfg, _load_system(cfg))
-    u, report, (points, rows) = schrod.pipeline(spec, delta, n_p, gamma_f=cfg.gammaf,
-                                                snapshot_rows=SNAPSHOT_ROWS)
-    rel = _residual(u, oracle)
-    io.write_json(os.path.join(cfg.out, "pipeline.json"),
-                  {**asdict(report), "residual_vs_oracle": rel})
+    u, _, fields, (points, rows) = _solve(cfg, "schro", _load_system(cfg),
+                                          snapshot_rows=SNAPSHOT_ROWS)
+    io.write_json(os.path.join(cfg.out, "pipeline.json"), fields["report"])
     io.write_vector(os.path.join(cfg.out, "solution.vec"), u)
     io.write_field_snapshot_csv(os.path.join(cfg.out, "warped_field.csv"), points, rows)
-    print(f"schro residual vs direct solve: {rel:.3e}")
+    print(f"schro residual vs direct solve: {fields['residual_vs_oracle']:.3e}")
     return 0
 
 
@@ -415,23 +397,14 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="schromag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    hints = typing.get_type_hints(RunConfig)
+    options = [(_flag(f.name), {"dest": f.name, "type": _kinds(hints[f.name])[0],
+                                "choices": _CHOICES.get(f.name)})
+               for f in fields(RunConfig)[1:]]  # all but the command
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--preset")
-        p.add_argument("--matrix")
-        p.add_argument("--rhs")
-        p.add_argument("--method", choices=["mag", "gradient", "damped", "schro"])
-        p.add_argument("--delta", type=float)
-        p.add_argument("--np", dest="n_p", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--gammaf", type=float)
-        p.add_argument("--lhat", dest="l_hat", type=float)
-        p.add_argument("--muhat", dest="mu_hat", type=float)
-        p.add_argument("--out")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"])
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
         p.add_argument("--config")
     return parser
 
@@ -460,6 +433,11 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _kinds(hint) -> tuple:
+    """The types a field's hint allows besides None."""
+    return tuple(k for k in typing.get_args(hint) or (hint,) if k is not type(None))
+
+
 def _typed(name: str, hint, value):
     """A config-file value as its field's declared type, else InputError."""
     kinds = typing.get_args(hint) or (hint,)
@@ -468,7 +446,7 @@ def _typed(name: str, hint, value):
     if not isinstance(value, bool):
         if float in kinds and isinstance(value, (int, float)):
             return float(value)
-        if isinstance(value, tuple(k for k in kinds if k is not type(None))):
+        if isinstance(value, _kinds(hint)):
             return value
     want = " or ".join(k.__name__ for k in kinds)
     raise InputError(f"config field {name!r} must be {want}, got {value!r}")

@@ -117,12 +117,10 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_trace_csv(path, residuals, relative_residuals=None) -> None:
-    """Iteration trace: step, residual, relative_residual (may be empty)."""
+    """Iteration trace: step, residual, relative_residual (empty without one)."""
     lines = ["step,residual,relative_residual"]
     for k, r in enumerate(residuals):
-        rel = ""
-        if relative_residuals is not None and not math.isinf(relative_residuals[k]):
-            rel = _fmt(relative_residuals[k])
+        rel = "" if relative_residuals is None else _fmt(relative_residuals[k])
         lines.append(f"{k},{_fmt(r)},{rel}")
     write_text(path, "\n".join(lines) + "\n")
 

@@ -151,7 +151,7 @@ class TestIntegrateFlow:
 
     @pytest.mark.parametrize("kind", ["gradient", "damped", "mag-ode"])
     def test_starts_at_zero_and_end_ignores_sampling(self, kind):
-        # `cli._flow_end` takes the end state of a 2-sample run
+        # `cli._run_method` takes a flow's end state from a 2-sample run
         a, b = _random_system(5, 6)
         spec = build_spectral(a, b)
         build = {"gradient": build_gradient_flow, "mag-ode": build_mag_ode,

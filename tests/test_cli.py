@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -71,6 +72,25 @@ class TestSolve:
         lines = (out / "trace.csv").read_text().strip().split("\n")
         assert lines[0] == "step,residual,relative_residual"
         assert not lines[1].endswith(",")  # finite kappa2: column filled
+
+    @pytest.mark.parametrize("method, own", [
+        ("mag", {"steps", "kappa2_w_inf"}), ("gradient", {"t_end"}),
+        ("damped", {"t_end", "gamma"}), ("schro", {"report"}),
+    ], ids=["mag", "gradient", "damped", "schro"])
+    def test_solve_json_fields(self, diag_problem, method, own):
+        out = diag_problem / "out"
+        grid = ["--np", "16384"] if method == "schro" else []
+        rc = main(["solve", "--matrix", str(diag_problem / "a.coo"),
+                   "--rhs", str(diag_problem / "b.vec"), "--method", method,
+                   "--delta", "1e-3", *grid, "--out", str(out)])
+        assert rc == 0
+        payload = json.loads((out / "solve.json").read_text())
+        assert set(payload) == {"method", "delta", "residual_vs_oracle", *own}
+        assert (payload["method"], payload["delta"]) == (method, 1e-3)
+        if method == "damped":
+            # the damping default and the damped horizon, on sigma_min = 0.1
+            assert payload["gamma"] == pytest.approx(1.9 * 0.1, rel=1e-14)
+            assert payload["t_end"] == pytest.approx(math.log(1e3) / 0.1, rel=1e-14)
 
     def test_missing_source_is_usage_error(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path)]) == 2
@@ -583,6 +603,19 @@ class TestConfigPrecedence:
         out = diag_problem / "typed"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("method", "foo", "--method must be one of mag, gradient, damped, schro, got 'foo'"),
+        ("fmt", "xml", "--format must be one of csv, json, got 'xml'"),
+    ])
+    def test_config_value_outside_choices_is_usage_error(self, diag_problem, capsys, field,
+                                                         value, message):
+        # a config file's value meets the choices the parser gives its flag
+        cfg = diag_problem / "choice.json"
+        cfg.write_text(json.dumps({"matrix": str(diag_problem / "a.coo"),
+                                   "rhs": str(diag_problem / "b.vec"), field: value}))
+        assert main(["solve", "--config", str(cfg), "--out", str(diag_problem / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestForcingScale:
     @pytest.mark.parametrize("command", [["schro"], ["solve", "--method", "schro"],
@@ -666,18 +699,23 @@ class TestOptionsRead:
 
 
 class TestExitCodeOne:
-    def test_numerical_contract_violation(self, tmp_path):
-        # bounds that exclude the actual spectrum trip the radius check
-        a = np.diag([10.0, 0.1]).astype(complex)
-        write_matrix_coo(tmp_path / "a.coo", a)
-        write_vector(tmp_path / "b.vec", np.ones(2, dtype=complex))
-        rc = main([
-            "solve", "--matrix", str(tmp_path / "a.coo"),
-            "--rhs", str(tmp_path / "b.vec"),
-            "--method", "mag", "--lhat", "100.0", "--muhat", "1.0",
-            "--out", str(tmp_path),
-        ])
+    # bounds that exclude the actual spectrum trip the radius check before
+    # any method runs, whichever method reads them
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--matrix", "a.coo", "--rhs", "b.vec", "--method", "mag"],
+        ["solve", "--matrix", "a.coo", "--rhs", "b.vec", "--method", "schro"],
+        ["schro", "--matrix", "a.coo", "--rhs", "b.vec"],
+        ["pde", "--preset", "fig3a", "--method", "schro"],
+    ], ids=["solve-mag", "solve-schro", "schro", "pde-schro"])
+    def test_numerical_contract_violation(self, diag_problem, capsys, argv):
+        argv = [str(diag_problem / x) if x.endswith((".coo", ".vec")) else x for x in argv]
+        out = diag_problem / "out"
+        rc = main([*argv, "--lhat", "100.0", "--muhat", "1.0", "--out", str(out)])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical contract violated: spectral radius")
+        assert err.count("\n") == 1
+        assert not (out / "solution.vec").exists() and not (out / "solution.csv").exists()
 
 
 def test_package_holds_no_assert():

@@ -92,7 +92,7 @@ class TestVectorFormat:
 class TestCsv:
     def test_trace_with_infinite_kappa_gap(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trace_csv(path, [1.0, 0.5], [math.inf, math.inf])
+        write_trace_csv(path, [1.0, 0.5], None)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,residual,relative_residual"
         assert lines[1].endswith(",")  # empty relative column
