@@ -227,15 +227,26 @@ def solution_error_factor(w_inf: np.ndarray) -> float:
     return max(float(np.linalg.norm(w_inf)) / top, 1.0)
 
 
-def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False) -> tuple:
-    """Iterate from w = 0 until the max-norm relative u error is below
-    delta (`solution_error_factor`); returns (trace, w_inf, u)."""
+def step_budget(spec: SpectralSystem, delta: float) -> tuple:
+    """(w_inf, delta_run, max_steps) for a run to max-norm relative u error
+    delta: the state residual delta_run that guarantees it
+    (`solution_error_factor`) and 4 times the steps that reach it.
+    InputError where max_steps states of 2n entries exceed
+    MAX_ITERATION_ENTRIES, a kappa_hat that no realization of the map is
+    run for: `solve_spectral` and `schrod.pipeline` both check it."""
     w_inf = spec.steady_state()
     delta_run = delta / solution_error_factor(spec.to_state(w_inf))
     max_steps = 4 * convergence_steps(spec.params.kappa_hat, delta_run)
     if max_steps * 2 * spec.n > MAX_ITERATION_ENTRIES:
         raise InputError(f"kappa_hat={spec.params.kappa_hat:.3g} allows {max_steps} steps of "
                          f"{2 * spec.n} entries, beyond the budget of {MAX_ITERATION_ENTRIES}")
+    return w_inf, delta_run, max_steps
+
+
+def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False) -> tuple:
+    """Iterate from w = 0 until the max-norm relative u error is below
+    delta (`step_budget`); returns (trace, w_inf, u)."""
+    w_inf, delta_run, max_steps = step_budget(spec, delta)
     trace = mag_iterate(spec, np.zeros(2 * spec.n), delta_run, max_steps,
                         w_inf=w_inf, keep_states=keep_states)
     return trace, w_inf, solution_from_state(spec, spec.to_state(trace.w_final))

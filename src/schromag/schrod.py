@@ -22,7 +22,13 @@ The end-to-end `pipeline` starts the momentum state at w = 0 and works in
 the basis of singular pairs of A, where each pair's homogenized block is
 4x4 and starts on its forcing slot, at forcing_j = f_j/gamma_f.  Only that
 column of each propagator is evolved, in closed form (`_apply_pair_modes`),
-and for unit forcing it depends on the pair through sigma alone.  So the
+and for unit forcing it depends on the pair through sigma alone.  The
+closed form runs in real arithmetic: each cos/sin pair it needs, of the
+phase mu t/2 and of rho t at both eigenvalues mu of the pair's 2x2 block,
+comes from one np.tan of the half angle, cos 2x = (1 - tan^2 x)/(1 + tan^2 x)
+and sin 2x = 2 tan x/(1 + tan^2 x), so a column costs four tangents (the
+complex-exponential form, the tests' oracle, makes at least six calls of
+sin, cos and exp(i x), each dearer than a tangent).  So the
 whole emulation is a singular-value transfer function: the state block of
 pair j reads out as readout_j = forcing_j * r(sigma_j), where r(sigma) is
 a 2-vector fixed by the parameters, the grid and t.  r is evaluated once
@@ -43,13 +49,16 @@ vector w over the grid points (`readout_weights`).  Because the field is the
 inverse FFT of the modes, sum_k w_k field_k = sum_l c_l mode_l with
 c = ifft(w), so `evolve_structured` streams the modes chunk by chunk,
 accumulates that sum and drops each chunk; the (n_p, pairs, 4) field is
-never built.  The unit-forcing field is real, so only the modes with
-theta >= 0 (and the Nyquist mode) are evaluated.  Strided snapshot rows
-come out of the same pass: with m = n_p / stride, field[j*stride] =
-(m/n_p) ifft_m(F)[j] where F folds the modes modulo m.  Memory is one
-chunk of modes (_CHUNK_ENTRIES / 16 (mode, group) entries per slot) with
-its temporaries, plus the (m, groups, 4) fold and the (m, 4n) rows that
-one (m x groups) @ (groups x n) product per slot maps it into.
+never built.  The sum keeps only the real part it uses, and the coupling
+gamma_f (1 - i theta)/4 of the state slots is folded into c once, so each
+chunk adds two real mat-vecs per slot.  The unit-forcing field is real,
+so only the modes with theta >= 0 (and the Nyquist mode) are evaluated.
+Strided snapshot rows come out of the same pass: with m = n_p / stride,
+field[j*stride] = (m/n_p) ifft_m(F)[j] where F folds the modes modulo m.
+Memory is one chunk of modes (_CHUNK_ENTRIES / 16 (mode, group) entries
+per slot, as real and imaginary planes) with its temporaries, plus the
+(4, m, groups) fold and the (m, 4n) rows that one (m x groups) @
+(groups x n) product per slot maps it into.
 """
 
 from __future__ import annotations
@@ -70,7 +79,9 @@ MAX_DP = 0.5
 # before the grid is allocated
 MAX_NP = 1 << 22
 ACTIVE_PAIR_BUDGET = 1e-3
-_CHUNK_ENTRIES = 1 << 20
+# a chunk's real planes and temporaries stay below the complex kernel's at
+# 1 << 20, at no loss of speed
+_CHUNK_ENTRIES = 1 << 18
 # gap, relative to sigma_max, below which two singular values are evolved as
 # one; every figure preset groups the same for any value in [1e-14, 1e-10]
 SIGMA_GROUP_RTOL = 1e-12
@@ -333,59 +344,97 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     """Stream the pair-space Fourier modes at time t through the readout.
 
     Mode l of pair j is forcing_j e_l col_l(sigma_j), with e = fft(envelope)
-    and col the unit-forcing column of `_apply_pair_modes`, evaluated once
-    per evolved group of equal singular values.  In the pair basis h1 is
-    real and h2 imaginary, so mode -l is the conjugate of mode l: modes
+    and col the unit-forcing column of `pair_column`, evaluated once per
+    evolved group of equal singular values.  In the pair basis h1 is real
+    and h2 imaginary, so mode -l is the conjugate of mode l: modes
     0..n_p/2-1 are evaluated, the inner ones counted twice, and real parts
     taken; the Nyquist mode n_p/2 has no partner on the grid and is added
     as it is.  Each chunk of modes is contracted with c * e (c = ifft of the
     readout weights) and, for stride > 0, folded times e into F[l mod m],
     m = n_p // stride, then dropped; group g maps back through
-    sum_{j in g} forcing_j [V e_j; U e_j].  Returns the 2n-vector state
-    block of sum_k weights[k] field(t, p_k) and, for stride > 0, the
-    (m, 4n) rows field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None).
+    sum_{j in g} forcing_j [V e_j; U e_j].  The state slots' coupling
+    (`pair_coupling`) is folded into those per-mode factors once, so the
+    chunks stay in the real planes of `_apply_pair_modes` and the readout,
+    which keeps only its real part, is two real mat-vecs per slot.
+    Returns the 2n-vector state block of sum_k weights[k] field(t, p_k)
+    and, for stride > 0, the (m, 4n) rows field(t, p_{j*stride}) =
+    (m/n_p) ifft_m(F)[j] (else None).
     """
     n_p, half, n = grid.n_p, grid.n_p // 2, pairs.sigma.size
     env = np.fft.fft(envelope(grid.points))[: half + 1]
     env[1:half] *= 2.0
     coef = np.fft.ifft(np.asarray(weights, dtype=float))[: half + 1] * env
+    kappa = pair_coupling(pairs.gamma_f, grid.thetas[: half + 1])
+    coupled = coef * kappa
     m = n_p // stride if stride else 0
     slots = 4 if m else 2
     reps = pairs.reps[pairs.evolved]
-    readout = np.zeros((reps.size, 2), dtype=np.complex128)
-    folded = np.zeros((m, reps.size, 4), dtype=np.complex128)
+    readout = np.zeros((2, reps.size))
+    if m:
+        # the factor each slot of mode l enters the fold with
+        scale = np.stack([env * kappa, env * kappa, env, env])[:, :, None]
+        folded = np.zeros((4, m, reps.size), dtype=np.complex128)
     # powers of two, so a chunk is a whole number of folds or fits in one
     chunk = 1 << int(math.log2(max(1, _CHUNK_ENTRIES // (16 * max(reps.size, 1)))))
     for lo in range(0, half, chunk):
         hi = min(lo + chunk, half)
-        modes = _apply_pair_modes(pairs, reps, grid.thetas[lo:hi], t, slots)
-        readout += np.tensordot(coef[lo:hi], modes[..., :2], axes=1)
+        planes = _apply_pair_modes(pairs, reps, grid.thetas[lo:hi], t, slots)
+        readout += coupled.real[lo:hi] @ planes[:2, 0] - coupled.imag[lo:hi] @ planes[:2, 1]
         if m:
             width = min(hi - lo, m)
             r = lo % m
-            modes *= env[lo:hi, None, None]
-            folded[r : r + width] += modes.reshape(-1, width, reps.size, 4).sum(axis=0)
-    nyquist = _apply_pair_modes(pairs, reps, grid.thetas[half : half + 1], t, slots)[0]
+            modes = np.empty(planes[:, 0].shape, dtype=np.complex128)
+            modes.real, modes.imag = planes[:, 0], planes[:, 1]
+            modes *= scale[:, lo:hi]
+            folded[:, r : r + width] += modes.reshape(4, -1, width, reps.size).sum(axis=1)
+    nyquist = pair_column(pairs, reps, grid.thetas[half : half + 1], t, slots)[0]
     forcing = np.zeros((pairs.reps.size, n), dtype=np.complex128)
     forcing[pairs.group, pairs.live] = pairs.w0_pair[pairs.live, 2]
     # (groups, 2, n): sum_{j in g} forcing_j V e_j and sum_{j in g} forcing_j U e_j
     basis = pairs.spec.to_state(np.tile(forcing[pairs.evolved], 2)).reshape(-1, 2, n)
-    state = np.einsum("gs,gsn->sn", readout.real + coef[half] * nyquist[:, :2], basis)
+    state = np.einsum("gs,gsn->sn", readout.T + coef[half] * nyquist[:, :2], basis)
     rows = None
     if m:
         # the Nyquist mode's phase at p_{j*stride} is (-1)^(j*stride)
-        sign = (-1.0) ** (stride * np.arange(m))[:, None, None]
-        rows_group = (np.fft.ifft(folded, axis=0).real * (m / n_p)
-                      + sign * (env[half] / n_p) * nyquist)
+        sign = (-1.0) ** (stride * np.arange(m))[:, None]
+        rows_group = (np.fft.ifft(folded, axis=1).real * (m / n_p)
+                      + sign * (env[half] / n_p) * nyquist.T[:, None, :])
         rows = np.empty((m, 4, n), dtype=np.complex128)
         for k in range(4):  # slots (0, 1) and (2, 3) are each a state [V x; U y]
-            np.matmul(rows_group[:, :, k], basis[:, k % 2], out=rows[:, k])
+            np.matmul(rows_group[k], basis[:, k % 2], out=rows[:, k])
         rows = rows.reshape(m, 4 * n)
     return state.reshape(-1), rows
 
 
+def _half_angle_cos_sin(x) -> tuple[np.ndarray, np.ndarray]:
+    """(cos 2x, sin 2x) from one tangent: with u = tan x, cos 2x =
+    (1 - u^2)/(1 + u^2) and sin 2x = 2u/(1 + u^2).  Exactly (1, 0) at
+    x = 0; finite everywhere, as no double is an odd multiple of pi/2."""
+    u = np.tan(x)
+    u2 = u * u
+    inv = 1.0 / (1.0 + u2)
+    return (1.0 - u2) * inv, (u + u) * inv
+
+
+def pair_coupling(gamma_f: float, thetas) -> np.ndarray:
+    """-i c/2 = gamma_f (1 - i theta)/4 per mode: the factor, common to
+    every pair, that the state slots of `_apply_pair_modes` leave out."""
+    return 0.25 * gamma_f * (1.0 - 1j * np.asarray(thetas))
+
+
+def pair_column(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
+    """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps), as
+    complex (modes, pairs, slots): the planes of `_apply_pair_modes` with
+    the state slots' `pair_coupling` applied."""
+    planes = _apply_pair_modes(pairs, reps, thetas, t, slots)
+    col = planes[:, 0] + 1j * planes[:, 1]
+    col[:2] *= pair_coupling(pairs.gamma_f, thetas)[:, None]
+    return np.moveaxis(col, 0, -1)
+
+
 def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
-    """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps).
+    """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps), in
+    real arithmetic, the state slots without their coupling.
 
     Per pair, K = [[K_w, c I2], [conj(c) I2, 0]] with the scalar coupling
     c = gamma_f (theta + i)/2 and K_w = [[th*d1, -i cw], [i cw, th*d2]].
@@ -394,46 +443,60 @@ def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4)
         G(mu) = e^{-i mu t/2} (cos(rho t) - i sin(rho t)/rho [[mu/2, c], [conj(c), -mu/2]]),
     rho = sqrt(mu^2/4 + |c|^2) >= gamma_f/2.  With K_w = mean I + r N,
     N^2 = I (N := 0 at r = 0), G(K_w) = S + D N where S, D are the half
-    sum and half difference of G(mean + r) and G(mean - r).  The result
-    is exact at t = 0 (S = 1, D = 0) and never divides by zero.  The
-    column depends on the pair through sigma alone.  Returns
-    (modes, pairs, slots): slots = 2 gives the state block only.
+    sum and half difference of G(mean + r) and G(mean - r).  Both
+    cos/sin pairs of each G(mu), of mu t/2 and of rho t, come from one
+    np.tan of the half angle (`_half_angle_cos_sin`; halving is exact in
+    floating point), so four tangents make a column.  The result is exact at
+    t = 0 (S = 1, D = 0) and never divides by zero.  The column depends
+    on the pair through sigma alone.  Returns the real (slots, 2, modes,
+    pairs) planes [slot][real, imaginary part]: slots = 2 gives the state
+    block only, and the state slots leave out the factor -i c/2 that
+    `pair_coupling` gives per mode (`pair_column` applies it).
     """
     th = np.asarray(thetas)[:, None]
     a = th * pairs.spec.blocks[0][reps][None, :]
     d = th * pairs.d2
     cw = pairs.spec.blocks[1][reps][None, :]
-    c = pairs.gamma_f * (th + 1j) / 2.0
-    c2 = np.abs(c) ** 2
+    # |c|^2 as the complex coupling gives it: rho t is a large angle, and
+    # its last bits decide the phase
+    c2 = np.abs(pairs.gamma_f * (th + 1j) / 2.0) ** 2
     mean = (a + d) / 2.0
     half_gap = (a - d) / 2.0
     r = np.hypot(half_gap, cw)
     # N e1 = [n0, i n1]; r = 0 only where half_gap = cw = 0, so N e1 = 0 there
     r_safe = np.where(r > 0.0, r, 1.0)
     n0 = half_gap / r_safe
-    i_n1 = 1j * (cw / r_safe)
+    n1 = cw / r_safe
     bottom = slots == 4
 
     def column(mu):
-        # the forcing column of G(mu) without its factors: (G12/(-i c), G22);
-        # G22 only when the bottom block is asked for
-        rho = np.sqrt(mu**2 / 4.0 + c2)
-        phase = np.exp(-0.5j * t * mu)
-        sinc = np.sin(rho * t) / rho
-        g22 = phase * (np.cos(rho * t) + 0.5j * mu * sinc) if bottom else None
-        return phase * sinc, g22
+        # G12/(-i c) = p - i q and, for the bottom block, G22 = g + i h
+        rho = np.sqrt(mu * mu / 4.0 + c2)
+        cos_mu, sin_mu = _half_angle_cos_sin((0.25 * t) * mu)
+        cos_rho, sin_rho = _half_angle_cos_sin(rho * (0.5 * t))
+        sinc = sin_rho / rho
+        p, q = cos_mu * sinc, sin_mu * sinc
+        if not bottom:
+            return p, q, None, None
+        half_mu = 0.5 * mu * sinc
+        return p, q, cos_mu * cos_rho + sin_mu * half_mu, cos_mu * half_mu - sin_mu * cos_rho
 
     # (S + D N) e1 from 2S = G(mu_+) + G(mu_-) and 2D = G(mu_+) - G(mu_-);
-    # the 1/2 is folded into `coupled` and the bottom block's 0.5
-    top_p, bot_p = column(mean + r)
-    top_m, bot_m = column(mean - r)
-    coupled = -0.5j * c
-    out = np.empty(top_p.shape + (slots,), dtype=np.complex128)
-    out[..., 0] = coupled * (top_p + top_m + (top_p - top_m) * n0)
-    out[..., 1] = coupled * (top_p - top_m) * i_n1
+    # the 1/2 is folded into the coupling and the bottom block's 0.5
+    p_p, q_p, g_p, h_p = column(mean + r)
+    p_m, q_m, g_m, h_m = column(mean - r)
+    out = np.empty((slots, 2) + p_p.shape)
+    dp, dq = p_p - p_m, q_p - q_m
+    out[0, 0] = p_p + p_m + dp * n0
+    out[0, 1] = -(q_p + q_m + dq * n0)
+    out[1, 0] = n1 * dq
+    out[1, 1] = n1 * dp
     if bottom:
-        out[..., 2] = 0.5 * (bot_p + bot_m + (bot_p - bot_m) * n0)
-        out[..., 3] = 0.5 * (bot_p - bot_m) * i_n1
+        dg, dh = g_p - g_m, h_p - h_m
+        out[2, 0] = 0.5 * (g_p + g_m + dg * n0)
+        out[2, 1] = 0.5 * (h_p + h_m + dh * n0)
+        out[3, 0] = -0.5 * n1 * dh
+        out[3, 1] = 0.5 * n1 * dg
     return out
 
 
@@ -488,10 +551,13 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
     block by (1 - beta).  Returns (u, report, snapshot): with
     snapshot_rows > 0 the snapshot is (points, rows), the final warped
     field on every (n_p // snapshot_rows)-th grid point from the same
-    evolution pass, else None.  Checking u against a reference solution
-    is left to the caller.
+    evolution pass, else None.  Raises InputError for a kappa_hat beyond
+    the momentum iteration's `mag.step_budget`.  Checking u against a
+    reference solution is left to the caller.
     """
     params = spec.params
+    # the kappa_hat the momentum iteration refuses is refused here too
+    mag_mod.step_budget(spec, delta)
     if gamma_f is None:
         gamma_f = default_forcing_scale(params)
     # kappa*ln(1/delta) leaves a residual ~delta at kappa=1 but ~delta^2

@@ -8,7 +8,8 @@ against: the 2n x 2n map (H, F) and its LU steady state, the steady
 state of a comparison flow as a state vector, the homogenized
 4n x 4n generator, its split and the slicing of the split into n x n
 blocks, and the per-mode evolution by Hermitian eigendecomposition with
-both readouts (the single-point one only here).  It also holds the check
+both readouts (the single-point one only here), and the pair kernel's
+forcing column by complex exponentials.  It also holds the check
 of a block-encoding state-preparation pair against its coefficients, the
 closed-form PDE solutions the assembled systems are checked against, and
 the per-element repr writer of the field snapshot, the oracle of
@@ -28,8 +29,8 @@ from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve,
                              require_square, singular_values)
 from schromag.mag import MagParams, SpectralSystem, i_minus_h_singular_values
 from schromag.pde import ZERO, PdeProblem
-from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PGrid,
-                             _check_forcing_scale, build_grid_from_rate, envelope,
+from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PairSystem,
+                             PGrid, _check_forcing_scale, build_grid_from_rate, envelope,
                              readout_weights, recovery_index)
 
 
@@ -245,6 +246,61 @@ def evolve(hs: HermitianSplit, grid: PGrid, w0_homo, t: float) -> SchrodState:
             coef *= np.exp(-1j * w * t)
             modes[lo:hi] = np.einsum("kij,kj->ki", v, coef)
     return SchrodState(grid=grid, modes=modes, time=t)
+
+
+def apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
+    """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps), by
+    complex exponentials: the closed form `schrod._apply_pair_modes`
+    evaluates from half-angle tangents, kept as its oracle.
+
+    Per pair, K = [[K_w, c I2], [conj(c) I2, 0]] with the scalar coupling
+    c = gamma_f (theta + i)/2 and K_w = [[th*d1, -i cw], [i cw, th*d2]].
+    Every block commutes with K_w, so exp(-iKt) = G(K_w) with the 2x2
+    closed form
+        G(mu) = e^{-i mu t/2} (cos(rho t) - i sin(rho t)/rho [[mu/2, c], [conj(c), -mu/2]]),
+    rho = sqrt(mu^2/4 + |c|^2) >= gamma_f/2.  With K_w = mean I + r N,
+    N^2 = I (N := 0 at r = 0), G(K_w) = S + D N where S, D are the half
+    sum and half difference of G(mean + r) and G(mean - r).  The result
+    is exact at t = 0 (S = 1, D = 0) and never divides by zero.  The
+    column depends on the pair through sigma alone.  Returns
+    (modes, pairs, slots): slots = 2 gives the state block only.
+    """
+    th = np.asarray(thetas)[:, None]
+    a = th * pairs.spec.blocks[0][reps][None, :]
+    d = th * pairs.d2
+    cw = pairs.spec.blocks[1][reps][None, :]
+    c = pairs.gamma_f * (th + 1j) / 2.0
+    c2 = np.abs(c) ** 2
+    mean = (a + d) / 2.0
+    half_gap = (a - d) / 2.0
+    r = np.hypot(half_gap, cw)
+    # N e1 = [n0, i n1]; r = 0 only where half_gap = cw = 0, so N e1 = 0 there
+    r_safe = np.where(r > 0.0, r, 1.0)
+    n0 = half_gap / r_safe
+    i_n1 = 1j * (cw / r_safe)
+    bottom = slots == 4
+
+    def column(mu):
+        # the forcing column of G(mu) without its factors: (G12/(-i c), G22);
+        # G22 only when the bottom block is asked for
+        rho = np.sqrt(mu**2 / 4.0 + c2)
+        phase = np.exp(-0.5j * t * mu)
+        sinc = np.sin(rho * t) / rho
+        g22 = phase * (np.cos(rho * t) + 0.5j * mu * sinc) if bottom else None
+        return phase * sinc, g22
+
+    # (S + D N) e1 from 2S = G(mu_+) + G(mu_-) and 2D = G(mu_+) - G(mu_-);
+    # the 1/2 is folded into `coupled` and the bottom block's 0.5
+    top_p, bot_p = column(mean + r)
+    top_m, bot_m = column(mean - r)
+    coupled = -0.5j * c
+    out = np.empty(top_p.shape + (slots,), dtype=np.complex128)
+    out[..., 0] = coupled * (top_p + top_m + (top_p - top_m) * n0)
+    out[..., 1] = coupled * (top_p - top_m) * i_n1
+    if bottom:
+        out[..., 2] = 0.5 * (bot_p + bot_m + (bot_p - bot_m) * n0)
+        out[..., 3] = 0.5 * (bot_p - bot_m) * i_n1
+    return out
 
 
 def _top_block(vec: np.ndarray) -> np.ndarray:

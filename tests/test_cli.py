@@ -85,7 +85,7 @@ class TestSolve:
                    "--delta", "1e-3", *grid, "--out", str(out)])
         assert rc == 0
         payload = json.loads((out / "solve.json").read_text())
-        assert set(payload) == {"method", "delta", "residual_vs_oracle", *own}
+        assert set(payload) == {"method", "delta", "residual_vs_oracle", "meets_delta", *own}
         assert (payload["method"], payload["delta"]) == (method, 1e-3)
         if method == "damped":
             # the damping default and the damped horizon, on sigma_min = 0.1
@@ -170,14 +170,17 @@ class TestSolve:
         assert err.startswith("error: n_p=4294967296 exceeds") and err.count("\n") == 1
         assert peak < 2**20
 
-    @pytest.mark.parametrize("command", ["solve", "pde"])
-    def test_step_budget_beyond_cap_is_usage_error(self, tmp_path, command):
+    @pytest.mark.parametrize("argv", [["solve", "--method", "mag"], ["pde", "--method", "mag"],
+                                      ["schro"], ["pde", "--method", "schro"]],
+                             ids=["solve", "pde", "schro", "pde-schro"])
+    def test_step_budget_beyond_cap_is_usage_error(self, tmp_path, argv):
         # bounds that bracket the spectrum with kappa_hat = 1e15 ask for about
         # 3e16 steps: rejected before the iteration starts, so the run returns
-        # within the subprocess timeout
+        # within the subprocess timeout; the Hamiltonian pipeline, which would
+        # evolve to t_end ~ 7e15 and miss delta, refuses the same kappa_hat
         done = subprocess.run(
-            [sys.executable, "-m", "schromag.cli", command, "--preset", "fig3a",
-             "--method", "mag", "--lhat", "1e20", "--muhat", "1e-10", "--out", str(tmp_path)],
+            [sys.executable, "-m", "schromag.cli", *argv, "--preset", "fig3a",
+             "--lhat", "1e20", "--muhat", "1e-10", "--out", str(tmp_path)],
             env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
             capture_output=True, text=True, timeout=20)
         assert done.returncode == 2
@@ -441,6 +444,22 @@ class TestPde:
 
     def test_unknown_preset(self, tmp_path):
         assert main(["pde", "--preset", "nope", "--out", str(tmp_path)]) == 2
+
+    def test_meets_delta_reports_a_missed_delta(self, tmp_path):
+        # fig4a's own files at the default n_p = 2048 miss delta = 1e-3 (6.5e-3),
+        # the preset's n_p = 8192 meets it; both runs exit 0
+        pde_out, solve_out = tmp_path / "pde", tmp_path / "solve"
+        assert main(["pde", "--preset", "fig4a", "--method", "schro",
+                     "--out", str(pde_out)]) == 0
+        payload = json.loads((pde_out / "pde.json").read_text())
+        assert payload["meets_delta"] is payload["pipeline"]["meets_delta"] is True
+        assert main(["solve", "--matrix", str(pde_out / "problem.coo"),
+                     "--rhs", str(pde_out / "problem.vec"), "--method", "schro",
+                     "--out", str(solve_out)]) == 0
+        payload = json.loads((solve_out / "solve.json").read_text())
+        report = json.loads((solve_out / "pipeline.json").read_text())
+        assert payload["residual_vs_oracle"] > payload["delta"] == 1e-3
+        assert payload["meets_delta"] is report["meets_delta"] is False
 
 
 class TestSchro:

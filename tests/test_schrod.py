@@ -25,10 +25,10 @@ from schromag.schrod import (
     required_runway,
 )
 
-from reference import (HermitianSplit, HomogenizedSystem, build_grid, build_transformed, evolve,
-                       homogenize, p_threshold, params_from_matrix, recover_integral,
-                       recover_single_point, single_point_weights, spectral_from_factors,
-                       split, steady_state, to_ode)
+from reference import (HermitianSplit, HomogenizedSystem, apply_pair_modes, build_grid,
+                       build_transformed, evolve, homogenize, p_threshold, params_from_matrix,
+                       recover_integral, recover_single_point, single_point_weights,
+                       spectral_from_factors, split, steady_state, to_ode)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -491,9 +491,9 @@ class TestPairKernel:
         thetas = np.array([0.0, *thetas])
         rng = np.random.default_rng(seed)
         x = rng.normal(size=thetas.size) + 1j * rng.normal(size=thetas.size)
-        got = schrod._apply_pair_modes(pairs, np.array([0]), thetas, t)[:, 0]
+        got = schrod.pair_column(pairs, np.array([0]), thetas, t)[:, 0]
         # the state-block-only evaluation is the same arithmetic, cut short
-        top = schrod._apply_pair_modes(pairs, np.array([0]), thetas, t, slots=2)[:, 0]
+        top = schrod.pair_column(pairs, np.array([0]), thetas, t, slots=2)[:, 0]
         assert np.array_equal(top, got[:, :2])
         for th, xk, col in zip(thetas, x, got):
             expect = expm(-1j * (th * sp.h1 - sp.h2) * t)[:, 2] * xk
@@ -507,10 +507,46 @@ class TestPairKernel:
             thetas = np.array([0.0, 0.7, -3.0, 40.0])
             rng = np.random.default_rng(0)
             x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-            out = schrod._apply_pair_modes(pairs, np.arange(3), thetas, 0.0) * x[..., None]
+            out = schrod.pair_column(pairs, np.arange(3), thetas, 0.0) * x[..., None]
             expect = np.zeros((4, 3, 4), dtype=complex)
             expect[..., 2] = x
             assert np.array_equal(out, expect)
+
+
+    @given(st.floats(0.1, 5.0), st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
+           st.lists(st.floats(-1e4, 1e4), max_size=5), st.floats(1e-3, 0.5),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e4)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_complex_exponential_oracle(self, sigma, kappa, thetas, dp, t):
+        # theta = 0 (at kappa_hat = 1 the point where r = 0) and the Nyquist
+        # theta -pi/dp of a grid of step dp are always included
+        pairs, _ = self._pair(sigma, kappa)
+        thetas = np.array([0.0, -math.pi / dp, *thetas])
+        for slots in (2, 4):
+            got = schrod.pair_column(pairs, np.array([0]), thetas, t, slots)
+            expect = apply_pair_modes(pairs, np.array([0]), thetas, t, slots)
+            assert np.max(np.abs(got - expect)) <= 1e-13
+
+
+class TestHalfAngle:
+    """cos 2x and sin 2x from one tangent, against numpy's own cos and sin."""
+
+    def test_matches_doubled_angle(self):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, 200_000) * 10.0 ** rng.uniform(-6.0, 12.0, 200_000)
+        cos2, sin2 = schrod._half_angle_cos_sin(x)
+        assert np.max(np.abs(cos2 - np.cos(2.0 * x))) <= 4.5e-16
+        assert np.max(np.abs(sin2 - np.sin(2.0 * x))) <= 4.5e-16
+
+    def test_exact_at_zero_finite_at_half_pi(self):
+        cos2, sin2 = schrod._half_angle_cos_sin(np.array([0.0, -0.0]))
+        assert np.array_equal(cos2, [1.0, 1.0]) and np.array_equal(sin2, [0.0, 0.0])
+        # tan of the double nearest pi/2 is 1.6e16: its square stays finite
+        x = np.array([math.pi / 2, -math.pi / 2])
+        cos2, sin2 = schrod._half_angle_cos_sin(x)
+        assert np.all(np.isfinite(cos2)) and np.all(np.isfinite(sin2))
+        assert np.max(np.abs(cos2 - np.cos(2.0 * x))) <= 4.5e-16
+        assert np.max(np.abs(sin2 - np.sin(2.0 * x))) <= 4.5e-16
 
 
 class TestStreamedReadout:
