@@ -10,55 +10,49 @@ cli.  Every link of the chain runs on the one SVD of a run:
 and per-singular-value `blocks` every method reads.  The dense 2n x 2n
 realization the tests check it against is `tests/reference.py`, outside
 the package.
+
+The public names are resolved on first use (PEP 562): `import schromag`
+loads no submodule, and `schromag.pipeline` imports `schrod` the first
+time it is read.  A command then compiles and loads only the modules it
+runs; `from schromag import *` still binds every name of `__all__`.
 """
 
-from .baselines import (
-    FlowSystem,
-    auxiliary_ratio_trace,
-    build_damped,
-    build_gradient_flow,
-    build_mag_ode,
-    evolution_time,
-    integrate_flow,
-)
-from .blockenc import (
-    BlockEncoding,
-    StatePrepPair,
-    build_state_prep_pair,
-    compose_product,
-    compose_sum,
-    compose_tensor,
-    dilate,
-    verify,
-)
-from .complexity import (
-    ComplexityReport,
-    SystemSummary,
-    chi,
-    gates,
-    method_complexity,
-    queries,
-    repetitions,
-)
-from .linalg import (
-    LinearSystem,
-    as_cmatrix,
-    as_cvector,
-    block_expm_apply,
-    direct_solve,
-)
-from .mag import (
-    IterationTrace,
-    MagParams,
-    convergence_steps,
-    lambda_pm,
-    mag_iterate,
-    relative_trace,
-    spectral_radius_check,
-)
-from .pde import PdeProblem, make_problem
-from .presets import pde_preset
-from .schrod import PGrid, pipeline
+# each submodule and the names it exports from the package
+_SUBMODULE_EXPORTS = {
+    "baselines": ("FlowSystem", "auxiliary_ratio_trace", "build_damped", "build_gradient_flow",
+                  "build_mag_ode", "evolution_time", "integrate_flow"),
+    "blockenc": ("BlockEncoding", "StatePrepPair", "build_state_prep_pair", "compose_product",
+                 "compose_sum", "compose_tensor", "dilate", "verify"),
+    "complexity": ("ComplexityReport", "SystemSummary", "chi", "gates", "method_complexity",
+                   "queries", "repetitions"),
+    "errors": (),
+    "linalg": ("LinearSystem", "as_cmatrix", "as_cvector", "block_expm_apply", "direct_solve"),
+    "mag": ("IterationTrace", "MagParams", "convergence_steps", "lambda_pm", "mag_iterate",
+            "relative_trace", "spectral_radius_check"),
+    "pde": ("PdeProblem", "make_problem"),
+    "presets": ("pde_preset",),
+    "schrod": ("PGrid", "pipeline"),
+}
+# public name -> the submodule that defines it; a submodule maps to itself
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
+            for name in (module, *names)}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    module = import_module(f".{module_name}", __name__)
+    value = module if name == module_name else getattr(module, name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,7 @@ values override config-file values, which override preset defaults.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -18,7 +19,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import baselines, blockenc, complexity, io, mag, schrod
+# baselines, blockenc, complexity and schrod are imported by the commands
+# that run them: a mag run never compiles or loads them
+from . import io, mag
 from .errors import InputError, NumericsError
 from .linalg import LinearSystem, direct_solve, singular_values
 from .presets import SolverConfig, compare_preset, pde_preset
@@ -137,6 +140,8 @@ def _params_for(cfg: RunConfig) -> mag.MagParams | None:
 
 def _damping(spec: mag.SpectralSystem, gamma: float | None) -> float:
     """gamma, by default just below critical damping 2 sigma_min."""
+    from . import baselines
+
     return baselines.GAMMA_PER_SIGMA_MIN * float(spec.sigma[-1]) if gamma is None else gamma
 
 
@@ -155,10 +160,14 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
         relative, kappa2 = mag.relative_trace(trace, w_inf, spec)
         return u, {"steps": trace.steps, "kappa2_w_inf": kappa2}, (trace.residuals, relative)
     if method == "schro":
+        from . import schrod
+
         u, report, snapshot = schrod.pipeline(spec, delta, n_p, gamma_f=gamma_f,
                                               snapshot_rows=snapshot_rows)
         return u, {"report": asdict(report)}, snapshot
     # the flows: RunConfig.validate rejects any other method
+    from . import baselines
+
     if method == "damped":
         gamma = _damping(spec, gamma)
         flow, fields = baselines.build_damped(spec, gamma), {"gamma": gamma}
@@ -208,6 +217,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    from . import baselines
+
     if cfg.preset == "fig2":
         return _compare_fig2(cfg)
     if cfg.preset is not None:
@@ -289,11 +300,11 @@ def cmd_pde(cfg: RunConfig) -> int:
         os.path.join(out, "solution.csv"), u_sol,
         xs[: u_sol.size], None if ys is None else ys[: u_sol.size],
     )
-    payload = {"preset": cfg.preset, "method": method, "delta": delta,
-               "residual_vs_oracle": fields["residual_vs_oracle"],
-               "meets_delta": fields["meets_delta"]}
-    if "report" in fields:
-        payload["pipeline"] = fields["report"]
+    # the method's own fields, as in solve.json; schro's report goes under "pipeline"
+    report = fields.pop("report", None)
+    payload = {"preset": cfg.preset, "method": method, "delta": delta, **fields}
+    if report is not None:
+        payload["pipeline"] = report
     io.write_json(os.path.join(out, "pde.json"), payload)
     print(f"pde[{cfg.preset}/{method}] residual vs direct solve: "
           f"{fields['residual_vs_oracle']:.3e}")
@@ -311,6 +322,8 @@ def cmd_schro(cfg: RunConfig) -> int:
 
 
 def cmd_blockenc_verify(cfg: RunConfig) -> int:
+    from . import blockenc
+
     rng = np.random.default_rng(cfg.seed)
     results = []
     all_ok = True
@@ -363,6 +376,8 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
 
 def cmd_complexity(cfg: RunConfig) -> int:
+    from . import complexity
+
     system, _, delta, n_p = _load_system(cfg)
     a = system.a
     s_vals = singular_values(a)
@@ -463,7 +478,10 @@ def main(argv=None) -> int:
         if cfg.command != "blockenc-verify":
             cfg.validate()
         cfg.check_options_read()
-        os.makedirs(cfg.out, exist_ok=True)
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise InputError(f"cannot create --out {cfg.out!r}: {exc.strerror or exc}") from exc
         return _COMMANDS[cfg.command](cfg)
     except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
@@ -473,5 +491,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry_point() -> int:
+    """main() for a process of its own: the console script and
+    `python -m schromag.cli`.  The objects the imports made so far move to
+    the collector's permanent generation, so neither the run's collections
+    nor the interpreter's teardown traverse them.  main() leaves the
+    collector alone: in-process callers keep their own."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

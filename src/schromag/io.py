@@ -7,10 +7,12 @@ matrix is stored dense, so a header whose rows*cols exceeds
 MAX_DENSE_ENTRIES is rejected before anything is allocated.  Vector
 files: one ``re im`` pair per line.  A nan or infinite entry is rejected
 with its file and line.  Floats are written with repr
-(shortest round-trip) so identical inputs produce byte-identical files.
-The field snapshot, the one large file, gets the same text from
-`floatrepr.format_rows`, which writes a block of float64 rows with
-whole-array numpy arithmetic instead of one repr call per value.
+(shortest round-trip) so identical inputs produce byte-identical files;
+the writers take whole columns through `ndarray.tolist()`, so repr sees
+Python floats, not one numpy scalar per value.  The field snapshot, the
+one large file, gets the same text from `floatrepr.format_rows`, which
+writes a block of float64 rows with whole-array numpy arithmetic instead
+of one repr call per value.
 """
 
 from __future__ import annotations
@@ -32,18 +34,20 @@ MAX_DENSE_ENTRIES = 1 << 24
 _SNAPSHOT_BLOCK_ROWS = 32
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _floats(x) -> list:
+    """x's values as Python floats, which repr formats without a numpy
+    scalar per element."""
+    return np.asarray(x, dtype=np.float64).tolist()
 
 
 def write_matrix_coo(path, m) -> None:
     m = as_cmatrix(m)
     rows, cols = m.shape
-    idx = np.argwhere(m != 0)
-    lines = [f"{rows} {cols} {len(idx)}"]
-    for i, j in idx:
-        e = m[i, j]
-        lines.append(f"{i} {j} {_fmt(e.real)} {_fmt(e.imag)}")
+    ii, jj = np.nonzero(m)  # row-major, as argwhere
+    entries = m[ii, jj]
+    lines = [f"{rows} {cols} {ii.size}"]
+    lines += [f"{i} {j} {re!r} {im!r}" for i, j, re, im in
+              zip(ii.tolist(), jj.tolist(), entries.real.tolist(), entries.imag.tolist())]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -93,7 +97,7 @@ def _finite(path, line_no: int, line: str, value: complex) -> complex:
 
 def write_vector(path, v) -> None:
     v = as_cvector(v)
-    lines = [f"{_fmt(e.real)} {_fmt(e.imag)}" for e in v]
+    lines = [f"{re!r} {im!r}" for re, im in zip(v.real.tolist(), v.imag.tolist())]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -118,10 +122,11 @@ def read_vector(path) -> np.ndarray:
 
 def write_trace_csv(path, residuals, relative_residuals=None) -> None:
     """Iteration trace: step, residual, relative_residual (empty without one)."""
+    residuals = _floats(residuals)
+    relative = ([""] * len(residuals) if relative_residuals is None
+                else map(repr, _floats(relative_residuals)))
     lines = ["step,residual,relative_residual"]
-    for k, r in enumerate(residuals):
-        rel = "" if relative_residuals is None else _fmt(relative_residuals[k])
-        lines.append(f"{k},{_fmt(r)},{rel}")
+    lines += [f"{k},{r!r},{rel}" for k, (r, rel) in enumerate(zip(residuals, relative))]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -131,27 +136,22 @@ def write_trajectory_csv(path, times, solved, aux, ratios) -> None:
     The ratio column holds the real part of aux/solved and is left empty
     at gap samples (near-zero denominator).
     """
+    solved, aux = np.asarray(solved), np.asarray(aux)
     lines = ["time,solved_re,solved_im,aux_re,aux_im,ratio"]
-    for t, s, a, r in zip(times, solved, aux, ratios):
-        rcol = "" if (r is None or math.isnan(r)) else _fmt(r)
-        lines.append(
-            f"{_fmt(t)},{_fmt(s.real)},{_fmt(s.imag)},{_fmt(a.real)},{_fmt(a.imag)},{rcol}"
-        )
+    # a None ratio becomes nan, and both leave the cell empty
+    for *cells, r in zip(_floats(times), _floats(solved.real), _floats(solved.imag),
+                         _floats(aux.real), _floats(aux.imag), _floats(ratios)):
+        lines.append(",".join(map(repr, cells)) + ("," if math.isnan(r) else f",{r!r}"))
     write_text(path, "\n".join(lines) + "\n")
 
 
 def write_solution_csv(path, u, xs, ys=None) -> None:
     u = as_cvector(u)
-    if ys is None:
-        lines = ["node_index,x,u_re,u_im"]
-        for k in range(u.size):
-            lines.append(f"{k},{_fmt(xs[k])},{_fmt(u[k].real)},{_fmt(u[k].imag)}")
-    else:
-        lines = ["node_index,x,y,u_re,u_im"]
-        for k in range(u.size):
-            lines.append(
-                f"{k},{_fmt(xs[k])},{_fmt(ys[k])},{_fmt(u[k].real)},{_fmt(u[k].imag)}"
-            )
+    nodes = [xs] if ys is None else [xs, ys]
+    header = "node_index,x,u_re,u_im" if ys is None else "node_index,x,y,u_re,u_im"
+    columns = [_floats(c)[: u.size] for c in nodes] + [u.real.tolist(), u.imag.tolist()]
+    lines = [header] + [f"{k}," + ",".join(map(repr, row))
+                        for k, row in enumerate(zip(*columns))]
     write_text(path, "\n".join(lines) + "\n")
 
 

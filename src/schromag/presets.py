@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mag
-from .baselines import GAMMA_PER_SIGMA_MIN
 from .errors import InputError
 from .pde import MIXED, ROBIN, ZERO, PdeProblem, make_problem
 
@@ -88,6 +87,8 @@ def compare_preset(name: str) -> ComparePreset:
     if name == "fig2":
         # 1d Poisson reading: u''(x) = f(x), f = 2 sin(2 pi x), n = 16,
         # zero boundary, accuracy targets n^{-1/2} .. n^{-2}.
+        from .baselines import GAMMA_PER_SIGMA_MIN
+
         n = 16
         problem = make_problem("helmholtz1d", n, 0.0, "sine2", (ZERO,))
         a, b = problem.system.a, problem.system.b

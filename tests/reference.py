@@ -12,8 +12,10 @@ both readouts (the single-point one only here), and the pair kernel's
 forcing column by complex exponentials.  It also holds the check
 of a block-encoding state-preparation pair against its coefficients, the
 closed-form PDE solutions the assembled systems are checked against, and
-the per-element repr writer of the field snapshot, the oracle of
-`io.format_rows`.  No module of the package imports it.
+the per-element repr writers of the field snapshot and of every other
+text file `io` writes, the oracles of `floatrepr.format_rows` and of the
+`io` writers that format whole columns of Python floats.  No module of
+the package imports it.
 """
 
 from __future__ import annotations
@@ -435,3 +437,57 @@ def write_field_snapshot_csv(path, points, field) -> None:
         for lo in range(0, points.size, 32):
             hi = lo + 32
             fh.write(repr_rows(np.column_stack([points[lo:hi], field[lo:hi].view(np.float64)])))
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_matrix_coo(path, m) -> None:
+    """`io.write_matrix_coo` through one repr call per value."""
+    m = as_cmatrix(m)
+    idx = np.argwhere(m != 0)
+    lines = [f"{m.shape[0]} {m.shape[1]} {len(idx)}"]
+    for i, j in idx:
+        lines.append(f"{i} {j} {_fmt(m[i, j].real)} {_fmt(m[i, j].imag)}")
+    _write_lines(path, lines)
+
+
+def write_vector(path, v) -> None:
+    """`io.write_vector` through one repr call per value."""
+    _write_lines(path, [f"{_fmt(e.real)} {_fmt(e.imag)}" for e in as_cvector(v)])
+
+
+def write_trace_csv(path, residuals, relative_residuals=None) -> None:
+    """`io.write_trace_csv` through one repr call per value."""
+    lines = ["step,residual,relative_residual"]
+    for k, r in enumerate(residuals):
+        rel = "" if relative_residuals is None else _fmt(relative_residuals[k])
+        lines.append(f"{k},{_fmt(r)},{rel}")
+    _write_lines(path, lines)
+
+
+def write_trajectory_csv(path, times, solved, aux, ratios) -> None:
+    """`io.write_trajectory_csv` through one repr call per value."""
+    lines = ["time,solved_re,solved_im,aux_re,aux_im,ratio"]
+    for t, s, a, r in zip(times, solved, aux, ratios):
+        rcol = "" if (r is None or math.isnan(r)) else _fmt(r)
+        lines.append(
+            f"{_fmt(t)},{_fmt(s.real)},{_fmt(s.imag)},{_fmt(a.real)},{_fmt(a.imag)},{rcol}"
+        )
+    _write_lines(path, lines)
+
+
+def write_solution_csv(path, u, xs, ys=None) -> None:
+    """`io.write_solution_csv` through one repr call per value."""
+    u = as_cvector(u)
+    lines = ["node_index,x,u_re,u_im" if ys is None else "node_index,x,y,u_re,u_im"]
+    for k in range(u.size):
+        nodes = [xs[k]] if ys is None else [xs[k], ys[k]]
+        lines.append(",".join([str(k), *map(_fmt, [*nodes, u[k].real, u[k].imag])]))
+    _write_lines(path, lines)

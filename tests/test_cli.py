@@ -196,6 +196,21 @@ class TestSolve:
         assert capsys.readouterr().err == "error: need 0 <= beta < 1, got 1.0\n"
 
 
+class TestOutDirectory:
+    """An --out that cannot be a directory is bad input: one line, exit 2."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["existing-file", "below-a-file"])
+    def test_out_that_cannot_be_created_is_usage_error(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if below else afile
+        rc = main(["pde", "--preset", "fig3a", "--method", "mag", "--out", str(out)])
+        assert rc == 2
+        reason = "Not a directory" if below else "File exists"
+        assert capsys.readouterr().err == f"error: cannot create --out {str(out)!r}: {reason}\n"
+        assert afile.read_text() == "kept\n"
+
+
 class TestFactorizationCounts:
     """Each invocation factors A once, and only the oracle solves a system."""
 
@@ -341,14 +356,21 @@ class TestFactorizationCounts:
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+# the modules a command imports only when it runs them
+_ON_USE = ("schromag.schrod", "schromag.baselines", "schromag.blockenc",
+           "schromag.complexity", "schromag.floatrepr")
+
+
 class TestDeferredScipy:
     """scipy is a test dependency only: no command loads it.  Nor does any
     command load the tests' dense reference, which the package no longer
-    carries, and only a command that writes a snapshot loads its
-    formatter."""
+    carries, or a module of the package that it does not run: `import
+    schromag` loads no submodule, a mag run neither the Hamiltonian
+    pipeline nor the flows, and only a command that writes a snapshot
+    loads its formatter."""
 
     @staticmethod
-    def _run_without_scipy(tmp_path, argv):
+    def _run_without_scipy(tmp_path, argv, unloaded):
         script = (
             "import sys\n"
             "import schromag.cli\n"
@@ -357,24 +379,44 @@ class TestDeferredScipy:
             "assert rc == 0, rc\n"
             "assert 'scipy' not in sys.modules, 'run'\n"
             "assert 'reference' not in sys.modules, 'reference'\n"
-            "assert 'schromag.floatrepr' not in sys.modules, 'floatrepr'\n"
+            f"loaded = [m for m in {list(unloaded)!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
             "assert not hasattr(schromag.mag, 'build_transformed'), 'dense H'\n"
         )
+        TestDeferredScipy._python(script)
+
+    @staticmethod
+    def _python(script):
         env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_bare_package_import_loads_no_submodule(self):
+        self._python("import sys\nimport schromag\n"
+                     "loaded = sorted(m for m in sys.modules if m.startswith('schromag.'))\n"
+                     "assert not loaded, loaded\n")
+
     def test_cli_import_and_mag_run_leave_scipy_unloaded(self, tmp_path):
-        self._run_without_scipy(tmp_path, ["pde", "--preset", "fig3a", "--method", "mag"])
+        self._run_without_scipy(tmp_path, ["pde", "--preset", "fig3a", "--method", "mag"],
+                                _ON_USE)
         assert (tmp_path / "solution.csv").is_file()
+
+    def test_solve_mag_run_loads_no_module_it_does_not_run(self, tmp_path):
+        self._run_without_scipy(tmp_path, ["solve", "--preset", "fig3a", "--method", "mag"],
+                                _ON_USE)
+
+    def test_pde_schro_run_loads_no_flow_encoding_or_cost_module(self, tmp_path):
+        self._run_without_scipy(tmp_path, ["pde", "--preset", "fig3a", "--method", "schro"],
+                                [m for m in _ON_USE if m != "schromag.schrod"])
 
     @pytest.mark.parametrize("argv", [["solve", "--preset", "fig3a", "--method", "gradient"],
                                       ["solve", "--preset", "fig3a", "--method", "damped"],
                                       ["compare", "--preset", "fig1"],
                                       ["compare", "--preset", "fig2"]])
     def test_flow_runs_leave_scipy_unloaded(self, tmp_path, argv):
-        self._run_without_scipy(tmp_path, argv)
+        self._run_without_scipy(tmp_path, argv,
+                                [m for m in _ON_USE if m != "schromag.baselines"])
 
     def test_no_scipy_import_in_package(self):
         src = os.path.join(ROOT, "src", "schromag")
@@ -441,6 +483,26 @@ class TestPde:
         payload = json.loads((tmp_path / "pde.json").read_text())
         assert payload["residual_vs_oracle"] < 1e-2
         assert payload["pipeline"]["recovery_method"] == "integral"
+
+    @pytest.mark.parametrize("method, own", [
+        ("mag", {"steps"}), ("gradient", {"t_end"}), ("damped", {"t_end", "gamma"}),
+        ("schro", {"pipeline"}),
+    ], ids=["mag", "gradient", "damped", "schro"])
+    def test_pde_json_carries_the_method_fields(self, tmp_path, method, own):
+        pde_out, solve_out = tmp_path / "pde", tmp_path / "solve"
+        argv = ["--preset", "fig3a", "--method", method]
+        assert main(["pde", *argv, "--out", str(pde_out)]) == 0
+        payload = json.loads((pde_out / "pde.json").read_text())
+        assert set(payload) == {"preset", "method", "delta", "residual_vs_oracle",
+                                "meets_delta", *own}
+        # the same fields, and values, as solve on the same preset
+        assert main(["solve", *argv, "--out", str(solve_out)]) == 0
+        solved = json.loads((solve_out / "solve.json").read_text())
+        solved["pipeline"] = solved.pop("report", None)
+        for name in own:
+            assert payload[name] == solved[name], name
+        if method == "mag":
+            assert payload["steps"] > 0
 
     def test_unknown_preset(self, tmp_path):
         assert main(["pde", "--preset", "nope", "--out", str(tmp_path)]) == 2

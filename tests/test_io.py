@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from schromag.io import (
     write_vector,
 )
 
+import reference
 from reference import repr_rows
 
 
@@ -148,6 +151,92 @@ class TestCsv:
             tracemalloc.stop()
         assert path.stat().st_size > 32 * 2**20
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# signed zeros, subnormals, the extremes near 1e+-300 and 1e+-308, and any double
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+          1e-300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+_FINITE = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(1e295, 1e305), st.floats(-1e-295, -1e-305))
+_ANY = _FINITE | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _complex(shape):
+    return arrays(np.complex128, shape, elements=st.builds(complex, _FINITE, _FINITE))
+
+
+def _reals(n):
+    return arrays(np.float64, n, elements=_ANY)
+
+
+@st.composite
+def _matrices(draw):
+    m = draw(_complex(st.tuples(st.integers(0, 6), st.integers(1, 6))))
+    # whole rows of zeros, +0.0 or -0.0 in either part, write no entries
+    zero = draw(arrays(np.bool_, m.shape[0]))
+    m[zero] = complex(draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])))
+    return m
+
+
+@st.composite
+def _nodes_and_values(draw, columns):
+    n = draw(st.integers(0, 12))
+    return draw(_complex(n)), *(draw(_reals(n)) for _ in range(columns))
+
+
+class TestWriterBytes:
+    """Every io writer that formats Python floats, byte for byte against
+    reference's one repr(float(x)) per value."""
+
+    @staticmethod
+    def _same(name, *args):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
+            getattr(io, name)(got, *args)
+            getattr(reference, name)(want, *args)
+            with open(got, "rb") as g, open(want, "rb") as w:
+                assert g.read() == w.read()
+
+    @given(_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_coo(self, m):
+        self._same("write_matrix_coo", m)
+
+    @given(_complex(st.integers(0, 12)))
+    @settings(max_examples=100, deadline=None)
+    def test_vector(self, v):
+        self._same("write_vector", v)
+
+    @given(_nodes_and_values(1))
+    @settings(max_examples=100, deadline=None)
+    def test_solution_csv_1d(self, drawn):
+        u, xs = drawn
+        self._same("write_solution_csv", u, xs)
+
+    @given(_nodes_and_values(2))
+    @settings(max_examples=100, deadline=None)
+    def test_solution_csv_2d(self, drawn):
+        u, xs, ys = drawn
+        self._same("write_solution_csv", u, xs, ys)
+
+    @given(st.lists(_ANY, max_size=12), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_trace_csv(self, residuals, with_relative, data):
+        relative = None
+        if with_relative:
+            relative = data.draw(st.lists(_ANY, min_size=len(residuals),
+                                          max_size=len(residuals)))
+        self._same("write_trace_csv", residuals, relative)
+
+    @given(_nodes_and_values(1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_trajectory_csv(self, drawn, data):
+        solved, times = drawn
+        aux = data.draw(_complex(solved.size))
+        # the ratio column: a value, nan or None (both gaps)
+        ratios = data.draw(st.lists(_ANY | st.none(), min_size=solved.size,
+                                    max_size=solved.size))
+        self._same("write_trajectory_csv", times, solved, aux, ratios)
 
 
 def _edge_values() -> np.ndarray:
