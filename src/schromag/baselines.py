@@ -14,12 +14,12 @@ per singular value s (c = sqrt(alpha*beta)):
 
 Every builder reads sigma and b~ from the run's one `mag.SpectralSystem`
 (`mag.build_spectral`) and keeps it: a flow lives in that basis, one
-k-vector [x_j, y_j] per singular value, and `SpectralSystem.to_state`
-maps it to [V x; U y] (V x alone for the gradient flow).  Every flow
-starts at w = 0, and each sample is the closed form
-w_inf - exp(M t) w_inf at its own time (`linalg.block_expm_apply`), with
-w_inf = -M^{-1} g from the 2x2 adjugate, so method comparisons carry no
-time-stepping error.
+k-vector [x_j, y_j] per singular value.  Every flow starts at w = 0, and
+`FlowSystem.at(t)` is its closed form w_inf - exp(M t) w_inf
+(`linalg.block_expm_apply`), w_inf = -M^{-1} g from the 2x2 adjugate, so
+method comparisons carry no time-stepping error.  A solve's answer is the
+x of `at(t_end)`; `integrate_flow` maps samples to [V x; U y] (V x alone
+for the gradient flow) through `SpectralSystem.to_state`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ class FlowSystem:
         det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
         return np.stack([m[:, 0, 1] * g[:, 1] - m[:, 1, 1] * g[:, 0],
                          m[:, 1, 0] * g[:, 0] - m[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
+
+    def at(self, t) -> np.ndarray:
+        """The (n, k) state from w = 0 at time t; (len(t), n, k) at an array of times."""
+        w_inf = self.steady_pairs()
+        return w_inf + block_expm_apply(self.blocks, -w_inf, t)
 
 
 def build_gradient_flow(spec: SpectralSystem) -> FlowSystem:
@@ -93,20 +98,14 @@ def build_mag_ode(spec: SpectralSystem) -> FlowSystem:
 
 
 def integrate_flow(sys: FlowSystem, t_end: float, samples: int) -> tuple:
-    """(times, states): the exact flow from w = 0 at `samples` uniformly
-    spaced times, t = 0 included, one state per row.
-
-    Every sample is evaluated in closed form at its own time, so the end
-    state does not depend on the number of samples.
-    """
+    """(times, states): `at` `samples` uniformly spaced times from 0 to
+    t_end, one state [V x; U y] per row."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     times = np.linspace(0.0, t_end, samples)
-    w_inf = sys.steady_pairs()
-    pairs = w_inf + block_expm_apply(sys.blocks, -w_inf, times)
-    return times, sys.spec.to_state(pairs.swapaxes(1, 2).reshape(samples, -1))
+    return times, sys.spec.to_state(sys.at(times).swapaxes(1, 2).reshape(samples, -1))
 
 
 def evolution_time(kind: str, sigma_min: float, delta: float) -> float:

@@ -126,6 +126,10 @@ class SpectralSystem:
             np.matmul(w[..., n:], self.u.T, out=out[..., n:])
         return out
 
+    def solution(self, x) -> np.ndarray:
+        """u = V x from the coefficients x of a method's answer, or of each row."""
+        return np.asarray(x) @ self.vh.conj()
+
 
 def build_spectral(a, b, params: MagParams | None = None) -> SpectralSystem:
     """The map in the basis of A's full SVD, for the bounds `params`, by
@@ -209,11 +213,6 @@ def mag_iterate(
     )
 
 
-def solution_from_state(sys: SpectralSystem, w: np.ndarray) -> np.ndarray:
-    """Extract u from a transformed state: first block over (1 - beta)."""
-    return w[: sys.n] / (1.0 - sys.params.beta)
-
-
 def solution_error_factor(w_inf: np.ndarray) -> float:
     """Bound on (max-norm relative u error) / (transformed-state residual).
 
@@ -245,11 +244,11 @@ def step_budget(spec: SpectralSystem, delta: float) -> tuple:
 
 def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False) -> tuple:
     """Iterate from w = 0 until the max-norm relative u error is below
-    delta (`step_budget`); returns (trace, w_inf, u)."""
+    delta (`step_budget`); returns (trace, w_inf, x = w1/(1 - beta)), u = V x."""
     w_inf, delta_run, max_steps = step_budget(spec, delta)
     trace = mag_iterate(spec, np.zeros(2 * spec.n), delta_run, max_steps,
                         w_inf=w_inf, keep_states=keep_states)
-    return trace, w_inf, solution_from_state(spec, spec.to_state(trace.w_final))
+    return trace, w_inf, trace.w_final[: spec.n] / (1.0 - spec.params.beta)
 
 
 def lambda_pm(sigma, p: MagParams) -> tuple:

@@ -28,15 +28,15 @@ phase mu t/2 and of rho t at both eigenvalues mu of the pair's 2x2 block,
 comes from one np.tan of the half angle, cos 2x = (1 - tan^2 x)/(1 + tan^2 x)
 and sin 2x = 2 tan x/(1 + tan^2 x), so a column costs four tangents (the
 complex-exponential form, the tests' oracle, makes at least six calls of
-sin, cos and exp(i x), each dearer than a tangent).  So the
-whole emulation is a singular-value transfer function: the state block of
-pair j reads out as readout_j = forcing_j * r(sigma_j), where r(sigma) is
-a 2-vector fixed by the parameters, the grid and t.  r is evaluated once
-per group of equal singular values (`sigma_groups`) above the rounding
-floor (`PairSystem.evolved`).  The dense per-mode evolution of the whole
-homogenized generator, from any initial state, and the single-point
-readout live in the tests' reference module (`tests/reference.py`), which
-this path is checked against.
+sin, cos and exp(i x), each dearer than a tangent).  So the whole
+emulation is a singular-value transfer function: pair j's state block
+reads out as its coefficients readout_j = forcing_j * r(sigma_j), which
+the caller maps to u = V x, with r(sigma) a 2-vector fixed by the
+parameters, the grid and t, evaluated once per group of equal singular
+values (`sigma_groups`) above the rounding floor (`PairSystem.evolved`);
+only the snapshot maps groups to [V x; U y].  The dense per-mode evolution of
+the whole homogenized generator and the single-point readout are the
+tests' oracle (`tests/reference.py`).
 
 The periodic p-domain must outrun left-travelling wave content for the
 whole evolution: anything that wraps re-enters from the right and
@@ -351,14 +351,14 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     taken; the Nyquist mode n_p/2 has no partner on the grid and is added
     as it is.  Each chunk of modes is contracted with c * e (c = ifft of the
     readout weights) and, for stride > 0, folded times e into F[l mod m],
-    m = n_p // stride, then dropped; group g maps back through
-    sum_{j in g} forcing_j [V e_j; U e_j].  The state slots' coupling
+    m = n_p // stride, then dropped.  The state slots' coupling
     (`pair_coupling`) is folded into those per-mode factors once, so the
     chunks stay in the real planes of `_apply_pair_modes` and the readout,
     which keeps only its real part, is two real mat-vecs per slot.
-    Returns the 2n-vector state block of sum_k weights[k] field(t, p_k)
-    and, for stride > 0, the (m, 4n) rows field(t, p_{j*stride}) =
-    (m/n_p) ifft_m(F)[j] (else None).
+    Returns the coefficients [w1; w2] of the state block [V w1; U w2] of
+    sum_k weights[k] field(t, p_k) and, for stride > 0, the (m, 4n) rows
+    field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None), mapped back
+    through sum_{j in g} forcing_j [V e_j; U e_j] per group g.
     """
     n_p, half, n = grid.n_p, grid.n_p // 2, pairs.sigma.size
     env = np.fft.fft(envelope(grid.points))[: half + 1]
@@ -386,15 +386,16 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
             modes = np.empty(planes[:, 0].shape, dtype=np.complex128)
             modes.real, modes.imag = planes[:, 0], planes[:, 1]
             modes *= scale[:, lo:hi]
-            folded[:, r : r + width] += modes.reshape(4, -1, width, reps.size).sum(axis=1)
+            folded[:, r : r + width] += modes.reshape(4, (hi - lo) // width, width,
+                                                      reps.size).sum(axis=1)
     nyquist = pair_column(pairs, reps, grid.thetas[half : half + 1], t, slots)[0]
     forcing = np.zeros((pairs.reps.size, n), dtype=np.complex128)
     forcing[pairs.group, pairs.live] = pairs.w0_pair[pairs.live, 2]
-    # (groups, 2, n): sum_{j in g} forcing_j V e_j and sum_{j in g} forcing_j U e_j
-    basis = pairs.spec.to_state(np.tile(forcing[pairs.evolved], 2)).reshape(-1, 2, n)
-    state = np.einsum("gs,gsn->sn", readout.T + coef[half] * nyquist[:, :2], basis)
+    coefficients = (readout + coef[half] * nyquist[:, :2].T) @ forcing[pairs.evolved]
     rows = None
     if m:
+        # (groups, 2, n): sum_{j in g} forcing_j V e_j and sum_{j in g} forcing_j U e_j
+        basis = pairs.spec.to_state(np.tile(forcing[pairs.evolved], 2)).reshape(-1, 2, n)
         # the Nyquist mode's phase at p_{j*stride} is (-1)^(j*stride)
         sign = (-1.0) ** (stride * np.arange(m))[:, None]
         rows_group = (np.fft.ifft(folded, axis=1).real * (m / n_p)
@@ -403,7 +404,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
         for k in range(4):  # slots (0, 1) and (2, 3) are each a state [V x; U y]
             np.matmul(rows_group[k], basis[:, k % 2], out=rows[:, k])
         rows = rows.reshape(m, 4 * n)
-    return state.reshape(-1), rows
+    return coefficients.reshape(-1), rows
 
 
 def _half_angle_cos_sin(x) -> tuple[np.ndarray, np.ndarray]:
@@ -548,7 +549,7 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
 
     Evolves to t_end = kappa_hat * ln(1/delta), reads the field back out
     past the threshold with the integral readout and unscales the first
-    block by (1 - beta).  Returns (u, report, snapshot): with
+    block by (1 - beta).  Returns (x, report, snapshot), u = V x: with
     snapshot_rows > 0 the snapshot is (points, rows), the final warped
     field on every (n_p // snapshot_rows)-th grid point from the same
     evolution pass, else None.  Raises InputError for a kappa_hat beyond
@@ -591,4 +592,4 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
         evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),
     )
     snapshot = (grid.points[::stride], rows) if stride else None
-    return mag_mod.solution_from_state(spec, w_rec), report, snapshot
+    return w_rec[: spec.n] / (1.0 - params.beta), report, snapshot

@@ -151,7 +151,7 @@ class TestIntegrateFlow:
 
     @pytest.mark.parametrize("kind", ["gradient", "damped", "mag-ode"])
     def test_starts_at_zero_and_end_ignores_sampling(self, kind):
-        # `cli._run_method` takes a flow's end state from a 2-sample run
+        # `cli._run_method` takes a flow's answer from `FlowSystem.at(t_end)`
         a, b = _random_system(5, 6)
         spec = build_spectral(a, b)
         build = {"gradient": build_gradient_flow, "mag-ode": build_mag_ode,
@@ -159,7 +159,7 @@ class TestIntegrateFlow:
         flow = build(spec)
         times, states = integrate_flow(flow, 5.0, 1200)
         assert times[0] == 0.0 and np.array_equal(states[0], np.zeros(states.shape[1]))
-        end = integrate_flow(flow, 5.0, 2)[1][-1]
+        end = spec.to_state(flow.at(5.0).T.reshape(-1))
         assert np.linalg.norm(end - states[-1]) <= 1e-13 * np.linalg.norm(states[-1])
 
     def test_preconditions(self):

@@ -85,7 +85,8 @@ class TestSolve:
                    "--delta", "1e-3", *grid, "--out", str(out)])
         assert rc == 0
         payload = json.loads((out / "solve.json").read_text())
-        assert set(payload) == {"method", "delta", "residual_vs_oracle", "meets_delta", *own}
+        assert set(payload) == {"method", "delta", "residual_vs_oracle", "meets_delta",
+                                "error_estimate", *own}
         assert (payload["method"], payload["delta"]) == (method, 1e-3)
         if method == "damped":
             # the damping default and the damped horizon, on sigma_min = 0.1
@@ -494,7 +495,7 @@ class TestPde:
         assert main(["pde", *argv, "--out", str(pde_out)]) == 0
         payload = json.loads((pde_out / "pde.json").read_text())
         assert set(payload) == {"preset", "method", "delta", "residual_vs_oracle",
-                                "meets_delta", *own}
+                                "meets_delta", "error_estimate", *own}
         # the same fields, and values, as solve on the same preset
         assert main(["solve", *argv, "--out", str(solve_out)]) == 0
         solved = json.loads((solve_out / "solve.json").read_text())
@@ -506,6 +507,22 @@ class TestPde:
 
     def test_unknown_preset(self, tmp_path):
         assert main(["pde", "--preset", "nope", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("method", ["mag", "gradient", "damped", "schro"])
+    @pytest.mark.parametrize("preset", ["fig3a", "fig3d", "fig4a", "fig5a"])
+    def test_error_estimate_matches_the_oracle(self, tmp_path, preset, method):
+        # max|u - V x*| / max|V x*|, x* = b~/sigma from the run's own SVD, reads
+        # the error of the direct solve: the two references differ by rounding,
+        # which dominates only where a method is exact to rounding itself (the
+        # gradient flow on fig3a, fig4a and fig5a, at most 5.4e-15)
+        assert main(["pde", "--preset", preset, "--method", method,
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "pde.json").read_text())
+        estimate, residual = payload["error_estimate"], payload["residual_vs_oracle"]
+        if residual >= 1e-7:
+            assert estimate == pytest.approx(residual, rel=1e-6, abs=0.0)
+        else:
+            assert max(estimate, residual) <= 1e-13
 
     def test_meets_delta_reports_a_missed_delta(self, tmp_path):
         # fig4a's own files at the default n_p = 2048 miss delta = 1e-3 (6.5e-3),
@@ -550,6 +567,19 @@ class TestSchro:
         lines = (out / "warped_field.csv").read_text().strip().split("\n")
         assert lines[0].startswith("p,comp0_re,comp0_im")
         assert 2 <= len(lines) - 1 <= 1024
+
+
+    def test_zero_rhs_gives_zero_solution_and_snapshot(self, tmp_path):
+        # b = 0 forces no pair: u = 0, and every row of the snapshot is zero
+        write_matrix_coo(tmp_path / "a.coo", np.array([[2.0 + 0j]]))
+        write_vector(tmp_path / "b0.vec", np.zeros(1, dtype=complex))
+        out = tmp_path / "out"
+        assert main(["schro", "--matrix", str(tmp_path / "a.coo"),
+                     "--rhs", str(tmp_path / "b0.vec"), "--out", str(out)]) == 0
+        assert np.array_equal(read_vector(out / "solution.vec"), [0.0])
+        rows = np.loadtxt(out / "warped_field.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (1024, 1 + 2 * 4)  # p, then 4 slots of re, im
+        assert not np.any(rows[:, 1:])
 
 
 class TestSnapshotFile:
@@ -673,6 +703,17 @@ class TestConfigPrecedence:
         cfg = tmp_path / "broken.json"
         cfg.write_text("[1, 2, 3]")
         assert main(["solve", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key", ["np", "command"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, key):
+        # a key that is no option is refused, not dropped: --np's field is n_p,
+        # and the command comes from the command line alone
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 16, "preset": "fig3a"}))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("delta", "abc"), ("n_p", "1024"),
                                               ("n_p", 1024.0), ("matrix", 3)])

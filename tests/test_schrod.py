@@ -45,6 +45,18 @@ def _pairs(sys, gamma_f):
     return build_pair_system(build_spectral(sys.a, sys.b, sys.params), gamma_f)
 
 
+def _evolve_state(pairs, *args):
+    """evolve_structured with its coefficients mapped to the state [V w1; U w2]."""
+    vec, rows = evolve_structured(pairs, *args)
+    return pairs.spec.to_state(vec), rows
+
+
+def _pipeline_u(spec, *args, **kwargs):
+    """pipeline with its coefficients mapped to u = V x, as the CLI maps them."""
+    x, report, snapshot = pipeline(spec, *args, **kwargs)
+    return spec.solution(x), report, snapshot
+
+
 def scalar_setup(rate=-1.0, drive=0.0, gamma_f=1.0, w0=1.0):
     hs = homogenize(np.array([[rate + 0j]]), np.array([drive + 0j]), gamma_f,
                     w0=np.array([w0 + 0j]))
@@ -579,7 +591,7 @@ class TestStreamedReadout:
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
         for weights, oracle in ((readout_weights(grid, p_diamond, advect)[0], recover_integral),
                                 (single_point_weights(grid, p_diamond), recover_single_point)):
-            vec, rows = evolve_structured(pairs, grid, t, weights)
+            vec, rows = _evolve_state(pairs, grid, t, weights)
             assert rows is None
             assert np.allclose(vec, oracle(state, sp.h1), rtol=0.0, atol=atol)
         field = state.field()
@@ -588,7 +600,7 @@ class TestStreamedReadout:
         for entries in (schrod._CHUNK_ENTRIES, 256):
             with mock.patch.object(schrod, "_CHUNK_ENTRIES", entries):
                 for stride in (1, 2, 8, 32):
-                    vec, rows = evolve_structured(pairs, grid, t, weights, stride)
+                    vec, rows = _evolve_state(pairs, grid, t, weights, stride)
                     assert rows.shape == (n_p // stride, 4 * n)
                     assert np.allclose(rows, field[::stride], rtol=0.0, atol=atol)
                 assert np.allclose(vec, recover_single_point(state, sp.h1),
@@ -629,11 +641,11 @@ class TestStreamedReadout:
             expect = oracle(state, sp.h1)
             for entries in (schrod._CHUNK_ENTRIES, 256):
                 with mock.patch.object(schrod, "_CHUNK_ENTRIES", entries):
-                    vec, rows = evolve_structured(pairs, grid, t, weights)
+                    vec, rows = _evolve_state(pairs, grid, t, weights)
                     assert rows is None
                     assert np.allclose(vec, expect, rtol=0.0, atol=atol)
                     for stride in (1, 8, 32):
-                        vec, rows = evolve_structured(pairs, grid, t, weights, stride)
+                        vec, rows = _evolve_state(pairs, grid, t, weights, stride)
                         assert np.allclose(vec, expect, rtol=0.0, atol=atol)
                         assert rows.shape == (n_p // stride, 4 * n)
                         assert np.allclose(rows, field[::stride], rtol=0.0, atol=atol)
@@ -671,7 +683,7 @@ class TestStreamedReadout:
         for weights, oracle in ((readout_weights(grid, p_diamond, advect)[0], recover_integral),
                                 (single_point_weights(grid, p_diamond), recover_single_point)):
             for stride in (0, 1, 8):
-                vec, rows = evolve_structured(pairs, grid, t, weights, stride)
+                vec, rows = _evolve_state(pairs, grid, t, weights, stride)
                 assert np.allclose(vec, oracle(state, sp.h1), rtol=0.0, atol=atol)
                 if stride:
                     assert np.allclose(rows, field[::stride], rtol=0.0, atol=atol)
@@ -736,7 +748,7 @@ class TestPruning:
         rate = pairs.lambda_max_h1()
         grid = schrod.build_grid_from_rate(rate, t, 4096, p_left=-60.0)
         weights = single_point_weights(grid, max(rate * t, 0.0))
-        vec, rows = evolve_structured(pairs, grid, t, weights, 64)
+        vec, rows = _evolve_state(pairs, grid, t, weights, 64)
         # entries 0 and 1 share a group: the same r(sigma), scaled by forcings
         # 1e-20 and 1, in the state block and in every slot of the snapshot
         assert vec[0] / vec[1] == pytest.approx(1e-20, rel=1e-9)
@@ -780,7 +792,7 @@ class TestPruning:
             a = q1 @ np.diag(sig) @ q2.conj().T
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
             p = MagParams(9.0, 0.64)
-            runs = [pipeline(spectral_from_factors(b, p, f), 1e-2, 1024)
+            runs = [_pipeline_u(spectral_from_factors(b, p, f), 1e-2, 1024)
                     for f in ((q1, sig, q2.conj().T),
                               (q1 @ rot, sig, rot.conj().T @ q2.conj().T))]
             (u1, r1, _), (u2, r2, _) = runs
@@ -809,14 +821,15 @@ class TestPruning:
 class TestPipeline:
     def test_identity_one_step(self):
         p = MagParams(1.0, 1.0)
-        u, _, snapshot = pipeline(build_spectral(np.eye(1), np.array([1.0 + 0j]), p), 0.1, 128)
+        spec = build_spectral(np.eye(1), np.array([1.0 + 0j]), p)
+        u, _, snapshot = _pipeline_u(spec, 0.1, 128)
         assert snapshot is None
         assert u[0] == pytest.approx(1.0, abs=1e-2)
         assert _residual(u, np.array([1.0 + 0j])) < 1e-2
 
     def test_diag_documented_accuracy(self):
         p = MagParams(100.0, 0.01)
-        u, _, _ = pipeline(build_spectral(DIAG_A, DIAG_B, p), 1e-3, 32768)
+        u, _, _ = _pipeline_u(build_spectral(DIAG_A, DIAG_B, p), 1e-3, 32768)
         assert np.max(np.abs(u - [0.1, 10.0])) / 10.0 < 2e-3
         assert _residual(u, DIAG_ORACLE) < 2e-3
 
@@ -839,7 +852,7 @@ class TestPipeline:
         problem, solver = pde_preset("fig6a")
         spec = build_spectral(problem.system.a, problem.system.b)
         oracle = direct_solve(problem.system, spec.sigma)
-        u, report, _ = pipeline(spec, solver.delta, solver.n_p)
+        u, report, _ = _pipeline_u(spec, solver.delta, solver.n_p)
         d = asdict(report)
         assert (d["live_pairs"], d["sigma_groups"]) == (511, 258)
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
@@ -853,10 +866,10 @@ class TestPipeline:
             problem, solver = pde_preset(name)
             spec = build_spectral(problem.system.a, problem.system.b)
             oracle = direct_solve(problem.system, spec.sigma)
-            u, _, _ = pipeline(spec, solver.delta, solver.n_p)
+            u, _, _ = _pipeline_u(spec, solver.delta, solver.n_p)
             assert _residual(u, oracle) <= solver.delta, name
             if name in ("fig3e", "fig3f"):
-                u, _, _ = pipeline(spec, solver.delta, 2 * solver.n_p)
+                u, _, _ = _pipeline_u(spec, solver.delta, 2 * solver.n_p)
                 assert _residual(u, oracle) <= 5e-5, name
 
     def test_matches_iteration_terminal_state(self):
@@ -873,10 +886,8 @@ class TestPipeline:
             4 * convergence_steps(params.kappa_hat, 1e-3),
             w_inf=steady_state(sys), keep_states=False,
         )
-        from schromag.mag import solution_from_state
-
-        u_iter = solution_from_state(sys, trace.w_final)
-        u_pipe, _, _ = pipeline(build_spectral(a, b, params), 1e-3, solver.n_p)
+        u_iter = trace.w_final[: sys.n] / (1.0 - params.beta)
+        u_pipe, _, _ = _pipeline_u(build_spectral(a, b, params), 1e-3, solver.n_p)
         scale = np.max(np.abs(u_iter))
         assert np.max(np.abs(u_pipe - u_iter)) / scale < 1e-2
 
@@ -891,7 +902,7 @@ class TestPipeline:
         oracle = direct_solve(problem.system)
         tracemalloc.start()
         try:
-            u, _, _ = pipeline(spec, solver.delta, solver.n_p)
+            u, _, _ = _pipeline_u(spec, solver.delta, solver.n_p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
