@@ -1,18 +1,18 @@
 """Comparison dynamics: gradient flow, damped second-order dynamics and
 the momentum iteration's ODE form.
 
-Each is a constant-coefficient ODE dw/dt = M w + g.  With A = U Sigma V^H
-and b~ = U^H b, the basis diag(V, U) splits it into one block and drive
-per singular value s (c = sqrt(alpha*beta)):
+Each is a constant-coefficient ODE dw/dt = M w + g, a `mag.FlowSystem`.
+With A = U Sigma V^H and b~ = U^H b, the basis diag(V, U) splits it into
+one block and drive per singular value s (c = sqrt(alpha*beta)):
 
   gradient, du/dt = A^H b - A^H A u:
       -s^2, drive s b~
   damped, u' = -A^H v and v' = A u - gamma v - b on w = [u; v]:
       [[0, -s], [s, -gamma]], drive [0; -b~]
-  mag-ODE, the momentum map's (H - I, F) (`mag.SpectralSystem.blocks`):
+  mag-ODE, the momentum map's (H - I, F), `mag.SpectralSystem.ode`:
       [[-alpha s^2, -c s], [c s, beta - 1]], drive [alpha s b~; 0]
 
-Every builder reads sigma and b~ from the run's one `mag.SpectralSystem`
+Every flow reads sigma and b~ from the run's one `mag.SpectralSystem`
 (`mag.build_spectral`) and keeps it: a flow lives in that basis, one
 k-vector [x_j, y_j] per singular value.  Every flow starts at w = 0, and
 `FlowSystem.at(t)` is its closed form w_inf - exp(M t) w_inf
@@ -29,32 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import block_expm_apply
-from .mag import SpectralSystem
-
-
-@dataclass(frozen=True)
-class FlowSystem:
-    """dw/dt = M w + g as one k x k block of M and k-vector of g per
-    singular value of the run's `spec`, in whose basis the states live."""
-
-    blocks: np.ndarray  # (n, k, k)
-    drive: np.ndarray  # (n, k)
-    spec: SpectralSystem
-
-    def steady_pairs(self) -> np.ndarray:
-        """-M^{-1} g per block, (n, k)."""
-        m, g = self.blocks, self.drive
-        if g.shape[1] == 1:
-            return -g / m[:, 0]
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        return np.stack([m[:, 0, 1] * g[:, 1] - m[:, 1, 1] * g[:, 0],
-                         m[:, 1, 0] * g[:, 0] - m[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
-
-    def at(self, t) -> np.ndarray:
-        """The (n, k) state from w = 0 at time t; (len(t), n, k) at an array of times."""
-        w_inf = self.steady_pairs()
-        return w_inf + block_expm_apply(self.blocks, -w_inf, t)
+from .mag import FlowSystem, SpectralSystem
 
 
 def build_gradient_flow(spec: SpectralSystem) -> FlowSystem:
@@ -84,16 +59,6 @@ def build_damped(spec: SpectralSystem, gamma: float) -> FlowSystem:
     blocks = np.zeros((s.size, 2, 2))
     blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = -s, s, -gamma
     drive = np.stack([np.zeros_like(b_t), -b_t], axis=-1)
-    return FlowSystem(blocks=blocks, drive=drive, spec=spec)
-
-
-def build_mag_ode(spec: SpectralSystem) -> FlowSystem:
-    """The momentum map's ODE dw/dt = (H - I) w + F, from `spec.blocks`."""
-    diag, cs, f = spec.blocks
-    blocks = np.empty((spec.n, 2, 2))
-    blocks[:, 0, 0], blocks[:, 0, 1] = diag, -cs
-    blocks[:, 1, 0], blocks[:, 1, 1] = cs, spec.params.beta - 1.0
-    drive = np.stack([f, np.zeros_like(f)], axis=-1)
     return FlowSystem(blocks=blocks, drive=drive, spec=spec)
 
 

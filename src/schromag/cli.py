@@ -236,7 +236,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         samples = 1200
 
     n = spec.n
-    flows = {"mag": baselines.build_mag_ode(spec), "damped": baselines.build_damped(spec, gamma)}
+    flows = {"mag": spec.ode, "damped": baselines.build_damped(spec, gamma)}
     ratios = {}
     for tag, flow in flows.items():
         times, states = baselines.integrate_flow(flow, t_end, samples)

@@ -8,6 +8,7 @@ MAX_DENSE_ENTRIES is rejected before anything is allocated.  Vector
 files: one ``re im`` pair per line.  A nan or infinite entry is rejected
 with its file and line.  Floats are written with repr
 (shortest round-trip) so identical inputs produce byte-identical files;
+JSON reports are strict, with null for a nan or infinite value;
 the writers take whole columns through `ndarray.tolist()`, so repr sees
 Python floats, not one numpy scalar per value.  The field snapshot, the
 one large file, gets the same text from `floatrepr.format_rows`, which
@@ -181,7 +182,20 @@ def write_field_snapshot_csv(path, points, field) -> None:
 
 
 def write_json(path, payload) -> None:
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a nan or infinite float anywhere in payload is written as null."""
+    write_text(path, json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                                allow_nan=False) + "\n")
+
+
+def _finite_or_null(value):
+    """value with each non-finite float in its dicts, lists and tuples made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def write_text(path, text: str) -> None:

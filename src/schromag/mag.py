@@ -15,11 +15,12 @@ With A = U Sigma V^H, the basis diag(V, U) splits H, and I - H with it,
 into one 2x2 block [[1 - alpha s^2, -c s], [c s, beta]] per singular
 value s (c = sqrt(alpha*beta)), and F into [alpha s b~; 0] with b~ = U^H b.
 A run factors A once (`build_spectral`, bounds from A's own spectrum
-unless given) and iterates in that basis (`SpectralSystem`, whose
-`blocks` every realization reads): elementwise steps, the closed-form
-steady state [(1-beta) b~/s; c b~], and closed-form spectra for the radius
-guard and the I - H checks.  No 2n x 2n matrix is built; the dense H lives
-in the tests' reference module (`tests/reference.py`).
+unless given) and iterates in that basis (`SpectralSystem`, whose `ode`,
+the map's ODE dw/dt = (H - I) w + F as one block [[-alpha s^2, -c s],
+[c s, beta - 1]] and drive per s, every realization reads): elementwise
+steps, the closed-form steady state [(1-beta) b~/s; c b~], and closed-form
+spectra for the radius guard and the I - H checks.  No 2n x 2n matrix is
+built; the dense H lives in the tests' reference module (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, InputError, SpectrumBoundsError
-from .linalg import as_cmatrix, as_cvector, condition_check, full_svd, require_square
+from .linalg import (as_cmatrix, as_cvector, block_expm_apply, condition_check, full_svd,
+                     require_square)
 
 # where sigma^2 sits on a declared bound the 2x2 block is defective and its
 # eigenvalue moduli are only sqrt(eps)-accurate (closed form and dense eig
@@ -77,6 +79,30 @@ class MagParams:
 
 
 @dataclass(frozen=True)
+class FlowSystem:
+    """dw/dt = M w + g as one k x k block of M and k-vector of g per
+    singular value of the run's `spec`, in whose basis the states live."""
+
+    blocks: np.ndarray  # (n, k, k)
+    drive: np.ndarray  # (n, k)
+    spec: SpectralSystem
+
+    def steady_pairs(self) -> np.ndarray:
+        """-M^{-1} g per block, (n, k)."""
+        m, g = self.blocks, self.drive
+        if g.shape[1] == 1:
+            return -g / m[:, 0]
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        return np.stack([m[:, 0, 1] * g[:, 1] - m[:, 1, 1] * g[:, 0],
+                         m[:, 1, 0] * g[:, 0] - m[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
+
+    def at(self, t) -> np.ndarray:
+        """The (n, k) state from w = 0 at time t; (len(t), n, k) at an array of times."""
+        w_inf = self.steady_pairs()
+        return w_inf + block_expm_apply(self.blocks, -w_inf, t)
+
+
+@dataclass(frozen=True)
 class SpectralSystem:
     """The one-step map on w = [w1; w2], one entry per block and singular
     value; w is the state [V w1; U w2] of the dense map w -> H w + F."""
@@ -92,19 +118,23 @@ class SpectralSystem:
         return self.sigma.size
 
     @cached_property
-    def blocks(self) -> tuple:
-        """(-alpha s^2, c s, alpha s b~) per singular value s: the block
-        [[-alpha s^2, -c s], [c s, beta - 1]] of H - I and the drive
-        [alpha s b~; 0] of F, which every realization of the map reads."""
+    def ode(self) -> FlowSystem:
+        """The map's ODE dw/dt = (H - I) w + F: per singular value s the
+        block [[-alpha s^2, -c s], [c s, beta - 1]] and drive [alpha s b~; 0],
+        which every realization of the map reads."""
         p, s = self.params, self.sigma
-        return -p.alpha * s**2, math.sqrt(p.alpha * p.beta) * s, p.alpha * s * self.b_t
+        cs, f = math.sqrt(p.alpha * p.beta) * s, p.alpha * s * self.b_t
+        entries = [-p.alpha * s**2, -cs, cs, np.full_like(s, p.beta - 1.0)]  # row-major
+        return FlowSystem(blocks=np.stack(entries, axis=-1).reshape(-1, 2, 2),
+                          drive=np.stack([f, np.zeros_like(f)], axis=-1), spec=self)
 
     @cached_property
     def _diag(self) -> np.ndarray:  # 1 - alpha s^2 bit for bit: 1 + (-x) rounds as 1 - x
-        return 1.0 + self.blocks[0]
+        return 1.0 + self.ode.blocks[:, 0, 0]
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        _, cs, f = self.blocks
+        """w + (H - I) w + F = H w + F, from `ode`."""
+        cs, f = self.ode.blocks[:, 1, 0], self.ode.drive[:, 0]
         w1, w2 = w[: self.n], w[self.n :]
         return np.concatenate([self._diag * w1 - cs * w2 + f, cs * w1 + self.params.beta * w2])
 
@@ -198,7 +228,7 @@ def mag_iterate(
         w = sys.step(w)
         residuals.append(float(np.linalg.norm(w - w_inf) / denom))
         if keep_states:
-            states.append(w.copy())
+            states.append(w)
         if residuals[-1] < delta:
             return IterationTrace(
                 steps=len(residuals) - 1,
@@ -295,6 +325,15 @@ def convergence_steps(kappa_hat: float, delta: float, safety: float = 1.0) -> in
 NEAR_ZERO_FACTOR = 1e-12
 
 
+def _steady_kappa2(w_inf: np.ndarray) -> float:
+    """max|w_inf| / min|w_inf|, or inf where a component of w_inf is within
+    NEAR_ZERO_FACTOR ||w_inf|| of zero."""
+    mags = np.abs(w_inf)
+    if np.min(mags) <= NEAR_ZERO_FACTOR * np.linalg.norm(w_inf):
+        return math.inf
+    return float(np.max(mags) / np.min(mags))
+
+
 def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, float]:
     """Componentwise-normalized residual trace and kappa_2(w_inf).
 
@@ -307,11 +346,9 @@ def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, 
     over its rows.
     """
     w_inf = as_cvector(w_inf)
-    mags = np.abs(w_inf)
-    threshold = NEAR_ZERO_FACTOR * np.linalg.norm(w_inf)
-    if np.min(mags) <= threshold:
-        return None, math.inf
-    kappa2 = float(np.max(mags) / np.min(mags))
+    kappa2 = _steady_kappa2(w_inf)
+    if kappa2 == math.inf:
+        return None, kappa2
     err = np.subtract(np.reshape(states, (-1, w_inf.size)), w_inf)
     err /= w_inf
     hats = np.sqrt(np.einsum("ij,ij->i", err.real, err.real)
@@ -323,8 +360,11 @@ def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, 
 def relative_trace(trace: IterationTrace, w_inf: np.ndarray,
                    system: SpectralSystem) -> tuple[list | None, float]:
     """relative_trace_from_steady on a recorded `system` run, its states
-    and w_inf mapped back to [V w1; U w2] first."""
+    and w_inf mapped back to [V w1; U w2] first; the states only where
+    the mapped w_inf admits a trace."""
     if not trace.states:
         raise ValueError("trace was recorded without states; rerun with keep_states=True")
-    return relative_trace_from_steady(system.to_state(w_inf),
-                                      system.to_state(np.array(trace.states)))
+    w_inf = system.to_state(w_inf)
+    if _steady_kappa2(w_inf) == math.inf:
+        return None, math.inf
+    return relative_trace_from_steady(w_inf, system.to_state(np.array(trace.states)))

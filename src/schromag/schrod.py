@@ -1,7 +1,8 @@
 """Warped-phase (Hamiltonian) realization of the transformed iteration.
 
-Route: one-step map -> continuous ODE dw/dt = (H - I) w + F -> homogenized
-block system -> Hermitian/anti-Hermitian split -> auxiliary dimension p
+Route: one-step map -> continuous ODE dw/dt = (H - I) w + F
+(`mag.SpectralSystem.ode`) -> homogenized block system ->
+Hermitian/anti-Hermitian split -> auxiliary dimension p
 carrying the envelope psi(p) (`envelope`: e^{-p} for p >= 0, a C^2
 extension for p < 0) -> Fourier modes, each evolving under its own
 Hermitian generator -> readout of e^{p} times the field beyond the
@@ -223,8 +224,9 @@ def readout_weights(grid: PGrid, p_diamond: float, advect: float) -> tuple[np.nd
 # all sharing the unitary basis diag(V, U, V, U).  Every run starts the
 # momentum state at w = 0, so pair j starts at [0, 0, forcing_j, 0] and
 # only the forcing column of each block's propagator is ever needed; it has
-# a closed form in three scalars per pair (d1, d2, cw), all functions of
-# sigma_j (`SpectralSystem.blocks`), so the readout is the transfer function
+# a closed form in three scalars per pair, the entries d1, cw, d2 of its
+# block of the momentum ODE `SpectralSystem.ode` (whose drive is the forcing),
+# all functions of sigma_j, so the readout is the transfer function
 #     readout_j = forcing_j * r(sigma_j),  r(sigma) = sum_l c_l e_l col_l(sigma)
 # (state block only): col is evaluated for unit forcing once per (mode,
 # group of equal sigma), contracted over modes, and scaled by each pair's
@@ -237,13 +239,13 @@ def readout_weights(grid: PGrid, p_diamond: float, advect: float) -> tuple[np.nd
 class PairSystem:
     """Per-singular-value homogenized blocks, as scalars.
 
-    Pair j's 4x4 generator is [[d1_j, -cw_j, gamma_f, 0], [cw_j, d2, 0,
-    gamma_f], [0, 0, 0, 0], [0, 0, 0, 0]], (d1, cw) from `spec.blocks`.
+    Pair j's 4x4 generator is [[d1_j, -cw_j, gamma_f, 0], [cw_j, d2_j, 0,
+    gamma_f], [0, 0, 0, 0], [0, 0, 0, 0]], with [[d1_j, -cw_j], [cw_j, d2_j]]
+    pair j's block of the momentum ODE `spec.ode`.
     """
 
     sigma: np.ndarray
     spec: mag_mod.SpectralSystem  # the momentum map, whose basis the slots are in
-    d2: float  # beta - 1
     w0_pair: np.ndarray  # (npairs, 4): [0, 0, f_j/gamma_f, 0]
     steady_pair: np.ndarray  # (npairs, 4) kernel component per pair
     gamma_f: float
@@ -251,17 +253,16 @@ class PairSystem:
     reps: np.ndarray  # one live pair per group of equal sigma (`sigma_groups`)
     group: np.ndarray  # group of each live pair, an index into reps
 
-    # h1 splits into [[d, gamma_f/2], [gamma_f/2, 0]] for d in {d1_j, d2},
+    # h1 splits into [[d, gamma_f/2], [gamma_f/2, 0]] for d in {d1_j, d2_j},
     # with eigenvalues (d +- hypot(d, gamma_f))/2
 
     def lambda_max_h1(self) -> float:
-        d = np.append(self.spec.blocks[0], self.d2)
+        d = self.spec.ode.blocks.diagonal(axis1=1, axis2=2)
         return float(np.max(d + np.hypot(d, self.gamma_f)) / 2.0)
 
     def advection_speeds(self) -> np.ndarray:
-        def speed(d):
-            return (np.abs(d) + np.hypot(d, self.gamma_f)) / 2.0
-        return np.maximum(speed(self.spec.blocks[0]), speed(self.d2))
+        d = self.spec.ode.blocks.diagonal(axis1=1, axis2=2)
+        return np.max(np.abs(d) + np.hypot(d, self.gamma_f), axis=1) / 2.0
 
     def pair_weights(self) -> np.ndarray:
         """Travelling content per pair: its state-block transient plus
@@ -326,15 +327,14 @@ def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSyste
     _check_forcing_scale(gamma_f)
     s, n = spec.sigma, spec.n
     w_inf = spec.steady_state()
-    forcing = spec.blocks[2] / gamma_f
+    forcing = spec.ode.drive[:, 0] / gamma_f
     zero = np.zeros_like(forcing)
     # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f]
     steady_pair = np.stack([w_inf[:n], w_inf[n:], forcing, zero], axis=1)
     live = np.flatnonzero(forcing)
     reps, group = sigma_groups(s, live)
     return PairSystem(
-        sigma=s, spec=spec, d2=spec.params.beta - 1.0,
-        w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
+        sigma=s, spec=spec, w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
         steady_pair=steady_pair, gamma_f=gamma_f, live=live, reps=reps, group=group,
     )
 
@@ -455,9 +455,8 @@ def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4)
     `pair_coupling` gives per mode (`pair_column` applies it).
     """
     th = np.asarray(thetas)[:, None]
-    a = th * pairs.spec.blocks[0][reps][None, :]
-    d = th * pairs.d2
-    cw = pairs.spec.blocks[1][reps][None, :]
+    m = pairs.spec.ode.blocks[reps]  # the pairs' blocks [[d1, -cw], [cw, d2]]
+    a, d, cw = th * m[:, 0, 0], th * m[:, 1, 1], m[:, 1, 0]
     # |c|^2 as the complex coupling gives it: rho t is a large angle, and
     # its last bits decide the phase
     c2 = np.abs(pairs.gamma_f * (th + 1j) / 2.0) ** 2

@@ -128,7 +128,7 @@ def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def flow_steady_state(flow) -> np.ndarray:
-    """The steady state -M^{-1} g of a `baselines.FlowSystem` as a state
+    """The steady state -M^{-1} g of a `mag.FlowSystem` as a state
     vector [V x; U y] (V x alone for the gradient flow)."""
     return flow.spec.to_state(flow.steady_pairs().T.reshape(-1))
 
@@ -268,9 +268,8 @@ def apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) 
     (modes, pairs, slots): slots = 2 gives the state block only.
     """
     th = np.asarray(thetas)[:, None]
-    a = th * pairs.spec.blocks[0][reps][None, :]
-    d = th * pairs.d2
-    cw = pairs.spec.blocks[1][reps][None, :]
+    m = pairs.spec.ode.blocks[reps]  # the pairs' blocks [[d1, -cw], [cw, d2]]
+    a, d, cw = th * m[:, 0, 0], th * m[:, 1, 1], m[:, 1, 0]
     c = pairs.gamma_f * (th + 1j) / 2.0
     c2 = np.abs(c) ** 2
     mean = (a + d) / 2.0

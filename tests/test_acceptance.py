@@ -158,7 +158,7 @@ def test_criterion_5_fig1_reproduction():
     n = cp.a.shape[0]
 
     spec = cp.spec
-    mag_flow = baselines.build_mag_ode(spec)
+    mag_flow = spec.ode
     damp_flow = baselines.build_damped(spec, cp.gamma)
 
     _, states_m = baselines.integrate_flow(mag_flow, cp.t_end, cp.samples)

@@ -10,7 +10,6 @@ from schromag.baselines import (
     auxiliary_ratio_trace,
     build_damped,
     build_gradient_flow,
-    build_mag_ode,
     evolution_time,
     integrate_flow,
 )
@@ -154,7 +153,7 @@ class TestIntegrateFlow:
         # `cli._run_method` takes a flow's answer from `FlowSystem.at(t_end)`
         a, b = _random_system(5, 6)
         spec = build_spectral(a, b)
-        build = {"gradient": build_gradient_flow, "mag-ode": build_mag_ode,
+        build = {"gradient": build_gradient_flow, "mag-ode": lambda sp: sp.ode,
                  "damped": lambda sp: build_damped(sp, 1.9 * float(sp.sigma[-1]))}[kind]
         flow = build(spec)
         times, states = integrate_flow(flow, 5.0, 1200)
@@ -195,7 +194,7 @@ class TestEvolutionTime:
 
 class TestAuxiliaryRatio:
     def _mag_flow(self, params):
-        return build_mag_ode(build_spectral(DIAG_A, DIAG_B, params))
+        return build_spectral(DIAG_A, DIAG_B, params).ode
 
     def test_constant_trajectory(self):
         ratio = auxiliary_ratio_trace(np.full(5, 2.0 + 0j), np.full(5, 3.0 + 0j))
@@ -292,7 +291,7 @@ class TestAgainstDenseExpm:
         assume(s[-1] > 1e-2 * s[0])
         params = params_from_sigma(s, safety)
         gen, drive = dense_flow("mag-ode", a, b, params=params)
-        flow = build_mag_ode(build_spectral(a, b, params))
+        flow = build_spectral(a, b, params).ode
         _assert_matches_dense(flow, gen, drive, t_end)
 
     def test_scalar_mag_ode_block(self):
@@ -301,7 +300,7 @@ class TestAgainstDenseExpm:
         a = 1j * np.eye(3)[[2, 0, 1]]
         b = np.array([1.0, -2.0j, 0.5])
         params = MagParams(1.0, 1.0)
-        flow = build_mag_ode(build_spectral(a, b, params))
+        flow = build_spectral(a, b, params).ode
         assert np.array_equal(flow.blocks, np.broadcast_to(-np.eye(2), (3, 2, 2)))
         gen, drive = dense_flow("mag-ode", a, b, params=params)
         _assert_matches_dense(flow, gen, drive, 2.0)

@@ -461,6 +461,41 @@ class TestCompare:
             assert e_mag <= e_damp
 
 
+class TestStrictJson:
+    """Reports are strict JSON: a non-finite value is written as null."""
+
+    @staticmethod
+    def _strict(path):
+        def reject(token):
+            raise ValueError(f"{path}: non-standard JSON token {token}")
+        return json.loads(path.read_text(), parse_constant=reject)
+
+    def test_kappa2_without_a_trace_is_null(self, tmp_path):
+        assert main(["solve", "--preset", "fig4a", "--method", "mag", "--out", str(tmp_path)]) == 0
+        assert self._strict(tmp_path / "solve.json")["kappa2_w_inf"] is None
+
+    def test_finite_kappa2_is_written_as_it_is(self, tmp_path):
+        # fig3a's mapped steady state [(1 - beta) u; c b] has no near-zero
+        # component: kappa2 is its max over min modulus
+        assert main(["solve", "--preset", "fig3a", "--method", "mag", "--out", str(tmp_path)]) == 0
+        kappa2 = self._strict(tmp_path / "solve.json")["kappa2_w_inf"]
+        problem, _ = pde_preset("fig3a")
+        a, b = problem.system.a, problem.system.b
+        p = mag.build_spectral(a, b).params
+        w_inf = np.abs(np.concatenate([(1.0 - p.beta) * np.linalg.solve(a, b),
+                                       math.sqrt(p.alpha * p.beta) * b]))
+        assert kappa2 == pytest.approx(np.max(w_inf) / np.min(w_inf), rel=1e-9)
+
+    def test_ratio_bands_of_a_zero_rhs_are_null(self, tmp_path):
+        write_matrix_coo(tmp_path / "a.coo", np.diag([2.0, 1.0]).astype(complex))
+        write_vector(tmp_path / "b0.vec", np.zeros(2, dtype=complex))
+        out = tmp_path / "out"
+        assert main(["compare", "--matrix", str(tmp_path / "a.coo"),
+                     "--rhs", str(tmp_path / "b0.vec"), "--out", str(out)]) == 0
+        payload = self._strict(out / "compare.json")
+        assert payload["mag_ratio_band"] == payload["damped_ratio_band"] == [None, None]
+
+
 class TestPde:
     def test_fig3a_mag(self, tmp_path):
         rc = main([

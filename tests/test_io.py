@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tempfile
@@ -237,6 +238,36 @@ class TestWriterBytes:
         ratios = data.draw(st.lists(_ANY | st.none(), min_size=solved.size,
                                     max_size=solved.size))
         self._same("write_trajectory_csv", times, solved, aux, ratios)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+
+
+class TestJson:
+    @given(_JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_strict_with_null_for_non_finite(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            io.write_json(path, payload)
+            with open(path) as fh:
+                text = fh.read()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        # what the standard encoder writes, with NaN and +-Infinity read as null
+        want = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        assert json.loads(text, parse_constant=reject) == want
+        try:
+            plain = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # a non-finite float somewhere
+            return
+        assert text == plain + "\n"
 
 
 def _edge_values() -> np.ndarray:

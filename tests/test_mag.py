@@ -13,6 +13,7 @@ from schromag.linalg import LinearSystem, direct_solve, singular_values
 from schromag.mag import (
     SPECTRAL_RADIUS_TOL,
     MagParams,
+    SpectralSystem,
     build_spectral,
     convergence_steps,
     i_minus_h_singular_values,
@@ -21,6 +22,7 @@ from schromag.mag import (
     relative_trace,
     relative_trace_from_steady,
     solution_error_factor,
+    solve_spectral,
     spectral_radius_check,
 )
 from schromag.presets import PDE_PRESET_NAMES, pde_preset
@@ -365,6 +367,23 @@ class TestRelativeTrace:
         assert values is None
         assert math.isinf(kappa2)
 
+    def test_maps_the_steady_state_alone_where_no_trace_exists(self, monkeypatch):
+        # fig6a's mapped steady state has a near-zero component, so no
+        # recorded state is mapped
+        problem, solver = pde_preset("fig6a")
+        spec = build_spectral(problem.system.a, problem.system.b)
+        trace, w_inf, _ = solve_spectral(spec, solver.delta, keep_states=True)
+        mapped = []
+        to_state = SpectralSystem.to_state
+
+        def spy(self, w):
+            mapped.append(np.shape(w))
+            return to_state(self, w)
+
+        monkeypatch.setattr(SpectralSystem, "to_state", spy)
+        assert relative_trace(trace, w_inf, spec) == (None, math.inf)
+        assert mapped == [(2 * spec.n,)]
+
 
 class TestAgainstOracle:
     @given(st.integers(2, 12))
@@ -452,6 +471,24 @@ class TestPairBasis:
         stepped = np.array([spec.to_state(spec.step(row)) for row in w])
         assert np.allclose(stepped, (dense.h @ spec.to_state(w).T).T + dense.f,
                            rtol=0.0, atol=1e-12)
+
+    @given(st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=8), st.floats(1e-4, 1e2),
+           st.floats(1.0, 1e4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_step_is_the_ode_plus_identity(self, sigma, mu_hat, ratio, seed):
+        # w -> H w + F is w + ((H - I) w + F): the one block of `ode` serves
+        # the iteration and the flows alike, under any bounds
+        rng = np.random.default_rng(seed)
+        n = len(sigma)
+        spec = SpectralSystem(sigma=np.sort(sigma)[::-1], u=np.eye(n), vh=np.eye(n),
+                              b_t=rng.normal(size=n) + 1j * rng.normal(size=n),
+                              params=MagParams(mu_hat * ratio, mu_hat))
+        w = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        m, g = spec.ode.blocks, spec.ode.drive
+        pairs = np.stack([w[:n], w[n:]], axis=-1)
+        expected = (pairs + np.einsum("jkl,jl->jk", m, pairs) + g).T.reshape(-1)
+        scale = np.max(np.abs(w)) * (1.0 + np.max(np.abs(m))) + np.max(np.abs(g))
+        assert np.max(np.abs(spec.step(w) - expected)) <= 4 * np.finfo(float).eps * scale
 
     def test_singular_steady_state_raises_under_optimize(self):
         # the I - H condition check is a real error, so it survives python -O

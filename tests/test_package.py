@@ -11,21 +11,21 @@ SUBMODULES = ["baselines", "blockenc", "complexity", "errors", "linalg", "mag", 
               "presets", "schrod"]
 PUBLIC = sorted([
     *SUBMODULES,
-    "FlowSystem", "auxiliary_ratio_trace", "build_damped", "build_gradient_flow",
-    "build_mag_ode", "evolution_time", "integrate_flow",
+    "auxiliary_ratio_trace", "build_damped", "build_gradient_flow", "evolution_time",
+    "integrate_flow",
     "BlockEncoding", "StatePrepPair", "build_state_prep_pair", "compose_product",
     "compose_sum", "compose_tensor", "dilate", "verify",
     "ComplexityReport", "SystemSummary", "chi", "gates", "method_complexity", "queries",
     "repetitions",
     "LinearSystem", "as_cmatrix", "as_cvector", "block_expm_apply", "direct_solve",
-    "IterationTrace", "MagParams", "convergence_steps", "lambda_pm", "mag_iterate",
+    "FlowSystem", "IterationTrace", "MagParams", "convergence_steps", "lambda_pm", "mag_iterate",
     "relative_trace", "spectral_radius_check",
     "PdeProblem", "make_problem", "pde_preset", "PGrid", "pipeline",
 ])
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 47
     assert schromag.__all__ == PUBLIC
 
 
