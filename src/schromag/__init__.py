@@ -27,8 +27,8 @@ _SUBMODULE_EXPORTS = {
                    "queries", "repetitions"),
     "errors": (),
     "linalg": ("LinearSystem", "as_cmatrix", "as_cvector", "block_expm_apply", "direct_solve"),
-    "mag": ("FlowSystem", "IterationTrace", "MagParams", "convergence_steps", "lambda_pm",
-            "mag_iterate", "relative_trace", "spectral_radius_check"),
+    "mag": ("FlowSystem", "IterationTrace", "MagParams", "convergence_steps", "mag_iterate",
+            "relative_trace", "spectral_radius_check"),
     "pde": ("PdeProblem", "make_problem"),
     "presets": ("pde_preset",),
     "schrod": ("PGrid", "pipeline"),

@@ -13,10 +13,11 @@ one block and drive per singular value s (c = sqrt(alpha*beta)):
       [[-alpha s^2, -c s], [c s, beta - 1]], drive [alpha s b~; 0]
 
 Every flow reads sigma and b~ from the run's one `mag.SpectralSystem`
-(`mag.build_spectral`) and keeps it: a flow lives in that basis, one
-k-vector [x_j, y_j] per singular value.  Every flow starts at w = 0, and
-`FlowSystem.at(t)` is its closed form w_inf - exp(M t) w_inf
-(`linalg.block_expm_apply`), w_inf = -M^{-1} g from the 2x2 adjugate, so
+(`mag.build_spectral`) and keeps it: a flow lives in that basis, and its
+state is (n, k), one k-vector [x_j, y_j] per singular value.  Every flow
+starts at w = 0, and `FlowSystem.at(t)` is its closed form
+w_inf - exp(M t) w_inf (`linalg.block_expm_apply`), w_inf = -M^{-1} g
+from the 2x2 adjugate behind the FlowSystem's singularity guard, so
 method comparisons carry no time-stepping error.  A solve's answer is the
 x of `at(t_end)`; `integrate_flow` maps samples to [V x; U y] (V x alone
 for the gradient flow) through `SpectralSystem.to_state`.
@@ -70,7 +71,7 @@ def integrate_flow(sys: FlowSystem, t_end: float, samples: int) -> tuple:
     if samples < 2:
         raise ValueError("need at least 2 samples")
     times = np.linspace(0.0, t_end, samples)
-    return times, sys.spec.to_state(sys.at(times).swapaxes(1, 2).reshape(samples, -1))
+    return times, sys.spec.to_state(sys.at(times))
 
 
 def evolution_time(kind: str, sigma_min: float, delta: float) -> float:

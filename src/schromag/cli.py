@@ -152,7 +152,7 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
     on the run's `spec`, once its bounds pass the radius guard; u = V x.
     mag with keep_states gives (residuals, relative residuals or None),
     schro gives `schrod.pipeline`'s snapshot, the rest None."""
-    mag.spectral_radius_check(spec.params, spec.sigma)
+    mag.spectral_radius_check(spec)
     if method == "mag":
         trace, w_inf, x = mag.solve_spectral(spec, delta, keep_states)
         if not keep_states:

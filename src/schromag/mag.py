@@ -14,13 +14,13 @@ same path; the two coincide for real data.
 With A = U Sigma V^H, the basis diag(V, U) splits H, and I - H with it,
 into one 2x2 block [[1 - alpha s^2, -c s], [c s, beta]] per singular
 value s (c = sqrt(alpha*beta)), and F into [alpha s b~; 0] with b~ = U^H b.
-A run factors A once (`build_spectral`, bounds from A's own spectrum
-unless given) and iterates in that basis (`SpectralSystem`, whose `ode`,
-the map's ODE dw/dt = (H - I) w + F as one block [[-alpha s^2, -c s],
-[c s, beta - 1]] and drive per s, every realization reads): elementwise
-steps, the closed-form steady state [(1-beta) b~/s; c b~], and closed-form
-spectra for the radius guard and the I - H checks.  No 2n x 2n matrix is
-built; the dense H lives in the tests' reference module (`tests/reference.py`).
+A run factors A once (`build_spectral`: it refuses a singular A, and takes
+the bounds from A's own spectrum unless given) into a `SpectralSystem`,
+whose `ode`, the map's ODE dw/dt = (H - I) w + F as one `FlowSystem` with
+block [[-alpha s^2, -c s], [c s, beta - 1]] and drive per s, every
+realization reads: the iteration steps it on (n, 2) states, and its closed
+forms per block give the steady state and the spectra of the radius guard
+and the I - H check.  No 2n x 2n matrix is built (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -81,14 +81,54 @@ class MagParams:
 @dataclass(frozen=True)
 class FlowSystem:
     """dw/dt = M w + g as one k x k block of M and k-vector of g per
-    singular value of the run's `spec`, in whose basis the states live."""
+    singular value of the run's `spec`; a state is (n, k), in that basis."""
 
     blocks: np.ndarray  # (n, k, k)
     drive: np.ndarray  # (n, k)
     spec: SpectralSystem
 
+    @cached_property
+    def _step_entries(self) -> tuple:
+        # (1 + m_ii, m_ij) for row i of each block and j != i (zero at k = 1), as
+        # (n, k) arrays; 1 + m_00 of the momentum ODE is 1 - alpha s^2 bit for bit
+        m = self.blocks
+        cross = m[:, [0, 1], [1, 0]] if m.shape[1] == 2 else np.zeros(m.shape[:2])
+        return 1.0 + m.diagonal(axis1=1, axis2=2), cross
+
+    def step(self, w: np.ndarray) -> np.ndarray:
+        """The unit Euler step w + M w + g of an (n, k) state, entry by entry:
+        row i is (1 + m_ii) w_i + m_ij w_j + g_i."""
+        unit, cross = self._step_entries
+        out = unit * w
+        out += cross * w[:, ::-1]
+        out += self.drive
+        return out
+
+    def eigenvalues(self) -> np.ndarray:
+        """Each block's eigenvalues tau +- sqrt(tau^2 - det), (n, k) complex."""
+        m = self.blocks
+        if m.shape[1] == 1:
+            return m[:, 0].astype(np.complex128)
+        tau = (m[:, 0, 0] + m[:, 1, 1]) / 2.0
+        disc = ((m[:, 0, 0] - m[:, 1, 1]) / 2.0) ** 2 + m[:, 0, 1] * m[:, 1, 0]
+        root = np.sqrt(disc.astype(np.complex128))
+        return np.stack([tau + root, tau - root], axis=-1)
+
+    def singular_values(self) -> np.ndarray:
+        """The singular values of each block, (n, k), unordered.  A real 2x2
+        block [[a, b], [c, d]] has (hypot(a+d, c-b) +- hypot(a-d, b+c))/2;
+        the smaller is taken as |det| / larger, which avoids the cancellation."""
+        m = self.blocks
+        if m.shape[1] == 1:
+            return np.abs(m[:, 0])
+        a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+        large = (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2.0
+        return np.stack([large, np.abs(a * d - b * c) / large], axis=-1)
+
     def steady_pairs(self) -> np.ndarray:
-        """-M^{-1} g per block, (n, k)."""
+        """-M^{-1} g per block, (n, k); SingularMatrixError where M is
+        singular to working tolerance (`singular_values`)."""
+        condition_check(self.singular_values())
         m, g = self.blocks, self.drive
         if g.shape[1] == 1:
             return -g / m[:, 0]
@@ -104,8 +144,8 @@ class FlowSystem:
 
 @dataclass(frozen=True)
 class SpectralSystem:
-    """The one-step map on w = [w1; w2], one entry per block and singular
-    value; w is the state [V w1; U w2] of the dense map w -> H w + F."""
+    """The one-step map in the basis of A's SVD; its (n, 2) states [x_j, y_j]
+    stand for the states [V x; U y] of the dense map w -> H w + F."""
 
     sigma: np.ndarray  # descending
     u: np.ndarray
@@ -128,32 +168,14 @@ class SpectralSystem:
         return FlowSystem(blocks=np.stack(entries, axis=-1).reshape(-1, 2, 2),
                           drive=np.stack([f, np.zeros_like(f)], axis=-1), spec=self)
 
-    @cached_property
-    def _diag(self) -> np.ndarray:  # 1 - alpha s^2 bit for bit: 1 + (-x) rounds as 1 - x
-        return 1.0 + self.ode.blocks[:, 0, 0]
-
-    def step(self, w: np.ndarray) -> np.ndarray:
-        """w + (H - I) w + F = H w + F, from `ode`."""
-        cs, f = self.ode.blocks[:, 1, 0], self.ode.drive[:, 0]
-        w1, w2 = w[: self.n], w[self.n :]
-        return np.concatenate([self._diag * w1 - cs * w2 + f, cs * w1 + self.params.beta * w2])
-
-    def steady_state(self) -> np.ndarray:
-        """[(1-beta) b~/sigma; c b~]; SingularMatrixError where I - H is
-        singular to working tolerance (`i_minus_h_singular_values`)."""
-        p = self.params
-        condition_check(i_minus_h_singular_values(p, self.sigma))
-        return np.concatenate([(1.0 - p.beta) * self.b_t / self.sigma,
-                               math.sqrt(p.alpha * p.beta) * self.b_t])
-
     def to_state(self, w) -> np.ndarray:
-        """[V w1; U w2] of one state, or of each row of a stack of them; an
-        n-wide w is w1 alone (the gradient flow's) and maps to V w1."""
+        """[V x; U y] of an (n, 2) state [x_j, y_j], or of each state of an
+        (..., n, 2) stack; an (n, 1) state, the gradient flow's, maps to V x."""
         w, n = np.asarray(w), self.n
-        out = np.empty(w.shape, dtype=np.complex128)
-        np.matmul(w[..., :n], self.vh.conj(), out=out[..., :n])
-        if w.shape[-1] > n:
-            np.matmul(w[..., n:], self.u.T, out=out[..., n:])
+        out = np.empty(w.shape[:-2] + (w.shape[-1] * n,), dtype=np.complex128)
+        np.matmul(np.ascontiguousarray(w[..., 0]), self.vh.conj(), out=out[..., :n])
+        if w.shape[-1] > 1:
+            np.matmul(np.ascontiguousarray(w[..., 1]), self.u.T, out=out[..., n:])
         return out
 
     def solution(self, x) -> np.ndarray:
@@ -164,31 +186,16 @@ class SpectralSystem:
 def build_spectral(a, b, params: MagParams | None = None) -> SpectralSystem:
     """The map in the basis of A's full SVD, for the bounds `params`, by
     default A's own (sigma_max^2, sigma_min^2).  The one place that
-    factors A and turns (A, b) into singular values, vectors and U^H b."""
+    factors A and turns (A, b) into singular values, vectors and U^H b;
+    SingularMatrixError where A is singular to working tolerance."""
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
     u, s, vh = full_svd(a)
+    condition_check(s)
     if params is None:
         params = MagParams(s[0] ** 2, s[-1] ** 2)
     return SpectralSystem(sigma=s, u=u, vh=vh, b_t=u.conj().T @ b, params=params)
-
-
-def i_minus_h_singular_values(p: MagParams, sigma) -> np.ndarray:
-    """Singular values of I - H from the singular values sigma of A.
-
-    I - H splits into the blocks [[a s^2, c s], [-c s, 1-beta]] with
-    a = alpha, c = sqrt(alpha*beta), s = sigma_j.  A real 2x2 block
-    [[x, q], [-q, y]] has singular values (hypot(x+y, 2q) +- |x-y|)/2;
-    the smaller is taken as det / larger = (xy + q^2) / larger, which
-    avoids the cancellation.  Returns the 2n values, unordered.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    x = p.alpha * sigma**2
-    q = math.sqrt(p.alpha * p.beta) * sigma
-    y = 1.0 - p.beta
-    large = (np.hypot(x + y, 2.0 * q) + np.abs(x - y)) / 2.0
-    return np.concatenate([large, (x * y + q * q) / large])
 
 
 @dataclass
@@ -200,7 +207,7 @@ class IterationTrace:
 
 
 def mag_iterate(
-    sys: SpectralSystem,
+    sys,
     w0,
     delta: float,
     max_steps: int,
@@ -208,16 +215,19 @@ def mag_iterate(
     w_inf: np.ndarray,
     keep_states: bool = True,
 ) -> IterationTrace:
-    """Run w <- H w + F until the error contracts below delta.
+    """Run w <- sys.step(w), the map w -> H w + F, until the error contracts
+    below delta.
 
+    `sys` is the momentum ODE `SpectralSystem.ode`, whose states are
+    (n, 2), or any system with a `step` on states shaped like w_inf.
     Termination measures ||w_n - w_inf|| / ||w_0 - w_inf|| against the
     steady state w_inf (a unitary change of basis leaves it unchanged).
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    w = as_cvector(w0).copy()
-    if w.shape[0] != 2 * sys.n:
-        raise ValueError(f"w0 must have dimension {2 * sys.n}")
+    w = np.array(w0, dtype=np.complex128)
+    if w.shape != np.shape(w_inf) or not np.all(np.isfinite(w)):
+        raise ValueError(f"w0 must be finite and shaped like the steady state {np.shape(w_inf)}")
 
     denom = np.linalg.norm(w - w_inf)
     if denom == 0.0:
@@ -263,7 +273,7 @@ def step_budget(spec: SpectralSystem, delta: float) -> tuple:
     InputError where max_steps states of 2n entries exceed
     MAX_ITERATION_ENTRIES, a kappa_hat that no realization of the map is
     run for: `solve_spectral` and `schrod.pipeline` both check it."""
-    w_inf = spec.steady_state()
+    w_inf = spec.ode.steady_pairs()
     delta_run = delta / solution_error_factor(spec.to_state(w_inf))
     max_steps = 4 * convergence_steps(spec.params.kappa_hat, delta_run)
     if max_steps * 2 * spec.n > MAX_ITERATION_ENTRIES:
@@ -273,38 +283,25 @@ def step_budget(spec: SpectralSystem, delta: float) -> tuple:
 
 
 def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False) -> tuple:
-    """Iterate from w = 0 until the max-norm relative u error is below
-    delta (`step_budget`); returns (trace, w_inf, x = w1/(1 - beta)), u = V x."""
+    """Step `spec.ode` from w = 0 until the max-norm relative u error is
+    below delta (`step_budget`); returns (trace, w_inf, x/(1 - beta)) for
+    the final state [x_j, y_j], u = V x/(1 - beta)."""
     w_inf, delta_run, max_steps = step_budget(spec, delta)
-    trace = mag_iterate(spec, np.zeros(2 * spec.n), delta_run, max_steps,
+    trace = mag_iterate(spec.ode, np.zeros((spec.n, 2)), delta_run, max_steps,
                         w_inf=w_inf, keep_states=keep_states)
-    return trace, w_inf, trace.w_final[: spec.n] / (1.0 - spec.params.beta)
+    return trace, w_inf, trace.w_final[:, 0] / (1.0 - spec.params.beta)
 
 
-def lambda_pm(sigma, p: MagParams) -> tuple:
-    """Both one-step eigenvalues attached to a singular value sigma.
-
-    They are the eigenvalues of the block [[1 - alpha s^2, -c s], [c s,
-    beta]] of H (trace 1 + beta - alpha s^2, determinant beta).  An array
-    of singular values gives two arrays, elementwise.
-    """
-    if np.any(np.asarray(sigma) < 0):
-        raise ValueError("sigma must be nonnegative")
-    trace = 1.0 + p.beta - p.alpha * sigma**2
-    root = np.sqrt(np.asarray(trace * trace - 4.0 * p.beta, dtype=np.complex128))
-    return (trace + root) / 2.0, (trace - root) / 2.0
-
-
-def spectral_radius_check(p: MagParams, sigma) -> float:
-    """rho(H) = max_j |lambda_pm(sigma_j)|, given the singular values of A.
+def spectral_radius_check(spec: SpectralSystem) -> float:
+    """rho(H) = max |1 + lambda| over the eigenvalues lambda of the blocks
+    of H - I, `spec.ode`.
 
     The radius is sqrt(beta) exactly when every sigma_j^2 lies in
     [mu_hat, l_hat], and larger otherwise.  Raises SpectrumBoundsError
     unless it equals sqrt(beta) within SPECTRAL_RADIUS_TOL (1e-6).
     """
-    lam_plus, lam_minus = lambda_pm(np.asarray(sigma, dtype=float), p)
-    rho = float(np.max(np.maximum(np.abs(lam_plus), np.abs(lam_minus))))
-    expected = math.sqrt(p.beta)
+    rho = float(np.max(np.abs(1.0 + spec.ode.eigenvalues())))
+    expected = math.sqrt(spec.params.beta)
     if abs(rho - expected) > SPECTRAL_RADIUS_TOL:
         raise SpectrumBoundsError(
             f"spectral radius {rho:.12f} != sqrt(beta) {expected:.12f}; "

@@ -31,8 +31,9 @@ and sin 2x = 2 tan x/(1 + tan^2 x), so a column costs four tangents (the
 complex-exponential form, the tests' oracle, makes at least six calls of
 sin, cos and exp(i x), each dearer than a tangent).  So the whole
 emulation is a singular-value transfer function: pair j's state block
-reads out as its coefficients readout_j = forcing_j * r(sigma_j), which
-the caller maps to u = V x, with r(sigma) a 2-vector fixed by the
+reads out as its coefficients [x_j, y_j] = forcing_j * r(sigma_j), an
+(n, 2) state of `SpectralSystem.ode` whose x the caller maps to u = V x,
+with r(sigma) a 2-vector fixed by the
 parameters, the grid and t, evaluated once per group of equal singular
 values (`sigma_groups`) above the rounding floor (`PairSystem.evolved`);
 only the snapshot maps groups to [V x; U y].  The dense per-mode evolution of
@@ -202,13 +203,13 @@ def readout_weights(grid: PGrid, p_diamond: float, advect: float) -> tuple[np.nd
     # the top slice of the domain has been overwritten by wrapped
     # left-tail data after an advection distance ~ ||h1|| * t; keep
     # the quadrature inside the trustworthy zone (at least a quarter
-    # of the available range) and normalize for its actual width
+    # of the available range) and normalize for its actual width: end on
+    # the last point strictly below the cap or the quarter mark k* + (n_p -
+    # 1 - k*)/4, in integers, as that mark is a grid point when 4 | n_p - 1 - k*
     k_end = grid.n_p - 1
     if advect > 0.0:
-        cap = grid.points[-1] - advect
-        floor = grid.points[k_star] + 0.25 * (grid.points[-1] - grid.points[k_star])
-        k_end = int(np.searchsorted(grid.points, max(cap, floor))) - 1
-        k_end = max(k_end, k_star + 1)
+        k_cap = int(np.searchsorted(grid.points, grid.points[-1] - advect)) - 1
+        k_end = max(k_cap, k_star + (grid.n_p - 2 - k_star) // 4, k_star + 1)
     window = slice(k_star, k_end + 1)
     w[window] = 1.0
     w[k_star] = w[k_end] = 0.5
@@ -247,7 +248,7 @@ class PairSystem:
     sigma: np.ndarray
     spec: mag_mod.SpectralSystem  # the momentum map, whose basis the slots are in
     w0_pair: np.ndarray  # (npairs, 4): [0, 0, f_j/gamma_f, 0]
-    steady_pair: np.ndarray  # (npairs, 4) kernel component per pair
+    steady_pair: np.ndarray  # (npairs, 4): spec.ode.steady_pairs(), f_j/gamma_f, 0
     gamma_f: float
     live: np.ndarray  # indices of the pairs with nonzero forcing
     reps: np.ndarray  # one live pair per group of equal sigma (`sigma_groups`)
@@ -325,17 +326,14 @@ def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSyste
     SingularMatrixError where its steady state does not exist, InputError
     unless gamma_f is finite and positive."""
     _check_forcing_scale(gamma_f)
-    s, n = spec.sigma, spec.n
-    w_inf = spec.steady_state()
-    forcing = spec.ode.drive[:, 0] / gamma_f
-    zero = np.zeros_like(forcing)
-    # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f]
-    steady_pair = np.stack([w_inf[:n], w_inf[n:], forcing, zero], axis=1)
-    live = np.flatnonzero(forcing)
-    reps, group = sigma_groups(s, live)
+    forcing = spec.ode.drive / gamma_f  # [f_j/gamma_f, 0]
+    live = np.flatnonzero(forcing[:, 0])
+    reps, group = sigma_groups(spec.sigma, live)
     return PairSystem(
-        sigma=s, spec=spec, w0_pair=np.stack([zero, zero, forcing, zero], axis=1),
-        steady_pair=steady_pair, gamma_f=gamma_f, live=live, reps=reps, group=group,
+        sigma=spec.sigma, spec=spec, w0_pair=np.hstack([np.zeros_like(forcing), forcing]),
+        # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f]
+        steady_pair=np.hstack([spec.ode.steady_pairs(), forcing]), gamma_f=gamma_f,
+        live=live, reps=reps, group=group,
     )
 
 
@@ -355,8 +353,8 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     (`pair_coupling`) is folded into those per-mode factors once, so the
     chunks stay in the real planes of `_apply_pair_modes` and the readout,
     which keeps only its real part, is two real mat-vecs per slot.
-    Returns the coefficients [w1; w2] of the state block [V w1; U w2] of
-    sum_k weights[k] field(t, p_k) and, for stride > 0, the (m, 4n) rows
+    Returns the (n, 2) coefficients [x_j, y_j] of the state block [V x; U y]
+    of sum_k weights[k] field(t, p_k) and, for stride > 0, the (m, 4n) rows
     field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None), mapped back
     through sum_{j in g} forcing_j [V e_j; U e_j] per group g.
     """
@@ -395,7 +393,8 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     rows = None
     if m:
         # (groups, 2, n): sum_{j in g} forcing_j V e_j and sum_{j in g} forcing_j U e_j
-        basis = pairs.spec.to_state(np.tile(forcing[pairs.evolved], 2)).reshape(-1, 2, n)
+        both = np.repeat(forcing[pairs.evolved, :, None], 2, axis=-1)  # [f_j, f_j] per pair
+        basis = pairs.spec.to_state(both).reshape(-1, 2, n)
         # the Nyquist mode's phase at p_{j*stride} is (-1)^(j*stride)
         sign = (-1.0) ** (stride * np.arange(m))[:, None]
         rows_group = (np.fft.ifft(folded, axis=1).real * (m / n_p)
@@ -404,7 +403,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
         for k in range(4):  # slots (0, 1) and (2, 3) are each a state [V x; U y]
             np.matmul(rows_group[k], basis[:, k % 2], out=rows[:, k])
         rows = rows.reshape(m, 4 * n)
-    return coefficients.reshape(-1), rows
+    return coefficients.T, rows
 
 
 def _half_angle_cos_sin(x) -> tuple[np.ndarray, np.ndarray]:
@@ -591,4 +590,4 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
         evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),
     )
     snapshot = (grid.points[::stride], rows) if stride else None
-    return w_rec[: spec.n] / (1.0 - params.beta), report, snapshot
+    return w_rec[:, 0] / (1.0 - params.beta), report, snapshot

@@ -29,7 +29,7 @@ from schromag.blockenc import StatePrepPair
 from schromag.errors import EncodingError, InputError
 from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve,
                              require_square, singular_values)
-from schromag.mag import MagParams, SpectralSystem, i_minus_h_singular_values
+from schromag.mag import MagParams, SpectralSystem
 from schromag.pde import ZERO, PdeProblem
 from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PairSystem,
                              PGrid, _check_forcing_scale, build_grid_from_rate, envelope,
@@ -113,13 +113,13 @@ def build_transformed(a, b, params: MagParams) -> TransformedSystem:
 
 def steady_state(sys: TransformedSystem) -> np.ndarray:
     """Fixed point (I - H)^{-1} F by one LU solve of the 2n x 2n system, the
-    dense reference of `SpectralSystem.steady_state`.  First block equals
-    (1-beta) times the least-squares solution; for invertible square A
-    the second block equals sqrt(alpha*beta) b.
+    dense reference of `SpectralSystem.ode.steady_pairs`, checked for
+    singularity by the dense SVD of I - H.  First block equals (1-beta)
+    times the least-squares solution; for invertible square A the second
+    block equals sqrt(alpha*beta) b.
     """
     m = np.eye(2 * sys.n) - sys.h
-    sigma = i_minus_h_singular_values(sys.params, singular_values(sys.a))
-    return direct_solve(LinearSystem(m, sys.f), sigma)
+    return direct_solve(LinearSystem(m, sys.f), singular_values(m))
 
 
 def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +130,7 @@ def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
 def flow_steady_state(flow) -> np.ndarray:
     """The steady state -M^{-1} g of a `mag.FlowSystem` as a state
     vector [V x; U y] (V x alone for the gradient flow)."""
-    return flow.spec.to_state(flow.steady_pairs().T.reshape(-1))
+    return flow.spec.to_state(flow.steady_pairs())
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ class TestIntegrateFlow:
         flow = build(spec)
         times, states = integrate_flow(flow, 5.0, 1200)
         assert times[0] == 0.0 and np.array_equal(states[0], np.zeros(states.shape[1]))
-        end = spec.to_state(flow.at(5.0).T.reshape(-1))
+        end = spec.to_state(flow.at(5.0))
         assert np.linalg.norm(end - states[-1]) <= 1e-13 * np.linalg.norm(states[-1])
 
     def test_preconditions(self):

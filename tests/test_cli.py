@@ -874,6 +874,30 @@ class TestExitCodeOne:
         assert err.count("\n") == 1
         assert not (out / "solution.vec").exists() and not (out / "solution.csv").exists()
 
+    # a singular A stops at the run's one SVD, before bounds are derived from
+    # its spectrum or a method reads them
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "mag"],
+        ["solve", "--method", "schro"],
+        ["solve", "--method", "damped"],
+        ["solve", "--method", "gradient"],
+        ["solve", "--method", "mag", "--lhat", "4", "--muhat", "1"],
+        ["solve", "--method", "schro", "--lhat", "4", "--muhat", "1"],
+        ["compare", "--lhat", "4", "--muhat", "1", "--gamma", "0.5"],
+    ], ids=["mag", "schro", "damped", "gradient", "mag-bounds", "schro-bounds", "compare"])
+    def test_singular_matrix(self, tmp_path, capsys, argv):
+        write_matrix_coo(tmp_path / "a.coo", np.diag([1.0, 0.0]).astype(complex))
+        write_vector(tmp_path / "b.vec", np.ones(2, dtype=complex))
+        out = tmp_path / "out"
+        rc = main([*argv, "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical contract violated: matrix is singular to working tolerance")
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
+
 
 def test_package_holds_no_assert():
     # invariants are checked with real errors, so they hold under `python -O`

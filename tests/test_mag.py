@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schromag.baselines import build_damped, build_gradient_flow
 from schromag.errors import ConvergenceError, SingularMatrixError, SpectrumBoundsError
 from schromag.linalg import LinearSystem, direct_solve, singular_values
 from schromag.mag import (
@@ -16,8 +17,6 @@ from schromag.mag import (
     SpectralSystem,
     build_spectral,
     convergence_steps,
-    i_minus_h_singular_values,
-    lambda_pm,
     mag_iterate,
     relative_trace,
     relative_trace_from_steady,
@@ -154,51 +153,51 @@ class TestSteadyState:
         assert np.linalg.norm(w[:5] / (1 - p.beta) - u) <= 1e-9 * np.linalg.norm(u)
 
 
+def lambda_pm(sigma, p: MagParams) -> np.ndarray:
+    """The eigenvalues lambda_+- of H's block at each singular value sigma,
+    (len(sigma), 2): 1 + the eigenvalues of the momentum ODE's block."""
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    eye = np.eye(sigma.size)
+    spec = SpectralSystem(sigma=sigma, u=eye, vh=eye, b_t=np.ones(sigma.size), params=p)
+    return 1.0 + spec.ode.eigenvalues()
+
+
 class TestLambdaPm:
     def test_unit_sigma_degenerate(self):
         p = MagParams(1.0, 1.0)
-        assert lambda_pm(1.0, p) == (0.0, 0.0)
+        assert np.array_equal(lambda_pm(1.0, p), [[0.0, 0.0]])
 
     def test_spectrum_edge_modulus(self):
         # at the spectrum edges the discriminant vanishes; rounding noise
         # under the square root costs ~sqrt(eps) in the modulus
         p = MagParams(4.0, 1.0)
-        for sigma2 in (1.0, 4.0):
-            lp, lm = lambda_pm(math.sqrt(sigma2), p)
-            assert abs(lp) == pytest.approx(math.sqrt(p.beta), abs=2e-8)
-            assert abs(lm) == pytest.approx(math.sqrt(p.beta), abs=2e-8)
+        moduli = np.abs(lambda_pm(np.sqrt([1.0, 4.0]), p))
+        assert np.allclose(moduli, math.sqrt(p.beta), rtol=0.0, atol=2e-8)
 
     @given(st.floats(0.01, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_interior_sigma_on_circle(self, frac):
         p = MagParams(25.0, 0.25)
         sigma2 = 0.25 + frac * (25.0 - 0.25)
-        lp, lm = lambda_pm(math.sqrt(sigma2), p)
-        assert abs(lp) == pytest.approx(math.sqrt(p.beta), abs=1e-10)
-        assert abs(lm) == pytest.approx(math.sqrt(p.beta), abs=1e-10)
+        moduli = np.abs(lambda_pm(math.sqrt(sigma2), p))
+        assert np.allclose(moduli, math.sqrt(p.beta), rtol=0.0, atol=1e-10)
 
 
 class TestSpectralRadius:
     def test_identity_zero(self):
-        p = MagParams(1.0, 1.0)
-        sys = build_transformed(np.eye(2), [1.0, 1.0], p)
-        rho = spectral_radius_check(p, singular_values(sys.a))
-        assert rho == pytest.approx(0.0, abs=1e-12)
+        spec = build_spectral(np.eye(2), [1.0, 1.0], MagParams(1.0, 1.0))
+        assert spectral_radius_check(spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_diag_value(self):
-        # exact bounds make the eigenvalues defective, so the eigensolver
+        # exact bounds make the eigenvalues defective, so the closed form
         # is sqrt(eps)-accurate here rather than eps-accurate
-        p = MagParams(100.0, 0.01)
-        sys = build_transformed(DIAG_A, DIAG_B, p)
-        rho = spectral_radius_check(p, singular_values(sys.a))
-        assert rho == pytest.approx(99.0 / 101.0, abs=1e-7)
+        spec = build_spectral(DIAG_A, DIAG_B, MagParams(100.0, 0.01))
+        assert spectral_radius_check(spec) == pytest.approx(99.0 / 101.0, abs=1e-7)
 
     def test_violated_bounds_raise(self):
         # mu_hat above the true sigma_min^2 pushes the radius off sqrt(beta)
-        p = MagParams(100.0, 1.0)
-        sys = build_transformed(DIAG_A, DIAG_B, p)
         with pytest.raises(SpectrumBoundsError):
-            spectral_radius_check(p, singular_values(sys.a))
+            spectral_radius_check(build_spectral(DIAG_A, DIAG_B, MagParams(100.0, 1.0)))
 
 
 class TestClosedFormAgainstDense:
@@ -228,11 +227,9 @@ class TestClosedFormAgainstDense:
 
         rho_dense = float(np.max(np.abs(np.linalg.eig(sys.h)[0])))
         dense_accepts = abs(rho_dense - math.sqrt(p.beta)) <= SPECTRAL_RADIUS_TOL
-        sigma = singular_values(a)
-        lam_plus, lam_minus = lambda_pm(sigma, p)
-        rho_closed = float(np.max(np.abs(np.concatenate([lam_plus, lam_minus]))))
+        rho_closed = float(np.max(np.abs(lambda_pm(singular_values(a), p))))
         try:
-            spectral_radius_check(p, sigma)
+            spectral_radius_check(build_spectral(a, np.ones(n), p))
             closed_accepts = True
         except SpectrumBoundsError:
             closed_accepts = False
@@ -249,9 +246,68 @@ class TestClosedFormAgainstDense:
         sys = build_transformed(unitary_sandwich(rng, sig), np.ones(n),
                                 MagParams(mu_hat * ratio, mu_hat))
         dense = np.linalg.svd(np.eye(2 * n) - sys.h, compute_uv=False)
-        closed = np.sort(i_minus_h_singular_values(sys.params, singular_values(sys.a)))
+        # H - I has the singular values of I - H
+        closed = np.sort(build_spectral(sys.a, sys.b, sys.params).ode.singular_values(), None)
         assert closed.shape == (2 * n,)
         assert np.allclose(closed, np.sort(dense), rtol=1e-10, atol=1e-12 * dense[0])
+
+
+def random_flow(kind, sigma, mu_hat, ratio, frac, seed):
+    """The momentum ODE under bounds (mu_hat ratio, mu_hat), bracketing or
+    not, the damped flow at gamma = frac 2 sigma_min, or the gradient flow,
+    on singular values sigma and a random b~, with a random state of it;
+    identity singular vectors, as the flows read sigma and b~ alone."""
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    spec = SpectralSystem(sigma=np.sort(sigma)[::-1], u=np.eye(n), vh=np.eye(n),
+                          b_t=rng.normal(size=n) + 1j * rng.normal(size=n),
+                          params=MagParams(mu_hat * ratio, mu_hat))
+    flow = {"mag-ode": lambda: spec.ode, "gradient": lambda: build_gradient_flow(spec),
+            "damped": lambda: build_damped(spec, 2.0 * float(spec.sigma[-1]) * frac)}[kind]()
+    shape = flow.drive.shape
+    return flow, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# (flow, state) of `random_flow`
+FLOWS = st.builds(random_flow, st.sampled_from(["mag-ode", "damped", "gradient"]),
+                  st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=8), st.floats(1e-4, 1e2),
+                  st.floats(1.0, 1e4), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+
+
+class TestFlowSystem:
+    """A FlowSystem's closed forms against its blocks, block by block, for
+    the momentum ODE and both comparison flows."""
+
+    @given(FLOWS)
+    @settings(max_examples=60, deadline=None)
+    def test_step_is_the_flow_plus_identity(self, drawn):
+        # the unit Euler step w + M w + g: for the momentum ODE it is the
+        # iteration's w -> H w + F, under any bounds
+        flow, w = drawn
+        m, g = flow.blocks, flow.drive
+        expected = w + np.einsum("jkl,jl->jk", m, w) + g
+        scale = np.max(np.abs(w)) * (1.0 + np.max(np.abs(m))) + np.max(np.abs(g))
+        assert np.max(np.abs(flow.step(w) - expected)) <= 4 * np.finfo(float).eps * scale
+
+    @given(FLOWS)
+    @settings(max_examples=60, deadline=None)
+    def test_eigenvalues_match_dense_eig(self, drawn):
+        # where a block is defective both sides are only sqrt(eps)-accurate
+        flow, _ = drawn
+        closed, dense = flow.eigenvalues(), np.linalg.eigvals(flow.blocks)
+        assert closed.shape == dense.shape
+        scale = np.max(np.abs(flow.blocks), axis=(1, 2))[:, None]
+        assert np.all(np.abs(np.sort_complex(closed) - np.sort_complex(dense)) <= 1e-7 * scale)
+
+    @given(FLOWS)
+    @settings(max_examples=60, deadline=None)
+    def test_singular_values_match_dense_svd(self, drawn):
+        # the guard of `steady_pairs`; the dense small value is accurate
+        # only to eps times the large one
+        flow, _ = drawn
+        dense = np.linalg.svd(flow.blocks, compute_uv=False)
+        closed = -np.sort(-flow.singular_values(), axis=1)
+        assert np.all(np.abs(closed - dense) <= 1e-10 * dense + 1e-15 * dense[:, :1])
 
 
 class TestIteration:
@@ -382,7 +438,7 @@ class TestRelativeTrace:
 
         monkeypatch.setattr(SpectralSystem, "to_state", spy)
         assert relative_trace(trace, w_inf, spec) == (None, math.inf)
-        assert mapped == [(2 * spec.n,)]
+        assert mapped == [(spec.n, 2)]
 
 
 class TestAgainstOracle:
@@ -414,19 +470,21 @@ class TestPairBasis:
         # the CLI's termination rule, run on the dense map and on the pairs
         dense = build_transformed(a, b, p)
         spec = build_spectral(a, b, p)
-        w_dense, w_pair = steady_state(dense), spec.steady_state()
         out = []
-        for sys, w_inf, state in ((dense, w_dense, w_dense), (spec, w_pair, spec.to_state(w_pair))):
+        for sys, w_inf in ((dense, steady_state(dense)), (spec.ode, spec.ode.steady_pairs())):
+            state = w_inf if sys is dense else spec.to_state(w_inf)
             delta_run = delta / solution_error_factor(state)
-            trace = mag_iterate(sys, np.zeros(2 * sys.n), delta_run,
+            trace = mag_iterate(sys, np.zeros_like(w_inf), delta_run,
                                 4 * convergence_steps(p.kappa_hat, delta_run),
                                 w_inf=w_inf, keep_states=keep_states)
-            x = trace.w_final[: sys.n] / (1.0 - p.beta)
             rel = None
             if keep_states:
                 rel = (relative_trace_from_steady(w_inf, trace.states) if sys is dense
                        else relative_trace(trace, w_inf, spec))
-            out.append((trace, x if sys is dense else spec.solution(x), rel))
+            if sys is dense:
+                out.append((trace, trace.w_final[: dense.n] / (1.0 - p.beta), rel))
+            else:
+                out.append((trace, spec.solution(trace.w_final[:, 0] / (1.0 - p.beta)), rel))
         return out
 
     def _check(self, a, b, p, delta, keep_states, u_rtol=1e-12):
@@ -465,50 +523,42 @@ class TestPairBasis:
         a, b, p = random_system(rng, 7)
         spec = build_spectral(a, b, p)
         dense = build_transformed(a, b, p)
-        w_pair = spec.steady_state()
+        w_pair = spec.ode.steady_pairs()
         assert np.allclose(spec.to_state(w_pair), steady_state(dense), rtol=0.0, atol=1e-12)
-        w = rng.normal(size=(3, 14)) + 1j * rng.normal(size=(3, 14))
-        stepped = np.array([spec.to_state(spec.step(row)) for row in w])
+        w = rng.normal(size=(3, 7, 2)) + 1j * rng.normal(size=(3, 7, 2))
+        stepped = spec.to_state(np.array([spec.ode.step(state) for state in w]))
         assert np.allclose(stepped, (dense.h @ spec.to_state(w).T).T + dense.f,
                            rtol=0.0, atol=1e-12)
 
-    @given(st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=8), st.floats(1e-4, 1e2),
-           st.floats(1.0, 1e4), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_step_is_the_ode_plus_identity(self, sigma, mu_hat, ratio, seed):
-        # w -> H w + F is w + ((H - I) w + F): the one block of `ode` serves
-        # the iteration and the flows alike, under any bounds
-        rng = np.random.default_rng(seed)
-        n = len(sigma)
-        spec = SpectralSystem(sigma=np.sort(sigma)[::-1], u=np.eye(n), vh=np.eye(n),
-                              b_t=rng.normal(size=n) + 1j * rng.normal(size=n),
-                              params=MagParams(mu_hat * ratio, mu_hat))
-        w = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
-        m, g = spec.ode.blocks, spec.ode.drive
-        pairs = np.stack([w[:n], w[n:]], axis=-1)
-        expected = (pairs + np.einsum("jkl,jl->jk", m, pairs) + g).T.reshape(-1)
-        scale = np.max(np.abs(w)) * (1.0 + np.max(np.abs(m))) + np.max(np.abs(g))
-        assert np.max(np.abs(spec.step(w) - expected)) <= 4 * np.finfo(float).eps * scale
-
     def test_singular_steady_state_raises_under_optimize(self):
-        # the I - H condition check is a real error, so it survives python -O
+        # the condition checks of A and of I - H are real errors, so they
+        # survive python -O; at sigma_min = 1e-10 A's condition (1e10) passes
+        # and that of I - H (1.85e20) does not
         code = (
             "import numpy as np\n"
             "from schromag.errors import SingularMatrixError\n"
             "from schromag.mag import MagParams, build_spectral\n"
             "for small in (0.0, 1e-30):\n"
-            "    spec = build_spectral(np.diag([1.0, small]), np.ones(2),"
-            " MagParams(4.0, 1.0))\n"
             "    try:\n"
-            "        spec.steady_state()\n"
+            "        build_spectral(np.diag([1.0, small]), np.ones(2), MagParams(4.0, 1.0))\n"
             "    except SingularMatrixError:\n"
             "        continue\n"
             "    raise SystemExit(f'sigma_min={small} accepted')\n"
+            "spec = build_spectral(np.diag([1.0, 1e-10]), np.ones(2), MagParams(4.0, 1.0))\n"
+            "try:\n"
+            "    spec.ode.steady_pairs()\n"
+            "except SingularMatrixError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('I - H at sigma_min=1e-10 accepted')\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        with pytest.raises(SingularMatrixError):
-            build_spectral(np.diag([1.0, 0.0]), np.ones(2), MagParams(4.0, 1.0)).steady_state()
+        for small in (0.0, 1e-30):
+            with pytest.raises(SingularMatrixError):
+                build_spectral(np.diag([1.0, small]), np.ones(2), MagParams(4.0, 1.0))
+        spec = build_spectral(np.diag([1.0, 1e-10]), np.ones(2), MagParams(4.0, 1.0))
+        with pytest.raises(SingularMatrixError, match="cond ~ 1.85"):
+            spec.ode.steady_pairs()

@@ -18,14 +18,14 @@ PUBLIC = sorted([
     "ComplexityReport", "SystemSummary", "chi", "gates", "method_complexity", "queries",
     "repetitions",
     "LinearSystem", "as_cmatrix", "as_cvector", "block_expm_apply", "direct_solve",
-    "FlowSystem", "IterationTrace", "MagParams", "convergence_steps", "lambda_pm", "mag_iterate",
+    "FlowSystem", "IterationTrace", "MagParams", "convergence_steps", "mag_iterate",
     "relative_trace", "spectral_radius_check",
     "PdeProblem", "make_problem", "pde_preset", "PGrid", "pipeline",
 ])
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 46
     assert schromag.__all__ == PUBLIC
 
 

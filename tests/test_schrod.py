@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -715,6 +716,27 @@ class TestStreamedReadout:
             assert np.allclose(w[window] / w[window[1]], shape, rtol=1e-15, atol=0.0)
             total = w[window] @ np.exp(-grid.points[window])
             assert total == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n_p", [256, 512, 4096])
+    def test_window_end_is_decided_in_integers(self, n_p):
+        # with n_p - 1 - k* = 4q the quarter mark is the grid point k* + q; the
+        # window ends on the last point strictly below it, k* + q - 1, and a
+        # 1-ulp move of the right margin moves no point in or out of it
+        q = n_p // 16
+        k_star = n_p - 1 - 4 * q
+        for p_left, margin in itertools.product((-12.0, -17.3, -30.7), np.linspace(8.0, 40.0, 17)):
+            weights = []
+            for m in (np.nextafter(margin, 0.0), margin, np.nextafter(margin, np.inf)):
+                grid = schrod.build_grid_from_rate(0.0, 1.0, n_p, p_left, m)
+                # the threshold mid-cell, so that k* is the same on all three grids
+                p_diamond = p_left + (k_star - 1.5) * (m - p_left) / n_p
+                w, k = readout_weights(grid, p_diamond, advect=1e6)
+                assert k == k_star
+                window = np.flatnonzero(w)
+                assert (window[0], window[-1]) == (k_star, k_star + q - 1), (p_left, m)
+                weights.append(w)
+            for w in weights:
+                assert np.allclose(w, weights[1], rtol=1e-12, atol=0.0)
 
 
 def _preset_pairs(name, b=None):
