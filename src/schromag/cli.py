@@ -244,11 +244,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         io.write_trajectory_csv(os.path.join(cfg.out, f"{tag}_trajectory.csv"),
                                 times, states[:, 0], states[:, n], ratio.ratios)
     ratio_mag, ratio_damp = ratios["mag"], ratios["damped"]
-    cell = lambda r: "" if math.isnan(r) else repr(r)
-    lines = ["time,mag_ratio,damped_ratio"] + [
-        f"{t!r},{cell(rm)},{cell(rd)}"
-        for t, rm, rd in zip(times.tolist(), ratio_mag.ratios, ratio_damp.ratios)]
-    io.write_text(os.path.join(cfg.out, "ratio.csv"), "\n".join(lines) + "\n")
+    io.write_rows(os.path.join(cfg.out, "ratio.csv"), "time,mag_ratio,damped_ratio",
+                  [times, io.nan_as_empty(ratio_mag.ratios), io.nan_as_empty(ratio_damp.ratios)])
     io.write_json(
         os.path.join(cfg.out, "compare.json"),
         {
@@ -269,18 +266,17 @@ def _compare_fig2(cfg: RunConfig) -> int:
     cp = compare_preset("fig2")
     oracle = direct_solve(LinearSystem(cp.a, cp.b), cp.spec.sigma)
     scale = float(np.linalg.norm(oracle))
-    rows = ["delta,mag_error,damped_error"]
+    errors = {"mag": [], "damped": []}
     for delta in cp.deltas:
-        us = {tag: cp.spec.solution(_run_method(tag, cp.spec, delta, gamma=cp.gamma)[0])
-              for tag in ("mag", "damped")}
-        errors = [float(np.linalg.norm(u - oracle)) / scale for u in us.values()]
-        rows.append(",".join(map(repr, [delta, *errors])))
-        for tag, u in us.items():
+        for tag, column in errors.items():
+            u = cp.spec.solution(_run_method(tag, cp.spec, delta, gamma=cp.gamma)[0])
+            column.append(float(np.linalg.norm(u - oracle)) / scale)
             io.write_solution_csv(
                 os.path.join(cfg.out, f"fig2_{tag}_delta{delta:.6g}.csv"),
                 u, np.arange(u.size, dtype=float),
             )
-    io.write_text(os.path.join(cfg.out, "fig2_errors.csv"), "\n".join(rows) + "\n")
+    io.write_rows(os.path.join(cfg.out, "fig2_errors.csv"), "delta,mag_error,damped_error",
+                  [cp.deltas, *errors.values()])
     print("compare[fig2]: wrote fig2_errors.csv")
     return 0
 
@@ -396,7 +392,9 @@ def cmd_complexity(cfg: RunConfig) -> int:
     )
     rows = complexity.comparison_rows(summary)
     if cfg.fmt != "json":
-        complexity.write_comparison_csv(os.path.join(cfg.out, "complexity.csv"), rows)
+        header = "method,kappa_like,chi,queries,gates,repetitions"
+        io.write_rows(os.path.join(cfg.out, "complexity.csv"), header,
+                      [[r[key] for r in rows] for key in header.split(",")])
     else:
         io.write_json(
             os.path.join(cfg.out, "complexity.json"),

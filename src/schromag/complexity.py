@@ -136,14 +136,3 @@ def comparison_rows(summary: SystemSummary) -> list[dict]:
     """One row per method for the comparison table: the report's fields."""
     return [asdict(method_complexity(m, summary)) for m in METHODS]
 
-
-def write_comparison_csv(path, rows) -> None:
-    from .io import write_text
-
-    lines = ["method,kappa_like,chi,queries,gates,repetitions"]
-    for r in rows:
-        lines.append(
-            f"{r['method']},{r['kappa_like']!r},{r['chi']!r},"
-            f"{r['queries']!r},{r['gates']!r},{r['repetitions']!r}"
-        )
-    write_text(path, "\n".join(lines) + "\n")

@@ -8,12 +8,12 @@ MAX_DENSE_ENTRIES is rejected before anything is allocated.  Vector
 files: one ``re im`` pair per line.  A nan or infinite entry is rejected
 with its file and line.  Floats are written with repr
 (shortest round-trip) so identical inputs produce byte-identical files;
-JSON reports are strict, with null for a nan or infinite value;
-the writers take whole columns through `ndarray.tolist()`, so repr sees
-Python floats, not one numpy scalar per value.  The field snapshot, the
-one large file, gets the same text from `floatrepr.format_rows`, which
-writes a block of float64 rows with whole-array numpy arithmetic instead
-of one repr call per value.
+JSON reports are strict, with null for a nan or infinite value.
+`write_rows` writes every other text table, each writer here and each CSV
+of the CLI, from columns through `ndarray.tolist()`, so repr sees Python
+floats.  The field snapshot, the one large file, gets the same text from
+`floatrepr.format_rows`, which formats a block of float64 rows with
+whole-array numpy arithmetic instead of one repr call per value.
 """
 
 from __future__ import annotations
@@ -31,25 +31,45 @@ from .linalg import as_cmatrix, as_cvector
 # 4096 x 4096 complex is 256 MiB; a run holds the matrix and the full
 # SVD's U and V^H, three times that
 MAX_DENSE_ENTRIES = 1 << 24
-# rows of the field snapshot formatted and written per block
-_SNAPSHOT_BLOCK_ROWS = 32
+# rows of a text table, the field snapshot included, formatted and written per block
+_BLOCK_ROWS = 32
 
 
-def _floats(x) -> list:
-    """x's values as Python floats, which repr formats without a numpy
-    scalar per element."""
-    return np.asarray(x, dtype=np.float64).tolist()
+def _floats(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+def nan_as_empty(x) -> list:
+    """x as Python floats, with None (an empty cell) at each nan or None."""
+    return [None if math.isnan(v) else v for v in _floats(x).tolist()]
+
+
+def write_rows(path, header, columns, sep: str = ",") -> None:
+    """One line per row of the zipped columns: each cell repr of its value,
+    a str as it is, None empty; a header that is not None comes first, and
+    every line ends in a newline (no header and no rows: one empty line).
+    Each block of _BLOCK_ROWS rows is formatted column by column and
+    written, so neither the whole file's cells nor its text are held."""
+    rows = min(map(len, columns), default=0)
+    with _create(path) as fh:
+        if header is not None or not rows:
+            fh.write(f"{header or ''}\n")
+        for lo in range(0, rows, _BLOCK_ROWS):
+            cells = [_cells(c[lo:lo + _BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(sep.join, zip(*cells))) + "\n")
+
+
+def _cells(column) -> list:
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return ["" if v is None else v if type(v) is str else repr(v) for v in values]
 
 
 def write_matrix_coo(path, m) -> None:
     m = as_cmatrix(m)
-    rows, cols = m.shape
     ii, jj = np.nonzero(m)  # row-major, as argwhere
     entries = m[ii, jj]
-    lines = [f"{rows} {cols} {ii.size}"]
-    lines += [f"{i} {j} {re!r} {im!r}" for i, j, re, im in
-              zip(ii.tolist(), jj.tolist(), entries.real.tolist(), entries.imag.tolist())]
-    write_text(path, "\n".join(lines) + "\n")
+    write_rows(path, f"{m.shape[0]} {m.shape[1]} {ii.size}",
+               [ii, jj, entries.real, entries.imag], sep=" ")
 
 
 def read_matrix_coo(path) -> np.ndarray:
@@ -98,8 +118,7 @@ def _finite(path, line_no: int, line: str, value: complex) -> complex:
 
 def write_vector(path, v) -> None:
     v = as_cvector(v)
-    lines = [f"{re!r} {im!r}" for re, im in zip(v.real.tolist(), v.imag.tolist())]
-    write_text(path, "\n".join(lines) + "\n")
+    write_rows(path, None, [v.real, v.imag], sep=" ")
 
 
 def read_vector(path) -> np.ndarray:
@@ -124,11 +143,10 @@ def read_vector(path) -> np.ndarray:
 def write_trace_csv(path, residuals, relative_residuals=None) -> None:
     """Iteration trace: step, residual, relative_residual (empty without one)."""
     residuals = _floats(residuals)
-    relative = ([""] * len(residuals) if relative_residuals is None
-                else map(repr, _floats(relative_residuals)))
-    lines = ["step,residual,relative_residual"]
-    lines += [f"{k},{r!r},{rel}" for k, (r, rel) in enumerate(zip(residuals, relative))]
-    write_text(path, "\n".join(lines) + "\n")
+    relative = ([None] * residuals.size if relative_residuals is None
+                else _floats(relative_residuals))
+    write_rows(path, "step,residual,relative_residual",
+               [range(residuals.size), residuals, relative])
 
 
 def write_trajectory_csv(path, times, solved, aux, ratios) -> None:
@@ -138,28 +156,21 @@ def write_trajectory_csv(path, times, solved, aux, ratios) -> None:
     at gap samples (near-zero denominator).
     """
     solved, aux = np.asarray(solved), np.asarray(aux)
-    lines = ["time,solved_re,solved_im,aux_re,aux_im,ratio"]
-    # a None ratio becomes nan, and both leave the cell empty
-    for *cells, r in zip(_floats(times), _floats(solved.real), _floats(solved.imag),
-                         _floats(aux.real), _floats(aux.imag), _floats(ratios)):
-        lines.append(",".join(map(repr, cells)) + ("," if math.isnan(r) else f",{r!r}"))
-    write_text(path, "\n".join(lines) + "\n")
+    write_rows(path, "time,solved_re,solved_im,aux_re,aux_im,ratio",
+               [_floats(c) for c in (times, solved.real, solved.imag, aux.real, aux.imag)]
+               + [nan_as_empty(ratios)])
 
 
 def write_solution_csv(path, u, xs, ys=None) -> None:
-    u = as_cvector(u)
-    nodes = [xs] if ys is None else [xs, ys]
-    header = "node_index,x,u_re,u_im" if ys is None else "node_index,x,y,u_re,u_im"
-    columns = [_floats(c)[: u.size] for c in nodes] + [u.real.tolist(), u.imag.tolist()]
-    lines = [header] + [f"{k}," + ",".join(map(repr, row))
-                        for k, row in enumerate(zip(*columns))]
-    write_text(path, "\n".join(lines) + "\n")
+    u, nodes = as_cvector(u), [xs] if ys is None else [xs, ys]
+    write_rows(path, "node_index,x,u_re,u_im" if ys is None else "node_index,x,y,u_re,u_im",
+               [range(u.size), *map(_floats, nodes), u.real, u.imag])
 
 
 def write_field_snapshot_csv(path, points, field) -> None:
     """Warped-field snapshot: one row per grid point p_k, columns per component.
 
-    Rows are formatted and written _SNAPSHOT_BLOCK_ROWS at a time, so the
+    Rows are formatted and written _BLOCK_ROWS at a time, so the
     text of the whole file is never held in memory.  Each cell is
     repr(float(value)), through `floatrepr.format_rows`.
     """
@@ -175,16 +186,17 @@ def write_field_snapshot_csv(path, points, field) -> None:
         header += [f"comp{c}_re", f"comp{c}_im"]
     with _create(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, points.size, _SNAPSHOT_BLOCK_ROWS):
-            hi = lo + _SNAPSHOT_BLOCK_ROWS
+        for lo in range(0, points.size, _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
             # re/im interleaved as plain floats
             fh.write(format_rows(np.column_stack([points[lo:hi], field[lo:hi].view(np.float64)])))
 
 
 def write_json(path, payload) -> None:
     """Strict JSON: a nan or infinite float anywhere in payload is written as null."""
-    write_text(path, json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
-                                allow_nan=False) + "\n")
+    with _create(path) as fh:
+        fh.write(json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 def _finite_or_null(value):
@@ -196,11 +208,6 @@ def _finite_or_null(value):
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(v) for v in value]
     return value
-
-
-def write_text(path, text: str) -> None:
-    with _create(path) as fh:
-        fh.write(text)
 
 
 def _create(path, mode: str = "w"):

@@ -126,9 +126,13 @@ class FlowSystem:
         return np.stack([large, np.abs(a * d - b * c) / large], axis=-1)
 
     def steady_pairs(self) -> np.ndarray:
-        """-M^{-1} g per block, (n, k); SingularMatrixError where M is
-        singular to working tolerance (`singular_values`)."""
-        condition_check(self.singular_values())
+        """-M^{-1} g per block, (n, k); SingularMatrixError where a block, on its
+        own as it is solved, is singular to working tolerance (`singular_values`);
+        across blocks the spread is larger: kappa(A)^2 for the gradient flow."""
+        sv = self.singular_values()
+        small, large = sv.min(axis=1), sv.max(axis=1)
+        inverse_cond = np.divide(small, large, out=np.zeros_like(small), where=large > 0)
+        condition_check(sv[np.argmin(inverse_cond)])
         m, g = self.blocks, self.drive
         if g.shape[1] == 1:
             return -g / m[:, 0]

@@ -13,9 +13,9 @@ forcing column by complex exponentials.  It also holds the check
 of a block-encoding state-preparation pair against its coefficients, the
 closed-form PDE solutions the assembled systems are checked against, and
 the per-element repr writers of the field snapshot and of every other
-text file `io` writes, the oracles of `floatrepr.format_rows` and of the
-`io` writers that format whole columns of Python floats.  No module of
-the package imports it.
+text file `io` writes, the oracles of `floatrepr.format_rows` and of
+`io.write_rows` and the writers made from it, which format columns.  No
+module of the package imports it.
 """
 
 from __future__ import annotations
@@ -489,4 +489,16 @@ def write_solution_csv(path, u, xs, ys=None) -> None:
     for k in range(u.size):
         nodes = [xs[k]] if ys is None else [xs[k], ys[k]]
         lines.append(",".join([str(k), *map(_fmt, [*nodes, u[k].real, u[k].imag])]))
+    _write_lines(path, lines)
+
+
+def write_rows(path, header, columns, sep=",") -> None:
+    """`io.write_rows` one cell at a time: repr of each value (a numpy
+    scalar as its Python value), a str as it is, None empty."""
+    def cell(v):
+        v = v.item() if isinstance(v, np.generic) else v
+        return "" if v is None else v if isinstance(v, str) else repr(v)
+
+    lines = [] if header is None else [header]
+    lines += [sep.join(map(cell, row)) for row in zip(*columns)]
     _write_lines(path, lines)

@@ -196,6 +196,17 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err == "error: need 0 <= beta < 1, got 1.0\n"
 
+    def test_gradient_solves_an_ill_conditioned_matrix(self, tmp_path):
+        # kappa(A) = 1e7 passes A's check; the gradient flow's blocks -sigma^2
+        # spread by 1e14, but each is solved on its own and is well conditioned
+        write_matrix_coo(tmp_path / "a.coo", np.diag([1.0, 1e-7]).astype(complex))
+        write_vector(tmp_path / "b.vec", np.ones(2, dtype=complex))
+        out = tmp_path / "out"
+        assert main(["solve", "--method", "gradient", "--matrix", str(tmp_path / "a.coo"),
+                     "--rhs", str(tmp_path / "b.vec"), "--out", str(out)]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        assert report["error_estimate"] == pytest.approx(report["residual_vs_oracle"], rel=1e-6)
+
 
 class TestOutDirectory:
     """An --out that cannot be a directory is bad input: one line, exit 2."""
@@ -450,13 +461,41 @@ class TestCompare:
         for name in ("mag_trajectory.csv", "damped_trajectory.csv", "ratio.csv", "compare.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("gaps", [False, True], ids=["fig1", "all-gaps"])
+    def test_ratio_csv_is_the_trajectory_columns(self, diag_problem, gaps):
+        # time from mag_trajectory.csv, then each file's ratio cell, a gap empty in all
+        source = ["--preset", "fig1"]
+        if gaps:
+            # a zero first entry of b keeps the solved component at 0: every ratio a gap
+            write_vector(diag_problem / "b0.vec", np.array([0.0, 1.0], dtype=complex))
+            source = ["--matrix", str(diag_problem / "a.coo"),
+                      "--rhs", str(diag_problem / "b0.vec")]
+        out = diag_problem / "out"
+        assert main(["compare", *source, "--out", str(out)]) == 0
+        ratio, mag_rows, damped_rows = (
+            (out / name).read_text().split("\n")
+            for name in ("ratio.csv", "mag_trajectory.csv", "damped_trajectory.csv"))
+        assert ratio[0] == "time,mag_ratio,damped_ratio" and ratio[-1] == ""
+        assert len(ratio) == len(mag_rows) == len(damped_rows) > 2
+        for line, m, d in zip(ratio[1:-1], mag_rows[1:-1], damped_rows[1:-1]):
+            m, d = m.split(","), d.split(",")
+            assert line == f"{m[0]},{m[5]},{d[5]}"
+            assert all(c == "" or repr(float(c)) == c for c in line.split(","))
+        if gaps:
+            assert all(line.endswith(",,") for line in ratio[1:-1])
+
     def test_fig2_errors_table(self, tmp_path):
         rc = main(["compare", "--preset", "fig2", "--out", str(tmp_path)])
         assert rc == 0
-        rows = (tmp_path / "fig2_errors.csv").read_text().strip().split("\n")
+        text = (tmp_path / "fig2_errors.csv").read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        rows = text.strip().split("\n")
         assert rows[0] == "delta,mag_error,damped_error"
         assert len(rows) == 5
+        assert [row.split(",")[0] for row in rows[1:]] == list(
+            map(repr, compare_preset("fig2").deltas))
         for row in rows[1:]:
+            assert all(repr(float(c)) == c for c in row.split(","))
             _, e_mag, e_damp = (float(x) for x in row.split(","))
             assert e_mag <= e_damp
 
@@ -677,6 +716,21 @@ class TestComplexityCmd:
         rows = (tmp_path / "complexity.csv").read_text().strip().split("\n")
         assert rows[0] == "method,kappa_like,chi,queries,gates,repetitions"
         assert len(rows) == 5
+
+    def test_csv_cells_are_repr_of_the_rows(self, tmp_path, monkeypatch):
+        # each cell is repr of the value comparison_rows gave, the method name as it is
+        from schromag import complexity
+
+        made = []
+        rows_of = complexity.comparison_rows
+        monkeypatch.setattr(complexity, "comparison_rows",
+                            lambda summary: made.append(rows_of(summary)) or made[-1])
+        assert main(["complexity", "--preset", "fig3a", "--out", str(tmp_path)]) == 0
+        header, *lines = (tmp_path / "complexity.csv").read_text().split("\n")
+        keys = header.split(",")
+        assert lines[-1] == "" and len(made) == 1
+        assert [line.split(",") for line in lines[:-1]] == [
+            [row["method"], *(repr(row[k]) for k in keys[1:])] for row in made[0]]
 
     def test_json_report(self, tmp_path):
         rc = main([
@@ -909,6 +963,25 @@ def test_package_holds_no_assert():
                 tree = ast.parse(fh.read(), name)
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_io_assembles_file_text():
+    # file text is made in io alone: no other module calls write_text or
+    # joins lines with "\n"
+    src = os.path.dirname(mag.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "io.py":
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                func = node.func if isinstance(node, ast.Call) else None
+                called = getattr(func, "attr", getattr(func, "id", None))
+                if called == "write_text" or (
+                        called == "join" and isinstance(func.value, ast.Constant)
+                        and func.value.value in ("\n", b"\n")):
+                    found.append(f"{name}:{node.lineno}")
     assert found == []
 
 

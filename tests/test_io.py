@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ class TestCsv:
 
     def test_field_snapshot_blocks_join_seamlessly(self, tmp_path, monkeypatch):
         # 5 rows in blocks of 2: two full blocks and a short one
-        monkeypatch.setattr(io, "_SNAPSHOT_BLOCK_ROWS", 2)
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 2)
         self._check_snapshot_bytes(tmp_path)
 
     def _check_snapshot_bytes(self, tmp_path):
@@ -238,6 +239,45 @@ class TestWriterBytes:
         ratios = data.draw(st.lists(_ANY | st.none(), min_size=solved.size,
                                     max_size=solved.size))
         self._same("write_trajectory_csv", times, solved, aux, ratios)
+
+
+# cells io.write_rows formats: any float, an int, None (empty) and a str (as it is)
+_CELLS = _ANY | st.integers() | st.none() | st.text("ab ,-", max_size=3)
+
+
+@st.composite
+def _columns(draw):
+    """1-4 columns of up to 6 cells, of different lengths, each a list of
+    any cells, a float64 array or an int64 array."""
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 6))
+        columns.append(draw(st.one_of(
+            st.lists(_CELLS, min_size=n, max_size=n), _reals(n),
+            arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)))))
+    return columns
+
+
+class TestWriteRows:
+    """The one row writer on tables that none of the file writers makes."""
+
+    # blocks of 1 and 2 rows put block boundaries inside the drawn tables
+    @given(st.none() | st.text("ab,", max_size=4), _columns(), st.sampled_from([",", " "]),
+           st.sampled_from([1, 2, io._BLOCK_ROWS]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_cell_at_a_time(self, header, columns, sep, block_rows):
+        with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+            TestWriterBytes._same("write_rows", header, columns, sep)
+
+    @pytest.mark.parametrize("header, columns, sep, text", [
+        (None, [], ",", "\n"),
+        ("h", [[]], ",", "h\n"),
+        ("a;b", [["x", None], [1, 2.5], [None, -0.0]], ";", "a;b\nx;1;\n;2.5;-0.0\n"),
+        (None, [range(3), np.array([0.1, np.nan, np.inf])], " ", "0 0.1\n1 nan\n2 inf\n"),
+    ], ids=["no-header-no-rows", "header-only", "str-none-int", "range-and-array"])
+    def test_text(self, tmp_path, header, columns, sep, text):
+        io.write_rows(tmp_path / "t.csv", header, columns, sep)
+        assert (tmp_path / "t.csv").read_text() == text
 
 
 _JSON = st.recursive(

@@ -533,7 +533,7 @@ class TestPairBasis:
     def test_singular_steady_state_raises_under_optimize(self):
         # the condition checks of A and of I - H are real errors, so they
         # survive python -O; at sigma_min = 1e-10 A's condition (1e10) passes
-        # and that of I - H (1.85e20) does not
+        # and that of I - H's block at sigma_min (1.778e20) does not
         code = (
             "import numpy as np\n"
             "from schromag.errors import SingularMatrixError\n"
@@ -560,5 +560,5 @@ class TestPairBasis:
             with pytest.raises(SingularMatrixError):
                 build_spectral(np.diag([1.0, small]), np.ones(2), MagParams(4.0, 1.0))
         spec = build_spectral(np.diag([1.0, 1e-10]), np.ones(2), MagParams(4.0, 1.0))
-        with pytest.raises(SingularMatrixError, match="cond ~ 1.85"):
+        with pytest.raises(SingularMatrixError, match="cond ~ 1.778e"):
             spec.ode.steady_pairs()
