@@ -23,7 +23,7 @@ import numpy as np
 # that run them: a mag run never compiles or loads them
 from . import io, mag
 from .errors import InputError, NumericsError
-from .linalg import LinearSystem, direct_solve, singular_values
+from .linalg import LinearSystem, direct_solve, svd
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
@@ -180,12 +180,13 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
 def _solve(cfg: RunConfig, method: str, loaded: tuple, **run) -> tuple:
     """(u, delta, report fields, trace or snapshot) of `method` on the
     problem `_load_system` loaded: the run's one `mag.SpectralSystem`, from
-    one full SVD of A, and the direct solve u is checked against.  The
-    fields and a pipeline report both carry the residual, whether it is
-    within delta, and the error estimate against the closed-form steady
-    state V x*, x* = b~/sigma, from the run's own SVD."""
+    one SVD of A (closed-form for a PDE problem that has it), and the direct
+    solve u is checked against.  The fields and a pipeline report both
+    carry the residual, whether it is within delta, and the error estimate
+    against the closed-form steady state V x*, x* = b~/sigma, from the
+    run's own SVD."""
     system, problem, delta, n_p = loaded
-    spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
+    spec = mag.build_spectral(system.a, system.b, _params_for(cfg), problem)
     oracle = direct_solve(system, spec.sigma)
     # A is not kept across the solve unless the caller holds it
     del loaded, system, problem
@@ -377,9 +378,9 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 def cmd_complexity(cfg: RunConfig) -> int:
     from . import complexity
 
-    system, _, delta, n_p = _load_system(cfg)
+    system, problem, delta, n_p = _load_system(cfg)
     a = system.a
-    s_vals = singular_values(a)
+    s_vals = svd(a, problem, compute_uv=False)
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),
         sigma_min=float(s_vals[-1]),

@@ -3,10 +3,13 @@
 Everything downstream works on validated complex128 arrays: matrices are
 2-d row-major, vectors 1-d.  Real input is embedded with zero imaginary
 part so a single code path serves both the real and the Robin-boundary
-(genuinely complex) problems; only `full_svd` and `singular_values`
-factor a real matrix in real arithmetic.  Storage is dense throughout;
-sparsity only ever enters as a nonzeros-per-row count for the cost
-estimators.
+(genuinely complex) problems; `full_svd`, `singular_values` and
+`direct_solve` factor a matrix with zero imaginary part in real
+arithmetic.  `svd` takes A's SVD in closed form from the PDE problem A
+was assembled from where it has one (`pde.PdeProblem.svd`), and by the
+dense `full_svd` or `singular_values` otherwise.  Storage is dense
+throughout; sparsity only ever enters as a nonzeros-per-row count for the
+cost estimators.
 """
 
 from __future__ import annotations
@@ -127,6 +130,17 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(_real_if_real(a), compute_uv=False)
 
 
+def svd(a, problem=None, compute_uv: bool = True):
+    """A's SVD (u, s descending, vh), or s alone without `compute_uv`: in
+    closed form where `problem`, the `pde.PdeProblem` A was assembled from,
+    has it (`PdeProblem.svd`), else by `full_svd` or `singular_values`.
+    The one place that decides where A's SVD comes from."""
+    closed = None if problem is None else problem.svd(compute_uv)
+    if closed is not None:
+        return closed
+    return full_svd(a) if compute_uv else singular_values(a)
+
+
 def condition_check(sigma) -> tuple[float, float]:
     """(sigma_max, cond); SingularMatrixError if cond exceeds MAX_CONDITION."""
     sigma = np.asarray(sigma, dtype=float)
@@ -141,17 +155,24 @@ def condition_check(sigma) -> tuple[float, float]:
 
 
 def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
-    """Ground-truth solve of A u = b with residual verification.
+    """Ground-truth solve of A u = b by dense LU, with residual verification.
 
-    The condition and ||A||_2 checks come from `sigma`, the singular
-    values of A in any order, when the caller already has them (for a
-    structured matrix they may be known in closed form); otherwise A is
-    factored here.
+    A with zero imaginary part is solved by one real LU, with the real and
+    imaginary parts of b as two right-hand sides.  The condition and
+    ||A||_2 checks come from `sigma`, the singular values of A in any
+    order, when the caller already has them (the run's SVD, dense or
+    closed-form, from `svd`); otherwise A is factored here.
     """
-    a = require_square(sys.a)
+    a = _real_if_real(require_square(sys.a))
     s_max, cond = condition_check(singular_values(a) if sigma is None else sigma)
-    u = np.linalg.solve(a, sys.b)
-    resid = np.linalg.norm(a @ u - sys.b)
+    if np.iscomplexobj(a):
+        u = np.linalg.solve(a, sys.b)
+        resid = np.linalg.norm(a @ u - sys.b)
+    else:
+        rhs = np.stack([sys.b.real, sys.b.imag], axis=1)
+        parts = np.linalg.solve(a, rhs)
+        u = parts[:, 0] + 1j * parts[:, 1]
+        resid = np.linalg.norm(a @ parts - rhs)  # the Frobenius norm is the complex 2-norm
     bound = SOLVE_RESIDUAL_TOL * (s_max * np.linalg.norm(u) + np.linalg.norm(sys.b))
     if resid > bound:
         raise SingularMatrixError(

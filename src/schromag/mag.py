@@ -14,8 +14,10 @@ same path; the two coincide for real data.
 With A = U Sigma V^H, the basis diag(V, U) splits H, and I - H with it,
 into one 2x2 block [[1 - alpha s^2, -c s], [c s, beta]] per singular
 value s (c = sqrt(alpha*beta)), and F into [alpha s b~; 0] with b~ = U^H b.
-A run factors A once (`build_spectral`: it refuses a singular A, and takes
-the bounds from A's own spectrum unless given) into a `SpectralSystem`,
+A run factors A once (`build_spectral`, through `linalg.svd`: in closed
+form for a PDE problem without a Robin node, else by a dense SVD; it
+refuses a singular A, and takes the bounds from A's own spectrum unless
+given) into a `SpectralSystem`,
 whose `ode`, the map's ODE dw/dt = (H - I) w + F as one `FlowSystem` with
 block [[-alpha s^2, -c s], [c s, beta - 1]] and drive per s, every
 realization reads: the iteration steps it on (n, 2) states, and its closed
@@ -32,8 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, InputError, SpectrumBoundsError
-from .linalg import (as_cmatrix, as_cvector, block_expm_apply, condition_check, full_svd,
-                     require_square)
+from .linalg import as_cmatrix, as_cvector, block_expm_apply, condition_check, require_square, svd
 
 # where sigma^2 sits on a declared bound the 2x2 block is defective and its
 # eigenvalue moduli are only sqrt(eps)-accurate (closed form and dense eig
@@ -177,29 +178,45 @@ class SpectralSystem:
         (..., n, 2) stack; an (n, 1) state, the gradient flow's, maps to V x."""
         w, n = np.asarray(w), self.n
         out = np.empty(w.shape[:-2] + (w.shape[-1] * n,), dtype=np.complex128)
-        np.matmul(np.ascontiguousarray(w[..., 0]), self.vh.conj(), out=out[..., :n])
+        _times(w[..., 0], self.vh, out[..., :n])
         if w.shape[-1] > 1:
-            np.matmul(np.ascontiguousarray(w[..., 1]), self.u.T, out=out[..., n:])
+            _times(w[..., 1], self.u.T, out[..., n:], conj=False)
         return out
 
     def solution(self, x) -> np.ndarray:
         """u = V x from the coefficients x of a method's answer, or of each row."""
-        return np.asarray(x) @ self.vh.conj()
+        x = np.asarray(x)
+        return _times(x, self.vh, np.empty(x.shape, dtype=np.complex128))
 
 
-def build_spectral(a, b, params: MagParams | None = None) -> SpectralSystem:
+def _times(w, f, out, conj: bool = True) -> np.ndarray:
+    """out = w @ conj(f) (w @ f unless `conj`).  A real f multiplies the
+    real and imaginary parts of w stacked as one real matrix, instead of
+    being cast to complex on every call."""
+    if np.iscomplexobj(f):
+        return np.matmul(np.ascontiguousarray(w), f.conj() if conj else f, out=out)
+    rows = np.reshape(w, (-1, f.shape[0]))
+    parts = np.concatenate([rows.real, rows.imag]) @ f
+    out.real, out.imag = (part.reshape(out.shape) for part in np.split(parts, 2))
+    return out
+
+
+def build_spectral(a, b, params: MagParams | None = None, problem=None) -> SpectralSystem:
     """The map in the basis of A's full SVD, for the bounds `params`, by
-    default A's own (sigma_max^2, sigma_min^2).  The one place that
-    factors A and turns (A, b) into singular values, vectors and U^H b;
-    SingularMatrixError where A is singular to working tolerance."""
+    default A's own (sigma_max^2, sigma_min^2).  The SVD is `linalg.svd`'s:
+    closed-form where `problem`, the `pde.PdeProblem` A was assembled
+    from, has it, else dense.  The one place that turns (A, b) into
+    singular values, vectors and U^H b; SingularMatrixError where A is
+    singular to working tolerance."""
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
-    u, s, vh = full_svd(a)
+    u, s, vh = svd(a, problem)
     condition_check(s)
     if params is None:
         params = MagParams(s[0] ** 2, s[-1] ** 2)
-    return SpectralSystem(sigma=s, u=u, vh=vh, b_t=u.conj().T @ b, params=params)
+    b_t = _times(b, u, np.empty(s.size, dtype=np.complex128))  # b conj(U) = U^H b
+    return SpectralSystem(sigma=s, u=u, vh=vh, b_t=b_t, params=params)
 
 
 @dataclass

@@ -11,6 +11,13 @@ twice in [[L, -h^2 I], [0, L]] [u; v] = [0; h^2 f]; its mixed boundary
 prescribes u'' at x=0, which moves to the rhs of the v rows on the x=0
 edge.  Accuracy claims are always relative to the assembled matrix,
 which the tests' oracles (`tests/reference.py`) solve too.
+
+Without a Robin node the axis is real symmetric with the sine
+eigenpairs, so `PdeProblem.svd` gives A's full SVD in closed form, on
+call, with no dense factorization of A: the Kronecker sum has eigenvalues
+lambda_a + lambda_b on kron(q_a, q_b), Helmholtz is diagonal in that
+basis, and biharmonic splits into one 2x2 block per eigenvalue.  A Robin
+axis is complex symmetric and not normal; its A is factored densely.
 """
 
 from __future__ import annotations
@@ -71,6 +78,17 @@ def _axis(n: int, boundary: tuple):
     return stencil, h * np.arange(0, n + 1), mask
 
 
+def _axis_eigenpairs(n: int) -> tuple:
+    """(lambda, q) of tridiag(1, -2, 1) on n points: lambda_j =
+    -4 sin^2(j pi / (2(n+1))) and the orthonormal eigenvectors
+    q[i-1, j-1] = sqrt(2/(n+1)) sin(i j pi/(n+1)), i, j = 1..n."""
+    j = np.arange(1, n + 1)
+    lam = -4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
+    # i j reduced modulo the period 2(n+1), so every argument stays below 2 pi
+    q = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
+    return lam, q
+
+
 @dataclass(frozen=True)
 class PdeProblem:
     family: str
@@ -91,6 +109,38 @@ class PdeProblem:
         if self.family.startswith("biharmonic"):
             return w[: self.dim // 2]
         return w
+
+    def svd(self, compute_uv: bool = True):
+        """A's full SVD (u, s, vh) in closed form, real, s descending, or s
+        alone without `compute_uv`; None where the axis has a Robin node.
+        In the basis of the axis eigenpairs (`_axis_eigenpairs`; in 2d
+        lambda_a + lambda_b on kron(q_a, q_b)) A is one block per
+        eigenvalue, [lambda + k^2 h^2] for Helmholtz and [[lambda, -h^2],
+        [0, lambda]] for biharmonic, factored by one batched SVD of the
+        blocks; the 2d mirror pairs give bit-equal blocks, so bit-equal s."""
+        if self.boundary[0] == ROBIN:
+            return None
+        lam, q = _axis_eigenpairs(self.n)
+        two_d = FAMILIES[self.family][0] == 2
+        if two_d:  # the Kronecker sum
+            lam = (lam[:, None] + lam).ravel()
+        if self.family.startswith("helmholtz"):
+            blocks = (lam + (self.k * self.h) ** 2)[:, None, None]
+        else:
+            blocks = lam[:, None, None] * np.eye(2) + np.array([[0.0, -self.h**2], [0.0, 0.0]])
+        factored = np.linalg.svd(blocks, compute_uv=compute_uv)
+        s = (factored[1] if compute_uv else factored).ravel()
+        order = np.argsort(-s, kind="stable")
+        if not compute_uv:
+            return s[order]
+        if two_d:
+            q = np.kron(q, q)
+        bu, _, bvh = factored
+        m, r = lam.size, blocks.shape[-1]
+        # vh[(j, c), (a, i)] = bvh[j, c, a] q[i, j], and u^T the same from bu[j, a, c]
+        ut, vh = ((f[..., None] * q.T[:, None, None, :]).reshape(r * m, r * m)
+                  for f in (bu.transpose(0, 2, 1), bvh))
+        return ut[order].T, s[order], vh[order]
 
 
 def make_problem(family: str, n: int, k: float, forcing: str, boundary) -> PdeProblem:

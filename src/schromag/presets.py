@@ -92,7 +92,8 @@ def compare_preset(name: str) -> ComparePreset:
         n = 16
         problem = make_problem("helmholtz1d", n, 0.0, "sine2", (ZERO,))
         a, b = problem.system.a, problem.system.b
-        spec = mag.build_spectral(a, b)  # bounds from A's own spectrum
+        # bounds from A's own spectrum, in the closed-form basis
+        spec = mag.build_spectral(a, b, problem=problem)
         return ComparePreset(
             name="fig2", a=a, b=b, spec=spec,
             gamma=GAMMA_PER_SIGMA_MIN * float(spec.sigma[-1]),

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schromag import floatrepr, mag
+from schromag import floatrepr, mag, pde
 from schromag.cli import main
 from schromag.io import read_vector, write_matrix_coo, write_vector
 from schromag.presets import compare_preset, pde_preset
@@ -224,19 +224,23 @@ class TestOutDirectory:
 
 
 class TestFactorizationCounts:
-    """Each invocation factors A once, and only the oracle solves a system."""
+    """Each invocation factors A once, and only the oracle solves a system.
+    A PDE problem without a Robin node is factored in closed form
+    (`PdeProblem.svd`), with no dense SVD of A; a Robin problem or a matrix
+    file by one dense SVD."""
 
     @staticmethod
     def _count(monkeypatch, argv, dtypes=None, uv=None):
-        """Kernel calls by (name, shape); the dtype of each svd argument
-        goes to `dtypes`, and whether it computes U and V to `uv`, when a
-        list is given."""
+        """Kernel calls by (name, shape), and closed-form SVDs as
+        ("closed_form", shape of A); the dtype of each kernel call's matrix
+        goes to `dtypes`, and whether an svd computes U and V to `uv`, when
+        a list is given."""
         calls = Counter()
 
         def counting(name, fn):
             def wrapper(m, *args, **kwargs):
                 calls[name, np.shape(m)] += 1
-                if name == "svd" and dtypes is not None:
+                if dtypes is not None:
                     dtypes.append(np.asarray(m).dtype)
                 if name == "svd" and uv is not None:
                     uv.append(kwargs.get("compute_uv", True))
@@ -249,28 +253,47 @@ class TestFactorizationCounts:
             fn = getattr(np.linalg, name)
             for module in {np.linalg, inner}:
                 monkeypatch.setattr(module, name, counting(name, fn))
+        closed_form = pde.PdeProblem.svd
+
+        def counted(problem, compute_uv=True):
+            factors = closed_form(problem, compute_uv)
+            if factors is not None:
+                calls["closed_form", (problem.dim,) * 2] += 1
+            return factors
+
+        monkeypatch.setattr(pde.PdeProblem, "svd", counted)
         assert main(argv) == 0
         return calls
+
+    @staticmethod
+    def _closed_form(n: int, r: int = 1) -> Counter:
+        """The calls of one closed-form SVD of an n x n A: itself, and one
+        batched SVD of its r x r blocks, 1x1 (Helmholtz) or 2x2
+        (biharmonic), one per eigenvalue of the axis."""
+        return Counter({("closed_form", (n, n)): 1, ("svd", (n // r, r, r)): 1})
 
     @pytest.mark.parametrize("command", ["pde", "solve"])
     def test_fig4a_mag(self, tmp_path, monkeypatch, command):
         n = pde_preset("fig4a")[0].system.a.shape[0]
+        dtypes = []
         calls = self._count(monkeypatch, [command, "--preset", "fig4a", "--method", "mag",
-                                          "--out", str(tmp_path)])
-        # the iteration runs in the pair basis: no 2n x 2n solve
-        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+                                          "--out", str(tmp_path)], dtypes)
+        # the iteration runs in the pair basis: no 2n x 2n solve; the oracle
+        # is one real LU
+        assert calls == self._closed_form(n) + Counter({("solve", (n, n)): 1})
+        assert dtypes == [np.float64, np.float64]
 
     def test_damped_one_svd(self, tmp_path, monkeypatch):
         n = pde_preset("fig3a")[0].system.a.shape[0]
         calls = self._count(monkeypatch, ["solve", "--preset", "fig3a", "--method", "damped",
                                           "--out", str(tmp_path)])
-        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+        assert calls == self._closed_form(n) + Counter({("solve", (n, n)): 1})
 
     def test_gradient_one_svd(self, tmp_path, monkeypatch):
         n = pde_preset("fig3a")[0].system.a.shape[0]
         calls = self._count(monkeypatch, ["solve", "--preset", "fig3a", "--method", "gradient",
                                           "--out", str(tmp_path)])
-        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+        assert calls == self._closed_form(n) + Counter({("solve", (n, n)): 1})
 
     def test_compare_fig1_one_svd(self, tmp_path, monkeypatch):
         # both flows run on the SVD basis of the command's one factorization
@@ -280,25 +303,32 @@ class TestFactorizationCounts:
         assert calls == Counter({("svd", (n, n)): 1})
 
     def test_compare_fig2_one_svd(self, tmp_path, monkeypatch):
-        # the preset's SVD feeds the bounds, the oracle, the pair basis and
-        # the damped flow's sigma_min check
+        # the preset's closed-form SVD feeds the bounds, the oracle, the pair
+        # basis and the damped flow's sigma_min check
         n = compare_preset("fig2").a.shape[0]
         calls = self._count(monkeypatch, ["compare", "--preset", "fig2",
                                           "--out", str(tmp_path)])
-        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+        assert calls == self._closed_form(n) + Counter({("solve", (n, n)): 1})
 
     @pytest.mark.parametrize("preset, dtype", [("fig4a", np.float64), ("fig6a", np.float64),
                                                ("fig3e", np.complex128),
                                                ("fig4d", np.complex128)])
     def test_real_matrix_factored_in_real_arithmetic(self, tmp_path, monkeypatch, preset,
                                                      dtype):
-        # the zero-boundary presets are real, the Robin ones complex
-        n = pde_preset(preset)[0].system.a.shape[0]
+        # the zero-boundary presets are real and factored in closed form, the
+        # Robin ones complex and factored by one dense SVD; the oracle's LU
+        # runs in the same arithmetic
+        problem = pde_preset(preset)[0]
+        n = problem.dim
         dtypes = []
         calls = self._count(monkeypatch, ["pde", "--preset", preset, "--method", "mag",
                                           "--out", str(tmp_path)], dtypes)
-        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
-        assert dtypes == [dtype]
+        if dtype == np.complex128:
+            factored = Counter({("svd", (n, n)): 1})
+        else:  # 2x2 blocks for biharmonic
+            factored = self._closed_form(n, 2 if problem.family.startswith("biharmonic") else 1)
+        assert calls == factored + Counter({("solve", (n, n)): 1})
+        assert dtypes == [dtype, dtype]
 
     @staticmethod
     def _spectral_builds(monkeypatch, argv) -> int:
@@ -332,13 +362,13 @@ class TestFactorizationCounts:
 
     def test_complexity_builds_no_spectral_system(self, tmp_path, monkeypatch):
         # the cost table reads singular values only: no parameters, no
-        # solve, and an SVD that computes no U or V
+        # solve, and the singular values of the closed-form factors
         argv = ["complexity", "--preset", "fig3a", "--out", str(tmp_path)]
         assert self._spectral_builds(monkeypatch, argv) == 0
         dtypes, uv = [], []
         calls = self._count(monkeypatch, argv, dtypes, uv)
         n = pde_preset("fig3a")[0].system.a.shape[0]
-        assert calls == Counter({("svd", (n, n)): 1})
+        assert calls == self._closed_form(n)
         assert (dtypes, uv) == ([np.float64], [False])
 
     def test_complexity_complex_matrix_values_only(self, tmp_path, monkeypatch):
@@ -355,14 +385,25 @@ class TestFactorizationCounts:
                                           "--out", str(diag_problem / "o")])
         assert calls == Counter({("svd", (2, 2)): 1})
 
+    def test_solve_files_one_svd(self, diag_problem, monkeypatch):
+        # a matrix file has no closed form: one dense SVD, in real arithmetic
+        # as is the oracle's LU, since its imaginary part is zero
+        dtypes = []
+        calls = self._count(monkeypatch, ["solve", "--matrix", str(diag_problem / "a.coo"),
+                                          "--rhs", str(diag_problem / "b.vec"),
+                                          "--out", str(diag_problem / "o")], dtypes)
+        assert calls == Counter({("svd", (2, 2)): 1, ("solve", (2, 2)): 1})
+        assert dtypes == [np.float64, np.float64]
+
     @pytest.mark.parametrize("argv", [["pde", "--preset", "fig4a", "--method", "schro"],
                                       ["solve", "--preset", "fig4a", "--method", "schro"],
                                       ["schro", "--preset", "fig3a"]])
     def test_schro_one_full_svd(self, tmp_path, monkeypatch, argv):
-        # the bounds, the guard checks and the pair basis share one full SVD
+        # the bounds, the guard checks and the pair basis share one full
+        # SVD, the closed-form factors
         n = pde_preset(argv[2])[0].system.a.shape[0]
         calls = self._count(monkeypatch, argv + ["--out", str(tmp_path)])
-        assert calls == Counter({("svd", (n, n)): 1, ("solve", (n, n)): 1})
+        assert calls == self._closed_form(n) + Counter({("solve", (n, n)): 1})
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

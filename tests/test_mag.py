@@ -530,6 +530,24 @@ class TestPairBasis:
         assert np.allclose(stepped, (dense.h @ spec.to_state(w).T).T + dense.f,
                            rtol=0.0, atol=1e-12)
 
+    def test_real_factors_map_as_complex_products(self):
+        # a real A's factors multiply complex states through their real and
+        # imaginary parts; the products are those of the complex factors
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6))
+        b = rng.normal(size=6) + 1j * rng.normal(size=6)
+        spec = build_spectral(a, b)
+        assert np.isrealobj(spec.u) and np.isrealobj(spec.vh)
+        u, vh = spec.u.astype(complex), spec.vh.astype(complex)
+        assert np.allclose(spec.b_t, u.conj().T @ b, rtol=0.0, atol=1e-14)
+        w = rng.normal(size=(4, 6, 2)) + 1j * rng.normal(size=(4, 6, 2))
+        expected = np.concatenate([w[..., 0] @ vh.conj(), w[..., 1] @ u.T], axis=-1)
+        for got, want in ((spec.to_state(w), expected), (spec.to_state(w[1]), expected[1]),
+                          (spec.to_state(w[1, :, :1]), expected[1, :6]),
+                          (spec.solution(w[..., 0]), expected[..., :6])):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
     def test_singular_steady_state_raises_under_optimize(self):
         # the condition checks of A and of I - H are real errors, so they
         # survive python -O; at sigma_min = 1e-10 A's condition (1e10) passes

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schromag import pde
-from schromag.errors import InputError
-from schromag.linalg import direct_solve
+from schromag.errors import InputError, SingularMatrixError
+from schromag.linalg import direct_solve, full_svd
+from schromag.mag import build_spectral
 from schromag.pde import (
     MIXED,
     ROBIN,
@@ -272,3 +275,45 @@ class TestPresets:
             if problem.boundary[0] == MIXED:
                 expect[xs == h] -= problem.boundary[1]
             np.testing.assert_allclose(b, expect, rtol=0.0, atol=1e-14, err_msg=name)
+
+
+class TestClosedFormFactors:
+    """`PdeProblem.svd`, the closed-form SVD, against the dense SVD of the
+    assembled A."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(pde.FAMILIES)), n=st.integers(3, 12),
+           k=st.floats(0.0, 30.0), other=st.booleans(), value=st.floats(-3.0, 3.0))
+    def test_matches_dense_svd(self, family, n, k, other, value):
+        dim, boundary = pde.FAMILIES[family]
+        forcing = "cos2" if dim == 1 else "cos2_diag"
+        problem = make_problem(family, n, k, forcing,
+                               (boundary, 2j if boundary == ROBIN else value)
+                               if other else (ZERO,))
+        if other and boundary == ROBIN:
+            assert problem.svd() is None and problem.svd(compute_uv=False) is None
+            return
+        u, s, vh = problem.svd()
+        a = problem.system.a
+        assert np.isrealobj(u) and np.isrealobj(vh) and np.all(np.diff(s) <= 0.0)
+        # the dense SVD is accurate to about eps sigma_max in every value
+        assert np.max(np.abs(s - full_svd(a)[1])) <= 1e-13 * s[0]
+        assert np.max(np.abs(problem.svd(compute_uv=False) - s)) <= 1e-13 * s[0]
+        assert np.max(np.abs((u * s) @ vh - a)) <= 1e-13 * s[0]
+        eye = np.eye(s.size)
+        assert np.max(np.abs(u.T @ u - eye)) <= 1e-13
+        assert np.max(np.abs(vh @ vh.T - eye)) <= 1e-13
+        # lambda_a + lambda_b = lambda_b + lambda_a to the bit: in 2d at most
+        # n(n+1)/2 distinct eigenvalues, each giving one sigma (two biharmonic)
+        per_value = 1 if family.startswith("helmholtz") else 2
+        assert np.unique(s).size <= per_value * (n if dim == 1 else n * (n + 1) // 2)
+
+    def test_singular_shift_refused(self):
+        # k h = 2 sin(pi h/2) puts lambda_1 + k^2 h^2 at rounding level: the
+        # factors keep build_spectral's condition check
+        n = 8
+        k = 2.0 * (n + 1) * np.sin(np.pi / (2 * (n + 1)))
+        problem = make_problem("helmholtz1d", n, k, "sine2", (ZERO,))
+        assert problem.svd(compute_uv=False)[-1] < 1e-14
+        with pytest.raises(SingularMatrixError):
+            build_spectral(problem.system.a, problem.system.b, problem=problem)

@@ -867,16 +867,28 @@ class TestPipeline:
         assert (d["live_pairs"], d["sigma_groups"]) == (2, 2)
 
     def test_fig6a_groups_repeated_singular_values(self):
-        # the 2d biharmonic spectrum repeats: on the CLI's real-arithmetic
-        # SVD, 511 forced pairs and 258 distinct sigma (pde.json reports both)
+        # the 2d biharmonic spectrum repeats: the 256 axis sums lambda_a +
+        # lambda_b take 129 distinct values, each giving two sigma, and the
+        # CLI's closed-form SVD groups into those 258 as the dense SVD does.
+        # 60 pairs of the closed-form basis carry forcing above rounding;
+        # pde.json's live_pairs counts every pair whose U^H b is not exactly
+        # zero, 499 of them in 256 of the groups
         from schromag.presets import pde_preset
 
         problem, solver = pde_preset("fig6a")
-        spec = build_spectral(problem.system.a, problem.system.b)
+        every = np.arange(problem.dim)
+        spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
+        dense = build_spectral(problem.system.a, problem.system.b)
+        for system in (spec, dense):
+            assert schrod.sigma_groups(system.sigma, every)[0].size == 258
+        forced = np.abs(spec.b_t)
+        assert np.count_nonzero(forced > 1e-12 * forced.max()) == 60
         oracle = direct_solve(problem.system, spec.sigma)
         u, report, _ = _pipeline_u(spec, solver.delta, solver.n_p)
         d = asdict(report)
-        assert (d["live_pairs"], d["sigma_groups"]) == (511, 258)
+        live = np.flatnonzero(spec.b_t)
+        assert d["sigma_groups"] == schrod.sigma_groups(spec.sigma, live)[0].size
+        assert (d["live_pairs"], d["sigma_groups"]) == (live.size, 256) == (499, 256)
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
 
     def test_presets_meet_delta(self):
