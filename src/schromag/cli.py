@@ -23,7 +23,7 @@ import numpy as np
 # that run them: a mag run never compiles or loads them
 from . import io, mag
 from .errors import InputError, NumericsError
-from .linalg import LinearSystem, direct_solve, svd
+from .linalg import LinearSystem, condition_check, direct_solve, svd
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
@@ -380,7 +380,8 @@ def cmd_complexity(cfg: RunConfig) -> int:
 
     system, problem, delta, n_p = _load_system(cfg)
     a = system.a
-    s_vals = svd(a, problem, compute_uv=False)
+    s_vals = svd(a, problem)[1]
+    condition_check(s_vals)  # a singular A exits 1, as in the runs that solve
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),
         sigma_min=float(s_vals[-1]),

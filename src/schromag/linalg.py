@@ -3,13 +3,12 @@
 Everything downstream works on validated complex128 arrays: matrices are
 2-d row-major, vectors 1-d.  Real input is embedded with zero imaginary
 part so a single code path serves both the real and the Robin-boundary
-(genuinely complex) problems; `full_svd`, `singular_values` and
-`direct_solve` factor a matrix with zero imaginary part in real
-arithmetic.  `svd` takes A's SVD in closed form from the PDE problem A
-was assembled from where it has one (`pde.PdeProblem.svd`), and by the
-dense `full_svd` or `singular_values` otherwise.  Storage is dense
-throughout; sparsity only ever enters as a nonzeros-per-row count for the
-cost estimators.
+(genuinely complex) problems; `full_svd` and `direct_solve` factor a
+matrix with zero imaginary part in real arithmetic.  `svd` takes A's SVD
+in closed form from the PDE problem A was assembled from where it has one
+(`pde.PdeProblem.svd`), and by the dense `full_svd` otherwise.  Storage
+is dense throughout; sparsity only ever enters as a nonzeros-per-row
+count for the cost estimators.
 """
 
 from __future__ import annotations
@@ -124,21 +123,12 @@ def full_svd(a) -> tuple:
     return np.linalg.svd(_real_if_real(a))
 
 
-def singular_values(a) -> np.ndarray:
-    """The singular values of a, descending, without computing u and vh;
-    real arithmetic as in `full_svd`."""
-    return np.linalg.svd(_real_if_real(a), compute_uv=False)
-
-
-def svd(a, problem=None, compute_uv: bool = True):
-    """A's SVD (u, s descending, vh), or s alone without `compute_uv`: in
-    closed form where `problem`, the `pde.PdeProblem` A was assembled from,
-    has it (`PdeProblem.svd`), else by `full_svd` or `singular_values`.
-    The one place that decides where A's SVD comes from."""
-    closed = None if problem is None else problem.svd(compute_uv)
-    if closed is not None:
-        return closed
-    return full_svd(a) if compute_uv else singular_values(a)
+def svd(a, problem=None) -> tuple:
+    """A's SVD (u, s descending, vh): in closed form where `problem`, the
+    `pde.PdeProblem` A was assembled from, has it (`PdeProblem.svd`), else
+    by `full_svd`.  The one place that decides where A's SVD comes from."""
+    closed = None if problem is None else problem.svd()
+    return full_svd(a) if closed is None else closed
 
 
 def condition_check(sigma) -> tuple[float, float]:
@@ -161,10 +151,10 @@ def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
     imaginary parts of b as two right-hand sides.  The condition and
     ||A||_2 checks come from `sigma`, the singular values of A in any
     order, when the caller already has them (the run's SVD, dense or
-    closed-form, from `svd`); otherwise A is factored here.
+    closed-form, from `svd`); otherwise A is factored here by `full_svd`.
     """
     a = _real_if_real(require_square(sys.a))
-    s_max, cond = condition_check(singular_values(a) if sigma is None else sigma)
+    s_max, cond = condition_check(full_svd(a)[1] if sigma is None else sigma)
     if np.iscomplexobj(a):
         u = np.linalg.solve(a, sys.b)
         resid = np.linalg.norm(a @ u - sys.b)

@@ -207,12 +207,14 @@ def build_spectral(a, b, params: MagParams | None = None, problem=None) -> Spect
     closed-form where `problem`, the `pde.PdeProblem` A was assembled
     from, has it, else dense.  The one place that turns (A, b) into
     singular values, vectors and U^H b; SingularMatrixError where A is
-    singular to working tolerance."""
+    singular to working tolerance, InputError where sigma_max^2 overflows."""
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
     u, s, vh = svd(a, problem)
     condition_check(s)
+    if not math.isfinite(float(s[0]) * float(s[0])):  # the blocks and bounds hold sigma^2
+        raise InputError(f"sigma_max^2 overflows: sigma_max = {s[0]:.3e}")
     if params is None:
         params = MagParams(s[0] ** 2, s[-1] ** 2)
     b_t = _times(b, u, np.empty(s.size, dtype=np.complex128))  # b conj(U) = U^H b

@@ -110,32 +110,28 @@ class PdeProblem:
             return w[: self.dim // 2]
         return w
 
-    def svd(self, compute_uv: bool = True):
-        """A's full SVD (u, s, vh) in closed form, real, s descending, or s
-        alone without `compute_uv`; None where the axis has a Robin node.
-        In the basis of the axis eigenpairs (`_axis_eigenpairs`; in 2d
-        lambda_a + lambda_b on kron(q_a, q_b)) A is one block per
-        eigenvalue, [lambda + k^2 h^2] for Helmholtz and [[lambda, -h^2],
-        [0, lambda]] for biharmonic, factored by one batched SVD of the
-        blocks; the 2d mirror pairs give bit-equal blocks, so bit-equal s."""
+    def svd(self):
+        """A's full SVD (u, s, vh) in closed form, real, s descending; None
+        where the axis has a Robin node.  In the basis of the axis
+        eigenpairs (`_axis_eigenpairs`; in 2d lambda_a + lambda_b on
+        kron(q_a, q_b)) A is one block per eigenvalue, [lambda + k^2 h^2]
+        for Helmholtz and [[lambda, -h^2], [0, lambda]] for biharmonic,
+        factored by one batched SVD of the blocks; the 2d mirror pairs give
+        bit-equal blocks, so bit-equal s."""
         if self.boundary[0] == ROBIN:
             return None
         lam, q = _axis_eigenpairs(self.n)
         two_d = FAMILIES[self.family][0] == 2
         if two_d:  # the Kronecker sum
             lam = (lam[:, None] + lam).ravel()
+            q = np.kron(q, q)
         if self.family.startswith("helmholtz"):
             blocks = (lam + (self.k * self.h) ** 2)[:, None, None]
         else:
             blocks = lam[:, None, None] * np.eye(2) + np.array([[0.0, -self.h**2], [0.0, 0.0]])
-        factored = np.linalg.svd(blocks, compute_uv=compute_uv)
-        s = (factored[1] if compute_uv else factored).ravel()
+        bu, s, bvh = np.linalg.svd(blocks)
+        s = s.ravel()
         order = np.argsort(-s, kind="stable")
-        if not compute_uv:
-            return s[order]
-        if two_d:
-            q = np.kron(q, q)
-        bu, _, bvh = factored
         m, r = lam.size, blocks.shape[-1]
         # vh[(j, c), (a, i)] = bvh[j, c, a] q[i, j], and u^T the same from bu[j, a, c]
         ut, vh = ((f[..., None] * q.T[:, None, None, :]).reshape(r * m, r * m)

@@ -134,6 +134,8 @@ def default_forcing_scale(params: mag_mod.MagParams) -> float:
 def _check_forcing_scale(gamma_f: float) -> None:
     if not (math.isfinite(gamma_f) and gamma_f > 0.0):
         raise InputError(f"gamma_f must be finite and positive, got {gamma_f}")
+    if not math.isfinite(1.0 / gamma_f):  # a subnormal gamma_f: f/gamma_f overflows
+        raise InputError(f"--gammaf {gamma_f:.3g} is out of range: 1/gamma_f overflows")
 
 
 @dataclass(frozen=True)
@@ -167,12 +169,15 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
     if p_left >= 0.0:
         raise InputError("p_left must be negative")
     p_right = max(rate * t_end, 0.0) + max(right_margin, RIGHT_MARGIN)
+    if not math.isfinite(p_right - p_left):
+        raise InputError(f"the p-domain [{p_left:.3g}, {p_right:.3g}] is not finite: "
+                         "--gammaf is out of range")
     dp = (p_right - p_left) / n_p
     if dp > MAX_DP:
         need = 1 << math.ceil(math.log2((p_right - p_left) / MAX_DP))
         raise InputError(
-            f"n_p={n_p} leaves dp={dp:.3f} > {MAX_DP} on [{p_left:.2f}, {p_right:.2f}]; "
-            f"use n_p >= {need}"
+            f"n_p={n_p} leaves dp={dp:.3g} > {MAX_DP} on [{p_left:.4g}, {p_right:.4g}]; "
+            + (f"use n_p >= {need}" if need <= MAX_NP else f"no n_p <= {MAX_NP} will do")
         )
     points = p_left + dp * np.arange(n_p)
     thetas = 2.0 * np.pi * np.fft.fftfreq(n_p, d=dp)
@@ -342,12 +347,13 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     """Stream the pair-space Fourier modes at time t through the readout.
 
     Mode l of pair j is forcing_j e_l col_l(sigma_j), with e = fft(envelope)
-    and col the unit-forcing column of `pair_column`, evaluated once per
-    evolved group of equal singular values.  In the pair basis h1 is real
-    and h2 imaginary, so mode -l is the conjugate of mode l: modes
-    0..n_p/2-1 are evaluated, the inner ones counted twice, and real parts
-    taken; the Nyquist mode n_p/2 has no partner on the grid and is added
-    as it is.  Each chunk of modes is contracted with c * e (c = ifft of the
+    and col the unit-forcing column of `_apply_pair_modes` with its state
+    slots' `pair_coupling`, evaluated once per evolved group of equal
+    singular values.  In the pair basis h1 is real and h2 imaginary, so
+    mode -l is the conjugate of mode l: modes 0..n_p/2-1 are evaluated, the
+    inner ones counted twice, and real parts taken; the Nyquist mode n_p/2
+    has no partner on the grid and is added as it is, from the same real
+    planes and coupling.  Each chunk of modes is contracted with c * e (c = ifft of the
     readout weights) and, for stride > 0, folded times e into F[l mod m],
     m = n_p // stride, then dropped.  The state slots' coupling
     (`pair_coupling`) is folded into those per-mode factors once, so the
@@ -386,10 +392,12 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
             modes *= scale[:, lo:hi]
             folded[:, r : r + width] += modes.reshape(4, (hi - lo) // width, width,
                                                       reps.size).sum(axis=1)
-    nyquist = pair_column(pairs, reps, grid.thetas[half : half + 1], t, slots)[0]
+    planes = _apply_pair_modes(pairs, reps, grid.thetas[half : half + 1], t, slots)[:, :, 0]
+    nyquist = planes[:, 0] + 1j * planes[:, 1]  # (slots, groups)
+    nyquist[:2] *= kappa[half]
     forcing = np.zeros((pairs.reps.size, n), dtype=np.complex128)
     forcing[pairs.group, pairs.live] = pairs.w0_pair[pairs.live, 2]
-    coefficients = (readout + coef[half] * nyquist[:, :2].T) @ forcing[pairs.evolved]
+    coefficients = (readout + coef[half] * nyquist[:2]) @ forcing[pairs.evolved]
     rows = None
     if m:
         # (groups, 2, n): sum_{j in g} forcing_j V e_j and sum_{j in g} forcing_j U e_j
@@ -398,7 +406,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
         # the Nyquist mode's phase at p_{j*stride} is (-1)^(j*stride)
         sign = (-1.0) ** (stride * np.arange(m))[:, None]
         rows_group = (np.fft.ifft(folded, axis=1).real * (m / n_p)
-                      + sign * (env[half] / n_p) * nyquist.T[:, None, :])
+                      + sign * (env[half] / n_p) * nyquist[:, None, :])
         rows = np.empty((m, 4, n), dtype=np.complex128)
         for k in range(4):  # slots (0, 1) and (2, 3) are each a state [V x; U y]
             np.matmul(rows_group[k], basis[:, k % 2], out=rows[:, k])
@@ -422,16 +430,6 @@ def pair_coupling(gamma_f: float, thetas) -> np.ndarray:
     return 0.25 * gamma_f * (1.0 - 1j * np.asarray(thetas))
 
 
-def pair_column(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
-    """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps), as
-    complex (modes, pairs, slots): the planes of `_apply_pair_modes` with
-    the state slots' `pair_coupling` applied."""
-    planes = _apply_pair_modes(pairs, reps, thetas, t, slots)
-    col = planes[:, 0] + 1j * planes[:, 1]
-    col[:2] *= pair_coupling(pairs.gamma_f, thetas)[:, None]
-    return np.moveaxis(col, 0, -1)
-
-
 def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
     """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps), in
     real arithmetic, the state slots without their coupling.
@@ -451,7 +449,7 @@ def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4)
     on the pair through sigma alone.  Returns the real (slots, 2, modes,
     pairs) planes [slot][real, imaginary part]: slots = 2 gives the state
     block only, and the state slots leave out the factor -i c/2 that
-    `pair_coupling` gives per mode (`pair_column` applies it).
+    `pair_coupling` gives per mode (`evolve_structured` applies it).
     """
     th = np.asarray(thetas)[:, None]
     m = pairs.spec.ode.blocks[reps]  # the pairs' blocks [[d1, -cw], [cw, d2]]
@@ -565,19 +563,22 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
     safety = (params.kappa_hat + 1.0) / params.kappa_hat
     t_end = float(mag_mod.convergence_steps(params.kappa_hat, delta, safety=safety))
 
-    pairs = build_pair_system(spec, gamma_f)
-    runway = required_runway(pairs, t_end)
-    p_left = -(runway + envelope_tail(DEFAULT_TAIL_TOL))
-    # decay the envelope below noise at the periodic seam: the largest
-    # state component (usually the forcing block at scale ||F||/gamma_f)
-    # must fall to ~1e-10 of the solution scale by p_right (per sigma group)
-    norms = pairs.group_norms()[pairs.evolved]
-    top = float(max(np.max(norms, initial=0.0), 1e-300))
-    wref = float(max(np.max(norms[:, :2], initial=0.0), 1e-300))
-    right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
+    # a gamma_f out of range overflows the forcing block or the speeds to
+    # inf, and build_grid_from_rate refuses the domain that leaves
+    with np.errstate(over="ignore"):
+        pairs = build_pair_system(spec, gamma_f)
+        runway = required_runway(pairs, t_end)
+        p_left = -(runway + envelope_tail(DEFAULT_TAIL_TOL))
+        # decay the envelope below noise at the periodic seam: the largest
+        # state component (usually the forcing block at scale ||F||/gamma_f)
+        # must fall to ~1e-10 of the solution scale by p_right (per sigma group)
+        norms = pairs.group_norms()[pairs.evolved]
+        top = float(max(np.max(norms, initial=0.0), 1e-300))
+        wref = float(max(np.max(norms[:, :2], initial=0.0), 1e-300))
+        right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
 
-    rate = pairs.lambda_max_h1()
-    grid = build_grid_from_rate(rate, t_end, n_p, p_left, right_margin)
+        rate = pairs.lambda_max_h1()
+        grid = build_grid_from_rate(rate, t_end, n_p, p_left, right_margin)
     p_diamond = max(rate * t_end, 0.0)
     advect = float(np.max(pairs.advection_speeds())) * t_end
     weights, k_star = readout_weights(grid, p_diamond, advect)

@@ -9,7 +9,8 @@ state of a comparison flow as a state vector, the homogenized
 4n x 4n generator, its split and the slicing of the split into n x n
 blocks, and the per-mode evolution by Hermitian eigendecomposition with
 both readouts (the single-point one only here), and the pair kernel's
-forcing column by complex exponentials.  It also holds the check
+forcing column by complex exponentials, with the complex column the
+package's kernel makes (`pair_column`) to compare.  It also holds the check
 of a block-encoding state-preparation pair against its coefficients, the
 closed-form PDE solutions the assembled systems are checked against, and
 the per-element repr writers of the field snapshot and of every other
@@ -27,13 +28,14 @@ import numpy as np
 
 from schromag.blockenc import StatePrepPair
 from schromag.errors import EncodingError, InputError
-from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve,
-                             require_square, singular_values)
+from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve, full_svd,
+                             require_square)
 from schromag.mag import MagParams, SpectralSystem
 from schromag.pde import ZERO, PdeProblem
 from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PairSystem,
-                             PGrid, _check_forcing_scale, build_grid_from_rate, envelope,
-                             readout_weights, recovery_index)
+                             PGrid, _apply_pair_modes, _check_forcing_scale,
+                             build_grid_from_rate, envelope, pair_coupling, readout_weights,
+                             recovery_index)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -52,7 +54,7 @@ def params_from_sigma(sigma, safety: float = 1.0) -> MagParams:
 
 def params_from_matrix(a, safety: float = 1.0) -> MagParams:
     """Bounds taken from the actual singular values of a, widened by `safety`."""
-    return params_from_sigma(singular_values(a), safety)
+    return params_from_sigma(full_svd(a)[1], safety)
 
 
 def spectral_from_factors(b, params: MagParams, factors) -> SpectralSystem:
@@ -119,7 +121,7 @@ def steady_state(sys: TransformedSystem) -> np.ndarray:
     block equals sqrt(alpha*beta) b.
     """
     m = np.eye(2 * sys.n) - sys.h
-    return direct_solve(LinearSystem(m, sys.f), singular_values(m))
+    return direct_solve(LinearSystem(m, sys.f))
 
 
 def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -302,6 +304,17 @@ def apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) 
         out[..., 2] = 0.5 * (bot_p + bot_m + (bot_p - bot_m) * n0)
         out[..., 3] = 0.5 * (bot_p - bot_m) * i_n1
     return out
+
+
+def pair_column(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
+    """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps), as
+    complex (modes, pairs, slots), from the package's kernel: the real
+    planes of `schrod._apply_pair_modes` with the state slots'
+    `schrod.pair_coupling` applied, the form `apply_pair_modes` gives."""
+    planes = _apply_pair_modes(pairs, reps, thetas, t, slots)
+    col = planes[:, 0] + 1j * planes[:, 1]
+    col[:2] *= pair_coupling(pairs.gamma_f, thetas)[:, None]
+    return np.moveaxis(col, 0, -1)
 
 
 def _top_block(vec: np.ndarray) -> np.ndarray:

@@ -230,11 +230,10 @@ class TestFactorizationCounts:
     file by one dense SVD."""
 
     @staticmethod
-    def _count(monkeypatch, argv, dtypes=None, uv=None):
+    def _count(monkeypatch, argv, dtypes=None):
         """Kernel calls by (name, shape), and closed-form SVDs as
         ("closed_form", shape of A); the dtype of each kernel call's matrix
-        goes to `dtypes`, and whether an svd computes U and V to `uv`, when
-        a list is given."""
+        goes to `dtypes` when a list is given."""
         calls = Counter()
 
         def counting(name, fn):
@@ -242,8 +241,6 @@ class TestFactorizationCounts:
                 calls[name, np.shape(m)] += 1
                 if dtypes is not None:
                     dtypes.append(np.asarray(m).dtype)
-                if name == "svd" and uv is not None:
-                    uv.append(kwargs.get("compute_uv", True))
                 return fn(m, *args, **kwargs)
             return wrapper
 
@@ -255,8 +252,8 @@ class TestFactorizationCounts:
                 monkeypatch.setattr(module, name, counting(name, fn))
         closed_form = pde.PdeProblem.svd
 
-        def counted(problem, compute_uv=True):
-            factors = closed_form(problem, compute_uv)
+        def counted(problem):
+            factors = closed_form(problem)
             if factors is not None:
                 calls["closed_form", (problem.dim,) * 2] += 1
             return factors
@@ -361,23 +358,24 @@ class TestFactorizationCounts:
         assert builds == 1
 
     def test_complexity_builds_no_spectral_system(self, tmp_path, monkeypatch):
-        # the cost table reads singular values only: no parameters, no
-        # solve, and the singular values of the closed-form factors
+        # the cost table reads singular values only: no parameters and no
+        # solve, but the same SVD as every other command, here the
+        # closed-form factors
         argv = ["complexity", "--preset", "fig3a", "--out", str(tmp_path)]
         assert self._spectral_builds(monkeypatch, argv) == 0
-        dtypes, uv = [], []
-        calls = self._count(monkeypatch, argv, dtypes, uv)
+        dtypes = []
+        calls = self._count(monkeypatch, argv, dtypes)
         n = pde_preset("fig3a")[0].system.a.shape[0]
         assert calls == self._closed_form(n)
-        assert (dtypes, uv) == ([np.float64], [False])
+        assert dtypes == [np.float64]
 
-    def test_complexity_complex_matrix_values_only(self, tmp_path, monkeypatch):
-        dtypes, uv = [], []
+    def test_complexity_complex_matrix_one_svd(self, tmp_path, monkeypatch):
+        dtypes = []
         calls = self._count(monkeypatch, ["complexity", "--preset", "fig3e",
-                                          "--out", str(tmp_path)], dtypes, uv)
+                                          "--out", str(tmp_path)], dtypes)
         n = pde_preset("fig3e")[0].system.a.shape[0]
         assert calls == Counter({("svd", (n, n)): 1})
-        assert (dtypes, uv) == ([np.complex128], [False])
+        assert dtypes == [np.complex128]
 
     def test_compare_files_one_svd(self, diag_problem, monkeypatch):
         calls = self._count(monkeypatch, ["compare", "--matrix", str(diag_problem / "a.coo"),
@@ -788,6 +786,17 @@ class TestComplexityCmd:
     def test_requires_source(self, tmp_path):
         assert main(["complexity", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("preset", ["fig6a", "fig4d"])
+    def test_reads_the_runs_sigma(self, tmp_path, preset):
+        # the sigma of the run's one SVD: fig6a's closed-form factors, the
+        # Robin fig4d's dense SVD
+        argv = ["complexity", "--preset", preset, "--format", "json", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = json.loads((tmp_path / "complexity.json").read_text())["rows"]
+        problem = pde_preset(preset)[0]
+        sigma = mag.build_spectral(problem.system.a, problem.system.b, problem=problem).sigma
+        assert [r["kappa_like"] for r in rows if r["method"] == "mag"] == [sigma[0] / sigma[-1]]
+
     @pytest.mark.parametrize("sources, message", [
         (["--matrix", "a.coo"], "error: --matrix requires --rhs"),
         (["--preset", "fig3a", "--matrix", "a.coo", "--rhs", "b.vec"],
@@ -878,6 +887,22 @@ class TestForcingScale:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: gamma_f must be finite and positive, got {float(value)}\n"
+
+    @pytest.mark.parametrize("value, message", [
+        *((v, "the p-domain [-44.4, inf] is not finite: --gammaf is out of range")
+          for v in ("1e-300", "1e-200")),
+        *((v, "the p-domain [-inf, inf] is not finite: --gammaf is out of range")
+          for v in ("1e308", "1.7e308")),
+        ("1e-320", "--gammaf 1e-320 is out of range: 1/gamma_f overflows"),
+        ("1e300", "n_p=512 leaves dp=2.65e+300 > 0.5 on [-6.79e+302, 6.79e+302]; "
+                  "no n_p <= 4194304 will do"),
+    ])
+    def test_out_of_range_gammaf_is_usage_error(self, tmp_path, capsys, value, message):
+        # the forcing block or the advection speeds overflow: one line, no traceback
+        rc = main(["pde", "--preset", "fig3a", "--method", "schro", "--gammaf", value,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestOptionsRead:
@@ -979,7 +1004,9 @@ class TestExitCodeOne:
         ["solve", "--method", "mag", "--lhat", "4", "--muhat", "1"],
         ["solve", "--method", "schro", "--lhat", "4", "--muhat", "1"],
         ["compare", "--lhat", "4", "--muhat", "1", "--gamma", "0.5"],
-    ], ids=["mag", "schro", "damped", "gradient", "mag-bounds", "schro-bounds", "compare"])
+        ["complexity"],
+    ], ids=["mag", "schro", "damped", "gradient", "mag-bounds", "schro-bounds", "compare",
+            "complexity"])
     def test_singular_matrix(self, tmp_path, capsys, argv):
         write_matrix_coo(tmp_path / "a.coo", np.diag([1.0, 0.0]).astype(complex))
         write_vector(tmp_path / "b.vec", np.ones(2, dtype=complex))
@@ -992,6 +1019,18 @@ class TestExitCodeOne:
             "numerical contract violated: matrix is singular to working tolerance")
         assert err.count("\n") == 1
         assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv", [["solve", "--method", "mag"], ["solve", "--method", "schro"],
+                                  ["compare"]])
+def test_sigma_max_squared_overflow_is_usage_error(tmp_path, capsys, argv):
+    # kappa = 1, but sigma_max^2, the bound l_hat and the blocks' sigma^2, is inf
+    write_matrix_coo(tmp_path / "a.coo", np.diag([1e308, 1e308]).astype(complex))
+    write_vector(tmp_path / "b.vec", np.ones(2, dtype=complex))
+    rc = main([*argv, "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: sigma_max^2 overflows: sigma_max = 1.000e+308\n"
 
 
 def test_package_holds_no_assert():

