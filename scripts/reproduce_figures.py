@@ -46,10 +46,7 @@ def main(argv=None):
             print(f"--- {name} / {method}")
             run(["pde", "--preset", name, "--method", method, "--out", out])
 
-    run(["complexity", "--preset", "fig3a", "--format", "csv",
-         "--out", f"{args.out}/complexity"])
-    run(["complexity", "--preset", "fig3a", "--format", "json",
-         "--out", f"{args.out}/complexity"])
+    run(["complexity", "--preset", "fig3a", "--out", f"{args.out}/complexity"])
     run(["blockenc-verify", "--seed", "0", "--out", f"{args.out}/blockenc"])
     print(f"done in {time.perf_counter() - t0:.0f}s -> {args.out}/")
 

@@ -23,21 +23,21 @@ import numpy as np
 # that run them: a mag run never compiles or loads them
 from . import io, mag
 from .errors import InputError, NumericsError
-from .linalg import LinearSystem, condition_check, direct_solve, svd
+from .linalg import LinearSystem, direct_solve
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
 
-# options beyond --out, --seed and --config; `_options_read` says which a run reads
-_BOUNDS = ("alpha", "beta", "l_hat", "mu_hat")
+# options beyond --out and --config; `_options_read` says which a run reads
+_BOUNDS = ("l_hat", "mu_hat")
 _SOURCES = ("preset", "matrix", "rhs")
-_OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS, "gamma", "gammaf", "fmt")
+_OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS, "gamma", "gammaf", "seed")
 # the options each method of solve/pde reads beyond its source, --method and --delta
 _METHOD_OPTIONS = {"mag": _BOUNDS, "gradient": (), "damped": ("gamma",),
                    "schro": (*_BOUNDS, "n_p", "gammaf")}
-_FLAGS = {"n_p": "--np", "l_hat": "--lhat", "mu_hat": "--muhat", "fmt": "--format"}
+_FLAGS = {"n_p": "--np", "l_hat": "--lhat", "mu_hat": "--muhat"}
 # the values the parser and `RunConfig.validate` accept for an option
-_CHOICES = {"method": tuple(_METHOD_OPTIONS), "fmt": ("csv", "json")}
+_CHOICES = {"method": tuple(_METHOD_OPTIONS)}
 
 
 def _flag(name: str) -> str:
@@ -53,15 +53,12 @@ class RunConfig:
     method: str | None = None
     delta: float | None = None
     n_p: int | None = None
-    alpha: float | None = None
-    beta: float | None = None
     gamma: float | None = None
     gammaf: float | None = None
     l_hat: float | None = None
     mu_hat: float | None = None
     out: str = "."
-    seed: int = 0
-    fmt: str | None = None  # complexity writes csv unless json is asked for
+    seed: int | None = None  # blockenc-verify draws from seed 0 unless given
 
     def validate(self):
         sources = sum(x is not None for x in (self.preset, self.matrix))
@@ -77,11 +74,8 @@ class RunConfig:
                                  f"got {getattr(self, name)!r}")
         if self.n_p is not None and (self.n_p < 8 or (self.n_p & (self.n_p - 1)) != 0):
             raise InputError("--np must be a power of two >= 8")
-        for first, second in (("alpha", "beta"), ("l_hat", "mu_hat")):
-            if (getattr(self, first) is None) != (getattr(self, second) is None):
-                raise InputError(f"{_flag(first)} and {_flag(second)} go together")
-        if self.alpha is not None and self.l_hat is not None:
-            raise InputError("give --alpha/--beta or --lhat/--muhat, not both")
+        if (self.l_hat is None) != (self.mu_hat is None):
+            raise InputError("--lhat and --muhat go together")
 
     def check_options_read(self):
         """InputError naming the first option given that the run ignores."""
@@ -106,8 +100,8 @@ def _options_read(cfg: RunConfig) -> tuple:
         # the presets carry their own bounds, gamma and horizon
         return _SOURCES if cfg.preset else (*_SOURCES, "delta", "gamma", *_BOUNDS)
     if cfg.command == "complexity":
-        return (*_SOURCES, "delta", "n_p", "fmt")
-    return ()  # blockenc-verify reads --seed alone
+        return (*_SOURCES, "delta", "n_p")
+    return ("seed",)  # blockenc-verify
 
 
 def _load_system(cfg: RunConfig):
@@ -126,16 +120,7 @@ def _load_system(cfg: RunConfig):
 
 def _params_for(cfg: RunConfig) -> mag.MagParams | None:
     """The bounds the run asks for; None leaves them to A's own spectrum."""
-    if cfg.alpha is not None and cfg.beta is not None:
-        # rebuild the bounds that produce the requested (alpha, beta)
-        if not (0.0 <= cfg.beta < 1.0) or cfg.alpha <= 0.0:
-            raise InputError("need alpha > 0 and 0 <= beta < 1")
-        kappa = (1.0 + math.sqrt(cfg.beta)) / (1.0 - math.sqrt(cfg.beta))
-        sqrt_mu = 2.0 / (math.sqrt(cfg.alpha) * (kappa + 1.0))
-        return mag.MagParams((kappa * sqrt_mu) ** 2, sqrt_mu**2)
-    if cfg.l_hat is not None and cfg.mu_hat is not None:
-        return mag.MagParams(cfg.l_hat, cfg.mu_hat)
-    return None
+    return None if cfg.l_hat is None else mag.MagParams(cfg.l_hat, cfg.mu_hat)
 
 
 def _damping(spec: mag.SpectralSystem, gamma: float | None) -> float:
@@ -147,14 +132,16 @@ def _damping(spec: mag.SpectralSystem, gamma: float | None) -> float:
 
 def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int = 0,
                 gamma: float | None = None, gamma_f: float | None = None,
-                keep_states: bool = False, snapshot_rows: int = 0) -> tuple:
+                keep_states: bool = False, snapshot_rows: int = 0, block=None) -> tuple:
     """(x, the method's report fields, its trace or snapshot) for one method
     on the run's `spec`, once its bounds pass the radius guard; u = V x.
+    mag iterates to delta on the written part `block(u)` of u, if given,
+    and schro refuses the kappa_hat that iteration would refuse.
     mag with keep_states gives (residuals, relative residuals or None),
     schro gives `schrod.pipeline`'s snapshot, the rest None."""
     mag.spectral_radius_check(spec)
     if method == "mag":
-        trace, w_inf, x = mag.solve_spectral(spec, delta, keep_states)
+        trace, w_inf, x = mag.solve_spectral(spec, delta, keep_states, block)
         if not keep_states:
             return x, {"steps": trace.steps}, None
         relative, kappa2 = mag.relative_trace(trace, w_inf, spec)
@@ -163,7 +150,7 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
         from . import schrod
 
         x, report, snapshot = schrod.pipeline(spec, delta, n_p, gamma_f=gamma_f,
-                                              snapshot_rows=snapshot_rows)
+                                              snapshot_rows=snapshot_rows, block=block)
         return x, {"report": asdict(report)}, snapshot
     # the flows: RunConfig.validate rejects any other method
     from . import baselines
@@ -177,27 +164,35 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
     return flow.at(t_end)[:, 0], fields, None
 
 
-def _solve(cfg: RunConfig, method: str, loaded: tuple, **run) -> tuple:
+def _relative_error(u: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(u - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+def _solve(cfg: RunConfig, method: str, loaded: tuple, block=None, **run) -> tuple:
     """(u, delta, report fields, trace or snapshot) of `method` on the
     problem `_load_system` loaded: the run's one `mag.SpectralSystem`, from
     one SVD of A (closed-form for a PDE problem that has it), and the direct
     solve u is checked against.  The fields and a pipeline report both
     carry the residual, whether it is within delta, and the error estimate
     against the closed-form steady state V x*, x* = b~/sigma, from the
-    run's own SVD."""
+    run's own SVD, all on the part `block(u)` of u the run writes (all of
+    u by default); where that is a proper part, the residual on all of u
+    goes under residual_vs_oracle_full."""
     system, problem, delta, n_p = loaded
     spec = mag.build_spectral(system.a, system.b, _params_for(cfg), problem)
     oracle = direct_solve(system, spec.sigma)
     # A is not kept across the solve unless the caller holds it
     del loaded, system, problem
     x, fields, extra = _run_method(method, spec, delta, n_p=n_p, gamma=cfg.gamma,
-                                   gamma_f=cfg.gammaf, **run)
+                                   gamma_f=cfg.gammaf, block=block, **run)
     u, steady = spec.solution(np.stack([x, spec.b_t / spec.sigma]))
-    rel, estimate = (float(np.max(np.abs(u - ref)) / max(np.max(np.abs(ref)), 1e-300))
-                     for ref in (oracle, steady))
+    written = block or (lambda w: w)
+    rel, estimate = (_relative_error(written(u), written(ref)) for ref in (oracle, steady))
     # reported, not enforced: the exit code does not depend on them
     checked = {"residual_vs_oracle": rel, "meets_delta": rel <= delta,
                "error_estimate": estimate}
+    if written(u).size < u.size:
+        checked["residual_vs_oracle_full"] = _relative_error(u, oracle)
     fields.update(checked)
     if "report" in fields:
         fields["report"].update(checked)
@@ -293,7 +288,7 @@ def cmd_pde(cfg: RunConfig) -> int:
                   {"family": problem.family, "n": problem.n, "k": problem.k,
                    "boundary": repr(problem.boundary), "forcing": problem.forcing,
                    "h": problem.h})
-    u, delta, fields, _ = _solve(cfg, method, loaded)
+    u, delta, fields, _ = _solve(cfg, method, loaded, block=problem.solution_block)
     xs, ys = problem.nodes
     u_sol = problem.solution_block(u)
     io.write_solution_csv(
@@ -324,7 +319,7 @@ def cmd_schro(cfg: RunConfig) -> int:
 def cmd_blockenc_verify(cfg: RunConfig) -> int:
     from . import blockenc
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed or 0)
     results = []
     all_ok = True
 
@@ -380,12 +375,12 @@ def cmd_complexity(cfg: RunConfig) -> int:
 
     system, problem, delta, n_p = _load_system(cfg)
     a = system.a
-    s_vals = svd(a, problem)[1]
-    condition_check(s_vals)  # a singular A exits 1, as in the runs that solve
+    # the runs' own guards: a singular A exits 1, an overflowing sigma_max^2 exits 2
+    sigma = mag.build_spectral(a, system.b, problem=problem).sigma
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),
-        sigma_min=float(s_vals[-1]),
-        sigma_max=float(s_vals[0]),
+        sigma_min=float(sigma[-1]),
+        sigma_max=float(sigma[0]),
         a_max_norm=float(np.max(np.abs(a))),
         ata_max_norm=float(np.max(np.abs(a.conj().T @ a))),
         delta=delta,
@@ -393,15 +388,11 @@ def cmd_complexity(cfg: RunConfig) -> int:
         n=a.shape[0],
     )
     rows = complexity.comparison_rows(summary)
-    if cfg.fmt != "json":
-        header = "method,kappa_like,chi,queries,gates,repetitions"
-        io.write_rows(os.path.join(cfg.out, "complexity.csv"), header,
-                      [[r[key] for r in rows] for key in header.split(",")])
-    else:
-        io.write_json(
-            os.path.join(cfg.out, "complexity.json"),
-            {"rows": rows, "literature": list(complexity.LITERATURE)},
-        )
+    header = "method,kappa_like,chi,queries,gates,repetitions"
+    io.write_rows(os.path.join(cfg.out, "complexity.csv"), header,
+                  [[r[key] for r in rows] for key in header.split(",")])
+    io.write_json(os.path.join(cfg.out, "complexity.json"),
+                  {"rows": rows, "literature": list(complexity.LITERATURE)})
     print("complexity: " + ", ".join(f"{r['method']}={r['queries']:.4g}" for r in rows))
     return 0
 

@@ -276,28 +276,31 @@ def mag_iterate(
     )
 
 
-def solution_error_factor(w_inf: np.ndarray) -> float:
+def solution_error_factor(w_inf: np.ndarray, block=None) -> float:
     """Bound on (max-norm relative u error) / (transformed-state residual).
 
     The termination criterion contracts ||w - w_inf|| / ||w_inf||; after
     unscaling the first block the max-norm error relative to u picks up
-    at most ||w_inf||_2 / max|w_inf(u block)|.
+    at most ||w_inf||_2 / max|w_inf(u block)|, or over the part `block(u)`
+    of u that a run writes (`pde.PdeProblem.solution_block`).
     """
-    top = float(np.max(np.abs(w_inf[: w_inf.size // 2])))
+    u_inf = w_inf[: w_inf.size // 2]
+    top = float(np.max(np.abs(u_inf if block is None else block(u_inf))))
     if top == 0.0:
         return 1.0
     return max(float(np.linalg.norm(w_inf)) / top, 1.0)
 
 
-def step_budget(spec: SpectralSystem, delta: float) -> tuple:
+def step_budget(spec: SpectralSystem, delta: float, block=None) -> tuple:
     """(w_inf, delta_run, max_steps) for a run to max-norm relative u error
-    delta: the state residual delta_run that guarantees it
-    (`solution_error_factor`) and 4 times the steps that reach it.
+    delta, on the part `block(u)` of u if given: the state residual
+    delta_run that guarantees it (`solution_error_factor`) and 4 times the
+    steps that reach it.
     InputError where max_steps states of 2n entries exceed
     MAX_ITERATION_ENTRIES, a kappa_hat that no realization of the map is
     run for: `solve_spectral` and `schrod.pipeline` both check it."""
     w_inf = spec.ode.steady_pairs()
-    delta_run = delta / solution_error_factor(spec.to_state(w_inf))
+    delta_run = delta / solution_error_factor(spec.to_state(w_inf), block)
     max_steps = 4 * convergence_steps(spec.params.kappa_hat, delta_run)
     if max_steps * 2 * spec.n > MAX_ITERATION_ENTRIES:
         raise InputError(f"kappa_hat={spec.params.kappa_hat:.3g} allows {max_steps} steps of "
@@ -305,11 +308,12 @@ def step_budget(spec: SpectralSystem, delta: float) -> tuple:
     return w_inf, delta_run, max_steps
 
 
-def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False) -> tuple:
-    """Step `spec.ode` from w = 0 until the max-norm relative u error is
-    below delta (`step_budget`); returns (trace, w_inf, x/(1 - beta)) for
-    the final state [x_j, y_j], u = V x/(1 - beta)."""
-    w_inf, delta_run, max_steps = step_budget(spec, delta)
+def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False,
+                   block=None) -> tuple:
+    """Step `spec.ode` from w = 0 until the max-norm relative u error, on
+    `block(u)` if given, is below delta (`step_budget`); returns (trace,
+    w_inf, x/(1 - beta)) for the final state [x_j, y_j], u = V x/(1 - beta)."""
+    w_inf, delta_run, max_steps = step_budget(spec, delta, block)
     trace = mag_iterate(spec.ode, np.zeros((spec.n, 2)), delta_run, max_steps,
                         w_inf=w_inf, keep_states=keep_states)
     return trace, w_inf, trace.w_final[:, 0] / (1.0 - spec.params.beta)

@@ -255,9 +255,8 @@ class PairSystem:
     w0_pair: np.ndarray  # (npairs, 4): [0, 0, f_j/gamma_f, 0]
     steady_pair: np.ndarray  # (npairs, 4): spec.ode.steady_pairs(), f_j/gamma_f, 0
     gamma_f: float
-    live: np.ndarray  # indices of the pairs with nonzero forcing
-    reps: np.ndarray  # one live pair per group of equal sigma (`sigma_groups`)
-    group: np.ndarray  # group of each live pair, an index into reps
+    reps: np.ndarray  # one pair per group of equal sigma (`sigma_groups`)
+    group: np.ndarray  # group of each pair, an index into reps
 
     # h1 splits into [[d, gamma_f/2], [gamma_f/2, 0]] for d in {d1_j, d2_j},
     # with eigenvalues (d +- hypot(d, gamma_f))/2
@@ -281,7 +280,7 @@ class PairSystem:
         """(groups, 4): the 2-norm of each slot of the steady state over each
         sigma group, whatever the basis inside a repeated sigma."""
         sq = np.zeros((self.reps.size, 4))
-        np.add.at(sq, self.group, np.abs(self.steady_pair[self.live]) ** 2)
+        np.add.at(sq, self.group, np.abs(self.steady_pair) ** 2)
         return np.sqrt(sq)
 
     def group_weights(self) -> np.ndarray:
@@ -309,20 +308,20 @@ class PairSystem:
         return float(np.linalg.norm(self.steady_pair[:, :2]))
 
 
-def sigma_groups(sigma: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the live pairs by singular value.
+def sigma_groups(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the pairs by singular value.
 
     After sorting, a new group starts wherever the gap to the previous
     value exceeds SIGMA_GROUP_RTOL * sigma_max.  Returns the index of each
-    group's representative pair and, for each live pair, its group.
+    group's representative pair and, for each pair, its group.
     """
-    order = np.argsort(sigma[live], kind="stable")
-    sig = sigma[live][order]
+    order = np.argsort(sigma, kind="stable")
+    sig = sigma[order]
     scale = sig[-1] if sig.size else 0.0
     starts = np.concatenate([[True], np.diff(sig) > SIGMA_GROUP_RTOL * scale])[: sig.size]
-    group = np.empty(live.size, dtype=np.intp)
+    group = np.empty(sigma.size, dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
-    return live[order[starts]], group
+    return order[starts], group
 
 
 def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSystem:
@@ -332,13 +331,12 @@ def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSyste
     unless gamma_f is finite and positive."""
     _check_forcing_scale(gamma_f)
     forcing = spec.ode.drive / gamma_f  # [f_j/gamma_f, 0]
-    live = np.flatnonzero(forcing[:, 0])
-    reps, group = sigma_groups(spec.sigma, live)
+    reps, group = sigma_groups(spec.sigma)
     return PairSystem(
         sigma=spec.sigma, spec=spec, w0_pair=np.hstack([np.zeros_like(forcing), forcing]),
         # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f]
         steady_pair=np.hstack([spec.ode.steady_pairs(), forcing]), gamma_f=gamma_f,
-        live=live, reps=reps, group=group,
+        reps=reps, group=group,
     )
 
 
@@ -396,7 +394,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     nyquist = planes[:, 0] + 1j * planes[:, 1]  # (slots, groups)
     nyquist[:2] *= kappa[half]
     forcing = np.zeros((pairs.reps.size, n), dtype=np.complex128)
-    forcing[pairs.group, pairs.live] = pairs.w0_pair[pairs.live, 2]
+    forcing[pairs.group, np.arange(n)] = pairs.w0_pair[:, 2]
     coefficients = (readout + coef[half] * nyquist[:2]) @ forcing[pairs.evolved]
     rows = None
     if m:
@@ -532,14 +530,13 @@ class PipelineReport:
     k_star: int
     recovery_method: str
     gamma_f: float
-    live_pairs: int  # singular pairs with nonzero forcing
-    sigma_groups: int  # distinct singular values among them
+    sigma_groups: int  # distinct singular values
     evolved_groups: int  # the groups above the rounding floor, each evolved once
     pruned_weight: float  # weight of the other groups, over the solution scale
 
 
 def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
-             gamma_f: float | None = None, snapshot_rows: int = 0):
+             gamma_f: float | None = None, snapshot_rows: int = 0, block=None):
     """End-to-end solve of A u = b through the Hamiltonian realization, in
     the basis of the run's `spec` (`mag.build_spectral`).
 
@@ -549,12 +546,13 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
     snapshot_rows > 0 the snapshot is (points, rows), the final warped
     field on every (n_p // snapshot_rows)-th grid point from the same
     evolution pass, else None.  Raises InputError for a kappa_hat beyond
-    the momentum iteration's `mag.step_budget`.  Checking u against a
-    reference solution is left to the caller.
+    the budget of a momentum iteration to delta on `block(u)`
+    (`mag.step_budget`).  Checking u against a reference solution is left
+    to the caller.
     """
     params = spec.params
     # the kappa_hat the momentum iteration refuses is refused here too
-    mag_mod.step_budget(spec, delta)
+    mag_mod.step_budget(spec, delta, block)
     if gamma_f is None:
         gamma_f = default_forcing_scale(params)
     # kappa*ln(1/delta) leaves a residual ~delta at kappa=1 but ~delta^2
@@ -587,7 +585,7 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
     report = PipelineReport(
         t_end=t_end, n_p=n_p, p_left=grid.p_left, p_right=grid.p_right,
         p_diamond=p_diamond, k_star=k_star, recovery_method="integral", gamma_f=gamma_f,
-        live_pairs=int(pairs.live.size), sigma_groups=int(pairs.reps.size),
+        sigma_groups=int(pairs.reps.size),
         evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),
     )
     snapshot = (grid.points[::stride], rows) if stride else None

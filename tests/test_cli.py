@@ -14,7 +14,7 @@ import pytest
 from schromag import floatrepr, mag, pde
 from schromag.cli import main
 from schromag.io import read_vector, write_matrix_coo, write_vector
-from schromag.presets import compare_preset, pde_preset
+from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
 
 import reference
 
@@ -189,6 +189,16 @@ class TestSolve:
         assert done.stderr.endswith(f"beyond the budget of {mag.MAX_ITERATION_ENTRIES}\n")
         assert done.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["mag", "schro"])
+    def test_step_budget_counts_the_written_block(self, tmp_path, capsys, method):
+        # at kappa_hat = 2.5e4 on fig5a the steps to delta on all of [u; v] fit
+        # the budget and the steps to delta on u alone, the block pde writes,
+        # do not: pde refuses both methods alike
+        rc = main(["pde", "--preset", "fig5a", "--method", method, "--lhat", "330515",
+                   "--muhat", "5.238e-4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: kappa_hat=2.51e+04 allows ")
+
     def test_beta_rounding_to_one_is_usage_error(self, tmp_path, capsys):
         # kappa_hat = 1e17 rounds beta to 1.0, where the iteration would never end
         rc = main(["solve", "--preset", "fig3a", "--lhat", "1e34", "--muhat", "1",
@@ -357,12 +367,12 @@ class TestFactorizationCounts:
         builds = self._spectral_builds(monkeypatch, argv + ["--out", str(diag_problem / "o")])
         assert builds == 1
 
-    def test_complexity_builds_no_spectral_system(self, tmp_path, monkeypatch):
-        # the cost table reads singular values only: no parameters and no
-        # solve, but the same SVD as every other command, here the
-        # closed-form factors
+    def test_complexity_reads_one_spectral_system(self, tmp_path, monkeypatch):
+        # the cost table reads the singular values of the run's one spectral
+        # system, behind the same guards as every other command, and solves
+        # nothing; its SVD is the closed-form factors
         argv = ["complexity", "--preset", "fig3a", "--out", str(tmp_path)]
-        assert self._spectral_builds(monkeypatch, argv) == 0
+        assert self._spectral_builds(monkeypatch, argv) == 1
         dtypes = []
         calls = self._count(monkeypatch, argv, dtypes)
         n = pde_preset("fig3a")[0].system.a.shape[0]
@@ -495,8 +505,8 @@ class TestCompare:
 
     def test_fig1_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["compare", "--preset", "fig1", "--out", str(out1), "--seed", "7"]) == 0
-        assert main(["compare", "--preset", "fig1", "--out", str(out2), "--seed", "7"]) == 0
+        assert main(["compare", "--preset", "fig1", "--out", str(out1)]) == 0
+        assert main(["compare", "--preset", "fig1", "--out", str(out2)]) == 0
         for name in ("mag_trajectory.csv", "damped_trajectory.csv", "ratio.csv", "compare.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -637,6 +647,40 @@ class TestPde:
         else:
             assert max(estimate, residual) <= 1e-13
 
+    @pytest.mark.parametrize("method", ["mag", "schro"])
+    @pytest.mark.parametrize("preset", PDE_PRESET_NAMES)
+    def test_written_block_meets_delta(self, tmp_path, preset, method):
+        # solution.csv holds u alone (v = lap u of the biharmonic systems is
+        # 14-60x larger): u is within delta itself of the LU oracle, and
+        # pde.json reports that error, on u, and its estimate
+        assert main(["pde", "--preset", preset, "--method", method,
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "pde.json").read_text())
+        rows = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1, ndmin=2)
+        problem = pde_preset(preset)[0]
+        oracle = problem.solution_block(np.linalg.solve(problem.system.a, problem.system.b))
+        error = float(np.max(np.abs(rows[:, -2] + 1j * rows[:, -1] - oracle))
+                      / np.max(np.abs(oracle)))
+        assert error <= payload["delta"]
+        assert payload["meets_delta"] is True
+        assert payload["residual_vs_oracle"] == pytest.approx(error, rel=1e-9, abs=1e-15)
+        if error >= 1e-7:
+            assert payload["error_estimate"] == pytest.approx(error, rel=1e-6, abs=0.0)
+        # the error on all of [u; v] comes second, on the biharmonic presets
+        assert ("residual_vs_oracle_full" in payload) is (oracle.size < problem.dim)
+
+    def test_full_residual_is_the_solve_residual(self, tmp_path):
+        # pde and solve run schro alike; solve reports on the whole vector
+        pde_out, solve_out = tmp_path / "pde", tmp_path / "solve"
+        argv = ["--preset", "fig5a", "--method", "schro"]
+        assert main(["pde", *argv, "--out", str(pde_out)]) == 0
+        assert main(["solve", *argv, "--out", str(solve_out)]) == 0
+        payload = json.loads((pde_out / "pde.json").read_text())
+        solved = json.loads((solve_out / "solve.json").read_text())
+        assert payload["residual_vs_oracle_full"] == solved["residual_vs_oracle"]
+        assert payload["pipeline"]["residual_vs_oracle_full"] == solved["residual_vs_oracle"]
+        assert payload["residual_vs_oracle"] != solved["residual_vs_oracle"]
+
     def test_meets_delta_reports_a_missed_delta(self, tmp_path):
         # fig4a's own files at the default n_p = 2048 miss delta = 1e-3 (6.5e-3),
         # the preset's n_p = 8192 meets it; both runs exit 0
@@ -747,10 +791,7 @@ class TestBlockencVerify:
 
 class TestComplexityCmd:
     def test_csv_table(self, tmp_path):
-        rc = main([
-            "complexity", "--preset", "fig3a", "--format", "csv",
-            "--out", str(tmp_path),
-        ])
+        rc = main(["complexity", "--preset", "fig3a", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "complexity.csv").read_text().strip().split("\n")
         assert rows[0] == "method,kappa_like,chi,queries,gates,repetitions"
@@ -770,12 +811,11 @@ class TestComplexityCmd:
         assert lines[-1] == "" and len(made) == 1
         assert [line.split(",") for line in lines[:-1]] == [
             [row["method"], *(repr(row[k]) for k in keys[1:])] for row in made[0]]
+        # the same run writes the same rows as JSON
+        assert json.loads((tmp_path / "complexity.json").read_text())["rows"] == made[0]
 
     def test_json_report(self, tmp_path):
-        rc = main([
-            "complexity", "--preset", "fig3a", "--format", "json",
-            "--out", str(tmp_path),
-        ])
+        rc = main(["complexity", "--preset", "fig3a", "--out", str(tmp_path)])
         assert rc == 0
         payload = json.loads((tmp_path / "complexity.json").read_text())
         assert len(payload["rows"]) == 4
@@ -790,7 +830,7 @@ class TestComplexityCmd:
     def test_reads_the_runs_sigma(self, tmp_path, preset):
         # the sigma of the run's one SVD: fig6a's closed-form factors, the
         # Robin fig4d's dense SVD
-        argv = ["complexity", "--preset", preset, "--format", "json", "--out", str(tmp_path)]
+        argv = ["complexity", "--preset", preset, "--out", str(tmp_path)]
         assert main(argv) == 0
         rows = json.loads((tmp_path / "complexity.json").read_text())["rows"]
         problem = pde_preset(preset)[0]
@@ -866,7 +906,6 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("field, value, message", [
         ("method", "foo", "--method must be one of mag, gradient, damped, schro, got 'foo'"),
-        ("fmt", "xml", "--format must be one of csv, json, got 'xml'"),
     ])
     def test_config_value_outside_choices_is_usage_error(self, diag_problem, capsys, field,
                                                          value, message):
@@ -921,21 +960,25 @@ class TestOptionsRead:
          "compare --preset fig1 does not read --gamma"),
         (["compare", "--preset", "fig1", "--delta", "0.01"],
          "compare --preset fig1 does not read --delta"),
-        (["compare", "--preset", "fig2", "--alpha", "0.1", "--beta", "0.5"],
-         "compare --preset fig2 does not read --alpha"),
+        (["compare", "--preset", "fig2", "--lhat", "9", "--muhat", "1"],
+         "compare --preset fig2 does not read --lhat"),
         (["compare", "--matrix", "a.coo", "--rhs", "b.vec", "--np", "64"],
          "compare --matrix does not read --np"),
         (["schro", "--preset", "fig3a", "--method", "schro"], "schro does not read --method"),
         (["complexity", "--preset", "fig3a", "--gammaf", "0.1"],
          "complexity does not read --gammaf"),
         (["blockenc-verify", "--preset", "fig3a"], "blockenc-verify does not read --preset"),
-        (["solve", "--preset", "fig3a", "--format", "json"],
-         "solve --method mag does not read --format"),
+        (["solve", "--preset", "fig3a", "--seed", "1"], "solve --method mag does not read --seed"),
         (["solve", "--preset", "fig3a", "--lhat", "9"], "--lhat and --muhat go together"),
-        (["compare", "--matrix", "a.coo", "--rhs", "b.vec", "--beta", "0.5"],
-         "--alpha and --beta go together"),
-        (["solve", "--preset", "fig3a", "--lhat", "9", "--muhat", "1", "--alpha", "0.1",
-          "--beta", "0.5"], "give --alpha/--beta or --lhat/--muhat, not both"),
+        # only blockenc-verify reads --seed
+        (["compare", "--preset", "fig1", "--seed", "7"],
+         "compare --preset fig1 does not read --seed"),
+        (["compare", "--matrix", "a.coo", "--rhs", "b.vec", "--seed", "0"],
+         "compare --matrix does not read --seed"),
+        (["pde", "--preset", "fig3a", "--method", "schro", "--seed", "0"],
+         "pde --method schro does not read --seed"),
+        (["schro", "--preset", "fig3a", "--seed", "0"], "schro does not read --seed"),
+        (["complexity", "--preset", "fig3a", "--seed", "0"], "complexity does not read --seed"),
     ])
     def test_unread_option_is_usage_error(self, diag_problem, capsys, argv, message):
         argv = [str(diag_problem / x) if x.endswith((".coo", ".vec")) else x for x in argv]
@@ -952,8 +995,20 @@ class TestOptionsRead:
         assert rc == 2
         assert capsys.readouterr().err == "error: solve --method mag does not read --gamma\n"
 
+    def test_seed_from_config_reaches_blockenc_verify(self, tmp_path):
+        # --seed and a config's seed draw the same suite; no seed draws seed 0's
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        runs = {"flag": ["--seed", "3"], "config": ["--config", str(cfg)],
+                "zero": ["--seed", "0"], "none": []}
+        for name, extra in runs.items():
+            assert main(["blockenc-verify", *extra, "--out", str(tmp_path / name)]) == 0
+        text = {name: (tmp_path / name / "blockenc.json").read_bytes() for name in runs}
+        assert text["flag"] == text["config"] != text["zero"] == text["none"]
+
+    # the second pair gives alpha = 0.002 and beta = 0.9 to 1e-4 relative
     @pytest.mark.parametrize("bounds", [["--lhat", "400", "--muhat", "1e-4"],
-                                        ["--alpha", "0.002", "--beta", "0.9"]])
+                                        ["--lhat", "1898.6", "--muhat", "1.3165"]])
     def test_compare_on_files_honours_bounds(self, diag_problem, bounds):
         src = ["--matrix", str(diag_problem / "a.coo"), "--rhs", str(diag_problem / "b.vec")]
         plain, bounded = diag_problem / "plain", diag_problem / "bounded"
@@ -1022,7 +1077,7 @@ class TestExitCodeOne:
 
 
 @pytest.mark.parametrize("argv", [["solve", "--method", "mag"], ["solve", "--method", "schro"],
-                                  ["compare"]])
+                                  ["compare"], ["complexity"]])
 def test_sigma_max_squared_overflow_is_usage_error(tmp_path, capsys, argv):
     # kappa = 1, but sigma_max^2, the bound l_hat and the blocks' sigma^2, is inf
     write_matrix_coo(tmp_path / "a.coo", np.diag([1e308, 1e308]).astype(complex))

@@ -627,7 +627,6 @@ class TestStreamedReadout:
         sys = build_transformed(q1 @ np.diag(sig) @ q2.conj().T, b, p)
         gamma_f = default_forcing_scale(p)
         pairs = _pairs(sys, gamma_f)
-        assert pairs.live.size == n
         assert pairs.reps.size == np.unique(np.round(sig, 6)).size
         gen, drive = to_ode(sys)
         hs = homogenize(gen, drive, gamma_f)
@@ -692,14 +691,26 @@ class TestStreamedReadout:
 
     def test_sigma_groups(self):
         sigma = np.array([3.0, 2.0, 2.0 * (1 + 1e-15), 1.0, 2.0 * (1 - 2e-15), 1.0 + 1e-9])
-        live = np.array([0, 1, 2, 4, 5])  # pair 3 carries no forcing
-        reps, group = schrod.sigma_groups(sigma, live)
-        # sorted: 1+1e-9 | 2(1-2e-15), 2, 2(1+1e-15) | 3
-        assert sigma[reps].tolist() == pytest.approx([1.0 + 1e-9, 2.0, 3.0], rel=1e-14)
-        assert group.tolist() == [2, 1, 1, 1, 0]
-        assert set(reps.tolist()) <= set(live.tolist())
-        empty_reps, empty_group = schrod.sigma_groups(sigma, np.array([], dtype=int))
+        reps, group = schrod.sigma_groups(sigma)
+        # sorted: 1 | 1+1e-9 | 2(1-2e-15), 2, 2(1+1e-15) | 3; each group's
+        # representative is its smallest sigma
+        assert reps.tolist() == [3, 5, 4, 0]
+        assert group.tolist() == [3, 2, 2, 0, 2, 1]
+        empty_reps, empty_group = schrod.sigma_groups(np.array([]))
         assert empty_reps.size == 0 and empty_group.size == 0
+
+    def test_zero_forcing_groups_are_not_evolved(self):
+        # every pair is grouped; a group that no forcing reaches weighs
+        # exactly 0 and falls under the rounding floor, whatever the rhs
+        p = MagParams(9.0, 0.5)
+        eye = np.eye(3)
+        for b in ([1.0, 0.0, 1.0], [0.0, 0.0, 0.0]):
+            spec = spectral_from_factors(np.array(b, dtype=complex), p,
+                                         (eye, np.array([3.0, 2.0, 1.0]), eye))
+            pairs = build_pair_system(spec, default_forcing_scale(p))
+            assert pairs.reps.size == 3
+            assert sorted(pairs.reps[pairs.evolved].tolist()) == np.flatnonzero(b).tolist()
+            assert pairs.pruned_weight() == 0.0
 
     def test_integral_weights_are_the_trapezoid_rule(self):
         # trapezoid weights on one window, normalized on the grid so the pure
@@ -765,7 +776,7 @@ class TestPruning:
         order = [3, 0, 1, 2]  # descending sigma
         spec = spectral_from_factors(b, p, (eye[:, order], np.diag(a).real[order], eye[order]))
         pairs = build_pair_system(spec, default_forcing_scale(p))
-        assert (pairs.live.size, pairs.reps.size, pairs.evolved.size) == (4, 3, 2)
+        assert (pairs.reps.size, pairs.evolved.size) == (3, 2)
         assert 0.0 < pairs.pruned_weight() <= 4 * np.finfo(float).eps
         t = 20.0
         rate = pairs.lambda_max_h1()
@@ -865,31 +876,29 @@ class TestPipeline:
             assert key in d
         # checking against a reference solution is the caller's business
         assert "residual_vs_oracle" not in d
-        assert (d["live_pairs"], d["sigma_groups"]) == (2, 2)
+        assert "live_pairs" not in d and d["sigma_groups"] == 2
 
     def test_fig6a_groups_repeated_singular_values(self):
         # the 2d biharmonic spectrum repeats: the 256 axis sums lambda_a +
         # lambda_b take 129 distinct values, each giving two sigma, and the
         # CLI's closed-form SVD groups into those 258 as the dense SVD does.
-        # 60 pairs of the closed-form basis carry forcing above rounding;
-        # pde.json's live_pairs counts every pair whose U^H b is not exactly
-        # zero, 499 of them in 256 of the groups
+        # 60 pairs of the closed-form basis carry forcing above rounding, and
+        # the rounding floor keeps the groups they fall in
         from schromag.presets import pde_preset
 
         problem, solver = pde_preset("fig6a")
-        every = np.arange(problem.dim)
         spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
         dense = build_spectral(problem.system.a, problem.system.b)
         for system in (spec, dense):
-            assert schrod.sigma_groups(system.sigma, every)[0].size == 258
+            assert schrod.sigma_groups(system.sigma)[0].size == 258
         forced = np.abs(spec.b_t)
-        assert np.count_nonzero(forced > 1e-12 * forced.max()) == 60
+        heavy = np.flatnonzero(forced > 1e-12 * forced.max())
+        assert heavy.size == 60
         oracle = direct_solve(problem.system, spec.sigma)
         u, report, _ = _pipeline_u(spec, solver.delta, solver.n_p)
-        d = asdict(report)
-        live = np.flatnonzero(spec.b_t)
-        assert d["sigma_groups"] == schrod.sigma_groups(spec.sigma, live)[0].size
-        assert (d["live_pairs"], d["sigma_groups"]) == (live.size, 256) == (499, 256)
+        assert asdict(report)["sigma_groups"] == 258
+        pairs = build_pair_system(spec, default_forcing_scale(spec.params))
+        assert set(pairs.group[heavy].tolist()) <= set(pairs.evolved.tolist())
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
 
     def test_presets_meet_delta(self):
