@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .mag import FlowSystem, SpectralSystem
 
 
@@ -47,14 +48,14 @@ GAMMA_PER_SIGMA_MIN = 1.9
 def build_damped(spec: SpectralSystem, gamma: float) -> FlowSystem:
     """Second-order damped dynamics in first-order form on w = [u; v].
 
-    Requires 0 < gamma < 2 sigma_min(A).  The auxiliary block of the
-    steady state is exactly zero, which is what breaks the relative
-    convergence of this method.
+    Requires 0 < gamma < 2 sigma_min(A), else InputError.  The auxiliary
+    block of the steady state is exactly zero, which is what breaks the
+    relative convergence of this method.
     """
     s, b_t = spec.sigma, spec.b_t
     sigma_min = float(s[-1])
     if not (0.0 < gamma < 2.0 * sigma_min):
-        raise ValueError(
+        raise InputError(
             f"gamma must satisfy 0 < gamma < 2*sigma_min = {2 * sigma_min:.6g}, got {gamma}"
         )
     blocks = np.zeros((s.size, 2, 2))

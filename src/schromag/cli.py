@@ -2,8 +2,10 @@
 
 Subcommands: solve, compare, pde, schro, blockenc-verify, complexity.
 Outputs are plot-ready CSV/JSON files, never rendered images.  Exit
-codes: 0 success, 1 violated numerical contract, 2 bad input.  Flag
-values override config-file values, which override preset defaults.
+codes: 0 success, 1 violated numerical contract (`errors.NumericsError`,
+numpy's `LinAlgError`), 2 bad input (`errors.InputError`, usage errors
+included).  Flag values override config-file values, which override
+preset defaults.
 """
 
 from __future__ import annotations
@@ -118,6 +120,16 @@ def _load_system(cfg: RunConfig):
     return system, problem, delta, n_p
 
 
+def _factor(cfg: RunConfig, system: LinearSystem, problem, delta: float, n_p: int) -> tuple:
+    """(spec, oracle, delta, n_p) for the problem `_load_system` loaded: the
+    run's one `mag.SpectralSystem`, from one SVD of A (closed-form for a PDE
+    problem that has it), and the direct solve u is checked against.
+    Nothing returned holds A, so it goes once the caller lets go of its
+    system and problem."""
+    spec = mag.build_spectral(system.a, system.b, _params_for(cfg), problem)
+    return spec, direct_solve(system, spec.sigma), delta, n_p
+
+
 def _params_for(cfg: RunConfig) -> mag.MagParams | None:
     """The bounds the run asks for; None leaves them to A's own spectrum."""
     return None if cfg.l_hat is None else mag.MagParams(cfg.l_hat, cfg.mu_hat)
@@ -132,20 +144,21 @@ def _damping(spec: mag.SpectralSystem, gamma: float | None) -> float:
 
 def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int = 0,
                 gamma: float | None = None, gamma_f: float | None = None,
-                keep_states: bool = False, snapshot_rows: int = 0, block=None) -> tuple:
+                trace: bool = False, snapshot_rows: int = 0, block: int | None = None) -> tuple:
     """(x, the method's report fields, its trace or snapshot) for one method
     on the run's `spec`, once its bounds pass the radius guard; u = V x.
-    mag iterates to delta on the written part `block(u)` of u, if given,
-    and schro refuses the kappa_hat that iteration would refuse.
-    mag with keep_states gives (residuals, relative residuals or None),
-    schro gives `schrod.pipeline`'s snapshot, the rest None."""
+    mag iterates to delta on the first `block` entries of u, the part the
+    run writes, if given, and schro refuses the kappa_hat that iteration
+    would refuse.
+    mag with `trace` gives (residuals, relative residuals or None) and
+    kappa2_w_inf, schro gives `schrod.pipeline`'s snapshot, the rest None."""
     mag.spectral_radius_check(spec)
     if method == "mag":
-        trace, w_inf, x = mag.solve_spectral(spec, delta, keep_states, block)
-        if not keep_states:
-            return x, {"steps": trace.steps}, None
-        relative, kappa2 = mag.relative_trace(trace, w_inf, spec)
-        return x, {"steps": trace.steps, "kappa2_w_inf": kappa2}, (trace.residuals, relative)
+        iteration, x, kappa2, relative = mag.solve_spectral(spec, delta, trace, block)
+        if not trace:
+            return x, {"steps": iteration.steps}, None
+        return (x, {"steps": iteration.steps, "kappa2_w_inf": kappa2},
+                (iteration.residuals, relative))
     if method == "schro":
         from . import schrod
 
@@ -168,40 +181,35 @@ def _relative_error(u: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(u - ref)) / max(np.max(np.abs(ref)), 1e-300))
 
 
-def _solve(cfg: RunConfig, method: str, loaded: tuple, block=None, **run) -> tuple:
-    """(u, delta, report fields, trace or snapshot) of `method` on the
-    problem `_load_system` loaded: the run's one `mag.SpectralSystem`, from
-    one SVD of A (closed-form for a PDE problem that has it), and the direct
-    solve u is checked against.  The fields and a pipeline report both
-    carry the residual, whether it is within delta, and the error estimate
-    against the closed-form steady state V x*, x* = b~/sigma, from the
-    run's own SVD, all on the part `block(u)` of u the run writes (all of
-    u by default); where that is a proper part, the residual on all of u
-    goes under residual_vs_oracle_full."""
-    system, problem, delta, n_p = loaded
-    spec = mag.build_spectral(system.a, system.b, _params_for(cfg), problem)
-    oracle = direct_solve(system, spec.sigma)
-    # A is not kept across the solve unless the caller holds it
-    del loaded, system, problem
+def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.ndarray,
+           delta: float, n_p: int, block: int | None = None, **run) -> tuple:
+    """(u, report fields, trace or snapshot) of `method` on the run's `spec`,
+    checked against the direct solve `oracle` (`_factor`).  The fields and a
+    pipeline report both carry the residual, whether it is within delta,
+    and the error estimate against the closed-form steady state V x*,
+    x* = b~/sigma, from the run's own SVD, all on the first `block` entries
+    of u, the part the run writes (all of u by default); where that is a
+    proper part, the residual on all of u goes under
+    residual_vs_oracle_full."""
     x, fields, extra = _run_method(method, spec, delta, n_p=n_p, gamma=cfg.gamma,
                                    gamma_f=cfg.gammaf, block=block, **run)
     u, steady = spec.solution(np.stack([x, spec.b_t / spec.sigma]))
-    written = block or (lambda w: w)
-    rel, estimate = (_relative_error(written(u), written(ref)) for ref in (oracle, steady))
+    rel, estimate = (_relative_error(u[:block], ref[:block]) for ref in (oracle, steady))
     # reported, not enforced: the exit code does not depend on them
     checked = {"residual_vs_oracle": rel, "meets_delta": rel <= delta,
                "error_estimate": estimate}
-    if written(u).size < u.size:
+    if u[:block].size < u.size:
         checked["residual_vs_oracle_full"] = _relative_error(u, oracle)
     fields.update(checked)
     if "report" in fields:
         fields["report"].update(checked)
-    return u, delta, fields, extra
+    return u, fields, extra
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     method = cfg.method or "mag"
-    u, delta, fields, trace = _solve(cfg, method, _load_system(cfg), keep_states=True)
+    spec, oracle, delta, n_p = _factor(cfg, *_load_system(cfg))
+    u, fields, trace = _solve(cfg, method, spec, oracle, delta, n_p, trace=True)
     out = cfg.out
     io.write_vector(os.path.join(out, "solution.vec"), u)
     io.write_solution_csv(os.path.join(out, "solution.csv"), u,
@@ -280,17 +288,21 @@ def _compare_fig2(cfg: RunConfig) -> int:
 def cmd_pde(cfg: RunConfig) -> int:
     if cfg.preset is None:
         raise InputError("pde requires --preset")
-    loaded = _load_system(cfg)
-    problem, method, out = loaded[1], cfg.method or "mag", cfg.out
-    io.write_matrix_coo(os.path.join(out, "problem.coo"), problem.system.a)
-    io.write_vector(os.path.join(out, "problem.vec"), problem.system.b)
+    system, problem, delta, n_p = _load_system(cfg)
+    method, out = cfg.method or "mag", cfg.out
+    io.write_matrix_coo(os.path.join(out, "problem.coo"), system.a)
+    io.write_vector(os.path.join(out, "problem.vec"), system.b)
     io.write_json(os.path.join(out, "problem.json"),
                   {"family": problem.family, "n": problem.n, "k": problem.k,
                    "boundary": repr(problem.boundary), "forcing": problem.forcing,
                    "h": problem.h})
-    u, delta, fields, _ = _solve(cfg, method, loaded, block=problem.solution_block)
-    xs, ys = problem.nodes
-    u_sol = problem.solution_block(u)
+    # the run keeps the nodes and the u block's size, not the problem: A
+    # goes once its direct solve has run
+    (xs, ys), block = problem.nodes, problem.solution_size
+    factored = _factor(cfg, system, problem, delta, n_p)
+    del system, problem
+    u, fields, _ = _solve(cfg, method, *factored, block=block)
+    u_sol = u[:block]
     io.write_solution_csv(
         os.path.join(out, "solution.csv"), u_sol,
         xs[: u_sol.size], None if ys is None else ys[: u_sol.size],
@@ -307,8 +319,8 @@ def cmd_pde(cfg: RunConfig) -> int:
 
 
 def cmd_schro(cfg: RunConfig) -> int:
-    u, _, fields, (points, rows) = _solve(cfg, "schro", _load_system(cfg),
-                                          snapshot_rows=SNAPSHOT_ROWS)
+    u, fields, (points, rows) = _solve(cfg, "schro", *_factor(cfg, *_load_system(cfg)),
+                                       snapshot_rows=SNAPSHOT_ROWS)
     io.write_json(os.path.join(cfg.out, "pipeline.json"), fields["report"])
     io.write_vector(os.path.join(cfg.out, "solution.vec"), u)
     io.write_field_snapshot_csv(os.path.join(cfg.out, "warped_field.csv"), points, rows)
@@ -407,8 +419,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise InputError, so that `main`
+    reports an unknown flag or a malformed value in one line, as every
+    other bad input; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="schromag", description=__doc__)
+    parser = _Parser(prog="schromag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     hints = typing.get_type_hints(RunConfig)
     options = [(_flag(f.name), {"dest": f.name, "type": _kinds(hints[f.name])[0],
@@ -429,7 +450,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a NUL in the path
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise InputError("config file must hold a JSON object")
@@ -469,9 +490,8 @@ def _typed(name: str, hint, value):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = merge_config(args)
+        cfg = merge_config(build_parser().parse_args(argv))
         if cfg.command != "blockenc-verify":
             cfg.validate()
         cfg.check_options_read()
@@ -479,11 +499,13 @@ def main(argv=None) -> int:
             os.makedirs(cfg.out, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission
             raise InputError(f"cannot create --out {cfg.out!r}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # a NUL byte in the path
+            raise InputError(f"cannot create --out {cfg.out!r}: {exc}") from exc
         return _COMMANDS[cfg.command](cfg)
-    except ValueError as exc:  # InputError included
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:  # a factorization numpy could not finish
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .errors import InputError
+
 METHODS = ("mag", "gradient", "damped", "hhl-reference")
 
 # Query complexities of earlier linear-system algorithms, reported as
@@ -33,10 +35,11 @@ def chi(s: int, max_norm: float, t: float) -> float:
 
 
 def queries(chi_value: float, delta: float) -> float:
-    """chi * ln(chi/delta) / lnln(chi/delta); undefined at chi/delta <= e."""
+    """chi * ln(chi/delta) / lnln(chi/delta); undefined at chi/delta <= e,
+    where a run's delta and n_p take it, so InputError there."""
     ratio = chi_value / delta
     if ratio <= math.e:
-        raise ValueError(f"estimate undefined for chi/delta = {ratio:.4g} <= e")
+        raise InputError(f"estimate undefined for chi/delta = {ratio:.4g} <= e")
     ln = math.log(ratio)
     return chi_value * ln / math.log(ln)
 
@@ -46,7 +49,7 @@ def gates(chi_value: float, delta: float, n: int) -> float:
     m = ln(max(n, 2)) for the system register."""
     ratio = chi_value / delta
     if ratio <= math.e:
-        raise ValueError(f"estimate undefined for chi/delta = {ratio:.4g} <= e")
+        raise InputError(f"estimate undefined for chi/delta = {ratio:.4g} <= e")
     ln = math.log(ratio)
     return chi_value * (math.log(max(n, 2)) + ln**2.5) * ln / math.log(ln)
 

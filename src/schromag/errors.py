@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the package.
 
 Input problems (bad arguments, malformed files, unknown presets) raise
-ValueError subclasses; violated numerical contracts raise NumericsError
-subclasses.  The CLI maps the former to exit code 2 and the latter to 1.
+InputError, a ValueError; violated numerical contracts raise
+NumericsError subclasses.  The CLI maps InputError to exit code 2, and
+NumericsError and numpy's LinAlgError (a factorization numpy could not
+finish) to 1; any other exception is a fault of the program and propagates.
 """
 
 

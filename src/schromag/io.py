@@ -76,7 +76,7 @@ def read_matrix_coo(path) -> np.ndarray:
     try:
         with open(path) as fh:
             tokens = fh.read().split("\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read matrix file {path}: {exc}") from exc
     header = tokens[0].split()
     if len(header) != 3:
@@ -94,18 +94,22 @@ def read_matrix_coo(path) -> np.ndarray:
     entries = [(k, ln) for k, ln in enumerate(tokens[1:], 2) if ln.strip()]
     if len(entries) != nnz:
         raise InputError(f"{path}: header promises {nnz} entries, found {len(entries)}")
-    for k, ln in entries:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise InputError(f"{path}: malformed entry line {ln!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            re, im = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise InputError(f"{path}: malformed entry line {ln!r}") from exc
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise InputError(f"{path}: index ({i},{j}) out of range")
-        m[i, j] += _finite(path, k, ln, re + 1j * im)
+    # an overflowing sum of duplicates is refused after the loop, not warned of
+    with np.errstate(over="ignore"):
+        for k, ln in entries:
+            parts = ln.split()
+            if len(parts) != 4:
+                raise InputError(f"{path}: malformed entry line {ln!r}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                re, im = float(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise InputError(f"{path}: malformed entry line {ln!r}") from exc
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise InputError(f"{path}: index ({i},{j}) out of range")
+            m[i, j] += _finite(path, k, ln, re + 1j * im)
+    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+        raise InputError(f"{path}: duplicate entries sum to a non-finite value")
     return m
 
 
@@ -125,7 +129,7 @@ def read_vector(path) -> np.ndarray:
     try:
         with open(path) as fh:
             lines = [(k, ln) for k, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read vector file {path}: {exc}") from exc
     out = []
     for k, ln in lines:

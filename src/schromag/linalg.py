@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import InputError, SingularMatrixError
 
 SOLVE_RESIDUAL_TOL = 1e-10
 MAX_CONDITION = 1.0 / (100.0 * np.finfo(float).eps)
@@ -44,7 +44,7 @@ def as_cvector(v) -> np.ndarray:
 
 def require_square(m: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -59,7 +59,7 @@ class LinearSystem:
         object.__setattr__(self, "a", as_cmatrix(self.a))
         object.__setattr__(self, "b", as_cvector(self.b))
         if self.a.shape[0] != self.b.shape[0]:
-            raise ValueError(
+            raise InputError(
                 f"matrix rows {self.a.shape[0]} != rhs length {self.b.shape[0]}"
             )
 

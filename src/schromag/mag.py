@@ -50,21 +50,22 @@ MAX_ITERATION_ENTRIES = 1 << 26
 class MagParams:
     """Optimal-rate step size alpha and momentum beta for bounds of A^H A:
     l_hat bounds sigma_max^2 from above, mu_hat (> 0) sigma_min^2 from
-    below, and kappa_hat = sqrt(l_hat/mu_hat)."""
+    below, and kappa_hat = sqrt(l_hat/mu_hat).  Bounds that give no such
+    alpha and beta (`--lhat/--muhat`, or a spectrum's own) raise InputError."""
 
     l_hat: float
     mu_hat: float
 
     def __post_init__(self):
         if not (0.0 < self.mu_hat <= self.l_hat) or not math.isfinite(self.l_hat):
-            raise ValueError(
+            raise InputError(
                 f"need 0 < mu_hat <= l_hat, got ({self.l_hat}, {self.mu_hat})"
             )
         if not (0.0 <= self.beta < 1.0):
-            raise ValueError(f"need 0 <= beta < 1, got {self.beta}")
+            raise InputError(f"need 0 <= beta < 1, got {self.beta}")
         # equality alpha == 1/mu_hat at l_hat == mu_hat, up to rounding
         if not (0.0 < self.alpha <= (1.0 + 4e-16) / self.mu_hat):
-            raise ValueError(f"need 0 < alpha <= 1/mu_hat, got {self.alpha}")
+            raise InputError(f"need 0 < alpha <= 1/mu_hat, got {self.alpha}")
 
     @cached_property
     def kappa_hat(self) -> float:
@@ -210,7 +211,7 @@ def build_spectral(a, b, params: MagParams | None = None, problem=None) -> Spect
     singular to working tolerance, InputError where sigma_max^2 overflows."""
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
+        raise InputError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
     u, s, vh = svd(a, problem)
     condition_check(s)
     if not math.isfinite(float(s[0]) * float(s[0])):  # the blocks and bounds hold sigma^2
@@ -276,47 +277,58 @@ def mag_iterate(
     )
 
 
-def solution_error_factor(w_inf: np.ndarray, block=None) -> float:
+def solution_error_factor(w_inf: np.ndarray, block: int | None = None) -> float:
     """Bound on (max-norm relative u error) / (transformed-state residual).
 
     The termination criterion contracts ||w - w_inf|| / ||w_inf||; after
     unscaling the first block the max-norm error relative to u picks up
-    at most ||w_inf||_2 / max|w_inf(u block)|, or over the part `block(u)`
-    of u that a run writes (`pde.PdeProblem.solution_block`).
+    at most ||w_inf||_2 / max|w_inf(u block)|, or over the first `block`
+    entries of u, the part a run writes (`pde.PdeProblem.solution_size`).
     """
     u_inf = w_inf[: w_inf.size // 2]
-    top = float(np.max(np.abs(u_inf if block is None else block(u_inf))))
+    top = float(np.max(np.abs(u_inf[:block])))
     if top == 0.0:
         return 1.0
     return max(float(np.linalg.norm(w_inf)) / top, 1.0)
 
 
-def step_budget(spec: SpectralSystem, delta: float, block=None) -> tuple:
-    """(w_inf, delta_run, max_steps) for a run to max-norm relative u error
-    delta, on the part `block(u)` of u if given: the state residual
-    delta_run that guarantees it (`solution_error_factor`) and 4 times the
-    steps that reach it.
+def step_budget(spec: SpectralSystem, delta: float, block: int | None = None) -> tuple:
+    """(w_inf, w_state, delta_run, max_steps) for a run to max-norm relative
+    u error delta, on the first `block` entries of u if given: the steady
+    state of `spec.ode` and the state [V w1; U w2] it maps to, the state
+    residual delta_run that guarantees delta (`solution_error_factor`) and
+    4 times the steps that reach it.
     InputError where max_steps states of 2n entries exceed
     MAX_ITERATION_ENTRIES, a kappa_hat that no realization of the map is
     run for: `solve_spectral` and `schrod.pipeline` both check it."""
     w_inf = spec.ode.steady_pairs()
-    delta_run = delta / solution_error_factor(spec.to_state(w_inf), block)
+    w_state = spec.to_state(w_inf)
+    delta_run = delta / solution_error_factor(w_state, block)
     max_steps = 4 * convergence_steps(spec.params.kappa_hat, delta_run)
     if max_steps * 2 * spec.n > MAX_ITERATION_ENTRIES:
         raise InputError(f"kappa_hat={spec.params.kappa_hat:.3g} allows {max_steps} steps of "
                          f"{2 * spec.n} entries, beyond the budget of {MAX_ITERATION_ENTRIES}")
-    return w_inf, delta_run, max_steps
+    return w_inf, w_state, delta_run, max_steps
 
 
-def solve_spectral(spec: SpectralSystem, delta: float, keep_states: bool = False,
-                   block=None) -> tuple:
+def solve_spectral(spec: SpectralSystem, delta: float, trace: bool = False,
+                   block: int | None = None) -> tuple:
     """Step `spec.ode` from w = 0 until the max-norm relative u error, on
-    `block(u)` if given, is below delta (`step_budget`); returns (trace,
-    w_inf, x/(1 - beta)) for the final state [x_j, y_j], u = V x/(1 - beta)."""
-    w_inf, delta_run, max_steps = step_budget(spec, delta, block)
-    trace = mag_iterate(spec.ode, np.zeros((spec.n, 2)), delta_run, max_steps,
-                        w_inf=w_inf, keep_states=keep_states)
-    return trace, w_inf, trace.w_final[:, 0] / (1.0 - spec.params.beta)
+    the first `block` entries of u if given, is below delta (`step_budget`);
+    returns (iteration, x/(1 - beta), kappa2, relative) for the final state
+    [x_j, y_j], u = V x/(1 - beta).  With `trace`, kappa2 is kappa_2 of the
+    mapped steady state, whose components a relative trace divides its
+    errors by: inf where one sits near zero, so that no such trace is well
+    posed (the failure mode of the damped dynamics, whose auxiliary steady
+    state vanishes).  It is known before the first step, so the states are
+    kept only where it is finite, for their `relative_trace`; relative is
+    None elsewhere, and kappa2 inf without `trace`."""
+    w_inf, w_state, delta_run, max_steps = step_budget(spec, delta, block)
+    kappa2 = _steady_kappa2(w_state) if trace else math.inf
+    iteration = mag_iterate(spec.ode, np.zeros((spec.n, 2)), delta_run, max_steps,
+                            w_inf=w_inf, keep_states=kappa2 < math.inf)
+    relative = relative_trace(iteration, w_state, spec) if kappa2 < math.inf else None
+    return iteration, iteration.w_final[:, 0] / (1.0 - spec.params.beta), kappa2, relative
 
 
 def spectral_radius_check(spec: SpectralSystem) -> float:
@@ -358,37 +370,22 @@ def _steady_kappa2(w_inf: np.ndarray) -> float:
     return float(np.max(mags) / np.min(mags))
 
 
-def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, float]:
-    """Componentwise-normalized residual trace and kappa_2(w_inf).
-
-    Errors are divided by the matching steady-state component, so the
-    trace is only well posed when no component of w_inf sits near zero;
-    in that case kappa_2 is reported as infinite and no values are
-    produced (this is exactly the failure mode of the damped dynamics,
-    whose auxiliary steady state vanishes).  `states` is a sequence of
-    states or their (steps, 2n) stack; the trace is one array expression
-    over its rows.
-    """
-    w_inf = as_cvector(w_inf)
-    kappa2 = _steady_kappa2(w_inf)
-    if kappa2 == math.inf:
-        return None, kappa2
+def _relative_residuals(w_inf: np.ndarray, states) -> list:
+    """||(w_n - w_inf) / w_inf|| over its value at n = 0, for each row w_n
+    of `states`: one array expression over the rows."""
     err = np.subtract(np.reshape(states, (-1, w_inf.size)), w_inf)
     err /= w_inf
     hats = np.sqrt(np.einsum("ij,ij->i", err.real, err.real)
                    + np.einsum("ij,ij->i", err.imag, err.imag))
     denom = hats[0] if hats.size and hats[0] > 0 else 1.0
-    return (hats / denom).tolist(), kappa2
+    return (hats / denom).tolist()
 
 
-def relative_trace(trace: IterationTrace, w_inf: np.ndarray,
-                   system: SpectralSystem) -> tuple[list | None, float]:
-    """relative_trace_from_steady on a recorded `system` run, its states
-    and w_inf mapped back to [V w1; U w2] first; the states only where
-    the mapped w_inf admits a trace."""
+def relative_trace(trace: IterationTrace, w_state: np.ndarray, system: SpectralSystem) -> list:
+    """The componentwise-relative residual trace (`_relative_residuals`) of
+    a run of `system` recorded with its states, those mapped back to
+    [V w1; U w2] first, against its mapped steady state w_state
+    (`step_budget`), whose kappa_2 the caller has found finite."""
     if not trace.states:
         raise ValueError("trace was recorded without states; rerun with keep_states=True")
-    w_inf = system.to_state(w_inf)
-    if _steady_kappa2(w_inf) == math.inf:
-        return None, math.inf
-    return relative_trace_from_steady(w_inf, system.to_state(np.array(trace.states)))
+    return _relative_residuals(w_state, system.to_state(np.array(trace.states)))

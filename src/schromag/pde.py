@@ -104,11 +104,11 @@ class PdeProblem:
     def dim(self) -> int:
         return self.system.n
 
-    def solution_block(self, w: np.ndarray) -> np.ndarray:
-        """The u unknowns (biharmonic systems also carry v = lap u)."""
-        if self.family.startswith("biharmonic"):
-            return w[: self.dim // 2]
-        return w
+    @property
+    def solution_size(self) -> int:
+        """The number of u unknowns, which lead the unknowns (biharmonic
+        systems also carry v = lap u)."""
+        return self.dim // 2 if self.family.startswith("biharmonic") else self.dim
 
     def svd(self):
         """A's full SVD (u, s, vh) in closed form, real, s descending; None
@@ -117,14 +117,16 @@ class PdeProblem:
         kron(q_a, q_b)) A is one block per eigenvalue, [lambda + k^2 h^2]
         for Helmholtz and [[lambda, -h^2], [0, lambda]] for biharmonic,
         factored by one batched SVD of the blocks; the 2d mirror pairs give
-        bit-equal blocks, so bit-equal s."""
+        bit-equal blocks, so bit-equal s.  The rows of u^T and vh are built
+        in the order of s, each from its block's factor and eigenvector, so
+        neither is copied into that order afterwards and the 2d eigenvectors
+        kron(q, q) are never built whole."""
         if self.boundary[0] == ROBIN:
             return None
         lam, q = _axis_eigenpairs(self.n)
         two_d = FAMILIES[self.family][0] == 2
         if two_d:  # the Kronecker sum
             lam = (lam[:, None] + lam).ravel()
-            q = np.kron(q, q)
         if self.family.startswith("helmholtz"):
             blocks = (lam + (self.k * self.h) ** 2)[:, None, None]
         else:
@@ -133,10 +135,22 @@ class PdeProblem:
         s = s.ravel()
         order = np.argsort(-s, kind="stable")
         m, r = lam.size, blocks.shape[-1]
-        # vh[(j, c), (a, i)] = bvh[j, c, a] q[i, j], and u^T the same from bu[j, a, c]
-        ut, vh = ((f[..., None] * q.T[:, None, None, :]).reshape(r * m, r * m)
-                  for f in (bu.transpose(0, 2, 1), bvh))
-        return ut[order].T, s[order], vh[order]
+        eig = order // r  # the eigenpair j of each row (j, c), in the order of s
+        qt, n = q.T, self.n  # row j of qt: axis eigenvector j
+        # row (j, c) of vh is [bvh[j, c, a] q_j for a < r], with q_j the
+        # eigenvector j; u^T the same from bu[j, a, c]
+        ut, vh = (np.empty((r * m, r, m)) for _ in range(2))
+        for f, out in ((bu.transpose(0, 2, 1), ut), (bvh, vh)):
+            coef = f.reshape(r * m, r)[order]
+            for a in range(r):
+                rows = out[:, a]
+                if two_d:  # kron(q, q)[:, j], a product of two axis eigenvectors
+                    np.multiply(qt[eig // n][:, :, None], qt[eig % n][:, None, :],
+                                out=rows.reshape(r * m, n, n))
+                else:
+                    np.take(qt, eig, axis=0, out=rows)
+                rows *= coef[:, a, None]
+        return ut.reshape(r * m, r * m).T, s[order], vh.reshape(r * m, r * m)
 
 
 def make_problem(family: str, n: int, k: float, forcing: str, boundary) -> PdeProblem:

@@ -60,7 +60,9 @@ field[j*stride] = (m/n_p) ifft_m(F)[j] where F folds the modes modulo m.
 Memory is one chunk of modes (_CHUNK_ENTRIES / 16 (mode, group) entries
 per slot, as real and imaginary planes) with its temporaries, plus the
 (4, m, groups) fold and the (m, 4n) rows that one (m x groups) @
-(groups x n) product per slot maps it into.
+(groups x n) product per slot maps it into.  Of the grid's n_p-long
+arrays only the points are kept: the wavenumbers are made per chunk
+(`PGrid.thetas`), and each spectrum keeps the half the pass reads.
 """
 
 from __future__ import annotations
@@ -92,12 +94,20 @@ SIGMA_GROUP_RTOL = 1e-12
 def envelope(points) -> np.ndarray:
     """The warped-phase initial profile psi(p): e^{-p} for p >= 0 and
     e^{p} (1 - 2p + 2p^2) for p < 0, which matches its value, slope and
-    curvature at 0."""
+    curvature at 0.  Each side is evaluated only on its own points, in one
+    output array and one scratch array, with the operations of
+    exp(p) * (1 + 2p (p - 1)) in that order."""
     p = np.asarray(points, dtype=float)
-    # np.where evaluates both branches: clamp each to its own side
-    left = np.minimum(p, 0.0)
-    return np.where(p >= 0.0, np.exp(-np.maximum(p, 0.0)),
-                    np.exp(left) * (1.0 + 2.0 * left * (left - 1.0)))
+    right = p >= 0.0
+    left = ~right
+    out = np.negative(p, out=np.empty_like(p), where=right)
+    np.exp(out, out=out, where=right)
+    scratch = np.subtract(p, 1.0, out=np.empty_like(p), where=left)
+    np.multiply(p, 2.0, out=out, where=left)
+    np.multiply(out, scratch, out=out, where=left)
+    np.add(out, 1.0, out=out, where=left)
+    np.multiply(np.exp(p, out=scratch, where=left), out, out=out, where=left)
+    return out
 
 
 # psi'(p) = e^{p} (2p^2 + 2p - 1) vanishes on p < 0 at -(1 + sqrt 3)/2
@@ -145,7 +155,17 @@ class PGrid:
     n_p: int
     points: np.ndarray
     dp: float
-    thetas: np.ndarray  # 2*pi*l/(p_right-p_left), fft ordering
+
+    def thetas(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The wavenumbers 2 pi l/(p_right - p_left) of modes lo..hi-1 in fft
+        ordering, all n_p by default: 2 pi fftfreq(n_p, dp)[lo:hi] bit for
+        bit, built in one array on each call, so no caller holds all n_p."""
+        thetas = np.arange(lo, self.n_p if hi is None else hi, dtype=float)
+        # fftfreq's negative half, exact in floating point
+        thetas[max(self.n_p // 2 - lo, 0) :] -= self.n_p
+        thetas *= 1.0 / (self.n_p * self.dp)
+        thetas *= 2.0 * np.pi
+        return thetas
 
 
 def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
@@ -179,10 +199,10 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
             f"n_p={n_p} leaves dp={dp:.3g} > {MAX_DP} on [{p_left:.4g}, {p_right:.4g}]; "
             + (f"use n_p >= {need}" if need <= MAX_NP else f"no n_p <= {MAX_NP} will do")
         )
-    points = p_left + dp * np.arange(n_p)
-    thetas = 2.0 * np.pi * np.fft.fftfreq(n_p, d=dp)
-    return PGrid(p_left=p_left, p_right=p_right, n_p=n_p, points=points, dp=dp,
-                 thetas=thetas)
+    points = np.arange(n_p, dtype=float)  # p_left + dp k, built in its one array
+    points *= dp
+    points += p_left
+    return PGrid(p_left=p_left, p_right=p_right, n_p=n_p, points=points, dp=dp)
 
 
 def recovery_index(grid: PGrid, p_diamond: float) -> int:
@@ -360,42 +380,54 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     Returns the (n, 2) coefficients [x_j, y_j] of the state block [V x; U y]
     of sum_k weights[k] field(t, p_k) and, for stride > 0, the (m, 4n) rows
     field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None), mapped back
-    through sum_{j in g} forcing_j [V e_j; U e_j] per group g.
+    through sum_{j in g} forcing_j [V e_j; U e_j] per group g.  Of c, e
+    and the coupling only the n_p/2 + 1 entries read are kept, each only
+    as long as it is read; a caller that passes the one reference to the
+    weights has them freed after their transform, as `pipeline` does.
     """
     n_p, half, n = grid.n_p, grid.n_p // 2, pairs.sigma.size
-    env = np.fft.fft(envelope(grid.points))[: half + 1]
-    env[1:half] *= 2.0
-    coef = np.fft.ifft(np.asarray(weights, dtype=float))[: half + 1] * env
-    kappa = pair_coupling(pairs.gamma_f, grid.thetas[: half + 1])
-    coupled = coef * kappa
     m = n_p // stride if stride else 0
     slots = 4 if m else 2
     reps = pairs.reps[pairs.evolved]
+    coupled = _half_spectrum(weights, np.fft.ifft)
+    del weights
+    env = _half_spectrum(envelope(grid.points), np.fft.fft)
+    env[1:half] *= 2.0
+    coupled *= env  # the readout's c e
+    kappa = pair_coupling(pairs.gamma_f, grid.thetas(0, half + 1))
+    # past here only the Nyquist entries of c e and kappa are read, and of e
+    # without a fold
+    nyquist_coef, nyquist_kappa, nyquist_env = coupled[half], kappa[half], env[half]
+    coupled *= kappa
     readout = np.zeros((2, reps.size))
     if m:
-        # the factor each slot of mode l enters the fold with
-        scale = np.stack([env * kappa, env * kappa, env, env])[:, :, None]
+        # the factor each slot of mode l enters the fold with: e kappa, e kappa, e, e
+        env_kappa = env * kappa
         folded = np.zeros((4, m, reps.size), dtype=np.complex128)
+    else:
+        del env
+    del kappa
     # powers of two, so a chunk is a whole number of folds or fits in one
     chunk = 1 << int(math.log2(max(1, _CHUNK_ENTRIES // (16 * max(reps.size, 1)))))
     for lo in range(0, half, chunk):
         hi = min(lo + chunk, half)
-        planes = _apply_pair_modes(pairs, reps, grid.thetas[lo:hi], t, slots)
+        planes = _apply_pair_modes(pairs, reps, grid.thetas(lo, hi), t, slots)
         readout += coupled.real[lo:hi] @ planes[:2, 0] - coupled.imag[lo:hi] @ planes[:2, 1]
         if m:
             width = min(hi - lo, m)
             r = lo % m
             modes = np.empty(planes[:, 0].shape, dtype=np.complex128)
             modes.real, modes.imag = planes[:, 0], planes[:, 1]
-            modes *= scale[:, lo:hi]
+            modes[:2] *= env_kappa[lo:hi, None]
+            modes[2:] *= env[lo:hi, None]
             folded[:, r : r + width] += modes.reshape(4, (hi - lo) // width, width,
                                                       reps.size).sum(axis=1)
-    planes = _apply_pair_modes(pairs, reps, grid.thetas[half : half + 1], t, slots)[:, :, 0]
+    planes = _apply_pair_modes(pairs, reps, grid.thetas(half, half + 1), t, slots)[:, :, 0]
     nyquist = planes[:, 0] + 1j * planes[:, 1]  # (slots, groups)
-    nyquist[:2] *= kappa[half]
+    nyquist[:2] *= nyquist_kappa
     forcing = np.zeros((pairs.reps.size, n), dtype=np.complex128)
     forcing[pairs.group, np.arange(n)] = pairs.w0_pair[:, 2]
-    coefficients = (readout + coef[half] * nyquist[:2]) @ forcing[pairs.evolved]
+    coefficients = (readout + nyquist_coef * nyquist[:2]) @ forcing[pairs.evolved]
     rows = None
     if m:
         # (groups, 2, n): sum_{j in g} forcing_j V e_j and sum_{j in g} forcing_j U e_j
@@ -404,12 +436,25 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
         # the Nyquist mode's phase at p_{j*stride} is (-1)^(j*stride)
         sign = (-1.0) ** (stride * np.arange(m))[:, None]
         rows_group = (np.fft.ifft(folded, axis=1).real * (m / n_p)
-                      + sign * (env[half] / n_p) * nyquist[:, None, :])
+                      + sign * (nyquist_env / n_p) * nyquist[:, None, :])
         rows = np.empty((m, 4, n), dtype=np.complex128)
         for k in range(4):  # slots (0, 1) and (2, 3) are each a state [V x; U y]
             np.matmul(rows_group[k], basis[:, k % 2], out=rows[:, k])
         rows = rows.reshape(m, 4 * n)
     return coefficients.T, rows
+
+
+def _half_spectrum(values, transform) -> np.ndarray:
+    """transform(values)[: n/2 + 1] for n real values, as an array of its
+    own: the transform runs in place on one complex copy of the values (the
+    copy numpy's transform of a real array would make), and the other half
+    is dropped with it."""
+    values = np.asarray(values, dtype=float)
+    spectrum = np.zeros(values.size, dtype=np.complex128)
+    spectrum.real = values
+    del values  # the caller's only reference, where it passes one
+    transform(spectrum, out=spectrum)
+    return spectrum[: spectrum.size // 2 + 1].copy()
 
 
 def _half_angle_cos_sin(x) -> tuple[np.ndarray, np.ndarray]:
@@ -424,8 +469,11 @@ def _half_angle_cos_sin(x) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_coupling(gamma_f: float, thetas) -> np.ndarray:
     """-i c/2 = gamma_f (1 - i theta)/4 per mode: the factor, common to
-    every pair, that the state slots of `_apply_pair_modes` leave out."""
-    return 0.25 * gamma_f * (1.0 - 1j * np.asarray(thetas))
+    every pair, that the state slots of `_apply_pair_modes` leave out:
+    0.25 gamma_f (1 - 1j theta), each operation in place."""
+    kappa = np.multiply(1j, thetas, out=np.empty(np.shape(thetas), dtype=np.complex128))
+    np.subtract(1.0, kappa, out=kappa)
+    return np.multiply(0.25 * gamma_f, kappa, out=kappa)
 
 
 def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
@@ -536,7 +584,7 @@ class PipelineReport:
 
 
 def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
-             gamma_f: float | None = None, snapshot_rows: int = 0, block=None):
+             gamma_f: float | None = None, snapshot_rows: int = 0, block: int | None = None):
     """End-to-end solve of A u = b through the Hamiltonian realization, in
     the basis of the run's `spec` (`mag.build_spectral`).
 
@@ -546,8 +594,8 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
     snapshot_rows > 0 the snapshot is (points, rows), the final warped
     field on every (n_p // snapshot_rows)-th grid point from the same
     evolution pass, else None.  Raises InputError for a kappa_hat beyond
-    the budget of a momentum iteration to delta on `block(u)`
-    (`mag.step_budget`).  Checking u against a reference solution is left
+    the budget of a momentum iteration to delta on the first `block`
+    entries of u (`mag.step_budget`).  Checking u against a reference solution is left
     to the caller.
     """
     params = spec.params
@@ -579,12 +627,14 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
         grid = build_grid_from_rate(rate, t_end, n_p, p_left, right_margin)
     p_diamond = max(rate * t_end, 0.0)
     advect = float(np.max(pairs.advection_speeds())) * t_end
-    weights, k_star = readout_weights(grid, p_diamond, advect)
     stride = max(1, n_p // snapshot_rows) if snapshot_rows > 0 else 0
-    w_rec, rows = evolve_structured(pairs, grid, t_end, weights, stride)
+    # evolve_structured holds the weights' one reference and drops it after use
+    w_rec, rows = evolve_structured(pairs, grid, t_end,
+                                    readout_weights(grid, p_diamond, advect)[0], stride)
     report = PipelineReport(
         t_end=t_end, n_p=n_p, p_left=grid.p_left, p_right=grid.p_right,
-        p_diamond=p_diamond, k_star=k_star, recovery_method="integral", gamma_f=gamma_f,
+        p_diamond=p_diamond, k_star=recovery_index(grid, p_diamond), recovery_method="integral",
+        gamma_f=gamma_f,
         sigma_groups=int(pairs.reps.size),
         evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),
     )

@@ -30,7 +30,7 @@ from schromag.blockenc import StatePrepPair
 from schromag.errors import EncodingError, InputError
 from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve, full_svd,
                              require_square)
-from schromag.mag import MagParams, SpectralSystem
+from schromag.mag import MagParams, SpectralSystem, _relative_residuals, _steady_kappa2
 from schromag.pde import ZERO, PdeProblem
 from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PairSystem,
                              PGrid, _apply_pair_modes, _check_forcing_scale,
@@ -122,6 +122,19 @@ def steady_state(sys: TransformedSystem) -> np.ndarray:
     """
     m = np.eye(2 * sys.n) - sys.h
     return direct_solve(LinearSystem(m, sys.f))
+
+
+def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, float]:
+    """Componentwise-normalized residual trace of dense states and
+    kappa_2(w_inf), the reference of `mag.solve_spectral`'s kappa_2 and
+    `mag.relative_trace`: no values and an infinite kappa_2 where a
+    component of w_inf sits near zero.  `states` is a sequence of states or
+    their (steps, 2n) stack."""
+    w_inf = as_cvector(w_inf)
+    kappa2 = _steady_kappa2(w_inf)
+    if kappa2 == math.inf:
+        return None, kappa2
+    return _relative_residuals(w_inf, states), kappa2
 
 
 def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +256,7 @@ def evolve(hs: HermitianSplit, grid: PGrid, w0_homo, t: float) -> SchrodState:
         chunk = max(1, _CHUNK_ENTRIES // (d * d))
         for lo in range(0, grid.n_p, chunk):
             hi = min(lo + chunk, grid.n_p)
-            th = grid.thetas[lo:hi]
+            th = grid.thetas(lo, hi)
             k = th[:, None, None] * hs.h1[None] - hs.h2[None]
             w, v = np.linalg.eigh(k)
             coef = np.einsum("kji,kj->ki", v.conj(), modes[lo:hi])

@@ -6,13 +6,15 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from schromag import floatrepr, mag, pde
+from schromag import baselines, cli, floatrepr, linalg, mag, pde
 from schromag.cli import main
+from schromag.errors import InputError
 from schromag.io import read_vector, write_matrix_coo, write_vector
 from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
 
@@ -72,6 +74,26 @@ class TestSolve:
         lines = (out / "trace.csv").read_text().strip().split("\n")
         assert lines[0] == "step,residual,relative_residual"
         assert not lines[1].endswith(",")  # finite kappa2: column filled
+
+    @pytest.mark.parametrize("preset, kept", [("fig3a", True), ("fig6a", False)])
+    def test_states_kept_only_for_a_relative_trace(self, tmp_path, monkeypatch, preset, kept):
+        # fig6a's mapped steady state has a near-zero component, known before
+        # the first step: its run keeps no states and writes no relative column
+        kept_states = []
+        iterate = mag.mag_iterate
+
+        def spy(*args, keep_states, **kwargs):
+            kept_states.append(keep_states)
+            return iterate(*args, keep_states=keep_states, **kwargs)
+
+        monkeypatch.setattr(mag, "mag_iterate", spy)
+        assert main(["solve", "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert kept_states == [kept]
+        payload = json.loads((tmp_path / "solve.json").read_text())
+        assert (payload["kappa2_w_inf"] is not None) is kept
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == payload["steps"] + 1
+        assert {row.endswith(",") for row in rows} == {not kept}
 
     @pytest.mark.parametrize("method, own", [
         ("mag", {"steps", "kappa2_w_inf"}), ("gradient", {"t_end"}),
@@ -658,7 +680,7 @@ class TestPde:
         payload = json.loads((tmp_path / "pde.json").read_text())
         rows = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1, ndmin=2)
         problem = pde_preset(preset)[0]
-        oracle = problem.solution_block(np.linalg.solve(problem.system.a, problem.system.b))
+        oracle = np.linalg.solve(problem.system.a, problem.system.b)[: problem.solution_size]
         error = float(np.max(np.abs(rows[:, -2] + 1j * rows[:, -1] - oracle))
                       / np.max(np.abs(oracle)))
         assert error <= payload["delta"]
@@ -696,6 +718,28 @@ class TestPde:
         report = json.loads((solve_out / "pipeline.json").read_text())
         assert payload["residual_vs_oracle"] > payload["delta"] == 1e-3
         assert payload["meets_delta"] is report["meets_delta"] is False
+
+    @pytest.mark.parametrize("method", ["mag", "schro"])
+    def test_a_is_released_before_the_method_runs(self, tmp_path, monkeypatch, method):
+        # pde keeps the nodes and the u block, not the problem: the dense A
+        # goes once its direct solve has run
+        refs, alive = [], []
+        load, run = cli.pde_preset, cli._run_method
+
+        def loading(name):
+            problem, solver = load(name)
+            refs.append(weakref.ref(problem.system.a))
+            return problem, solver
+
+        def running(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "pde_preset", loading)
+        monkeypatch.setattr(cli, "_run_method", running)
+        assert main(["pde", "--preset", "fig6a", "--method", method,
+                     "--out", str(tmp_path)]) == 0
+        assert alive == [False]
 
 
 class TestSchro:
@@ -1086,6 +1130,122 @@ def test_sigma_max_squared_overflow_is_usage_error(tmp_path, capsys, argv):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == "error: sigma_max^2 overflows: sigma_max = 1.000e+308\n"
+
+
+class TestExitCodes:
+    """InputError exits 2 and NumericsError 1, each with one line on stderr;
+    any other exception is a fault of the program and leaves main."""
+
+    def test_unknown_flag_is_one_line(self, tmp_path, capsys):
+        rc = main(["solve", "--preset", "fig3a", "--alpha", "0.1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --alpha 0.1\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["solve", "--delta", "abc"],
+                                      ["pde", "--method", "newton"]],
+                             ids=["no-command", "unknown-command", "bad-float", "bad-choice"])
+    def test_usage_errors_are_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: schromag solve")
+
+    @pytest.mark.parametrize("kernel, preset, message", [
+        ("svd", "fig4d", "SVD did not converge"),  # the dense SVD of a Robin A
+        ("svd", "fig3a", "SVD did not converge"),  # the closed form's batched block SVD
+        ("solve", "fig3a", "Singular matrix"),  # the oracle's LU
+    ])
+    def test_failed_factorization_is_numerics(self, tmp_path, capsys, monkeypatch, kernel,
+                                              preset, message):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(message)
+
+        monkeypatch.setattr(np.linalg, kernel, fail)
+        assert main(["solve", "--preset", preset, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"numerical contract violated: {message}\n"
+
+    def test_other_value_error_is_a_fault(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise ValueError("not an input check")
+
+        monkeypatch.setitem(cli._COMMANDS, "solve", broken)
+        with pytest.raises(ValueError, match="not an input check"):
+            main(["solve", "--preset", "fig3a", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("check", [
+        lambda: mag.MagParams(1.0, 2.0),
+        lambda: baselines.build_damped(compare_preset("fig1").spec, 5.0),
+        lambda: linalg.LinearSystem(np.eye(2), np.ones(3)),
+        lambda: linalg.require_square(np.ones((2, 3))),
+    ], ids=["bounds", "gamma", "rhs-length", "square"])
+    def test_checks_of_outside_input_raise_input_error(self, check):
+        with pytest.raises(InputError):
+            check()
+
+    @pytest.mark.parametrize("matrix, rhs, extra, message", [
+        ("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n1.0 0.0\n",
+         ["--lhat", "1", "--muhat", "2"], "need 0 < mu_hat <= l_hat, got (1.0, 2.0)"),
+        ("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n1.0 0.0\n",
+         ["--method", "damped", "--gamma", "5"], "gamma must satisfy 0 < gamma < 2*sigma_min"),
+        ("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n", [],
+         "matrix rows 2 != rhs length 1"),
+        ("2 3 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n1.0 0.0\n", [],
+         "expected a square matrix, got shape (2, 3)"),
+        ("2 2 3\n0 0 1e308 0.0\n0 0 1e308 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n1.0 0.0\n", [],
+         "duplicate entries sum to a non-finite value"),
+    ], ids=["bounds", "gamma", "rhs-length", "square", "duplicate-overflow"])
+    def test_bad_input_from_files_exits_two(self, tmp_path, capsys, matrix, rhs, extra,
+                                            message):
+        (tmp_path / "a.coo").write_text(matrix)
+        (tmp_path / "b.vec").write_text(rhs)
+        rc = main(["solve", "--matrix", str(tmp_path / "a.coo"), "--rhs",
+                   str(tmp_path / "b.vec"), *extra, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["a.coo", "b.vec", "cfg.json"])
+    def test_file_not_utf8_exits_two(self, tmp_path, capsys, bad):
+        (tmp_path / "a.coo").write_text("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n")
+        (tmp_path / "b.vec").write_text("1.0 0.0\n1.0 0.0\n")
+        (tmp_path / "cfg.json").write_text("{}")
+        (tmp_path / bad).write_bytes(b"\xff")
+        rc = main(["solve", "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
+                   "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and bad in err and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("key", ["matrix", "out"])
+    def test_nul_byte_in_a_config_path_exits_two(self, tmp_path, capsys, key):
+        (tmp_path / "a.coo").write_text("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n")
+        (tmp_path / "b.vec").write_text("1.0 0.0\n1.0 0.0\n")
+        config = {"matrix": str(tmp_path / "a.coo"), "rhs": str(tmp_path / "b.vec"),
+                  "out": str(tmp_path / "out")}
+        config[key] += "\x00"
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["solve", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and err.endswith("embedded null byte\n")
+        assert err.count("\n") == 1
+
+    def test_undefined_cost_estimate_exits_two(self, tmp_path, capsys):
+        # at delta = 0.99 and n_p = 8 chi/delta on the identity is below e
+        (tmp_path / "a.coo").write_text("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n")
+        (tmp_path / "b.vec").write_text("1.0 0.0\n1.0 0.0\n")
+        rc = main(["complexity", "--matrix", str(tmp_path / "a.coo"), "--rhs",
+                   str(tmp_path / "b.vec"), "--delta", "0.99", "--np", "8",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: estimate undefined for chi/delta")
 
 
 def test_package_holds_no_assert():

@@ -15,18 +15,19 @@ from schromag.mag import (
     SPECTRAL_RADIUS_TOL,
     MagParams,
     SpectralSystem,
+    _steady_kappa2,
     build_spectral,
     convergence_steps,
     mag_iterate,
     relative_trace,
-    relative_trace_from_steady,
     solution_error_factor,
     solve_spectral,
     spectral_radius_check,
 )
 from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
-from reference import build_transformed, params_from_matrix, steady_state
+from reference import (build_transformed, params_from_matrix, relative_trace_from_steady,
+                       steady_state)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -423,12 +424,12 @@ class TestRelativeTrace:
         assert values is None
         assert math.isinf(kappa2)
 
-    def test_maps_the_steady_state_alone_where_no_trace_exists(self, monkeypatch):
-        # fig6a's mapped steady state has a near-zero component, so no
-        # recorded state is mapped
-        problem, solver = pde_preset("fig6a")
+    @staticmethod
+    def _mapped_shapes(monkeypatch, preset):
+        """The shapes `SpectralSystem.to_state` maps in a traced run of the
+        preset, with the run's (iteration, kappa2, relative)."""
+        problem, solver = pde_preset(preset)
         spec = build_spectral(problem.system.a, problem.system.b)
-        trace, w_inf, _ = solve_spectral(spec, solver.delta, keep_states=True)
         mapped = []
         to_state = SpectralSystem.to_state
 
@@ -437,8 +438,21 @@ class TestRelativeTrace:
             return to_state(self, w)
 
         monkeypatch.setattr(SpectralSystem, "to_state", spy)
-        assert relative_trace(trace, w_inf, spec) == (None, math.inf)
-        assert mapped == [(spec.n, 2)]
+        iteration, _, kappa2, relative = solve_spectral(spec, solver.delta, trace=True)
+        return spec.n, mapped, iteration, kappa2, relative
+
+    def test_maps_the_steady_state_alone_where_no_trace_exists(self, monkeypatch):
+        # fig6a's mapped steady state has a near-zero component, decided
+        # before the first step: its run keeps and maps no state
+        n, mapped, iteration, kappa2, relative = self._mapped_shapes(monkeypatch, "fig6a")
+        assert (kappa2, relative, iteration.states) == (math.inf, None, [])
+        assert mapped == [(n, 2)]
+
+    def test_maps_the_steady_state_once_for_a_trace(self, monkeypatch):
+        # the step budget and kappa_2 share one mapped steady state
+        n, mapped, iteration, kappa2, relative = self._mapped_shapes(monkeypatch, "fig3a")
+        assert math.isfinite(kappa2) and len(relative) == iteration.steps + 1
+        assert mapped == [(n, 2), (iteration.steps + 1, n, 2)]
 
 
 class TestAgainstOracle:
@@ -478,9 +492,11 @@ class TestPairBasis:
                                 4 * convergence_steps(p.kappa_hat, delta_run),
                                 w_inf=w_inf, keep_states=keep_states)
             rel = None
-            if keep_states:
-                rel = (relative_trace_from_steady(w_inf, trace.states) if sys is dense
-                       else relative_trace(trace, w_inf, spec))
+            if keep_states and sys is dense:
+                rel = relative_trace_from_steady(w_inf, trace.states)
+            elif keep_states:
+                kappa2 = _steady_kappa2(state)
+                rel = (relative_trace(trace, state, spec) if kappa2 < math.inf else None, kappa2)
             if sys is dense:
                 out.append((trace, trace.w_final[: dense.n] / (1.0 - p.beta), rel))
             else:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,20 @@ class TestClosedFormFactors:
         # n(n+1)/2 distinct eigenvalues, each giving one sigma (two biharmonic)
         per_value = 1 if family.startswith("helmholtz") else 2
         assert np.unique(s).size <= per_value * (n if dim == 1 else n * (n + 1) // 2)
+
+    @pytest.mark.parametrize("family, n", [("helmholtz2d", 32), ("biharmonic2d", 16)])
+    def test_factors_are_built_in_order(self, family, n):
+        # the rows of u^T and vh are built in the order of s, and the 2d
+        # eigenvectors kron(q, q) never whole: the peak is the two factors
+        # and little more, with no copy of either
+        problem = make_problem(family, n, 1.0, "sine23_diag", (ZERO,))
+        tracemalloc.start()
+        try:
+            u, _, vh = problem.svd()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (u.nbytes + vh.nbytes), f"{peak / (u.nbytes + vh.nbytes):.2f}x"
 
     def test_singular_shift_refused(self):
         # k h = 2 sin(pi h/2) puts lambda_1 + k^2 h^2 at rounding level: the

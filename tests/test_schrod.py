@@ -210,6 +210,22 @@ class TestEnvelope:
         assert np.allclose(envelope(p), expect, rtol=1e-15, atol=0.0)
         assert np.array_equal(envelope(p[p >= 0.0]), np.exp(-p[p >= 0.0]))
 
+    def test_in_place_matches_the_where_formula(self):
+        # each side in place and on its own points is the two-branch formula
+        # bit for bit, across 0, into the subnormals and on a scalar
+        def formula(points):
+            p = np.asarray(points, dtype=float)
+            left = np.minimum(p, 0.0)
+            return np.where(p >= 0.0, np.exp(-np.maximum(p, 0.0)),
+                            np.exp(left) * (1.0 + 2.0 * left * (left - 1.0)))
+
+        p = np.concatenate([np.linspace(-60.0, 40.0, 10001), [0.0, -0.0, 5e-324, -5e-324],
+                            np.random.default_rng(3).standard_normal(1000) * 1e-3])
+        assert envelope(p).tobytes() == formula(p).tobytes()
+        peak = -(1.0 + math.sqrt(3.0)) / 2.0
+        assert envelope(peak).shape == () and envelope(peak).tobytes() == formula(peak).tobytes()
+        assert schrod.ENVELOPE_MAX == float(formula(peak))
+
     def test_c2_at_zero(self):
         # value, slope and curvature match e^{-p} at 0; the third derivative
         # does not (7 against -1), so psi(-h) - e^{h} = -(4/3) h^3 + O(h^4)
@@ -952,6 +968,22 @@ class TestPipeline:
             tracemalloc.stop()
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
         assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+    def test_wide_grid_memory(self):
+        # fig3e's 131072-point grid: the p-grid keeps its points alone (the
+        # wavenumbers are made per chunk), the weights and each spectrum go
+        # after their last use and only half of each spectrum is kept
+        from schromag.presets import pde_preset
+
+        problem, solver = pde_preset("fig3e")
+        spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
+        tracemalloc.start()
+        try:
+            pipeline(spec, solver.delta, solver.n_p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_consistency_with_ode_oracle(self):
         # recovered trajectory tracks expm on the (generator, drive) ODE
