@@ -4,15 +4,14 @@ Subcommands: solve, compare, pde, schro, blockenc-verify, complexity.
 Outputs are plot-ready CSV/JSON files, never rendered images.  Exit
 codes: 0 success, 1 violated numerical contract (`errors.NumericsError`,
 numpy's `LinAlgError`), 2 bad input (`errors.InputError`, usage errors
-included).  Flag values override config-file values, which override
-preset defaults.
+included).  Every option is a flag, a `RunConfig` field; a flag given
+overrides the preset's default.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -30,7 +29,7 @@ from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
 
-# options beyond --out and --config; `_options_read` says which a run reads
+# options beyond --out; `_options_read` says which a run reads
 _BOUNDS = ("l_hat", "mu_hat")
 _SOURCES = ("preset", "matrix", "rhs")
 _OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS, "gamma", "gammaf", "seed")
@@ -38,8 +37,6 @@ _OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS, "gamma", "gammaf", "s
 _METHOD_OPTIONS = {"mag": _BOUNDS, "gradient": (), "damped": ("gamma",),
                    "schro": (*_BOUNDS, "n_p", "gammaf")}
 _FLAGS = {"n_p": "--np", "l_hat": "--lhat", "mu_hat": "--muhat"}
-# the values the parser and `RunConfig.validate` accept for an option
-_CHOICES = {"method": tuple(_METHOD_OPTIONS)}
 
 
 def _flag(name: str) -> str:
@@ -70,10 +67,6 @@ class RunConfig:
             raise InputError("--matrix requires --rhs")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise InputError("--delta must be in (0, 1)")
-        for name, allowed in _CHOICES.items():
-            if getattr(self, name) not in (None, *allowed):
-                raise InputError(f"{_flag(name)} must be one of {', '.join(allowed)}, "
-                                 f"got {getattr(self, name)!r}")
         if self.n_p is not None and (self.n_p < 8 or (self.n_p & (self.n_p - 1)) != 0):
             raise InputError("--np must be a power of two >= 8")
         if (self.l_hat is None) != (self.mu_hat is None):
@@ -147,9 +140,9 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
                 trace: bool = False, snapshot_rows: int = 0, block: int | None = None) -> tuple:
     """(x, the method's report fields, its trace or snapshot) for one method
     on the run's `spec`, once its bounds pass the radius guard; u = V x.
-    mag iterates to delta on the first `block` entries of u, the part the
-    run writes, if given, and schro refuses the kappa_hat that iteration
-    would refuse.
+    mag iterates, and the gradient flow runs, to delta on the first `block`
+    entries of u, the part the run writes, if given, and schro refuses the
+    kappa_hat that iteration would refuse.
     mag with `trace` gives (residuals, relative residuals or None) and
     kappa2_w_inf, schro gives `schrod.pipeline`'s snapshot, the rest None."""
     mag.spectral_radius_check(spec)
@@ -165,13 +158,18 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
         x, report, snapshot = schrod.pipeline(spec, delta, n_p, gamma_f=gamma_f,
                                               snapshot_rows=snapshot_rows, block=block)
         return x, {"report": asdict(report)}, snapshot
-    # the flows: RunConfig.validate rejects any other method
+    # the flows: the parser refuses any other method
     from . import baselines
 
     if method == "damped":
         gamma = _damping(spec, gamma)
         flow, fields = baselines.build_damped(spec, gamma), {"gamma": gamma}
     else:
+        # |u(t) - u*| <= e^{-sigma_min^2 t} ||x*||_2, x* = b~/sigma and u* = V x*:
+        # the horizon to delta on the first `block` entries of u, as mag's budget
+        x_star = spec.b_t / spec.sigma
+        top = float(np.max(np.abs(spec.solution(x_star)[:block])))
+        delta /= max(float(np.linalg.norm(x_star)) / top, 1.0) if top > 0.0 else 1.0
         flow, fields = baselines.build_gradient_flow(spec), {}
     fields["t_end"] = t_end = baselines.evolution_time(method, float(spec.sigma[-1]), delta)
     return flow.at(t_end)[:, 0], fields, None
@@ -432,66 +430,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schromag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     hints = typing.get_type_hints(RunConfig)
-    options = [(_flag(f.name), {"dest": f.name, "type": _kinds(hints[f.name])[0],
-                                "choices": _CHOICES.get(f.name)})
-               for f in fields(RunConfig)[1:]]  # all but the command
+    # (flag, field, type) for all fields but the command; X | None parses as X
+    options = [(_flag(f.name), f.name, (typing.get_args(hints[f.name]) or (hints[f.name],))[0])
+               for f in fields(RunConfig)[1:]]
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        for flag, spec in options:
-            p.add_argument(flag, **spec)
-        p.add_argument("--config")
+        for flag, dest, kind in options:
+            p.add_argument(flag, dest=dest, type=kind,
+                           choices=tuple(_METHOD_OPTIONS) if dest == "method" else None)
     return parser
-
-
-def merge_config(args: argparse.Namespace) -> RunConfig:
-    """Flags beat config-file values beat dataclass defaults."""
-    file_values = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, a NUL in the path
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise InputError("config file must hold a JSON object")
-    options = fields(RunConfig)[1:]  # all but the command, as in build_parser
-    names = [f.name for f in options]
-    for key in file_values:
-        if key not in names:
-            raise InputError(f"unknown config key {key!r}")
-    cfg = RunConfig(command=args.command)
-    hints = typing.get_type_hints(RunConfig)
-    for f in options:
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            setattr(cfg, f.name, flag)
-        elif f.name in file_values:
-            setattr(cfg, f.name, _typed(f.name, hints[f.name], file_values[f.name]))
-    return cfg
-
-
-def _kinds(hint) -> tuple:
-    """The types a field's hint allows besides None."""
-    return tuple(k for k in typing.get_args(hint) or (hint,) if k is not type(None))
-
-
-def _typed(name: str, hint, value):
-    """A config-file value as its field's declared type, else InputError."""
-    kinds = typing.get_args(hint) or (hint,)
-    if value is None and type(None) in kinds:
-        return None
-    if not isinstance(value, bool):
-        if float in kinds and isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, _kinds(hint)):
-            return value
-    want = " or ".join(k.__name__ for k in kinds)
-    raise InputError(f"config field {name!r} must be {want}, got {value!r}")
 
 
 def main(argv=None) -> int:
     try:
-        cfg = merge_config(build_parser().parse_args(argv))
+        given = vars(build_parser().parse_args(argv)).items()
+        cfg = RunConfig(**{name: value for name, value in given if value is not None})
         if cfg.command != "blockenc-verify":
             cfg.validate()
         cfg.check_options_read()

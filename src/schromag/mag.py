@@ -61,6 +61,9 @@ class MagParams:
             raise InputError(
                 f"need 0 < mu_hat <= l_hat, got ({self.l_hat}, {self.mu_hat})"
             )
+        if not math.isfinite(self.kappa_hat):
+            raise InputError(f"kappa_hat = sqrt(l_hat/mu_hat) overflows, got "
+                             f"({self.l_hat}, {self.mu_hat})")
         if not (0.0 <= self.beta < 1.0):
             raise InputError(f"need 0 <= beta < 1, got {self.beta}")
         # equality alpha == 1/mu_hat at l_hat == mu_hat, up to rounding
@@ -337,11 +340,14 @@ def spectral_radius_check(spec: SpectralSystem) -> float:
 
     The radius is sqrt(beta) exactly when every sigma_j^2 lies in
     [mu_hat, l_hat], and larger otherwise.  Raises SpectrumBoundsError
-    unless it equals sqrt(beta) within SPECTRAL_RADIUS_TOL (1e-6).
+    unless it equals sqrt(beta) within SPECTRAL_RADIUS_TOL (1e-6); bounds
+    so far below the spectrum that a block overflows give an inf or nan
+    radius, which fails the check too.
     """
-    rho = float(np.max(np.abs(1.0 + spec.ode.eigenvalues())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = float(np.max(np.abs(1.0 + spec.ode.eigenvalues())))
     expected = math.sqrt(spec.params.beta)
-    if abs(rho - expected) > SPECTRAL_RADIUS_TOL:
+    if not abs(rho - expected) <= SPECTRAL_RADIUS_TOL:
         raise SpectrumBoundsError(
             f"spectral radius {rho:.12f} != sqrt(beta) {expected:.12f}; "
             "declared bounds do not bracket the spectrum of A^H A"
