@@ -232,7 +232,13 @@ def cmd_compare(cfg: RunConfig) -> int:
     else:
         system, _, delta, _ = _load_system(cfg)
         # no bounds guard: compare shows the momentum flow under any bounds
+        # whose blocks are finite
         spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ode = spec.ode
+        if not (np.all(np.isfinite(ode.blocks)) and np.all(np.isfinite(ode.drive))):
+            raise InputError(f"the bounds --lhat {spec.params.l_hat:.3g} --muhat "
+                             f"{spec.params.mu_hat:.3g} overflow the momentum blocks")
         gamma = _damping(spec, cfg.gamma)
         t_end = baselines.evolution_time("damped", float(spec.sigma[-1]), delta)
         samples = 1200

@@ -22,22 +22,23 @@ class SolverConfig:
     n_p: int = 2048
 
 
-# family, n, k, forcing, boundary, solver overrides
+# family, n, k, forcing, boundary, solver overrides; each n_p is the coarsest
+# power of two that schrod.MAX_DP allows, and meets delta/10 on the written block
 _PDE_TABLE = {
-    "fig3a": ("helmholtz1d", 16, 2.0, "sine23", (ZERO,), {"n_p": 512}),
-    "fig3b": ("helmholtz1d", 32, 2.0, "sine23", (ZERO,), {"n_p": 512}),
-    "fig3c": ("helmholtz1d", 32, 4.0, "sine23", (ZERO,), {"n_p": 512}),
-    "fig3d": ("helmholtz1d", 16, 2.0, "cos2", (ROBIN, 2j), {"n_p": 32768}),
-    "fig3e": ("helmholtz1d", 32, 2.0, "cos2", (ROBIN, 2j), {"n_p": 131072}),
-    "fig3f": ("helmholtz1d", 32, 4.0, "cos2", (ROBIN, 2j), {"n_p": 131072}),
-    "fig4a": ("helmholtz2d", 16, 1.0, "sine23_diag", (ZERO,), {"n_p": 8192}),
+    "fig3a": ("helmholtz1d", 16, 2.0, "sine23", (ZERO,), {"n_p": 256}),
+    "fig3b": ("helmholtz1d", 32, 2.0, "sine23", (ZERO,), {"n_p": 256}),
+    "fig3c": ("helmholtz1d", 32, 4.0, "sine23", (ZERO,), {"n_p": 256}),
+    "fig3d": ("helmholtz1d", 16, 2.0, "cos2", (ROBIN, 2j), {"n_p": 16384}),
+    "fig3e": ("helmholtz1d", 32, 2.0, "cos2", (ROBIN, 2j), {"n_p": 65536}),
+    "fig3f": ("helmholtz1d", 32, 4.0, "cos2", (ROBIN, 2j), {"n_p": 65536}),
+    "fig4a": ("helmholtz2d", 16, 1.0, "sine23_diag", (ZERO,), {"n_p": 2048}),
     "fig4d": ("helmholtz2d", 16, 1.0, "cos2_diag", (ROBIN, 2j), {"n_p": 16384}),
-    "fig5a": ("biharmonic1d", 16, 0.0, "sine23", (ZERO,), {"n_p": 512}),
-    "fig5b": ("biharmonic1d", 32, 0.0, "sine23", (ZERO,), {"n_p": 1024}),
-    "fig5c": ("biharmonic1d", 16, 0.0, "cos2", (MIXED, 2.0), {"n_p": 16384}),
-    "fig5d": ("biharmonic1d", 32, 0.0, "cos2", (MIXED, 2.0), {"n_p": 65536}),
-    "fig6a": ("biharmonic2d", 16, 0.0, "sine23_diag", (ZERO,), {"n_p": 8192}),
-    "fig6d": ("biharmonic2d", 16, 0.0, "cos2_diag", (MIXED, 2.0), {"n_p": 16384}),
+    "fig5a": ("biharmonic1d", 16, 0.0, "sine23", (ZERO,), {"n_p": 256}),
+    "fig5b": ("biharmonic1d", 32, 0.0, "sine23", (ZERO,), {"n_p": 256}),
+    "fig5c": ("biharmonic1d", 16, 0.0, "cos2", (MIXED, 2.0), {"n_p": 8192}),
+    "fig5d": ("biharmonic1d", 32, 0.0, "cos2", (MIXED, 2.0), {"n_p": 32768}),
+    "fig6a": ("biharmonic2d", 16, 0.0, "sine23_diag", (ZERO,), {"n_p": 2048}),
+    "fig6d": ("biharmonic2d", 16, 0.0, "cos2_diag", (MIXED, 2.0), {"n_p": 8192}),
 }
 
 PDE_PRESET_NAMES = tuple(sorted(_PDE_TABLE))

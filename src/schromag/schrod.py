@@ -3,16 +3,18 @@
 Route: one-step map -> continuous ODE dw/dt = (H - I) w + F
 (`mag.SpectralSystem.ode`) -> homogenized block system ->
 Hermitian/anti-Hermitian split -> auxiliary dimension p
-carrying the envelope psi(p) (`envelope`: e^{-p} for p >= 0, a C^2
+carrying the envelope psi(p) (`envelope`: e^{-p} for p >= 0, a C^8
 extension for p < 0) -> Fourier modes, each evolving under its own
 Hermitian generator -> readout of e^{p} times the field beyond the
 threshold p_diamond.
 
 The readout only looks at p > p_diamond >= 0, so the initial profile has
 to equal e^{-p} only there; on p < 0 it is free.  The kink of e^{-|p|}
-at 0 would leave Fourier coefficients that decay like theta^{-2}; the C^2
-extension makes them decay like theta^{-4}, and the integral readout is
-normalized on the grid, so the pure profile reads back exactly.
+at 0 would leave Fourier coefficients that decay like theta^{-2}; the C^8
+extension e^{2p} T_8(-3p) makes them decay like theta^{-10}, so on the
+grids `MAX_DP` allows the truncation error sits well below the time
+truncation's.  The integral readout is normalized on the grid, so the
+pure profile reads back exactly.
 
 Mode ell evolves by exp(-1j*(theta_ell*h1 - h2)*t).  The sign is pinned
 by two identities that the tests enforce: at t=0 the readout returns the
@@ -91,45 +93,69 @@ _CHUNK_ENTRIES = 1 << 18
 SIGMA_GROUP_RTOL = 1e-12
 
 
+# T_8, the degree-8 Taylor polynomial of e^x, lowest degree first
+_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(9))
+
+
 def envelope(points) -> np.ndarray:
     """The warped-phase initial profile psi(p): e^{-p} for p >= 0 and
-    e^{p} (1 - 2p + 2p^2) for p < 0, which matches its value, slope and
-    curvature at 0.  Each side is evaluated only on its own points, in one
-    output array and one scratch array, with the operations of
-    exp(p) * (1 + 2p (p - 1)) in that order."""
+    e^{2p} T_8(-3p) for p < 0, which is e^{-p} (1 + O(p^9)), so psi is C^8
+    at 0.  Each side is evaluated only on its own points, in one output
+    array and one scratch array: on p < 0, T_8(x) at x = -3p by Horner,
+    from x / 8! up, then e^{p} (e^{p} T_8), so that no factor is subnormal
+    where psi is not."""
     p = np.asarray(points, dtype=float)
     right = p >= 0.0
     left = ~right
     out = np.negative(p, out=np.empty_like(p), where=right)
     np.exp(out, out=out, where=right)
-    scratch = np.subtract(p, 1.0, out=np.empty_like(p), where=left)
-    np.multiply(p, 2.0, out=out, where=left)
-    np.multiply(out, scratch, out=out, where=left)
+    scratch = np.multiply(p, -3.0, out=np.empty_like(p), where=left)
+    np.multiply(scratch, _TAYLOR[8], out=out, where=left)
+    for coef in _TAYLOR[7:0:-1]:
+        np.add(out, coef, out=out, where=left)
+        np.multiply(out, scratch, out=out, where=left)
     np.add(out, 1.0, out=out, where=left)
-    np.multiply(np.exp(p, out=scratch, where=left), out, out=out, where=left)
+    np.exp(p, out=scratch, where=left)
+    np.multiply(out, scratch, out=out, where=left)
+    np.multiply(out, scratch, out=out, where=left)
     return out
 
 
-# psi'(p) = e^{p} (2p^2 + 2p - 1) vanishes on p < 0 at -(1 + sqrt 3)/2
-ENVELOPE_MAX = float(envelope(-(1.0 + math.sqrt(3.0)) / 2.0))  # about 1.904
+def _taylor(x: float) -> float:
+    """T_8(x), with the operations of `envelope`'s Horner loop."""
+    acc = x * _TAYLOR[8]
+    for coef in _TAYLOR[7:0:-1]:
+        acc = (acc + coef) * x
+    return acc + 1.0
+
+
+def _bracketed_root(f, lo: float, hi: float) -> float:
+    """The root of f on [lo, hi], where f(lo) > 0 >= f(hi), by bisection
+    down to adjacent doubles; of the two, the one where |f| is smaller."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if abs(f(lo)) < abs(f(hi)) else hi
+
+
+# psi'(p) = e^{2p} (3 x^8/8! - T_8(x)) at x = -3p changes sign once on
+# p < 0, at x = 9.90; the profile peaks there
+_PEAK_P = -_bracketed_root(lambda x: _taylor(x) - 3.0 * _TAYLOR[8] * x**8, 1.0, 30.0) / 3.0
+ENVELOPE_MAX = float(envelope(_PEAK_P))  # about 9.33
 
 
 def envelope_tail(tail_tol: float) -> float:
     """The L > 0 with psi(-L) = tail_tol, left of the envelope's maximum
-    (L = 16.34 for the default e^{-10})."""
+    (L = 15.03 for the default e^{-10}): a bracketed root of the
+    decreasing e^{-L} (e^{-L} T_8(3L)) - tail_tol between the peak and
+    L = 1000, where psi is below every positive double."""
     if not (0.0 < tail_tol < 1.0):
         raise InputError("tail_tol must be in (0,1)")
-    # Newton on the increasing, convex L - ln(1 + 2L + 2L^2) = ln(1/tail_tol),
-    # from a start left of the root (psi(-2) > 1), so it never overshoots left
-    target = -math.log(tail_tol)
-    length = max(target, 2.0)
-    for _ in range(100):
-        quad = 1.0 + 2.0 * length * (length + 1.0)
-        step = (length - math.log(quad) - target) / (1.0 - (2.0 + 4.0 * length) / quad)
-        length -= step
-        if abs(step) <= 1e-15 * length:
-            break
-    return length
+    return _bracketed_root(
+        lambda length: math.exp(-length) * (math.exp(-length) * _taylor(3.0 * length)) - tail_tol,
+        -_PEAK_P, 1000.0)
 
 
 def default_forcing_scale(params: mag_mod.MagParams) -> float:
@@ -572,7 +598,9 @@ def required_runway(pairs: PairSystem, t_end: float,
 class PipelineReport:
     t_end: float
     n_p: int
-    p_left: float
+    p_left: float  # -(runway + envelope_tail)
+    runway: float  # `required_runway`
+    envelope_tail: float  # `envelope_tail` at DEFAULT_TAIL_TOL
     p_right: float
     p_diamond: float
     k_star: int
@@ -614,7 +642,8 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
     with np.errstate(over="ignore"):
         pairs = build_pair_system(spec, gamma_f)
         runway = required_runway(pairs, t_end)
-        p_left = -(runway + envelope_tail(DEFAULT_TAIL_TOL))
+        tail = envelope_tail(DEFAULT_TAIL_TOL)
+        p_left = -(runway + tail)
         # decay the envelope below noise at the periodic seam: the largest
         # state component (usually the forcing block at scale ||F||/gamma_f)
         # must fall to ~1e-10 of the solution scale by p_right (per sigma group)
@@ -632,7 +661,8 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
     w_rec, rows = evolve_structured(pairs, grid, t_end,
                                     readout_weights(grid, p_diamond, advect)[0], stride)
     report = PipelineReport(
-        t_end=t_end, n_p=n_p, p_left=grid.p_left, p_right=grid.p_right,
+        t_end=t_end, n_p=n_p, p_left=grid.p_left, runway=runway, envelope_tail=tail,
+        p_right=grid.p_right,
         p_diamond=p_diamond, k_star=recovery_index(grid, p_diamond), recovery_method="integral",
         gamma_f=gamma_f,
         sigma_groups=int(pairs.reps.size),

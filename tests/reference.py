@@ -209,7 +209,7 @@ def build_grid(h1, t_end: float, n_p: int, tail_tol: float = DEFAULT_TAIL_TOL,
     """build_grid_from_rate with the rate lambda_max(h1) of a dense split.
 
     p_left = ln(tail_tol) unless given explicitly: a short domain, where
-    psi(p_left) is (1 + 2L + 2L^2) tail_tol for L = -p_left (221 tail_tol
+    psi(p_left) is e^{-L} T_8(3L) tail_tol for L = -p_left (993 tail_tol
     at the default).
     """
     if p_left is None:

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schromag import baselines, cli, floatrepr, linalg, mag, pde
+from schromag import baselines, cli, floatrepr, linalg, mag, pde, schrod
 from schromag.cli import main
 from schromag.errors import InputError
 from schromag.io import read_vector, write_matrix_coo, write_vector
@@ -707,20 +707,25 @@ class TestPde:
         assert payload["residual_vs_oracle"] != solved["residual_vs_oracle"]
 
     def test_meets_delta_reports_a_missed_delta(self, tmp_path):
-        # fig4a's own files at the default n_p = 2048 miss delta = 1e-3 (6.5e-3),
-        # the preset's n_p = 8192 meets it; both runs exit 0
-        pde_out, solve_out = tmp_path / "pde", tmp_path / "solve"
+        # fig4a's own files at the default n_p = 2048 meet delta = 1e-3 (8.2e-5);
+        # delta = 1e-10 is below what the coarsest grid it allows, 8192 points,
+        # can reach (2.6e-7); every run exits 0
+        pde_out = tmp_path / "pde"
         assert main(["pde", "--preset", "fig4a", "--method", "schro",
                      "--out", str(pde_out)]) == 0
         payload = json.loads((pde_out / "pde.json").read_text())
         assert payload["meets_delta"] is payload["pipeline"]["meets_delta"] is True
-        assert main(["solve", "--matrix", str(pde_out / "problem.coo"),
-                     "--rhs", str(pde_out / "problem.vec"), "--method", "schro",
-                     "--out", str(solve_out)]) == 0
-        payload = json.loads((solve_out / "solve.json").read_text())
-        report = json.loads((solve_out / "pipeline.json").read_text())
-        assert payload["residual_vs_oracle"] > payload["delta"] == 1e-3
-        assert payload["meets_delta"] is report["meets_delta"] is False
+        files = ["--matrix", str(pde_out / "problem.coo"), "--rhs", str(pde_out / "problem.vec")]
+        for extra, delta, meets in [([], 1e-3, True),
+                                    (["--delta", "1e-10", "--np", "8192"], 1e-10, False)]:
+            solve_out = tmp_path / f"solve-{delta:g}"
+            assert main(["solve", *files, "--method", "schro", *extra,
+                         "--out", str(solve_out)]) == 0
+            payload = json.loads((solve_out / "solve.json").read_text())
+            report = json.loads((solve_out / "pipeline.json").read_text())
+            assert payload["delta"] == delta
+            assert (payload["residual_vs_oracle"] <= delta) is meets
+            assert payload["meets_delta"] is report["meets_delta"] is meets
 
     @pytest.mark.parametrize("method", ["mag", "schro"])
     def test_a_is_released_before_the_method_runs(self, tmp_path, monkeypatch, method):
@@ -759,6 +764,10 @@ class TestSchro:
                     "k_star", "recovery_method", "residual_vs_oracle"):
             assert key in report
         assert report["residual_vs_oracle"] < 1e-2
+        # the left edge in its two parts: the runway and the envelope's tail
+        assert report["envelope_tail"] == schrod.envelope_tail(schrod.DEFAULT_TAIL_TOL)
+        assert report["runway"] > 0.0
+        assert report["p_left"] == -(report["runway"] + report["envelope_tail"])
 
     def test_warped_field_snapshot(self, diag_problem):
         out = diag_problem / "snap"
@@ -910,12 +919,12 @@ class TestForcingScale:
         assert err == f"error: gamma_f must be finite and positive, got {float(value)}\n"
 
     @pytest.mark.parametrize("value, message", [
-        *((v, "the p-domain [-44.4, inf] is not finite: --gammaf is out of range")
+        *((v, "the p-domain [-43.1, inf] is not finite: --gammaf is out of range")
           for v in ("1e-300", "1e-200")),
         *((v, "the p-domain [-inf, inf] is not finite: --gammaf is out of range")
           for v in ("1e308", "1.7e308")),
         ("1e-320", "--gammaf 1e-320 is out of range: 1/gamma_f overflows"),
-        ("1e300", "n_p=512 leaves dp=2.65e+300 > 0.5 on [-6.79e+302, 6.79e+302]; "
+        ("1e300", "n_p=256 leaves dp=5.3e+300 > 0.5 on [-6.79e+302, 6.79e+302]; "
                   "no n_p <= 4194304 will do"),
     ])
     def test_out_of_range_gammaf_is_usage_error(self, tmp_path, capsys, value, message):
@@ -1089,6 +1098,21 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == code
         assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("bound", ["1e-300", "1e-320"], ids=["inf", "nan"])
+    def test_compare_refuses_overflowing_blocks(self, tmp_path, capsys, bound):
+        # compare runs no radius guard, but blocks that overflow (alpha s^2 = inf,
+        # or inf * 0 = nan) would give overflowed trajectories: one line, no files,
+        # and under filterwarnings no warning on the way
+        write_matrix_coo(tmp_path / "a.coo", np.diag([1e5, 1.0]))
+        write_vector(tmp_path / "b.vec", np.ones(2))
+        out = tmp_path / "out"
+        rc = main(["compare", "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
+                   "--lhat", bound, "--muhat", bound, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: the bounds --lhat {float(bound):.3g} --muhat "
+                                           f"{float(bound):.3g} overflow the momentum blocks\n")
+        assert not out.exists() or os.listdir(out) == []
 
     @pytest.mark.parametrize("argv", [[], ["nope"], ["solve", "--delta", "abc"],
                                       ["pde", "--method", "newton"]],

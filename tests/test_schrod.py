@@ -202,11 +202,13 @@ class TestBuildGrid:
 
 
 class TestEnvelope:
-    """psi(p) = e^{-p} on p >= 0, its C^2 extension on p < 0."""
+    """psi(p) = e^{-p} on p >= 0, its C^8 extension e^{2p} T_8(-3p) on p < 0."""
 
     def test_formula(self):
         p = np.linspace(-40.0, 40.0, 801)
-        expect = np.where(p >= 0.0, np.exp(-np.abs(p)), np.exp(p) * (1.0 - 2.0 * p + 2.0 * p**2))
+        left = np.minimum(p, 0.0)
+        taylor = sum((-3.0 * left) ** j / math.factorial(j) for j in range(9))
+        expect = np.where(p >= 0.0, np.exp(-np.abs(p)), np.exp(2.0 * left) * taylor)
         assert np.allclose(envelope(p), expect, rtol=1e-15, atol=0.0)
         assert np.array_equal(envelope(p[p >= 0.0]), np.exp(-p[p >= 0.0]))
 
@@ -216,39 +218,44 @@ class TestEnvelope:
         def formula(points):
             p = np.asarray(points, dtype=float)
             left = np.minimum(p, 0.0)
+            x = -3.0 * left
+            horner = x * (1.0 / math.factorial(8))
+            for j in range(7, 0, -1):
+                horner = (horner + 1.0 / math.factorial(j)) * x
             return np.where(p >= 0.0, np.exp(-np.maximum(p, 0.0)),
-                            np.exp(left) * (1.0 + 2.0 * left * (left - 1.0)))
+                            (horner + 1.0) * np.exp(left) * np.exp(left))
 
-        p = np.concatenate([np.linspace(-60.0, 40.0, 10001), [0.0, -0.0, 5e-324, -5e-324],
+        p = np.concatenate([np.linspace(-400.0, 40.0, 10001), [0.0, -0.0, 5e-324, -5e-324],
                             np.random.default_rng(3).standard_normal(1000) * 1e-3])
         assert envelope(p).tobytes() == formula(p).tobytes()
-        peak = -(1.0 + math.sqrt(3.0)) / 2.0
+        peak = schrod._PEAK_P
         assert envelope(peak).shape == () and envelope(peak).tobytes() == formula(peak).tobytes()
         assert schrod.ENVELOPE_MAX == float(formula(peak))
 
-    def test_c2_at_zero(self):
-        # value, slope and curvature match e^{-p} at 0; the third derivative
-        # does not (7 against -1), so psi(-h) - e^{h} = -(4/3) h^3 + O(h^4)
+    def test_c8_at_zero(self):
+        # psi(-h) = e^{-2h} T_8(3h) = e^{h} - e^{-2h} (3h^9/9! + ...), so
+        # derivatives 0..8 match e^{-p} at 0 and the ninth does not
         assert envelope(0.0) == 1.0
-        for h in (1e-2, 1e-3):
+        for h in np.linspace(0.05, 0.2, 7):
             gap = float(envelope(-h)) - math.exp(h)
-            assert gap / h**3 == pytest.approx(-4.0 / 3.0, rel=5 * h)
+            assert gap == pytest.approx(-((3.0 * h) ** 9) / math.factorial(9), rel=2.0 * h)
 
     def test_maximum(self):
-        p = np.linspace(-3.0, 0.0, 300001)
+        p = np.linspace(-6.0, 0.0, 600001)
         assert schrod.ENVELOPE_MAX == pytest.approx(float(np.max(envelope(p))), rel=1e-10)
-        assert schrod.ENVELOPE_MAX == pytest.approx(1.904, abs=1e-3)
+        assert schrod.ENVELOPE_MAX == pytest.approx(9.332, abs=1e-3)
+        assert schrod._PEAK_P == pytest.approx(-3.298, abs=1e-3)
 
     @pytest.mark.parametrize("tail_tol", [0.5, math.exp(-10.0), 1e-12, math.exp(-30.0), 1e-300])
     def test_tail_length(self, tail_tol):
         length = envelope_tail(tail_tol)
         assert float(envelope(-length)) == pytest.approx(tail_tol, rel=1e-13)
-        assert length > (1.0 + math.sqrt(3.0)) / 2.0  # left of the maximum
+        assert length > -schrod._PEAK_P  # left of the maximum
         beyond = envelope(np.linspace(-length - 50.0, -length, 101))
         assert np.all(beyond <= tail_tol * (1 + 1e-13))
 
     def test_default_tail_length(self):
-        assert envelope_tail(schrod.DEFAULT_TAIL_TOL) == pytest.approx(16.34175, abs=1e-5)
+        assert envelope_tail(schrod.DEFAULT_TAIL_TOL) == pytest.approx(15.02631, abs=1e-5)
         with pytest.raises(InputError):
             envelope_tail(1.0)
 
@@ -438,7 +445,7 @@ class TestStructuredEvolution:
     def test_runway_reads_weights_times_envelope_peak(self):
         # the fast group (sigma = 4) carries a fraction f of the solution
         # scale; its left-moving content peaks at ENVELOPE_MAX f, so a budget
-        # between f and ENVELOPE_MAX f no longer exempts it
+        # just below ENVELOPE_MAX f keeps it and one just above exempts it
         p = MagParams(16.5, 0.2)
         sys = build_transformed(np.diag([4.0, 0.5]), np.array([1e-3, 1.0]), p)
         pairs = _pairs(sys, default_forcing_scale(p))
@@ -446,8 +453,9 @@ class TestStructuredEvolution:
         frac = pairs.group_weights()[fast] / pairs.solution_scale()
         speeds = pairs.advection_speeds()[pairs.reps]
         t = 10.0
-        assert required_runway(pairs, t, 1.5 * frac) == pytest.approx(speeds[fast] * t)
-        assert required_runway(pairs, t, 2.0 * frac) == pytest.approx(speeds[slow] * t)
+        peak = schrod.ENVELOPE_MAX * frac
+        assert required_runway(pairs, t, 0.99 * peak) == pytest.approx(speeds[fast] * t)
+        assert required_runway(pairs, t, 1.01 * peak) == pytest.approx(speeds[slow] * t)
 
     def test_lambda_max_matches_dense(self):
         sys, gamma_f = self._setup(seed=5)
@@ -890,6 +898,8 @@ class TestPipeline:
         for key in ("t_end", "n_p", "p_left", "p_right", "p_diamond",
                     "k_star", "recovery_method"):
             assert key in d
+        assert d["envelope_tail"] == envelope_tail(schrod.DEFAULT_TAIL_TOL)
+        assert d["p_left"] == -(d["runway"] + d["envelope_tail"])
         # checking against a reference solution is the caller's business
         assert "residual_vs_oracle" not in d
         assert "live_pairs" not in d and d["sigma_groups"] == 2
@@ -918,19 +928,20 @@ class TestPipeline:
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
 
     def test_presets_meet_delta(self):
-        # every preset meets its own delta at its own n_p; the widest Robin
-        # grids reach 5e-5 at twice their n_p
+        # every preset meets a tenth of its delta at its own n_p on the block
+        # the CLI writes; the widest Robin grids reach 1e-5 at twice their n_p
         from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
         for name in PDE_PRESET_NAMES:
             problem, solver = pde_preset(name)
+            block = problem.solution_size
             spec = build_spectral(problem.system.a, problem.system.b)
-            oracle = direct_solve(problem.system, spec.sigma)
-            u, _, _ = _pipeline_u(spec, solver.delta, solver.n_p)
-            assert _residual(u, oracle) <= solver.delta, name
+            oracle = direct_solve(problem.system, spec.sigma)[:block]
+            u, _, _ = _pipeline_u(spec, solver.delta, solver.n_p, block=block)
+            assert _residual(u[:block], oracle) <= solver.delta / 10, name
             if name in ("fig3e", "fig3f"):
-                u, _, _ = _pipeline_u(spec, solver.delta, 2 * solver.n_p)
-                assert _residual(u, oracle) <= 5e-5, name
+                u, _, _ = _pipeline_u(spec, solver.delta, 2 * solver.n_p, block=block)
+                assert _residual(u[:block], oracle) <= 1e-5, name
 
     def test_matches_iteration_terminal_state(self):
         # cross-method check on the small zero-boundary Helmholtz preset
@@ -962,7 +973,7 @@ class TestPipeline:
         oracle = direct_solve(problem.system)
         tracemalloc.start()
         try:
-            u, _, _ = _pipeline_u(spec, solver.delta, solver.n_p)
+            u, _, _ = _pipeline_u(spec, solver.delta, 16384)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -970,7 +981,7 @@ class TestPipeline:
         assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
     def test_wide_grid_memory(self):
-        # fig3e's 131072-point grid: the p-grid keeps its points alone (the
+        # fig3e on a 131072-point grid: the p-grid keeps its points alone (the
         # wavenumbers are made per chunk), the weights and each spectrum go
         # after their last use and only half of each spectrum is kept
         from schromag.presets import pde_preset
@@ -979,7 +990,7 @@ class TestPipeline:
         spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
         tracemalloc.start()
         try:
-            pipeline(spec, solver.delta, solver.n_p)
+            pipeline(spec, solver.delta, 131072)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
