@@ -100,27 +100,24 @@ def _options_read(cfg: RunConfig) -> tuple:
 
 
 def _load_system(cfg: RunConfig):
-    """Problem and the effective (delta, n_p)."""
+    """Problem and the effective delta."""
     if cfg.preset is not None:
         problem, solver = pde_preset(cfg.preset)
         system = problem.system
     else:
-        a = io.read_matrix_coo(cfg.matrix)
-        b = io.read_vector(cfg.rhs)
-        system, problem, solver = LinearSystem(a, b), None, SolverConfig()
-    delta = cfg.delta if cfg.delta is not None else solver.delta
-    n_p = cfg.n_p if cfg.n_p is not None else solver.n_p
-    return system, problem, delta, n_p
+        system = LinearSystem(io.read_matrix_coo(cfg.matrix), io.read_vector(cfg.rhs))
+        problem, solver = None, SolverConfig()
+    return system, problem, cfg.delta if cfg.delta is not None else solver.delta
 
 
-def _factor(cfg: RunConfig, system: LinearSystem, problem, delta: float, n_p: int) -> tuple:
-    """(spec, oracle, delta, n_p) for the problem `_load_system` loaded: the
+def _factor(cfg: RunConfig, system: LinearSystem, problem, delta: float) -> tuple:
+    """(spec, oracle, delta) for the problem `_load_system` loaded: the
     run's one `mag.SpectralSystem`, from one SVD of A (closed-form for a PDE
     problem that has it), and the direct solve u is checked against.
     Nothing returned holds A, so it goes once the caller lets go of its
     system and problem."""
     spec = mag.build_spectral(system.a, system.b, _params_for(cfg), problem)
-    return spec, direct_solve(system, spec.sigma), delta, n_p
+    return spec, direct_solve(system, spec.sigma), delta
 
 
 def _params_for(cfg: RunConfig) -> mag.MagParams | None:
@@ -135,14 +132,14 @@ def _damping(spec: mag.SpectralSystem, gamma: float | None) -> float:
     return baselines.GAMMA_PER_SIGMA_MIN * float(spec.sigma[-1]) if gamma is None else gamma
 
 
-def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int = 0,
+def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int | None = None,
                 gamma: float | None = None, gamma_f: float | None = None,
                 trace: bool = False, snapshot_rows: int = 0, block: int | None = None) -> tuple:
     """(x, the method's report fields, its trace or snapshot) for one method
     on the run's `spec`, once its bounds pass the radius guard; u = V x.
     mag iterates, and the gradient flow runs, to delta on the first `block`
-    entries of u, the part the run writes, if given, and schro refuses the
-    kappa_hat that iteration would refuse.
+    entries of u, the part the run writes, if given, and schro runs on n_p
+    points (None: the derived grid) and refuses the kappa_hat mag refuses.
     mag with `trace` gives (residuals, relative residuals or None) and
     kappa2_w_inf, schro gives `schrod.pipeline`'s snapshot, the rest None."""
     mag.spectral_radius_check(spec)
@@ -180,7 +177,7 @@ def _relative_error(u: np.ndarray, ref: np.ndarray) -> float:
 
 
 def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.ndarray,
-           delta: float, n_p: int, block: int | None = None, **run) -> tuple:
+           delta: float, block: int | None = None, **run) -> tuple:
     """(u, report fields, trace or snapshot) of `method` on the run's `spec`,
     checked against the direct solve `oracle` (`_factor`).  The fields and a
     pipeline report both carry the residual, whether it is within delta,
@@ -189,7 +186,7 @@ def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.nda
     of u, the part the run writes (all of u by default); where that is a
     proper part, the residual on all of u goes under
     residual_vs_oracle_full."""
-    x, fields, extra = _run_method(method, spec, delta, n_p=n_p, gamma=cfg.gamma,
+    x, fields, extra = _run_method(method, spec, delta, n_p=cfg.n_p, gamma=cfg.gamma,
                                    gamma_f=cfg.gammaf, block=block, **run)
     u, steady = spec.solution(np.stack([x, spec.b_t / spec.sigma]))
     rel, estimate = (_relative_error(u[:block], ref[:block]) for ref in (oracle, steady))
@@ -206,8 +203,8 @@ def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.nda
 
 def cmd_solve(cfg: RunConfig) -> int:
     method = cfg.method or "mag"
-    spec, oracle, delta, n_p = _factor(cfg, *_load_system(cfg))
-    u, fields, trace = _solve(cfg, method, spec, oracle, delta, n_p, trace=True)
+    spec, oracle, delta = _factor(cfg, *_load_system(cfg))
+    u, fields, trace = _solve(cfg, method, spec, oracle, delta, trace=True)
     out = cfg.out
     io.write_vector(os.path.join(out, "solution.vec"), u)
     io.write_solution_csv(os.path.join(out, "solution.csv"), u,
@@ -230,7 +227,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         cp = compare_preset(cfg.preset)
         spec, gamma, t_end, samples = cp.spec, cp.gamma, cp.t_end, cp.samples
     else:
-        system, _, delta, _ = _load_system(cfg)
+        system, _, delta = _load_system(cfg)
         # no bounds guard: compare shows the momentum flow under any bounds
         # whose blocks are finite
         spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
@@ -292,7 +289,7 @@ def _compare_fig2(cfg: RunConfig) -> int:
 def cmd_pde(cfg: RunConfig) -> int:
     if cfg.preset is None:
         raise InputError("pde requires --preset")
-    system, problem, delta, n_p = _load_system(cfg)
+    system, problem, delta = _load_system(cfg)
     method, out = cfg.method or "mag", cfg.out
     io.write_matrix_coo(os.path.join(out, "problem.coo"), system.a)
     io.write_vector(os.path.join(out, "problem.vec"), system.b)
@@ -303,7 +300,7 @@ def cmd_pde(cfg: RunConfig) -> int:
     # the run keeps the nodes and the u block's size, not the problem: A
     # goes once its direct solve has run
     (xs, ys), block = problem.nodes, problem.solution_size
-    factored = _factor(cfg, system, problem, delta, n_p)
+    factored = _factor(cfg, system, problem, delta)
     del system, problem
     u, fields, _ = _solve(cfg, method, *factored, block=block)
     u_sol = u[:block]
@@ -387,20 +384,20 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
 
 def cmd_complexity(cfg: RunConfig) -> int:
-    from . import complexity
+    from . import complexity, schrod
 
-    system, problem, delta, n_p = _load_system(cfg)
+    system, problem, delta = _load_system(cfg)
     a = system.a
     # the runs' own guards: a singular A exits 1, an overflowing sigma_max^2 exits 2
-    sigma = mag.build_spectral(a, system.b, problem=problem).sigma
+    spec = mag.build_spectral(a, system.b, problem=problem)
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),
-        sigma_min=float(sigma[-1]),
-        sigma_max=float(sigma[0]),
+        sigma_min=float(spec.sigma[-1]),
+        sigma_max=float(spec.sigma[0]),
         a_max_norm=float(np.max(np.abs(a))),
         ata_max_norm=float(np.max(np.abs(a.conj().T @ a))),
         delta=delta,
-        n_p=n_p,
+        n_p=schrod.plan(spec, delta, cfg.n_p)[-1].n_p,  # a schro run's grid, or its refusal
         n=a.shape[0],
     )
     rows = complexity.comparison_rows(summary)

@@ -1,8 +1,8 @@
 """Catalogue of figure presets: PDE problems plus solver configuration.
 
-Each entry reproduces the data behind one benchmark panel.  Solver
-settings (delta, auxiliary-grid size) live here so a preset run is fully
-determined by its name.
+Each entry reproduces the data behind one benchmark panel.  The solver
+setting delta lives here, so a preset run is fully determined by its
+name; the auxiliary grid follows from the run (`schrod.plan`).
 """
 
 from __future__ import annotations
@@ -19,26 +19,24 @@ from .pde import MIXED, ROBIN, ZERO, PdeProblem, make_problem
 @dataclass(frozen=True)
 class SolverConfig:
     delta: float = 1e-3
-    n_p: int = 2048
 
 
-# family, n, k, forcing, boundary, solver overrides; each n_p is the coarsest
-# power of two that schrod.MAX_DP allows, and meets delta/10 on the written block
+# family, n, k, forcing, boundary
 _PDE_TABLE = {
-    "fig3a": ("helmholtz1d", 16, 2.0, "sine23", (ZERO,), {"n_p": 256}),
-    "fig3b": ("helmholtz1d", 32, 2.0, "sine23", (ZERO,), {"n_p": 256}),
-    "fig3c": ("helmholtz1d", 32, 4.0, "sine23", (ZERO,), {"n_p": 256}),
-    "fig3d": ("helmholtz1d", 16, 2.0, "cos2", (ROBIN, 2j), {"n_p": 16384}),
-    "fig3e": ("helmholtz1d", 32, 2.0, "cos2", (ROBIN, 2j), {"n_p": 65536}),
-    "fig3f": ("helmholtz1d", 32, 4.0, "cos2", (ROBIN, 2j), {"n_p": 65536}),
-    "fig4a": ("helmholtz2d", 16, 1.0, "sine23_diag", (ZERO,), {"n_p": 2048}),
-    "fig4d": ("helmholtz2d", 16, 1.0, "cos2_diag", (ROBIN, 2j), {"n_p": 16384}),
-    "fig5a": ("biharmonic1d", 16, 0.0, "sine23", (ZERO,), {"n_p": 256}),
-    "fig5b": ("biharmonic1d", 32, 0.0, "sine23", (ZERO,), {"n_p": 256}),
-    "fig5c": ("biharmonic1d", 16, 0.0, "cos2", (MIXED, 2.0), {"n_p": 8192}),
-    "fig5d": ("biharmonic1d", 32, 0.0, "cos2", (MIXED, 2.0), {"n_p": 32768}),
-    "fig6a": ("biharmonic2d", 16, 0.0, "sine23_diag", (ZERO,), {"n_p": 2048}),
-    "fig6d": ("biharmonic2d", 16, 0.0, "cos2_diag", (MIXED, 2.0), {"n_p": 8192}),
+    "fig3a": ("helmholtz1d", 16, 2.0, "sine23", (ZERO,)),
+    "fig3b": ("helmholtz1d", 32, 2.0, "sine23", (ZERO,)),
+    "fig3c": ("helmholtz1d", 32, 4.0, "sine23", (ZERO,)),
+    "fig3d": ("helmholtz1d", 16, 2.0, "cos2", (ROBIN, 2j)),
+    "fig3e": ("helmholtz1d", 32, 2.0, "cos2", (ROBIN, 2j)),
+    "fig3f": ("helmholtz1d", 32, 4.0, "cos2", (ROBIN, 2j)),
+    "fig4a": ("helmholtz2d", 16, 1.0, "sine23_diag", (ZERO,)),
+    "fig4d": ("helmholtz2d", 16, 1.0, "cos2_diag", (ROBIN, 2j)),
+    "fig5a": ("biharmonic1d", 16, 0.0, "sine23", (ZERO,)),
+    "fig5b": ("biharmonic1d", 32, 0.0, "sine23", (ZERO,)),
+    "fig5c": ("biharmonic1d", 16, 0.0, "cos2", (MIXED, 2.0)),
+    "fig5d": ("biharmonic1d", 32, 0.0, "cos2", (MIXED, 2.0)),
+    "fig6a": ("biharmonic2d", 16, 0.0, "sine23_diag", (ZERO,)),
+    "fig6d": ("biharmonic2d", 16, 0.0, "cos2_diag", (MIXED, 2.0)),
 }
 
 PDE_PRESET_NAMES = tuple(sorted(_PDE_TABLE))
@@ -46,13 +44,12 @@ PDE_PRESET_NAMES = tuple(sorted(_PDE_TABLE))
 
 def pde_preset(name: str) -> tuple[PdeProblem, SolverConfig]:
     try:
-        family, n, k, forcing, boundary, overrides = _PDE_TABLE[name]
+        family, n, k, forcing, boundary = _PDE_TABLE[name]
     except KeyError:
         raise InputError(
             f"unknown preset {name!r}; available: {', '.join(PDE_PRESET_NAMES)}"
         ) from None
-    problem = make_problem(family, n, k, forcing, boundary)
-    return problem, SolverConfig(**overrides)
+    return make_problem(family, n, k, forcing, boundary), SolverConfig()
 
 
 @dataclass(frozen=True)

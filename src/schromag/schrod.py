@@ -81,9 +81,7 @@ from .errors import InputError
 DEFAULT_TAIL_TOL = math.exp(-10.0)
 RIGHT_MARGIN = 2.0
 MAX_DP = 0.5
-# 32 times the largest preset grid (131072); a larger n_p is a usage error
-# before the grid is allocated
-MAX_NP = 1 << 22
+MAX_NP = 1 << 22  # 64 x fig3e's grid at delta 1e-3; a larger n_p is refused unallocated
 ACTIVE_PAIR_BUDGET = 1e-3
 # a chunk's real planes and temporaries stay below the complex kernel's at
 # 1 << 20, at no loss of speed
@@ -194,9 +192,10 @@ class PGrid:
         return thetas
 
 
-def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
+def build_grid_from_rate(rate: float, t_end: float, n_p: int | None, p_left: float,
                          right_margin: float = RIGHT_MARGIN) -> PGrid:
-    """Uniform periodic grid on [p_left, p_right), rate = lambda_max(h1).
+    """Uniform periodic grid on [p_left, p_right), rate = lambda_max(h1), of
+    n_p points, by default the coarsest power of two >= 8 with dp <= MAX_DP.
 
     `pipeline` passes p_left = -(runway + envelope_tail(tail_tol)), past
     which psi is below tail_tol (long evolutions need a runway far beyond
@@ -204,23 +203,28 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int, p_left: float,
     fixed margin beyond the readout threshold max(rate * t_end, 0).  Large
     state components want a larger right margin: the envelope must decay
     below noise at the periodic seam, or the jump there radiates into the
-    readout zone.
+    readout zone.  An n_p that leaves dp > MAX_DP is refused, naming that grid.
     """
     if t_end < 0:
         raise ValueError("t must be nonnegative")
-    if n_p < 8 or (n_p & (n_p - 1)) != 0:
+    if n_p is not None and (n_p < 8 or (n_p & (n_p - 1)) != 0):
         raise InputError(f"n_p must be a power of two >= 8, got {n_p}")
-    if n_p > MAX_NP:
+    if n_p is not None and n_p > MAX_NP:
         raise InputError(f"n_p={n_p} exceeds the largest grid {MAX_NP}")
     if p_left >= 0.0:
         raise InputError("p_left must be negative")
     p_right = max(rate * t_end, 0.0) + max(right_margin, RIGHT_MARGIN)
-    if not math.isfinite(p_right - p_left):
+    width = p_right - p_left
+    if not math.isfinite(width):
         raise InputError(f"the p-domain [{p_left:.3g}, {p_right:.3g}] is not finite: "
                          "--gammaf is out of range")
-    dp = (p_right - p_left) / n_p
+    # the coarsest grid MAX_DP allows (2 MAX_NP if none): need * MAX_DP is exact
+    need = 8
+    while need <= MAX_NP and need * MAX_DP < width:
+        need *= 2
+    n_p = min(need, MAX_NP) if n_p is None else n_p
+    dp = width / n_p
     if dp > MAX_DP:
-        need = 1 << math.ceil(math.log2((p_right - p_left) / MAX_DP))
         raise InputError(
             f"n_p={n_p} leaves dp={dp:.3g} > {MAX_DP} on [{p_left:.4g}, {p_right:.4g}]; "
             + (f"use n_p >= {need}" if need <= MAX_NP else f"no n_p <= {MAX_NP} will do")
@@ -611,39 +615,23 @@ class PipelineReport:
     pruned_weight: float  # weight of the other groups, over the solution scale
 
 
-def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
-             gamma_f: float | None = None, snapshot_rows: int = 0, block: int | None = None):
-    """End-to-end solve of A u = b through the Hamiltonian realization, in
-    the basis of the run's `spec` (`mag.build_spectral`).
-
-    Evolves to t_end = kappa_hat * ln(1/delta), reads the field back out
-    past the threshold with the integral readout and unscales the first
-    block by (1 - beta).  Returns (x, report, snapshot), u = V x: with
-    snapshot_rows > 0 the snapshot is (points, rows), the final warped
-    field on every (n_p // snapshot_rows)-th grid point from the same
-    evolution pass, else None.  Raises InputError for a kappa_hat beyond
-    the budget of a momentum iteration to delta on the first `block`
-    entries of u (`mag.step_budget`).  Checking u against a reference solution is left
-    to the caller.
-    """
+def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None,
+         gamma_f: float | None = None) -> tuple:
+    """(t_end, pairs, runway, tail, grid), all `pipeline` settles before the
+    evolution; `cli.cmd_complexity` prices the grid (`build_grid_from_rate`)."""
     params = spec.params
-    # the kappa_hat the momentum iteration refuses is refused here too
-    mag_mod.step_budget(spec, delta, block)
-    if gamma_f is None:
-        gamma_f = default_forcing_scale(params)
+    gamma_f = default_forcing_scale(params) if gamma_f is None else gamma_f
     # kappa*ln(1/delta) leaves a residual ~delta at kappa=1 but ~delta^2
     # for large kappa; the (kappa+1)/kappa factor makes it ~delta^2
     # uniformly, comfortably below the discretization floor
     safety = (params.kappa_hat + 1.0) / params.kappa_hat
     t_end = float(mag_mod.convergence_steps(params.kappa_hat, delta, safety=safety))
-
     # a gamma_f out of range overflows the forcing block or the speeds to
     # inf, and build_grid_from_rate refuses the domain that leaves
     with np.errstate(over="ignore"):
         pairs = build_pair_system(spec, gamma_f)
         runway = required_runway(pairs, t_end)
         tail = envelope_tail(DEFAULT_TAIL_TOL)
-        p_left = -(runway + tail)
         # decay the envelope below noise at the periodic seam: the largest
         # state component (usually the forcing block at scale ||F||/gamma_f)
         # must fall to ~1e-10 of the solution scale by p_right (per sigma group)
@@ -651,22 +639,40 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int, *,
         top = float(max(np.max(norms, initial=0.0), 1e-300))
         wref = float(max(np.max(norms[:, :2], initial=0.0), 1e-300))
         right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
+        grid = build_grid_from_rate(pairs.lambda_max_h1(), t_end, n_p, -(runway + tail),
+                                    right_margin)
+    return t_end, pairs, runway, tail, grid
 
-        rate = pairs.lambda_max_h1()
-        grid = build_grid_from_rate(rate, t_end, n_p, p_left, right_margin)
-    p_diamond = max(rate * t_end, 0.0)
+
+def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None, *,
+             gamma_f: float | None = None, snapshot_rows: int = 0, block: int | None = None):
+    """End-to-end solve of A u = b through the Hamiltonian realization, in
+    the basis of the run's `spec` (`mag.build_spectral`).
+
+    Evolves to t_end = kappa_hat * ln(1/delta) on the grid of `plan`, reads
+    the field back out past the threshold with the integral readout and
+    unscales the first block by (1 - beta).  Returns (x, report, snapshot),
+    u = V x: with snapshot_rows > 0 the snapshot is (points, rows), the final
+    warped field on every (n_p // snapshot_rows)-th grid point from the same
+    evolution pass, else None.  Raises InputError for a kappa_hat beyond the
+    budget of a momentum iteration to delta on the first `block` entries of
+    u (`mag.step_budget`).  Checking u against a reference solution is left
+    to the caller.
+    """
+    # the kappa_hat the momentum iteration refuses is refused here too
+    mag_mod.step_budget(spec, delta, block)
+    t_end, pairs, runway, tail, grid = plan(spec, delta, n_p, gamma_f)
+    p_diamond = max(pairs.lambda_max_h1() * t_end, 0.0)
     advect = float(np.max(pairs.advection_speeds())) * t_end
-    stride = max(1, n_p // snapshot_rows) if snapshot_rows > 0 else 0
+    stride = max(1, grid.n_p // snapshot_rows) if snapshot_rows > 0 else 0
     # evolve_structured holds the weights' one reference and drops it after use
     w_rec, rows = evolve_structured(pairs, grid, t_end,
                                     readout_weights(grid, p_diamond, advect)[0], stride)
     report = PipelineReport(
-        t_end=t_end, n_p=n_p, p_left=grid.p_left, runway=runway, envelope_tail=tail,
-        p_right=grid.p_right,
-        p_diamond=p_diamond, k_star=recovery_index(grid, p_diamond), recovery_method="integral",
-        gamma_f=gamma_f,
-        sigma_groups=int(pairs.reps.size),
+        t_end=t_end, n_p=grid.n_p, p_left=grid.p_left, runway=runway, envelope_tail=tail,
+        p_right=grid.p_right, p_diamond=p_diamond, k_star=recovery_index(grid, p_diamond),
+        recovery_method="integral", gamma_f=pairs.gamma_f, sigma_groups=int(pairs.reps.size),
         evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),
     )
     snapshot = (grid.points[::stride], rows) if stride else None
-    return w_rec[:, 0] / (1.0 - params.beta), report, snapshot
+    return w_rec[:, 0] / (1.0 - spec.params.beta), report, snapshot

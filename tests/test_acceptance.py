@@ -292,7 +292,7 @@ def test_criterion_8_figure_presets():
         e_mag = float(np.max(np.abs(u_mag - oracle)) / scale)
 
         spec = build_spectral(system.a, system.b, params)
-        u_s = spec.solution(pipeline(spec, solver.delta, solver.n_p)[0])
+        u_s = spec.solution(pipeline(spec, solver.delta)[0])
         e_schro = float(np.max(np.abs(u_s - oracle)) / scale)
 
         good = e_mag <= tol and e_schro <= tol

@@ -621,6 +621,29 @@ class TestPde:
         assert sol[0] == "node_index,x,u_re,u_im"
         assert len(sol) == 17
 
+    @pytest.mark.parametrize("preset", ["fig3d", "fig3e", "fig4a", "fig5c", "fig5d",
+                                        "fig6a", "fig6d"])
+    def test_tighter_delta_derives_a_finer_grid(self, tmp_path, preset):
+        # delta = 1e-4 widens the runway past each of these presets' grid at
+        # 1e-3; the run takes the grid its own domain needs, and meets delta
+        rc = main(["pde", "--preset", preset, "--method", "schro", "--delta", "1e-4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "pde.json").read_text())["meets_delta"] is True
+
+    @pytest.mark.parametrize("command", [["pde", "--method", "schro"], ["complexity"]])
+    @pytest.mark.parametrize("preset, derived", [("fig3a", 256), ("fig4a", 2048)])
+    def test_half_the_derived_grid_is_refused(self, tmp_path, capsys, command, preset,
+                                              derived):
+        # an explicit --np still overrides the derived grid, and complexity
+        # refuses the grids the run refuses, naming the derived one
+        rc = main([*command, "--preset", preset, "--np", str(derived // 2),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: n_p={derived // 2} leaves dp=")
+        assert err.endswith(f"; use n_p >= {derived}\n") and err.count("\n") == 1
+
     def test_fig3a_schro(self, tmp_path):
         rc = main([
             "pde", "--preset", "fig3a", "--method", "schro", "--out", str(tmp_path),
@@ -707,7 +730,7 @@ class TestPde:
         assert payload["residual_vs_oracle"] != solved["residual_vs_oracle"]
 
     def test_meets_delta_reports_a_missed_delta(self, tmp_path):
-        # fig4a's own files at the default n_p = 2048 meet delta = 1e-3 (8.2e-5);
+        # fig4a's own files on their derived grid, 2048 points, meet delta = 1e-3 (8.2e-5);
         # delta = 1e-10 is below what the coarsest grid it allows, 8192 points,
         # can reach (2.6e-7); every run exits 0
         pde_out = tmp_path / "pde"
@@ -791,7 +814,9 @@ class TestSchro:
                      "--rhs", str(tmp_path / "b0.vec"), "--out", str(out)]) == 0
         assert np.array_equal(read_vector(out / "solution.vec"), [0.0])
         rows = np.loadtxt(out / "warped_field.csv", delimiter=",", skiprows=1)
-        assert rows.shape == (1024, 1 + 2 * 4)  # p, then 4 slots of re, im
+        # every grid point of a grid below 1024 points; p, then 4 slots of re, im
+        n_p = json.loads((out / "pipeline.json").read_text())["n_p"]
+        assert rows.shape == (min(n_p, 1024), 1 + 2 * 4)
         assert not np.any(rows[:, 1:])
 
 
@@ -882,6 +907,25 @@ class TestComplexityCmd:
     def test_requires_source(self, tmp_path):
         assert main(["complexity", "--out", str(tmp_path)]) == 2
 
+    def test_files_price_the_grid_their_run_takes(self, tmp_path):
+        # fig3e's own files, without --np: schro derives the preset's grid
+        # and meets delta, and complexity prices that grid, so the table
+        # equals the preset's byte for byte (the Robin node makes both take
+        # the same dense SVD)
+        assert main(["pde", "--preset", "fig3e", "--out", str(tmp_path / "pde")]) == 0
+        files = ["--matrix", str(tmp_path / "pde" / "problem.coo"),
+                 "--rhs", str(tmp_path / "pde" / "problem.vec")]
+        assert main(["schro", *files, "--out", str(tmp_path / "schro")]) == 0
+        report = json.loads((tmp_path / "schro" / "pipeline.json").read_text())
+        assert report["n_p"] == 65536 and report["meets_delta"] is True
+        assert main(["complexity", *files, "--out", str(tmp_path / "files")]) == 0
+        assert main(["complexity", "--preset", "fig3e", "--out", str(tmp_path / "preset")]) == 0
+        table = (tmp_path / "preset" / "complexity.csv").read_bytes()
+        assert (tmp_path / "files" / "complexity.csv").read_bytes() == table
+        rows = json.loads((tmp_path / "files" / "complexity.json").read_text())["rows"]
+        # mag's chi = s^2 log2(N_p) kappa ln(1/delta), s = 3 and N_p = 65536
+        assert rows[0]["chi"] == 9 * 16.0 * (rows[0]["kappa_like"] * math.log(1.0 / 1e-3))
+
     @pytest.mark.parametrize("preset", ["fig6a", "fig4d"])
     def test_reads_the_runs_sigma(self, tmp_path, preset):
         # the sigma of the run's one SVD: fig6a's closed-form factors, the
@@ -924,7 +968,8 @@ class TestForcingScale:
         *((v, "the p-domain [-inf, inf] is not finite: --gammaf is out of range")
           for v in ("1e308", "1.7e308")),
         ("1e-320", "--gammaf 1e-320 is out of range: 1/gamma_f overflows"),
-        ("1e300", "n_p=256 leaves dp=5.3e+300 > 0.5 on [-6.79e+302, 6.79e+302]; "
+        # no grid covers the domain: the derived one stops at the largest
+        ("1e300", "n_p=4194304 leaves dp=3.24e+296 > 0.5 on [-6.79e+302, 6.79e+302]; "
                   "no n_p <= 4194304 will do"),
     ])
     def test_out_of_range_gammaf_is_usage_error(self, tmp_path, capsys, value, message):
@@ -1210,11 +1255,12 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_undefined_cost_estimate_exits_two(self, tmp_path, capsys):
-        # at delta = 0.99 and n_p = 8 chi/delta on the identity is below e
+        # at delta = 0.99 chi/delta on the identity is below e on any grid up
+        # to MAX_NP, the derived one (128 points) included
         (tmp_path / "a.coo").write_text("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n")
         (tmp_path / "b.vec").write_text("1.0 0.0\n1.0 0.0\n")
         rc = main(["complexity", "--matrix", str(tmp_path / "a.coo"), "--rhs",
-                   str(tmp_path / "b.vec"), "--delta", "0.99", "--np", "8",
+                   str(tmp_path / "b.vec"), "--delta", "0.99",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: estimate undefined for chi/delta")

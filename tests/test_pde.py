@@ -17,6 +17,7 @@ from schromag.pde import (
     make_problem,
 )
 from schromag.presets import PDE_PRESET_NAMES, pde_preset
+from schromag.schrod import plan
 
 from reference import sine_mode_oracle, two_stage_oracle
 
@@ -245,7 +246,9 @@ class TestPresets:
             u = direct_solve(problem.system)
             assert np.all(np.isfinite(u.real))
             assert 0.0 < solver.delta < 1.0
-            assert solver.n_p >= 8
+            # the grid a schro run derives, the n_p of its report
+            spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
+            assert plan(spec, solver.delta)[-1].n_p >= 8
 
     def test_nodes_align_with_solution(self):
         # the forcing block of b holds h^2 f at the written nodes, 0 at a

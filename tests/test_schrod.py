@@ -200,6 +200,52 @@ class TestBuildGrid:
         assert grid.p_left == -1000.0
         assert grid.points[0] == -1000.0
 
+    def test_derived_grid_is_eight_on_a_narrow_domain(self):
+        # [-1, 2) is narrower than 8 MAX_DP: the smallest grid
+        grid = schrod.build_grid_from_rate(0.0, 1.0, None, -1.0)
+        assert (grid.n_p, grid.p_right - grid.p_left, grid.dp) == (8, 3.0, 3.0 / 8)
+        assert grid.p_right - grid.p_left < 8 * schrod.MAX_DP
+
+    @pytest.mark.parametrize("k", range(3, 23))
+    def test_derived_grid_on_power_of_two_widths(self, k):
+        # a width of exactly 2^k MAX_DP takes 2^k points at dp = MAX_DP,
+        # and half of them is refused, naming 2^k
+        width = schrod.MAX_DP * 2**k
+        p_left = schrod.RIGHT_MARGIN - width
+        grid = schrod.build_grid_from_rate(0.0, 1.0, None, p_left)
+        assert (grid.n_p, grid.dp) == (2**k, schrod.MAX_DP)
+        if k > 3:
+            with pytest.raises(InputError, match=f"; use n_p >= {2**k}$"):
+                schrod.build_grid_from_rate(0.0, 1.0, 2 ** (k - 1), p_left)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=1e-12, max_value=schrod.MAX_NP * schrod.MAX_DP - 2.0))
+    def test_derived_grid_is_the_coarsest_that_passes(self, length):
+        grid = schrod.build_grid_from_rate(0.0, 1.0, None, -length)
+        width = grid.p_right - grid.p_left
+        assert grid.dp <= schrod.MAX_DP
+        assert schrod.build_grid_from_rate(0.0, 1.0, grid.n_p, -length).dp == grid.dp
+        if grid.n_p > 8:
+            assert width / (grid.n_p // 2) > schrod.MAX_DP
+            with pytest.raises(InputError, match=f"; use n_p >= {grid.n_p}$"):
+                schrod.build_grid_from_rate(0.0, 1.0, grid.n_p // 2, -length)
+
+    def test_presets_derive_their_grids(self):
+        # at delta = 1e-3 each preset's run, on the CLI's spectral system,
+        # takes the coarsest grid MAX_DP allows on its domain
+        from schromag.presets import PDE_PRESET_NAMES, pde_preset
+
+        derived = {}
+        for name in PDE_PRESET_NAMES:
+            problem, solver = pde_preset(name)
+            spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
+            derived[name] = schrod.plan(spec, solver.delta)[-1].n_p
+        assert derived == {
+            "fig3a": 256, "fig3b": 256, "fig3c": 256, "fig5a": 256, "fig5b": 256,
+            "fig4a": 2048, "fig6a": 2048, "fig5c": 8192, "fig6d": 8192,
+            "fig3d": 16384, "fig4d": 16384, "fig5d": 32768, "fig3e": 65536, "fig3f": 65536,
+        }
+
 
 class TestEnvelope:
     """psi(p) = e^{-p} on p >= 0, its C^8 extension e^{2p} T_8(-3p) on p < 0."""
@@ -921,15 +967,15 @@ class TestPipeline:
         heavy = np.flatnonzero(forced > 1e-12 * forced.max())
         assert heavy.size == 60
         oracle = direct_solve(problem.system, spec.sigma)
-        u, report, _ = _pipeline_u(spec, solver.delta, solver.n_p)
+        u, report, _ = _pipeline_u(spec, solver.delta)
         assert asdict(report)["sigma_groups"] == 258
         pairs = build_pair_system(spec, default_forcing_scale(spec.params))
         assert set(pairs.group[heavy].tolist()) <= set(pairs.evolved.tolist())
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
 
     def test_presets_meet_delta(self):
-        # every preset meets a tenth of its delta at its own n_p on the block
-        # the CLI writes; the widest Robin grids reach 1e-5 at twice their n_p
+        # every preset meets a tenth of its delta on its derived grid on the
+        # block the CLI writes; the widest Robin grids reach 1e-5 at twice it
         from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
         for name in PDE_PRESET_NAMES:
@@ -937,10 +983,10 @@ class TestPipeline:
             block = problem.solution_size
             spec = build_spectral(problem.system.a, problem.system.b)
             oracle = direct_solve(problem.system, spec.sigma)[:block]
-            u, _, _ = _pipeline_u(spec, solver.delta, solver.n_p, block=block)
+            u, report, _ = _pipeline_u(spec, solver.delta, block=block)
             assert _residual(u[:block], oracle) <= solver.delta / 10, name
             if name in ("fig3e", "fig3f"):
-                u, _, _ = _pipeline_u(spec, solver.delta, 2 * solver.n_p, block=block)
+                u, _, _ = _pipeline_u(spec, solver.delta, 2 * report.n_p, block=block)
                 assert _residual(u[:block], oracle) <= 1e-5, name
 
     def test_matches_iteration_terminal_state(self):
@@ -948,7 +994,7 @@ class TestPipeline:
         from schromag.mag import convergence_steps, mag_iterate
         from schromag.presets import pde_preset
 
-        problem, solver = pde_preset("fig3a")
+        problem = pde_preset("fig3a")[0]
         a, b = problem.system.a, problem.system.b
         params = params_from_matrix(a)
         sys = build_transformed(a, b, params)
@@ -958,7 +1004,7 @@ class TestPipeline:
             w_inf=steady_state(sys), keep_states=False,
         )
         u_iter = trace.w_final[: sys.n] / (1.0 - params.beta)
-        u_pipe, _, _ = _pipeline_u(build_spectral(a, b, params), 1e-3, solver.n_p)
+        u_pipe, _, _ = _pipeline_u(build_spectral(a, b, params), 1e-3)
         scale = np.max(np.abs(u_iter))
         assert np.max(np.abs(u_pipe - u_iter)) / scale < 1e-2
 
