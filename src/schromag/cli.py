@@ -291,18 +291,19 @@ def cmd_pde(cfg: RunConfig) -> int:
         raise InputError("pde requires --preset")
     system, problem, delta = _load_system(cfg)
     method, out = cfg.method or "mag", cfg.out
-    io.write_matrix_coo(os.path.join(out, "problem.coo"), system.a)
-    io.write_vector(os.path.join(out, "problem.vec"), system.b)
-    io.write_json(os.path.join(out, "problem.json"),
-                  {"family": problem.family, "n": problem.n, "k": problem.k,
-                   "boundary": repr(problem.boundary), "forcing": problem.forcing,
-                   "h": problem.h})
-    # the run keeps the nodes and the u block's size, not the problem: A
-    # goes once its direct solve has run
+    # the run keeps A's nonzeros, b, the nodes and the u block's size, not the
+    # problem: A goes once its direct solve has run, and a refused run writes
+    # nothing
+    nonzeros, b = io.coo_entries(system.a), system.b
+    described = {"family": problem.family, "n": problem.n, "k": problem.k,
+                 "boundary": repr(problem.boundary), "forcing": problem.forcing, "h": problem.h}
     (xs, ys), block = problem.nodes, problem.solution_size
     factored = _factor(cfg, system, problem, delta)
     del system, problem
     u, fields, _ = _solve(cfg, method, *factored, block=block)
+    io.write_matrix_coo(os.path.join(out, "problem.coo"), nonzeros)
+    io.write_vector(os.path.join(out, "problem.vec"), b)
+    io.write_json(os.path.join(out, "problem.json"), described)
     u_sol = u[:block]
     io.write_solution_csv(
         os.path.join(out, "solution.csv"), u_sol,

@@ -64,12 +64,18 @@ def _cells(column) -> list:
     return ["" if v is None else v if type(v) is str else repr(v) for v in values]
 
 
-def write_matrix_coo(path, m) -> None:
+def coo_entries(m) -> tuple:
+    """(shape, rows, cols, values) of the nonzeros of m, row-major as
+    argwhere: all `write_matrix_coo` reads of m."""
     m = as_cmatrix(m)
-    ii, jj = np.nonzero(m)  # row-major, as argwhere
-    entries = m[ii, jj]
-    write_rows(path, f"{m.shape[0]} {m.shape[1]} {ii.size}",
-               [ii, jj, entries.real, entries.imag], sep=" ")
+    ii, jj = np.nonzero(m)
+    return m.shape, ii, jj, m[ii, jj]
+
+
+def write_matrix_coo(path, m) -> None:
+    """m, a matrix or its `coo_entries`, as a COO file."""
+    (rows, cols), ii, jj, entries = m if isinstance(m, tuple) else coo_entries(m)
+    write_rows(path, f"{rows} {cols} {ii.size}", [ii, jj, entries.real, entries.imag], sep=" ")
 
 
 def read_matrix_coo(path) -> np.ndarray:

@@ -3,18 +3,18 @@
 Route: one-step map -> continuous ODE dw/dt = (H - I) w + F
 (`mag.SpectralSystem.ode`) -> homogenized block system ->
 Hermitian/anti-Hermitian split -> auxiliary dimension p
-carrying the envelope psi(p) (`envelope`: e^{-p} for p >= 0, a C^8
+carrying the envelope psi(p) (`envelope`: e^{-p} for p >= 0, a C^17
 extension for p < 0) -> Fourier modes, each evolving under its own
 Hermitian generator -> readout of e^{p} times the field beyond the
 threshold p_diamond.
 
 The readout only looks at p > p_diamond >= 0, so the initial profile has
 to equal e^{-p} only there; on p < 0 it is free.  The kink of e^{-|p|}
-at 0 would leave Fourier coefficients that decay like theta^{-2}; the C^8
-extension e^{2p} T_8(-3p) makes them decay like theta^{-10}, so on the
-grids `MAX_DP` allows the truncation error sits well below the time
-truncation's.  The integral readout is normalized on the grid, so the
-pure profile reads back exactly.
+at 0 would leave Fourier coefficients that decay like theta^{-2}; the C^17
+extension e^{3.5p} T_17(-4.5p) makes them decay like theta^{-19}, so on
+each figure preset's grid the truncation error sits below delta/100,
+under the time truncation's.  The integral readout is normalized on the
+grid, so the pure profile reads back exactly.
 
 Mode ell evolves by exp(-1j*(theta_ell*h1 - h2)*t).  The sign is pinned
 by two identities that the tests enforce: at t=0 the readout returns the
@@ -91,38 +91,39 @@ _CHUNK_ENTRIES = 1 << 18
 SIGMA_GROUP_RTOL = 1e-12
 
 
-# T_8, the degree-8 Taylor polynomial of e^x, lowest degree first
-_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(9))
+# T_17, the degree-17 Taylor polynomial of e^x, lowest degree first
+_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(18))
 
 
 def envelope(points) -> np.ndarray:
     """The warped-phase initial profile psi(p): e^{-p} for p >= 0 and
-    e^{2p} T_8(-3p) for p < 0, which is e^{-p} (1 + O(p^9)), so psi is C^8
-    at 0.  Each side is evaluated only on its own points, in one output
-    array and one scratch array: on p < 0, T_8(x) at x = -3p by Horner,
-    from x / 8! up, then e^{p} (e^{p} T_8), so that no factor is subnormal
-    where psi is not."""
+    e^{3.5p} T_17(-4.5p) for p < 0, which is e^{-p} (1 + O(p^18)), so psi is
+    C^17 at 0.  Each side is evaluated only on its own points, in one output
+    array and one scratch array: on p < 0, T_17(x) at x = -4.5p by Horner,
+    from x / 17! up, then e^{1.75p} (e^{1.75p} T_17), so that no factor is
+    subnormal where psi is not."""
     p = np.asarray(points, dtype=float)
     right = p >= 0.0
     left = ~right
     out = np.negative(p, out=np.empty_like(p), where=right)
     np.exp(out, out=out, where=right)
-    scratch = np.multiply(p, -3.0, out=np.empty_like(p), where=left)
-    np.multiply(scratch, _TAYLOR[8], out=out, where=left)
-    for coef in _TAYLOR[7:0:-1]:
+    scratch = np.multiply(p, -4.5, out=np.empty_like(p), where=left)
+    np.multiply(scratch, _TAYLOR[17], out=out, where=left)
+    for coef in _TAYLOR[16:0:-1]:
         np.add(out, coef, out=out, where=left)
         np.multiply(out, scratch, out=out, where=left)
     np.add(out, 1.0, out=out, where=left)
-    np.exp(p, out=scratch, where=left)
+    np.multiply(p, 1.75, out=scratch, where=left)
+    np.exp(scratch, out=scratch, where=left)
     np.multiply(out, scratch, out=out, where=left)
     np.multiply(out, scratch, out=out, where=left)
     return out
 
 
 def _taylor(x: float) -> float:
-    """T_8(x), with the operations of `envelope`'s Horner loop."""
-    acc = x * _TAYLOR[8]
-    for coef in _TAYLOR[7:0:-1]:
+    """T_17(x), with the operations of `envelope`'s Horner loop."""
+    acc = x * _TAYLOR[17]
+    for coef in _TAYLOR[16:0:-1]:
         acc = (acc + coef) * x
     return acc + 1.0
 
@@ -138,21 +139,22 @@ def _bracketed_root(f, lo: float, hi: float) -> float:
     return lo if abs(f(lo)) < abs(f(hi)) else hi
 
 
-# psi'(p) = e^{2p} (3 x^8/8! - T_8(x)) at x = -3p changes sign once on
-# p < 0, at x = 9.90; the profile peaks there
-_PEAK_P = -_bracketed_root(lambda x: _taylor(x) - 3.0 * _TAYLOR[8] * x**8, 1.0, 30.0) / 3.0
-ENVELOPE_MAX = float(envelope(_PEAK_P))  # about 9.33
+# psi'(p) = e^{3.5p} (4.5 x^17/17! - T_17(x)) at x = -4.5p changes sign once
+# on p < 0, at x = 18.8; the profile peaks there
+_PEAK_P = -_bracketed_root(lambda x: _taylor(x) - 4.5 * _TAYLOR[17] * x**17, 1.0, 60.0) / 4.5
+ENVELOPE_MAX = float(envelope(_PEAK_P))  # about 25.81
 
 
 def envelope_tail(tail_tol: float) -> float:
     """The L > 0 with psi(-L) = tail_tol, left of the envelope's maximum
-    (L = 15.03 for the default e^{-10}): a bracketed root of the
-    decreasing e^{-L} (e^{-L} T_8(3L)) - tail_tol between the peak and
+    (L = 13.23 for the default e^{-10}): a bracketed root of the decreasing
+    e^{-1.75L} (e^{-1.75L} T_17(4.5L)) - tail_tol between the peak and
     L = 1000, where psi is below every positive double."""
     if not (0.0 < tail_tol < 1.0):
         raise InputError("tail_tol must be in (0,1)")
     return _bracketed_root(
-        lambda length: math.exp(-length) * (math.exp(-length) * _taylor(3.0 * length)) - tail_tol,
+        lambda length: (math.exp(-1.75 * length)
+                        * (math.exp(-1.75 * length) * _taylor(4.5 * length)) - tail_tol),
         -_PEAK_P, 1000.0)
 
 

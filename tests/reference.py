@@ -209,8 +209,8 @@ def build_grid(h1, t_end: float, n_p: int, tail_tol: float = DEFAULT_TAIL_TOL,
     """build_grid_from_rate with the rate lambda_max(h1) of a dense split.
 
     p_left = ln(tail_tol) unless given explicitly: a short domain, where
-    psi(p_left) is e^{-L} T_8(3L) tail_tol for L = -p_left (993 tail_tol
-    at the default).
+    psi(p_left) is e^{-2.5L} T_17(4.5L) tail_tol for L = -p_left (783
+    tail_tol at the default).
     """
     if p_left is None:
         if not (0.0 < tail_tol < 1.0):

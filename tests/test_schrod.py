@@ -248,13 +248,13 @@ class TestBuildGrid:
 
 
 class TestEnvelope:
-    """psi(p) = e^{-p} on p >= 0, its C^8 extension e^{2p} T_8(-3p) on p < 0."""
+    """psi(p) = e^{-p} on p >= 0, its C^17 extension e^{3.5p} T_17(-4.5p) on p < 0."""
 
     def test_formula(self):
         p = np.linspace(-40.0, 40.0, 801)
         left = np.minimum(p, 0.0)
-        taylor = sum((-3.0 * left) ** j / math.factorial(j) for j in range(9))
-        expect = np.where(p >= 0.0, np.exp(-np.abs(p)), np.exp(2.0 * left) * taylor)
+        taylor = sum((-4.5 * left) ** j / math.factorial(j) for j in range(18))
+        expect = np.where(p >= 0.0, np.exp(-np.abs(p)), np.exp(3.5 * left) * taylor)
         assert np.allclose(envelope(p), expect, rtol=1e-15, atol=0.0)
         assert np.array_equal(envelope(p[p >= 0.0]), np.exp(-p[p >= 0.0]))
 
@@ -264,12 +264,12 @@ class TestEnvelope:
         def formula(points):
             p = np.asarray(points, dtype=float)
             left = np.minimum(p, 0.0)
-            x = -3.0 * left
-            horner = x * (1.0 / math.factorial(8))
-            for j in range(7, 0, -1):
+            x = -4.5 * left
+            horner = x * (1.0 / math.factorial(17))
+            for j in range(16, 0, -1):
                 horner = (horner + 1.0 / math.factorial(j)) * x
             return np.where(p >= 0.0, np.exp(-np.maximum(p, 0.0)),
-                            (horner + 1.0) * np.exp(left) * np.exp(left))
+                            (horner + 1.0) * np.exp(1.75 * left) * np.exp(1.75 * left))
 
         p = np.concatenate([np.linspace(-400.0, 40.0, 10001), [0.0, -0.0, 5e-324, -5e-324],
                             np.random.default_rng(3).standard_normal(1000) * 1e-3])
@@ -278,19 +278,24 @@ class TestEnvelope:
         assert envelope(peak).shape == () and envelope(peak).tobytes() == formula(peak).tobytes()
         assert schrod.ENVELOPE_MAX == float(formula(peak))
 
-    def test_c8_at_zero(self):
-        # psi(-h) = e^{-2h} T_8(3h) = e^{h} - e^{-2h} (3h^9/9! + ...), so
-        # derivatives 0..8 match e^{-p} at 0 and the ninth does not
+    def test_c17_at_zero(self):
+        # psi(-h) = e^{-3.5h} T_17(4.5h) = e^{h} - e^{-3.5h} sum_{j>=18} (4.5h)^j/j!,
+        # so derivatives 0..17 match e^{-p} at 0 and the eighteenth does not.
+        # The remainder is checked to a few ulps of e^{h}, where it exceeds
+        # them: below h = 0.5 it is lost in e^{h}'s rounding
         assert envelope(0.0) == 1.0
-        for h in np.linspace(0.05, 0.2, 7):
-            gap = float(envelope(-h)) - math.exp(h)
-            assert gap == pytest.approx(-((3.0 * h) ** 9) / math.factorial(9), rel=2.0 * h)
+        for h in np.linspace(0.5, 1.0, 11):
+            gap = math.exp(h) - float(envelope(-h))
+            remainder = math.exp(-3.5 * h) * math.fsum(
+                (4.5 * h) ** j / math.factorial(j) for j in range(18, 80))
+            assert gap == pytest.approx(remainder, rel=0.0, abs=4.0 * math.ulp(math.exp(h)))
+            assert gap > 1e4 * math.ulp(math.exp(h))
 
     def test_maximum(self):
-        p = np.linspace(-6.0, 0.0, 600001)
+        p = np.linspace(-8.0, 0.0, 800001)
         assert schrod.ENVELOPE_MAX == pytest.approx(float(np.max(envelope(p))), rel=1e-10)
-        assert schrod.ENVELOPE_MAX == pytest.approx(9.332, abs=1e-3)
-        assert schrod._PEAK_P == pytest.approx(-3.298, abs=1e-3)
+        assert schrod.ENVELOPE_MAX == pytest.approx(25.815, abs=1e-3)
+        assert schrod._PEAK_P == pytest.approx(-4.175, abs=1e-3)
 
     @pytest.mark.parametrize("tail_tol", [0.5, math.exp(-10.0), 1e-12, math.exp(-30.0), 1e-300])
     def test_tail_length(self, tail_tol):
@@ -301,7 +306,7 @@ class TestEnvelope:
         assert np.all(beyond <= tail_tol * (1 + 1e-13))
 
     def test_default_tail_length(self):
-        assert envelope_tail(schrod.DEFAULT_TAIL_TOL) == pytest.approx(15.02631, abs=1e-5)
+        assert envelope_tail(schrod.DEFAULT_TAIL_TOL) == pytest.approx(13.22508, abs=1e-5)
         with pytest.raises(InputError):
             envelope_tail(1.0)
 
@@ -975,7 +980,9 @@ class TestPipeline:
 
     def test_presets_meet_delta(self):
         # every preset meets a tenth of its delta on its derived grid on the
-        # block the CLI writes; the widest Robin grids reach 1e-5 at twice it
+        # block the CLI writes, and the p-grid's part of that error, u against
+        # the exact momentum ODE at t_end that the evolution emulates, is at
+        # most delta/100; the widest Robin grids reach 1e-5 at twice the grid
         from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
         for name in PDE_PRESET_NAMES:
@@ -985,6 +992,8 @@ class TestPipeline:
             oracle = direct_solve(problem.system, spec.sigma)[:block]
             u, report, _ = _pipeline_u(spec, solver.delta, block=block)
             assert _residual(u[:block], oracle) <= solver.delta / 10, name
+            exact = spec.solution(spec.ode.at(report.t_end)[:, 0] / (1.0 - spec.params.beta))
+            assert _residual(u[:block], exact[:block]) <= solver.delta / 100, name
             if name in ("fig3e", "fig3f"):
                 u, _, _ = _pipeline_u(spec, solver.delta, 2 * report.n_p, block=block)
                 assert _residual(u[:block], oracle) <= 1e-5, name
