@@ -47,7 +47,7 @@ def main(argv=None):
             run(["pde", "--preset", name, "--method", method, "--out", out])
 
     run(["complexity", "--preset", "fig3a", "--out", f"{args.out}/complexity"])
-    run(["blockenc-verify", "--seed", "0", "--out", f"{args.out}/blockenc"])
+    run(["blockenc-verify", "--out", f"{args.out}/blockenc"])
     print(f"done in {time.perf_counter() - t0:.0f}s -> {args.out}/")
 
 

@@ -19,8 +19,8 @@ starts at w = 0, and `FlowSystem.at(t)` is its closed form
 w_inf - exp(M t) w_inf (`linalg.block_expm_apply`), w_inf = -M^{-1} g
 from the 2x2 adjugate behind the FlowSystem's singularity guard, so
 method comparisons carry no time-stepping error.  A solve's answer is the
-x of `at(t_end)`; `integrate_flow` maps samples to [V x; U y] (V x alone
-for the gradient flow) through `SpectralSystem.to_state`.
+x of `at(t_end)`; `integrate_flow` maps samples of a flow of 2x2 blocks
+to [V x; U y] through `SpectralSystem.to_state`.
 """
 
 from __future__ import annotations
@@ -40,20 +40,22 @@ def build_gradient_flow(spec: SpectralSystem) -> FlowSystem:
     return FlowSystem(blocks=-(s**2)[:, None, None], drive=(s * spec.b_t)[:, None], spec=spec)
 
 
-# the damping rate the CLI and the fig2 preset use where none is given,
-# just below critical damping 2 sigma_min
+# the damping rate of every run but compare fig1's, just below critical
+# damping 2 sigma_min
 GAMMA_PER_SIGMA_MIN = 1.9
 
 
-def build_damped(spec: SpectralSystem, gamma: float) -> FlowSystem:
+def build_damped(spec: SpectralSystem, gamma: float | None = None) -> FlowSystem:
     """Second-order damped dynamics in first-order form on w = [u; v].
 
-    Requires 0 < gamma < 2 sigma_min(A), else InputError.  The auxiliary
+    gamma defaults to GAMMA_PER_SIGMA_MIN sigma_min(A); a given one must
+    satisfy 0 < gamma < 2 sigma_min(A), else InputError.  The auxiliary
     block of the steady state is exactly zero, which is what breaks the
     relative convergence of this method.
     """
     s, b_t = spec.sigma, spec.b_t
     sigma_min = float(s[-1])
+    gamma = GAMMA_PER_SIGMA_MIN * sigma_min if gamma is None else gamma
     if not (0.0 < gamma < 2.0 * sigma_min):
         raise InputError(
             f"gamma must satisfy 0 < gamma < 2*sigma_min = {2 * sigma_min:.6g}, got {gamma}"
@@ -66,7 +68,8 @@ def build_damped(spec: SpectralSystem, gamma: float) -> FlowSystem:
 
 def integrate_flow(sys: FlowSystem, t_end: float, samples: int) -> tuple:
     """(times, states): `at` `samples` uniformly spaced times from 0 to
-    t_end, one state [V x; U y] per row."""
+    t_end, one state [V x; U y] per row, of a flow of 2x2 blocks (the
+    damped flow or the momentum ODE)."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if samples < 2:

@@ -32,10 +32,9 @@ SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid poi
 # options beyond --out; `_options_read` says which a run reads
 _BOUNDS = ("l_hat", "mu_hat")
 _SOURCES = ("preset", "matrix", "rhs")
-_OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS, "gamma", "gammaf", "seed")
+_OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS)
 # the options each method of solve/pde reads beyond its source, --method and --delta
-_METHOD_OPTIONS = {"mag": _BOUNDS, "gradient": (), "damped": ("gamma",),
-                   "schro": (*_BOUNDS, "n_p", "gammaf")}
+_METHOD_OPTIONS = {"mag": _BOUNDS, "gradient": (), "damped": (), "schro": (*_BOUNDS, "n_p")}
 _FLAGS = {"n_p": "--np", "l_hat": "--lhat", "mu_hat": "--muhat"}
 
 
@@ -52,12 +51,9 @@ class RunConfig:
     method: str | None = None
     delta: float | None = None
     n_p: int | None = None
-    gamma: float | None = None
-    gammaf: float | None = None
     l_hat: float | None = None
     mu_hat: float | None = None
     out: str = "."
-    seed: int | None = None  # blockenc-verify draws from seed 0 unless given
 
     def validate(self):
         sources = sum(x is not None for x in (self.preset, self.matrix))
@@ -90,13 +86,13 @@ def _options_read(cfg: RunConfig) -> tuple:
     if cfg.command in ("solve", "pde"):
         return (*_SOURCES, "method", "delta", *_METHOD_OPTIONS[cfg.method or "mag"])
     if cfg.command == "schro":
-        return (*_SOURCES, "delta", "n_p", *_BOUNDS, "gammaf")
+        return (*_SOURCES, "delta", "n_p", *_BOUNDS)
     if cfg.command == "compare":
         # the presets carry their own bounds, gamma and horizon
-        return _SOURCES if cfg.preset else (*_SOURCES, "delta", "gamma", *_BOUNDS)
+        return _SOURCES if cfg.preset else (*_SOURCES, "delta", *_BOUNDS)
     if cfg.command == "complexity":
         return (*_SOURCES, "delta", "n_p")
-    return ("seed",)  # blockenc-verify
+    return ()  # blockenc-verify
 
 
 def _load_system(cfg: RunConfig):
@@ -110,14 +106,35 @@ def _load_system(cfg: RunConfig):
     return system, problem, cfg.delta if cfg.delta is not None else solver.delta
 
 
+def _unit_rhs(b: np.ndarray) -> tuple:
+    """(b scaled by 2^-k, k), k the np.frexp exponent of b's largest real
+    or imaginary part (0 for b = 0).  Every method is linear in b, so the
+    run on the scaled b, times 2^k, is the run on b, exactly, without the
+    squares in b's norms overflowing or underflowing."""
+    top = max(np.max(np.abs(b.real), initial=0.0), np.max(np.abs(b.imag), initial=0.0))
+    k = int(np.frexp(top)[1])
+    return _ldexp(b.copy(), -k), k
+
+
+def _ldexp(values: np.ndarray, k: int) -> np.ndarray:
+    """values * 2^k, in place, for a contiguous complex array: exact
+    wherever the product is a normal double."""
+    if k:
+        parts = values.view(np.float64)
+        np.ldexp(parts, k, out=parts)
+    return values
+
+
 def _factor(cfg: RunConfig, system: LinearSystem, problem, delta: float) -> tuple:
-    """(spec, oracle, delta) for the problem `_load_system` loaded: the
-    run's one `mag.SpectralSystem`, from one SVD of A (closed-form for a PDE
-    problem that has it), and the direct solve u is checked against.
-    Nothing returned holds A, so it goes once the caller lets go of its
-    system and problem."""
+    """(spec, oracle, delta, k) for the problem `_load_system` loaded, its b
+    scaled by 2^-k (`_unit_rhs`): the run's one `mag.SpectralSystem`, from
+    one SVD of A (closed-form for a PDE problem that has it), and the
+    direct solve u is checked against.  Nothing returned holds A, so it
+    goes once the caller lets go of its system and problem."""
+    b, k = _unit_rhs(system.b)
+    system = LinearSystem(system.a, b)
     spec = mag.build_spectral(system.a, system.b, _params_for(cfg), problem)
-    return spec, direct_solve(system, spec.sigma), delta
+    return spec, direct_solve(system, spec.sigma), delta, k
 
 
 def _params_for(cfg: RunConfig) -> mag.MagParams | None:
@@ -125,15 +142,7 @@ def _params_for(cfg: RunConfig) -> mag.MagParams | None:
     return None if cfg.l_hat is None else mag.MagParams(cfg.l_hat, cfg.mu_hat)
 
 
-def _damping(spec: mag.SpectralSystem, gamma: float | None) -> float:
-    """gamma, by default just below critical damping 2 sigma_min."""
-    from . import baselines
-
-    return baselines.GAMMA_PER_SIGMA_MIN * float(spec.sigma[-1]) if gamma is None else gamma
-
-
 def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int | None = None,
-                gamma: float | None = None, gamma_f: float | None = None,
                 trace: bool = False, snapshot_rows: int = 0, block: int | None = None) -> tuple:
     """(x, the method's report fields, its trace or snapshot) for one method
     on the run's `spec`, once its bounds pass the radius guard; u = V x.
@@ -152,15 +161,15 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
     if method == "schro":
         from . import schrod
 
-        x, report, snapshot = schrod.pipeline(spec, delta, n_p, gamma_f=gamma_f,
-                                              snapshot_rows=snapshot_rows, block=block)
+        x, report, snapshot = schrod.pipeline(spec, delta, n_p, snapshot_rows=snapshot_rows,
+                                              block=block)
         return x, {"report": asdict(report)}, snapshot
     # the flows: the parser refuses any other method
     from . import baselines
 
     if method == "damped":
-        gamma = _damping(spec, gamma)
-        flow, fields = baselines.build_damped(spec, gamma), {"gamma": gamma}
+        flow = baselines.build_damped(spec)
+        fields = {"gamma": -float(flow.blocks[0, 1, 1])}  # the damping it took
     else:
         # |u(t) - u*| <= e^{-sigma_min^2 t} ||x*||_2, x* = b~/sigma and u* = V x*:
         # the horizon to delta on the first `block` entries of u, as mag's budget
@@ -177,17 +186,17 @@ def _relative_error(u: np.ndarray, ref: np.ndarray) -> float:
 
 
 def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.ndarray,
-           delta: float, block: int | None = None, **run) -> tuple:
+           delta: float, k: int, block: int | None = None, **run) -> tuple:
     """(u, report fields, trace or snapshot) of `method` on the run's `spec`,
-    checked against the direct solve `oracle` (`_factor`).  The fields and a
+    checked against the direct solve `oracle`, both for b scaled by 2^-k
+    (`_factor`); u and a snapshot's rows come back times 2^k.  The fields and a
     pipeline report both carry the residual, whether it is within delta,
     and the error estimate against the closed-form steady state V x*,
     x* = b~/sigma, from the run's own SVD, all on the first `block` entries
     of u, the part the run writes (all of u by default); where that is a
     proper part, the residual on all of u goes under
     residual_vs_oracle_full."""
-    x, fields, extra = _run_method(method, spec, delta, n_p=cfg.n_p, gamma=cfg.gamma,
-                                   gamma_f=cfg.gammaf, block=block, **run)
+    x, fields, extra = _run_method(method, spec, delta, n_p=cfg.n_p, block=block, **run)
     u, steady = spec.solution(np.stack([x, spec.b_t / spec.sigma]))
     rel, estimate = (_relative_error(u[:block], ref[:block]) for ref in (oracle, steady))
     # reported, not enforced: the exit code does not depend on them
@@ -198,13 +207,15 @@ def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.nda
     fields.update(checked)
     if "report" in fields:
         fields["report"].update(checked)
-    return u, fields, extra
+    if method == "schro" and extra is not None:
+        _ldexp(extra[1], k)
+    return _ldexp(u, k), fields, extra
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     method = cfg.method or "mag"
-    spec, oracle, delta = _factor(cfg, *_load_system(cfg))
-    u, fields, trace = _solve(cfg, method, spec, oracle, delta, trace=True)
+    spec, oracle, delta, k = _factor(cfg, *_load_system(cfg))
+    u, fields, trace = _solve(cfg, method, spec, oracle, delta, k, trace=True)
     out = cfg.out
     io.write_vector(os.path.join(out, "solution.vec"), u)
     io.write_solution_csv(os.path.join(out, "solution.csv"), u,
@@ -236,7 +247,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         if not (np.all(np.isfinite(ode.blocks)) and np.all(np.isfinite(ode.drive))):
             raise InputError(f"the bounds --lhat {spec.params.l_hat:.3g} --muhat "
                              f"{spec.params.mu_hat:.3g} overflow the momentum blocks")
-        gamma = _damping(spec, cfg.gamma)
+        gamma = None  # build_damped's default
         t_end = baselines.evolution_time("damped", float(spec.sigma[-1]), delta)
         samples = 1200
 
@@ -274,7 +285,7 @@ def _compare_fig2(cfg: RunConfig) -> int:
     errors = {"mag": [], "damped": []}
     for delta in cp.deltas:
         for tag, column in errors.items():
-            u = cp.spec.solution(_run_method(tag, cp.spec, delta, gamma=cp.gamma)[0])
+            u = cp.spec.solution(_run_method(tag, cp.spec, delta)[0])
             column.append(float(np.linalg.norm(u - oracle)) / scale)
             io.write_solution_csv(
                 os.path.join(cfg.out, f"fig2_{tag}_delta{delta:.6g}.csv"),
@@ -333,7 +344,7 @@ def cmd_schro(cfg: RunConfig) -> int:
 def cmd_blockenc_verify(cfg: RunConfig) -> int:
     from . import blockenc
 
-    rng = np.random.default_rng(cfg.seed or 0)
+    rng = np.random.default_rng(0)
     results = []
     all_ok = True
 
@@ -389,8 +400,9 @@ def cmd_complexity(cfg: RunConfig) -> int:
 
     system, problem, delta = _load_system(cfg)
     a = system.a
-    # the runs' own guards: a singular A exits 1, an overflowing sigma_max^2 exits 2
-    spec = mag.build_spectral(a, system.b, problem=problem)
+    # the runs' own guards: a singular A exits 1, an overflowing sigma_max^2 exits 2;
+    # the grid is the one a run on this b takes (`_unit_rhs`)
+    spec = mag.build_spectral(a, _unit_rhs(system.b)[0], problem=problem)
     summary = complexity.SystemSummary(
         s=int(np.max(np.count_nonzero(a, axis=1))),
         sigma_min=float(spec.sigma[-1]),

@@ -94,14 +94,13 @@ class FlowSystem:
 
     @cached_property
     def _step_entries(self) -> tuple:
-        # (1 + m_ii, m_ij) for row i of each block and j != i (zero at k = 1), as
-        # (n, k) arrays; 1 + m_00 of the momentum ODE is 1 - alpha s^2 bit for bit
+        # (1 + m_ii, m_ij) for row i of each 2x2 block and j != i, as (n, 2)
+        # arrays; 1 + m_00 of the momentum ODE is 1 - alpha s^2 bit for bit
         m = self.blocks
-        cross = m[:, [0, 1], [1, 0]] if m.shape[1] == 2 else np.zeros(m.shape[:2])
-        return 1.0 + m.diagonal(axis1=1, axis2=2), cross
+        return 1.0 + m.diagonal(axis1=1, axis2=2), m[:, [0, 1], [1, 0]]
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        """The unit Euler step w + M w + g of an (n, k) state, entry by entry:
+        """The unit Euler step w + M w + g of an (n, 2) state, entry by entry:
         row i is (1 + m_ii) w_i + m_ij w_j + g_i."""
         unit, cross = self._step_entries
         out = unit * w
@@ -110,10 +109,8 @@ class FlowSystem:
         return out
 
     def eigenvalues(self) -> np.ndarray:
-        """Each block's eigenvalues tau +- sqrt(tau^2 - det), (n, k) complex."""
+        """Each 2x2 block's eigenvalues tau +- sqrt(tau^2 - det), (n, 2) complex."""
         m = self.blocks
-        if m.shape[1] == 1:
-            return m[:, 0].astype(np.complex128)
         tau = (m[:, 0, 0] + m[:, 1, 1]) / 2.0
         disc = ((m[:, 0, 0] - m[:, 1, 1]) / 2.0) ** 2 + m[:, 0, 1] * m[:, 1, 0]
         root = np.sqrt(disc.astype(np.complex128))
@@ -179,12 +176,11 @@ class SpectralSystem:
 
     def to_state(self, w) -> np.ndarray:
         """[V x; U y] of an (n, 2) state [x_j, y_j], or of each state of an
-        (..., n, 2) stack; an (n, 1) state, the gradient flow's, maps to V x."""
+        (..., n, 2) stack."""
         w, n = np.asarray(w), self.n
-        out = np.empty(w.shape[:-2] + (w.shape[-1] * n,), dtype=np.complex128)
+        out = np.empty(w.shape[:-2] + (2 * n,), dtype=np.complex128)
         _times(w[..., 0], self.vh, out[..., :n])
-        if w.shape[-1] > 1:
-            _times(w[..., 1], self.u.T, out[..., n:], conj=False)
+        _times(w[..., 1], self.u.T, out[..., n:], conj=False)
         return out
 
     def solution(self, x) -> np.ndarray:

@@ -60,9 +60,9 @@ class ComparePreset:
     a: np.ndarray
     b: np.ndarray
     spec: mag.SpectralSystem  # the run's one spectral system: bounds and basis
-    gamma: float
     t_end: float
     samples: int
+    gamma: float | None = None  # the damped flow's; None: `baselines.build_damped`'s default
     deltas: tuple = ()
 
 
@@ -85,8 +85,6 @@ def compare_preset(name: str) -> ComparePreset:
     if name == "fig2":
         # 1d Poisson reading: u''(x) = f(x), f = 2 sin(2 pi x), n = 16,
         # zero boundary, accuracy targets n^{-1/2} .. n^{-2}.
-        from .baselines import GAMMA_PER_SIGMA_MIN
-
         n = 16
         problem = make_problem("helmholtz1d", n, 0.0, "sine2", (ZERO,))
         a, b = problem.system.a, problem.system.b
@@ -94,7 +92,6 @@ def compare_preset(name: str) -> ComparePreset:
         spec = mag.build_spectral(a, b, problem=problem)
         return ComparePreset(
             name="fig2", a=a, b=b, spec=spec,
-            gamma=GAMMA_PER_SIGMA_MIN * float(spec.sigma[-1]),
             t_end=0.0,  # per-delta horizons are derived at run time
             samples=0,
             deltas=tuple(float(n) ** (-e) for e in (0.5, 1.0, 1.5, 2.0)),

@@ -98,34 +98,25 @@ _TAYLOR = tuple(1.0 / math.factorial(j) for j in range(18))
 def envelope(points) -> np.ndarray:
     """The warped-phase initial profile psi(p): e^{-p} for p >= 0 and
     e^{3.5p} T_17(-4.5p) for p < 0, which is e^{-p} (1 + O(p^18)), so psi is
-    C^17 at 0.  Each side is evaluated only on its own points, in one output
-    array and one scratch array: on p < 0, T_17(x) at x = -4.5p by Horner,
-    from x / 17! up, then e^{1.75p} (e^{1.75p} T_17), so that no factor is
+    C^17 at 0.  Each side is evaluated only on its own points: on p < 0 as
+    e^{1.75p} (e^{1.75p} T_17(-4.5p)) (`_taylor`), so that no factor is
     subnormal where psi is not."""
     p = np.asarray(points, dtype=float)
-    right = p >= 0.0
-    left = ~right
-    out = np.negative(p, out=np.empty_like(p), where=right)
-    np.exp(out, out=out, where=right)
-    scratch = np.multiply(p, -4.5, out=np.empty_like(p), where=left)
-    np.multiply(scratch, _TAYLOR[17], out=out, where=left)
-    for coef in _TAYLOR[16:0:-1]:
-        np.add(out, coef, out=out, where=left)
-        np.multiply(out, scratch, out=out, where=left)
-    np.add(out, 1.0, out=out, where=left)
-    np.multiply(p, 1.75, out=scratch, where=left)
-    np.exp(scratch, out=scratch, where=left)
-    np.multiply(out, scratch, out=out, where=left)
-    np.multiply(out, scratch, out=out, where=left)
+    left = p < 0.0
+    out = np.exp(-p, out=np.empty_like(p), where=~left)
+    rise = np.exp(1.75 * p[left])
+    out[left] = rise * (rise * _taylor(-4.5 * p[left]))
     return out
 
 
-def _taylor(x: float) -> float:
-    """T_17(x), with the operations of `envelope`'s Horner loop."""
+def _taylor(x):
+    """T_17(x) by Horner, from x / 17! up, in one new array for an array x."""
     acc = x * _TAYLOR[17]
     for coef in _TAYLOR[16:0:-1]:
-        acc = (acc + coef) * x
-    return acc + 1.0
+        acc += coef
+        acc *= x
+    acc += 1.0
+    return acc
 
 
 def _bracketed_root(f, lo: float, hi: float) -> float:
@@ -165,13 +156,6 @@ def default_forcing_scale(params: mag_mod.MagParams) -> float:
     keeps the readout threshold near zero over the full evolution time.
     """
     return 0.1 * min(params.alpha * params.mu_hat, 1.0 - params.beta)
-
-
-def _check_forcing_scale(gamma_f: float) -> None:
-    if not (math.isfinite(gamma_f) and gamma_f > 0.0):
-        raise InputError(f"gamma_f must be finite and positive, got {gamma_f}")
-    if not math.isfinite(1.0 / gamma_f):  # a subnormal gamma_f: f/gamma_f overflows
-        raise InputError(f"--gammaf {gamma_f:.3g} is out of range: 1/gamma_f overflows")
 
 
 @dataclass(frozen=True)
@@ -217,9 +201,6 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int | None, p_left: flo
         raise InputError("p_left must be negative")
     p_right = max(rate * t_end, 0.0) + max(right_margin, RIGHT_MARGIN)
     width = p_right - p_left
-    if not math.isfinite(width):
-        raise InputError(f"the p-domain [{p_left:.3g}, {p_right:.3g}] is not finite: "
-                         "--gammaf is out of range")
     # the coarsest grid MAX_DP allows (2 MAX_NP if none): need * MAX_DP is exact
     need = 8
     while need <= MAX_NP and need * MAX_DP < width:
@@ -378,10 +359,9 @@ def sigma_groups(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSystem:
     """The homogenized pair blocks of the momentum map `spec`
-    (`mag.build_spectral`), in its singular basis.  Raises
-    SingularMatrixError where its steady state does not exist, InputError
-    unless gamma_f is finite and positive."""
-    _check_forcing_scale(gamma_f)
+    (`mag.build_spectral`), in its singular basis, at forcing scale
+    gamma_f > 0.  Raises SingularMatrixError where its steady state does
+    not exist."""
     forcing = spec.ode.drive / gamma_f  # [f_j/gamma_f, 0]
     reps, group = sigma_groups(spec.sigma)
     return PairSystem(
@@ -617,37 +597,33 @@ class PipelineReport:
     pruned_weight: float  # weight of the other groups, over the solution scale
 
 
-def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None,
-         gamma_f: float | None = None) -> tuple:
+def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None) -> tuple:
     """(t_end, pairs, runway, tail, grid), all `pipeline` settles before the
-    evolution; `cli.cmd_complexity` prices the grid (`build_grid_from_rate`)."""
+    evolution, at the forcing scale `default_forcing_scale`;
+    `cli.cmd_complexity` prices the grid (`build_grid_from_rate`)."""
     params = spec.params
-    gamma_f = default_forcing_scale(params) if gamma_f is None else gamma_f
     # kappa*ln(1/delta) leaves a residual ~delta at kappa=1 but ~delta^2
     # for large kappa; the (kappa+1)/kappa factor makes it ~delta^2
     # uniformly, comfortably below the discretization floor
     safety = (params.kappa_hat + 1.0) / params.kappa_hat
     t_end = float(mag_mod.convergence_steps(params.kappa_hat, delta, safety=safety))
-    # a gamma_f out of range overflows the forcing block or the speeds to
-    # inf, and build_grid_from_rate refuses the domain that leaves
-    with np.errstate(over="ignore"):
-        pairs = build_pair_system(spec, gamma_f)
-        runway = required_runway(pairs, t_end)
-        tail = envelope_tail(DEFAULT_TAIL_TOL)
-        # decay the envelope below noise at the periodic seam: the largest
-        # state component (usually the forcing block at scale ||F||/gamma_f)
-        # must fall to ~1e-10 of the solution scale by p_right (per sigma group)
-        norms = pairs.group_norms()[pairs.evolved]
-        top = float(max(np.max(norms, initial=0.0), 1e-300))
-        wref = float(max(np.max(norms[:, :2], initial=0.0), 1e-300))
-        right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
-        grid = build_grid_from_rate(pairs.lambda_max_h1(), t_end, n_p, -(runway + tail),
-                                    right_margin)
+    pairs = build_pair_system(spec, default_forcing_scale(params))
+    runway = required_runway(pairs, t_end)
+    tail = envelope_tail(DEFAULT_TAIL_TOL)
+    # decay the envelope below noise at the periodic seam: the largest
+    # state component (usually the forcing block at scale ||F||/gamma_f)
+    # must fall to ~1e-10 of the solution scale by p_right (per sigma group)
+    norms = pairs.group_norms()[pairs.evolved]
+    top = float(max(np.max(norms, initial=0.0), 1e-300))
+    wref = float(max(np.max(norms[:, :2], initial=0.0), 1e-300))
+    right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
+    grid = build_grid_from_rate(pairs.lambda_max_h1(), t_end, n_p, -(runway + tail),
+                                right_margin)
     return t_end, pairs, runway, tail, grid
 
 
 def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None, *,
-             gamma_f: float | None = None, snapshot_rows: int = 0, block: int | None = None):
+             snapshot_rows: int = 0, block: int | None = None):
     """End-to-end solve of A u = b through the Hamiltonian realization, in
     the basis of the run's `spec` (`mag.build_spectral`).
 
@@ -663,7 +639,7 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None,
     """
     # the kappa_hat the momentum iteration refuses is refused here too
     mag_mod.step_budget(spec, delta, block)
-    t_end, pairs, runway, tail, grid = plan(spec, delta, n_p, gamma_f)
+    t_end, pairs, runway, tail, grid = plan(spec, delta, n_p)
     p_diamond = max(pairs.lambda_max_h1() * t_end, 0.0)
     advect = float(np.max(pairs.advection_speeds())) * t_end
     stride = max(1, grid.n_p // snapshot_rows) if snapshot_rows > 0 else 0

@@ -33,9 +33,8 @@ from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve,
 from schromag.mag import MagParams, SpectralSystem, _relative_residuals, _steady_kappa2
 from schromag.pde import ZERO, PdeProblem
 from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PairSystem,
-                             PGrid, _apply_pair_modes, _check_forcing_scale,
-                             build_grid_from_rate, envelope, pair_coupling, readout_weights,
-                             recovery_index)
+                             PGrid, _apply_pair_modes, build_grid_from_rate, envelope,
+                             pair_coupling, readout_weights, recovery_index)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -142,10 +141,18 @@ def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
     return sys.h - np.eye(2 * sys.n), sys.f.copy()
 
 
+def flow_state(flow, w) -> np.ndarray:
+    """The state vector [V x; U y] of a `mag.FlowSystem`'s (n, 2) state
+    [x_j, y_j], or V x of the gradient flow's (n, 1) state x_j; of each
+    state of a stack too."""
+    w = np.asarray(w)
+    return flow.spec.solution(w[..., 0]) if w.shape[-1] == 1 else flow.spec.to_state(w)
+
+
 def flow_steady_state(flow) -> np.ndarray:
     """The steady state -M^{-1} g of a `mag.FlowSystem` as a state
-    vector [V x; U y] (V x alone for the gradient flow)."""
-    return flow.spec.to_state(flow.steady_pairs())
+    vector (`flow_state`)."""
+    return flow_state(flow, flow.steady_pairs())
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,8 @@ def homogenize(generator, drive, gamma_f: float, w0=None) -> HomogenizedSystem:
     m = generator.shape[0]
     if drive.shape[0] != m:
         raise ValueError("drive dimension mismatch")
-    _check_forcing_scale(gamma_f)
+    if not (math.isfinite(gamma_f) and gamma_f > 0.0):
+        raise ValueError(f"gamma_f must be finite and positive, got {gamma_f}")
     if w0 is None:
         w0 = np.zeros(m, dtype=np.complex128)
     w0 = as_cvector(w0)

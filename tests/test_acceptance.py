@@ -22,8 +22,9 @@ from schromag.mag import (
 from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
 from schromag.schrod import pipeline
 
-from reference import (build_grid, build_transformed, evolve, flow_steady_state, homogenize,
-                       params_from_matrix, recover_single_point, split, steady_state)
+from reference import (build_grid, build_transformed, evolve, flow_state, flow_steady_state,
+                       homogenize, params_from_matrix, recover_single_point, split,
+                       steady_state)
 
 RNG = np.random.default_rng(2024)
 
@@ -110,7 +111,7 @@ def _time_to_delta(flow, delta=1e-6, t_hi=None):
     d0 = np.linalg.norm(w_inf)
 
     def err(t):
-        state = baselines.integrate_flow(flow, t, 2)[1][-1]
+        state = flow_state(flow, flow.at(t))
         return np.linalg.norm(state - w_inf) / d0
 
     lo, hi = 0.0, t_hi

@@ -870,7 +870,7 @@ class TestSnapshotFile:
 
 class TestBlockencVerify:
     def test_suite_passes_and_reports(self, tmp_path):
-        rc = main(["blockenc-verify", "--seed", "0", "--out", str(tmp_path)])
+        rc = main(["blockenc-verify", "--out", str(tmp_path)])
         assert rc == 0
         rows = json.loads((tmp_path / "blockenc.json").read_text())
         assert len(rows) == 36
@@ -879,9 +879,10 @@ class TestBlockencVerify:
         assert "u_zero_one" in names
 
     def test_deterministic_given_seed(self, tmp_path):
+        # the suite draws from its fixed seed 0
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["blockenc-verify", "--seed", "3", "--out", str(out1)])
-        main(["blockenc-verify", "--seed", "3", "--out", str(out2)])
+        main(["blockenc-verify", "--out", str(out1)])
+        main(["blockenc-verify", "--out", str(out2)])
         assert (out1 / "blockenc.json").read_bytes() == (out2 / "blockenc.json").read_bytes()
 
 
@@ -968,31 +969,106 @@ class TestComplexityCmd:
 
 
 class TestForcingScale:
+    """The forcing scale is the one `schrod.default_forcing_scale` derives
+    from the run's bounds: --gammaf is no option."""
+
     @pytest.mark.parametrize("command", [["schro"], ["solve", "--method", "schro"],
                                          ["pde", "--method", "schro"]])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_gammaf_is_usage_error(self, tmp_path, capsys, command, value):
-        rc = main([*command, "--preset", "fig3a", "--gammaf", value, "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        rc = main([*command, "--preset", "fig3a", "--gammaf", value, "--out", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err == f"error: gamma_f must be finite and positive, got {float(value)}\n"
+        assert capsys.readouterr().err == f"error: unrecognized arguments: --gammaf {value}\n"
+        assert not out.exists()
 
-    @pytest.mark.parametrize("value, message", [
-        *((v, "the p-domain [-41.3, inf] is not finite: --gammaf is out of range")
-          for v in ("1e-300", "1e-200")),
-        *((v, "the p-domain [-inf, inf] is not finite: --gammaf is out of range")
-          for v in ("1e308", "1.7e308")),
-        ("1e-320", "--gammaf 1e-320 is out of range: 1/gamma_f overflows"),
-        # no grid covers the domain: the derived one stops at the largest
-        ("1e300", "n_p=4194304 leaves dp=3.24e+296 > 0.5 on [-6.79e+302, 6.79e+302]; "
-                  "no n_p <= 4194304 will do"),
-    ])
-    def test_out_of_range_gammaf_is_usage_error(self, tmp_path, capsys, value, message):
-        # the forcing block or the advection speeds overflow: one line, no traceback
-        rc = main(["pde", "--preset", "fig3a", "--method", "schro", "--gammaf", value,
-                   "--out", str(tmp_path)])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+
+class TestRhsScale:
+    """Every method is linear in b, and a run scales b by a power of two to
+    unit size first (`cli._unit_rhs`): what it writes follows the scale of
+    b, however large or small."""
+
+    @staticmethod
+    def _fig3a(tmp_path, scales):
+        """fig3a's own files, with its rhs times each of `scales`."""
+        assert main(["pde", "--preset", "fig3a", "--out", str(tmp_path / "pde")]) == 0
+        b = read_vector(tmp_path / "pde" / "problem.vec")
+        for name, scale in scales.items():
+            write_vector(tmp_path / f"{name}.vec", scale(b))
+        return str(tmp_path / "pde" / "problem.coo")
+
+    @pytest.mark.parametrize("method", ["mag", "schro", "gradient", "damped"])
+    def test_power_of_two_scales_are_exact(self, tmp_path, method):
+        scales = {"unit": lambda b: b, "up": lambda b: b * 2.0**1000,
+                  "down": lambda b: b * 2.0**-1000}
+        matrix = self._fig3a(tmp_path, scales)
+        runs = {}
+        for name in scales:
+            out = tmp_path / name
+            assert main(["solve", "--matrix", matrix, "--rhs", str(tmp_path / f"{name}.vec"),
+                         "--method", method, "--out", str(out)]) == 0
+            runs[name] = out
+        unit = read_vector(runs["unit"] / "solution.vec")
+        for name, k in (("up", 1000), ("down", -1000)):
+            u = read_vector(runs[name] / "solution.vec")
+            assert np.array_equal(u.real, np.ldexp(unit.real, k))
+            assert np.array_equal(u.imag, np.ldexp(unit.imag, k))
+            table, unit_table = (np.loadtxt(runs[run] / "solution.csv", delimiter=",",
+                                            skiprows=1) for run in (name, "unit"))
+            assert np.array_equal(table[:, :2], unit_table[:, :2])  # node_index, x
+            assert np.array_equal(table[:, 2:], np.ldexp(unit_table[:, 2:], k))
+            # the reports and the trace are scale-free
+            for file in sorted(os.listdir(runs["unit"])):
+                if file.endswith((".json", "trace.csv")):
+                    assert (runs[name] / file).read_bytes() == (runs["unit"] / file).read_bytes()
+
+    def test_snapshot_rows_follow_the_scale(self, tmp_path):
+        matrix = self._fig3a(tmp_path, {"unit": lambda b: b, "up": lambda b: b * 2.0**1000})
+        rows = {}
+        for name in ("unit", "up"):
+            out = tmp_path / name
+            assert main(["schro", "--matrix", matrix, "--rhs", str(tmp_path / f"{name}.vec"),
+                         "--out", str(out)]) == 0
+            rows[name] = np.loadtxt(out / "warped_field.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows["up"][:, 0], rows["unit"][:, 0])  # the points
+        assert np.array_equal(rows["up"][:, 1:], np.ldexp(rows["unit"][:, 1:], 1000))
+
+    @pytest.mark.parametrize("method", ["mag", "schro", "gradient", "damped"])
+    def test_extreme_scales_run_as_the_unit_one(self, tmp_path, method):
+        # at 1e-200 the squares in b's norms underflow, at 1e160 they overflow
+        scales = {"unit": lambda b: b, "tiny": lambda b: b * 1e-200,
+                  "huge": lambda b: b * 1e160}
+        matrix = self._fig3a(tmp_path, scales)
+        reports = {}
+        for name in scales:
+            out = tmp_path / name
+            assert main(["solve", "--matrix", matrix, "--rhs", str(tmp_path / f"{name}.vec"),
+                         "--method", method, "--out", str(out)]) == 0
+            reports[name] = json.loads((out / "solve.json").read_text())
+        unit = reports.pop("unit")
+        for report in reports.values():
+            assert report["meets_delta"] is unit["meets_delta"]
+            assert report["residual_vs_oracle"] == pytest.approx(
+                unit["residual_vs_oracle"], rel=1e-6, abs=1e-13)
+            assert report.get("steps") == unit.get("steps")
+        # the damped flow misses delta at every scale of b
+        assert unit["meets_delta"] is (method != "damped")
+
+    @pytest.mark.parametrize("sigma_min", ["1e-3", "1e-12"])
+    def test_complexity_of_a_huge_rhs(self, tmp_path, capsys, sigma_min):
+        # rhs 1e300 would overflow the forcing block to inf; at sigma_min
+        # 1e-12 no grid covers the run's domain, at either scale
+        (tmp_path / "a.coo").write_text(f"2 2 2\n0 0 1.0 0.0\n1 1 {sigma_min} 0.0\n")
+        results = {}
+        for name, value in (("unit", "1.0"), ("huge", "1e300")):
+            (tmp_path / f"{name}.vec").write_text(f"{value} 0.0\n{value} 0.0\n")
+            out = tmp_path / name
+            rc = main(["complexity", "--matrix", str(tmp_path / "a.coo"),
+                       "--rhs", str(tmp_path / f"{name}.vec"), "--out", str(out)])
+            files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+            results[name] = rc, capsys.readouterr(), files
+        assert results["huge"] == results["unit"]
+        assert results["unit"][0] == (0 if sigma_min == "1e-3" else 2)
 
 
 class TestOptionsRead:
@@ -1000,15 +1076,15 @@ class TestOptionsRead:
     compare on files honours the bound overrides."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["solve", "--preset", "fig3a", "--method", "mag", "--gamma", "0.01"],
-         "solve --method mag does not read --gamma"),
+        (["solve", "--preset", "fig3a", "--method", "mag", "--np", "64"],
+         "solve --method mag does not read --np"),
         (["solve", "--preset", "fig3a", "--np", "64"], "solve --method mag does not read --np"),
         (["solve", "--preset", "fig3a", "--method", "gradient", "--lhat", "9", "--muhat", "1"],
          "solve --method gradient does not read --lhat"),
-        (["pde", "--preset", "fig3a", "--method", "damped", "--gammaf", "0.1"],
-         "pde --method damped does not read --gammaf"),
-        (["compare", "--preset", "fig1", "--gamma", "0.01"],
-         "compare --preset fig1 does not read --gamma"),
+        (["pde", "--preset", "fig3a", "--method", "damped", "--np", "64"],
+         "pde --method damped does not read --np"),
+        (["compare", "--preset", "fig1", "--np", "64"],
+         "compare --preset fig1 does not read --np"),
         (["compare", "--preset", "fig1", "--delta", "0.01"],
          "compare --preset fig1 does not read --delta"),
         (["compare", "--preset", "fig2", "--lhat", "9", "--muhat", "1"],
@@ -1016,20 +1092,22 @@ class TestOptionsRead:
         (["compare", "--matrix", "a.coo", "--rhs", "b.vec", "--np", "64"],
          "compare --matrix does not read --np"),
         (["schro", "--preset", "fig3a", "--method", "schro"], "schro does not read --method"),
-        (["complexity", "--preset", "fig3a", "--gammaf", "0.1"],
-         "complexity does not read --gammaf"),
+        (["complexity", "--preset", "fig3a", "--method", "mag"],
+         "complexity does not read --method"),
         (["blockenc-verify", "--preset", "fig3a"], "blockenc-verify does not read --preset"),
-        (["solve", "--preset", "fig3a", "--seed", "1"], "solve --method mag does not read --seed"),
+        # a run that reads the bounds still refuses what it does not read
+        (["solve", "--preset", "fig3a", "--lhat", "9", "--muhat", "1", "--np", "64"],
+         "solve --method mag does not read --np"),
         (["solve", "--preset", "fig3a", "--lhat", "9"], "--lhat and --muhat go together"),
-        # only blockenc-verify reads --seed
-        (["compare", "--preset", "fig1", "--seed", "7"],
-         "compare --preset fig1 does not read --seed"),
-        (["compare", "--matrix", "a.coo", "--rhs", "b.vec", "--seed", "0"],
-         "compare --matrix does not read --seed"),
-        (["pde", "--preset", "fig3a", "--method", "schro", "--seed", "0"],
-         "pde --method schro does not read --seed"),
-        (["schro", "--preset", "fig3a", "--seed", "0"], "schro does not read --seed"),
-        (["complexity", "--preset", "fig3a", "--seed", "0"], "complexity does not read --seed"),
+        (["compare", "--preset", "fig1", "--lhat", "9", "--muhat", "1"],
+         "compare --preset fig1 does not read --lhat"),
+        (["compare", "--matrix", "a.coo", "--rhs", "b.vec", "--method", "mag"],
+         "compare --matrix does not read --method"),
+        (["solve", "--preset", "fig3a", "--method", "damped", "--lhat", "9", "--muhat", "1"],
+         "solve --method damped does not read --lhat"),
+        (["blockenc-verify", "--np", "64"], "blockenc-verify does not read --np"),
+        (["complexity", "--preset", "fig3a", "--lhat", "9", "--muhat", "1"],
+         "complexity does not read --lhat"),
     ])
     def test_unread_option_is_usage_error(self, diag_problem, capsys, argv, message):
         argv = [str(diag_problem / x) if x.endswith((".coo", ".vec")) else x for x in argv]
@@ -1038,13 +1116,17 @@ class TestOptionsRead:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_seed_from_config_reaches_blockenc_verify(self, tmp_path):
-        # RunConfig's seed, from --seed, draws the suite; no seed draws seed 0's
-        runs = {"flag": ["--seed", "3"], "zero": ["--seed", "0"], "none": []}
-        for name, extra in runs.items():
-            assert main(["blockenc-verify", *extra, "--out", str(tmp_path / name)]) == 0
-        text = {name: (tmp_path / name / "blockenc.json").read_bytes() for name in runs}
-        assert text["flag"] != text["zero"] == text["none"]
+    @pytest.mark.parametrize("flag", ["--gamma", "--gammaf", "--seed"])
+    @pytest.mark.parametrize("command", ["solve", "compare", "pde", "schro", "blockenc-verify",
+                                         "complexity"])
+    def test_removed_option_is_unknown(self, tmp_path, capsys, command, flag):
+        # gamma and gamma_f are derived from the run's spectrum, and
+        # blockenc-verify draws from seed 0
+        source = [] if command == "blockenc-verify" else ["--preset", "fig3a"]
+        out = tmp_path / "out"
+        assert main([command, *source, flag, "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
+        assert not out.exists()
 
     # the second pair gives alpha = 0.002 and beta = 0.9 to 1e-4 relative
     @pytest.mark.parametrize("bounds", [["--lhat", "400", "--muhat", "1e-4"],
@@ -1059,15 +1141,14 @@ class TestOptionsRead:
         for name, same in (("mag_trajectory.csv", False), ("damped_trajectory.csv", True)):
             assert ((plain / name).read_bytes() == (bounded / name).read_bytes()) is same
 
-    def test_compare_on_files_honours_gamma_and_delta(self, diag_problem):
+    def test_compare_on_files_honours_delta(self, diag_problem):
+        # delta sets the horizon of both flows
         src = ["--matrix", str(diag_problem / "a.coo"), "--rhs", str(diag_problem / "b.vec")]
-        plain = diag_problem / "plain"
+        plain, loose = diag_problem / "plain", diag_problem / "loose"
         assert main(["compare", *src, "--out", str(plain)]) == 0
-        for extra in (["--gamma", "0.05"], ["--delta", "1e-2"]):
-            out = diag_problem / extra[0].strip("-")
-            assert main(["compare", *src, *extra, "--out", str(out)]) == 0
-            damped = "damped_trajectory.csv"
-            assert (plain / damped).read_bytes() != (out / damped).read_bytes()
+        assert main(["compare", *src, "--delta", "1e-2", "--out", str(loose)]) == 0
+        damped = "damped_trajectory.csv"
+        assert (plain / damped).read_bytes() != (loose / damped).read_bytes()
 
 
 class TestExitCodeOne:
@@ -1098,7 +1179,7 @@ class TestExitCodeOne:
         ["solve", "--method", "gradient"],
         ["solve", "--method", "mag", "--lhat", "4", "--muhat", "1"],
         ["solve", "--method", "schro", "--lhat", "4", "--muhat", "1"],
-        ["compare", "--lhat", "4", "--muhat", "1", "--gamma", "0.5"],
+        ["compare", "--lhat", "4", "--muhat", "1"],
         ["complexity"],
     ], ids=["mag", "schro", "damped", "gradient", "mag-bounds", "schro-bounds", "compare",
             "complexity"])
@@ -1224,15 +1305,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("matrix, rhs, extra, message", [
         ("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n1.0 0.0\n",
          ["--lhat", "1", "--muhat", "2"], "need 0 < mu_hat <= l_hat, got (1.0, 2.0)"),
-        ("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n1.0 0.0\n",
-         ["--method", "damped", "--gamma", "5"], "gamma must satisfy 0 < gamma < 2*sigma_min"),
         ("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n", [],
          "matrix rows 2 != rhs length 1"),
         ("2 3 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n1.0 0.0\n", [],
          "expected a square matrix, got shape (2, 3)"),
         ("2 2 3\n0 0 1e308 0.0\n0 0 1e308 0.0\n1 1 1.0 0.0\n", "1.0 0.0\n1.0 0.0\n", [],
          "duplicate entries sum to a non-finite value"),
-    ], ids=["bounds", "gamma", "rhs-length", "square", "duplicate-overflow"])
+    ], ids=["bounds", "rhs-length", "square", "duplicate-overflow"])
     def test_bad_input_from_files_exits_two(self, tmp_path, capsys, matrix, rhs, extra,
                                             message):
         (tmp_path / "a.coo").write_text(matrix)

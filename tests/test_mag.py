@@ -269,17 +269,24 @@ def random_flow(kind, sigma, mu_hat, ratio, frac, seed):
     return flow, rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-# (flow, state) of `random_flow`
-FLOWS = st.builds(random_flow, st.sampled_from(["mag-ode", "damped", "gradient"]),
-                  st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=8), st.floats(1e-4, 1e2),
-                  st.floats(1.0, 1e4), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+def _flows(kinds):
+    """(flow, state) of `random_flow` for the given kinds of flow."""
+    return st.builds(random_flow, st.sampled_from(kinds),
+                     st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=8),
+                     st.floats(1e-4, 1e2), st.floats(1.0, 1e4), st.floats(0.01, 0.99),
+                     st.integers(0, 2**32 - 1))
+
+
+FLOWS = _flows(["mag-ode", "damped", "gradient"])
+# the flows of 2x2 blocks: the gradient flow is only ever evaluated `at` a time
+PAIR_FLOWS = _flows(["mag-ode", "damped"])
 
 
 class TestFlowSystem:
     """A FlowSystem's closed forms against its blocks, block by block, for
     the momentum ODE and both comparison flows."""
 
-    @given(FLOWS)
+    @given(PAIR_FLOWS)
     @settings(max_examples=60, deadline=None)
     def test_step_is_the_flow_plus_identity(self, drawn):
         # the unit Euler step w + M w + g: for the momentum ODE it is the
@@ -290,7 +297,7 @@ class TestFlowSystem:
         scale = np.max(np.abs(w)) * (1.0 + np.max(np.abs(m))) + np.max(np.abs(g))
         assert np.max(np.abs(flow.step(w) - expected)) <= 4 * np.finfo(float).eps * scale
 
-    @given(FLOWS)
+    @given(PAIR_FLOWS)
     @settings(max_examples=60, deadline=None)
     def test_eigenvalues_match_dense_eig(self, drawn):
         # where a block is defective both sides are only sqrt(eps)-accurate
@@ -559,7 +566,6 @@ class TestPairBasis:
         w = rng.normal(size=(4, 6, 2)) + 1j * rng.normal(size=(4, 6, 2))
         expected = np.concatenate([w[..., 0] @ vh.conj(), w[..., 1] @ u.T], axis=-1)
         for got, want in ((spec.to_state(w), expected), (spec.to_state(w[1]), expected[1]),
-                          (spec.to_state(w[1, :, :1]), expected[1, :6]),
                           (spec.solution(w[..., 0]), expected[..., :6])):
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=0.0, atol=1e-14)
