@@ -109,12 +109,14 @@ class RatioTrace:
 def auxiliary_ratio_trace(solved, aux) -> RatioTrace:
     """Ratio aux/solved along two state columns of a flow.
 
-    Samples whose solved component is below threshold are recorded as
-    gaps (nan), never as infinities, and are skipped when counting sign
-    changes of the real part.
+    Samples whose solved component is at most RATIO_DENOM_TOL of its
+    largest modulus are recorded as gaps (nan), never as infinities, and
+    are skipped when counting sign changes of the real part.  The floor is
+    relative, so the trace does not depend on the scale of b; a zero
+    solved column is all gaps.
     """
     modulus = np.abs(solved)
-    gap = modulus <= RATIO_DENOM_TOL * max(float(modulus.max()), 1.0)
+    gap = modulus <= RATIO_DENOM_TOL * float(modulus.max())
     ratios = np.where(gap, math.nan, (aux / np.where(gap, 1.0, solved)).real)
     finite = ratios[~gap]
     return RatioTrace(

@@ -236,12 +236,13 @@ def cmd_compare(cfg: RunConfig) -> int:
         return _compare_fig2(cfg)
     if cfg.preset is not None:
         cp = compare_preset(cfg.preset)
-        spec, gamma, t_end, samples = cp.spec, cp.gamma, cp.t_end, cp.samples
+        spec, gamma, t_end, samples, k = cp.spec, cp.gamma, cp.t_end, cp.samples, 0
     else:
         system, _, delta = _load_system(cfg)
+        b, k = _unit_rhs(system.b)
         # no bounds guard: compare shows the momentum flow under any bounds
         # whose blocks are finite
-        spec = mag.build_spectral(system.a, system.b, _params_for(cfg))
+        spec = mag.build_spectral(system.a, b, _params_for(cfg))
         with np.errstate(over="ignore", invalid="ignore"):
             ode = spec.ode
         if not (np.all(np.isfinite(ode.blocks)) and np.all(np.isfinite(ode.drive))):
@@ -257,8 +258,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     for tag, flow in flows.items():
         times, states = baselines.integrate_flow(flow, t_end, samples)
         ratios[tag] = ratio = baselines.auxiliary_ratio_trace(states[:, 0], states[:, n])
+        solved, aux = (_ldexp(states[:, j].copy(), k) for j in (0, n))
         io.write_trajectory_csv(os.path.join(cfg.out, f"{tag}_trajectory.csv"),
-                                times, states[:, 0], states[:, n], ratio.ratios)
+                                times, solved, aux, ratio.ratios)
     ratio_mag, ratio_damp = ratios["mag"], ratios["damped"]
     io.write_rows(os.path.join(cfg.out, "ratio.csv"), "time,mag_ratio,damped_ratio",
                   [times, io.nan_as_empty(ratio_mag.ratios), io.nan_as_empty(ratio_damp.ratios)])

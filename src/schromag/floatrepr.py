@@ -1,18 +1,16 @@
-"""repr's text for float64 arrays, from whole-array numpy arithmetic.
+"""'%.16e' text for float64 arrays, from whole-array numpy arithmetic.
 
-`format_rows(table)` returns the bytes of ",".join(map(repr, row)) + "\n"
-for every row, without one repr call per value.
+`format_rows(table)` returns the bytes of ",".join('%.16e' % v for v in
+row) + "\n" for every row, without one format call per value.  Each cell
+has 17 significant digits in one scientific layout, such as
+-3.3781274170219654e+03, which reads back as the same double.
 
-A value x takes the fast path when 1e-280 < |x| < 1e280 and x is not a
-power of two (whose rounding interval is lopsided).  With k = 16 -
+A value x takes the fast path when 1e-280 < |x| < 1e280.  With k = 16 -
 floor(log10|x|), V = |x| * 10^k lies in [1e16, 1e17) and is computed as
-a double-double (error ~1e-14 in V's units); the half-ulp of x scaled the
-same way is h = 10^k * 2^(e2-54).  Dropping j trailing digits of V, the
-nearest multiple of 10^j is within h of V for j = 0 (h > 0.55) and for
-every j up to the largest one that works; repr's shortest, nearest digit
-string is that multiple.  A value with any rounding decision within
-_UNSURE of a tie or of h takes repr instead, as do 0, subnormals, nan,
-inf, powers of two and out-of-range magnitudes.
+a double-double (error ~1e-14 in V's units); the 17 digits are V rounded
+half up, and a rounding that carries to 1e17 moves the exponent up one.
+A value whose fraction of V is within _UNSURE of a half takes '%' formatting
+instead, as do 0, subnormals, nan, inf and out-of-range magnitudes.
 """
 
 from __future__ import annotations
@@ -25,18 +23,11 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _K_MIN, _K_MAX = -265, 298  # 16 - floor(log10|x|) on the fast path, one step of slack
 _UNSURE = 1e-6  # in V's units: far above V's ~1e-14 error, and hit by ~1 value in 1e6
 _SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split of a double into 26-bit halves
-_ROW = 32  # bytes of one value's source row, see _templates
-# source row byte offsets: '0' at 0..2, 17 digits at 3..19, exponent digits
-# at 21..23 (20 is '0'), then the constant and separator bytes
-_ZERO, _DIGITS, _EXP = 0, 3, 21
-_DOT, _MINUS, _E, _PLUS, _NUL, _SEP = 24, 25, 26, 27, 28, 29
-_CELL = 25  # 24 bytes hold any float repr, plus its separator
-_LAYOUTS = 24  # decpt -3..16 in fixed notation, then exponent sign x width
+_EXP_MAX = 16 - _K_MIN + 1  # largest |exponent| of the fast path, carry included
+_SLOW_CELL = 24  # bytes of a source row before its separator: any '%.16e' text fits
 # values per formatting pass: at 4-8 snapshot rows (8-16k values) the pass's
-# temporaries stay in a 2 MB L2 cache, and a snapshot takes ~20% less CPU
-# than in whole 32-row blocks
+# temporaries stay in a 2 MB L2 cache
 _CHUNK_VALUES = 16384
-_INT_POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
 @functools.cache
@@ -57,6 +48,11 @@ def _pow10() -> tuple[np.ndarray, np.ndarray]:
     return np.array(hi), np.array(lo)
 
 
+def _words(texts) -> np.ndarray:
+    """Each 4-byte text as one uint32 word, in byte order."""
+    return np.frombuffer(b"".join(texts), dtype=np.uint32)
+
+
 @functools.cache
 def _digit_words() -> np.ndarray:
     """uint32 words holding the 4 ASCII digits of 0..9999, in byte order."""
@@ -66,33 +62,26 @@ def _digit_words() -> np.ndarray:
 
 
 @functools.cache
-def _templates() -> np.ndarray:
-    """Source-row offsets of each output byte, per (sign, digit count, layout).
+def _lead_words() -> np.ndarray:
+    """[NUL, d1, '.', d2] for the leading two digits 0..99 (10..99 used),
+    then the same 100 words with '-' for the NUL."""
+    return _words(b"%c%d.%d" % (sign, *divmod(d, 10)) for sign in b"\0-" for d in range(100))
 
-    A cell is right-aligned in _CELL bytes, NUL-padded on the left, with
-    its separator last.  Layouts follow repr: fixed notation for
-    -4 < decpt <= 16 ('.0' when there is no fraction), else d[.ddd]e+XX.
-    """
-    rows = []
-    for neg in (0, 1):
-        for nd in range(1, 18):
-            digits = list(range(_DIGITS, _DIGITS + nd))
-            for layout in range(_LAYOUTS):
-                if layout < 20:
-                    dp = layout - 3
-                    if dp <= 0:
-                        body = [_ZERO, _DOT] + [_ZERO] * -dp + digits
-                    elif dp < nd:
-                        body = digits[:dp] + [_DOT] + digits[dp:]
-                    else:
-                        body = digits + [_ZERO] * (dp - nd) + [_DOT, _ZERO]
-                else:
-                    neg_exp, wide = divmod(layout - 20, 2)
-                    body = digits[:1] + ([_DOT] + digits[1:] if nd > 1 else [])
-                    body += [_E, _MINUS if neg_exp else _PLUS] + list(range(_EXP + 1 - wide, _EXP + 3))
-                body = [_MINUS] * neg + body
-                rows.append([_NUL] * (_CELL - 1 - len(body)) + body + [_SEP])
-    return np.array(rows, dtype=np.intp)
+
+@functools.cache
+def _tail_words() -> np.ndarray:
+    """[d15, d16, d17, 'e'] for the last three digits 0..999."""
+    return _words(b"%03de" % d for d in range(1000))
+
+
+@functools.cache
+def _exp_words() -> np.ndarray:
+    """[sign, e100 or NUL, e10, e1] for exponents -_EXP_MAX.._EXP_MAX."""
+    texts = (b"%+03d" % e for e in range(-_EXP_MAX, _EXP_MAX + 1))  # b"+05", b"-280"
+    return _words(t if len(t) == 4 else t[:1] + b"\0" + t[1:] for t in texts)
+
+
+_COMMA, _NEWLINE = _words([b",\0\0\0", b"\n\0\0\0"])
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,27 +103,17 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi.astype(np.int64) + flo.astype(np.int64), lo - flo
 
 
-def _near_multiple(big, frac, h, q: int):
-    """Whether V = big + frac is within h of a multiple of q, and whether
-    that distance is within _UNSURE of h (too close to call)."""
-    r = big - big // q * q
-    d = np.minimum(r + frac, (q - r) - frac)
-    return d < h, np.abs(d - h) < _UNSURE
+def digits(x: np.ndarray):
+    """The 17 digits '%.16e' writes for each float64 in x, and the values
+    left to '%' itself.
 
-
-def shortest_digits(x: np.ndarray):
-    """repr's digits of each float64 in x, and the values repr must format.
-
-    Returns (sig, ndigits, decpt, slow): x = 0.d1d2...dn * 10^decpt with
-    d1..dn the ndigits leading digits of the 17-digit sig (zero-padded on
-    the right), and slow marking the values left to repr.  The entries
-    of sig, ndigits and decpt are meaningless where slow is set.
+    Returns (sig, expo, slow): |x| = sig * 10^(expo - 16) to 17 digits,
+    with sig in [1e16, 1e17), and slow marking the values left to '%'.
+    The entries of sig and expo are meaningless where slow is set.
     """
     a = np.abs(x)
     slow = ~((a > _FAST_MIN) & (a < _FAST_MAX))
     a[slow] = 1.5  # any fast-path value, to keep the arithmetic quiet
-    mant, e2 = np.frexp(a)
-    slow |= mant == 0.5
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
     big, frac = _scaled(a, k)
     off = np.flatnonzero((big < 10**16) | (big >= 10**17))
@@ -142,77 +121,45 @@ def shortest_digits(x: np.ndarray):
         k[off] += np.where(big[off] < 10**16, 1, -1)
         big[off], frac[off] = _scaled(a[off], k[off])
         slow[off[(big[off] < 10**16) | (big[off] >= 10**17)]] = True
-    h = np.ldexp(_pow10()[0].take(k - _K_MIN), e2 - 54)
-    # cut = trailing digits dropped: the largest j whose nearest multiple
-    # of 10^j is within h of V (j = 0 always is, as h > 0.55)
-    within, unsure = _near_multiple(big, frac, h, 10)
-    slow |= unsure
-    live = np.flatnonzero(within & ~slow)
-    cut = np.zeros(x.size, dtype=np.int64)
-    cut[live] = 1
-    for j in range(2, 17):
-        within, unsure = _near_multiple(big[live], frac[live], h[live], 10**j)
-        slow[live[unsure]] = True
-        live = live[within & ~unsure]
-        if not live.size:
-            break
-        cut[live] = j
-    q = _INT_POW10.take(cut)
-    r = big - big // q * q
-    rem = r + frac
-    half = q / 2
-    slow |= np.abs(rem - half) < _UNSURE
-    sig = big - r + (rem > half) * q
+    slow |= np.abs(frac - 0.5) < _UNSURE
+    sig = big + (frac > 0.5)
     carry = sig == 10**17  # 99..9.5 rounds up to 1 one decade up
     sig[carry] = 10**16
-    ndigits = np.where(carry, 1, 17 - cut)
-    return sig, ndigits, 17 - k + carry, slow
+    return sig, 16 - k + carry, slow
 
 
 def format_rows(table: np.ndarray) -> bytes:
-    """The bytes of ",".join(map(repr, row)) + "\n" for each row of table."""
+    """The bytes of ",".join('%.16e' % v for v in row) + "\n" for each row of table."""
     table = np.ascontiguousarray(table, dtype=np.float64)
     step = max(1, _CHUNK_VALUES // table.shape[1])
     return b"".join(_format_chunk(table[lo:lo + step]) for lo in range(0, len(table), step))
 
 
 def _format_chunk(table: np.ndarray) -> bytes:
-    """format_rows for one pass: each value's digits, exponent digits and
-    constants go into a 32-byte source row, and its cell is gathered from
-    that row through the template of its layout class."""
+    """format_rows for one pass: each value's text, NUL-padded, in a source
+    row of seven words, the last its separator; the NULs are dropped."""
     n_rows, n_cols = table.shape
     x = table.ravel()
-    sig, ndigits, decpt, slow = shortest_digits(x)
-    words = _digit_words()
-    src = np.empty((x.size, _ROW // 4), dtype=np.uint32)
-    top = sig // 10**16
-    rest = sig - top * 10**16
-    upper = rest // 10**8
-    lower = rest - upper * 10**8
-    src[:, 0] = words.take(top)
-    for col, part in ((1, upper), (3, lower)):
-        c = part // 10**4
-        src[:, col] = words.take(c)
-        src[:, col + 1] = words.take(part - c * 10**4)
-    expo = decpt - 1
-    src[:, 5] = words.take(np.abs(expo))
-    src[:, 6] = _word(b".-e+")
-    seps = np.full(n_cols, _word(b"\0,\0\0"), dtype=np.uint32)
-    seps[-1] = _word(b"\0\n\0\0")
-    src.reshape(n_rows, n_cols, -1)[:, :, 7] = seps
-    layout = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
-                      20 + 2 * (expo < 0) + (np.abs(expo) >= 100))
-    cls = (np.signbit(x) * 17 + ndigits - 1) * _LAYOUTS + layout
-    cls[slow] = 0  # any template; the cell is rewritten below
-    offsets = _templates().take(cls, axis=0)
-    offsets += np.arange(0, x.size * _ROW, _ROW)[:, None]
-    cells = src.view(np.uint8).ravel().take(offsets, mode="clip")
+    sig, expo, slow = digits(x)
+    src = np.empty((x.size, 7), dtype=np.uint32)
+    lead = sig // 10**15
+    rest = sig - lead * 10**15
+    middle = rest // 1000  # digits 3-14
+    # clip: a slow value's digits may be out of range; its cell is rewritten
+    src[:, 0] = _lead_words().take(lead + 100 * np.signbit(x), mode="clip")
+    src[:, 4] = _tail_words().take(rest - middle * 1000)
+    for col, div in ((1, 10**8), (2, 10**4)):
+        top = middle // div
+        src[:, col] = _digit_words().take(top)
+        middle -= top * div
+    src[:, 3] = _digit_words().take(middle)
+    src[:, 5] = _exp_words().take(expo + _EXP_MAX)
+    seps = np.full(n_cols, _COMMA)
+    seps[-1] = _NEWLINE
+    src.reshape(n_rows, n_cols, -1)[:, :, 6] = seps
+    cells = src.view(np.uint8).reshape(x.size, -1)
     for i in np.flatnonzero(slow):
-        text = repr(float(x[i])).encode()
-        cells[i, : _CELL - 1] = 0
-        cells[i, _CELL - 1 - len(text): _CELL - 1] = np.frombuffer(text, dtype=np.uint8)
+        text = np.frombuffer(b"%.16e" % x[i], dtype=np.uint8)
+        cells[i, :_SLOW_CELL] = 0
+        cells[i, :text.size] = text
     return cells.tobytes().translate(None, b"\0")
-
-
-def _word(four: bytes) -> np.uint32:
-    return np.frombuffer(four, dtype=np.uint32)[0]

@@ -9,11 +9,12 @@ files: one ``re im`` pair per line.  A nan or infinite entry is rejected
 with its file and line.  Floats are written with repr
 (shortest round-trip) so identical inputs produce byte-identical files;
 JSON reports are strict, with null for a nan or infinite value.
-`write_rows` writes every other text table, each writer here and each CSV
-of the CLI, from columns through `ndarray.tolist()`, so repr sees Python
-floats.  The field snapshot, the one large file, gets the same text from
-`floatrepr.format_rows`, which formats a block of float64 rows with
-whole-array numpy arithmetic instead of one repr call per value.
+`write_rows` writes every text table but the field snapshot, each writer
+here and each CSV of the CLI, from columns through `ndarray.tolist()`, so
+repr sees Python floats.  The field snapshot, the one large file, holds
+'%.16e' of each value instead, 17 digits that read back as the same
+double, from `floatrepr.format_rows`, which formats a block of float64
+rows with whole-array numpy arithmetic instead of one call per value.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def write_field_snapshot_csv(path, points, field) -> None:
 
     Rows are formatted and written _BLOCK_ROWS at a time, so the
     text of the whole file is never held in memory.  Each cell is
-    repr(float(value)), through `floatrepr.format_rows`.
+    '%.16e' % value, through `floatrepr.format_rows`.
     """
     # imported on use: run without cached bytecode, compiling the formatter
     # added ~3 ms to the import of every command

@@ -13,10 +13,11 @@ forcing column by complex exponentials, with the complex column the
 package's kernel makes (`pair_column`) to compare.  It also holds the check
 of a block-encoding state-preparation pair against its coefficients, the
 closed-form PDE solutions the assembled systems are checked against, and
-the per-element repr writers of the field snapshot and of every other
-text file `io` writes, the oracles of `floatrepr.format_rows` and of
-`io.write_rows` and the writers made from it, which format columns.  No
-module of the package imports it.
+the per-element writers of the field snapshot ('%.16e' of each value)
+and of every other text file `io` writes (repr of each value), the
+oracles of `floatrepr.format_rows` and of `io.write_rows` and the
+writers made from it, which format columns.  No module of the package
+imports it.
 """
 
 from __future__ import annotations
@@ -453,13 +454,15 @@ def sine_mode_oracle(n: int, k: float, coeffs: dict) -> np.ndarray:
     return u
 
 
-def repr_rows(table) -> str:
-    """Each row of a float table as ",".join(map(repr, row)) + newline."""
-    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(table).tolist())
+def sci_rows(table) -> str:
+    """Each row of a float table as ",".join('%.16e' % v for v in row) + newline.
+    CPython's '%' formatting is correctly rounded, so this is exact."""
+    rows = np.asarray(table).tolist()
+    return "".join(",".join("%.16e" % v for v in row) + "\n" for row in rows)
 
 
 def write_field_snapshot_csv(path, points, field) -> None:
-    """The field snapshot through one repr call per value, 32 rows at a time."""
+    """The field snapshot through one '%.16e' per value, 32 rows at a time."""
     field = np.ascontiguousarray(field, dtype=np.complex128)
     points = np.asarray(points, dtype=np.float64)
     header = ["p"]
@@ -469,7 +472,7 @@ def write_field_snapshot_csv(path, points, field) -> None:
         fh.write(",".join(header) + "\n")
         for lo in range(0, points.size, 32):
             hi = lo + 32
-            fh.write(repr_rows(np.column_stack([points[lo:hi], field[lo:hi].view(np.float64)])))
+            fh.write(sci_rows(np.column_stack([points[lo:hi], field[lo:hi].view(np.float64)])))
 
 
 def _fmt(x) -> str:

@@ -836,11 +836,12 @@ class TestSchro:
 
 
 class TestSnapshotFile:
-    def test_seeded_fig4a_snapshot_is_per_element_repr(self, tmp_path):
+    def test_seeded_fig4a_snapshot_is_per_element_format(self, tmp_path, monkeypatch):
         """`schro` in a fresh process on fig4a's matrix and a seeded complex
         rhs at --np 16384 writes warped_field.csv byte for byte as the
-        per-element repr writer would, with under 1% of its values left to
-        repr by the vectorized formatter."""
+        per-element '%.16e' writer would, with under 1% of its values left
+        to '%' by the vectorized formatter, and every cell reads back as the
+        value `schrod.pipeline` gives in process, times the run's 2^k."""
         problem = pde_preset("fig4a")[0]
         a, b0 = problem.system.a, problem.system.b
         rng = np.random.default_rng(0)
@@ -863,9 +864,23 @@ class TestSnapshotFile:
         expected = tmp_path / "expected.csv"
         reference.write_field_snapshot_csv(expected, rows[:, 0],
                                            np.ascontiguousarray(rows[:, 1:]).view(np.complex128))
-        same = written == expected.read_bytes()  # not in the assert: no 48 MB diff
+        same = written == expected.read_bytes()  # not in the assert: no 50 MB diff
         assert same
-        assert floatrepr.shortest_digits(rows.ravel())[3].mean() < 0.01
+        assert floatrepr.digits(rows.ravel())[2].mean() < 0.01
+
+        snapshots, run = [], schrod.pipeline
+
+        def pipeline(*args, **kwargs):
+            x, report, (points, field) = run(*args, **kwargs)
+            snapshots.append((points.copy(), field.copy()))
+            return x, report, (points, field)
+
+        monkeypatch.setattr(schrod, "pipeline", pipeline)
+        assert main([*argv[:-1], str(tmp_path / "in_process")]) == 0
+        (points, field), = snapshots
+        k = cli._unit_rhs(read_vector(tmp_path / "b.vec"))[1]
+        in_process = np.column_stack([points, np.ldexp(field.view(np.float64), k)])
+        assert np.array_equal(rows.view(np.uint64), in_process.view(np.uint64))
 
 
 class TestBlockencVerify:
@@ -1069,6 +1084,26 @@ class TestRhsScale:
             results[name] = rc, capsys.readouterr(), files
         assert results["huge"] == results["unit"]
         assert results["unit"][0] == (0 if sigma_min == "1e-3" else 2)
+
+    def test_compare_ratios_follow_no_scale(self, tmp_path):
+        # the ratio gap floor is relative to the solved column: at 2^-70,
+        # 2^500 and the subnormal 2^-1040 compare.json is the unit run's,
+        # and at 1e-20 no band is null
+        (tmp_path / "a.coo").write_text("2 2 2\n0 0 1.0 0.0\n1 1 1e-3 0.0\n")
+        reports = {}
+        for name, value in (("unit", 1.0), ("down", 2.0**-70), ("up", 2.0**500),
+                            ("subnormal", 2.0**-1040), ("tiny", 1e-20)):
+            (tmp_path / f"{name}.vec").write_text(f"{value!r} 0.0\n{value!r} 0.0\n")
+            out = tmp_path / name
+            assert main(["compare", "--matrix", str(tmp_path / "a.coo"),
+                         "--rhs", str(tmp_path / f"{name}.vec"), "--out", str(out)]) == 0
+            reports[name] = (out / "compare.json").read_bytes()
+        assert reports["down"] == reports["unit"] == reports["up"] == reports["subnormal"]
+        tiny, unit = (json.loads(reports[name]) for name in ("tiny", "unit"))
+        assert None not in tiny["mag_ratio_band"] + tiny["damped_ratio_band"]
+        assert unit["damped_sign_changes"] > 0
+        for key in ("mag_sign_changes", "damped_sign_changes"):
+            assert tiny[key] == unit[key]
 
 
 class TestOptionsRead:

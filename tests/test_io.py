@@ -24,7 +24,7 @@ from schromag.io import (
 )
 
 import reference
-from reference import repr_rows
+from reference import sci_rows
 
 
 class TestMatrixFormat:
@@ -111,7 +111,7 @@ class TestCsv:
         assert lines[1].endswith(",")
         assert lines[2].endswith(",0.5")
 
-    def test_field_snapshot_bytes_match_per_element_repr(self, tmp_path):
+    def test_field_snapshot_bytes_match_per_element_format(self, tmp_path):
         self._check_snapshot_bytes(tmp_path)
 
     def test_field_snapshot_blocks_join_seamlessly(self, tmp_path, monkeypatch):
@@ -132,14 +132,14 @@ class TestCsv:
         lines = [",".join(["p"] + [f"comp{c}_{part}" for c in range(3)
                                    for part in ("re", "im")])]
         for k, p in enumerate(points):
-            row = [repr(float(p))]
+            row = ["%.16e" % p]
             for c in range(3):
-                row += [repr(float(field[k, c].real)), repr(float(field[k, c].imag))]
+                row += ["%.16e" % field[k, c].real, "%.16e" % field[k, c].imag]
             lines.append(",".join(row))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_field_snapshot_memory_is_one_block(self, tmp_path):
-        # the whole 1024 x 1024 complex snapshot is ~48 MB of text; the
+        # the whole 1024 x 1024 complex snapshot is ~50 MB of text; the
         # writer holds one block of rows, never the file as one string
         rng = np.random.default_rng(4)
         field = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
@@ -311,14 +311,14 @@ class TestJson:
 
 
 def _edge_values() -> np.ndarray:
-    """Values where a shortcut to repr's digits would most likely slip."""
+    """Values where a shortcut to the 17 digits of '%.16e' would most likely slip."""
     vals = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-280, 1e280,
             1.7976931348623157e308, 9999999999999998.0, 1e16, 1e-4, 1e-5, 1e22, 1e23,
             0.1, 0.3, 2.0 / 3.0, math.pi]
     vals += [2.0**k for k in range(-1074, 1024)]
     vals += [float(f"1e{k}") for k in range(-323, 309)]
-    # 1..17 significant digits, at the fixed/exponent switches (decpt -3/-4
-    # and 16/17), inside the fast path's range and with 3-digit exponents
+    # 1..17 significant digits, at the exponents where repr changes layout
+    # (decpt -3/-4 and 16/17), inside the fast path's range and with 3-digit exponents
     for p in range(1, 18):
         for digits in ("12345678901234567", "98765432109876543", "99999999999999999",
                        "10000000000000001", "50000000000000005"):
@@ -333,23 +333,23 @@ def _edge_values() -> np.ndarray:
 
 
 class TestReprKernel:
-    """floatrepr.format_rows against one repr call per value (reference.repr_rows)."""
+    """floatrepr.format_rows against one '%.16e' per value (reference.sci_rows)."""
 
     @staticmethod
     def _check(table):
         table = np.atleast_2d(np.asarray(table, dtype=np.float64))
-        got, want = floatrepr.format_rows(table), repr_rows(table).encode()
+        got, want = floatrepr.format_rows(table), sci_rows(table).encode()
         if got != want:
             bad = [(float(v), g) for v, g in zip(table.ravel(), got.replace(b"\n", b",").split(b","))
-                   if repr(float(v)).encode() != g]
-            raise AssertionError(f"{len(bad)} cells differ from repr, first {bad[:3]}")
+                   if b"%.16e" % v != g]
+            raise AssertionError(f"{len(bad)} cells differ from '%.16e', first {bad[:3]}")
 
     def test_edge_values(self):
         x = _edge_values()
         self._check(x[: x.size // 3 * 3].reshape(-1, 3))
         self._check(x)
-        # most of them take the fast path, so the check above is not repr vs repr
-        assert floatrepr.shortest_digits(x)[3].mean() < 0.5
+        # most of them take the fast path, so the check above is not '%' vs '%'
+        assert floatrepr.digits(x)[2].mean() < 0.5
 
     def test_random_bit_patterns_and_magnitudes(self):
         rng = np.random.default_rng(11)
@@ -357,9 +357,9 @@ class TestReprKernel:
         self._check(bits.view(np.float64))
         scaled = rng.standard_normal((100, 1000)) * 10.0 ** rng.integers(-300, 300, (100, 1000))
         self._check(scaled)
-        # repr formats the magnitudes outside 1e-280..1e280 by design (~7% here)
+        # '%' formats the magnitudes outside 1e-280..1e280 by design (~7% here)
         inside = (np.abs(scaled) > 1e-280) & (np.abs(scaled) < 1e280)
-        assert floatrepr.shortest_digits(scaled[inside])[3].mean() < 0.01
+        assert floatrepr.digits(scaled[inside])[2].mean() < 0.01
 
     @given(arrays(np.uint64, st.tuples(st.integers(1, 3), st.integers(1, 40))))
     @settings(max_examples=200, deadline=None)
@@ -373,6 +373,10 @@ class TestReprKernel:
         self._check(values)
 
     def test_carry_into_the_next_decade(self):
-        # 1e24 is 999999999999999983222784.0; its 17-digit form rounds up to 1e+24
-        self._check([1e24, -1e24])
-        assert not floatrepr.shortest_digits(np.array([1e24]))[3].any()
+        # the doubles nearest 1e-14, 1e98 and 1e129 lie below them by less
+        # than half a unit of the 17th digit: each rounds up to 1.0000000000000000
+        x = np.array([1e-14, -1e-14, 1e98, 1e129])
+        self._check(x)
+        sig, expo, slow = floatrepr.digits(x)
+        assert not slow.any()
+        assert np.array_equal(sig, [10**16] * 4) and np.array_equal(expo, [-14, -14, 98, 129])
