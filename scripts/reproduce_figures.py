@@ -5,7 +5,8 @@ Writes one directory per panel under --out:
 
     fig1/                auxiliary-vs-solved trajectories and ratio
     fig2/                terminal-error table across accuracy targets
-    fig3a..fig6d/        problem files, solutions by every method, reports
+    fig3a..fig6d/        mag/ and schro/: each a pde run's problem files,
+                         solution and pde.json report
     complexity/          method comparison table for a reference preset
     blockenc/            verification report for the encoding suite
 

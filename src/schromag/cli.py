@@ -144,8 +144,9 @@ def _params_for(cfg: RunConfig) -> mag.MagParams | None:
 
 def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int | None = None,
                 trace: bool = False, snapshot_rows: int = 0, block: int | None = None) -> tuple:
-    """(x, the method's report fields, its trace or snapshot) for one method
-    on the run's `spec`, once its bounds pass the radius guard; u = V x.
+    """(x, the method's own report fields, its trace or snapshot) for one
+    method on the run's `spec`, once its bounds pass the radius guard; u = V x.
+    schro's fields are its `schrod.PipelineReport`, flat.
     mag iterates, and the gradient flow runs, to delta on the first `block`
     entries of u, the part the run writes, if given, and schro runs on n_p
     points (None: the derived grid) and refuses the kappa_hat mag refuses.
@@ -163,7 +164,7 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
 
         x, report, snapshot = schrod.pipeline(spec, delta, n_p, snapshot_rows=snapshot_rows,
                                               block=block)
-        return x, {"report": asdict(report)}, snapshot
+        return x, asdict(report), snapshot
     # the flows: the parser refuses any other method
     from . import baselines
 
@@ -187,45 +188,40 @@ def _relative_error(u: np.ndarray, ref: np.ndarray) -> float:
 
 def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.ndarray,
            delta: float, k: int, block: int | None = None, **run) -> tuple:
-    """(u, report fields, trace or snapshot) of `method` on the run's `spec`,
+    """(u, report, trace or snapshot) of `method` on the run's `spec`,
     checked against the direct solve `oracle`, both for b scaled by 2^-k
-    (`_factor`); u and a snapshot's rows come back times 2^k.  The fields and a
-    pipeline report both carry the residual, whether it is within delta,
-    and the error estimate against the closed-form steady state V x*,
-    x* = b~/sigma, from the run's own SVD, all on the first `block` entries
-    of u, the part the run writes (all of u by default); where that is a
-    proper part, the residual on all of u goes under
-    residual_vs_oracle_full."""
+    (`_factor`); u and a snapshot's rows come back times 2^k.  The report is
+    the run's one flat dict: the method and delta, the method's own fields,
+    then the residual, whether it is within delta, and the error estimate
+    against the closed-form steady state V x*, x* = b~/sigma, from the run's
+    own SVD, all on the first `block` entries of u, the part the run writes
+    (all of u by default); where that is a proper part, the residual on all
+    of u goes under residual_vs_oracle_full."""
     x, fields, extra = _run_method(method, spec, delta, n_p=cfg.n_p, block=block, **run)
     u, steady = spec.solution(np.stack([x, spec.b_t / spec.sigma]))
     rel, estimate = (_relative_error(u[:block], ref[:block]) for ref in (oracle, steady))
     # reported, not enforced: the exit code does not depend on them
-    checked = {"residual_vs_oracle": rel, "meets_delta": rel <= delta,
-               "error_estimate": estimate}
+    report = {"method": method, "delta": delta, **fields, "residual_vs_oracle": rel,
+              "meets_delta": rel <= delta, "error_estimate": estimate}
     if u[:block].size < u.size:
-        checked["residual_vs_oracle_full"] = _relative_error(u, oracle)
-    fields.update(checked)
-    if "report" in fields:
-        fields["report"].update(checked)
+        report["residual_vs_oracle_full"] = _relative_error(u, oracle)
     if method == "schro" and extra is not None:
         _ldexp(extra[1], k)
-    return _ldexp(u, k), fields, extra
+    return _ldexp(u, k), report, extra
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     method = cfg.method or "mag"
     spec, oracle, delta, k = _factor(cfg, *_load_system(cfg))
-    u, fields, trace = _solve(cfg, method, spec, oracle, delta, k, trace=True)
+    u, report, trace = _solve(cfg, method, spec, oracle, delta, k, trace=True)
     out = cfg.out
     io.write_vector(os.path.join(out, "solution.vec"), u)
     io.write_solution_csv(os.path.join(out, "solution.csv"), u,
                           np.arange(u.size, dtype=float))
     if trace is not None:
         io.write_trace_csv(os.path.join(out, "trace.csv"), *trace)
-    if "report" in fields:
-        io.write_json(os.path.join(out, "pipeline.json"), fields["report"])
-    io.write_json(os.path.join(out, "solve.json"), {"method": method, "delta": delta, **fields})
-    print(f"solve[{method}] residual vs direct solve: {fields['residual_vs_oracle']:.3e}")
+    io.write_json(os.path.join(out, "solve.json"), report)
+    print(f"solve[{method}] residual vs direct solve: {report['residual_vs_oracle']:.3e}")
     return 0
 
 
@@ -313,7 +309,7 @@ def cmd_pde(cfg: RunConfig) -> int:
     (xs, ys), block = problem.nodes, problem.solution_size
     factored = _factor(cfg, system, problem, delta)
     del system, problem
-    u, fields, _ = _solve(cfg, method, *factored, block=block)
+    u, report, _ = _solve(cfg, method, *factored, block=block)
     io.write_matrix_coo(os.path.join(out, "problem.coo"), nonzeros)
     io.write_vector(os.path.join(out, "problem.vec"), b)
     io.write_json(os.path.join(out, "problem.json"), described)
@@ -322,24 +318,19 @@ def cmd_pde(cfg: RunConfig) -> int:
         os.path.join(out, "solution.csv"), u_sol,
         xs[: u_sol.size], None if ys is None else ys[: u_sol.size],
     )
-    # the method's own fields, as in solve.json; schro's report goes under "pipeline"
-    report = fields.pop("report", None)
-    payload = {"preset": cfg.preset, "method": method, "delta": delta, **fields}
-    if report is not None:
-        payload["pipeline"] = report
-    io.write_json(os.path.join(out, "pde.json"), payload)
+    io.write_json(os.path.join(out, "pde.json"), {"preset": cfg.preset, **report})
     print(f"pde[{cfg.preset}/{method}] residual vs direct solve: "
-          f"{fields['residual_vs_oracle']:.3e}")
+          f"{report['residual_vs_oracle']:.3e}")
     return 0
 
 
 def cmd_schro(cfg: RunConfig) -> int:
-    u, fields, (points, rows) = _solve(cfg, "schro", *_factor(cfg, *_load_system(cfg)),
+    u, report, (points, rows) = _solve(cfg, "schro", *_factor(cfg, *_load_system(cfg)),
                                        snapshot_rows=SNAPSHOT_ROWS)
-    io.write_json(os.path.join(cfg.out, "pipeline.json"), fields["report"])
+    io.write_json(os.path.join(cfg.out, "schro.json"), report)
     io.write_vector(os.path.join(cfg.out, "solution.vec"), u)
     io.write_field_snapshot_csv(os.path.join(cfg.out, "warped_field.csv"), points, rows)
-    print(f"schro residual vs direct solve: {fields['residual_vs_oracle']:.3e}")
+    print(f"schro residual vs direct solve: {report['residual_vs_oracle']:.3e}")
     return 0
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,10 @@ from schromag.io import read_vector, write_matrix_coo, write_vector
 from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
 
 import reference
+
+
+# the fields of a schro run's report that the pipeline itself decides
+SCHRO_FIELDS = tuple(f.name for f in dataclasses.fields(schrod.PipelineReport))
 
 
 @pytest.fixture()
@@ -56,12 +61,10 @@ class TestSolve:
         assert rc == 0
         u = read_vector(out / "solution.vec")
         assert np.allclose(u, [0.1, 10.0], rtol=1e-2, atol=1e-3)
-        report = json.loads((out / "pipeline.json").read_text())
-        assert "residual_vs_oracle" in report
-        # the one residual of the run lands in both reports
+        # the run's one report holds the residual beside the pipeline's fields
         payload = json.loads((out / "solve.json").read_text())
-        assert report["residual_vs_oracle"] == payload["residual_vs_oracle"]
-        assert payload["report"] == report
+        assert "residual_vs_oracle" in payload
+        assert set(SCHRO_FIELDS) <= set(payload)
 
     def test_mag_trace_has_relative_column(self, diag_problem):
         out = diag_problem / "out_rel"
@@ -97,7 +100,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("method, own", [
         ("mag", {"steps", "kappa2_w_inf"}), ("gradient", {"t_end"}),
-        ("damped", {"t_end", "gamma"}), ("schro", {"report"}),
+        ("damped", {"t_end", "gamma"}), ("schro", set(SCHRO_FIELDS)),
     ], ids=["mag", "gradient", "damped", "schro"])
     def test_solve_json_fields(self, diag_problem, method, own):
         out = diag_problem / "out"
@@ -651,11 +654,11 @@ class TestPde:
         assert rc == 0
         payload = json.loads((tmp_path / "pde.json").read_text())
         assert payload["residual_vs_oracle"] < 1e-2
-        assert payload["pipeline"]["recovery_method"] == "integral"
+        assert payload["recovery_method"] == "integral"
 
     @pytest.mark.parametrize("method, own", [
         ("mag", {"steps"}), ("gradient", {"t_end"}), ("damped", {"t_end", "gamma"}),
-        ("schro", {"pipeline"}),
+        ("schro", set(SCHRO_FIELDS)),
     ], ids=["mag", "gradient", "damped", "schro"])
     def test_pde_json_carries_the_method_fields(self, tmp_path, method, own):
         pde_out, solve_out = tmp_path / "pde", tmp_path / "solve"
@@ -667,7 +670,6 @@ class TestPde:
         # the same fields, and values, as solve on the same preset
         assert main(["solve", *argv, "--out", str(solve_out)]) == 0
         solved = json.loads((solve_out / "solve.json").read_text())
-        solved["pipeline"] = solved.pop("report", None)
         for name in own:
             assert payload[name] == solved[name], name
         if method == "mag":
@@ -726,7 +728,6 @@ class TestPde:
         payload = json.loads((pde_out / "pde.json").read_text())
         solved = json.loads((solve_out / "solve.json").read_text())
         assert payload["residual_vs_oracle_full"] == solved["residual_vs_oracle"]
-        assert payload["pipeline"]["residual_vs_oracle_full"] == solved["residual_vs_oracle"]
         assert payload["residual_vs_oracle"] != solved["residual_vs_oracle"]
 
     def test_meets_delta_reports_a_missed_delta(self, tmp_path):
@@ -737,7 +738,7 @@ class TestPde:
         assert main(["pde", "--preset", "fig4a", "--method", "schro",
                      "--out", str(pde_out)]) == 0
         payload = json.loads((pde_out / "pde.json").read_text())
-        assert payload["meets_delta"] is payload["pipeline"]["meets_delta"] is True
+        assert payload["meets_delta"] is True
         files = ["--matrix", str(pde_out / "problem.coo"), "--rhs", str(pde_out / "problem.vec")]
         for extra, delta, meets in [([], 1e-3, True),
                                     (["--delta", "1e-10", "--np", "8192"], 1e-10, False)]:
@@ -745,10 +746,9 @@ class TestPde:
             assert main(["solve", *files, "--method", "schro", *extra,
                          "--out", str(solve_out)]) == 0
             payload = json.loads((solve_out / "solve.json").read_text())
-            report = json.loads((solve_out / "pipeline.json").read_text())
             assert payload["delta"] == delta
             assert (payload["residual_vs_oracle"] <= delta) is meets
-            assert payload["meets_delta"] is report["meets_delta"] is meets
+            assert payload["meets_delta"] is meets
 
     @pytest.mark.parametrize("method", ["mag", "schro"])
     def test_a_is_released_before_the_method_runs(self, tmp_path, monkeypatch, method):
@@ -797,7 +797,8 @@ class TestSchro:
             "--delta", "1e-3", "--np", "16384", "--out", str(out),
         ])
         assert rc == 0
-        report = json.loads((out / "pipeline.json").read_text())
+        report = json.loads((out / "schro.json").read_text())
+        assert (report["method"], report["delta"]) == ("schro", 1e-3)
         for key in ("t_end", "n_p", "p_left", "p_right", "p_diamond",
                     "k_star", "recovery_method", "residual_vs_oracle"):
             assert key in report
@@ -830,9 +831,40 @@ class TestSchro:
         assert np.array_equal(read_vector(out / "solution.vec"), [0.0])
         rows = np.loadtxt(out / "warped_field.csv", delimiter=",", skiprows=1)
         # every grid point of a grid below 1024 points; p, then 4 slots of re, im
-        n_p = json.loads((out / "pipeline.json").read_text())["n_p"]
+        n_p = json.loads((out / "schro.json").read_text())["n_p"]
         assert rows.shape == (min(n_p, 1024), 1 + 2 * 4)
         assert not np.any(rows[:, 1:])
+
+
+@pytest.mark.parametrize("preset", ["fig3a", "fig5a"])
+@pytest.mark.parametrize("command, method", [
+    *(("solve", m) for m in cli._METHOD_OPTIONS), *(("pde", m) for m in cli._METHOD_OPTIONS),
+    ("schro", "schro"),
+])
+def test_one_flat_report_per_run(tmp_path, command, method, preset):
+    # each run writes one report, <command>.json (pde also describes its problem
+    # in problem.json), as one flat object: no value is an object and no name
+    # appears twice; its names are those of solve.json on the same preset, with
+    # pde's preset and, on the biharmonic fig5a, its residual on all of [u; v],
+    # and without the kappa2_w_inf of solve's trace
+    argv = ["--preset", preset] + (["--method", method] if command != "schro" else [])
+    assert main([command, *argv, "--out", str(tmp_path / command)]) == 0
+    written = {path.name for path in (tmp_path / command).glob("*.json")}
+    assert written == {f"{command}.json"} | ({"problem.json"} if command == "pde" else set())
+    pairs = json.loads((tmp_path / command / f"{command}.json").read_text(),
+                       object_pairs_hook=lambda pairs: pairs)
+    names = Counter(name for name, _ in pairs)
+    assert max(names.values()) == 1
+    assert not any(isinstance(value, (list, dict)) for _, value in pairs)
+    if command != "solve":
+        assert main(["solve", "--preset", preset, "--method", method,
+                     "--out", str(tmp_path / "solve")]) == 0
+    solved = json.loads((tmp_path / "solve" / "solve.json").read_text())
+    expected = set(solved)
+    if command == "pde":
+        biharmonic = {"residual_vs_oracle_full"} if preset == "fig5a" else set()
+        expected = (expected - {"kappa2_w_inf"}) | {"preset"} | biharmonic
+    assert set(names) == expected
 
 
 class TestSnapshotFile:
@@ -947,7 +979,7 @@ class TestComplexityCmd:
         files = ["--matrix", str(tmp_path / "pde" / "problem.coo"),
                  "--rhs", str(tmp_path / "pde" / "problem.vec")]
         assert main(["schro", *files, "--out", str(tmp_path / "schro")]) == 0
-        report = json.loads((tmp_path / "schro" / "pipeline.json").read_text())
+        report = json.loads((tmp_path / "schro" / "schro.json").read_text())
         assert report["n_p"] == 65536 and report["meets_delta"] is True
         assert main(["complexity", *files, "--out", str(tmp_path / "files")]) == 0
         assert main(["complexity", "--preset", "fig3e", "--out", str(tmp_path / "preset")]) == 0
