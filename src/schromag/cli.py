@@ -403,7 +403,7 @@ def cmd_complexity(cfg: RunConfig) -> int:
         a_max_norm=float(np.max(np.abs(a))),
         ata_max_norm=float(np.max(np.abs(a.conj().T @ a))),
         delta=delta,
-        n_p=schrod.plan(spec, delta, cfg.n_p)[-1].n_p,  # a schro run's grid, or its refusal
+        n_p=schrod.plan(spec, delta, cfg.n_p)[0].n_p,  # a schro run's grid, or its refusal
         n=a.shape[0],
     )
     rows = complexity.comparison_rows(summary)

@@ -128,19 +128,27 @@ class FlowSystem:
         return np.stack([large, np.abs(a * d - b * c) / large], axis=-1)
 
     def steady_pairs(self) -> np.ndarray:
-        """-M^{-1} g per block, (n, k); SingularMatrixError where a block, on its
-        own as it is solved, is singular to working tolerance (`singular_values`);
+        """-M^{-1} g per block, (n, k), one read-only array per flow;
+        SingularMatrixError, on every call, where a block, on its own as it
+        is solved, is singular to working tolerance (`singular_values`);
         across blocks the spread is larger: kappa(A)^2 for the gradient flow."""
+        return self._steady
+
+    @cached_property
+    def _steady(self) -> np.ndarray:
         sv = self.singular_values()
         small, large = sv.min(axis=1), sv.max(axis=1)
         inverse_cond = np.divide(small, large, out=np.zeros_like(small), where=large > 0)
         condition_check(sv[np.argmin(inverse_cond)])
         m, g = self.blocks, self.drive
         if g.shape[1] == 1:
-            return -g / m[:, 0]
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        return np.stack([m[:, 0, 1] * g[:, 1] - m[:, 1, 1] * g[:, 0],
-                         m[:, 1, 0] * g[:, 0] - m[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
+            w_inf = -g / m[:, 0]
+        else:
+            det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+            w_inf = np.stack([m[:, 0, 1] * g[:, 1] - m[:, 1, 1] * g[:, 0],
+                              m[:, 1, 0] * g[:, 0] - m[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
+        w_inf.flags.writeable = False
+        return w_inf
 
     def at(self, t) -> np.ndarray:
         """The (n, k) state from w = 0 at time t; (len(t), n, k) at an array of times."""

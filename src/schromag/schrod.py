@@ -64,7 +64,7 @@ per slot, as real and imaginary planes) with its temporaries, plus the
 (4, m, groups) fold and the (m, 4n) rows that one (m x groups) @
 (groups x n) product per slot maps it into.  Of the grid's n_p-long
 arrays only the points are kept: the wavenumbers are made per chunk
-(`PGrid.thetas`), and each spectrum keeps the half the pass reads.
+(`PGrid.thetas`), and each spectrum is the half a real FFT gives (rfft).
 """
 
 from __future__ import annotations
@@ -228,15 +228,14 @@ def recovery_index(grid: PGrid, p_diamond: float) -> int:
     return k
 
 
-def readout_weights(grid: PGrid, p_diamond: float, advect: float) -> tuple[np.ndarray, int]:
+def readout_weights(grid: PGrid, k_star: int, advect: float) -> np.ndarray:
     """The integral readout as weights over the grid points: sum_k w[k] field(t, p_k).
 
     The trapezoid rule for e^{p*} int_{p*}^{P} field dq from the first
-    admissible point k* (`recovery_index`), normalized on the grid,
+    admissible point k_star (`recovery_index`), normalized on the grid,
     sum_k w[k] e^{-p_k} = 1, so the pure e^{-q} profile is read back
-    exactly.  Returns (w, k*).
+    exactly.
     """
-    k_star = recovery_index(grid, p_diamond)
     w = np.zeros(grid.n_p)
     # the top slice of the domain has been overwritten by wrapped
     # left-tail data after an advection distance ~ ||h1|| * t; keep
@@ -252,25 +251,14 @@ def readout_weights(grid: PGrid, p_diamond: float, advect: float) -> tuple[np.nd
     w[window] = 1.0
     w[k_star] = w[k_end] = 0.5
     w[window] /= w[window] @ np.exp(-grid.points[window])
-    return w, k_star
+    return w
 
 
 # ---------------------------------------------------------------------------
-# Structure-exploiting evolution for transformed momentum systems.
-#
-# With A = U Sigma V^H the one-step map block-diagonalizes into independent
-# 2x2 blocks per singular value, and the homogenized system into 4x4 blocks,
-# all sharing the unitary basis diag(V, U, V, U).  Every run starts the
-# momentum state at w = 0, so pair j starts at [0, 0, forcing_j, 0] and
-# only the forcing column of each block's propagator is ever needed; it has
-# a closed form in three scalars per pair, the entries d1, cw, d2 of its
-# block of the momentum ODE `SpectralSystem.ode` (whose drive is the forcing),
-# all functions of sigma_j, so the readout is the transfer function
-#     readout_j = forcing_j * r(sigma_j),  r(sigma) = sum_l c_l e_l col_l(sigma)
-# (state block only): col is evaluated for unit forcing once per (mode,
-# group of equal sigma), contracted over modes, and scaled by each pair's
-# forcing at the end.  Tests check equality with the dense path of
-# `tests/reference.py`.
+# Structure-exploiting evolution in the basis diag(V, U, V, U) of A's SVD
+# A = U Sigma V^H, which splits the homogenized system into one 4x4 block per
+# singular value (the module docstring has the transfer function it gives).
+# Tests check equality with the dense path of `tests/reference.py`.
 # ---------------------------------------------------------------------------
 
 
@@ -280,16 +268,34 @@ class PairSystem:
 
     Pair j's 4x4 generator is [[d1_j, -cw_j, gamma_f, 0], [cw_j, d2_j, 0,
     gamma_f], [0, 0, 0, 0], [0, 0, 0, 0]], with [[d1_j, -cw_j], [cw_j, d2_j]]
-    pair j's block of the momentum ODE `spec.ode`.
+    pair j's block of the momentum ODE `spec.ode`.  Its steady state is
+    [spec.ode.steady_pairs()_j, forcing_j, 0]; it starts at [0, 0, forcing_j, 0].
     """
 
-    sigma: np.ndarray
     spec: mag_mod.SpectralSystem  # the momentum map, whose basis the slots are in
-    w0_pair: np.ndarray  # (npairs, 4): [0, 0, f_j/gamma_f, 0]
-    steady_pair: np.ndarray  # (npairs, 4): spec.ode.steady_pairs(), f_j/gamma_f, 0
     gamma_f: float
     reps: np.ndarray  # one pair per group of equal sigma (`sigma_groups`)
     group: np.ndarray  # group of each pair, an index into reps
+
+    @property
+    def forcing(self) -> np.ndarray:
+        """f_j/gamma_f, pair j's forcing slot, from the drive of `spec.ode`."""
+        return self.spec.ode.drive[:, 0] / self.gamma_f
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """spec.sigma as a read-only view, which the bench's traced run reads."""
+        sigma = self.spec.sigma.view()
+        sigma.flags.writeable = False
+        return sigma
+
+    @property
+    def w0_pair(self) -> np.ndarray:
+        """(npairs, 4): the initial states [0, 0, forcing_j, 0], read-only, on call."""
+        w0 = np.zeros((self.spec.n, 4), dtype=np.complex128)
+        w0[:, 2] = self.forcing
+        w0.flags.writeable = False
+        return w0
 
     # h1 splits into [[d, gamma_f/2], [gamma_f/2, 0]] for d in {d1_j, d2_j},
     # with eigenvalues (d +- hypot(d, gamma_f))/2
@@ -307,13 +313,14 @@ class PairSystem:
         steady mass, which are equal as the state block starts at zero.
         The forcing block is static (its h1 directions have speeds
         ~ gamma_f^2) and does not enter."""
-        return 2.0 * np.linalg.norm(self.steady_pair[:, :2], axis=1)
+        return 2.0 * np.linalg.norm(self.spec.ode.steady_pairs(), axis=1)
 
     def group_norms(self) -> np.ndarray:
         """(groups, 4): the 2-norm of each slot of the steady state over each
         sigma group, whatever the basis inside a repeated sigma."""
         sq = np.zeros((self.reps.size, 4))
-        np.add.at(sq, self.group, np.abs(self.steady_pair) ** 2)
+        np.add.at(sq[:, :2], self.group, np.abs(self.spec.ode.steady_pairs()) ** 2)
+        np.add.at(sq[:, 2], self.group, np.abs(self.forcing) ** 2)
         return np.sqrt(sq)
 
     def group_weights(self) -> np.ndarray:
@@ -327,7 +334,7 @@ class PairSystem:
         solution scale: the rounding noise of U^H b on directions b misses."""
         weights = self.group_weights()
         order = np.argsort(weights, kind="stable")
-        floor = self.sigma.size * np.finfo(float).eps * self.solution_scale()
+        floor = self.spec.n * np.finfo(float).eps * self.solution_scale()
         return np.sort(order[np.searchsorted(np.cumsum(weights[order]), floor, side="right"):])
 
     def pruned_weight(self) -> float:
@@ -338,7 +345,7 @@ class PairSystem:
     def solution_scale(self) -> float:
         """Norm of the steady state block, the denominator of relative
         readout errors."""
-        return float(np.linalg.norm(self.steady_pair[:, :2]))
+        return float(np.linalg.norm(self.spec.ode.steady_pairs()))
 
 
 def sigma_groups(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,19 +364,12 @@ def sigma_groups(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
-def build_pair_system(spec: mag_mod.SpectralSystem, gamma_f: float) -> PairSystem:
+def build_pair_system(spec: mag_mod.SpectralSystem) -> PairSystem:
     """The homogenized pair blocks of the momentum map `spec`
-    (`mag.build_spectral`), in its singular basis, at forcing scale
-    gamma_f > 0.  Raises SingularMatrixError where its steady state does
-    not exist."""
-    forcing = spec.ode.drive / gamma_f  # [f_j/gamma_f, 0]
-    reps, group = sigma_groups(spec.sigma)
-    return PairSystem(
-        sigma=spec.sigma, spec=spec, w0_pair=np.hstack([np.zeros_like(forcing), forcing]),
-        # kernel of each block: [(I - Htilde)^{-1} f; f/gamma_f]
-        steady_pair=np.hstack([spec.ode.steady_pairs(), forcing]), gamma_f=gamma_f,
-        reps=reps, group=group,
-    )
+    (`mag.build_spectral`), in its singular basis, at the forcing scale
+    `default_forcing_scale`.  Its steady state, `spec.ode.steady_pairs()`,
+    raises SingularMatrixError where it does not exist."""
+    return PairSystem(spec, default_forcing_scale(spec.params), *sigma_groups(spec.sigma))
 
 
 def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
@@ -383,8 +383,8 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     mode -l is the conjugate of mode l: modes 0..n_p/2-1 are evaluated, the
     inner ones counted twice, and real parts taken; the Nyquist mode n_p/2
     has no partner on the grid and is added as it is, from the same real
-    planes and coupling.  Each chunk of modes is contracted with c * e (c = ifft of the
-    readout weights) and, for stride > 0, folded times e into F[l mod m],
+    planes and coupling.  Each chunk of modes is contracted with c e, c =
+    ifft(weights), and, for stride > 0, folded times e into F[l mod m],
     m = n_p // stride, then dropped.  The state slots' coupling
     (`pair_coupling`) is folded into those per-mode factors once, so the
     chunks stay in the real planes of `_apply_pair_modes` and the readout,
@@ -392,18 +392,21 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     Returns the (n, 2) coefficients [x_j, y_j] of the state block [V x; U y]
     of sum_k weights[k] field(t, p_k) and, for stride > 0, the (m, 4n) rows
     field(t, p_{j*stride}) = (m/n_p) ifft_m(F)[j] (else None), mapped back
-    through sum_{j in g} forcing_j [V e_j; U e_j] per group g.  Of c, e
-    and the coupling only the n_p/2 + 1 entries read are kept, each only
-    as long as it is read; a caller that passes the one reference to the
-    weights has them freed after their transform, as `pipeline` does.
+    through sum_{j in g} forcing_j [V e_j; U e_j] per group g.  Each spectrum
+    keeps the half the pass reads, from a real FFT: e = rfft(envelope) and,
+    as the weights are real, c = conj(rfft(weights))/n_p, each n_p/2 + 1
+    entries; a caller that passes the one reference to the weights has them
+    freed after their transform, as `pipeline` does.
     """
-    n_p, half, n = grid.n_p, grid.n_p // 2, pairs.sigma.size
+    n_p, half, n = grid.n_p, grid.n_p // 2, pairs.spec.n
     m = n_p // stride if stride else 0
     slots = 4 if m else 2
     reps = pairs.reps[pairs.evolved]
-    coupled = _half_spectrum(weights, np.fft.ifft)
+    coupled = np.fft.rfft(weights)  # ifft(w)[: half + 1] = conj(rfft(w))/n_p for a real w
     del weights
-    env = _half_spectrum(envelope(grid.points), np.fft.fft)
+    np.conjugate(coupled, out=coupled)
+    coupled /= n_p
+    env = np.fft.rfft(envelope(grid.points))
     env[1:half] *= 2.0
     coupled *= env  # the readout's c e
     kappa = pair_coupling(pairs.gamma_f, grid.thetas(0, half + 1))
@@ -438,7 +441,7 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
     nyquist = planes[:, 0] + 1j * planes[:, 1]  # (slots, groups)
     nyquist[:2] *= nyquist_kappa
     forcing = np.zeros((pairs.reps.size, n), dtype=np.complex128)
-    forcing[pairs.group, np.arange(n)] = pairs.w0_pair[:, 2]
+    forcing[pairs.group, np.arange(n)] = pairs.forcing
     coefficients = (readout + nyquist_coef * nyquist[:2]) @ forcing[pairs.evolved]
     rows = None
     if m:
@@ -454,19 +457,6 @@ def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
             np.matmul(rows_group[k], basis[:, k % 2], out=rows[:, k])
         rows = rows.reshape(m, 4 * n)
     return coefficients.T, rows
-
-
-def _half_spectrum(values, transform) -> np.ndarray:
-    """transform(values)[: n/2 + 1] for n real values, as an array of its
-    own: the transform runs in place on one complex copy of the values (the
-    copy numpy's transform of a real array would make), and the other half
-    is dropped with it."""
-    values = np.asarray(values, dtype=float)
-    spectrum = np.zeros(values.size, dtype=np.complex128)
-    spectrum.real = values
-    del values  # the caller's only reference, where it passes one
-    transform(spectrum, out=spectrum)
-    return spectrum[: spectrum.size // 2 + 1].copy()
 
 
 def _half_angle_cos_sin(x) -> tuple[np.ndarray, np.ndarray]:
@@ -598,9 +588,10 @@ class PipelineReport:
 
 
 def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None) -> tuple:
-    """(t_end, pairs, runway, tail, grid), all `pipeline` settles before the
-    evolution, at the forcing scale `default_forcing_scale`;
-    `cli.cmd_complexity` prices the grid (`build_grid_from_rate`)."""
+    """(report, pairs, grid): the run's whole `PipelineReport`, settled
+    before the evolution, the pair system at the forcing scale
+    `default_forcing_scale`, and the grid (`build_grid_from_rate`), which
+    `cli.cmd_complexity` prices."""
     params = spec.params
     # kappa*ln(1/delta) leaves a residual ~delta at kappa=1 but ~delta^2
     # for large kappa; the (kappa+1)/kappa factor makes it ~delta^2
@@ -608,7 +599,7 @@ def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None) -> 
     # sits below delta/100, so this time truncation is most of the error
     safety = (params.kappa_hat + 1.0) / params.kappa_hat
     t_end = float(mag_mod.convergence_steps(params.kappa_hat, delta, safety=safety))
-    pairs = build_pair_system(spec, default_forcing_scale(params))
+    pairs = build_pair_system(spec)
     runway = required_runway(pairs, t_end)
     tail = envelope_tail(DEFAULT_TAIL_TOL)
     # decay the envelope below noise at the periodic seam: the largest
@@ -618,9 +609,16 @@ def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None) -> 
     top = float(max(np.max(norms, initial=0.0), 1e-300))
     wref = float(max(np.max(norms[:, :2], initial=0.0), 1e-300))
     right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
-    grid = build_grid_from_rate(pairs.lambda_max_h1(), t_end, n_p, -(runway + tail),
-                                right_margin)
-    return t_end, pairs, runway, tail, grid
+    rate = pairs.lambda_max_h1()
+    grid = build_grid_from_rate(rate, t_end, n_p, -(runway + tail), right_margin)
+    p_diamond = max(rate * t_end, 0.0)
+    report = PipelineReport(
+        t_end=t_end, n_p=grid.n_p, p_left=grid.p_left, runway=runway, envelope_tail=tail,
+        p_right=grid.p_right, p_diamond=p_diamond, k_star=recovery_index(grid, p_diamond),
+        recovery_method="integral", gamma_f=pairs.gamma_f, sigma_groups=int(pairs.reps.size),
+        evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),
+    )
+    return report, pairs, grid
 
 
 def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None, *,
@@ -640,18 +638,11 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None,
     """
     # the kappa_hat the momentum iteration refuses is refused here too
     mag_mod.step_budget(spec, delta, block)
-    t_end, pairs, runway, tail, grid = plan(spec, delta, n_p)
-    p_diamond = max(pairs.lambda_max_h1() * t_end, 0.0)
-    advect = float(np.max(pairs.advection_speeds())) * t_end
+    report, pairs, grid = plan(spec, delta, n_p)
+    advect = float(np.max(pairs.advection_speeds())) * report.t_end
     stride = max(1, grid.n_p // snapshot_rows) if snapshot_rows > 0 else 0
     # evolve_structured holds the weights' one reference and drops it after use
-    w_rec, rows = evolve_structured(pairs, grid, t_end,
-                                    readout_weights(grid, p_diamond, advect)[0], stride)
-    report = PipelineReport(
-        t_end=t_end, n_p=grid.n_p, p_left=grid.p_left, runway=runway, envelope_tail=tail,
-        p_right=grid.p_right, p_diamond=p_diamond, k_star=recovery_index(grid, p_diamond),
-        recovery_method="integral", gamma_f=pairs.gamma_f, sigma_groups=int(pairs.reps.size),
-        evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),
-    )
+    w_rec, rows = evolve_structured(pairs, grid, report.t_end,
+                                    readout_weights(grid, report.k_star, advect), stride)
     snapshot = (grid.points[::stride], rows) if stride else None
     return w_rec[:, 0] / (1.0 - spec.params.beta), report, snapshot

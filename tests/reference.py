@@ -361,7 +361,8 @@ def recover_single_point(state, h1) -> np.ndarray:
 def recover_integral(state, h1) -> np.ndarray:
     """Trapezoid readout e^{p*} int_{p*}^{P} field dq, state block."""
     advect = float(np.max(np.abs(np.linalg.eigvalsh(as_cmatrix(h1))))) * state.time
-    w, _ = readout_weights(state.grid, p_threshold(h1, state.time), advect)
+    w = readout_weights(state.grid, recovery_index(state.grid, p_threshold(h1, state.time)),
+                        advect)
     return _top_block(w @ state.field())
 
 

@@ -317,6 +317,24 @@ class TestFlowSystem:
         closed = -np.sort(-flow.singular_values(), axis=1)
         assert np.all(np.abs(closed - dense) <= 1e-10 * dense + 1e-15 * dense[:, :1])
 
+    def test_steady_pairs_is_one_read_only_array_per_flow(self):
+        # computed once per flow, for 2x2 and 1x1 blocks alike: every call
+        # returns the same array, which no caller can write into
+        rng = np.random.default_rng(5)
+        spec = build_spectral(*random_system(rng, 6))
+        for flow in (spec.ode, build_gradient_flow(spec), build_damped(spec)):
+            w_inf = flow.steady_pairs()
+            assert flow.steady_pairs() is w_inf
+            assert w_inf.shape == flow.drive.shape and not w_inf.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w_inf[0, 0] = 0.0
+            assert np.array_equal(flow.at(0.0), np.zeros_like(w_inf))
+        # a singular block keeps nothing: every call raises
+        spec = build_spectral(np.diag([1.0, 1e-10]), np.ones(2), MagParams(4.0, 1.0))
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError, match="cond ~ 1.778e"):
+                spec.ode.steady_pairs()
+
 
 class TestIteration:
     def test_one_step_fixed_point(self):

@@ -248,7 +248,7 @@ class TestPresets:
             assert 0.0 < solver.delta < 1.0
             # the grid a schro run derives, the n_p of its report
             spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
-            assert plan(spec, solver.delta)[-1].n_p >= 8
+            assert plan(spec, solver.delta)[0].n_p >= 8
 
     def test_nodes_align_with_solution(self):
         # the forcing block of b holds h^2 f at the written nodes, 0 at a

@@ -1,7 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -43,8 +44,9 @@ def _residual(u, oracle):
 
 
 def _pairs(sys, gamma_f):
-    """build_pair_system on the pair basis of a dense transformed system."""
-    return build_pair_system(build_spectral(sys.a, sys.b, sys.params), gamma_f)
+    """build_pair_system on the pair basis of a dense transformed system, at
+    forcing scale gamma_f."""
+    return replace(build_pair_system(build_spectral(sys.a, sys.b, sys.params)), gamma_f=gamma_f)
 
 
 def _evolve_state(pairs, *args):
@@ -239,7 +241,7 @@ class TestBuildGrid:
         for name in PDE_PRESET_NAMES:
             problem, solver = pde_preset(name)
             spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
-            derived[name] = schrod.plan(spec, solver.delta)[-1].n_p
+            derived[name] = schrod.plan(spec, solver.delta)[0].n_p
         assert derived == {
             "fig3a": 256, "fig3b": 256, "fig3c": 256, "fig5a": 256, "fig5b": 256,
             "fig4a": 2048, "fig6a": 2048, "fig5c": 8192, "fig6d": 8192,
@@ -549,11 +551,37 @@ class TestStructuredEvolution:
             vh, uh = pairs.spec.vh, pairs.spec.u.conj().T
             rotated = np.stack([vh @ w_inf[:n], uh @ w_inf[n:],
                                 vh @ sys.f[:n] / gamma_f, uh @ sys.f[n:] / gamma_f], axis=1)
-            assert np.allclose(pairs.steady_pair, rotated, rtol=0.0,
-                               atol=1e-12 * np.max(np.abs(rotated)))
+            steady = np.column_stack([pairs.spec.ode.steady_pairs(), pairs.forcing,
+                                      np.zeros(n)])
+            assert np.allclose(steady, rotated, rtol=0.0, atol=1e-12 * np.max(np.abs(rotated)))
             # the state block starts at zero, the forcing block at its steady value
             assert np.array_equal(pairs.w0_pair[:, [0, 1, 3]], np.zeros((n, 3)))
-            assert np.array_equal(pairs.w0_pair[:, 2], pairs.steady_pair[:, 2])
+            assert np.array_equal(pairs.w0_pair[:, 2], pairs.forcing)
+
+    def test_derived_views_are_the_arrays_they_replace(self):
+        # sigma, w0_pair and what reads the steady state are derived from spec,
+        # bit for bit the arrays a pair system once stored: sigma,
+        # [0, 0, f/gamma_f, 0] and [steady_pairs(), f/gamma_f, 0]
+        cases = [_pairs(*self._setup(seed=seed)) for seed in (3, 7)]
+        cases += [_preset_pairs(name) for name in ("fig3a", "fig4a", "fig6a")]
+        n, rng = cases[-2].spec.n, np.random.default_rng(0)
+        cases.append(_preset_pairs("fig4a", rng.normal(size=n) + 1j * rng.normal(size=n)))
+        for pairs in cases:
+            spec = pairs.spec
+            forcing = spec.ode.drive / pairs.gamma_f
+            w0 = np.hstack([np.zeros_like(forcing), forcing])
+            steady = np.hstack([spec.ode.steady_pairs(), forcing])
+            for view, stored in ((pairs.sigma, spec.sigma), (pairs.w0_pair, w0)):
+                assert view.shape == stored.shape and view.dtype == stored.dtype
+                assert view.tobytes() == stored.tobytes()
+                assert not view.flags.writeable
+            assert pairs.forcing.tobytes() == w0[:, 2].tobytes()
+            weights = 2.0 * np.linalg.norm(steady[:, :2], axis=1)
+            assert pairs.pair_weights().tobytes() == weights.tobytes()
+            sq = np.zeros((pairs.reps.size, 4))
+            np.add.at(sq, pairs.group, np.abs(steady) ** 2)
+            assert pairs.group_norms().tobytes() == np.sqrt(sq).tobytes()
+            assert pairs.solution_scale() == float(np.linalg.norm(steady[:, :2]))
 
 
 class TestPairKernel:
@@ -666,7 +694,8 @@ class TestStreamedReadout:
         atol = 1e-10 * float(np.linalg.norm(hs.w0_homo))
         p_diamond = p_threshold(sp.h1, t)
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
-        for weights, oracle in ((readout_weights(grid, p_diamond, advect)[0], recover_integral),
+        k_star = recovery_index(grid, p_diamond)
+        for weights, oracle in ((readout_weights(grid, k_star, advect), recover_integral),
                                 (single_point_weights(grid, p_diamond), recover_single_point)):
             vec, rows = _evolve_state(pairs, grid, t, weights)
             assert rows is None
@@ -712,7 +741,8 @@ class TestStreamedReadout:
         p_diamond = p_threshold(sp.h1, t)
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
         field = state.field()
-        for weights, oracle in ((readout_weights(grid, p_diamond, advect)[0], recover_integral),
+        k_star = recovery_index(grid, p_diamond)
+        for weights, oracle in ((readout_weights(grid, k_star, advect), recover_integral),
                                 (single_point_weights(grid, p_diamond), recover_single_point)):
             expect = oracle(state, sp.h1)
             for entries in (schrod._CHUNK_ENTRIES, 256):
@@ -756,7 +786,8 @@ class TestStreamedReadout:
         p_diamond = p_threshold(sp.h1, t)
         advect = float(np.max(np.abs(np.linalg.eigvalsh(sp.h1)))) * t
         field = state.field()
-        for weights, oracle in ((readout_weights(grid, p_diamond, advect)[0], recover_integral),
+        k_star = recovery_index(grid, p_diamond)
+        for weights, oracle in ((readout_weights(grid, k_star, advect), recover_integral),
                                 (single_point_weights(grid, p_diamond), recover_single_point)):
             for stride in (0, 1, 8):
                 vec, rows = _evolve_state(pairs, grid, t, weights, stride)
@@ -782,7 +813,7 @@ class TestStreamedReadout:
         for b in ([1.0, 0.0, 1.0], [0.0, 0.0, 0.0]):
             spec = spectral_from_factors(np.array(b, dtype=complex), p,
                                          (eye, np.array([3.0, 2.0, 1.0]), eye))
-            pairs = build_pair_system(spec, default_forcing_scale(p))
+            pairs = build_pair_system(spec)
             assert pairs.reps.size == 3
             assert sorted(pairs.reps[pairs.evolved].tolist()) == np.flatnonzero(b).tolist()
             assert pairs.pruned_weight() == 0.0
@@ -794,7 +825,8 @@ class TestStreamedReadout:
         for n_p, p_diamond, advect in ((256, 0.0, 3.0), (256, 0.0, 0.0), (1024, 1.5, 4.0),
                                        (64, 0.0, 0.0)):
             grid = build_grid(sp.h1, 1.0, n_p, p_left=-12.0, right_margin=8.0)
-            w, k_star = readout_weights(grid, p_diamond, advect)
+            k_star = recovery_index(grid, p_diamond)
+            w = readout_weights(grid, k_star, advect)
             window = np.flatnonzero(w)
             assert window[0] == k_star
             assert np.array_equal(window, np.arange(window[0], window[-1] + 1))
@@ -817,8 +849,8 @@ class TestStreamedReadout:
                 grid = schrod.build_grid_from_rate(0.0, 1.0, n_p, p_left, m)
                 # the threshold mid-cell, so that k* is the same on all three grids
                 p_diamond = p_left + (k_star - 1.5) * (m - p_left) / n_p
-                w, k = readout_weights(grid, p_diamond, advect=1e6)
-                assert k == k_star
+                assert recovery_index(grid, p_diamond) == k_star
+                w = readout_weights(grid, k_star, advect=1e6)
                 window = np.flatnonzero(w)
                 assert (window[0], window[-1]) == (k_star, k_star + q - 1), (p_left, m)
                 weights.append(w)
@@ -832,7 +864,52 @@ def _preset_pairs(name, b=None):
 
     problem, solver = pde_preset(name)
     spec = build_spectral(problem.system.a, problem.system.b if b is None else b)
-    return build_pair_system(spec, default_forcing_scale(spec.params))
+    return build_pair_system(spec)
+
+
+class TestPlan:
+    """`plan` settles every `PipelineReport` field before the evolution."""
+
+    @staticmethod
+    def _check(spec, delta, n_p=None, block=None):
+        report, pairs, grid = schrod.plan(spec, delta, n_p)
+        assert asdict(pipeline(spec, delta, n_p, block=block)[1]) == asdict(report)
+        # the grid decisions, recomputed from the grid and the pair system
+        p_diamond = max(pairs.lambda_max_h1() * report.t_end, 0.0)
+        assert (report.n_p, report.p_left, report.p_right) == (grid.n_p, grid.p_left,
+                                                               grid.p_right)
+        assert report.p_diamond == p_diamond
+        assert report.k_star == recovery_index(grid, p_diamond)
+        assert report.gamma_f == default_forcing_scale(spec.params) == pairs.gamma_f
+        return report
+
+    def test_presets(self):
+        from schromag.presets import PDE_PRESET_NAMES, pde_preset
+
+        for name in PDE_PRESET_NAMES:
+            problem, solver = pde_preset(name)
+            spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
+            self._check(spec, solver.delta, block=problem.solution_size)
+
+    def test_files_run(self, tmp_path):
+        # the CLI's schro report on files is the plan of the spectral system
+        # it factors, b scaled to unit size first
+        from schromag import cli, io
+        from schromag.presets import pde_preset
+
+        a = pde_preset("fig3a")[0].system.a
+        rng = np.random.default_rng(4)
+        b = rng.normal(size=a.shape[0]) + 1j * rng.normal(size=a.shape[0])
+        io.write_matrix_coo(tmp_path / "a.coo", io.coo_entries(a))
+        io.write_vector(tmp_path / "b.vec", b)
+        out = tmp_path / "out"
+        assert cli.main(["schro", "--matrix", str(tmp_path / "a.coo"), "--rhs",
+                         str(tmp_path / "b.vec"), "--out", str(out)]) == 0
+        written = json.loads((out / "schro.json").read_text())
+        b_read = io.read_vector(tmp_path / "b.vec")
+        spec = build_spectral(io.read_matrix_coo(tmp_path / "a.coo"), cli._unit_rhs(b_read)[0])
+        report = self._check(spec, written["delta"])
+        assert {k: written[k] for k in asdict(report)} == asdict(report)
 
 
 class TestPruning:
@@ -850,7 +927,7 @@ class TestPruning:
         eye = np.eye(4)
         order = [3, 0, 1, 2]  # descending sigma
         spec = spectral_from_factors(b, p, (eye[:, order], np.diag(a).real[order], eye[order]))
-        pairs = build_pair_system(spec, default_forcing_scale(p))
+        pairs = build_pair_system(spec)
         assert (pairs.reps.size, pairs.evolved.size) == (3, 2)
         assert 0.0 < pairs.pruned_weight() <= 4 * np.finfo(float).eps
         t = 20.0
@@ -974,7 +1051,7 @@ class TestPipeline:
         oracle = direct_solve(problem.system, spec.sigma)
         u, report, _ = _pipeline_u(spec, solver.delta)
         assert asdict(report)["sigma_groups"] == 258
-        pairs = build_pair_system(spec, default_forcing_scale(spec.params))
+        pairs = build_pair_system(spec)
         assert set(pairs.group[heavy].tolist()) <= set(pairs.evolved.tolist())
         assert _residual(u, oracle) < max(solver.delta, 1e-2)
 
