@@ -20,14 +20,14 @@ runs; `from schromag import *` still binds every name of `__all__`.
 # each submodule and the names it exports from the package
 _SUBMODULE_EXPORTS = {
     "baselines": ("auxiliary_ratio_trace", "build_damped", "build_gradient_flow",
-                  "evolution_time", "integrate_flow"),
+                  "integrate_flow"),
     "blockenc": ("BlockEncoding", "StatePrepPair", "build_state_prep_pair", "compose_product",
                  "compose_sum", "compose_tensor", "dilate", "verify"),
     "complexity": ("ComplexityReport", "SystemSummary", "chi", "gates", "method_complexity",
                    "queries", "repetitions"),
     "errors": (),
     "linalg": ("LinearSystem", "as_cmatrix", "as_cvector", "block_expm_apply", "direct_solve"),
-    "mag": ("FlowSystem", "IterationTrace", "MagParams", "convergence_steps", "mag_iterate",
+    "mag": ("FlowSystem", "IterationTrace", "MagParams", "horizon", "mag_iterate",
             "relative_trace", "spectral_radius_check"),
     "pde": ("PdeProblem", "make_problem"),
     "presets": ("pde_preset",),

@@ -78,23 +78,6 @@ def integrate_flow(sys: FlowSystem, t_end: float, samples: int) -> tuple:
     return times, sys.spec.to_state(sys.at(times))
 
 
-def evolution_time(kind: str, sigma_min: float, delta: float) -> float:
-    """Theoretical time to contract the error below delta.
-
-    gradient: ln(1/delta)/sigma_min^2, damped: ln(1/delta)/sigma_min.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must be in (0,1)")
-    if sigma_min <= 0:
-        raise ValueError("sigma_min must be positive")
-    log_term = math.log(1.0 / delta)
-    if kind == "gradient":
-        return log_term / sigma_min**2
-    if kind == "damped":
-        return log_term / sigma_min
-    raise ValueError(f"unknown method kind {kind!r}")
-
-
 RATIO_DENOM_TOL = 1e-12
 
 

@@ -147,9 +147,10 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
     """(x, the method's own report fields, its trace or snapshot) for one
     method on the run's `spec`, once its bounds pass the radius guard; u = V x.
     schro's fields are its `schrod.PipelineReport`, flat.
-    mag iterates, and the gradient flow runs, to delta on the first `block`
-    entries of u, the part the run writes, if given, and schro runs on n_p
-    points (None: the derived grid) and refuses the kappa_hat mag refuses.
+    Each method runs for its `mag.horizon` to delta on the first `block`
+    entries of u, the part the run writes, if given (mag and the gradient
+    flow rescale delta to that block), and schro runs on n_p points (None:
+    the derived grid) and refuses the delta and kappa_hat mag refuses.
     mag with `trace` gives (residuals, relative residuals or None) and
     kappa2_w_inf, schro gives `schrod.pipeline`'s snapshot, the rest None."""
     mag.spectral_radius_check(spec)
@@ -172,13 +173,8 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
         flow = baselines.build_damped(spec)
         fields = {"gamma": -float(flow.blocks[0, 1, 1])}  # the damping it took
     else:
-        # |u(t) - u*| <= e^{-sigma_min^2 t} ||x*||_2, x* = b~/sigma and u* = V x*:
-        # the horizon to delta on the first `block` entries of u, as mag's budget
-        x_star = spec.b_t / spec.sigma
-        top = float(np.max(np.abs(spec.solution(x_star)[:block])))
-        delta /= max(float(np.linalg.norm(x_star)) / top, 1.0) if top > 0.0 else 1.0
         flow, fields = baselines.build_gradient_flow(spec), {}
-    fields["t_end"] = t_end = baselines.evolution_time(method, float(spec.sigma[-1]), delta)
+    fields["t_end"] = t_end = mag.horizon(method, spec, delta, block)[1]
     return flow.at(t_end)[:, 0], fields, None
 
 
@@ -245,7 +241,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             raise InputError(f"the bounds --lhat {spec.params.l_hat:.3g} --muhat "
                              f"{spec.params.mu_hat:.3g} overflow the momentum blocks")
         gamma = None  # build_damped's default
-        t_end = baselines.evolution_time("damped", float(spec.sigma[-1]), delta)
+        t_end = mag.horizon("damped", spec, delta)[1]
         samples = 1200
 
     n = spec.n

@@ -41,8 +41,8 @@ from .linalg import as_cmatrix, as_cvector, block_expm_apply, condition_check, r
 # alike), so the radius check tolerates ~1e-7 there; genuine bound
 # violations move the radius by orders of magnitude more
 SPECTRAL_RADIUS_TOL = 1e-6
-# 13 times the largest preset step budget (fig6d, 5.1e6) and 1 GiB of kept
-# states; a run whose budget needs more is a usage error before it iterates
+# 9.7 times the largest preset step budget (fig6a, 6946816 entries) and 1 GiB
+# of kept states; a run whose budget needs more is a usage error before it iterates
 MAX_ITERATION_ENTRIES = 1 << 26
 
 
@@ -182,6 +182,11 @@ class SpectralSystem:
         return FlowSystem(blocks=np.stack(entries, axis=-1).reshape(-1, 2, 2),
                           drive=np.stack([f, np.zeros_like(f)], axis=-1), spec=self)
 
+    @cached_property
+    def mapped_steady(self) -> np.ndarray:
+        """The steady state of `ode` mapped to [V x; U y], once per system."""
+        return self.to_state(self.ode.steady_pairs())
+
     def to_state(self, w) -> np.ndarray:
         """[V x; U y] of an (n, 2) state [x_j, y_j], or of each state of an
         (..., n, 2) stack."""
@@ -284,57 +289,67 @@ def mag_iterate(
     )
 
 
-def solution_error_factor(w_inf: np.ndarray, block: int | None = None) -> float:
-    """Bound on (max-norm relative u error) / (transformed-state residual).
-
-    The termination criterion contracts ||w - w_inf|| / ||w_inf||; after
-    unscaling the first block the max-norm error relative to u picks up
-    at most ||w_inf||_2 / max|w_inf(u block)|, or over the first `block`
-    entries of u, the part a run writes (`pde.PdeProblem.solution_size`).
-    """
-    u_inf = w_inf[: w_inf.size // 2]
-    top = float(np.max(np.abs(u_inf[:block])))
-    if top == 0.0:
-        return 1.0
-    return max(float(np.linalg.norm(w_inf)) / top, 1.0)
-
-
-def step_budget(spec: SpectralSystem, delta: float, block: int | None = None) -> tuple:
-    """(w_inf, w_state, delta_run, max_steps) for a run to max-norm relative
-    u error delta, on the first `block` entries of u if given: the steady
-    state of `spec.ode` and the state [V w1; U w2] it maps to, the state
-    residual delta_run that guarantees delta (`solution_error_factor`) and
-    4 times the steps that reach it.
-    InputError where max_steps states of 2n entries exceed
-    MAX_ITERATION_ENTRIES, a kappa_hat that no realization of the map is
-    run for: `solve_spectral` and `schrod.pipeline` both check it."""
-    w_inf = spec.ode.steady_pairs()
-    w_state = spec.to_state(w_inf)
-    delta_run = delta / solution_error_factor(w_state, block)
-    max_steps = 4 * convergence_steps(spec.params.kappa_hat, delta_run)
-    if max_steps * 2 * spec.n > MAX_ITERATION_ENTRIES:
-        raise InputError(f"kappa_hat={spec.params.kappa_hat:.3g} allows {max_steps} steps of "
-                         f"{2 * spec.n} entries, beyond the budget of {MAX_ITERATION_ENTRIES}")
-    return w_inf, w_state, delta_run, max_steps
+def horizon(method: str, spec: SpectralSystem, delta: float, block: int | None = None) -> tuple:
+    """(delta_run, horizon) of `method` on `spec` for a max-norm relative
+    error delta on the first `block` entries of u, the part a run writes
+    (all of u by default); the one place a run's length is set.  mag and
+    the gradient flow run to delta_run = delta / max(||w||_2 / max|u block
+    of w|, 1) of their steady state w ([V x; U y], and x* = b~/sigma), the
+    most by which that error exceeds the state residual ||w_t - w|| / ||w||:
+      mag       4 ceil(kappa_hat ln(1/delta_run)) steps of the map
+      gradient  ln(1/delta_run)/sigma_min^2: |u(t) - u*| <= e^{-sigma_min^2 t} ||x*||_2
+      schro     ceil(((kappa_hat + 1)/kappa_hat) kappa_hat ln(1/delta)) in the
+                momentum ODE's time; on the figure presets' grids the
+                discretization error sits below delta/100, so this time
+                truncation is most of schro's error
+      damped    ln(1/delta)/sigma_min, the paper's, which can miss delta
+    InputError where delta_run is not > 0 or 1/delta_run is not a finite
+    double, and where mag's steps of 2n entries exceed MAX_ITERATION_ENTRIES,
+    a kappa_hat no realization of the map is run for."""
+    delta_run = delta
+    if method in ("mag", "gradient"):
+        w = spec.mapped_steady if method == "mag" else spec.b_t / spec.sigma
+        u = w[: spec.n] if method == "mag" else spec.solution(w)
+        top = float(np.max(np.abs(u[:block])))
+        if top > 0.0:
+            delta_run /= max(float(np.linalg.norm(w)) / top, 1.0)
+    if not (delta_run > 0.0 and math.isfinite(1.0 / delta_run)):
+        raise InputError(f"delta={delta:.3g} is out of reach: {method} would run to a residual "
+                         f"of {delta_run:.3g}, whose ln(1/residual) is not finite")
+    log_term, kappa_hat = math.log(1.0 / delta_run), spec.params.kappa_hat
+    if method == "mag":
+        steps = 4 * math.ceil(kappa_hat * log_term)
+        if steps * 2 * spec.n > MAX_ITERATION_ENTRIES:
+            raise InputError(f"kappa_hat={kappa_hat:.3g} allows {steps} steps of "
+                             f"{2 * spec.n} entries, beyond the budget of {MAX_ITERATION_ENTRIES}")
+        return delta_run, steps
+    if method == "schro":
+        return delta_run, float(math.ceil((kappa_hat + 1.0) / kappa_hat * kappa_hat * log_term))
+    if method == "gradient":
+        return delta_run, log_term / float(spec.sigma[-1]) ** 2
+    if method == "damped":
+        return delta_run, log_term / float(spec.sigma[-1])
+    raise ValueError(f"unknown method {method!r}")
 
 
 def solve_spectral(spec: SpectralSystem, delta: float, trace: bool = False,
                    block: int | None = None) -> tuple:
     """Step `spec.ode` from w = 0 until the max-norm relative u error, on
-    the first `block` entries of u if given, is below delta (`step_budget`);
-    returns (iteration, x/(1 - beta), kappa2, relative) for the final state
-    [x_j, y_j], u = V x/(1 - beta).  With `trace`, kappa2 is kappa_2 of the
-    mapped steady state, whose components a relative trace divides its
-    errors by: inf where one sits near zero, so that no such trace is well
-    posed (the failure mode of the damped dynamics, whose auxiliary steady
-    state vanishes).  It is known before the first step, so the states are
-    kept only where it is finite, for their `relative_trace`; relative is
-    None elsewhere, and kappa2 inf without `trace`."""
-    w_inf, w_state, delta_run, max_steps = step_budget(spec, delta, block)
-    kappa2 = _steady_kappa2(w_state) if trace else math.inf
+    the first `block` entries of u if given, is below delta, within the
+    steps `horizon` allows; returns (iteration, x/(1 - beta), kappa2,
+    relative) for the final state [x_j, y_j], u = V x/(1 - beta).  With
+    `trace`, kappa2 is kappa_2 of `spec.mapped_steady`, whose components
+    a relative trace divides its errors by: inf where one sits near zero,
+    so that no such trace is well posed (the failure mode of the damped
+    dynamics, whose auxiliary steady state vanishes).  It is known before
+    the first step, so the states are kept only where it is finite, for
+    their `relative_trace`; relative is None elsewhere, and kappa2 inf
+    without `trace`."""
+    delta_run, max_steps = horizon("mag", spec, delta, block)
+    kappa2 = _steady_kappa2(spec.mapped_steady) if trace else math.inf
     iteration = mag_iterate(spec.ode, np.zeros((spec.n, 2)), delta_run, max_steps,
-                            w_inf=w_inf, keep_states=kappa2 < math.inf)
-    relative = relative_trace(iteration, w_state, spec) if kappa2 < math.inf else None
+                            w_inf=spec.ode.steady_pairs(), keep_states=kappa2 < math.inf)
+    relative = relative_trace(iteration, spec.mapped_steady, spec) if kappa2 < math.inf else None
     return iteration, iteration.w_final[:, 0] / (1.0 - spec.params.beta), kappa2, relative
 
 
@@ -357,15 +372,6 @@ def spectral_radius_check(spec: SpectralSystem) -> float:
             "declared bounds do not bracket the spectrum of A^H A"
         )
     return rho
-
-
-def convergence_steps(kappa_hat: float, delta: float, safety: float = 1.0) -> int:
-    """Sufficient step count ceil(safety * kappa_hat * ln(1/delta))."""
-    if kappa_hat < 1.0:
-        raise ValueError("kappa_hat must be >= 1")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must be in (0,1)")
-    return math.ceil(safety * kappa_hat * math.log(1.0 / delta))
 
 
 NEAR_ZERO_FACTOR = 1e-12
@@ -395,7 +401,7 @@ def relative_trace(trace: IterationTrace, w_state: np.ndarray, system: SpectralS
     """The componentwise-relative residual trace (`_relative_residuals`) of
     a run of `system` recorded with its states, those mapped back to
     [V w1; U w2] first, against its mapped steady state w_state
-    (`step_budget`), whose kappa_2 the caller has found finite."""
+    (`SpectralSystem.mapped_steady`), whose kappa_2 the caller has found finite."""
     if not trace.states:
         raise ValueError("trace was recorded without states; rerun with keep_states=True")
     return _relative_residuals(w_state, system.to_state(np.array(trace.states)))

@@ -592,13 +592,7 @@ def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None) -> 
     before the evolution, the pair system at the forcing scale
     `default_forcing_scale`, and the grid (`build_grid_from_rate`), which
     `cli.cmd_complexity` prices."""
-    params = spec.params
-    # kappa*ln(1/delta) leaves a residual ~delta at kappa=1 but ~delta^2
-    # for large kappa; the (kappa+1)/kappa factor makes it ~delta^2
-    # uniformly.  On the figure presets' grids the discretization error
-    # sits below delta/100, so this time truncation is most of the error
-    safety = (params.kappa_hat + 1.0) / params.kappa_hat
-    t_end = float(mag_mod.convergence_steps(params.kappa_hat, delta, safety=safety))
+    t_end = mag_mod.horizon("schro", spec, delta)[1]
     pairs = build_pair_system(spec)
     runway = required_runway(pairs, t_end)
     tail = envelope_tail(DEFAULT_TAIL_TOL)
@@ -626,18 +620,17 @@ def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None,
     """End-to-end solve of A u = b through the Hamiltonian realization, in
     the basis of the run's `spec` (`mag.build_spectral`).
 
-    Evolves to t_end = ceil((kappa_hat + 1) * ln(1/delta)) on the grid of
-    `plan`, reads the field back out past the threshold with the integral
-    readout and unscales the first block by (1 - beta).  Returns (x, report,
-    snapshot), u = V x: with snapshot_rows > 0 the snapshot is (points,
-    rows), the final warped field on every (n_p // snapshot_rows)-th grid
-    point from the same evolution pass, else None.  Raises InputError for a
-    kappa_hat beyond the budget of a momentum iteration to delta on the first
-    `block` entries of u (`mag.step_budget`).  Checking u against a reference
-    solution is left to the caller.
+    Evolves to t_end, schro's `mag.horizon`, on the grid of `plan`, reads
+    the field back out past the threshold with the integral readout and
+    unscales the first block by (1 - beta).  Returns (x, report, snapshot),
+    u = V x: with snapshot_rows > 0 the snapshot is (points, rows), the
+    final warped field on every (n_p // snapshot_rows)-th grid point from
+    the same evolution pass, else None.  InputError where mag's `horizon`
+    to delta on the first `block` entries of u is refused.  Checking u
+    against a reference solution is left to the caller.
     """
-    # the kappa_hat the momentum iteration refuses is refused here too
-    mag_mod.step_budget(spec, delta, block)
+    # the delta and kappa_hat the momentum iteration refuses are refused here too
+    mag_mod.horizon("mag", spec, delta, block)
     report, pairs, grid = plan(spec, delta, n_p)
     advect = float(np.max(pairs.advection_speeds())) * report.t_end
     stride = max(1, grid.n_p // snapshot_rows) if snapshot_rows > 0 else 0

@@ -12,13 +12,7 @@ import pytest
 
 from schromag import baselines, blockenc, complexity
 from schromag.linalg import LinearSystem, direct_solve
-from schromag.mag import (
-    MagParams,
-    build_spectral,
-    convergence_steps,
-    mag_iterate,
-    solution_error_factor,
-)
+from schromag.mag import MagParams, build_spectral, horizon, mag_iterate
 from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
 from schromag.schrod import pipeline
 
@@ -140,8 +134,9 @@ def test_criterion_4_gradient_vs_mag_separation():
         sys = build_transformed(a, b, params)
         trace = mag_iterate(sys, np.zeros(8), delta, 100_000,
                             w_inf=steady_state(sys), keep_states=False)
-        flow = baselines.build_gradient_flow(build_spectral(a, b, params))
-        theory = baselines.evolution_time("gradient", sig[0], delta)
+        spec = build_spectral(a, b, params)
+        flow = baselines.build_gradient_flow(spec)
+        theory = horizon("gradient", spec, delta)[1]
         t_grad = _time_to_delta(flow, delta=delta, t_hi=theory)
         ratios.append(t_grad / trace.steps)
     elapsed = time.perf_counter() - t0
@@ -200,20 +195,16 @@ def test_criterion_6_fig2_reproduction():
     cp = compare_preset("fig2")
     oracle = direct_solve(LinearSystem(cp.a, cp.b))
     params = cp.spec.params
-    sigma_min = math.sqrt(params.mu_hat)
     rows = []
     for delta in cp.deltas:
         tsys = build_transformed(cp.a, cp.b, params)
-        w_inf = steady_state(tsys)
-        delta_run = delta / solution_error_factor(w_inf)
         trace = mag_iterate(
-            tsys, np.zeros(2 * tsys.n), delta_run,
-            4 * convergence_steps(params.kappa_hat, delta_run),
-            w_inf=w_inf, keep_states=False,
+            tsys, np.zeros(2 * tsys.n), *horizon("mag", cp.spec, delta),
+            w_inf=steady_state(tsys), keep_states=False,
         )
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
         flow = baselines.build_damped(cp.spec, cp.gamma)
-        t_end = baselines.evolution_time("damped", sigma_min, delta)
+        t_end = horizon("damped", cp.spec, delta)[1]
         u_damp = baselines.integrate_flow(flow, t_end, 16)[1][-1][: cp.a.shape[0]]
         scale = np.linalg.norm(oracle)
         rows.append(
@@ -282,17 +273,14 @@ def test_criterion_8_figure_presets():
         params = params_from_matrix(system.a)
 
         tsys = build_transformed(system.a, system.b, params)
-        w_inf = steady_state(tsys)
-        delta_run = solver.delta / solution_error_factor(w_inf)
+        spec = build_spectral(system.a, system.b, params)
         trace = mag_iterate(
-            tsys, np.zeros(2 * tsys.n), delta_run,
-            4 * convergence_steps(params.kappa_hat, delta_run),
-            w_inf=w_inf, keep_states=False,
+            tsys, np.zeros(2 * tsys.n), *horizon("mag", spec, solver.delta),
+            w_inf=steady_state(tsys), keep_states=False,
         )
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
         e_mag = float(np.max(np.abs(u_mag - oracle)) / scale)
 
-        spec = build_spectral(system.a, system.b, params)
         u_s = spec.solution(pipeline(spec, solver.delta)[0])
         e_schro = float(np.max(np.abs(u_s - oracle)) / scale)
 

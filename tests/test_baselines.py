@@ -10,11 +10,10 @@ from schromag.baselines import (
     auxiliary_ratio_trace,
     build_damped,
     build_gradient_flow,
-    evolution_time,
     integrate_flow,
 )
 from schromag.linalg import LinearSystem, direct_solve
-from schromag.mag import MagParams, build_spectral
+from schromag.mag import MagParams, build_spectral, horizon
 from schromag.presets import compare_preset
 
 from reference import build_transformed, flow_state, flow_steady_state, params_from_sigma, to_ode
@@ -179,26 +178,32 @@ class TestIntegrateFlow:
 
 
 class TestEvolutionTime:
+    # a 1 x 1 system [sigma] u = [sigma]: x* = u* = 1, so the gradient flow
+    # runs to delta itself
+    @staticmethod
+    def _time(kind, sigma_min, delta):
+        return horizon(kind, build_spectral(np.diag([sigma_min]), [sigma_min]), delta)[1]
+
     def test_gradient_unit(self):
-        assert evolution_time("gradient", 1.0, math.exp(-1.0)) == pytest.approx(1.0)
+        assert self._time("gradient", 1.0, math.exp(-1.0)) == pytest.approx(1.0)
 
     def test_gradient_value(self):
-        got = evolution_time("gradient", 0.1, 0.01)
+        got = self._time("gradient", 0.1, 0.01)
         assert got == pytest.approx(math.log(100.0) / 0.01, rel=1e-12)
 
     def test_damped_value(self):
-        got = evolution_time("damped", 0.1, 0.01)
+        got = self._time("damped", 0.1, 0.01)
         assert got == pytest.approx(math.log(100.0) / 0.1, rel=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            evolution_time("verlet", 0.1, 0.01)
+            self._time("verlet", 0.1, 0.01)
 
     def test_mag_is_not_a_flow_kind(self):
-        # the momentum method runs for kappa ln(1/delta) steps
-        # (`mag.convergence_steps`), not for a flow time
-        with pytest.raises(ValueError):
-            evolution_time("mag", 0.1, 0.01)
+        # the momentum method runs for a step count, 4 ceil(kappa_hat ln(1/delta)),
+        # not for a flow time
+        steps = self._time("mag", 0.1, 0.01)
+        assert isinstance(steps, int) and steps == 4 * math.ceil(math.log(100.0))
 
 
 class TestAuxiliaryRatio:

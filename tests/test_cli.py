@@ -224,6 +224,41 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: kappa_hat=2.51e+04 allows ")
 
+    @pytest.mark.parametrize("delta", ["1e-320", "5e-324"])
+    @pytest.mark.parametrize("argv", [
+        *[[command, "--preset", "fig3a", "--method", method] for command in ("solve", "pde")
+          for method in ("mag", "schro", "gradient", "damped")],
+        ["schro", "--preset", "fig3a"], ["complexity", "--preset", "fig3a"], ["compare"],
+    ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")))
+    def test_delta_whose_log_overflows_is_usage_error(self, tmp_path, capsys, argv, delta):
+        # 1/delta of a subnormal delta is not a finite double, so no horizon
+        # ln(1/delta) exists: every method and command refuses it in one line
+        if argv == ["compare"]:
+            system = pde_preset("fig3a")[0].system
+            write_matrix_coo(tmp_path / "a.coo", system.a)
+            write_vector(tmp_path / "b.vec", system.b)
+            argv = ["compare", "--matrix", str(tmp_path / "a.coo"),
+                    "--rhs", str(tmp_path / "b.vec")]
+        assert main([*argv, "--delta", delta, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta=") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+    @pytest.mark.parametrize("method", ["mag", "schro"])
+    def test_delta_rescaled_to_the_written_block_underflows(self, tmp_path, capsys, method):
+        # a normal delta that the rescale to fig5a's u block takes below the
+        # normal range: mag refuses it, and schro with it
+        rc = main(["pde", "--preset", "fig5a", "--method", method, "--delta", "1e-306",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta=1e-306 is out of reach: mag ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["gradient", "damped", "schro"])
+    def test_smallest_normal_deltas_still_run(self, tmp_path, method):
+        assert main(["pde", "--preset", "fig3a", "--method", method, "--delta", "1e-300",
+                     "--out", str(tmp_path)]) == 0
+
     def test_beta_rounding_to_one_is_usage_error(self, tmp_path, capsys):
         # kappa_hat = 1e17 rounds beta to 1.0, where the iteration would never end
         rc = main(["solve", "--preset", "fig3a", "--lhat", "1e34", "--muhat", "1",

@@ -9,18 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schromag.baselines import build_damped, build_gradient_flow
-from schromag.errors import ConvergenceError, SingularMatrixError, SpectrumBoundsError
+from schromag.cli import _unit_rhs
+from schromag.errors import ConvergenceError, InputError, SingularMatrixError, SpectrumBoundsError
 from schromag.linalg import LinearSystem, direct_solve, full_svd
 from schromag.mag import (
+    MAX_ITERATION_ENTRIES,
     SPECTRAL_RADIUS_TOL,
     MagParams,
     SpectralSystem,
     _steady_kappa2,
     build_spectral,
-    convergence_steps,
+    horizon,
     mag_iterate,
     relative_trace,
-    solution_error_factor,
     solve_spectral,
     spectral_radius_check,
 )
@@ -402,18 +403,55 @@ class TestIteration:
 
 
 class TestConvergenceSteps:
+    """mag's step count 4 ceil(kappa_hat ln(1/delta)), read from `horizon`."""
+
+    @staticmethod
+    def _spec(kappa_hat):
+        # b = 0: the steady state is zero, so mag runs to delta itself
+        return build_spectral(np.eye(1), np.zeros(1), MagParams(kappa_hat**2, 1.0))
+
     def test_unit(self):
-        assert convergence_steps(1.0, math.exp(-1.0)) == 1
+        assert horizon("mag", self._spec(1.0), math.exp(-1.0)) == (math.exp(-1.0), 4 * 1)
 
     def test_documented_values(self):
-        assert convergence_steps(100.0, 0.01) == 461
-        assert convergence_steps(100.0, 1e-6) == 1382
+        assert horizon("mag", self._spec(100.0), 0.01) == (0.01, 4 * 461)
+        assert horizon("mag", self._spec(100.0), 1e-6) == (1e-6, 4 * 1382)
 
     def test_rejects_bad_inputs(self):
+        with pytest.raises(InputError):
+            MagParams(0.25, 1.0)  # kappa_hat = 0.5
+        for method in ("mag", "schro", "gradient", "damped"):
+            for delta in (0.0, 5e-324, 1e-320):
+                with pytest.raises(InputError, match="out of reach"):
+                    horizon(method, self._spec(10.0), delta)
         with pytest.raises(ValueError):
-            convergence_steps(0.5, 0.1)
-        with pytest.raises(ValueError):
-            convergence_steps(10.0, 1.5)
+            horizon("verlet", self._spec(10.0), 0.1)
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("name", PDE_PRESET_NAMES)
+    def test_closed_forms_on_the_presets(self, name):
+        # bit for bit, on the system a run of the preset factors
+        problem, solver = pde_preset(name)
+        delta, block = solver.delta, problem.solution_size
+        b, _ = _unit_rhs(problem.system.b)
+        spec = build_spectral(problem.system.a, b, problem=problem)
+        k, s_min = spec.params.kappa_hat, float(spec.sigma[-1])
+        w = spec.to_state(spec.ode.steady_pairs())
+        d_mag = delta / max(float(np.linalg.norm(w)) / float(np.max(np.abs(w[:block]))), 1.0)
+        x = spec.b_t / spec.sigma
+        top = float(np.max(np.abs(spec.solution(x)[:block])))
+        d_grad = delta / max(float(np.linalg.norm(x)) / top, 1.0)
+        steps = 4 * math.ceil(k * math.log(1.0 / d_mag))
+        assert horizon("mag", spec, delta, block) == (d_mag, steps)
+        assert horizon("schro", spec, delta, block) == (
+            delta, float(math.ceil((k + 1.0) / k * k * math.log(1.0 / delta))))
+        assert horizon("gradient", spec, delta, block) == (d_grad,
+                                                           math.log(1.0 / d_grad) / s_min**2)
+        assert horizon("damped", spec, delta, block) == (delta, math.log(1.0 / delta) / s_min)
+        # MAX_ITERATION_ENTRIES is 9.7 times fig6a's budget, the largest
+        assert steps * 2 * spec.n <= 6946816 < MAX_ITERATION_ENTRIES / 9.6
+        assert (steps * 2 * spec.n == 6946816) == (name == "fig6a")
 
 
 class TestRelativeTrace:
@@ -512,9 +550,7 @@ class TestPairBasis:
         out = []
         for sys, w_inf in ((dense, steady_state(dense)), (spec.ode, spec.ode.steady_pairs())):
             state = w_inf if sys is dense else spec.to_state(w_inf)
-            delta_run = delta / solution_error_factor(state)
-            trace = mag_iterate(sys, np.zeros_like(w_inf), delta_run,
-                                4 * convergence_steps(p.kappa_hat, delta_run),
+            trace = mag_iterate(sys, np.zeros_like(w_inf), *horizon("mag", spec, delta),
                                 w_inf=w_inf, keep_states=keep_states)
             rel = None
             if keep_states and sys is dense:

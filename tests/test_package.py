@@ -11,21 +11,20 @@ SUBMODULES = ["baselines", "blockenc", "complexity", "errors", "linalg", "mag", 
               "presets", "schrod"]
 PUBLIC = sorted([
     *SUBMODULES,
-    "auxiliary_ratio_trace", "build_damped", "build_gradient_flow", "evolution_time",
-    "integrate_flow",
+    "auxiliary_ratio_trace", "build_damped", "build_gradient_flow", "integrate_flow",
     "BlockEncoding", "StatePrepPair", "build_state_prep_pair", "compose_product",
     "compose_sum", "compose_tensor", "dilate", "verify",
     "ComplexityReport", "SystemSummary", "chi", "gates", "method_complexity", "queries",
     "repetitions",
     "LinearSystem", "as_cmatrix", "as_cvector", "block_expm_apply", "direct_solve",
-    "FlowSystem", "IterationTrace", "MagParams", "convergence_steps", "mag_iterate",
+    "FlowSystem", "IterationTrace", "MagParams", "horizon", "mag_iterate",
     "relative_trace", "spectral_radius_check",
     "PdeProblem", "make_problem", "pde_preset", "PGrid", "pipeline",
 ])
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 45
     assert schromag.__all__ == PUBLIC
 
 

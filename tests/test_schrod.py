@@ -1077,20 +1077,19 @@ class TestPipeline:
 
     def test_matches_iteration_terminal_state(self):
         # cross-method check on the small zero-boundary Helmholtz preset
-        from schromag.mag import convergence_steps, mag_iterate
+        from schromag.mag import horizon, mag_iterate
         from schromag.presets import pde_preset
 
         problem = pde_preset("fig3a")[0]
         a, b = problem.system.a, problem.system.b
         params = params_from_matrix(a)
-        sys = build_transformed(a, b, params)
+        sys, spec = build_transformed(a, b, params), build_spectral(a, b, params)
         trace = mag_iterate(
-            sys, np.zeros(2 * sys.n), 1e-3,
-            4 * convergence_steps(params.kappa_hat, 1e-3),
+            sys, np.zeros(2 * sys.n), 1e-3, horizon("mag", spec, 1e-3)[1],
             w_inf=steady_state(sys), keep_states=False,
         )
         u_iter = trace.w_final[: sys.n] / (1.0 - params.beta)
-        u_pipe, _, _ = _pipeline_u(build_spectral(a, b, params), 1e-3)
+        u_pipe, _, _ = _pipeline_u(spec, 1e-3)
         scale = np.max(np.abs(u_iter))
         assert np.max(np.abs(u_pipe - u_iter)) / scale < 1e-2
 
