@@ -242,7 +242,7 @@ class TestSolve:
         assert main([*argv, "--delta", delta, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: delta=") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.parametrize("method", ["mag", "schro"])
     def test_delta_rescaled_to_the_written_block_underflows(self, tmp_path, capsys, method):
