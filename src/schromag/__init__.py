@@ -19,8 +19,7 @@ runs; `from schromag import *` still binds every name of `__all__`.
 
 # each submodule and the names it exports from the package
 _SUBMODULE_EXPORTS = {
-    "baselines": ("auxiliary_ratio_trace", "build_damped", "build_gradient_flow",
-                  "integrate_flow"),
+    "baselines": ("auxiliary_ratio_trace", "build_damped", "build_gradient_flow"),
     "blockenc": ("BlockEncoding", "StatePrepPair", "build_state_prep_pair", "compose_product",
                  "compose_sum", "compose_tensor", "dilate", "verify"),
     "complexity": ("ComplexityReport", "SystemSummary", "chi", "gates", "method_complexity",

@@ -28,6 +28,7 @@ from .linalg import LinearSystem, direct_solve
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
+COMPARE_SAMPLES = 1200  # the times, 0 to t_end, at which compare samples each flow
 
 # options beyond --out; `_options_read` says which a run reads
 _BOUNDS = ("l_hat", "mu_hat")
@@ -88,7 +89,7 @@ def _options_read(cfg: RunConfig) -> tuple:
     if cfg.command == "schro":
         return (*_SOURCES, "delta", "n_p", *_BOUNDS)
     if cfg.command == "compare":
-        # the presets carry their own bounds, gamma and horizon
+        # the presets carry their own bounds and horizon
         return _SOURCES if cfg.preset else (*_SOURCES, "delta", *_BOUNDS)
     if cfg.command == "complexity":
         return (*_SOURCES, "delta", "n_p")
@@ -126,7 +127,7 @@ def _ldexp(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _factor(cfg: RunConfig, system: LinearSystem, problem, delta: float) -> tuple:
-    """(spec, oracle, delta, k) for the problem `_load_system` loaded, its b
+    """(spec, oracle, delta, k) for a command's system and problem, its b
     scaled by 2^-k (`_unit_rhs`): the run's one `mag.SpectralSystem`, from
     one SVD of A (closed-form for a PDE problem that has it), and the
     direct solve u is checked against.  Nothing returned holds A, so it
@@ -226,29 +227,27 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     if cfg.preset == "fig2":
         return _compare_fig2(cfg)
-    if cfg.preset is not None:
-        cp = compare_preset(cfg.preset)
-        spec, gamma, t_end, samples, k = cp.spec, cp.gamma, cp.t_end, cp.samples, 0
+    if cfg.preset is not None:  # fig1: the files path on the preset's inputs
+        a, b, params, t_end = compare_preset(cfg.preset)
     else:
         system, _, delta = _load_system(cfg)
-        b, k = _unit_rhs(system.b)
-        # no bounds guard: compare shows the momentum flow under any bounds
-        # whose blocks are finite
-        spec = mag.build_spectral(system.a, b, _params_for(cfg))
-        with np.errstate(over="ignore", invalid="ignore"):
-            ode = spec.ode
-        if not (np.all(np.isfinite(ode.blocks)) and np.all(np.isfinite(ode.drive))):
-            raise InputError(f"the bounds --lhat {spec.params.l_hat:.3g} --muhat "
-                             f"{spec.params.mu_hat:.3g} overflow the momentum blocks")
-        gamma = None  # build_damped's default
+        a, b, params, t_end = system.a, system.b, _params_for(cfg), None
+    b, k = _unit_rhs(b)
+    # no bounds guard: compare shows the momentum flow under any bounds
+    # whose blocks are finite
+    spec = mag.build_spectral(a, b, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ode = spec.ode
+    if not (np.all(np.isfinite(ode.blocks)) and np.all(np.isfinite(ode.drive))):
+        raise InputError(f"the bounds --lhat {spec.params.l_hat:.3g} --muhat "
+                         f"{spec.params.mu_hat:.3g} overflow the momentum blocks")
+    if t_end is None:
         t_end = mag.horizon("damped", spec, delta)[1]
-        samples = 1200
 
-    n = spec.n
-    flows = {"mag": spec.ode, "damped": baselines.build_damped(spec, gamma)}
+    n, times = spec.n, np.linspace(0.0, t_end, COMPARE_SAMPLES)
     ratios = {}
-    for tag, flow in flows.items():
-        times, states = baselines.integrate_flow(flow, t_end, samples)
+    for tag, flow in (("mag", ode), ("damped", baselines.build_damped(spec))):
+        states = spec.to_state(flow.at(times))
         ratios[tag] = ratio = baselines.auxiliary_ratio_trace(states[:, 0], states[:, n])
         solved, aux = (_ldexp(states[:, j].copy(), k) for j in (0, n))
         io.write_trajectory_csv(os.path.join(cfg.out, f"{tag}_trajectory.csv"),
@@ -273,20 +272,20 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def _compare_fig2(cfg: RunConfig) -> int:
-    cp = compare_preset("fig2")
-    oracle = direct_solve(LinearSystem(cp.a, cp.b), cp.spec.sigma)
+    problem, deltas = compare_preset("fig2")
+    spec, oracle, _, k = _factor(cfg, problem.system, problem, None)
     scale = float(np.linalg.norm(oracle))
     errors = {"mag": [], "damped": []}
-    for delta in cp.deltas:
+    for delta in deltas:
         for tag, column in errors.items():
-            u = cp.spec.solution(_run_method(tag, cp.spec, delta)[0])
+            u = spec.solution(_run_method(tag, spec, delta)[0])
             column.append(float(np.linalg.norm(u - oracle)) / scale)
             io.write_solution_csv(
                 os.path.join(cfg.out, f"fig2_{tag}_delta{delta:.6g}.csv"),
-                u, np.arange(u.size, dtype=float),
+                _ldexp(u, k), np.arange(u.size, dtype=float),
             )
     io.write_rows(os.path.join(cfg.out, "fig2_errors.csv"), "delta,mag_error,damped_error",
-                  [cp.deltas, *errors.values()])
+                  [deltas, *errors.values()])
     print("compare[fig2]: wrote fig2_errors.csv")
     return 0
 

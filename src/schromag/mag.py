@@ -86,11 +86,12 @@ class MagParams:
 @dataclass(frozen=True)
 class FlowSystem:
     """dw/dt = M w + g as one k x k block of M and k-vector of g per
-    singular value of the run's `spec`; a state is (n, k), in that basis."""
+    singular value of a run's `SpectralSystem`; a state is (n, k), in that
+    system's basis.  A flow is only its blocks and drive: it keeps no
+    reference to the system it was built from."""
 
     blocks: np.ndarray  # (n, k, k)
     drive: np.ndarray  # (n, k)
-    spec: SpectralSystem
 
     @cached_property
     def _step_entries(self) -> tuple:
@@ -180,7 +181,7 @@ class SpectralSystem:
         cs, f = math.sqrt(p.alpha * p.beta) * s, p.alpha * s * self.b_t
         entries = [-p.alpha * s**2, -cs, cs, np.full_like(s, p.beta - 1.0)]  # row-major
         return FlowSystem(blocks=np.stack(entries, axis=-1).reshape(-1, 2, 2),
-                          drive=np.stack([f, np.zeros_like(f)], axis=-1), spec=self)
+                          drive=np.stack([f, np.zeros_like(f)], axis=-1))
 
     @cached_property
     def mapped_steady(self) -> np.ndarray:

@@ -52,21 +52,14 @@ def pde_preset(name: str) -> tuple[PdeProblem, SolverConfig]:
     return make_problem(family, n, k, forcing, boundary), SolverConfig()
 
 
-@dataclass(frozen=True)
-class ComparePreset:
-    """Head-to-head setup for the auxiliary-variable comparisons."""
+def compare_preset(name: str) -> tuple:
+    """The inputs of `compare --preset name`, in one of two shapes:
 
-    name: str
-    a: np.ndarray
-    b: np.ndarray
-    spec: mag.SpectralSystem  # the run's one spectral system: bounds and basis
-    t_end: float
-    samples: int
-    gamma: float | None = None  # the damped flow's; None: `baselines.build_damped`'s default
-    deltas: tuple = ()
-
-
-def compare_preset(name: str) -> ComparePreset:
+      fig1  (a, b, bounds, t_end): a run of `compare` on files, with the
+            preset's `mag.MagParams` bounds and flow horizon t_end
+      fig2  (problem, deltas): the `PdeProblem` whose mag and damped
+            solutions are checked against its direct solve at each delta
+    """
     if name == "fig1":
         # Bounds must bracket the true singular values {0.1, 10}.  The
         # quoted setting sigma_max_hat = 5*1.05, sigma_min_hat = 5*0.95
@@ -77,23 +70,11 @@ def compare_preset(name: str) -> ComparePreset:
         sig_min_hat = 0.1 * 0.95
         a = np.diag([10.0, 0.1]).astype(np.complex128)
         b = np.array([1.0, 1.0], dtype=np.complex128)
-        return ComparePreset(
-            name="fig1", a=a, b=b,
-            spec=mag.build_spectral(a, b, mag.MagParams(sig_max_hat**2, sig_min_hat**2)),
-            gamma=2.0 * sig_min_hat, t_end=60.0, samples=1200,
-        )
+        return a, b, mag.MagParams(sig_max_hat**2, sig_min_hat**2), 60.0
     if name == "fig2":
         # 1d Poisson reading: u''(x) = f(x), f = 2 sin(2 pi x), n = 16,
         # zero boundary, accuracy targets n^{-1/2} .. n^{-2}.
         n = 16
         problem = make_problem("helmholtz1d", n, 0.0, "sine2", (ZERO,))
-        a, b = problem.system.a, problem.system.b
-        # bounds from A's own spectrum, in the closed-form basis
-        spec = mag.build_spectral(a, b, problem=problem)
-        return ComparePreset(
-            name="fig2", a=a, b=b, spec=spec,
-            t_end=0.0,  # per-delta horizons are derived at run time
-            samples=0,
-            deltas=tuple(float(n) ** (-e) for e in (0.5, 1.0, 1.5, 2.0)),
-        )
+        return problem, tuple(float(n) ** (-e) for e in (0.5, 1.0, 1.5, 2.0))
     raise InputError(f"unknown compare preset {name!r}; available: fig1, fig2")

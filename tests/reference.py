@@ -4,29 +4,30 @@ The package runs the chain one-step map -> ODE -> homogenization ->
 Hermitian split -> warped phase -> readout only on the per-singular-value
 core (`mag.SpectralSystem`, `schrod.PairSystem`).  This module keeps the
 dense version of every link as the oracle the tests compare that core
-against: the 2n x 2n map (H, F) and its LU steady state, the steady
-state of a comparison flow as a state vector, the homogenized
-4n x 4n generator, its split and the slicing of the split into n x n
-blocks, and the per-mode evolution by Hermitian eigendecomposition with
-both readouts (the single-point one only here), and the pair kernel's
-forcing column by complex exponentials, with the complex column the
-package's kernel makes (`pair_column`) to compare.  It also holds the check
-of a block-encoding state-preparation pair against its coefficients, the
-closed-form PDE solutions the assembled systems are checked against, and
-the per-element writers of the field snapshot ('%.16e' of each value)
-and of every other text file `io` writes (repr of each value), the
-oracles of `floatrepr.format_rows` and of `io.write_rows` and the
-writers made from it, which format columns.  No module of the package
+against: the 2n x 2n map (H, F) and its LU steady state, the steady state of
+a comparison flow as a state vector, the damped flow at any damping rate,
+the homogenized 4n x 4n generator, its split and the slicing of the split
+into n x n blocks, and the per-mode evolution by Hermitian
+eigendecomposition with both readouts (the single-point one only here), and
+the pair kernel's forcing column by complex exponentials, with the complex
+column the package's kernel makes (`pair_column`) to compare.  It also holds
+the check of a block-encoding state-preparation pair against its
+coefficients, the closed-form PDE solutions the assembled systems are
+checked against, and the per-element writers of the field snapshot ('%.16e'
+of each value) and of every other text file `io` writes (repr of each
+value), the oracles of `floatrepr.format_rows` and of `io.write_rows` and
+the writers made from it, which format columns.  No module of the package
 imports it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from schromag.baselines import build_damped
 from schromag.blockenc import StatePrepPair
 from schromag.errors import EncodingError, InputError
 from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve, full_svd,
@@ -142,18 +143,27 @@ def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
     return sys.h - np.eye(2 * sys.n), sys.f.copy()
 
 
-def flow_state(flow, w) -> np.ndarray:
-    """The state vector [V x; U y] of a `mag.FlowSystem`'s (n, 2) state
-    [x_j, y_j], or V x of the gradient flow's (n, 1) state x_j; of each
-    state of a stack too."""
+def flow_state(spec: SpectralSystem, w) -> np.ndarray:
+    """The state vector [V x; U y] of an (n, 2) state [x_j, y_j] of a
+    `mag.FlowSystem` built from `spec`, or V x of the gradient flow's
+    (n, 1) state x_j; of each state of a stack too."""
     w = np.asarray(w)
-    return flow.spec.solution(w[..., 0]) if w.shape[-1] == 1 else flow.spec.to_state(w)
+    return spec.solution(w[..., 0]) if w.shape[-1] == 1 else spec.to_state(w)
 
 
-def flow_steady_state(flow) -> np.ndarray:
-    """The steady state -M^{-1} g of a `mag.FlowSystem` as a state
-    vector (`flow_state`)."""
-    return flow_state(flow, flow.steady_pairs())
+def flow_steady_state(spec: SpectralSystem, flow) -> np.ndarray:
+    """The steady state -M^{-1} g of a `mag.FlowSystem` built from `spec`
+    as a state vector (`flow_state`)."""
+    return flow_state(spec, flow.steady_pairs())
+
+
+def damped_flow(spec: SpectralSystem, gamma: float):
+    """`baselines.build_damped(spec)` with the damping rate gamma in place
+    of the package's GAMMA_PER_SIGMA_MIN sigma_min."""
+    flow = build_damped(spec)
+    blocks = flow.blocks.copy()
+    blocks[:, 1, 1] = -gamma
+    return replace(flow, blocks=blocks)
 
 
 @dataclass(frozen=True)

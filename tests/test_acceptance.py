@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from schromag import baselines, blockenc, complexity
+from schromag.cli import COMPARE_SAMPLES
 from schromag.linalg import LinearSystem, direct_solve
 from schromag.mag import MagParams, build_spectral, horizon, mag_iterate
 from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
@@ -99,13 +100,14 @@ def test_criterion_3_convergence_step_scaling():
     )
 
 
-def _time_to_delta(flow, delta=1e-6, t_hi=None):
-    """Bisect the exact flow for the first time the error contracts to delta."""
-    w_inf = flow_steady_state(flow)
+def _time_to_delta(spec, flow, delta=1e-6, t_hi=None):
+    """Bisect the exact flow, built from `spec`, for the first time the
+    error contracts to delta."""
+    w_inf = flow_steady_state(spec, flow)
     d0 = np.linalg.norm(w_inf)
 
     def err(t):
-        state = flow_state(flow, flow.at(t))
+        state = flow_state(spec, flow.at(t))
         return np.linalg.norm(state - w_inf) / d0
 
     lo, hi = 0.0, t_hi
@@ -137,7 +139,7 @@ def test_criterion_4_gradient_vs_mag_separation():
         spec = build_spectral(a, b, params)
         flow = baselines.build_gradient_flow(spec)
         theory = horizon("gradient", spec, delta)[1]
-        t_grad = _time_to_delta(flow, delta=delta, t_hi=theory)
+        t_grad = _time_to_delta(spec, flow, delta=delta, t_hi=theory)
         ratios.append(t_grad / trace.steps)
     elapsed = time.perf_counter() - t0
     report(
@@ -150,15 +152,14 @@ def test_criterion_4_gradient_vs_mag_separation():
 
 def test_criterion_5_fig1_reproduction():
     t0 = time.perf_counter()
-    cp = compare_preset("fig1")
-    n = cp.a.shape[0]
+    a, b, params, t_end = compare_preset("fig1")
+    n = a.shape[0]
 
-    spec = cp.spec
-    mag_flow = spec.ode
-    damp_flow = baselines.build_damped(spec, cp.gamma)
-
-    _, states_m = baselines.integrate_flow(mag_flow, cp.t_end, cp.samples)
-    _, states_d = baselines.integrate_flow(damp_flow, cp.t_end, cp.samples)
+    # both flows sampled on the one spectral system, as `compare` samples them
+    spec = build_spectral(a, b, params)
+    damp_flow = baselines.build_damped(spec)
+    times = np.linspace(0.0, t_end, COMPARE_SAMPLES)
+    states_m, states_d = (spec.to_state(flow.at(times)) for flow in (spec.ode, damp_flow))
     r_m = baselines.auxiliary_ratio_trace(states_m[:, 0], states_m[:, n])
     r_d = baselines.auxiliary_ratio_trace(states_d[:, 0], states_d[:, n])
 
@@ -168,8 +169,8 @@ def test_criterion_5_fig1_reproduction():
     band = max(tail) - min(tail)
     steady_band = abs(tail[-1]) + 1.0
 
-    aux_steady = float(np.max(np.abs(flow_steady_state(damp_flow)[n:])))
-    damp_tail = [abs(r) for r in r_d.ratios[-cp.samples // 10:] if not math.isnan(r)]
+    aux_steady = float(np.max(np.abs(flow_steady_state(spec, damp_flow)[n:])))
+    damp_tail = [abs(r) for r in r_d.ratios[-COMPARE_SAMPLES // 10:] if not math.isnan(r)]
     damp_trend = np.mean(damp_tail) < 0.05 * max(abs(r) for r in r_d.ratios if not math.isnan(r))
 
     elapsed = time.perf_counter() - t0
@@ -192,20 +193,22 @@ def test_criterion_5_fig1_reproduction():
 
 def test_criterion_6_fig2_reproduction():
     t0 = time.perf_counter()
-    cp = compare_preset("fig2")
-    oracle = direct_solve(LinearSystem(cp.a, cp.b))
-    params = cp.spec.params
+    problem, deltas = compare_preset("fig2")
+    a, b = problem.system.a, problem.system.b
+    oracle = direct_solve(LinearSystem(a, b))
+    # bounds from A's own spectrum, in the closed-form basis
+    spec = build_spectral(a, b, problem=problem)
+    params = spec.params
     rows = []
-    for delta in cp.deltas:
-        tsys = build_transformed(cp.a, cp.b, params)
+    for delta in deltas:
+        tsys = build_transformed(a, b, params)
         trace = mag_iterate(
-            tsys, np.zeros(2 * tsys.n), *horizon("mag", cp.spec, delta),
+            tsys, np.zeros(2 * tsys.n), *horizon("mag", spec, delta),
             w_inf=steady_state(tsys), keep_states=False,
         )
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
-        flow = baselines.build_damped(cp.spec, cp.gamma)
-        t_end = horizon("damped", cp.spec, delta)[1]
-        u_damp = baselines.integrate_flow(flow, t_end, 16)[1][-1][: cp.a.shape[0]]
+        t_end = horizon("damped", spec, delta)[1]
+        u_damp = spec.solution(baselines.build_damped(spec).at(t_end)[:, 0])
         scale = np.linalg.norm(oracle)
         rows.append(
             (delta,

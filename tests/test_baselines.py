@@ -6,17 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from schromag.baselines import (
-    auxiliary_ratio_trace,
-    build_damped,
-    build_gradient_flow,
-    integrate_flow,
-)
+from schromag.baselines import auxiliary_ratio_trace, build_damped, build_gradient_flow
+from schromag.cli import COMPARE_SAMPLES
 from schromag.linalg import LinearSystem, direct_solve
 from schromag.mag import MagParams, build_spectral, horizon
 from schromag.presets import compare_preset
 
-from reference import build_transformed, flow_state, flow_steady_state, params_from_sigma, to_ode
+from reference import (build_transformed, damped_flow, flow_state, flow_steady_state,
+                       params_from_sigma, to_ode)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -28,13 +25,12 @@ def _spec(a, b):
     return build_spectral(a, b, MagParams(1.0, 1.0))
 
 
-def _sampled(flow, t_end, samples) -> tuple:
-    """`integrate_flow`'s (times, states), for the gradient flow too, whose
-    (n, 1) states it does not map: those are `at` the same times, as V x."""
-    if flow.blocks.shape[1] == 2:
-        return integrate_flow(flow, t_end, samples)
+def _sampled(spec, flow, t_end, samples) -> tuple:
+    """(times, states) of a flow built from `spec` at `samples` uniformly
+    spaced times from 0 to t_end, as `compare` samples its flows: each
+    state [V x; U y], or V x for the gradient flow (`flow_state`)."""
     times = np.linspace(0.0, t_end, samples)
-    return times, flow_state(flow, flow.at(times))
+    return times, flow_state(spec, flow.at(times))
 
 
 def dense_flow(kind, a, b, gamma=None, params=None):
@@ -61,9 +57,10 @@ def dense_states(gen, drive, w0, times):
 
 class TestGradientFlow:
     def test_identity(self):
-        flow = build_gradient_flow(_spec(np.eye(2), [1.0, 2.0]))
+        spec = _spec(np.eye(2), [1.0, 2.0])
+        flow = build_gradient_flow(spec)
         assert np.allclose(flow.blocks, -1.0)
-        assert np.allclose(flow_steady_state(flow), [1.0, 2.0])
+        assert np.allclose(flow_steady_state(spec, flow), [1.0, 2.0])
 
     def test_slowest_decay_rate(self):
         flow = build_gradient_flow(_spec(DIAG_A, DIAG_B))
@@ -74,15 +71,16 @@ class TestGradientFlow:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 4 * np.eye(4)
         b = rng.normal(size=4) + 0j
-        flow = build_gradient_flow(_spec(a, b))
+        spec = _spec(a, b)
         oracle = direct_solve(LinearSystem(a, b))
-        assert np.allclose(flow_steady_state(flow), oracle, atol=1e-9)
+        assert np.allclose(flow_steady_state(spec, build_gradient_flow(spec)), oracle, atol=1e-9)
 
     def test_error_bound_pointwise(self):
         # ||du(t)|| <= exp(-sigma_min^2 t) ||du(0)||
-        flow = build_gradient_flow(_spec(DIAG_A, DIAG_B))
-        u_inf = flow_steady_state(flow)
-        times, states = _sampled(flow, 3.0, 40)
+        spec = _spec(DIAG_A, DIAG_B)
+        flow = build_gradient_flow(spec)
+        u_inf = flow_steady_state(spec, flow)
+        times, states = _sampled(spec, flow, 3.0, 40)
         d0 = np.linalg.norm(u_inf)
         for t, u in zip(times, states):
             assert np.linalg.norm(u - u_inf) <= math.exp(-0.01 * t) * d0 * (1 + 1e-9)
@@ -90,21 +88,21 @@ class TestGradientFlow:
 
 class TestDamped:
     def test_steady_state_block_elimination(self):
-        flow = build_damped(_spec(DIAG_A, DIAG_B), 0.19)
-        w_inf = flow_steady_state(flow)
+        spec = _spec(DIAG_A, DIAG_B)
+        w_inf = flow_steady_state(spec, build_damped(spec))
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
         assert np.allclose(w_inf[:2], oracle, atol=1e-10)
         assert np.max(np.abs(w_inf[2:])) <= 1e-10  # auxiliary block exactly zero
 
     def test_gamma_bound(self):
-        build_damped(_spec(DIAG_A, DIAG_B), 2 * 0.095)  # accepted
-        with pytest.raises(ValueError):
-            build_damped(_spec(DIAG_A, DIAG_B), 0.3)  # above 2*sigma_min = 0.2
-        with pytest.raises(ValueError):
-            build_damped(_spec(DIAG_A, DIAG_B), 0.0)
+        # the damping is 1.9 sigma_min, inside 0 < gamma < 2 sigma_min; on
+        # sigma_min = 0.1 it is 0.19, bit for bit 2 sigma_min_hat of fig1's bounds
+        gamma = -build_damped(_spec(DIAG_A, DIAG_B)).blocks[:, 1, 1]
+        assert np.all(gamma == 0.19) and gamma[0] == 2 * (0.1 * 0.95)
+        assert 0.0 < gamma[0] < 2 * 0.1
 
     def test_scalar_eigenvalues(self):
-        flow = build_damped(_spec(np.eye(1), [1.0]), 1.0)
+        flow = damped_flow(_spec(np.eye(1), [1.0]), 1.0)
         vals = np.linalg.eigvals(flow.blocks[0])
         expect = {(-1 + 1j * math.sqrt(3)) / 2, (-1 - 1j * math.sqrt(3)) / 2}
         for v in vals:
@@ -117,10 +115,11 @@ class TestDamped:
         # so the envelope carries the constant sqrt(1 + (g/(2 om))^2),
         # which diverges as gamma approaches critical damping.  Verify
         # both the closed form and the constant-carrying envelope.
-        gamma = 0.19
-        flow = build_damped(_spec(DIAG_A, DIAG_B), gamma)
-        w_inf = flow_steady_state(flow)
-        times, states = integrate_flow(flow, 40.0, 100)
+        gamma = 0.19  # 1.9 sigma_min
+        spec = _spec(DIAG_A, DIAG_B)
+        flow = build_damped(spec)
+        w_inf = flow_steady_state(spec, flow)
+        times, states = _sampled(spec, flow, 40.0, 100)
         sig = np.array([10.0, 0.1])
         om = np.sqrt(sig**2 - gamma**2 / 4.0)
         cmax = float(np.max(np.sqrt(1.0 + (gamma / (2 * om)) ** 2)))
@@ -135,23 +134,26 @@ class TestDamped:
 
 
 class TestIntegrateFlow:
+    """The flows sampled at uniformly spaced times, as `compare` samples them."""
+
     def test_zero_everything(self):
-        flow = build_gradient_flow(_spec(np.eye(2), np.zeros(2)))
-        _, states = _sampled(flow, 1.0, 5)
+        spec = _spec(np.eye(2), np.zeros(2))
+        _, states = _sampled(spec, build_gradient_flow(spec), 1.0, 5)
         assert all(np.allclose(w, 0) for w in states)
 
     def test_decoupled_scalar_decay(self):
-        flow = build_gradient_flow(_spec(DIAG_A, DIAG_B))
-        u_inf = flow_steady_state(flow)
-        times, states = _sampled(flow, 0.1, 11)
+        spec = _spec(DIAG_A, DIAG_B)
+        flow = build_gradient_flow(spec)
+        u_inf = flow_steady_state(spec, flow)
+        times, states = _sampled(spec, flow, 0.1, 11)
         for t, u in zip(times, states):
             # component 1 error decays as exp(-100 t), closed form
             expect = u_inf[0] * (1 - math.exp(-100.0 * t))
             assert u[0] == pytest.approx(expect, abs=1e-9)
 
     def test_damped_limit(self):
-        flow = build_damped(_spec(DIAG_A, DIAG_B), 0.19)
-        w_end = integrate_flow(flow, 400.0, 40)[1][-1]
+        spec = _spec(DIAG_A, DIAG_B)
+        w_end = _sampled(spec, build_damped(spec), 400.0, 40)[1][-1]
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
         assert np.allclose(w_end[:2], oracle, atol=1e-8)
         assert np.max(np.abs(w_end[2:])) < 1e-8
@@ -162,19 +164,12 @@ class TestIntegrateFlow:
         a, b = _random_system(5, 6)
         spec = build_spectral(a, b)
         build = {"gradient": build_gradient_flow, "mag-ode": lambda sp: sp.ode,
-                 "damped": lambda sp: build_damped(sp, 1.9 * float(sp.sigma[-1]))}[kind]
+                 "damped": build_damped}[kind]
         flow = build(spec)
-        times, states = _sampled(flow, 5.0, 1200)
+        times, states = _sampled(spec, flow, 5.0, COMPARE_SAMPLES)
         assert times[0] == 0.0 and np.array_equal(states[0], np.zeros(states.shape[1]))
-        end = flow_state(flow, flow.at(5.0))
+        end = flow_state(spec, flow.at(5.0))
         assert np.linalg.norm(end - states[-1]) <= 1e-13 * np.linalg.norm(states[-1])
-
-    def test_preconditions(self):
-        flow = _spec(np.eye(2), [1.0, 1.0]).ode
-        with pytest.raises(ValueError):
-            integrate_flow(flow, -1.0, 5)
-        with pytest.raises(ValueError):
-            integrate_flow(flow, 1.0, 1)
 
 
 class TestEvolutionTime:
@@ -207,19 +202,15 @@ class TestEvolutionTime:
 
 
 class TestAuxiliaryRatio:
-    def _mag_flow(self, params):
-        return build_spectral(DIAG_A, DIAG_B, params).ode
-
     def test_constant_trajectory(self):
         ratio = auxiliary_ratio_trace(np.full(5, 2.0 + 0j), np.full(5, 3.0 + 0j))
         assert ratio.sign_changes == 0
         assert ratio.ratio_min == ratio.ratio_max == pytest.approx(1.5)
 
     def test_mag_ratio_settles_to_steady_value(self):
-        cp = compare_preset("fig1")
-        params = cp.spec.params
-        flow = self._mag_flow(params)
-        _, states = integrate_flow(flow, 400.0, 200)
+        params = compare_preset("fig1")[2]
+        spec = build_spectral(DIAG_A, DIAG_B, params)
+        _, states = _sampled(spec, spec.ode, 400.0, 200)
         ratio = auxiliary_ratio_trace(states[:, 0], states[:, 2])
         u_inf = direct_solve(LinearSystem(DIAG_A, DIAG_B))
         expect = (
@@ -230,11 +221,11 @@ class TestAuxiliaryRatio:
         assert ratio.ratios[-1] == pytest.approx(expect, rel=1e-6)
 
     def test_fig1_comparison_property(self):
-        cp = compare_preset("fig1")
-        params = cp.spec.params
-        _, mag_states = integrate_flow(self._mag_flow(params), cp.t_end, cp.samples)
-        _, damp_states = integrate_flow(build_damped(_spec(cp.a, cp.b), cp.gamma),
-                                        cp.t_end, cp.samples)
+        # both flows on the one spectral system of fig1's bounds, as `compare` runs them
+        a, b, params, t_end = compare_preset("fig1")
+        spec = build_spectral(a, b, params)
+        _, mag_states = _sampled(spec, spec.ode, t_end, COMPARE_SAMPLES)
+        _, damp_states = _sampled(spec, build_damped(spec), t_end, COMPARE_SAMPLES)
         r_mag = auxiliary_ratio_trace(mag_states[:, 0], mag_states[:, 2])
         r_damp = auxiliary_ratio_trace(damp_states[:, 0], damp_states[:, 2])
         # skip the initial transient (first 5% of the horizon)
@@ -259,10 +250,10 @@ def _random_system(seed, n):
     return a, b
 
 
-def _assert_matches_dense(flow, gen, drive, t_end):
-    times, states = _sampled(flow, t_end, 5)
+def _assert_matches_dense(spec, flow, gen, drive, t_end):
+    times, states = _sampled(spec, flow, t_end, 5)
     expect = dense_states(gen, drive, np.zeros(gen.shape[0]), times)
-    scale = np.linalg.norm(flow_steady_state(flow))
+    scale = np.linalg.norm(flow_steady_state(spec, flow))
     assert np.linalg.norm(states[0]) <= 1e-13 * scale
     for got, want in zip(states, expect):
         assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), scale)
@@ -279,7 +270,8 @@ class TestAgainstDenseExpm:
         s = np.linalg.svd(a, compute_uv=False)
         assume(s[-1] > 1e-2 * s[0])
         gen, drive = dense_flow("gradient", a, b)
-        _assert_matches_dense(build_gradient_flow(_spec(a, b)), gen, drive, t_end)
+        spec = _spec(a, b)
+        _assert_matches_dense(spec, build_gradient_flow(spec), gen, drive, t_end)
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0),
            st.sampled_from([0.05, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]))
@@ -291,7 +283,8 @@ class TestAgainstDenseExpm:
         assume(s[-1] > 1e-2 * s[0])
         gamma = 2.0 * float(s[-1]) * frac
         gen, drive = dense_flow("damped", a, b, gamma=gamma)
-        _assert_matches_dense(build_damped(_spec(a, b), gamma), gen, drive, t_end)
+        spec = _spec(a, b)
+        _assert_matches_dense(spec, damped_flow(spec, gamma), gen, drive, t_end)
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0),
            st.sampled_from([1.0, 1.0, 1.2]))
@@ -305,8 +298,8 @@ class TestAgainstDenseExpm:
         assume(s[-1] > 1e-2 * s[0])
         params = params_from_sigma(s, safety)
         gen, drive = dense_flow("mag-ode", a, b, params=params)
-        flow = build_spectral(a, b, params).ode
-        _assert_matches_dense(flow, gen, drive, t_end)
+        spec = build_spectral(a, b, params)
+        _assert_matches_dense(spec, spec.ode, gen, drive, t_end)
 
     def test_scalar_mag_ode_block(self):
         # a scaled permutation with bounds (1, 1): alpha = 1, beta = 0, so
@@ -314,7 +307,7 @@ class TestAgainstDenseExpm:
         a = 1j * np.eye(3)[[2, 0, 1]]
         b = np.array([1.0, -2.0j, 0.5])
         params = MagParams(1.0, 1.0)
-        flow = build_spectral(a, b, params).ode
-        assert np.array_equal(flow.blocks, np.broadcast_to(-np.eye(2), (3, 2, 2)))
+        spec = build_spectral(a, b, params)
+        assert np.array_equal(spec.ode.blocks, np.broadcast_to(-np.eye(2), (3, 2, 2)))
         gen, drive = dense_flow("mag-ode", a, b, params=params)
-        _assert_matches_dense(flow, gen, drive, 2.0)
+        _assert_matches_dense(spec, spec.ode, gen, drive, 2.0)

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schromag import baselines, cli, floatrepr, linalg, mag, pde, schrod
+from schromag import cli, floatrepr, linalg, mag, pde, schrod
 from schromag.cli import main
 from schromag.errors import InputError
 from schromag.io import read_vector, write_matrix_coo, write_vector
@@ -364,15 +364,16 @@ class TestFactorizationCounts:
 
     def test_compare_fig1_one_svd(self, tmp_path, monkeypatch):
         # both flows run on the SVD basis of the command's one factorization
-        n = compare_preset("fig1").a.shape[0]
+        n = compare_preset("fig1")[0].shape[0]
         calls = self._count(monkeypatch, ["compare", "--preset", "fig1",
                                           "--out", str(tmp_path)])
         assert calls == Counter({("svd", (n, n)): 1})
 
     def test_compare_fig2_one_svd(self, tmp_path, monkeypatch):
-        # the preset's closed-form SVD feeds the bounds, the oracle, the pair
-        # basis and the damped flow's sigma_min check
-        n = compare_preset("fig2").a.shape[0]
+        # the preset's closed-form SVD, taken once by `cli._factor` as for
+        # solve, feeds the bounds, the oracle, both methods' basis and the
+        # damped flow's sigma_min
+        n = compare_preset("fig2")[0].dim
         calls = self._count(monkeypatch, ["compare", "--preset", "fig2",
                                           "--out", str(tmp_path)])
         assert calls == self._closed_form(n) + Counter({("solve", (n, n)): 1})
@@ -602,7 +603,7 @@ class TestCompare:
         assert rows[0] == "delta,mag_error,damped_error"
         assert len(rows) == 5
         assert [row.split(",")[0] for row in rows[1:]] == list(
-            map(repr, compare_preset("fig2").deltas))
+            map(repr, compare_preset("fig2")[1]))
         for row in rows[1:]:
             assert all(repr(float(c)) == c for c in row.split(","))
             _, e_mag, e_damp = (float(x) for x in row.split(","))
@@ -1396,10 +1397,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("check", [
         lambda: mag.MagParams(1.0, 2.0),
-        lambda: baselines.build_damped(compare_preset("fig1").spec, 5.0),
         lambda: linalg.LinearSystem(np.eye(2), np.ones(3)),
         lambda: linalg.require_square(np.ones((2, 3))),
-    ], ids=["bounds", "gamma", "rhs-length", "square"])
+    ], ids=["bounds", "rhs-length", "square"])
     def test_checks_of_outside_input_raise_input_error(self, check):
         with pytest.raises(InputError):
             check()

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -27,8 +29,8 @@ from schromag.mag import (
 )
 from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
-from reference import (build_transformed, params_from_matrix, relative_trace_from_steady,
-                       steady_state)
+from reference import (build_transformed, damped_flow, params_from_matrix,
+                       relative_trace_from_steady, steady_state)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
 DIAG_B = np.array([1.0, 1.0], dtype=complex)
@@ -265,7 +267,7 @@ def random_flow(kind, sigma, mu_hat, ratio, frac, seed):
                           b_t=rng.normal(size=n) + 1j * rng.normal(size=n),
                           params=MagParams(mu_hat * ratio, mu_hat))
     flow = {"mag-ode": lambda: spec.ode, "gradient": lambda: build_gradient_flow(spec),
-            "damped": lambda: build_damped(spec, 2.0 * float(spec.sigma[-1]) * frac)}[kind]()
+            "damped": lambda: damped_flow(spec, 2.0 * float(spec.sigma[-1]) * frac)}[kind]()
     shape = flow.drive.shape
     return flow, rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -335,6 +337,22 @@ class TestFlowSystem:
         for _ in range(2):
             with pytest.raises(SingularMatrixError, match="cond ~ 1.778e"):
                 spec.ode.steady_pairs()
+
+    def test_ode_is_freed_without_the_collector(self):
+        # a flow keeps no reference to its spectral system, so the system,
+        # its cached `ode` and the dense U and V^H go as soon as the last
+        # reference does: no cycle is left for the cyclic collector
+        spec = build_spectral(*random_system(np.random.default_rng(7), 5))
+        spec.ode.steady_pairs()
+        refs = [weakref.ref(obj) for obj in (spec, spec.ode, spec.u, spec.vh)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del spec
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestIteration:

@@ -11,7 +11,7 @@ SUBMODULES = ["baselines", "blockenc", "complexity", "errors", "linalg", "mag", 
               "presets", "schrod"]
 PUBLIC = sorted([
     *SUBMODULES,
-    "auxiliary_ratio_trace", "build_damped", "build_gradient_flow", "integrate_flow",
+    "auxiliary_ratio_trace", "build_damped", "build_gradient_flow",
     "BlockEncoding", "StatePrepPair", "build_state_prep_pair", "compose_product",
     "compose_sum", "compose_tensor", "dilate", "verify",
     "ComplexityReport", "SystemSummary", "chi", "gates", "method_complexity", "queries",
@@ -24,7 +24,7 @@ PUBLIC = sorted([
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 44
     assert schromag.__all__ == PUBLIC
 
 
