@@ -144,17 +144,17 @@ def condition_check(sigma) -> tuple[float, float]:
     return s_max, cond
 
 
-def direct_solve(sys: LinearSystem, sigma=None) -> np.ndarray:
+def direct_solve(sys: LinearSystem, sigma) -> np.ndarray:
     """Ground-truth solve of A u = b by dense LU, with residual verification.
 
     A with zero imaginary part is solved by one real LU, with the real and
     imaginary parts of b as two right-hand sides.  The condition and
     ||A||_2 checks come from `sigma`, the singular values of A in any
-    order, when the caller already has them (the run's SVD, dense or
-    closed-form, from `svd`); otherwise A is factored here by `full_svd`.
+    order, which the caller already has (the run's SVD, dense or
+    closed-form, from `svd`).
     """
     a = _real_if_real(require_square(sys.a))
-    s_max, cond = condition_check(full_svd(a)[1] if sigma is None else sigma)
+    s_max, cond = condition_check(sigma)
     if np.iscomplexobj(a):
         u = np.linalg.solve(a, sys.b)
         resid = np.linalg.norm(a @ u - sys.b)

@@ -41,9 +41,11 @@ from .linalg import as_cmatrix, as_cvector, block_expm_apply, condition_check, r
 # alike), so the radius check tolerates ~1e-7 there; genuine bound
 # violations move the radius by orders of magnitude more
 SPECTRAL_RADIUS_TOL = 1e-6
-# 9.7 times the largest preset step budget (fig6a, 6946816 entries) and 1 GiB
-# of kept states; a run whose budget needs more is a usage error before it iterates
+# 9.7 times the largest preset step budget (fig6a, 6946816 entries); a run
+# whose budget needs more is a usage error before it iterates
 MAX_ITERATION_ENTRIES = 1 << 26
+# the most consecutive states `mag_iterate` hands its `on_states` at once
+STATE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -238,20 +240,12 @@ def build_spectral(a, b, params: MagParams | None = None, problem=None) -> Spect
 @dataclass
 class IterationTrace:
     steps: int
-    states: list  # w_n per step when recorded, else []
     residuals: list  # ||Delta w_n|| / ||Delta w_0||
     w_final: np.ndarray = field(default=None, repr=False)
 
 
-def mag_iterate(
-    sys,
-    w0,
-    delta: float,
-    max_steps: int,
-    *,
-    w_inf: np.ndarray,
-    keep_states: bool = True,
-) -> IterationTrace:
+def mag_iterate(sys, w0, delta: float, max_steps: int, *, w_inf: np.ndarray,
+                on_states=None) -> IterationTrace:
     """Run w <- sys.step(w), the map w -> H w + F, until the error contracts
     below delta.
 
@@ -259,6 +253,10 @@ def mag_iterate(
     (n, 2), or any system with a `step` on states shaped like w_inf.
     Termination measures ||w_n - w_inf|| / ||w_0 - w_inf|| against the
     steady state w_inf (a unitary change of basis leaves it unchanged).
+    No state is kept: `on_states`, if given, is called with the states
+    w_0, w_1, ... in order, as stacks of 1 to STATE_CHUNK consecutive
+    states that the caller may drop.  A run that ends in ConvergenceError
+    has handed over every full stack, and drops the states after them.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta}")
@@ -267,27 +265,24 @@ def mag_iterate(
         raise ValueError(f"w0 must be finite and shaped like the steady state {np.shape(w_inf)}")
 
     denom = np.linalg.norm(w - w_inf)
-    if denom == 0.0:
-        return IterationTrace(0, [w.copy()] if keep_states else [], [1.0], w_final=w)
-    states = [w.copy()] if keep_states else []
-    residuals = [1.0]
-    for _ in range(max_steps):
+    residuals, chunk = [1.0], [] if on_states is None else [w.copy()]
+    while denom > 0.0 and not residuals[-1] < delta:
+        if len(residuals) > max_steps:
+            raise ConvergenceError(
+                f"no convergence to {delta:g} within {max_steps} steps "
+                f"(final residual {residuals[-1]:.3e})",
+                residual=residuals[-1],
+            )
         w = sys.step(w)
         residuals.append(float(np.linalg.norm(w - w_inf) / denom))
-        if keep_states:
-            states.append(w)
-        if residuals[-1] < delta:
-            return IterationTrace(
-                steps=len(residuals) - 1,
-                states=states,
-                residuals=residuals,
-                w_final=w,
-            )
-    raise ConvergenceError(
-        f"no convergence to {delta:g} within {max_steps} steps "
-        f"(final residual {residuals[-1]:.3e})",
-        residual=residuals[-1],
-    )
+        if on_states is not None:
+            chunk.append(w)
+            if len(chunk) == STATE_CHUNK:
+                on_states(np.array(chunk))
+                chunk = []
+    if chunk:
+        on_states(np.array(chunk))
+    return IterationTrace(steps=len(residuals) - 1, residuals=residuals, w_final=w)
 
 
 def horizon(method: str, spec: SpectralSystem, delta: float, block: int | None = None) -> tuple:
@@ -343,14 +338,24 @@ def solve_spectral(spec: SpectralSystem, delta: float, trace: bool = False,
     a relative trace divides its errors by: inf where one sits near zero,
     so that no such trace is well posed (the failure mode of the damped
     dynamics, whose auxiliary steady state vanishes).  It is known before
-    the first step, so the states are kept only where it is finite, for
-    their `relative_trace`; relative is None elsewhere, and kappa2 inf
-    without `trace`."""
+    the first step, so the states are streamed only where it is finite,
+    each stack into its `relative_trace`, and the joined norms are
+    divided by the first; relative is None elsewhere, and kappa2 inf
+    without `trace`.  For a real A that is the whole stack's trace bit for
+    bit; for a complex A a last stack of one state is mapped by numpy's
+    vector-matrix product, which may differ from the stack's in the last bit."""
     delta_run, max_steps = horizon("mag", spec, delta, block)
     kappa2 = _steady_kappa2(spec.mapped_steady) if trace else math.inf
+    norms, on_states = [], None
+    if kappa2 < math.inf:
+        def on_states(states):
+            norms.append(relative_trace(states, spec.mapped_steady, spec))
     iteration = mag_iterate(spec.ode, np.zeros((spec.n, 2)), delta_run, max_steps,
-                            w_inf=spec.ode.steady_pairs(), keep_states=kappa2 < math.inf)
-    relative = relative_trace(iteration, spec.mapped_steady, spec) if kappa2 < math.inf else None
+                            w_inf=spec.ode.steady_pairs(), on_states=on_states)
+    relative = None
+    if norms:  # over the value at w_0 = 0, sqrt(2n)
+        relative = np.concatenate(norms)
+        relative /= relative[0]
     return iteration, iteration.w_final[:, 0] / (1.0 - spec.params.beta), kappa2, relative
 
 
@@ -387,22 +392,15 @@ def _steady_kappa2(w_inf: np.ndarray) -> float:
     return float(np.max(mags) / np.min(mags))
 
 
-def _relative_residuals(w_inf: np.ndarray, states) -> list:
-    """||(w_n - w_inf) / w_inf|| over its value at n = 0, for each row w_n
-    of `states`: one array expression over the rows."""
-    err = np.subtract(np.reshape(states, (-1, w_inf.size)), w_inf)
-    err /= w_inf
-    hats = np.sqrt(np.einsum("ij,ij->i", err.real, err.real)
+def relative_trace(states, w_state: np.ndarray, system: SpectralSystem) -> np.ndarray:
+    """||(w - w_state) / w_state|| for each state of `states`, a stack of
+    (n, 2) states of `system`, mapped back to [V w1; U w2] first, against
+    its mapped steady state w_state (`SpectralSystem.mapped_steady`),
+    whose kappa_2 the caller has found finite: one stack's part of a
+    componentwise-relative residual trace, before its division by the
+    value at n = 0."""
+    err = system.to_state(states)
+    err -= w_state
+    err /= w_state
+    return np.sqrt(np.einsum("ij,ij->i", err.real, err.real)
                    + np.einsum("ij,ij->i", err.imag, err.imag))
-    denom = hats[0] if hats.size and hats[0] > 0 else 1.0
-    return (hats / denom).tolist()
-
-
-def relative_trace(trace: IterationTrace, w_state: np.ndarray, system: SpectralSystem) -> list:
-    """The componentwise-relative residual trace (`_relative_residuals`) of
-    a run of `system` recorded with its states, those mapped back to
-    [V w1; U w2] first, against its mapped steady state w_state
-    (`SpectralSystem.mapped_steady`), whose kappa_2 the caller has found finite."""
-    if not trace.states:
-        raise ValueError("trace was recorded without states; rerun with keep_states=True")
-    return _relative_residuals(w_state, system.to_state(np.array(trace.states)))

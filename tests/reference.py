@@ -32,7 +32,7 @@ from schromag.blockenc import StatePrepPair
 from schromag.errors import EncodingError, InputError
 from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve, full_svd,
                              require_square)
-from schromag.mag import MagParams, SpectralSystem, _relative_residuals, _steady_kappa2
+from schromag.mag import MagParams, SpectralSystem, _steady_kappa2
 from schromag.pde import ZERO, PdeProblem
 from schromag.schrod import (_CHUNK_ENTRIES, DEFAULT_TAIL_TOL, RIGHT_MARGIN, PairSystem,
                              PGrid, _apply_pair_modes, build_grid_from_rate, envelope,
@@ -122,20 +122,33 @@ def steady_state(sys: TransformedSystem) -> np.ndarray:
     block equals sqrt(alpha*beta) b.
     """
     m = np.eye(2 * sys.n) - sys.h
-    return direct_solve(LinearSystem(m, sys.f))
+    return direct_solve(LinearSystem(m, sys.f), full_svd(m)[1])
+
+
+def relative_residuals(w_inf: np.ndarray, states) -> list:
+    """||(w_n - w_inf) / w_inf|| over its value at n = 0, for each row w_n
+    of `states`: one array expression over the whole stack, the reference
+    of `mag.solve_spectral`'s relative trace, which reduces the states a
+    chunk at a time."""
+    err = np.subtract(np.reshape(states, (-1, w_inf.size)), w_inf)
+    err /= w_inf
+    hats = np.sqrt(np.einsum("ij,ij->i", err.real, err.real)
+                   + np.einsum("ij,ij->i", err.imag, err.imag))
+    denom = hats[0] if hats.size and hats[0] > 0 else 1.0
+    return (hats / denom).tolist()
 
 
 def relative_trace_from_steady(w_inf: np.ndarray, states) -> tuple[list | None, float]:
     """Componentwise-normalized residual trace of dense states and
     kappa_2(w_inf), the reference of `mag.solve_spectral`'s kappa_2 and
-    `mag.relative_trace`: no values and an infinite kappa_2 where a
-    component of w_inf sits near zero.  `states` is a sequence of states or
-    their (steps, 2n) stack."""
+    relative trace: no values and an infinite kappa_2 where a component of
+    w_inf sits near zero.  `states` is a sequence of states or their
+    (steps, 2n) stack."""
     w_inf = as_cvector(w_inf)
     kappa2 = _steady_kappa2(w_inf)
     if kappa2 == math.inf:
         return None, kappa2
-    return _relative_residuals(w_inf, states), kappa2
+    return relative_residuals(w_inf, states), kappa2
 
 
 def to_ode(sys: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:

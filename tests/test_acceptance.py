@@ -12,7 +12,7 @@ import pytest
 
 from schromag import baselines, blockenc, complexity
 from schromag.cli import COMPARE_SAMPLES
-from schromag.linalg import LinearSystem, direct_solve
+from schromag.linalg import LinearSystem, direct_solve, full_svd
 from schromag.mag import MagParams, build_spectral, horizon, mag_iterate
 from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
 from schromag.schrod import pipeline
@@ -86,8 +86,7 @@ def test_criterion_3_convergence_step_scaling():
         b = np.ones(6, dtype=complex)
         params = MagParams(kappa**2, 1.0)
         sys = build_transformed(a, b, params)
-        trace = mag_iterate(sys, np.zeros(12), delta, 400_000,
-                            w_inf=steady_state(sys), keep_states=False)
+        trace = mag_iterate(sys, np.zeros(12), delta, 400_000, w_inf=steady_state(sys))
         ratios.append(trace.steps / (kappa * math.log(1.0 / delta)))
     elapsed = time.perf_counter() - t0
     in_band = all(0.25 <= r <= 4.0 for r in ratios)
@@ -134,8 +133,7 @@ def test_criterion_4_gradient_vs_mag_separation():
         b = rng.normal(size=4) + 0j
         params = MagParams(1.0, 1e-4)
         sys = build_transformed(a, b, params)
-        trace = mag_iterate(sys, np.zeros(8), delta, 100_000,
-                            w_inf=steady_state(sys), keep_states=False)
+        trace = mag_iterate(sys, np.zeros(8), delta, 100_000, w_inf=steady_state(sys))
         spec = build_spectral(a, b, params)
         flow = baselines.build_gradient_flow(spec)
         theory = horizon("gradient", spec, delta)[1]
@@ -195,7 +193,7 @@ def test_criterion_6_fig2_reproduction():
     t0 = time.perf_counter()
     problem, deltas = compare_preset("fig2")
     a, b = problem.system.a, problem.system.b
-    oracle = direct_solve(LinearSystem(a, b))
+    oracle = direct_solve(LinearSystem(a, b), full_svd(a)[1])
     # bounds from A's own spectrum, in the closed-form basis
     spec = build_spectral(a, b, problem=problem)
     params = spec.params
@@ -204,7 +202,7 @@ def test_criterion_6_fig2_reproduction():
         tsys = build_transformed(a, b, params)
         trace = mag_iterate(
             tsys, np.zeros(2 * tsys.n), *horizon("mag", spec, delta),
-            w_inf=steady_state(tsys), keep_states=False,
+            w_inf=steady_state(tsys),
         )
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
         t_end = horizon("damped", spec, delta)[1]
@@ -270,7 +268,7 @@ def test_criterion_8_figure_presets():
     for name in PDE_PRESET_NAMES:
         problem, solver = pde_preset(name)
         system = problem.system
-        oracle = direct_solve(system)
+        oracle = direct_solve(system, full_svd(system.a)[1])
         scale = float(np.max(np.abs(oracle)))
         tol = max(solver.delta, 1e-2)
         params = params_from_matrix(system.a)
@@ -279,7 +277,7 @@ def test_criterion_8_figure_presets():
         spec = build_spectral(system.a, system.b, params)
         trace = mag_iterate(
             tsys, np.zeros(2 * tsys.n), *horizon("mag", spec, solver.delta),
-            w_inf=steady_state(tsys), keep_states=False,
+            w_inf=steady_state(tsys),
         )
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
         e_mag = float(np.max(np.abs(u_mag - oracle)) / scale)

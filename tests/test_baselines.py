@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from schromag.baselines import auxiliary_ratio_trace, build_damped, build_gradient_flow
 from schromag.cli import COMPARE_SAMPLES
-from schromag.linalg import LinearSystem, direct_solve
+from schromag.linalg import LinearSystem, direct_solve, full_svd
 from schromag.mag import MagParams, build_spectral, horizon
 from schromag.presets import compare_preset
 
@@ -72,7 +72,7 @@ class TestGradientFlow:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 4 * np.eye(4)
         b = rng.normal(size=4) + 0j
         spec = _spec(a, b)
-        oracle = direct_solve(LinearSystem(a, b))
+        oracle = direct_solve(LinearSystem(a, b), full_svd(a)[1])
         assert np.allclose(flow_steady_state(spec, build_gradient_flow(spec)), oracle, atol=1e-9)
 
     def test_error_bound_pointwise(self):
@@ -90,7 +90,7 @@ class TestDamped:
     def test_steady_state_block_elimination(self):
         spec = _spec(DIAG_A, DIAG_B)
         w_inf = flow_steady_state(spec, build_damped(spec))
-        oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
+        oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B), full_svd(DIAG_A)[1])
         assert np.allclose(w_inf[:2], oracle, atol=1e-10)
         assert np.max(np.abs(w_inf[2:])) <= 1e-10  # auxiliary block exactly zero
 
@@ -154,7 +154,7 @@ class TestIntegrateFlow:
     def test_damped_limit(self):
         spec = _spec(DIAG_A, DIAG_B)
         w_end = _sampled(spec, build_damped(spec), 400.0, 40)[1][-1]
-        oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B))
+        oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B), full_svd(DIAG_A)[1])
         assert np.allclose(w_end[:2], oracle, atol=1e-8)
         assert np.max(np.abs(w_end[2:])) < 1e-8
 
@@ -212,7 +212,7 @@ class TestAuxiliaryRatio:
         spec = build_spectral(DIAG_A, DIAG_B, params)
         _, states = _sampled(spec, spec.ode, 400.0, 200)
         ratio = auxiliary_ratio_trace(states[:, 0], states[:, 2])
-        u_inf = direct_solve(LinearSystem(DIAG_A, DIAG_B))
+        u_inf = direct_solve(LinearSystem(DIAG_A, DIAG_B), full_svd(DIAG_A)[1])
         expect = (
             math.sqrt(params.alpha * params.beta)
             * DIAG_B[0]

@@ -78,25 +78,49 @@ class TestSolve:
         assert lines[0] == "step,residual,relative_residual"
         assert not lines[1].endswith(",")  # finite kappa2: column filled
 
-    @pytest.mark.parametrize("preset, kept", [("fig3a", True), ("fig6a", False)])
-    def test_states_kept_only_for_a_relative_trace(self, tmp_path, monkeypatch, preset, kept):
+    @pytest.mark.parametrize("preset, streamed", [("fig3a", True), ("fig6a", False)])
+    def test_states_streamed_only_for_a_relative_trace(self, tmp_path, monkeypatch, preset,
+                                                       streamed):
         # fig6a's mapped steady state has a near-zero component, known before
-        # the first step: its run keeps no states and writes no relative column
-        kept_states = []
+        # the first step: its run hands over no states and writes no relative column
+        consumers = []
         iterate = mag.mag_iterate
 
-        def spy(*args, keep_states, **kwargs):
-            kept_states.append(keep_states)
-            return iterate(*args, keep_states=keep_states, **kwargs)
+        def spy(*args, on_states, **kwargs):
+            consumers.append(on_states is not None)
+            return iterate(*args, on_states=on_states, **kwargs)
 
         monkeypatch.setattr(mag, "mag_iterate", spy)
         assert main(["solve", "--preset", preset, "--out", str(tmp_path)]) == 0
-        assert kept_states == [kept]
+        assert consumers == [streamed]
         payload = json.loads((tmp_path / "solve.json").read_text())
-        assert (payload["kappa2_w_inf"] is not None) is kept
+        assert (payload["kappa2_w_inf"] is not None) is streamed
         rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
         assert len(rows) == payload["steps"] + 1
-        assert {row.endswith(",") for row in rows} == {not kept}
+        assert {row.endswith(",") for row in rows} == {not streamed}
+
+    def test_long_trace_holds_one_chunk_of_states(self, tmp_path):
+        # kappa_hat 7000 and a finite kappa_2: a relative trace over more than
+        # 50,000 steps.  Its peak is the per-step residuals (a float in a
+        # list, and three float64 entries in arrays) plus a few copies of one
+        # chunk of states, not the 256 bytes of every state and of its map
+        n = 8
+        write_matrix_coo(tmp_path / "a.coo", np.diag(np.geomspace(70.0, 0.01, n)))
+        write_vector(tmp_path / "b.vec", np.ones(n))
+        tracemalloc.start()
+        try:
+            rc = main(["solve", "--matrix", str(tmp_path / "a.coo"),
+                       "--rhs", str(tmp_path / "b.vec"), "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        payload = json.loads((tmp_path / "solve.json").read_text())
+        steps, state_bytes = payload["steps"], 2 * n * 16
+        assert steps > 50_000 and math.isfinite(payload["kappa2_w_inf"])
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == steps + 1 and not any(row.endswith(",") for row in rows)
+        assert peak <= steps * (32 + 3 * 8) + 8 * mag.STATE_CHUNK * state_bytes
 
     @pytest.mark.parametrize("method, own", [
         ("mag", {"steps", "kappa2_w_inf"}), ("gradient", {"t_end"}),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schromag import mag
 from schromag.baselines import build_damped, build_gradient_flow
 from schromag.cli import _unit_rhs
 from schromag.errors import ConvergenceError, InputError, SingularMatrixError, SpectrumBoundsError
@@ -17,19 +18,18 @@ from schromag.linalg import LinearSystem, direct_solve, full_svd
 from schromag.mag import (
     MAX_ITERATION_ENTRIES,
     SPECTRAL_RADIUS_TOL,
+    STATE_CHUNK,
     MagParams,
     SpectralSystem,
-    _steady_kappa2,
     build_spectral,
     horizon,
     mag_iterate,
-    relative_trace,
     solve_spectral,
     spectral_radius_check,
 )
 from schromag.presets import PDE_PRESET_NAMES, pde_preset
 
-from reference import (build_transformed, damped_flow, params_from_matrix,
+from reference import (build_transformed, damped_flow, params_from_matrix, relative_residuals,
                        relative_trace_from_steady, steady_state)
 
 DIAG_A = np.diag([10.0, 0.1]).astype(complex)
@@ -50,6 +50,13 @@ def random_system(rng, n, sig_lo=0.2, sig_hi=5.0):
     a = unitary_sandwich(rng, sig)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     return a, b, MagParams(sig_hi**2, sig_lo**2)
+
+
+def iterate_kept(sys, w0, delta, max_steps, w_inf):
+    """`mag_iterate` and every state it hands over, as one stack, w_0 first."""
+    stacks = []
+    trace = mag_iterate(sys, w0, delta, max_steps, w_inf=w_inf, on_states=stacks.append)
+    return trace, np.concatenate(stacks)
 
 
 class TestDeriveParams:
@@ -153,7 +160,7 @@ class TestSteadyState:
         a, b, p = random_system(rng, 5)
         sys = build_transformed(a, b, p)
         w = steady_state(sys)
-        u = direct_solve(LinearSystem(a, b))
+        u = direct_solve(LinearSystem(a, b), full_svd(a)[1])
         assert np.linalg.norm(w[:5] / (1 - p.beta) - u) <= 1e-9 * np.linalg.norm(u)
 
 
@@ -483,8 +490,8 @@ class TestRelativeTrace:
         sys = build_transformed(np.eye(2), [1.0, 1.0], p)
         w_inf = steady_state(sys)
         assert np.allclose(w_inf, w_inf[0])
-        trace = mag_iterate(sys, np.zeros(4), 1e-8, 5000, w_inf=w_inf)
-        values, kappa2 = relative_trace_from_steady(w_inf, trace.states)
+        trace, states = iterate_kept(sys, np.zeros(4), 1e-8, 5000, w_inf)
+        values, kappa2 = relative_trace_from_steady(w_inf, states)
         assert kappa2 == pytest.approx(1.0, rel=1e-9)
         assert values == pytest.approx(trace.residuals, rel=1e-6)
 
@@ -492,8 +499,8 @@ class TestRelativeTrace:
         p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         w = steady_state(sys)
-        trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000, w_inf=w)
-        values, kappa2 = relative_trace_from_steady(w, trace.states)
+        _, states = iterate_kept(sys, np.zeros(4), 1e-6, 10_000, w)
+        values, kappa2 = relative_trace_from_steady(w, states)
         assert values is not None
         assert math.isfinite(kappa2)
         assert kappa2 == pytest.approx(np.max(np.abs(w)) / np.min(np.abs(w)))
@@ -524,16 +531,89 @@ class TestRelativeTrace:
 
     def test_maps_the_steady_state_alone_where_no_trace_exists(self, monkeypatch):
         # fig6a's mapped steady state has a near-zero component, decided
-        # before the first step: its run keeps and maps no state
+        # before the first step: its run streams and maps no state
         n, mapped, iteration, kappa2, relative = self._mapped_shapes(monkeypatch, "fig6a")
-        assert (kappa2, relative, iteration.states) == (math.inf, None, [])
+        assert (kappa2, relative) == (math.inf, None)
         assert mapped == [(n, 2)]
 
     def test_maps_the_steady_state_once_for_a_trace(self, monkeypatch):
-        # the step budget and kappa_2 share one mapped steady state
+        # the step budget and kappa_2 share one mapped steady state; the
+        # states are mapped a stack of at most STATE_CHUNK at a time
         n, mapped, iteration, kappa2, relative = self._mapped_shapes(monkeypatch, "fig3a")
-        assert math.isfinite(kappa2) and len(relative) == iteration.steps + 1
-        assert mapped == [(n, 2), (iteration.steps + 1, n, 2)]
+        states = iteration.steps + 1
+        assert math.isfinite(kappa2) and len(relative) == states
+        sizes = [min(STATE_CHUNK, states - lo) for lo in range(0, states, STATE_CHUNK)]
+        assert mapped == [(n, 2)] + [(size, n, 2) for size in sizes]
+
+
+class TestStreamedStates:
+    """The stacks of states `mag_iterate` hands over, at a chunk of 4, and
+    the relative trace `solve_spectral` joins from them."""
+
+    CHUNK = 4
+
+    @pytest.fixture()
+    def spec(self, monkeypatch):
+        # a real A, as in every run the acceptance suite traces, and a
+        # complex b: for a complex A a last stack of one state takes numpy's
+        # vector-matrix product, which may round that state's map-back, and
+        # so its trace entry, differently in the last bit
+        monkeypatch.setattr(mag, "STATE_CHUNK", self.CHUNK)
+        rng = np.random.default_rng(4)
+        q1, q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+        a = q1 @ np.diag([3.0, 2.0, 1.0]) @ q2.T
+        return build_spectral(a, rng.normal(size=3) + 1j * rng.normal(size=3))
+
+    @staticmethod
+    def _states(spec):
+        """The first states of a long run of `spec.ode` from w = 0, and its residuals."""
+        w_inf = spec.ode.steady_pairs()
+        trace, states = iterate_kept(spec.ode, np.zeros_like(w_inf), 1e-12, 10_000, w_inf)
+        return states, trace.residuals
+
+    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+    def test_relative_trace_is_the_whole_stack_oracle(self, spec, monkeypatch, count):
+        states, residuals = self._states(spec)
+        # the residual at count - 1 steps is below every earlier one, so this
+        # delta stops the run there, at count states
+        assert residuals[count - 1] < min(residuals[1:count - 1], default=math.inf)
+        delta = float(np.nextafter(residuals[count - 1], np.inf))
+        monkeypatch.setattr(mag, "horizon", lambda *args: (delta, 10_000))
+        sizes, reduce = [], mag.relative_trace
+
+        def spy(stack, *args):
+            sizes.append(len(stack))
+            return reduce(stack, *args)
+
+        monkeypatch.setattr(mag, "relative_trace", spy)
+        iteration, _, kappa2, relative = solve_spectral(spec, 0.5, trace=True)
+        assert iteration.steps + 1 == count and math.isfinite(kappa2)
+        assert sizes == [min(self.CHUNK, count - lo) for lo in range(0, count, self.CHUNK)]
+        oracle = relative_residuals(spec.mapped_steady, spec.to_state(states[:count]))
+        assert relative.tolist() == oracle
+
+    @pytest.mark.parametrize("max_steps", [2 * CHUNK - 2, 2 * CHUNK - 1, 2 * CHUNK])
+    def test_convergence_error_drops_the_partial_stack(self, spec, monkeypatch, max_steps):
+        # max_steps + 1 states (2c - 1, 2c, 2c + 1): every full stack is
+        # handed over before the error, the states after them are not
+        states, _ = self._states(spec)
+        w_inf, stacks = spec.ode.steady_pairs(), []
+        with pytest.raises(ConvergenceError):
+            mag_iterate(spec.ode, np.zeros_like(w_inf), 1e-12, max_steps, w_inf=w_inf,
+                        on_states=stacks.append)
+        full = (max_steps + 1) // self.CHUNK
+        assert [len(stack) for stack in stacks] == [self.CHUNK] * full
+        assert np.array_equal(np.concatenate(stacks), states[: full * self.CHUNK])
+        # a traced run raises it on, and returns no trace
+        monkeypatch.setattr(mag, "horizon", lambda *args: (1e-12, max_steps))
+        with pytest.raises(ConvergenceError):
+            solve_spectral(spec, 0.5, trace=True)
+
+    def test_converged_start_hands_over_w0(self, spec):
+        w_inf, stacks = spec.ode.steady_pairs(), []
+        trace = mag_iterate(spec.ode, w_inf, 0.5, 10, w_inf=w_inf, on_states=stacks.append)
+        assert trace.steps == 0 and len(stacks) == 1
+        assert np.array_equal(stacks[0], w_inf[None])
 
 
 class TestAgainstOracle:
@@ -545,7 +625,7 @@ class TestAgainstOracle:
         sys = build_transformed(a, b, p)
         trace = mag_iterate(sys, np.zeros(2 * n), 1e-10, 50_000, w_inf=steady_state(sys))
         u = trace.w_final[:n] / (1.0 - p.beta)
-        oracle = direct_solve(LinearSystem(a, b))
+        oracle = direct_solve(LinearSystem(a, b), full_svd(a)[1])
         assert np.linalg.norm(u - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     def test_params_from_matrix_brackets(self):
@@ -561,33 +641,25 @@ class TestPairBasis:
     """The pair-basis iteration against the dense 2n x 2n reference."""
 
     @staticmethod
-    def _both(a, b, p, delta, keep_states):
+    def _both(a, b, p, delta, traced):
         # the CLI's termination rule, run on the dense map and on the pairs
+        # (`solve_spectral`, with its relative trace where `traced`)
         dense = build_transformed(a, b, p)
         spec = build_spectral(a, b, p)
-        out = []
-        for sys, w_inf in ((dense, steady_state(dense)), (spec.ode, spec.ode.steady_pairs())):
-            state = w_inf if sys is dense else spec.to_state(w_inf)
-            trace = mag_iterate(sys, np.zeros_like(w_inf), *horizon("mag", spec, delta),
-                                w_inf=w_inf, keep_states=keep_states)
-            rel = None
-            if keep_states and sys is dense:
-                rel = relative_trace_from_steady(w_inf, trace.states)
-            elif keep_states:
-                kappa2 = _steady_kappa2(state)
-                rel = (relative_trace(trace, state, spec) if kappa2 < math.inf else None, kappa2)
-            if sys is dense:
-                out.append((trace, trace.w_final[: dense.n] / (1.0 - p.beta), rel))
-            else:
-                out.append((trace, spec.solution(trace.w_final[:, 0] / (1.0 - p.beta)), rel))
-        return out
+        w_inf, stacks = steady_state(dense), []
+        trace = mag_iterate(dense, np.zeros_like(w_inf), *horizon("mag", spec, delta),
+                            w_inf=w_inf, on_states=stacks.append if traced else None)
+        rel_d = relative_trace_from_steady(w_inf, np.concatenate(stacks)) if traced else None
+        iteration, x, kappa2, relative = solve_spectral(spec, delta, traced)
+        return ((trace, trace.w_final[: dense.n] / (1.0 - p.beta), rel_d),
+                (iteration, spec.solution(x), (relative, kappa2)))
 
-    def _check(self, a, b, p, delta, keep_states, u_rtol=1e-12):
-        (t_d, u_d, rel_d), (t_p, u_p, rel_p) = self._both(a, b, p, delta, keep_states)
+    def _check(self, a, b, p, delta, traced, u_rtol=1e-12):
+        (t_d, u_d, rel_d), (t_p, u_p, rel_p) = self._both(a, b, p, delta, traced)
         assert t_p.steps == t_d.steps
         assert np.max(np.abs(u_p - u_d)) <= u_rtol * np.max(np.abs(u_d))
         assert np.allclose(t_p.residuals, t_d.residuals, rtol=0.0, atol=1e-9)
-        if keep_states:
+        if traced:
             (v_d, k_d), (v_p, k_p) = rel_d, rel_p
             assert k_p == pytest.approx(k_d, rel=1e-10)
             assert (v_p is None) == (v_d is None)
@@ -597,10 +669,10 @@ class TestPairBasis:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(1e-10, 1e-2),
            st.floats(0.01, 1.0), st.floats(1.5, 100.0), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_random_complex_systems(self, seed, n, delta, sig_lo, ratio, keep_states):
+    def test_random_complex_systems(self, seed, n, delta, sig_lo, ratio, traced):
         rng = np.random.default_rng(seed)
         a, b, p = random_system(rng, n, sig_lo, sig_lo * ratio)
-        self._check(a, b, p, delta, keep_states)
+        self._check(a, b, p, delta, traced)
 
     @pytest.mark.parametrize("name", PDE_PRESET_NAMES)
     def test_presets(self, name):
@@ -610,7 +682,7 @@ class TestPairBasis:
         # the Robin runs fig3e/fig3f (5734/3936 steps) differ by 1.05e-12 /
         # 1.27e-12, the size of the dense path's own rounding there: against
         # the same iteration in long double it is off by 8.5e-13 / 8.3e-13
-        self._check(a, b, p, solver.delta, keep_states=name in ("fig3a", "fig3c", "fig4a"),
+        self._check(a, b, p, solver.delta, traced=name in ("fig3a", "fig3c", "fig4a"),
                     u_rtol=2e-12)
 
     def test_steady_state_and_states_map_back(self):

@@ -72,7 +72,7 @@ class TestHelmholtz1d:
     def test_sine_mode_oracle_agreement(self):
         for n, k in ((16, 2.0), (32, 2.0), (32, 4.0)):
             sys = make_problem("helmholtz1d", n, k, "sine23", (ZERO,)).system
-            got = direct_solve(sys)
+            got = direct_solve(sys, full_svd(sys.a)[1])
             expect = sine_mode_oracle(n, k, {2: 2.0, 3: 3.0})
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
 
@@ -83,7 +83,7 @@ class TestHelmholtz1d:
 
         def continuum_error(n):
             sys = make_problem("helmholtz1d", n, k, "sine23", (ZERO,)).system
-            u = direct_solve(sys)
+            u = direct_solve(sys, full_svd(sys.a)[1])
             xs = np.arange(1, n + 1) / (n + 1)
             exact = 2 * np.sin(2 * np.pi * xs) / (k**2 - 4 * np.pi**2) + 3 * np.sin(
                 3 * np.pi * xs
@@ -108,7 +108,7 @@ class TestHelmholtz2d:
     def test_zero_forcing_zero_solution(self, monkeypatch):
         monkeypatch.setitem(pde.FORCINGS, "zero2d", lambda x, y: 0.0 * x)
         sys = make_problem("helmholtz2d", 4, 1.0, "zero2d", (ZERO,)).system
-        assert np.allclose(direct_solve(sys), 0.0)
+        assert np.allclose(direct_solve(sys, full_svd(sys.a)[1]), 0.0)
 
     def test_brute_force_assembly(self):
         n = 3
@@ -150,7 +150,7 @@ class TestBiharmonic1d:
     def test_zero_forcing(self, monkeypatch):
         monkeypatch.setitem(pde.FORCINGS, "zero1d", lambda x: 0.0 * x)
         sys = make_problem("biharmonic1d", 4, 0.0, "zero1d", (ZERO,)).system
-        assert np.allclose(direct_solve(sys), 0.0)
+        assert np.allclose(direct_solve(sys, full_svd(sys.a)[1]), 0.0)
 
     def test_block_layout(self):
         n = 4
@@ -162,7 +162,7 @@ class TestBiharmonic1d:
 
     def test_two_stage_elimination_oracle(self):
         problem = make_problem("biharmonic1d", 16, 0.0, "sine23", (ZERO,))
-        got = direct_solve(problem.system)
+        got = direct_solve(problem.system, full_svd(problem.system.a)[1])
         expect = two_stage_oracle(problem)
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
@@ -180,7 +180,7 @@ class TestBiharmonic1d:
         n = 8
         h = 1.0 / (n + 1)
         mixed = make_problem("biharmonic1d", n, 0.0, "cos2", (MIXED, 2.0)).system
-        w = direct_solve(mixed)
+        w = direct_solve(mixed, full_svd(mixed.a)[1])
         lap = laplacian_1d(n)
         xs = h * np.arange(1, n + 1)
         f = 2 * np.cos(2 * np.pi * xs)
@@ -195,7 +195,7 @@ class TestBiharmonic2d:
     def test_zero_forcing(self, monkeypatch):
         monkeypatch.setitem(pde.FORCINGS, "zero2d", lambda x, y: 0.0 * x)
         sys = make_problem("biharmonic2d", 3, 0.0, "zero2d", (ZERO,)).system
-        assert np.allclose(direct_solve(sys), 0.0)
+        assert np.allclose(direct_solve(sys, full_svd(sys.a)[1]), 0.0)
 
     def test_diagonal_blocks_match_helmholtz(self):
         n = 4
@@ -207,7 +207,7 @@ class TestBiharmonic2d:
 
     def test_two_stage_elimination_oracle(self):
         problem = make_problem("biharmonic2d", 8, 0.0, "sine23_diag", (ZERO,))
-        got = direct_solve(problem.system)
+        got = direct_solve(problem.system, full_svd(problem.system.a)[1])
         expect = two_stage_oracle(problem)
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
@@ -243,7 +243,7 @@ class TestPresets:
     def test_all_presets_assemble_and_solve(self):
         for name in PDE_PRESET_NAMES:
             problem, solver = pde_preset(name)
-            u = direct_solve(problem.system)
+            u = direct_solve(problem.system, full_svd(problem.system.a)[1])
             assert np.all(np.isfinite(u.real))
             assert 0.0 < solver.delta < 1.0
             # the grid a schro run derives, the n_p of its report
