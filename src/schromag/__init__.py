@@ -1,15 +1,15 @@
 """Momentum-accelerated gradient linear solver and its Hamiltonian form.
 
-Submodules: linalg (dense complex substrate), mag (the solver and its
-ODE), baselines (gradient flow / damped dynamics, per singular value),
+Submodules: linalg (dense complex substrate), mag (the solver, its ODE
+and the gradient and damped flows), baselines (compare's auxiliary ratio),
 schrod (warped-phase Hamiltonian realization, per singular value),
 blockenc (block-encoding algebra), pde (`make_problem` assembles every
 test problem), complexity (cost estimators), presets (figure catalogue),
 cli.  Every link of the chain runs on the one SVD of a run:
 `mag.build_spectral` factors A into the `mag.SpectralSystem` whose bounds
-and momentum ODE (`ode`, one block per singular value) every method
-reads.  The dense 2n x 2n realization the tests check it against is
-`tests/reference.py`, outside the package.
+and three flows (`ode`, `damped` and `gradient`, one block per singular
+value) the methods run.  The dense 2n x 2n realization the tests check it
+against is `tests/reference.py`, outside the package.
 
 The public names are resolved on first use (PEP 562): `import schromag`
 loads no submodule, and `schromag.pipeline` imports `schrod` the first
@@ -19,7 +19,7 @@ runs; `from schromag import *` still binds every name of `__all__`.
 
 # each submodule and the names it exports from the package
 _SUBMODULE_EXPORTS = {
-    "baselines": ("auxiliary_ratio_trace", "build_damped", "build_gradient_flow"),
+    "baselines": ("auxiliary_ratio_trace",),
     "blockenc": ("BlockEncoding", "StatePrepPair", "build_state_prep_pair", "compose_product",
                  "compose_sum", "compose_tensor", "dilate", "verify"),
     "complexity": ("ComplexityReport", "SystemSummary", "chi", "gates", "method_complexity",

@@ -147,16 +147,22 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
                 trace: bool = False, snapshot_rows: int = 0, block: int | None = None) -> tuple:
     """(x, the method's own report fields, its trace or snapshot) for one
     method on the run's `spec`, once its bounds pass the radius guard; u = V x.
-    schro's fields are its `schrod.PipelineReport`, flat.
-    Each method runs for its `mag.horizon` to delta on the first `block`
+    A method is one flow of `spec` run by one realization for the length
+    `mag.horizon` sets, here and nowhere else, to delta on the first `block`
     entries of u, the part the run writes, if given (mag and the gradient
-    flow rescale delta to that block), and schro runs on n_p points (None:
-    the derived grid) and refuses the delta and kappa_hat mag refuses.
-    mag with `trace` gives (residuals, relative residuals or None) and
-    kappa2_w_inf, schro gives `schrod.pipeline`'s snapshot, the rest None."""
+    flow rescale delta to that block).  mag steps `spec.ode`; schro evolves
+    it on n_p points (None: the derived grid), refusing the delta and
+    kappa_hat mag refuses, and its fields are its `schrod.PipelineReport`,
+    flat; gradient and damped take `spec.gradient` and `spec.damped` in
+    closed form.  mag with `trace` gives (residuals, relative residuals or
+    None) and kappa2_w_inf, schro gives `schrod.pipeline`'s snapshot, the
+    rest None."""
     mag.spectral_radius_check(spec)
+    if method == "schro":  # the delta and kappa_hat mag refuses are refused here too
+        mag.horizon("mag", spec, delta, block)
+    delta_run, length = mag.horizon(method, spec, delta, block)
     if method == "mag":
-        iteration, x, kappa2, relative = mag.solve_spectral(spec, delta, trace, block)
+        iteration, x, kappa2, relative = mag.solve_spectral(spec, delta_run, length, trace)
         if not trace:
             return x, {"steps": iteration.steps}, None
         return (x, {"steps": iteration.steps, "kappa2_w_inf": kappa2},
@@ -164,19 +170,16 @@ def _run_method(method: str, spec: mag.SpectralSystem, delta: float, *, n_p: int
     if method == "schro":
         from . import schrod
 
-        x, report, snapshot = schrod.pipeline(spec, delta, n_p, snapshot_rows=snapshot_rows,
-                                              block=block)
+        x, report, snapshot = schrod.pipeline(spec, length, n_p, snapshot_rows=snapshot_rows)
         return x, asdict(report), snapshot
     # the flows: the parser refuses any other method
-    from . import baselines
-
     if method == "damped":
-        flow = baselines.build_damped(spec)
+        flow = spec.damped
         fields = {"gamma": -float(flow.blocks[0, 1, 1])}  # the damping it took
     else:
-        flow, fields = baselines.build_gradient_flow(spec), {}
-    fields["t_end"] = t_end = mag.horizon(method, spec, delta, block)[1]
-    return flow.at(t_end)[:, 0], fields, None
+        flow, fields = spec.gradient, {}
+    fields["t_end"] = length
+    return flow.at(length)[:, 0], fields, None
 
 
 def _relative_error(u: np.ndarray, ref: np.ndarray) -> float:
@@ -246,7 +249,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     n, times = spec.n, np.linspace(0.0, t_end, COMPARE_SAMPLES)
     ratios = {}
-    for tag, flow in (("mag", ode), ("damped", baselines.build_damped(spec))):
+    for tag, flow in (("mag", ode), ("damped", spec.damped)):
         states = spec.to_state(flow.at(times))
         ratios[tag] = ratio = baselines.auxiliary_ratio_trace(states[:, 0], states[:, n])
         solved, aux = (_ldexp(states[:, j].copy(), k) for j in (0, n))
@@ -334,10 +337,8 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
     rng = np.random.default_rng(0)
     results = []
-    all_ok = True
 
     def record(name, be):
-        nonlocal all_ok
         try:
             measured = blockenc.verify(be)
             ok = True
@@ -354,7 +355,6 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
                 "pass": ok,
             }
         )
-        all_ok &= ok
 
     record(
         "u_zero_one",
@@ -380,7 +380,7 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
 
     io.write_json(os.path.join(cfg.out, "blockenc.json"), results)
     print(f"blockenc-verify: {sum(r['pass'] for r in results)}/{len(results)} pass")
-    return 0 if all_ok else 1
+    return 0 if all(r["pass"] for r in results) else 1
 
 
 def cmd_complexity(cfg: RunConfig) -> int:
@@ -398,7 +398,8 @@ def cmd_complexity(cfg: RunConfig) -> int:
         a_max_norm=float(np.max(np.abs(a))),
         ata_max_norm=float(np.max(np.abs(a.conj().T @ a))),
         delta=delta,
-        n_p=schrod.plan(spec, delta, cfg.n_p)[0].n_p,  # a schro run's grid, or its refusal
+        # a schro run's grid, or its refusal
+        n_p=schrod.plan(spec, mag.horizon("schro", spec, delta)[1], cfg.n_p)[0].n_p,
         n=a.shape[0],
     )
     rows = complexity.comparison_rows(summary)

@@ -23,6 +23,12 @@ block [[-alpha s^2, -c s], [c s, beta - 1]] and drive per s, every
 realization reads: the iteration steps it on (n, 2) states, and its closed
 forms per block give the steady state and the spectra of the radius guard
 and the I - H check.  No 2n x 2n matrix is built (`tests/reference.py`).
+
+The same system holds the flows the paper compares against, `gradient`
+and `damped`.  A method is one flow run by one realization for the
+length `horizon` sets: mag steps `ode` (`solve_spectral`), schro evolves
+it as a Hamiltonian (`schrod.pipeline`), gradient and damped take their
+flow's closed form `FlowSystem.at`.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ SPECTRAL_RADIUS_TOL = 1e-6
 MAX_ITERATION_ENTRIES = 1 << 26
 # the most consecutive states `mag_iterate` hands its `on_states` at once
 STATE_CHUNK = 1024
+# the damping rate of every damped run, just below critical damping 2 sigma_min
+GAMMA_PER_SIGMA_MIN = 1.9
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,11 @@ class MagParams:
 
     @cached_property
     def alpha(self) -> float:
-        return 4.0 / (math.sqrt(self.l_hat) + math.sqrt(self.mu_hat)) ** 2
+        # 0.0, which the bounds check refuses, where the square overflows
+        try:
+            return 4.0 / (math.sqrt(self.l_hat) + math.sqrt(self.mu_hat)) ** 2
+        except OverflowError:
+            return 0.0
 
     @cached_property
     def beta(self) -> float:
@@ -186,6 +198,27 @@ class SpectralSystem:
                           drive=np.stack([f, np.zeros_like(f)], axis=-1))
 
     @cached_property
+    def gradient(self) -> FlowSystem:
+        """The gradient flow du/dt = A^H b - A^H A u: per singular value s
+        the 1 x 1 block -s^2 and drive s b~; its steady state is the
+        least-squares solution."""
+        s = self.sigma
+        return FlowSystem(blocks=-(s**2)[:, None, None], drive=(s * self.b_t)[:, None])
+
+    @cached_property
+    def damped(self) -> FlowSystem:
+        """Second-order damped dynamics in first-order form on w = [u; v]:
+        per singular value s the block [[0, -s], [s, -gamma]] and drive
+        [0; -b~], damped at gamma = GAMMA_PER_SIGMA_MIN sigma_min.  The
+        auxiliary block of the steady state is exactly zero, which is what
+        breaks the relative convergence of this method."""
+        s, b_t = self.sigma, self.b_t
+        blocks = np.zeros((s.size, 2, 2))
+        gamma = GAMMA_PER_SIGMA_MIN * float(s[-1])
+        blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = -s, s, -gamma
+        return FlowSystem(blocks=blocks, drive=np.stack([np.zeros_like(b_t), -b_t], axis=-1))
+
+    @cached_property
     def mapped_steady(self) -> np.ndarray:
         """The steady state of `ode` mapped to [V x; U y], once per system."""
         return self.to_state(self.ode.steady_pairs())
@@ -288,7 +321,8 @@ def mag_iterate(sys, w0, delta: float, max_steps: int, *, w_inf: np.ndarray,
 def horizon(method: str, spec: SpectralSystem, delta: float, block: int | None = None) -> tuple:
     """(delta_run, horizon) of `method` on `spec` for a max-norm relative
     error delta on the first `block` entries of u, the part a run writes
-    (all of u by default); the one place a run's length is set.  mag and
+    (all of u by default); the one place a run's length is set, once per
+    run by `cli._run_method`, which hands it to the realization.  mag and
     the gradient flow run to delta_run = delta / max(||w||_2 / max|u block
     of w|, 1) of their steady state w ([V x; U y], and x* = b~/sigma), the
     most by which that error exceeds the state residual ||w_t - w|| / ||w||:
@@ -328,12 +362,12 @@ def horizon(method: str, spec: SpectralSystem, delta: float, block: int | None =
     raise ValueError(f"unknown method {method!r}")
 
 
-def solve_spectral(spec: SpectralSystem, delta: float, trace: bool = False,
-                   block: int | None = None) -> tuple:
-    """Step `spec.ode` from w = 0 until the max-norm relative u error, on
-    the first `block` entries of u if given, is below delta, within the
-    steps `horizon` allows; returns (iteration, x/(1 - beta), kappa2,
-    relative) for the final state [x_j, y_j], u = V x/(1 - beta).  With
+def solve_spectral(spec: SpectralSystem, delta_run: float, max_steps: int,
+                   trace: bool = False) -> tuple:
+    """Step `spec.ode` from w = 0 until the state residual is below
+    delta_run, within max_steps: mag's `horizon`, the pair that bounds the
+    max-norm relative u error of a run.  Returns (iteration, x/(1 - beta),
+    kappa2, relative) for the final state [x_j, y_j], u = V x/(1 - beta).  With
     `trace`, kappa2 is kappa_2 of `spec.mapped_steady`, whose components
     a relative trace divides its errors by: inf where one sits near zero,
     so that no such trace is well posed (the failure mode of the damped
@@ -344,7 +378,6 @@ def solve_spectral(spec: SpectralSystem, delta: float, trace: bool = False,
     without `trace`.  For a real A that is the whole stack's trace bit for
     bit; for a complex A a last stack of one state is mapped by numpy's
     vector-matrix product, which may differ from the stack's in the last bit."""
-    delta_run, max_steps = horizon("mag", spec, delta, block)
     kappa2 = _steady_kappa2(spec.mapped_steady) if trace else math.inf
     norms, on_states = [], None
     if kappa2 < math.inf:

@@ -587,12 +587,11 @@ class PipelineReport:
     pruned_weight: float  # weight of the other groups, over the solution scale
 
 
-def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None) -> tuple:
-    """(report, pairs, grid): the run's whole `PipelineReport`, settled
-    before the evolution, the pair system at the forcing scale
-    `default_forcing_scale`, and the grid (`build_grid_from_rate`), which
-    `cli.cmd_complexity` prices."""
-    t_end = mag_mod.horizon("schro", spec, delta)[1]
+def plan(spec: mag_mod.SpectralSystem, t_end: float, n_p: int | None = None) -> tuple:
+    """(report, pairs, grid) of a run to t_end in the momentum ODE's time:
+    the run's whole `PipelineReport`, settled before the evolution, the
+    pair system at the forcing scale `default_forcing_scale`, and the grid
+    (`build_grid_from_rate`), which `cli.cmd_complexity` prices."""
     pairs = build_pair_system(spec)
     runway = required_runway(pairs, t_end)
     tail = envelope_tail(DEFAULT_TAIL_TOL)
@@ -615,23 +614,20 @@ def plan(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None) -> 
     return report, pairs, grid
 
 
-def pipeline(spec: mag_mod.SpectralSystem, delta: float, n_p: int | None = None, *,
-             snapshot_rows: int = 0, block: int | None = None):
+def pipeline(spec: mag_mod.SpectralSystem, t_end: float, n_p: int | None = None, *,
+             snapshot_rows: int = 0):
     """End-to-end solve of A u = b through the Hamiltonian realization, in
     the basis of the run's `spec` (`mag.build_spectral`).
 
-    Evolves to t_end, schro's `mag.horizon`, on the grid of `plan`, reads
-    the field back out past the threshold with the integral readout and
-    unscales the first block by (1 - beta).  Returns (x, report, snapshot),
-    u = V x: with snapshot_rows > 0 the snapshot is (points, rows), the
-    final warped field on every (n_p // snapshot_rows)-th grid point from
-    the same evolution pass, else None.  InputError where mag's `horizon`
-    to delta on the first `block` entries of u is refused.  Checking u
-    against a reference solution is left to the caller.
+    Evolves to t_end, schro's `mag.horizon` in a run, on the grid of
+    `plan`, reads the field back out past the threshold with the integral
+    readout and unscales the first block by (1 - beta).  Returns (x,
+    report, snapshot), u = V x: with snapshot_rows > 0 the snapshot is
+    (points, rows), the final warped field on every (n_p //
+    snapshot_rows)-th grid point from the same evolution pass, else None.
+    Checking u against a reference solution is left to the caller.
     """
-    # the delta and kappa_hat the momentum iteration refuses are refused here too
-    mag_mod.horizon("mag", spec, delta, block)
-    report, pairs, grid = plan(spec, delta, n_p)
+    report, pairs, grid = plan(spec, t_end, n_p)
     advect = float(np.max(pairs.advection_speeds())) * report.t_end
     stride = max(1, grid.n_p // snapshot_rows) if snapshot_rows > 0 else 0
     # evolve_structured holds the weights' one reference and drops it after use

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from schromag.baselines import build_damped
 from schromag.blockenc import StatePrepPair
 from schromag.errors import EncodingError, InputError
 from schromag.linalg import (LinearSystem, as_cmatrix, as_cvector, direct_solve, full_svd,
@@ -171,9 +170,9 @@ def flow_steady_state(spec: SpectralSystem, flow) -> np.ndarray:
 
 
 def damped_flow(spec: SpectralSystem, gamma: float):
-    """`baselines.build_damped(spec)` with the damping rate gamma in place
-    of the package's GAMMA_PER_SIGMA_MIN sigma_min."""
-    flow = build_damped(spec)
+    """`spec.damped` with the damping rate gamma in place of the
+    package's GAMMA_PER_SIGMA_MIN sigma_min."""
+    flow = spec.damped
     blocks = flow.blocks.copy()
     blocks[:, 1, 1] = -gamma
     return replace(flow, blocks=blocks)

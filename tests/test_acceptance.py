@@ -135,7 +135,7 @@ def test_criterion_4_gradient_vs_mag_separation():
         sys = build_transformed(a, b, params)
         trace = mag_iterate(sys, np.zeros(8), delta, 100_000, w_inf=steady_state(sys))
         spec = build_spectral(a, b, params)
-        flow = baselines.build_gradient_flow(spec)
+        flow = spec.gradient
         theory = horizon("gradient", spec, delta)[1]
         t_grad = _time_to_delta(spec, flow, delta=delta, t_hi=theory)
         ratios.append(t_grad / trace.steps)
@@ -155,7 +155,7 @@ def test_criterion_5_fig1_reproduction():
 
     # both flows sampled on the one spectral system, as `compare` samples them
     spec = build_spectral(a, b, params)
-    damp_flow = baselines.build_damped(spec)
+    damp_flow = spec.damped
     times = np.linspace(0.0, t_end, COMPARE_SAMPLES)
     states_m, states_d = (spec.to_state(flow.at(times)) for flow in (spec.ode, damp_flow))
     r_m = baselines.auxiliary_ratio_trace(states_m[:, 0], states_m[:, n])
@@ -206,7 +206,7 @@ def test_criterion_6_fig2_reproduction():
         )
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
         t_end = horizon("damped", spec, delta)[1]
-        u_damp = spec.solution(baselines.build_damped(spec).at(t_end)[:, 0])
+        u_damp = spec.solution(spec.damped.at(t_end)[:, 0])
         scale = np.linalg.norm(oracle)
         rows.append(
             (delta,
@@ -282,7 +282,7 @@ def test_criterion_8_figure_presets():
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
         e_mag = float(np.max(np.abs(u_mag - oracle)) / scale)
 
-        u_s = spec.solution(pipeline(spec, solver.delta)[0])
+        u_s = spec.solution(pipeline(spec, horizon("schro", spec, solver.delta)[1])[0])
         e_schro = float(np.max(np.abs(u_s - oracle)) / scale)
 
         good = e_mag <= tol and e_schro <= tol

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from schromag.baselines import auxiliary_ratio_trace, build_damped, build_gradient_flow
+from schromag.baselines import auxiliary_ratio_trace
 from schromag.cli import COMPARE_SAMPLES
 from schromag.linalg import LinearSystem, direct_solve, full_svd
 from schromag.mag import MagParams, build_spectral, horizon
@@ -58,12 +58,12 @@ def dense_states(gen, drive, w0, times):
 class TestGradientFlow:
     def test_identity(self):
         spec = _spec(np.eye(2), [1.0, 2.0])
-        flow = build_gradient_flow(spec)
+        flow = spec.gradient
         assert np.allclose(flow.blocks, -1.0)
         assert np.allclose(flow_steady_state(spec, flow), [1.0, 2.0])
 
     def test_slowest_decay_rate(self):
-        flow = build_gradient_flow(_spec(DIAG_A, DIAG_B))
+        flow = _spec(DIAG_A, DIAG_B).gradient
         rates = -flow.blocks[:, 0, 0]
         assert min(rates) == pytest.approx(0.01, rel=1e-12)
 
@@ -73,12 +73,12 @@ class TestGradientFlow:
         b = rng.normal(size=4) + 0j
         spec = _spec(a, b)
         oracle = direct_solve(LinearSystem(a, b), full_svd(a)[1])
-        assert np.allclose(flow_steady_state(spec, build_gradient_flow(spec)), oracle, atol=1e-9)
+        assert np.allclose(flow_steady_state(spec, spec.gradient), oracle, atol=1e-9)
 
     def test_error_bound_pointwise(self):
         # ||du(t)|| <= exp(-sigma_min^2 t) ||du(0)||
         spec = _spec(DIAG_A, DIAG_B)
-        flow = build_gradient_flow(spec)
+        flow = spec.gradient
         u_inf = flow_steady_state(spec, flow)
         times, states = _sampled(spec, flow, 3.0, 40)
         d0 = np.linalg.norm(u_inf)
@@ -89,7 +89,7 @@ class TestGradientFlow:
 class TestDamped:
     def test_steady_state_block_elimination(self):
         spec = _spec(DIAG_A, DIAG_B)
-        w_inf = flow_steady_state(spec, build_damped(spec))
+        w_inf = flow_steady_state(spec, spec.damped)
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B), full_svd(DIAG_A)[1])
         assert np.allclose(w_inf[:2], oracle, atol=1e-10)
         assert np.max(np.abs(w_inf[2:])) <= 1e-10  # auxiliary block exactly zero
@@ -97,7 +97,7 @@ class TestDamped:
     def test_gamma_bound(self):
         # the damping is 1.9 sigma_min, inside 0 < gamma < 2 sigma_min; on
         # sigma_min = 0.1 it is 0.19, bit for bit 2 sigma_min_hat of fig1's bounds
-        gamma = -build_damped(_spec(DIAG_A, DIAG_B)).blocks[:, 1, 1]
+        gamma = -_spec(DIAG_A, DIAG_B).damped.blocks[:, 1, 1]
         assert np.all(gamma == 0.19) and gamma[0] == 2 * (0.1 * 0.95)
         assert 0.0 < gamma[0] < 2 * 0.1
 
@@ -117,7 +117,7 @@ class TestDamped:
         # both the closed form and the constant-carrying envelope.
         gamma = 0.19  # 1.9 sigma_min
         spec = _spec(DIAG_A, DIAG_B)
-        flow = build_damped(spec)
+        flow = spec.damped
         w_inf = flow_steady_state(spec, flow)
         times, states = _sampled(spec, flow, 40.0, 100)
         sig = np.array([10.0, 0.1])
@@ -138,12 +138,12 @@ class TestIntegrateFlow:
 
     def test_zero_everything(self):
         spec = _spec(np.eye(2), np.zeros(2))
-        _, states = _sampled(spec, build_gradient_flow(spec), 1.0, 5)
+        _, states = _sampled(spec, spec.gradient, 1.0, 5)
         assert all(np.allclose(w, 0) for w in states)
 
     def test_decoupled_scalar_decay(self):
         spec = _spec(DIAG_A, DIAG_B)
-        flow = build_gradient_flow(spec)
+        flow = spec.gradient
         u_inf = flow_steady_state(spec, flow)
         times, states = _sampled(spec, flow, 0.1, 11)
         for t, u in zip(times, states):
@@ -153,7 +153,7 @@ class TestIntegrateFlow:
 
     def test_damped_limit(self):
         spec = _spec(DIAG_A, DIAG_B)
-        w_end = _sampled(spec, build_damped(spec), 400.0, 40)[1][-1]
+        w_end = _sampled(spec, spec.damped, 400.0, 40)[1][-1]
         oracle = direct_solve(LinearSystem(DIAG_A, DIAG_B), full_svd(DIAG_A)[1])
         assert np.allclose(w_end[:2], oracle, atol=1e-8)
         assert np.max(np.abs(w_end[2:])) < 1e-8
@@ -163,9 +163,7 @@ class TestIntegrateFlow:
         # `cli._run_method` takes a flow's answer from `FlowSystem.at(t_end)`
         a, b = _random_system(5, 6)
         spec = build_spectral(a, b)
-        build = {"gradient": build_gradient_flow, "mag-ode": lambda sp: sp.ode,
-                 "damped": build_damped}[kind]
-        flow = build(spec)
+        flow = getattr(spec, {"mag-ode": "ode"}.get(kind, kind))
         times, states = _sampled(spec, flow, 5.0, COMPARE_SAMPLES)
         assert times[0] == 0.0 and np.array_equal(states[0], np.zeros(states.shape[1]))
         end = flow_state(spec, flow.at(5.0))
@@ -225,7 +223,7 @@ class TestAuxiliaryRatio:
         a, b, params, t_end = compare_preset("fig1")
         spec = build_spectral(a, b, params)
         _, mag_states = _sampled(spec, spec.ode, t_end, COMPARE_SAMPLES)
-        _, damp_states = _sampled(spec, build_damped(spec), t_end, COMPARE_SAMPLES)
+        _, damp_states = _sampled(spec, spec.damped, t_end, COMPARE_SAMPLES)
         r_mag = auxiliary_ratio_trace(mag_states[:, 0], mag_states[:, 2])
         r_damp = auxiliary_ratio_trace(damp_states[:, 0], damp_states[:, 2])
         # skip the initial transient (first 5% of the horizon)
@@ -271,7 +269,7 @@ class TestAgainstDenseExpm:
         assume(s[-1] > 1e-2 * s[0])
         gen, drive = dense_flow("gradient", a, b)
         spec = _spec(a, b)
-        _assert_matches_dense(spec, build_gradient_flow(spec), gen, drive, t_end)
+        _assert_matches_dense(spec, spec.gradient, gen, drive, t_end)
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 5.0),
            st.sampled_from([0.05, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]))

@@ -511,9 +511,9 @@ class TestDeferredScipy:
     """scipy is a test dependency only: no command loads it.  Nor does any
     command load the tests' dense reference, which the package no longer
     carries, or a module of the package that it does not run: `import
-    schromag` loads no submodule, a mag run neither the Hamiltonian
-    pipeline nor the flows, and only a command that writes a snapshot
-    loads its formatter."""
+    schromag` loads no submodule, only schro loads the Hamiltonian
+    pipeline, only compare the ratio of its flows, and only a command that
+    writes a snapshot loads its formatter."""
 
     @staticmethod
     def _run_without_scipy(tmp_path, argv, unloaded):
@@ -561,8 +561,9 @@ class TestDeferredScipy:
                                       ["compare", "--preset", "fig1"],
                                       ["compare", "--preset", "fig2"]])
     def test_flow_runs_leave_scipy_unloaded(self, tmp_path, argv):
-        self._run_without_scipy(tmp_path, argv,
-                                [m for m in _ON_USE if m != "schromag.baselines"])
+        # the flows are `mag.SpectralSystem` members; only compare loads its ratio
+        self._run_without_scipy(tmp_path, argv, [m for m in _ON_USE if argv[0] == "solve"
+                                                 or m != "schromag.baselines"])
 
     def test_no_scipy_import_in_package(self):
         src = os.path.join(ROOT, "src", "schromag")
@@ -1336,6 +1337,42 @@ def test_sigma_max_squared_overflow_is_usage_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: sigma_max^2 overflows: sigma_max = 1.000e+308\n"
 
 
+@pytest.mark.parametrize("argv", [["solve", "--method", "mag"], ["solve", "--method", "schro"],
+                                  ["compare"], ["complexity"]])
+def test_alpha_overflow_is_usage_error(tmp_path, capsys, argv):
+    # sigma_max^2 = 1e308 is finite, but the square in alpha = 4/(sqrt(l_hat) + sqrt(mu_hat))^2
+    # of A's own bounds is not
+    write_matrix_coo(tmp_path / "a.coo", np.diag([1e154]).astype(complex))
+    write_vector(tmp_path / "b.vec", np.ones(1, dtype=complex))
+    rc = main([*argv, "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: need 0 < alpha <= 1/mu_hat, got 0.0\n"
+
+
+def test_the_cli_alone_sets_each_run_length(tmp_path, monkeypatch):
+    # `_run_method` calls `mag.horizon` once per run, after mag's refusal for
+    # schro, and `cmd_complexity` prices schro's length: no realization sets
+    # its own
+    calls, horizon = [], mag.horizon
+
+    def spy(method, *args, **kwargs):
+        calls.append((method, sys._getframe(1).f_globals["__name__"]))
+        return horizon(method, *args, **kwargs)
+
+    monkeypatch.setattr(mag, "horizon", spy)
+    runs = {"mag": ["mag"], "schro": ["mag", "schro"], "gradient": ["gradient"],
+            "damped": ["damped"]}
+    for method, methods in runs.items():
+        calls.clear()
+        assert main(["pde", "--preset", "fig3a", "--method", method,
+                     "--out", str(tmp_path / method)]) == 0
+        assert calls == [(name, "schromag.cli") for name in methods]
+    calls.clear()
+    assert main(["complexity", "--preset", "fig3a", "--out", str(tmp_path / "complexity")]) == 0
+    assert calls == [("schro", "schromag.cli")]
+
+
 class TestExitCodes:
     """InputError exits 2 and NumericsError 1, each with one line on stderr;
     any other exception is a fault of the program and leaves main."""
@@ -1359,7 +1396,9 @@ class TestExitCodes:
                                   "the spectrum of A^H A"),
         (("1e308", "1e-308"), 2, "error: kappa_hat = sqrt(l_hat/mu_hat) overflows, got "
                                  "(1e+308, 1e-308)"),
-    ], ids=["blocks", "nan-radius", "kappa_hat"])
+        # (sqrt(l_hat) + sqrt(mu_hat))^2 overflows, so alpha is 0
+        (("1.7e308", "1.7e308"), 2, "error: need 0 < alpha <= 1/mu_hat, got 0.0"),
+    ], ids=["blocks", "nan-radius", "kappa_hat", "alpha"])
     def test_overflowing_bounds_are_one_line(self, tmp_path, capsys, bounds, code, message):
         # under filterwarnings an overflow warning would end in a traceback instead
         rc = main(["solve", "--preset", "fig3a", "--lhat", bounds[0], "--muhat", bounds[1],

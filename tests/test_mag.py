@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schromag import mag
-from schromag.baselines import build_damped, build_gradient_flow
 from schromag.cli import _unit_rhs
 from schromag.errors import ConvergenceError, InputError, SingularMatrixError, SpectrumBoundsError
 from schromag.linalg import LinearSystem, direct_solve, full_svd
@@ -273,7 +272,7 @@ def random_flow(kind, sigma, mu_hat, ratio, frac, seed):
     spec = SpectralSystem(sigma=np.sort(sigma)[::-1], u=np.eye(n), vh=np.eye(n),
                           b_t=rng.normal(size=n) + 1j * rng.normal(size=n),
                           params=MagParams(mu_hat * ratio, mu_hat))
-    flow = {"mag-ode": lambda: spec.ode, "gradient": lambda: build_gradient_flow(spec),
+    flow = {"mag-ode": lambda: spec.ode, "gradient": lambda: spec.gradient,
             "damped": lambda: damped_flow(spec, 2.0 * float(spec.sigma[-1]) * frac)}[kind]()
     shape = flow.drive.shape
     return flow, rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -332,7 +331,7 @@ class TestFlowSystem:
         # returns the same array, which no caller can write into
         rng = np.random.default_rng(5)
         spec = build_spectral(*random_system(rng, 6))
-        for flow in (spec.ode, build_gradient_flow(spec), build_damped(spec)):
+        for flow in (spec.ode, spec.gradient, spec.damped):
             w_inf = flow.steady_pairs()
             assert flow.steady_pairs() is w_inf
             assert w_inf.shape == flow.drive.shape and not w_inf.flags.writeable
@@ -526,7 +525,8 @@ class TestRelativeTrace:
             return to_state(self, w)
 
         monkeypatch.setattr(SpectralSystem, "to_state", spy)
-        iteration, _, kappa2, relative = solve_spectral(spec, solver.delta, trace=True)
+        iteration, _, kappa2, relative = solve_spectral(
+            spec, *horizon("mag", spec, solver.delta), trace=True)
         return spec.n, mapped, iteration, kappa2, relative
 
     def test_maps_the_steady_state_alone_where_no_trace_exists(self, monkeypatch):
@@ -578,7 +578,6 @@ class TestStreamedStates:
         # delta stops the run there, at count states
         assert residuals[count - 1] < min(residuals[1:count - 1], default=math.inf)
         delta = float(np.nextafter(residuals[count - 1], np.inf))
-        monkeypatch.setattr(mag, "horizon", lambda *args: (delta, 10_000))
         sizes, reduce = [], mag.relative_trace
 
         def spy(stack, *args):
@@ -586,14 +585,14 @@ class TestStreamedStates:
             return reduce(stack, *args)
 
         monkeypatch.setattr(mag, "relative_trace", spy)
-        iteration, _, kappa2, relative = solve_spectral(spec, 0.5, trace=True)
+        iteration, _, kappa2, relative = solve_spectral(spec, delta, 10_000, trace=True)
         assert iteration.steps + 1 == count and math.isfinite(kappa2)
         assert sizes == [min(self.CHUNK, count - lo) for lo in range(0, count, self.CHUNK)]
         oracle = relative_residuals(spec.mapped_steady, spec.to_state(states[:count]))
         assert relative.tolist() == oracle
 
     @pytest.mark.parametrize("max_steps", [2 * CHUNK - 2, 2 * CHUNK - 1, 2 * CHUNK])
-    def test_convergence_error_drops_the_partial_stack(self, spec, monkeypatch, max_steps):
+    def test_convergence_error_drops_the_partial_stack(self, spec, max_steps):
         # max_steps + 1 states (2c - 1, 2c, 2c + 1): every full stack is
         # handed over before the error, the states after them are not
         states, _ = self._states(spec)
@@ -605,9 +604,8 @@ class TestStreamedStates:
         assert [len(stack) for stack in stacks] == [self.CHUNK] * full
         assert np.array_equal(np.concatenate(stacks), states[: full * self.CHUNK])
         # a traced run raises it on, and returns no trace
-        monkeypatch.setattr(mag, "horizon", lambda *args: (1e-12, max_steps))
         with pytest.raises(ConvergenceError):
-            solve_spectral(spec, 0.5, trace=True)
+            solve_spectral(spec, 1e-12, max_steps, trace=True)
 
     def test_converged_start_hands_over_w0(self, spec):
         w_inf, stacks = spec.ode.steady_pairs(), []
@@ -647,10 +645,11 @@ class TestPairBasis:
         dense = build_transformed(a, b, p)
         spec = build_spectral(a, b, p)
         w_inf, stacks = steady_state(dense), []
-        trace = mag_iterate(dense, np.zeros_like(w_inf), *horizon("mag", spec, delta),
+        length = horizon("mag", spec, delta)
+        trace = mag_iterate(dense, np.zeros_like(w_inf), *length,
                             w_inf=w_inf, on_states=stacks.append if traced else None)
         rel_d = relative_trace_from_steady(w_inf, np.concatenate(stacks)) if traced else None
-        iteration, x, kappa2, relative = solve_spectral(spec, delta, traced)
+        iteration, x, kappa2, relative = solve_spectral(spec, *length, traced)
         return ((trace, trace.w_final[: dense.n] / (1.0 - p.beta), rel_d),
                 (iteration, spec.solution(x), (relative, kappa2)))
 

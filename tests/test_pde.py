@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from schromag import pde
 from schromag.errors import InputError, SingularMatrixError
 from schromag.linalg import direct_solve, full_svd
-from schromag.mag import build_spectral
+from schromag.mag import build_spectral, horizon
 from schromag.pde import (
     MIXED,
     ROBIN,
@@ -248,7 +248,7 @@ class TestPresets:
             assert 0.0 < solver.delta < 1.0
             # the grid a schro run derives, the n_p of its report
             spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
-            assert plan(spec, solver.delta)[0].n_p >= 8
+            assert plan(spec, horizon("schro", spec, solver.delta)[1])[0].n_p >= 8
 
     def test_nodes_align_with_solution(self):
         # the forcing block of b holds h^2 f at the written nodes, 0 at a

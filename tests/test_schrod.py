@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from schromag import schrod
 from schromag.errors import InputError, SingularMatrixError
 from schromag.linalg import LinearSystem, direct_solve, full_svd
-from schromag.mag import MagParams, build_spectral
+from schromag.mag import MagParams, build_spectral, horizon
 from schromag.schrod import (
     build_pair_system,
     default_forcing_scale,
@@ -55,9 +55,14 @@ def _evolve_state(pairs, *args):
     return pairs.spec.to_state(vec), rows
 
 
-def _pipeline_u(spec, *args, **kwargs):
-    """pipeline with its coefficients mapped to u = V x, as the CLI maps them."""
-    x, report, snapshot = pipeline(spec, *args, **kwargs)
+def _t_end(spec, delta):
+    """schro's run length to delta, the t_end a CLI run hands `plan` and `pipeline`."""
+    return horizon("schro", spec, delta)[1]
+
+
+def _pipeline_u(spec, delta, *args, **kwargs):
+    """pipeline to delta with its coefficients mapped to u = V x, as the CLI maps them."""
+    x, report, snapshot = pipeline(spec, _t_end(spec, delta), *args, **kwargs)
     return spec.solution(x), report, snapshot
 
 
@@ -241,7 +246,7 @@ class TestBuildGrid:
         for name in PDE_PRESET_NAMES:
             problem, solver = pde_preset(name)
             spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
-            derived[name] = schrod.plan(spec, solver.delta)[0].n_p
+            derived[name] = schrod.plan(spec, _t_end(spec, solver.delta))[0].n_p
         assert derived == {
             "fig3a": 256, "fig3b": 256, "fig3c": 256, "fig5a": 256, "fig5b": 256,
             "fig4a": 2048, "fig6a": 2048, "fig5c": 8192, "fig6d": 8192,
@@ -871,9 +876,9 @@ class TestPlan:
     """`plan` settles every `PipelineReport` field before the evolution."""
 
     @staticmethod
-    def _check(spec, delta, n_p=None, block=None):
-        report, pairs, grid = schrod.plan(spec, delta, n_p)
-        assert asdict(pipeline(spec, delta, n_p, block=block)[1]) == asdict(report)
+    def _check(spec, delta, n_p=None):
+        report, pairs, grid = schrod.plan(spec, _t_end(spec, delta), n_p)
+        assert asdict(pipeline(spec, _t_end(spec, delta), n_p)[1]) == asdict(report)
         # the grid decisions, recomputed from the grid and the pair system
         p_diamond = max(pairs.lambda_max_h1() * report.t_end, 0.0)
         assert (report.n_p, report.p_left, report.p_right) == (grid.n_p, grid.p_left,
@@ -889,7 +894,7 @@ class TestPlan:
         for name in PDE_PRESET_NAMES:
             problem, solver = pde_preset(name)
             spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
-            self._check(spec, solver.delta, block=problem.solution_size)
+            self._check(spec, solver.delta)
 
     def test_files_run(self, tmp_path):
         # the CLI's schro report on files is the plan of the spectral system
@@ -996,7 +1001,8 @@ class TestPruning:
         spec = build_spectral(a, b)
         tracemalloc.start()
         try:
-            _, report, (_, rows) = pipeline(spec, solver.delta, 16384, snapshot_rows=1024)
+            _, report, (_, rows) = pipeline(spec, _t_end(spec, solver.delta), 16384,
+                                            snapshot_rows=1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1021,7 +1027,8 @@ class TestPipeline:
 
     def test_report_fields(self):
         p = MagParams(100.0, 0.01)
-        _, report, _ = pipeline(build_spectral(DIAG_A, DIAG_B, p), 1e-2, 16384)
+        spec = build_spectral(DIAG_A, DIAG_B, p)
+        _, report, _ = pipeline(spec, _t_end(spec, 1e-2), 16384)
         d = asdict(report)
         for key in ("t_end", "n_p", "p_left", "p_right", "p_diamond",
                     "k_star", "recovery_method"):
@@ -1067,17 +1074,17 @@ class TestPipeline:
             block = problem.solution_size
             spec = build_spectral(problem.system.a, problem.system.b)
             oracle = direct_solve(problem.system, spec.sigma)[:block]
-            u, report, _ = _pipeline_u(spec, solver.delta, block=block)
+            u, report, _ = _pipeline_u(spec, solver.delta)
             assert _residual(u[:block], oracle) <= solver.delta / 10, name
             exact = spec.solution(spec.ode.at(report.t_end)[:, 0] / (1.0 - spec.params.beta))
             assert _residual(u[:block], exact[:block]) <= solver.delta / 100, name
             if name in ("fig3e", "fig3f"):
-                u, _, _ = _pipeline_u(spec, solver.delta, 2 * report.n_p, block=block)
+                u, _, _ = _pipeline_u(spec, solver.delta, 2 * report.n_p)
                 assert _residual(u[:block], oracle) <= 1e-5, name
 
     def test_matches_iteration_terminal_state(self):
         # cross-method check on the small zero-boundary Helmholtz preset
-        from schromag.mag import horizon, mag_iterate
+        from schromag.mag import mag_iterate
         from schromag.presets import pde_preset
 
         problem = pde_preset("fig3a")[0]
@@ -1121,7 +1128,7 @@ class TestPipeline:
         spec = build_spectral(problem.system.a, problem.system.b, problem=problem)
         tracemalloc.start()
         try:
-            pipeline(spec, solver.delta, 131072)
+            pipeline(spec, _t_end(spec, solver.delta), 131072)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
