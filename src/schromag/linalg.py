@@ -68,51 +68,6 @@ class LinearSystem:
         return self.a.shape[1]
 
 
-def block_expm_apply(blocks, v, t) -> np.ndarray:
-    """exp(M t) v for a block-diagonal real M, in closed form per block.
-
-    `blocks` is the (n, k, k) stack of the diagonal blocks of M (k = 1 or
-    2) and `v` the (n, k) matching pieces of the vector.  A 2x2 block with
-    tau = tr/2 and eigenvalues tau +- d (d^2 = tau^2 - det) has
-
-        exp(M t) = e^{tau t} (C I + S (M - tau I)),
-
-    C = cosh(d t), S = sinh(d t)/d for d^2 > 0 and C = cos(w t),
-    S = sin(w t)/w for d^2 = -w^2 < 0.  The real branch is evaluated as
-    e^{(tau+d) t} (1 + q/2) and -e^{(tau+d) t} q/(2d), q = expm1(-2 d t): no
-    factor exceeds 1 when the eigenvalues have nonpositive real parts, and
-    S keeps its accuracy as d -> 0.  At d = 0 (a defective or scalar
-    block) S = t.  A scalar t gives (n, k), an array of times
-    (len(t), n, k).
-    """
-    blocks = np.asarray(blocks)
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[1] not in (1, 2) or blocks.shape != v.shape + v.shape[1:]:
-        raise ValueError(f"shape mismatch: blocks {blocks.shape} vs vector pieces {v.shape}")
-    if not np.isrealobj(blocks):
-        raise ValueError("blocks must be real")
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("time must be finite")
-    t = t[..., None]
-    if v.shape[1] == 1:
-        return np.exp(blocks[:, 0, 0] * t)[..., None] * v
-    tau = (blocks[:, 0, 0] + blocks[:, 1, 1]) / 2.0
-    half_gap = (blocks[:, 0, 0] - blocks[:, 1, 1]) / 2.0
-    disc = half_gap**2 + blocks[:, 0, 1] * blocks[:, 1, 0]  # tau^2 - det
-    root = np.sqrt(np.abs(disc))
-    real = disc > 0.0
-    d = np.where(real, root, 0.0)
-    lead = np.exp((tau + d) * t)  # e^{tau t} where the roots are complex
-    q = np.expm1(-2.0 * d * t)
-    c = lead * np.where(real, 1.0 + q / 2.0, np.cos(root * t))
-    s = lead * np.where(root == 0.0, t, np.where(real, -q / 2.0, np.sin(root * t))
-                        / np.where(root == 0.0, 1.0, root))
-    shifted = np.stack([half_gap * v[:, 0] + blocks[:, 0, 1] * v[:, 1],
-                        blocks[:, 1, 0] * v[:, 0] - half_gap * v[:, 1]], axis=-1)
-    return c[..., None] * v + s[..., None] * shifted
-
-
 def _real_if_real(a):
     return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 

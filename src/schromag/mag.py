@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, InputError, SpectrumBoundsError
-from .linalg import as_cmatrix, as_cvector, block_expm_apply, condition_check, require_square, svd
+from .linalg import as_cmatrix, as_cvector, condition_check, require_square, svd
 
 # where sigma^2 sits on a declared bound the 2x2 block is defective and its
 # eigenvalue moduli are only sqrt(eps)-accurate (closed form and dense eig
@@ -123,11 +123,17 @@ class FlowSystem:
         out += self.drive
         return out
 
-    def eigenvalues(self) -> np.ndarray:
-        """Each 2x2 block's eigenvalues tau +- sqrt(tau^2 - det), (n, 2) complex."""
+    @cached_property
+    def _spectrum(self) -> tuple:
+        # (tau, half_gap, disc) of each 2x2 block, whose eigenvalues are tau +- sqrt(disc)
         m = self.blocks
         tau = (m[:, 0, 0] + m[:, 1, 1]) / 2.0
-        disc = ((m[:, 0, 0] - m[:, 1, 1]) / 2.0) ** 2 + m[:, 0, 1] * m[:, 1, 0]
+        half_gap = (m[:, 0, 0] - m[:, 1, 1]) / 2.0
+        return tau, half_gap, half_gap**2 + m[:, 0, 1] * m[:, 1, 0]
+
+    def eigenvalues(self) -> np.ndarray:
+        """Each 2x2 block's eigenvalues tau +- sqrt(tau^2 - det), (n, 2) complex."""
+        tau, _, disc = self._spectrum
         root = np.sqrt(disc.astype(np.complex128))
         return np.stack([tau + root, tau - root], axis=-1)
 
@@ -165,10 +171,50 @@ class FlowSystem:
         w_inf.flags.writeable = False
         return w_inf
 
+    def propagate(self, v, t) -> np.ndarray:
+        """exp(M t) v for the (n, k) pieces v of a vector, in closed form per
+        block; real blocks only.  A 2x2 block with eigenvalues tau +- d
+        (`_spectrum`, d^2 = disc) has
+
+            exp(M t) = e^{tau t} (C I + S (M - tau I)),
+
+        C = cosh(d t), S = sinh(d t)/d for d^2 > 0 and C = cos(w t),
+        S = sin(w t)/w for d^2 = -w^2 < 0.  The real branch is evaluated as
+        e^{(tau+d) t} (1 + q/2) and -e^{(tau+d) t} q/(2d), q = expm1(-2 d t): no
+        factor exceeds 1 when the eigenvalues have nonpositive real parts, and
+        S keeps its accuracy as d -> 0.  At d = 0 (a defective or scalar
+        block) S = t.  A scalar t gives (n, k), an array of times
+        (len(t), n, k).
+        """
+        m = self.blocks
+        v = np.asarray(v, dtype=np.complex128)
+        if v.ndim != 2 or v.shape[1] not in (1, 2) or m.shape != v.shape + v.shape[1:]:
+            raise ValueError(f"shape mismatch: blocks {m.shape} vs vector pieces {v.shape}")
+        if not np.isrealobj(m):
+            raise ValueError("blocks must be real")
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("time must be finite")
+        t = t[..., None]
+        if v.shape[1] == 1:
+            return np.exp(m[:, 0, 0] * t)[..., None] * v
+        tau, half_gap, disc = self._spectrum
+        root = np.sqrt(np.abs(disc))
+        real = disc > 0.0
+        d = np.where(real, root, 0.0)
+        lead = np.exp((tau + d) * t)  # e^{tau t} where the roots are complex
+        q = np.expm1(-2.0 * d * t)
+        c = lead * np.where(real, 1.0 + q / 2.0, np.cos(root * t))
+        s = lead * np.where(root == 0.0, t, np.where(real, -q / 2.0, np.sin(root * t))
+                            / np.where(root == 0.0, 1.0, root))
+        shifted = np.stack([half_gap * v[:, 0] + m[:, 0, 1] * v[:, 1],
+                            m[:, 1, 0] * v[:, 0] - half_gap * v[:, 1]], axis=-1)
+        return c[..., None] * v + s[..., None] * shifted
+
     def at(self, t) -> np.ndarray:
         """The (n, k) state from w = 0 at time t; (len(t), n, k) at an array of times."""
         w_inf = self.steady_pairs()
-        return w_inf + block_expm_apply(self.blocks, -w_inf, t)
+        return w_inf + self.propagate(-w_inf, t)
 
 
 @dataclass(frozen=True)
@@ -256,7 +302,8 @@ def build_spectral(a, b, params: MagParams | None = None, problem=None) -> Spect
     closed-form where `problem`, the `pde.PdeProblem` A was assembled
     from, has it, else dense.  The one place that turns (A, b) into
     singular values, vectors and U^H b; SingularMatrixError where A is
-    singular to working tolerance, InputError where sigma_max^2 overflows."""
+    singular to working tolerance, InputError where sigma_max^2 overflows
+    or sigma_min^2 is subnormal."""
     a, b = require_square(as_cmatrix(a)), as_cvector(b)
     if b.shape[0] != a.shape[0]:
         raise InputError(f"rhs length {b.shape[0]} != matrix dimension {a.shape[0]}")
@@ -264,6 +311,8 @@ def build_spectral(a, b, params: MagParams | None = None, problem=None) -> Spect
     condition_check(s)
     if not math.isfinite(float(s[0]) * float(s[0])):  # the blocks and bounds hold sigma^2
         raise InputError(f"sigma_max^2 overflows: sigma_max = {s[0]:.3e}")
+    if float(s[-1]) * float(s[-1]) < np.finfo(float).tiny:  # sigma^2 would have lost digits
+        raise InputError(f"sigma_min^2 is subnormal: sigma_min = {s[-1]:.3e}")
     if params is None:
         params = MagParams(s[0] ** 2, s[-1] ** 2)
     b_t = _times(b, u, np.empty(s.size, dtype=np.complex128))  # b conj(U) = U^H b
@@ -334,8 +383,8 @@ def horizon(method: str, spec: SpectralSystem, delta: float, block: int | None =
                 truncation is most of schro's error
       damped    ln(1/delta)/sigma_min, the paper's, which can miss delta
     InputError where delta_run is not > 0 or 1/delta_run is not a finite
-    double, and where mag's steps of 2n entries exceed MAX_ITERATION_ENTRIES,
-    a kappa_hat no realization of the map is run for."""
+    double, where mag's steps of 2n entries exceed MAX_ITERATION_ENTRIES,
+    a kappa_hat no realization of the map is run for, and where a time overflows."""
     delta_run = delta
     if method in ("mag", "gradient"):
         w = spec.mapped_steady if method == "mag" else spec.b_t / spec.sigma
@@ -354,12 +403,16 @@ def horizon(method: str, spec: SpectralSystem, delta: float, block: int | None =
                              f"{2 * spec.n} entries, beyond the budget of {MAX_ITERATION_ENTRIES}")
         return delta_run, steps
     if method == "schro":
-        return delta_run, float(math.ceil((kappa_hat + 1.0) / kappa_hat * kappa_hat * log_term))
-    if method == "gradient":
-        return delta_run, log_term / float(spec.sigma[-1]) ** 2
-    if method == "damped":
-        return delta_run, log_term / float(spec.sigma[-1])
-    raise ValueError(f"unknown method {method!r}")
+        length = float(math.ceil((kappa_hat + 1.0) / kappa_hat * kappa_hat * log_term))
+    elif method == "gradient":
+        length = log_term / float(spec.sigma[-1]) ** 2
+    elif method == "damped":
+        length = log_term / float(spec.sigma[-1])
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if not math.isfinite(length):
+        raise InputError(f"{method}'s run time overflows: sigma_min = {spec.sigma[-1]:.3e}")
+    return delta_run, length
 
 
 def solve_spectral(spec: SpectralSystem, delta_run: float, max_steps: int,

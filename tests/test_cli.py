@@ -1337,6 +1337,35 @@ def test_sigma_max_squared_overflow_is_usage_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: sigma_max^2 overflows: sigma_max = 1.000e+308\n"
 
 
+@pytest.mark.parametrize("argv", [["solve", "--method", "mag"], ["solve", "--method", "gradient"],
+                                  ["schro"], ["compare"], ["complexity"]])
+def test_subnormal_sigma_min_squared_is_usage_error(tmp_path, capsys, argv):
+    # sigma_min^2 = 1e-310 is subnormal: the bound mu_hat has lost digits and
+    # alpha ~ 1/sigma^2 overflows, so every command refuses A in one line
+    write_matrix_coo(tmp_path / "a.coo", np.diag([1e-155]).astype(complex))
+    write_vector(tmp_path / "b.vec", np.ones(1, dtype=complex))
+    out = tmp_path / "out"
+    rc = main([*argv, "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: sigma_min^2 is subnormal: sigma_min = 1.000e-155\n"
+    assert os.listdir(out) == []
+
+
+def test_gradient_time_overflow_is_usage_error(tmp_path, capsys):
+    # sigma_min^2 = 2.25e-308 is a normal double, but the gradient flow's time
+    # ln(1/delta_run)/sigma_min^2 is not finite: one line, no files
+    write_matrix_coo(tmp_path / "a.coo", np.diag(np.full(8, 1.5e-154)).astype(complex))
+    write_vector(tmp_path / "b.vec", np.ones(8, dtype=complex))
+    out = tmp_path / "out"
+    rc = main(["solve", "--method", "gradient", "--matrix", str(tmp_path / "a.coo"),
+               "--rhs", str(tmp_path / "b.vec"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: gradient's run time overflows: "
+                                       "sigma_min = 1.500e-154\n")
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("argv", [["solve", "--method", "mag"], ["solve", "--method", "schro"],
                                   ["compare"], ["complexity"]])
 def test_alpha_overflow_is_usage_error(tmp_path, capsys, argv):

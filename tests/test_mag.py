@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from schromag import mag
 from schromag.cli import _unit_rhs
@@ -18,6 +19,7 @@ from schromag.mag import (
     MAX_ITERATION_ENTRIES,
     SPECTRAL_RADIUS_TOL,
     STATE_CHUNK,
+    FlowSystem,
     MagParams,
     SpectralSystem,
     build_spectral,
@@ -359,6 +361,77 @@ class TestFlowSystem:
         finally:
             if enabled:
                 gc.enable()
+
+
+def propagate(blocks, v, t):
+    """exp(M t) v by `FlowSystem.propagate`, for M with the diagonal blocks `blocks`."""
+    blocks = np.asarray(blocks)
+    return FlowSystem(blocks, np.zeros(blocks.shape[:2])).propagate(v, t)
+
+
+class TestExpmApply:
+    """`FlowSystem.propagate`, the closed-form exponential of a block-diagonal
+    generator."""
+
+    def test_zero_generator(self):
+        v = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.allclose(propagate(np.zeros((2, 2, 2)), v, 7.5), v)
+
+    def test_scalar_decay(self):
+        out = propagate([[[-1.0]]], [[1.0]], 1.0)
+        assert out[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+
+    def test_phase_rotation(self):
+        # the real form of e^{i pi}: a rotation by pi
+        out = propagate([[[0.0, -np.pi], [np.pi, 0.0]]], [[1.0, 0.0]], 1.0)
+        assert out[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            propagate(np.zeros((1, 2, 2)), [[1.0, 2.0, 3.0]], 1.0)
+        with pytest.raises(ValueError):
+            propagate(np.zeros((1, 2, 2)), [[1.0, 2.0]], np.inf)
+
+    @given(st.integers(2, 10), st.floats(0.1, 3.0))
+    @settings(max_examples=20, deadline=None)
+    def test_group_law(self, n, t):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, 2, 2))
+        v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        full = propagate(m, v, t)
+        halves = propagate(m, propagate(m, v, t / 2), t / 2)
+        assert np.linalg.norm(full - halves) <= 1e-9 * np.linalg.norm(full)
+
+    @pytest.mark.parametrize("block", [
+        [[-1.0, 1.0], [0.0, -1.0]],  # defective: tau^2 = det exactly
+        [[-2.0, 0.0], [0.0, -2.0]],  # scalar
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[-3.0, 1.0], [-0.25, -2.0]],  # defective, off-diagonal on both sides
+        [[0.0, -5.0], [5.0, -0.1]],  # oscillating
+        [[-1.0, 2.0], [3.0, -7.0]],  # real eigenvalues
+    ])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 40.0])
+    def test_matches_dense_expm(self, block, t):
+        v = np.array([0.3 - 1.0j, 2.0 + 0.5j])
+        got = propagate([block], [v], t)[0]
+        expect = expm(np.array(block) * t) @ v
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+        if t == 0.0:
+            assert np.array_equal(got, v)
+
+    def test_times_stack(self):
+        m = np.array([[[0.0, -1.0], [1.0, -0.5]], [[-2.0, 0.0], [0.0, -1.0]]])
+        v = np.array([[1.0, 0.0], [1.0, 1.0]])
+        times = np.array([0.0, 0.5, 1.5])
+        out = propagate(m, v, times)
+        assert out.shape == (3, 2, 2)
+        for k, t in enumerate(times):
+            assert np.array_equal(out[k], propagate(m, v, t))
+
+    def test_rejects_complex_blocks(self):
+        with pytest.raises(ValueError):
+            propagate([[[1j]]], [[1.0]], 1.0)
 
 
 class TestIteration:
