@@ -4,8 +4,8 @@ Subcommands: solve, compare, pde, schro, blockenc-verify, complexity.
 Outputs are plot-ready CSV/JSON files, never rendered images.  Exit
 codes: 0 success, 1 violated numerical contract (`errors.NumericsError`,
 numpy's `LinAlgError`), 2 bad input (`errors.InputError`, usage errors
-included).  Every option is a flag, a `RunConfig` field; a flag given
-overrides the preset's default.
+included).  Every option is a flag, declared once in `_OPTIONS`; a flag
+given overrides the preset's default.
 """
 
 from __future__ import annotations
@@ -15,74 +15,57 @@ import gc
 import math
 import os
 import sys
-import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 import numpy as np
 
 # baselines, blockenc, complexity and schrod are imported by the commands
 # that run them: a mag run never compiles or loads them
 from . import io, mag
-from .errors import InputError, NumericsError
+from .errors import InputError, NumericsError, SingularMatrixError
 from .linalg import LinearSystem, direct_solve
 from .presets import SolverConfig, compare_preset, pde_preset
 
 SNAPSHOT_ROWS = 1024  # warped_field.csv samples every (n_p // 1024)-th grid point
 COMPARE_SAMPLES = 1200  # the times, 0 to t_end, at which compare samples each flow
 
-# options beyond --out; `_options_read` says which a run reads
+# the options beyond --out, in help order: name (the namespace attribute),
+# flag and type; `_options_read` says which a run reads
+_OPTIONS = {"preset": ("--preset", str), "matrix": ("--matrix", str), "rhs": ("--rhs", str),
+            "method": ("--method", str), "delta": ("--delta", float), "n_p": ("--np", int),
+            "l_hat": ("--lhat", float), "mu_hat": ("--muhat", float)}
 _BOUNDS = ("l_hat", "mu_hat")
 _SOURCES = ("preset", "matrix", "rhs")
-_OPTIONS = (*_SOURCES, "method", "delta", "n_p", *_BOUNDS)
 # the options each method of solve/pde reads beyond its source, --method and --delta
 _METHOD_OPTIONS = {"mag": _BOUNDS, "gradient": (), "damped": (), "schro": (*_BOUNDS, "n_p")}
-_FLAGS = {"n_p": "--np", "l_hat": "--lhat", "mu_hat": "--muhat"}
 
 
-def _flag(name: str) -> str:
-    return _FLAGS.get(name, f"--{name}")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    preset: str | None = None
-    matrix: str | None = None
-    rhs: str | None = None
-    method: str | None = None
-    delta: float | None = None
-    n_p: int | None = None
-    l_hat: float | None = None
-    mu_hat: float | None = None
-    out: str = "."
-
-    def validate(self):
-        sources = sum(x is not None for x in (self.preset, self.matrix))
-        if sources != 1:
+def _validate(cfg: argparse.Namespace):
+    """InputError for flags that conflict (blockenc-verify reads none of
+    them), then for the first option given that the run ignores."""
+    if cfg.command != "blockenc-verify":
+        if sum(x is not None for x in (cfg.preset, cfg.matrix)) != 1:
             raise InputError("exactly one problem source: --preset or --matrix/--rhs")
-        if self.matrix is not None and self.rhs is None:
+        if cfg.matrix is not None and cfg.rhs is None:
             raise InputError("--matrix requires --rhs")
-        if self.delta is not None and not (0.0 < self.delta < 1.0):
+        if cfg.delta is not None and not (0.0 < cfg.delta < 1.0):
             raise InputError("--delta must be in (0, 1)")
-        if self.n_p is not None and (self.n_p < 8 or (self.n_p & (self.n_p - 1)) != 0):
+        if cfg.n_p is not None and (cfg.n_p < 8 or (cfg.n_p & (cfg.n_p - 1)) != 0):
             raise InputError("--np must be a power of two >= 8")
-        if (self.l_hat is None) != (self.mu_hat is None):
+        if (cfg.l_hat is None) != (cfg.mu_hat is None):
             raise InputError("--lhat and --muhat go together")
-
-    def check_options_read(self):
-        """InputError naming the first option given that the run ignores."""
-        read = _options_read(self)
-        for name in _OPTIONS:
-            if getattr(self, name) is not None and name not in read:
-                run = self.command
-                if run in ("solve", "pde"):
-                    run += f" --method {self.method or 'mag'}"
-                elif run == "compare":
-                    run += f" --preset {self.preset}" if self.preset else " --matrix"
-                raise InputError(f"{run} does not read {_flag(name)}")
+    read = _options_read(cfg)
+    for name, (flag, _) in _OPTIONS.items():
+        if getattr(cfg, name) is not None and name not in read:
+            run = cfg.command
+            if run in ("solve", "pde"):
+                run += f" --method {cfg.method or 'mag'}"
+            elif run == "compare":
+                run += f" --preset {cfg.preset}" if cfg.preset else " --matrix"
+            raise InputError(f"{run} does not read {flag}")
 
 
-def _options_read(cfg: RunConfig) -> tuple:
+def _options_read(cfg: argparse.Namespace) -> tuple:
     """The options of _OPTIONS that the run `cfg` reads."""
     if cfg.command in ("solve", "pde"):
         return (*_SOURCES, "method", "delta", *_METHOD_OPTIONS[cfg.method or "mag"])
@@ -96,7 +79,7 @@ def _options_read(cfg: RunConfig) -> tuple:
     return ()  # blockenc-verify
 
 
-def _load_system(cfg: RunConfig):
+def _load_system(cfg: argparse.Namespace):
     """Problem and the effective delta."""
     if cfg.preset is not None:
         problem, solver = pde_preset(cfg.preset)
@@ -126,7 +109,7 @@ def _ldexp(values: np.ndarray, k: int) -> np.ndarray:
     return values
 
 
-def _factor(cfg: RunConfig, system: LinearSystem, problem, delta: float) -> tuple:
+def _factor(cfg: argparse.Namespace, system: LinearSystem, problem, delta: float) -> tuple:
     """(spec, oracle, delta, k) for a command's system and problem, its b
     scaled by 2^-k (`_unit_rhs`): the run's one `mag.SpectralSystem`, from
     one SVD of A (closed-form for a PDE problem that has it), and the
@@ -138,7 +121,7 @@ def _factor(cfg: RunConfig, system: LinearSystem, problem, delta: float) -> tupl
     return spec, direct_solve(system, spec.sigma), delta, k
 
 
-def _params_for(cfg: RunConfig) -> mag.MagParams | None:
+def _params_for(cfg: argparse.Namespace) -> mag.MagParams | None:
     """The bounds the run asks for; None leaves them to A's own spectrum."""
     return None if cfg.l_hat is None else mag.MagParams(cfg.l_hat, cfg.mu_hat)
 
@@ -186,7 +169,7 @@ def _relative_error(u: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(u - ref)) / max(np.max(np.abs(ref)), 1e-300))
 
 
-def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.ndarray,
+def _solve(cfg: argparse.Namespace, method: str, spec: mag.SpectralSystem, oracle: np.ndarray,
            delta: float, k: int, block: int | None = None, **run) -> tuple:
     """(u, report, trace or snapshot) of `method` on the run's `spec`,
     checked against the direct solve `oracle`, both for b scaled by 2^-k
@@ -210,7 +193,7 @@ def _solve(cfg: RunConfig, method: str, spec: mag.SpectralSystem, oracle: np.nda
     return _ldexp(u, k), report, extra
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: argparse.Namespace) -> int:
     method = cfg.method or "mag"
     spec, oracle, delta, k = _factor(cfg, *_load_system(cfg))
     u, report, trace = _solve(cfg, method, spec, oracle, delta, k, trace=True)
@@ -225,7 +208,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: argparse.Namespace) -> int:
     from . import baselines
 
     if cfg.preset == "fig2":
@@ -237,13 +220,18 @@ def cmd_compare(cfg: RunConfig) -> int:
         a, b, params, t_end = system.a, system.b, _params_for(cfg), None
     b, k = _unit_rhs(b)
     # no bounds guard: compare shows the momentum flow under any bounds
-    # whose blocks are finite
+    # whose blocks are finite and nonsingular
     spec = mag.build_spectral(a, b, params)
+    bounds = f"the bounds --lhat {spec.params.l_hat:.3g} --muhat {spec.params.mu_hat:.3g}"
     with np.errstate(over="ignore", invalid="ignore"):
         ode = spec.ode
     if not (np.all(np.isfinite(ode.blocks)) and np.all(np.isfinite(ode.drive))):
-        raise InputError(f"the bounds --lhat {spec.params.l_hat:.3g} --muhat "
-                         f"{spec.params.mu_hat:.3g} overflow the momentum blocks")
+        raise InputError(f"{bounds} overflow the momentum blocks")
+    try:
+        ode.steady_pairs()
+    except SingularMatrixError as exc:  # A itself passed its check in build_spectral
+        raise InputError(f"{bounds} make a momentum block singular to working tolerance "
+                         f"(cond ~ {exc.condition:.3e})") from exc
     if t_end is None:
         t_end = mag.horizon("damped", spec, delta)[1]
 
@@ -274,7 +262,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def _compare_fig2(cfg: RunConfig) -> int:
+def _compare_fig2(cfg: argparse.Namespace) -> int:
     problem, deltas = compare_preset("fig2")
     spec, oracle, _, k = _factor(cfg, problem.system, problem, None)
     scale = float(np.linalg.norm(oracle))
@@ -293,7 +281,7 @@ def _compare_fig2(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_pde(cfg: RunConfig) -> int:
+def cmd_pde(cfg: argparse.Namespace) -> int:
     if cfg.preset is None:
         raise InputError("pde requires --preset")
     system, problem, delta = _load_system(cfg)
@@ -322,7 +310,7 @@ def cmd_pde(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_schro(cfg: RunConfig) -> int:
+def cmd_schro(cfg: argparse.Namespace) -> int:
     u, report, (points, rows) = _solve(cfg, "schro", *_factor(cfg, *_load_system(cfg)),
                                        snapshot_rows=SNAPSHOT_ROWS)
     io.write_json(os.path.join(cfg.out, "schro.json"), report)
@@ -332,7 +320,7 @@ def cmd_schro(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_blockenc_verify(cfg: RunConfig) -> int:
+def cmd_blockenc_verify(cfg: argparse.Namespace) -> int:
     from . import blockenc
 
     rng = np.random.default_rng(0)
@@ -383,7 +371,7 @@ def cmd_blockenc_verify(cfg: RunConfig) -> int:
     return 0 if all(r["pass"] for r in results) else 1
 
 
-def cmd_complexity(cfg: RunConfig) -> int:
+def cmd_complexity(cfg: argparse.Namespace) -> int:
     from . import complexity, schrod
 
     system, problem, delta = _load_system(cfg)
@@ -434,25 +422,19 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schromag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    hints = typing.get_type_hints(RunConfig)
-    # (flag, field, type) for all fields but the command; X | None parses as X
-    options = [(_flag(f.name), f.name, (typing.get_args(hints[f.name]) or (hints[f.name],))[0])
-               for f in fields(RunConfig)[1:]]
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        for flag, dest, kind in options:
+        for dest, (flag, kind) in _OPTIONS.items():
             p.add_argument(flag, dest=dest, type=kind,
                            choices=tuple(_METHOD_OPTIONS) if dest == "method" else None)
+        p.add_argument("--out", default=".")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        given = vars(build_parser().parse_args(argv)).items()
-        cfg = RunConfig(**{name: value for name, value in given if value is not None})
-        if cfg.command != "blockenc-verify":
-            cfg.validate()
-        cfg.check_options_read()
+        cfg = build_parser().parse_args(argv)
+        _validate(cfg)
         try:
             os.makedirs(cfg.out, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission

@@ -591,8 +591,12 @@ def plan(spec: mag_mod.SpectralSystem, t_end: float, n_p: int | None = None) -> 
     """(report, pairs, grid) of a run to t_end in the momentum ODE's time:
     the run's whole `PipelineReport`, settled before the evolution, the
     pair system at the forcing scale `default_forcing_scale`, and the grid
-    (`build_grid_from_rate`), which `cli.cmd_complexity` prices."""
+    (`build_grid_from_rate`), which `cli.cmd_complexity` prices; InputError
+    where the squares of the forcing slot, summed over the pairs, overflow."""
     pairs = build_pair_system(spec)
+    top = float(np.max(np.abs(pairs.forcing), initial=0.0))
+    if not math.isfinite(top * top * spec.n):  # the slot norms below sum its squares
+        raise InputError(f"the forcing slot's squares overflow: max |forcing| = {top:.3e}")
     runway = required_runway(pairs, t_end)
     tail = envelope_tail(DEFAULT_TAIL_TOL)
     # decay the envelope below noise at the periodic seam: the largest

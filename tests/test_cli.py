@@ -1366,6 +1366,22 @@ def test_gradient_time_overflow_is_usage_error(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("argv", [["schro"], ["solve", "--method", "schro"], ["complexity"]])
+def test_forcing_square_overflow_is_usage_error(tmp_path, capsys, argv):
+    # on the same 1.5e-154 I_8, u = 6.7e153 and the Hamiltonian plan's forcing
+    # slot, 3.3e154, has squares that overflow: one line, no files, and under
+    # filterwarnings no warning on the way
+    write_matrix_coo(tmp_path / "a.coo", np.diag(np.full(8, 1.5e-154)).astype(complex))
+    write_vector(tmp_path / "b.vec", np.ones(8, dtype=complex))
+    out = tmp_path / "out"
+    rc = main([*argv, "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: the forcing slot's squares overflow: "
+                                       "max |forcing| = 3.333e+154\n")
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("argv", [["solve", "--method", "mag"], ["solve", "--method", "schro"],
                                   ["compare"], ["complexity"]])
 def test_alpha_overflow_is_usage_error(tmp_path, capsys, argv):
@@ -1435,19 +1451,26 @@ class TestExitCodes:
         assert rc == code
         assert capsys.readouterr().err == message + "\n"
 
-    @pytest.mark.parametrize("bound", ["1e-300", "1e-320"], ids=["inf", "nan"])
-    def test_compare_refuses_overflowing_blocks(self, tmp_path, capsys, bound):
+    @pytest.mark.parametrize("diagonal, bound, refusal", [
+        ([1e5, 1.0], "1e-300", "overflow the momentum blocks"),
+        ([1e5, 1.0], "1e-320", "overflow the momentum blocks"),
+        # A = I, but alpha = 1e20 makes the block [[-1e20, 0], [0, -1]], finite and
+        # singular to working tolerance: the bounds are refused, not the matrix
+        ([1.0, 1.0], "1e-20", "make a momentum block singular to working tolerance "
+                              "(cond ~ 1.000e+20)"),
+    ], ids=["inf", "nan", "singular"])
+    def test_compare_refuses_overflowing_blocks(self, tmp_path, capsys, diagonal, bound, refusal):
         # compare runs no radius guard, but blocks that overflow (alpha s^2 = inf,
         # or inf * 0 = nan) would give overflowed trajectories: one line, no files,
         # and under filterwarnings no warning on the way
-        write_matrix_coo(tmp_path / "a.coo", np.diag([1e5, 1.0]))
+        write_matrix_coo(tmp_path / "a.coo", np.diag(diagonal))
         write_vector(tmp_path / "b.vec", np.ones(2))
         out = tmp_path / "out"
         rc = main(["compare", "--matrix", str(tmp_path / "a.coo"), "--rhs", str(tmp_path / "b.vec"),
                    "--lhat", bound, "--muhat", bound, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (f"error: the bounds --lhat {float(bound):.3g} --muhat "
-                                           f"{float(bound):.3g} overflow the momentum blocks\n")
+                                           f"{float(bound):.3g} {refusal}\n")
         assert not out.exists() or os.listdir(out) == []
 
     @pytest.mark.parametrize("argv", [[], ["nope"], ["solve", "--delta", "abc"],
@@ -1530,7 +1553,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key", ["matrix", "out"])
     def test_nul_byte_in_a_config_path_exits_two(self, tmp_path, capsys, key):
-        # a path field of RunConfig, given as its flag, with a NUL byte in it
+        # a path option, given as its flag, with a NUL byte in it
         (tmp_path / "a.coo").write_text("2 2 2\n0 0 1.0 0.0\n1 1 1.0 0.0\n")
         (tmp_path / "b.vec").write_text("1.0 0.0\n1.0 0.0\n")
         paths = {"matrix": str(tmp_path / "a.coo"), "rhs": str(tmp_path / "b.vec"),
