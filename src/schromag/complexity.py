@@ -34,16 +34,6 @@ def chi(s: int, max_norm: float, t: float) -> float:
     return float(s) * float(max_norm) * float(t)
 
 
-def queries(chi_value: float, delta: float) -> float:
-    """chi * ln(chi/delta) / lnln(chi/delta); undefined at chi/delta <= e,
-    where a run's delta and n_p take it, so InputError there."""
-    ratio = chi_value / delta
-    if ratio <= math.e:
-        raise InputError(f"estimate undefined for chi/delta = {ratio:.4g} <= e")
-    ln = math.log(ratio)
-    return chi_value * ln / math.log(ln)
-
-
 def gates(chi_value: float, delta: float, n: int) -> float:
     """Two-qubit gate count: chi * [m + ln^2.5(chi/delta)] * ln/lnln, with
     m = ln(max(n, 2)) for the system register."""

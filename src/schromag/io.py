@@ -73,9 +73,9 @@ def coo_entries(m) -> tuple:
     return m.shape, ii, jj, m[ii, jj]
 
 
-def write_matrix_coo(path, m) -> None:
-    """m, a matrix or its `coo_entries`, as a COO file."""
-    (rows, cols), ii, jj, entries = m if isinstance(m, tuple) else coo_entries(m)
+def write_matrix_coo(path, nonzeros) -> None:
+    """A matrix's `coo_entries` as a COO file."""
+    (rows, cols), ii, jj, entries = nonzeros
     write_rows(path, f"{rows} {cols} {ii.size}", [ii, jj, entries.real, entries.imag], sep=" ")
 
 

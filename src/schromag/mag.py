@@ -326,15 +326,14 @@ class IterationTrace:
     w_final: np.ndarray = field(default=None, repr=False)
 
 
-def mag_iterate(sys, w0, delta: float, max_steps: int, *, w_inf: np.ndarray,
-                on_states=None) -> IterationTrace:
-    """Run w <- sys.step(w), the map w -> H w + F, until the error contracts
-    below delta.
+def mag_iterate(sys, delta: float, max_steps: int, on_states=None) -> IterationTrace:
+    """Run w <- sys.step(w), the map w -> H w + F, from rest (w_0 = 0, the
+    heavy ball's u_0 = u_{-1} = 0) until the error contracts below delta.
 
     `sys` is the momentum ODE `SpectralSystem.ode`, whose states are
-    (n, 2), or any system with a `step` on states shaped like w_inf.
-    Termination measures ||w_n - w_inf|| / ||w_0 - w_inf|| against the
-    steady state w_inf (a unitary change of basis leaves it unchanged).
+    (n, 2), or any system with a `step` and a `steady_pairs()` w_inf of
+    the state's shape.  Termination measures ||w_n - w_inf|| / ||w_inf||
+    (a unitary change of basis leaves it unchanged).
     No state is kept: `on_states`, if given, is called with the states
     w_0, w_1, ... in order, as stacks of 1 to STATE_CHUNK consecutive
     states that the caller may drop.  A run that ends in ConvergenceError
@@ -342,12 +341,10 @@ def mag_iterate(sys, w0, delta: float, max_steps: int, *, w_inf: np.ndarray,
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    w = np.array(w0, dtype=np.complex128)
-    if w.shape != np.shape(w_inf) or not np.all(np.isfinite(w)):
-        raise ValueError(f"w0 must be finite and shaped like the steady state {np.shape(w_inf)}")
-
-    denom = np.linalg.norm(w - w_inf)
-    residuals, chunk = [1.0], [] if on_states is None else [w.copy()]
+    w_inf = sys.steady_pairs()
+    w = np.zeros(np.shape(w_inf), dtype=np.complex128)
+    denom = np.linalg.norm(w_inf)
+    residuals, chunk = [1.0], [] if on_states is None else [w]
     while denom > 0.0 and not residuals[-1] < delta:
         if len(residuals) > max_steps:
             raise ConvergenceError(
@@ -435,9 +432,8 @@ def solve_spectral(spec: SpectralSystem, delta_run: float, max_steps: int,
     norms, on_states = [], None
     if kappa2 < math.inf:
         def on_states(states):
-            norms.append(relative_trace(states, spec.mapped_steady, spec))
-    iteration = mag_iterate(spec.ode, np.zeros((spec.n, 2)), delta_run, max_steps,
-                            w_inf=spec.ode.steady_pairs(), on_states=on_states)
+            norms.append(relative_trace(states, spec))
+    iteration = mag_iterate(spec.ode, delta_run, max_steps, on_states=on_states)
     relative = None
     if norms:  # over the value at w_0 = 0, sqrt(2n)
         relative = np.concatenate(norms)
@@ -478,15 +474,16 @@ def _steady_kappa2(w_inf: np.ndarray) -> float:
     return float(np.max(mags) / np.min(mags))
 
 
-def relative_trace(states, w_state: np.ndarray, system: SpectralSystem) -> np.ndarray:
-    """||(w - w_state) / w_state|| for each state of `states`, a stack of
+def relative_trace(states, system: SpectralSystem) -> np.ndarray:
+    """||(w - w_inf) / w_inf|| for each state of `states`, a stack of
     (n, 2) states of `system`, mapped back to [V w1; U w2] first, against
-    its mapped steady state w_state (`SpectralSystem.mapped_steady`),
+    its mapped steady state w_inf (`SpectralSystem.mapped_steady`),
     whose kappa_2 the caller has found finite: one stack's part of a
     componentwise-relative residual trace, before its division by the
     value at n = 0."""
+    w_inf = system.mapped_steady
     err = system.to_state(states)
-    err -= w_state
-    err /= w_state
+    err -= w_inf
+    err /= w_inf
     return np.sqrt(np.einsum("ij,ij->i", err.real, err.real)
                    + np.einsum("ij,ij->i", err.imag, err.imag))

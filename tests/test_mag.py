@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -53,10 +54,10 @@ def random_system(rng, n, sig_lo=0.2, sig_hi=5.0):
     return a, b, MagParams(sig_hi**2, sig_lo**2)
 
 
-def iterate_kept(sys, w0, delta, max_steps, w_inf):
+def iterate_kept(sys, delta, max_steps):
     """`mag_iterate` and every state it hands over, as one stack, w_0 first."""
     stacks = []
-    trace = mag_iterate(sys, w0, delta, max_steps, w_inf=w_inf, on_states=stacks.append)
+    trace = mag_iterate(sys, delta, max_steps, on_states=stacks.append)
     return trace, np.concatenate(stacks)
 
 
@@ -438,7 +439,7 @@ class TestIteration:
     def test_one_step_fixed_point(self):
         p = MagParams(1.0, 1.0)
         sys = build_transformed(np.eye(1), [1.0], p)
-        trace = mag_iterate(sys, np.zeros(2), 0.5, 10, w_inf=steady_state(sys))
+        trace = mag_iterate(sys, 0.5, 10)
         assert trace.steps == 1
         assert np.allclose(trace.w_final, steady_state(sys))
 
@@ -446,7 +447,7 @@ class TestIteration:
         p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         delta = 1e-6
-        trace = mag_iterate(sys, np.zeros(4), delta, 10_000, w_inf=steady_state(sys))
+        trace = mag_iterate(sys, delta, 10_000)
         lo = p.kappa_hat * math.log(1 / delta) / 4
         hi = 4 * p.kappa_hat * math.log(1 / delta)
         assert lo <= trace.steps <= hi
@@ -459,14 +460,16 @@ class TestIteration:
         # case is defective and picks up transient polynomial growth)
         p = MagParams((10.0 * 1.02) ** 2, (0.1 / 1.02) ** 2)
         sys = build_transformed(DIAG_A, DIAG_B, p)
-        trace = mag_iterate(sys, np.zeros(4), 1e-6, 10_000, w_inf=steady_state(sys))
+        trace = mag_iterate(sys, 1e-6, 10_000)
         rho = math.sqrt(p.beta)
         for n, r in enumerate(trace.residuals):
             assert r <= p.kappa_hat * rho**n * (1 + 1e-9)
 
     def test_envelope_tight_at_dominant_eigenvector(self):
-        # slightly widened bounds keep the spectrum simple, so iterating
-        # from an exact eigenvector contracts at exactly rho per step
+        # slightly widened bounds keep the spectrum simple, so an error that
+        # is an exact eigenvector contracts at exactly rho per step; the
+        # drive F = -(I - H) v puts the steady state at -v, so the run from
+        # rest starts at the error v
         a = np.diag([2.0, 1.0]).astype(complex)
         p = MagParams(4.2, 0.9)
         sys = build_transformed(a, np.array([1.0, 1.0 + 0j]), p)
@@ -474,8 +477,9 @@ class TestIteration:
         idx = int(np.argmax(np.abs(vals)))
         rho = float(np.abs(vals[idx]))
         assert rho == pytest.approx(math.sqrt(p.beta), abs=1e-10)
-        w_inf = steady_state(sys)
-        trace = mag_iterate(sys, w_inf + vecs[:, idx], 1e-6, 10_000, w_inf=w_inf)
+        sys = dataclasses.replace(sys, f=-(np.eye(4) - sys.h) @ vecs[:, idx])
+        assert np.allclose(steady_state(sys), -vecs[:, idx], rtol=0.0, atol=1e-14)
+        trace = mag_iterate(sys, 1e-6, 10_000)
         for n, r in enumerate(trace.residuals[:100]):
             assert r == pytest.approx(rho**n, rel=1e-6)
 
@@ -483,7 +487,7 @@ class TestIteration:
         p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         with pytest.raises(ConvergenceError) as err:
-            mag_iterate(sys, np.zeros(4), 1e-12, 5, w_inf=steady_state(sys))
+            mag_iterate(sys, 1e-12, 5)
         assert err.value.residual is not None
 
     def test_scaling_linear_in_kappa(self):
@@ -493,7 +497,7 @@ class TestIteration:
             a = np.diag([kappa, 1.0]).astype(complex)
             p = MagParams(kappa**2, 1.0)
             sys = build_transformed(a, np.array([1.0, 1.0 + 0j]), p)
-            trace = mag_iterate(sys, np.zeros(4), delta, 200_000, w_inf=steady_state(sys))
+            trace = mag_iterate(sys, delta, 200_000)
             ratios.append(trace.steps / (kappa * math.log(1 / delta)))
         assert all(0.25 <= r <= 4.0 for r in ratios)
         assert max(ratios) / min(ratios) < 2.0
@@ -562,7 +566,7 @@ class TestRelativeTrace:
         sys = build_transformed(np.eye(2), [1.0, 1.0], p)
         w_inf = steady_state(sys)
         assert np.allclose(w_inf, w_inf[0])
-        trace, states = iterate_kept(sys, np.zeros(4), 1e-8, 5000, w_inf)
+        trace, states = iterate_kept(sys, 1e-8, 5000)
         values, kappa2 = relative_trace_from_steady(w_inf, states)
         assert kappa2 == pytest.approx(1.0, rel=1e-9)
         assert values == pytest.approx(trace.residuals, rel=1e-6)
@@ -571,7 +575,7 @@ class TestRelativeTrace:
         p = MagParams(100.0, 0.01)
         sys = build_transformed(DIAG_A, DIAG_B, p)
         w = steady_state(sys)
-        _, states = iterate_kept(sys, np.zeros(4), 1e-6, 10_000, w)
+        _, states = iterate_kept(sys, 1e-6, 10_000)
         values, kappa2 = relative_trace_from_steady(w, states)
         assert values is not None
         assert math.isfinite(kappa2)
@@ -640,8 +644,7 @@ class TestStreamedStates:
     @staticmethod
     def _states(spec):
         """The first states of a long run of `spec.ode` from w = 0, and its residuals."""
-        w_inf = spec.ode.steady_pairs()
-        trace, states = iterate_kept(spec.ode, np.zeros_like(w_inf), 1e-12, 10_000, w_inf)
+        trace, states = iterate_kept(spec.ode, 1e-12, 10_000)
         return states, trace.residuals
 
     @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
@@ -669,10 +672,9 @@ class TestStreamedStates:
         # max_steps + 1 states (2c - 1, 2c, 2c + 1): every full stack is
         # handed over before the error, the states after them are not
         states, _ = self._states(spec)
-        w_inf, stacks = spec.ode.steady_pairs(), []
+        stacks = []
         with pytest.raises(ConvergenceError):
-            mag_iterate(spec.ode, np.zeros_like(w_inf), 1e-12, max_steps, w_inf=w_inf,
-                        on_states=stacks.append)
+            mag_iterate(spec.ode, 1e-12, max_steps, on_states=stacks.append)
         full = (max_steps + 1) // self.CHUNK
         assert [len(stack) for stack in stacks] == [self.CHUNK] * full
         assert np.array_equal(np.concatenate(stacks), states[: full * self.CHUNK])
@@ -681,10 +683,12 @@ class TestStreamedStates:
             solve_spectral(spec, 1e-12, max_steps, trace=True)
 
     def test_converged_start_hands_over_w0(self, spec):
-        w_inf, stacks = spec.ode.steady_pairs(), []
-        trace = mag_iterate(spec.ode, w_inf, 0.5, 10, w_inf=w_inf, on_states=stacks.append)
+        # b = 0: the steady state is the rest state the run starts from
+        rest = dataclasses.replace(spec, b_t=np.zeros_like(spec.b_t))
+        stacks = []
+        trace = mag_iterate(rest.ode, 0.5, 10, on_states=stacks.append)
         assert trace.steps == 0 and len(stacks) == 1
-        assert np.array_equal(stacks[0], w_inf[None])
+        assert np.array_equal(stacks[0], np.zeros((1, spec.n, 2)))
 
 
 class TestAgainstOracle:
@@ -694,7 +698,7 @@ class TestAgainstOracle:
         rng = np.random.default_rng(77 + n)
         a, b, p = random_system(rng, n)
         sys = build_transformed(a, b, p)
-        trace = mag_iterate(sys, np.zeros(2 * n), 1e-10, 50_000, w_inf=steady_state(sys))
+        trace = mag_iterate(sys, 1e-10, 50_000)
         u = trace.w_final[:n] / (1.0 - p.beta)
         oracle = direct_solve(LinearSystem(a, b), full_svd(a)[1])
         assert np.linalg.norm(u - oracle) <= 1e-8 * np.linalg.norm(oracle)
@@ -717,11 +721,10 @@ class TestPairBasis:
         # (`solve_spectral`, with its relative trace where `traced`)
         dense = build_transformed(a, b, p)
         spec = build_spectral(a, b, p)
-        w_inf, stacks = steady_state(dense), []
-        length = horizon("mag", spec, delta)
-        trace = mag_iterate(dense, np.zeros_like(w_inf), *length,
-                            w_inf=w_inf, on_states=stacks.append if traced else None)
-        rel_d = relative_trace_from_steady(w_inf, np.concatenate(stacks)) if traced else None
+        stacks, length = [], horizon("mag", spec, delta)
+        trace = mag_iterate(dense, *length, on_states=stacks.append if traced else None)
+        rel_d = (relative_trace_from_steady(steady_state(dense), np.concatenate(stacks))
+                 if traced else None)
         iteration, x, kappa2, relative = solve_spectral(spec, *length, traced)
         return ((trace, trace.w_final[: dense.n] / (1.0 - p.beta), rel_d),
                 (iteration, spec.solution(x), (relative, kappa2)))

@@ -19,7 +19,6 @@ from schromag.schrod import (
     build_pair_system,
     default_forcing_scale,
     envelope,
-    envelope_tail,
     evolve_structured,
     pipeline,
     readout_weights,
@@ -209,7 +208,7 @@ class TestBuildGrid:
 
     def test_derived_grid_is_eight_on_a_narrow_domain(self):
         # [-1, 2) is narrower than 8 MAX_DP: the smallest grid
-        grid = schrod.build_grid_from_rate(0.0, 1.0, None, -1.0)
+        grid = schrod.build_grid_from_rate(0.0, 1.0, None, -1.0, schrod.RIGHT_MARGIN)
         assert (grid.n_p, grid.p_right - grid.p_left, grid.dp) == (8, 3.0, 3.0 / 8)
         assert grid.p_right - grid.p_left < 8 * schrod.MAX_DP
 
@@ -219,23 +218,24 @@ class TestBuildGrid:
         # and half of them is refused, naming 2^k
         width = schrod.MAX_DP * 2**k
         p_left = schrod.RIGHT_MARGIN - width
-        grid = schrod.build_grid_from_rate(0.0, 1.0, None, p_left)
+        grid = schrod.build_grid_from_rate(0.0, 1.0, None, p_left, schrod.RIGHT_MARGIN)
         assert (grid.n_p, grid.dp) == (2**k, schrod.MAX_DP)
         if k > 3:
             with pytest.raises(InputError, match=f"; use n_p >= {2**k}$"):
-                schrod.build_grid_from_rate(0.0, 1.0, 2 ** (k - 1), p_left)
+                schrod.build_grid_from_rate(0.0, 1.0, 2 ** (k - 1), p_left, schrod.RIGHT_MARGIN)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=1e-12, max_value=schrod.MAX_NP * schrod.MAX_DP - 2.0))
     def test_derived_grid_is_the_coarsest_that_passes(self, length):
-        grid = schrod.build_grid_from_rate(0.0, 1.0, None, -length)
+        margin = schrod.RIGHT_MARGIN
+        grid = schrod.build_grid_from_rate(0.0, 1.0, None, -length, margin)
         width = grid.p_right - grid.p_left
         assert grid.dp <= schrod.MAX_DP
-        assert schrod.build_grid_from_rate(0.0, 1.0, grid.n_p, -length).dp == grid.dp
+        assert schrod.build_grid_from_rate(0.0, 1.0, grid.n_p, -length, margin).dp == grid.dp
         if grid.n_p > 8:
             assert width / (grid.n_p // 2) > schrod.MAX_DP
             with pytest.raises(InputError, match=f"; use n_p >= {grid.n_p}$"):
-                schrod.build_grid_from_rate(0.0, 1.0, grid.n_p // 2, -length)
+                schrod.build_grid_from_rate(0.0, 1.0, grid.n_p // 2, -length, margin)
 
     def test_presets_derive_their_grids(self):
         # at delta = 1e-3 each preset's run, on the CLI's spectral system,
@@ -306,16 +306,22 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("tail_tol", [0.5, math.exp(-10.0), 1e-12, math.exp(-30.0), 1e-300])
     def test_tail_length(self, tail_tol):
-        length = envelope_tail(tail_tol)
+        # the bisection ENVELOPE_TAIL is found by, on psi(-L) = tail_tol
+        # between the peak and L = 1000, over the range of a double
+        length = schrod._bracketed_root(lambda x: float(envelope(-x)) - tail_tol,
+                                        -schrod._PEAK_P, 1000.0)
         assert float(envelope(-length)) == pytest.approx(tail_tol, rel=1e-13)
         assert length > -schrod._PEAK_P  # left of the maximum
         beyond = envelope(np.linspace(-length - 50.0, -length, 101))
         assert np.all(beyond <= tail_tol * (1 + 1e-13))
 
     def test_default_tail_length(self):
-        assert envelope_tail(schrod.DEFAULT_TAIL_TOL) == pytest.approx(13.22508, abs=1e-5)
-        with pytest.raises(InputError):
-            envelope_tail(1.0)
+        length = schrod.ENVELOPE_TAIL
+        assert length == pytest.approx(13.22508, abs=1e-5)
+        assert float(envelope(-length)) == pytest.approx(schrod.DEFAULT_TAIL_TOL, rel=1e-13)
+        assert length > -schrod._PEAK_P
+        beyond = envelope(np.linspace(-length - 50.0, -length, 101))
+        assert np.all(beyond <= schrod.DEFAULT_TAIL_TOL * (1 + 1e-13))
 
     def test_readout_exact_at_time_zero(self):
         # the grid values at t = 0 are psi(p_k) w0 and sum_k w_k e^{-p_k} = 1,
@@ -502,18 +508,28 @@ class TestStructuredEvolution:
 
     def test_runway_reads_weights_times_envelope_peak(self):
         # the fast group (sigma = 4) carries a fraction f of the solution
-        # scale; its left-moving content peaks at ENVELOPE_MAX f, so a budget
-        # just below ENVELOPE_MAX f keeps it and one just above exempts it
+        # scale; its left-moving content peaks at ENVELOPE_MAX f, so a peak
+        # just above ACTIVE_PAIR_BUDGET keeps it and one just below exempts it
         p = MagParams(16.5, 0.2)
-        sys = build_transformed(np.diag([4.0, 0.5]), np.array([1e-3, 1.0]), p)
-        pairs = _pairs(sys, default_forcing_scale(p))
-        fast, slow = np.argmax(pairs.sigma[pairs.reps]), np.argmin(pairs.sigma[pairs.reps])
-        frac = pairs.group_weights()[fast] / pairs.solution_scale()
-        speeds = pairs.advection_speeds()[pairs.reps]
         t = 10.0
-        peak = schrod.ENVELOPE_MAX * frac
-        assert required_runway(pairs, t, 0.99 * peak) == pytest.approx(speeds[fast] * t)
-        assert required_runway(pairs, t, 1.01 * peak) == pytest.approx(speeds[slow] * t)
+
+        def pairs_at(c):
+            sys = build_transformed(np.diag([4.0, 0.5]), np.array([c, 1.0]), p)
+            return _pairs(sys, default_forcing_scale(p))
+
+        def peak(pairs):
+            fast = np.argmax(pairs.sigma[pairs.reps])
+            return schrod.ENVELOPE_MAX * pairs.group_weights()[fast] / pairs.solution_scale()
+
+        # f is linear in the fast rhs entry c up to the solution scale's
+        # O(f^2) share: c puts the peak at the budget to ~1e-9
+        c = 1e-3 * schrod.ACTIVE_PAIR_BUDGET / peak(pairs_at(1e-3))
+        for share, kept in ((1.01, True), (0.99, False)):
+            pairs = pairs_at(share * c)
+            assert bool(peak(pairs) > schrod.ACTIVE_PAIR_BUDGET) is kept
+            sig = pairs.sigma[pairs.reps]
+            speed = pairs.advection_speeds()[pairs.reps][np.argmax(sig) if kept else np.argmin(sig)]
+            assert required_runway(pairs, t) == pytest.approx(speed * t)
 
     def test_lambda_max_matches_dense(self):
         sys, gamma_f = self._setup(seed=5)
@@ -702,7 +718,7 @@ class TestStreamedReadout:
         k_star = recovery_index(grid, p_diamond)
         for weights, oracle in ((readout_weights(grid, k_star, advect), recover_integral),
                                 (single_point_weights(grid, p_diamond), recover_single_point)):
-            vec, rows = _evolve_state(pairs, grid, t, weights)
+            vec, rows = _evolve_state(pairs, grid, t, weights, 0)
             assert rows is None
             assert np.allclose(vec, oracle(state, sp.h1), rtol=0.0, atol=atol)
         field = state.field()
@@ -752,7 +768,7 @@ class TestStreamedReadout:
             expect = oracle(state, sp.h1)
             for entries in (schrod._CHUNK_ENTRIES, 256):
                 with mock.patch.object(schrod, "_CHUNK_ENTRIES", entries):
-                    vec, rows = _evolve_state(pairs, grid, t, weights)
+                    vec, rows = _evolve_state(pairs, grid, t, weights, 0)
                     assert rows is None
                     assert np.allclose(vec, expect, rtol=0.0, atol=atol)
                     for stride in (1, 8, 32):
@@ -937,7 +953,7 @@ class TestPruning:
         assert 0.0 < pairs.pruned_weight() <= 4 * np.finfo(float).eps
         t = 20.0
         rate = pairs.lambda_max_h1()
-        grid = schrod.build_grid_from_rate(rate, t, 4096, p_left=-60.0)
+        grid = schrod.build_grid_from_rate(rate, t, 4096, -60.0, schrod.RIGHT_MARGIN)
         weights = single_point_weights(grid, max(rate * t, 0.0))
         vec, rows = _evolve_state(pairs, grid, t, weights, 64)
         # entries 0 and 1 share a group: the same r(sigma), scaled by forcings
@@ -1033,7 +1049,7 @@ class TestPipeline:
         for key in ("t_end", "n_p", "p_left", "p_right", "p_diamond",
                     "k_star", "recovery_method"):
             assert key in d
-        assert d["envelope_tail"] == envelope_tail(schrod.DEFAULT_TAIL_TOL)
+        assert d["envelope_tail"] == schrod.ENVELOPE_TAIL
         assert d["p_left"] == -(d["runway"] + d["envelope_tail"])
         # checking against a reference solution is the caller's business
         assert "residual_vs_oracle" not in d
@@ -1091,10 +1107,7 @@ class TestPipeline:
         a, b = problem.system.a, problem.system.b
         params = params_from_matrix(a)
         sys, spec = build_transformed(a, b, params), build_spectral(a, b, params)
-        trace = mag_iterate(
-            sys, np.zeros(2 * sys.n), 1e-3, horizon("mag", spec, 1e-3)[1],
-            w_inf=steady_state(sys),
-        )
+        trace = mag_iterate(sys, 1e-3, horizon("mag", spec, 1e-3)[1])
         u_iter = trace.w_final[: sys.n] / (1.0 - params.beta)
         u_pipe, _, _ = _pipeline_u(spec, 1e-3)
         scale = np.max(np.abs(u_iter))
